@@ -35,7 +35,6 @@ from .resolvent import (
     SweepResult,
     laguerre_grid,
     mode_block,
-    resolvent_norm,
     scaled_sweep,
     static_solve,
 )

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -23,8 +22,9 @@ from .model import ExponentialKernel, InvalidModelError, validate_params
 
 
 def _fmt(x) -> str:
+    # numpy scalars subclass float but repr as np.float64(...) under numpy 2
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))
     return str(x)
 
 
@@ -49,7 +49,7 @@ def _require_exponential(cfg: RunConfig) -> ExponentialKernel:
     return cfg.kernel
 
 
-def cmd_validate(cfg: RunConfig, out: Path, threads: int) -> int:
+def cmd_validate(cfg: RunConfig, out: Path) -> int:
     report = validate_params(cfg.params, cfg.kernel, cfg.grid)
     payload = {
         "passed": report.passed,
@@ -65,7 +65,7 @@ def cmd_validate(cfg: RunConfig, out: Path, threads: int) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_spectrum(cfg: RunConfig, out: Path, threads: int) -> int:
+def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
     kernel = _require_exponential(cfg)
     n_modes = cfg.options.get("spectrum", {}).get("modes", cfg.grid.count)
     if n_modes > cfg.grid.count:
@@ -81,7 +81,7 @@ def cmd_spectrum(cfg: RunConfig, out: Path, threads: int) -> int:
     return 0
 
 
-def cmd_sweep(cfg: RunConfig, out: Path, threads: int) -> int:
+def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     kernel = _require_exponential(cfg)
     opts = cfg.options.get("sweep", {})
     m_list = opts.get("M", [40])
@@ -99,7 +99,6 @@ def cmd_sweep(cfg: RunConfig, out: Path, threads: int) -> int:
             omega=opts.get("omega"),
             per_decade=opts.get("per_decade", 64),
             resonances_per_branch=opts.get("resonances_per_branch", 16),
-            threads=threads,
         )
         rows = [
             {
@@ -132,7 +131,7 @@ def cmd_sweep(cfg: RunConfig, out: Path, threads: int) -> int:
     return 0
 
 
-def cmd_simulate(cfg: RunConfig, out: Path, threads: int) -> int:
+def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     opts = cfg.options.get("simulate", {})
     integ = opts.get("integrator", "exact")
     if integ == "general":
@@ -181,7 +180,7 @@ def cmd_simulate(cfg: RunConfig, out: Path, threads: int) -> int:
     return 0
 
 
-def cmd_fit(cfg: RunConfig, out: Path, threads: int) -> int:
+def cmd_fit(cfg: RunConfig, out: Path) -> int:
     opts = cfg.options.get("fit", {})
     trace_path = opts.get("trace")
     if trace_path is None:
@@ -207,13 +206,13 @@ def cmd_fit(cfg: RunConfig, out: Path, threads: int) -> int:
     return 0
 
 
-def cmd_verdict(cfg: RunConfig, out: Path, threads: int) -> int:
+def cmd_verdict(cfg: RunConfig, out: Path) -> int:
     kernel = _require_exponential(cfg)
     opts = cfg.options.get("verdict", {})
     xi_probes = opts.get("xi_probes", list(np.geomspace(1e3, 1e6, 7)))
     branches = []
     for xi in xi_probes:
-        poly = spectral.quintic_coeffs_at(float(xi), cfg.params, kernel.delta)
+        poly = spectral.quintic_coeffs(float(xi), cfg.params, kernel.delta)
         branches.append(spectral.quintic_roots(poly, cfg.params))
     sweep = resolvent.scaled_sweep(
         cfg.params,
@@ -224,7 +223,6 @@ def cmd_verdict(cfg: RunConfig, out: Path, threads: int) -> int:
         tau_hi=opts.get("tau_hi", 1000.0),
         per_decade=opts.get("per_decade", 16),
         resonances_per_branch=opts.get("resonances_per_branch", 12),
-        threads=threads,
     )
     verdict = analysis.optimality_check(branches, sweep, cfg.params)
     payload = {
@@ -266,17 +264,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--out", default=None, help="output directory (default from config or ./memwave-out)")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="parallel width cap (default MEMWAVE_THREADS or 1)",
-    )
     args = parser.parse_args(argv)
-
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("MEMWAVE_THREADS", "1"))
 
     try:
         cfg = load_config(args.config)
@@ -288,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     try:
-        return COMMANDS[args.command](cfg, out, threads)
+        return COMMANDS[args.command](cfg, out)
     except Exception as exc:  # noqa: BLE001 - boundary: report and exit nonzero
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(payload))

@@ -96,7 +96,6 @@ SCHEMA = {
                 },
             ]
         },
-        "seed": {"type": "integer", "minimum": 0},
         "out": {"type": "string"},
         "spectrum": {
             "type": "object",
@@ -166,7 +165,6 @@ class RunConfig:
     params: ModelParams
     kernel: Kernel
     grid: ModeGrid
-    seed: int = 0
     out: str | None = None
     options: dict = field(default_factory=dict)
 
@@ -209,7 +207,6 @@ def load_config(path: str | Path) -> RunConfig:
         params=params,
         kernel=kernel,
         grid=grid,
-        seed=raw.get("seed", 0),
         out=raw.get("out"),
         options=options,
     )

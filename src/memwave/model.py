@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
 import numpy as np
-from scipy.integrate import simpson
 
 
 class InvalidModelError(ValueError):
@@ -181,6 +180,8 @@ def kernel_mass(kernel: Kernel) -> float:
     """
     if isinstance(kernel, ExponentialKernel):
         return 1.0 / kernel.delta
+    from scipy.integrate import simpson  # only tabulated kernels pay for the import
+
     body = float(simpson(kernel.g_values, x=kernel.s))
     tail = kernel.g_values[-1] / kernel.k1
     zeta = body + tail
@@ -346,6 +347,16 @@ def memory_mass(memory: MemoryRep, kernel: Kernel) -> float:
     )
 
 
+def energy_parts(v, u, p, q, xi: float, params: ModelParams, zeta: float):
+    """Stiffness, kinetic-v, coupling and kinetic-p parts of the squared
+    energy norm of one mode; scalars or arrays of samples alike."""
+    stiff = (params.alpha1 * xi - zeta * xi**params.a) * abs(v) ** 2
+    kin_v = params.rho * abs(u) ** 2
+    coup = params.beta * xi * abs(params.gamma * v - p) ** 2
+    kin_p = params.mu * abs(q) ** 2
+    return stiff, kin_v, coup, kin_p
+
+
 def energy(
     states: Iterable[ModalState],
     params: ModelParams,
@@ -362,10 +373,11 @@ def energy(
     stiffness = kinetic_v = coupling = kinetic_p = mem = 0.0
     for st in states:
         xi = grid.xi_of(st.k)
-        stiffness += (params.alpha1 * xi - zeta * xi**params.a) * abs(st.v) ** 2
-        kinetic_v += params.rho * abs(st.u) ** 2
-        coupling += params.beta * xi * abs(params.gamma * st.v - st.p) ** 2
-        kinetic_p += params.mu * abs(st.q) ** 2
+        s, kv, c, kp = energy_parts(st.v, st.u, st.p, st.q, xi, params, zeta)
+        stiffness += s
+        kinetic_v += kv
+        coupling += c
+        kinetic_p += kp
         mem += xi**params.a * memory_mass(st.memory, kernel)
     return EnergyBreakdown(stiffness, kinetic_v, coupling, kinetic_p, mem)
 

@@ -21,7 +21,6 @@ resolvent norm is the reciprocal smallest singular value of ``i*tau - B~``.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,7 @@ from .model import (
     ModeGrid,
     ModelParams,
 )
-from .spectral import AsymptoticConstants, quintic_coeffs, quintic_roots
+from .spectral import AsymptoticConstants, memoryless_generator, quintic_coeffs, quintic_roots
 
 
 class SingularBlockError(RuntimeError):
@@ -75,12 +74,6 @@ class LaguerreGrid:
 
     def differentiate_weighted(self, values_w: np.ndarray) -> np.ndarray:
         return self.diff_w @ values_w
-
-    def to_weighted(self, values: np.ndarray) -> np.ndarray:
-        return self.sqrt_weights * np.asarray(values)
-
-    def from_weighted(self, values_w: np.ndarray) -> np.ndarray:
-        return np.asarray(values_w) / self.sqrt_weights
 
 
 def laguerre_grid(M: int, delta: float) -> LaguerreGrid:
@@ -162,13 +155,11 @@ class ModeBlock:
     xi: float
     M: int
     matrix: np.ndarray
-    stiffness_weight: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("matrix", "stiffness_weight"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        arr = np.asarray(self.matrix, dtype=float)
+        arr.setflags(write=False)
+        object.__setattr__(self, "matrix", arr)
 
     @property
     def dim(self) -> int:
@@ -232,17 +223,14 @@ def mode_block(
 
     # coordinates (v, u, p, q, eta~) with eta~ = xi^(a/2) sqrt(w) eta
     b = np.zeros((n, n))
-    b[0, 1] = 1.0
+    b[:4, :4] = memoryless_generator(xi, params)
     b[1, 0] = (-params.alpha * xi + zeta * xi**a) / params.rho
-    b[1, 2] = params.gamma * params.beta * xi / params.rho
     b[1, 4:] = -(half_a / params.rho) * sw
-    b[2, 3] = 1.0
-    b[3, 0] = params.gamma * params.beta * xi / params.mu
-    b[3, 2] = -params.beta * xi / params.mu
     b[4:, 1] = half_a * sw
     b[4:, 4:] = -lag.diff_w
 
-    # congruence to energy-orthonormal coordinates for (v, p), u, q
+    # congruence to energy-orthonormal coordinates for (v, p), u, q; it is
+    # the identity on the history coordinates, so only its 4x4 corner inverts
     t = np.eye(n)
     t[0, 0] = l_vp[0, 0]
     t[0, 2] = l_vp[1, 0]
@@ -250,8 +238,9 @@ def mode_block(
     t[2, 2] = l_vp[1, 1]
     t[1, 1] = math.sqrt(params.rho)
     t[3, 3] = math.sqrt(params.mu)
-    btilde = t @ b @ np.linalg.inv(t)
-    return ModeBlock(k=k, xi=xi, M=M, matrix=btilde, stiffness_weight=gvp)
+    t_inv = np.eye(n)
+    t_inv[:4, :4] = np.linalg.inv(t[:4, :4])
+    return ModeBlock(k=k, xi=xi, M=M, matrix=t @ b @ t_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +266,11 @@ class ResolventSweeper:
         kernel: ExponentialKernel,
         grid: ModeGrid,
         M: int,
-        threads: int = 1,
     ) -> None:
         self.params = params
         self.kernel = kernel
         self.grid = grid
         self.lag = laguerre_grid(M, kernel.delta)
-        self.threads = max(1, int(threads))
         self._m1 = AsymptoticConstants.from_params(params).m1
         self._blocks: dict[int, ModeBlock] = {}
         self._xi = grid.xi
@@ -307,21 +294,13 @@ class ResolventSweeper:
         or None when the grid is exhausted.
         """
         ks = self.included_modes(tau)
-
-        def one(k: int) -> float:
-            return self.block(k).resolvent_norm(tau)
-
-        if self.threads > 1 and len(ks) > 8:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                norms = list(pool.map(one, ks))
-        else:
-            norms = [one(k) for k in ks]
+        norms = [self.block(k).resolvent_norm(tau) for k in ks]
         i_best = int(np.argmax(norms))
         best = norms[i_best]
         margin = None
         k_next = ks[-1] + 1
         if k_next <= self.grid.count:
-            margin = best / one(k_next)
+            margin = best / self.block(k_next).resolvent_norm(tau)
         return best, ks[i_best], ks[-1], margin
 
     def spectrum_distances(self, tau: float) -> float:
@@ -331,18 +310,6 @@ class ResolventSweeper:
             ev = self.block(k).eigenvalues()
             dist = min(dist, float(np.min(np.abs(ev - 1j * tau))))
         return dist
-
-
-def resolvent_norm(
-    tau: float,
-    params: ModelParams,
-    kernel: ExponentialKernel,
-    grid: ModeGrid,
-    M: int,
-    threads: int = 1,
-) -> float:
-    """One-shot evaluation of the sweep maximand at frequency ``tau``."""
-    return ResolventSweeper(params, kernel, grid, M, threads).norm_at(tau)[0]
 
 
 @dataclass(frozen=True)
@@ -420,10 +387,10 @@ def resonance_frequencies(
         if hi < lo or per_branch == 0:
             continue
         ks = np.unique(np.geomspace(lo, hi, per_branch).astype(int))
-        for k in ks:
+        for k in map(int, ks):
             if not 1 <= k <= grid.count:
                 continue
-            branch = quintic_roots(quintic_coeffs(int(k), params, delta, grid), params)
+            branch = quintic_roots(quintic_coeffs(grid.xi_of(k), params, delta, k=k), params)
             im = branch.lam(j, +1).imag
             if tau_lo <= im <= tau_hi:
                 taus.append(im)
@@ -442,10 +409,9 @@ def scaled_sweep(
     omega: float | None = None,
     per_decade: int = 64,
     resonances_per_branch: int = 16,
-    threads: int = 1,
 ) -> SweepResult:
-    """Sample ``|tau|^(-omega) * resolvent_norm(tau)`` on a log grid plus
-    near-resonance frequencies.  Default ``omega = 2 - 2a``."""
+    """Sample ``|tau|^(-omega) * max_k ||(i*tau - B_k)^{-1}||`` on a log grid
+    plus near-resonance frequencies.  Default ``omega = 2 - 2a``."""
     if omega is None:
         omega = 2.0 - 2.0 * params.a
     n_grid = max(2, int(round(per_decade * math.log10(tau_hi / tau_lo))))
@@ -459,7 +425,7 @@ def scaled_sweep(
     taus = taus[order]
     branch_tag = branch_tag[order]
 
-    sweeper = ResolventSweeper(params, kernel, grid, M, threads)
+    sweeper = ResolventSweeper(params, kernel, grid, M)
     norms = np.empty(taus.size)
     argmax = np.empty(taus.size, dtype=int)
     cutoffs = np.empty(taus.size, dtype=int)
@@ -601,7 +567,6 @@ __all__ = [
     "SweepResult",
     "laguerre_grid",
     "mode_block",
-    "resolvent_norm",
     "resonance_frequencies",
     "scaled_sweep",
     "static_solve",

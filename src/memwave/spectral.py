@@ -109,8 +109,9 @@ class CharPoly:
         return self(lam) / (lam + self.delta)
 
 
-def quintic_coeffs_at(xi: float, params: ModelParams, delta: float, k: int = 0) -> CharPoly:
-    """Quintic coefficients at an explicit operator eigenvalue ``xi``."""
+def quintic_coeffs(xi: float, params: ModelParams, delta: float, *, k: int = 0) -> CharPoly:
+    """Quintic coefficients at the operator eigenvalue ``xi``; ``k`` only
+    labels the mode."""
     s_sum = params.beta / params.mu + params.alpha / params.rho
     p_prod = params.alpha1 * params.beta / (params.rho * params.mu)
     coeffs = np.array(
@@ -124,10 +125,6 @@ def quintic_coeffs_at(xi: float, params: ModelParams, delta: float, k: int = 0) 
         ]
     )
     return CharPoly(k, float(xi), float(delta), coeffs)
-
-
-def quintic_coeffs(k: int, params: ModelParams, delta: float, grid: ModeGrid) -> CharPoly:
-    return quintic_coeffs_at(grid.xi_of(k), params, delta, k)
 
 
 def _horner(coeffs: np.ndarray, lam: complex) -> complex:
@@ -237,7 +234,7 @@ def quintic_roots(poly: CharPoly, params: ModelParams) -> SpectrumBranch:
             degenerate = True
 
     if degenerate:
-        seeds = asymptotic_eigenvalues_at(poly.xi, params, poly.delta)
+        seeds = asymptotic_eigenvalues(poly.xi, params, poly.delta)
         order = []
         remaining = list(roots)
         for seed in seeds:
@@ -293,7 +290,7 @@ class CardanoIntermediates:
     trigonometric: bool
 
 
-def cubic_coeffs_at(xi: float, j: int, params: ModelParams, delta: float) -> np.ndarray:
+def cubic_coeffs(xi: float, j: int, params: ModelParams, delta: float) -> np.ndarray:
     """Monic cubic of oscillatory branch ``j``:
     ``lam^3 + delta*lam^2 + m_j*xi*lam + m_j*delta*xi - (mhat_j/rho)*xi^a``.
     """
@@ -308,7 +305,7 @@ def cubic_coeffs_at(xi: float, j: int, params: ModelParams, delta: float) -> np.
     )
 
 
-def cardano_cubic_roots_at(
+def cardano_cubic_roots(
     xi: float, j: int, params: ModelParams, delta: float
 ) -> tuple[np.ndarray, CardanoIntermediates]:
     """Roots of the branch cubic by the closed-form route.
@@ -356,13 +353,7 @@ def cardano_cubic_roots_at(
     return roots, inter
 
 
-def cardano_cubic_roots(
-    k: int, j: int, params: ModelParams, delta: float, grid: ModeGrid
-) -> tuple[np.ndarray, CardanoIntermediates]:
-    return cardano_cubic_roots_at(grid.xi_of(k), j, params, delta)
-
-
-def shifted_cubic_coeffs_at(xi: float, j: int, params: ModelParams, delta: float) -> np.ndarray:
+def shifted_cubic_coeffs(xi: float, j: int, params: ModelParams, delta: float) -> np.ndarray:
     """Cubic satisfied by ``Y = -delta - lam`` for every branch-cubic root:
     ``Y^3 + 2*delta*Y^2 + (delta^2 + m_j*xi)*Y + (mhat_j/rho)*xi^a``.
 
@@ -386,7 +377,7 @@ def shifted_cubic_coeffs_at(xi: float, j: int, params: ModelParams, delta: float
 # ---------------------------------------------------------------------------
 
 
-def asymptotic_eigenvalues_at(xi: float, params: ModelParams, delta: float) -> np.ndarray:
+def asymptotic_eigenvalues(xi: float, params: ModelParams, delta: float) -> np.ndarray:
     """Leading-order branch values ``[lam0, lam1+, lam1-, lam2+, lam2-]``.
 
     ``lam0 = -delta + xi^(a-1)/alpha1`` and
@@ -400,10 +391,6 @@ def asymptotic_eigenvalues_at(xi: float, params: ModelParams, delta: float) -> n
         im = math.sqrt(c.m(j) * xi)
         out.extend([re + 1j * im, re - 1j * im])
     return np.array(out)
-
-
-def asymptotic_eigenvalues(k: int, params: ModelParams, delta: float, grid: ModeGrid) -> np.ndarray:
-    return asymptotic_eigenvalues_at(grid.xi_of(k), params, delta)
 
 
 def sharpness_product(branch: SpectrumBranch, j: int, a: float) -> float:
@@ -464,7 +451,21 @@ def strip_check(branch: SpectrumBranch, delta: float) -> StripReport:
 # ---------------------------------------------------------------------------
 
 
-def modal_generator(k: int, params: ModelParams, delta: float, grid: ModeGrid) -> np.ndarray:
+def memoryless_generator(xi: float, params: ModelParams) -> np.ndarray:
+    """Memoryless part of one mode's dynamics on ``(v, u, p, q)``:
+    ``v' = u``, ``rho*u' = -alpha*xi*v + gamma*beta*xi*p``, ``p' = q`` and
+    ``mu*q' = -beta*xi*p + gamma*beta*xi*v``."""
+    return np.array(
+        [
+            [0.0, 1.0, 0.0, 0.0],
+            [-params.alpha * xi / params.rho, 0.0, params.gamma * params.beta * xi / params.rho, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+            [params.gamma * params.beta * xi / params.mu, 0.0, -params.beta * xi / params.mu, 0.0],
+        ]
+    )
+
+
+def modal_generator(xi: float, params: ModelParams, delta: float) -> np.ndarray:
     """Five-dimensional generator of one mode for the exponential kernel.
 
     State ``(v, u, p, q, I)`` with the convolved history
@@ -472,32 +473,15 @@ def modal_generator(k: int, params: ModelParams, delta: float, grid: ModeGrid) -
     enters as ``xi^a * I``.  Its characteristic polynomial is the mode's
     quintic, so the trace equals ``-delta``.
     """
-    xi = grid.xi_of(k)
-    a = params.a
-    return np.array(
-        [
-            [0.0, 1.0, 0.0, 0.0, 0.0],
-            [
-                -params.alpha * xi / params.rho,
-                0.0,
-                params.gamma * params.beta * xi / params.rho,
-                0.0,
-                xi**a / params.rho,
-            ],
-            [0.0, 0.0, 0.0, 1.0, 0.0],
-            [
-                params.gamma * params.beta * xi / params.mu,
-                0.0,
-                -params.beta * xi / params.mu,
-                0.0,
-                0.0,
-            ],
-            [1.0, 0.0, 0.0, 0.0, -delta],
-        ]
-    )
+    gen = np.zeros((5, 5))
+    gen[:4, :4] = memoryless_generator(xi, params)
+    gen[1, 4] = xi**params.a / params.rho
+    gen[4, 0] = 1.0
+    gen[4, 4] = -delta
+    return gen
 
 
-def eigvec_at(lam: complex, xi: float, params: ModelParams, delta: float) -> np.ndarray:
+def eigvec(lam: complex, xi: float, params: ModelParams, delta: float) -> np.ndarray:
     """Eigenvector of the reduced generator at a quintic root, normalised to
     ``v = 1``: ``(1, lam, phi, lam*phi, 1/(lam+delta))`` with
     ``phi = gamma*beta*xi / (mu*lam^2 + beta*xi)``."""
@@ -515,9 +499,9 @@ def spectrum_rows(params: ModelParams, delta: float, grid: ModeGrid) -> list[dic
     sharpness products and the root-sum check."""
     rows = []
     for k in range(1, grid.count + 1):
-        poly = quintic_coeffs(k, params, delta, grid)
+        poly = quintic_coeffs(grid.xi_of(k), params, delta, k=k)
         branch = quintic_roots(poly, params)
-        asym = asymptotic_eigenvalues(k, params, delta, grid)
+        asym = asymptotic_eigenvalues(poly.xi, params, delta)
         numeric = branch.all_roots()
         row: dict = {"k": k, "xi": poly.xi}
         for label, z in zip(("num0", "num1p", "num1m", "num2p", "num2m"), numeric):
@@ -545,18 +529,16 @@ __all__ = [
     "StabilityViolationError",
     "StripReport",
     "asymptotic_eigenvalues",
-    "asymptotic_eigenvalues_at",
     "cardano_cubic_roots",
-    "cardano_cubic_roots_at",
-    "cubic_coeffs_at",
-    "eigvec_at",
+    "cubic_coeffs",
+    "eigvec",
+    "memoryless_generator",
     "modal_generator",
     "quintic_coeffs",
-    "quintic_coeffs_at",
     "quintic_roots",
     "sharpness_limit",
     "sharpness_product",
-    "shifted_cubic_coeffs_at",
+    "shifted_cubic_coeffs",
     "spectrum_rows",
     "strip_check",
 ]

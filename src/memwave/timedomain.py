@@ -35,9 +35,16 @@ from .model import (
     ModalState,
     ModeGrid,
     ModelParams,
+    energy_parts,
     kernel_mass,
 )
-from .spectral import eigvec_at, modal_generator, quintic_coeffs, quintic_roots
+from .spectral import (
+    eigvec,
+    memoryless_generator,
+    modal_generator,
+    quintic_coeffs,
+    quintic_roots,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +171,9 @@ def exact_modal_evolve(
     returned, flagged by ``dense``.
     """
     xi = grid.xi_of(initial.k)
-    branch = quintic_roots(quintic_coeffs(initial.k, params, delta, grid), params)
+    branch = quintic_roots(quintic_coeffs(xi, params, delta, k=initial.k), params)
     lams = branch.all_roots()
-    gen = modal_generator(initial.k, params, delta, grid)
+    gen = modal_generator(xi, params, delta)
     i0 = history_mass(history, delta)
     x0 = np.array([initial.v, initial.u, initial.p, initial.q, i0], dtype=complex)
 
@@ -179,7 +186,7 @@ def exact_modal_evolve(
             initial.k, xi, delta, lams, None, None, history, x0, gen, dense=True
         )
 
-    vmat = np.stack([eigvec_at(lam, xi, params, delta) for lam in lams], axis=1)
+    vmat = np.stack([eigvec(lam, xi, params, delta) for lam in lams], axis=1)
     amps = np.linalg.solve(vmat, x0)
     return ModalTrajectory(initial.k, xi, delta, lams, amps, vmat, history, x0, gen)
 
@@ -303,14 +310,6 @@ def _three_point_derivative(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     return d
 
 
-def _parts_from_state(v, u, p, q, xi, params: ModelParams, zeta: float):
-    stiff = (params.alpha1 * xi - zeta * xi**params.a) * np.abs(v) ** 2
-    kin_v = params.rho * np.abs(u) ** 2
-    coup = params.beta * xi * np.abs(params.gamma * v - p) ** 2
-    kin_p = params.mu * np.abs(q) ** 2
-    return stiff, kin_v, coup, kin_p
-
-
 def energy_trace(
     trajs: list[ModalTrajectory],
     params: ModelParams,
@@ -327,7 +326,7 @@ def energy_trace(
     mem = np.zeros_like(times)
     for traj in trajs:
         states = traj.state_at(times)
-        s, kv, c, kp = _parts_from_state(
+        s, kv, c, kp = energy_parts(
             states[0], states[1], states[2], states[3], traj.xi, params, zeta
         )
         stiff += s
@@ -344,14 +343,6 @@ def energy_trace(
     de = 0.5 * _three_point_derivative(times, total)
     residual = np.abs(de + 0.5 * kernel.delta * mem)
     return EnergyTrace(times, stiff, kin_v, coup, kin_p, mem, residual)
-
-
-def dissipation_residual(trace: EnergyTrace, i: int) -> float:
-    """Pointwise defect of the dissipation identity at an interior index."""
-    r = trace.residual[i]
-    if np.isnan(r):
-        raise IndexError("residual is only defined at interior trace points")
-    return float(r)
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +401,7 @@ def evolve_general_kernel(
     zeta = kernel_mass(kernel)
     tail_after_window = zeta - cumulative[-1]
 
-    amat = np.array(
-        [
-            [0.0, 1.0, 0.0, 0.0],
-            [-params.alpha * xi / params.rho, 0.0, params.gamma * params.beta * xi / params.rho, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-            [params.gamma * params.beta * xi / params.mu, 0.0, -params.beta * xi / params.mu, 0.0],
-        ]
-    )
+    amat = memoryless_generator(xi, params)
     eye = np.eye(4)
     lhs = np.linalg.inv(eye - 0.5 * dt * amat)
     rhs = eye + 0.5 * dt * amat
@@ -466,7 +450,7 @@ def evolve_general_kernel(
 
     for out_i, n in enumerate(sample_idx):
         v, u, p, q = states[int(n)]
-        s, kv, c, kp = _parts_from_state(v, u, p, q, xi, params, zeta)
+        s, kv, c, kp = energy_parts(v, u, p, q, xi, params, zeta)
         stiff[out_i] = s
         kin_v[out_i] = kv
         coup[out_i] = c
@@ -523,7 +507,6 @@ __all__ = [
     "HistoryTerm",
     "ModalTrajectory",
     "ZeroHistory",
-    "dissipation_residual",
     "energy_trace",
     "evolve_general_kernel",
     "exact_modal_evolve",

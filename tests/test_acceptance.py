@@ -46,10 +46,10 @@ from memwave.resolvent import (
     weighted_integration_matrix,
 )
 from memwave.spectral import (
-    asymptotic_eigenvalues_at,
-    cardano_cubic_roots_at,
-    cubic_coeffs_at,
-    quintic_coeffs_at,
+    asymptotic_eigenvalues,
+    cardano_cubic_roots,
+    cubic_coeffs,
+    quintic_coeffs,
     quintic_roots,
     sharpness_product,
     strip_check,
@@ -83,7 +83,7 @@ def test_1_vieta_root_sums_and_residuals():
     worst_res = 0.0
     for params, kernel in _parameter_draws():
         for xi in XI_SET:
-            branch = quintic_roots(quintic_coeffs_at(xi, params, kernel.delta), params)
+            branch = quintic_roots(quintic_coeffs(xi, params, kernel.delta), params)
             worst_sum = max(worst_sum, abs(branch.root_sum() + kernel.delta))
             worst_res = max(worst_res, float(np.max(branch.residuals)))
     ok = worst_sum <= 1e-10 and worst_res <= 1e-10
@@ -98,8 +98,8 @@ def test_2_cardano_matches_companion_roots():
     for params, kernel in _parameter_draws():
         for xi in np.geomspace(1.0, 1e8, 17):
             for j in (1, 2):
-                cardano, _ = cardano_cubic_roots_at(float(xi), j, params, kernel.delta)
-                companion = np.roots(cubic_coeffs_at(float(xi), j, params, kernel.delta))
+                cardano, _ = cardano_cubic_roots(float(xi), j, params, kernel.delta)
+                companion = np.roots(cubic_coeffs(float(xi), j, params, kernel.delta))
                 for c_root, n_root in zip(sorted(cardano, key=key), sorted(companion, key=key)):
                     worst = max(worst, abs(c_root - n_root) / max(1.0, abs(n_root)))
     ok = worst <= 1e-9
@@ -115,8 +115,8 @@ def test_3_branch_remainder_orders():
         params = p0_with_a(a)
         errs = {0: [], 1: [], 2: []}
         for xi in xis:
-            branch = quintic_roots(quintic_coeffs_at(float(xi), params, KER1.delta), params)
-            asym = asymptotic_eigenvalues_at(float(xi), params, KER1.delta)
+            branch = quintic_roots(quintic_coeffs(float(xi), params, KER1.delta), params)
+            asym = asymptotic_eigenvalues(float(xi), params, KER1.delta)
             errs[0].append(abs(branch.lambda0 - asym[0]))
             errs[1].append(abs(branch.lam(1, +1) - asym[1]))
             errs[2].append(abs(branch.lam(2, +1) - asym[3]))
@@ -134,7 +134,7 @@ def test_3_branch_remainder_orders():
 
 
 def _products_at(xi: float):
-    branch = quintic_roots(quintic_coeffs_at(xi, P0, KER1.delta), P0)
+    branch = quintic_roots(quintic_coeffs(xi, P0, KER1.delta), P0)
     return sharpness_product(branch, 1, P0.a), sharpness_product(branch, 2, P0.a)
 
 
@@ -187,7 +187,7 @@ def test_5_spectral_strip():
     # is asserted for every computed mode with xi_k >= xi_1
     probe_inside = False
     for xi in (0.45, 0.65, 0.85):
-        branch = quintic_roots(quintic_coeffs_at(xi, P0, delta), P0)
+        branch = quintic_roots(quintic_coeffs(xi, P0, delta), P0)
         if -delta / 2.0 < branch.lambda0.real < 0.0:
             probe_inside = True
 
@@ -195,7 +195,7 @@ def test_5_spectral_strip():
     oscillatory_ok = True
     last_real = None
     for k in range(1, 121):
-        branch = quintic_roots(quintic_coeffs_at(grid.xi_of(k), P0, delta, k), P0)
+        branch = quintic_roots(quintic_coeffs(grid.xi_of(k), P0, delta, k=k), P0)
         report = strip_check(branch, delta)  # raises on any Re >= 0
         labels_admissible = dict(report.admissible)
         excluded_on_grid &= "0" in dict(report.excluded)

@@ -11,7 +11,7 @@ from memwave.analysis import (
     target_exponent,
 )
 from memwave.resolvent import SweepResult
-from memwave.spectral import quintic_coeffs_at, quintic_roots
+from memwave.spectral import quintic_coeffs, quintic_roots
 from memwave.timedomain import energy_trace, exact_modal_evolve, marginal_initial_data
 
 
@@ -106,7 +106,7 @@ def test_unbounded_leg_requires_positive_slope():
 
 def test_sharpness_leg_on_computed_branches():
     branches = [
-        quintic_roots(quintic_coeffs_at(xi, P0, KER1.delta), P0)
+        quintic_roots(quintic_coeffs(xi, P0, KER1.delta), P0)
         for xi in np.geomspace(1e4, 1e7, 4)
     ]
     report = check_sharpness_convergence(branches, P0)

@@ -1,9 +1,15 @@
+import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import memwave
 from memwave.cli import main
 
 P0_MODEL = {
@@ -70,6 +76,35 @@ def test_spectrum_deterministic_output(tmp_path):
     assert main(["spectrum", "--config", cfg, "--out", str(out1)]) == 0
     assert main(["spectrum", "--config", cfg, "--out", str(out2)]) == 0
     assert (out1 / "spectrum.csv").read_bytes() == (out2 / "spectrum.csv").read_bytes()
+
+
+def test_csv_cells_are_plain_numbers(tmp_path):
+    cfg = write_cfg(
+        tmp_path,
+        extra={
+            "spectrum": {"modes": 5},
+            "sweep": {"M": [8], "tau_lo": 5.0, "tau_hi": 25.0, "per_decade": 4, "resonances_per_branch": 2},
+            "simulate": {"data": "marginal", "n_modes": 5, "t_lo": 1.0, "t_hi": 20.0, "n_times": 5},
+        },
+    )
+    out = tmp_path / "out"
+    for command in ("spectrum", "sweep", "simulate"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    for name in ("spectrum.csv", "sweep_M8.csv", "trace.csv"):
+        with (out / name).open(newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows
+        for row in rows:
+            for cell in row:
+                float(cell)
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    src = str(Path(memwave.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, memwave.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_sweep_command_summary(tmp_path):

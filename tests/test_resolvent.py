@@ -7,7 +7,6 @@ from memwave.resolvent import (
     ResolventSweeper,
     laguerre_grid,
     mode_block,
-    resolvent_norm,
     scaled_sweep,
     static_solve,
     weighted_integration_matrix,
@@ -43,7 +42,7 @@ def test_single_node_block_matches_reduced_generator():
     blk = mode_block(2, P0, KER1, lag, grid)
     assert blk.dim == 5
     got = np.sort_complex(blk.eigenvalues())
-    want = np.sort_complex(np.linalg.eigvals(modal_generator(2, P0, KER1.delta, grid)))
+    want = np.sort_complex(np.linalg.eigvals(modal_generator(grid.xi_of(2), P0, KER1.delta)))
     assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -52,7 +51,7 @@ def test_block_eigenvalues_match_quintic_roots_first_mode():
     lag = laguerre_grid(40, KER1.delta)
     blk = mode_block(1, P0, KER1, lag, grid)
     ev = blk.eigenvalues()
-    roots = quintic_roots(quintic_coeffs(1, P0, KER1.delta, grid), P0).all_roots()
+    roots = quintic_roots(quintic_coeffs(grid.xi_of(1), P0, KER1.delta), P0).all_roots()
     for root in roots:
         assert np.min(np.abs(ev - root)) <= 1e-6
 
@@ -61,7 +60,7 @@ def test_block_tracks_strip_roots_only_at_large_xi():
     grid = xi_grid(1e4)
     lag = laguerre_grid(40, KER1.delta)
     ev = mode_block(1, P0, KER1, lag, grid).eigenvalues()
-    branch = quintic_roots(quintic_coeffs(1, P0, KER1.delta, grid), P0)
+    branch = quintic_roots(quintic_coeffs(grid.xi_of(1), P0, KER1.delta), P0)
     for j in (1, 2):
         assert np.min(np.abs(ev - branch.lam(j, +1))) <= 1e-8
     # the real characteristic root sits outside the admissibility strip and
@@ -84,7 +83,7 @@ def test_block_dissipative_in_energy_coordinates():
 
 def test_resolvent_norm_finite_at_origin():
     grid = square_grid(20)
-    value = resolvent_norm(0.0, P0, KER1, grid, M=20)
+    value = ResolventSweeper(P0, KER1, grid, M=20).norm_at(0.0)[0]
     assert np.isfinite(value) and value > 0.0
 
 
@@ -98,9 +97,9 @@ def test_resolvent_norm_even_in_tau():
 
 def test_resolvent_norm_lower_bounded_by_resonance_width():
     grid = xi_grid(1e4)
-    branch = quintic_roots(quintic_coeffs(1, P0, KER1.delta, grid), P0)
+    branch = quintic_roots(quintic_coeffs(grid.xi_of(1), P0, KER1.delta), P0)
     lam = branch.lam(1, +1)
-    value = resolvent_norm(lam.imag, P0, KER1, grid, M=40)
+    value = ResolventSweeper(P0, KER1, grid, M=40).norm_at(lam.imag)[0]
     assert value >= 1.0 / abs(lam.real) * (1.0 - 1e-6)
     assert value == pytest.approx(1082.98, rel=1e-3)
 
@@ -117,8 +116,8 @@ def test_resolvent_norm_dominates_inverse_spectral_distance():
 def test_resolvent_norm_converges_in_node_count():
     grid = square_grid(40)
     tau = 30.0
-    coarse = resolvent_norm(tau, P0, KER1, grid, M=40)
-    fine = resolvent_norm(tau, P0, KER1, grid, M=80)
+    coarse = ResolventSweeper(P0, KER1, grid, M=40).norm_at(tau)[0]
+    fine = ResolventSweeper(P0, KER1, grid, M=80).norm_at(tau)[0]
     assert abs(coarse - fine) <= 1e-2 * fine
 
 
@@ -142,7 +141,7 @@ def test_scaled_value_at_resonance_bounded_below_by_sharpness():
     grid = square_grid(80)
     sweeper = ResolventSweeper(P0, KER1, grid, M=24)
     for k in (20, 50):
-        branch = quintic_roots(quintic_coeffs(k, P0, KER1.delta, grid), P0)
+        branch = quintic_roots(quintic_coeffs(grid.xi_of(k), P0, KER1.delta, k=k), P0)
         for j in (1, 2):
             tau = branch.lam(j, +1).imag
             scaled = sweeper.norm_at(tau)[0] * tau ** -(2.0 - 2.0 * P0.a)

@@ -9,17 +9,15 @@ from memwave.spectral import (
     SpectrumBranch,
     StabilityViolationError,
     asymptotic_eigenvalues,
-    asymptotic_eigenvalues_at,
-    cardano_cubic_roots_at,
-    cubic_coeffs_at,
-    eigvec_at,
+    cardano_cubic_roots,
+    cubic_coeffs,
+    eigvec,
     modal_generator,
     quintic_coeffs,
-    quintic_coeffs_at,
     quintic_roots,
     sharpness_limit,
     sharpness_product,
-    shifted_cubic_coeffs_at,
+    shifted_cubic_coeffs,
     spectrum_rows,
     strip_check,
 )
@@ -28,11 +26,11 @@ DELTA = 1.0
 
 
 def branch_at(xi, params=P0, delta=DELTA):
-    return quintic_roots(quintic_coeffs_at(xi, params, delta), params)
+    return quintic_roots(quintic_coeffs(xi, params, delta), params)
 
 
 def test_quintic_coefficients_reference():
-    poly = quintic_coeffs(1, P0, DELTA, square_grid(3))
+    poly = quintic_coeffs(square_grid(3).xi_of(1), P0, DELTA)
     assert poly.coeffs == pytest.approx([1.0, 1.0, 3.0, 2.0, 1.75, 0.75], abs=1e-14)
 
 
@@ -40,7 +38,7 @@ def test_quintic_lambda4_coefficient_is_delta():
     rng = np.random.default_rng(5)
     for _ in range(5):
         params, kernel = draw_validated(rng)
-        poly = quintic_coeffs_at(float(rng.uniform(1, 1e6)), params, kernel.delta)
+        poly = quintic_coeffs(float(rng.uniform(1, 1e6)), params, kernel.delta)
         assert poly.coeffs[0] == 1.0
         assert poly.coeffs[1] == kernel.delta
 
@@ -48,13 +46,13 @@ def test_quintic_lambda4_coefficient_is_delta():
 def test_quintic_lambda2_coefficient_at_zero_order():
     params = p0_with_a(0.0)
     xi = 37.0
-    poly = quintic_coeffs_at(xi, params, DELTA)
+    poly = quintic_coeffs(xi, params, DELTA)
     s_sum = params.beta / params.mu + params.alpha / params.rho
     assert poly.coeffs[3] == pytest.approx(s_sum * DELTA * xi - 1.0)
 
 
 def test_determinant_is_quintic_over_pole():
-    poly = quintic_coeffs_at(10.0, P0, DELTA)
+    poly = quintic_coeffs(10.0, P0, DELTA)
     lam = 0.3 + 2.0j
     assert poly.determinant(lam) == pytest.approx(poly(lam) / (lam + DELTA))
 
@@ -91,7 +89,7 @@ def test_roots_match_high_precision_oracle():
 
     mpmath.mp.dps = 40
     for xi in (1.0, 1e2, 1e6):
-        poly = quintic_coeffs_at(xi, P0, DELTA)
+        poly = quintic_coeffs(xi, P0, DELTA)
         exact = mpmath.polyroots([mpmath.mpf(c) for c in poly.coeffs], maxsteps=200)
         got = sorted(branch_at(xi).all_roots(), key=lambda z: (round(z.imag, 6), z.real))
         want = sorted(
@@ -116,8 +114,8 @@ def test_root_sum_across_scales():
 def test_cardano_matches_companion_roots():
     for xi in np.geomspace(1.0, 1e8, 17):
         for j in (1, 2):
-            cardano, inter = cardano_cubic_roots_at(float(xi), j, P0, DELTA)
-            companion = np.roots(cubic_coeffs_at(float(xi), j, P0, DELTA))
+            cardano, inter = cardano_cubic_roots(float(xi), j, P0, DELTA)
+            companion = np.roots(cubic_coeffs(float(xi), j, P0, DELTA))
             key = lambda z: (round(z.imag, 8), z.real)
             for c_root, n_root in zip(sorted(cardano, key=key), sorted(companion, key=key)):
                 assert abs(c_root - n_root) <= 1e-9 * max(1.0, abs(n_root))
@@ -125,7 +123,7 @@ def test_cardano_matches_companion_roots():
 
 
 def test_cardano_reference_values():
-    roots, inter = cardano_cubic_roots_at(1e4, 1, P0, DELTA)
+    roots, inter = cardano_cubic_roots(1e4, 1, P0, DELTA)
     real = [z for z in roots if abs(z.imag) < 1e-9][0]
     pair = [z for z in roots if z.imag > 0][0]
     assert real.real == pytest.approx(-0.99815330, abs=1e-7)
@@ -138,7 +136,7 @@ def test_cardano_reference_values():
 def test_cardano_root_sum_is_minus_delta():
     for xi in (1.0, 1e3, 1e7):
         for j in (1, 2):
-            roots, _ = cardano_cubic_roots_at(float(xi), j, P0, DELTA)
+            roots, _ = cardano_cubic_roots(float(xi), j, P0, DELTA)
             assert complex(np.sum(roots)).real == pytest.approx(-DELTA, abs=1e-9)
             assert abs(complex(np.sum(roots)).imag) <= 1e-9
 
@@ -146,8 +144,8 @@ def test_cardano_root_sum_is_minus_delta():
 def test_shifted_cubic_satisfied_by_translated_roots():
     for xi in (1e2, 1e4, 1e6):
         for j in (1, 2):
-            roots, _ = cardano_cubic_roots_at(float(xi), j, P0, DELTA)
-            coeffs = shifted_cubic_coeffs_at(float(xi), j, P0, DELTA)
+            roots, _ = cardano_cubic_roots(float(xi), j, P0, DELTA)
+            coeffs = shifted_cubic_coeffs(float(xi), j, P0, DELTA)
             for lam in roots:
                 y = -DELTA - lam
                 value = ((y + coeffs[1]) * y + coeffs[2]) * y + coeffs[3]
@@ -157,15 +155,15 @@ def test_shifted_cubic_satisfied_by_translated_roots():
 
 def test_cardano_trigonometric_fallback():
     # small xi pushes the discriminant combination negative: three real roots
-    roots, inter = cardano_cubic_roots_at(0.01, 1, P0, DELTA)
+    roots, inter = cardano_cubic_roots(0.01, 1, P0, DELTA)
     assert inter.trigonometric
     assert np.all(np.abs(roots.imag) < 1e-12)
-    companion = np.sort(np.roots(cubic_coeffs_at(0.01, 1, P0, DELTA)).real)
+    companion = np.sort(np.roots(cubic_coeffs(0.01, 1, P0, DELTA)).real)
     assert np.sort(roots.real) == pytest.approx(companion, rel=1e-9)
 
 
 def test_asymptotic_reference_values():
-    vals = asymptotic_eigenvalues(1, P0, DELTA, xi_grid(1e4))
+    vals = asymptotic_eigenvalues(xi_grid(1e4).xi_of(1), P0, DELTA)
     assert vals[0].real == pytest.approx(-0.99428571428, abs=1e-10)
     c = AsymptoticConstants.from_params(P0)
     # direct evaluation: real part -mhat/(2*rho*m) * xi^(a-1), imag sqrt(m*xi)
@@ -192,7 +190,7 @@ def test_branch_error_decay_orders_reference():
     errs = {0: [], 1: [], 2: []}
     for xi in xis:
         br = branch_at(float(xi))
-        asym = asymptotic_eigenvalues_at(float(xi), P0, DELTA)
+        asym = asymptotic_eigenvalues(float(xi), P0, DELTA)
         errs[0].append(abs(br.lambda0 - asym[0]))
         errs[1].append(abs(br.lam(1, +1) - asym[1]))
         errs[2].append(abs(br.lam(2, +1) - asym[3]))
@@ -280,7 +278,7 @@ def test_modal_generator_charpoly_matches_quintic_exactly():
             gamma=float(vals["gamma"]),
             a=a_val,
         )
-        poly = quintic_coeffs_at(float(xi_q), params, float(delta_q))
+        poly = quintic_coeffs(float(xi_q), params, float(delta_q))
         for got, want in zip(poly.coeffs, exact):
             want_f = float(want)
             assert abs(got - want_f) <= 1e-10 * max(1.0, abs(want_f))
@@ -288,24 +286,24 @@ def test_modal_generator_charpoly_matches_quintic_exactly():
 
 def test_modal_generator_numeric_charpoly_and_trace():
     grid = square_grid(5)
-    gen = modal_generator(3, P0, DELTA, grid)
+    gen = modal_generator(grid.xi_of(3), P0, DELTA)
     assert np.trace(gen) == pytest.approx(-DELTA)
     got = np.poly(gen)
-    want = quintic_coeffs(3, P0, DELTA, grid).coeffs
+    want = quintic_coeffs(grid.xi_of(3), P0, DELTA).coeffs
     assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_modal_generator_memory_entry_at_zero_order():
-    gen = modal_generator(2, p0_with_a(0.0), DELTA, square_grid(3))
+    gen = modal_generator(square_grid(3).xi_of(2), p0_with_a(0.0), DELTA)
     assert gen[1, 4] == pytest.approx(1.0 / P0.rho)
 
 
 def test_eigvec_satisfies_generator():
     grid = square_grid(3)
-    gen = modal_generator(2, P0, DELTA, grid)
-    br = quintic_roots(quintic_coeffs(2, P0, DELTA, grid), P0)
+    gen = modal_generator(grid.xi_of(2), P0, DELTA)
+    br = quintic_roots(quintic_coeffs(grid.xi_of(2), P0, DELTA), P0)
     for lam in br.all_roots():
-        vec = eigvec_at(lam, grid.xi_of(2), P0, DELTA)
+        vec = eigvec(lam, grid.xi_of(2), P0, DELTA)
         assert np.linalg.norm(gen @ vec - lam * vec) <= 1e-9 * np.linalg.norm(vec)
 
 

@@ -42,7 +42,7 @@ def test_initial_state_reconstruction():
 
 def test_trajectory_satisfies_reduced_system():
     traj = evolve(v=1.0, u=0.5)
-    gen = modal_generator(1, P0, DELTA, square_grid(4))
+    gen = modal_generator(square_grid(4).xi_of(1), P0, DELTA)
     h = 1e-5
     for t in (0.5, 1.7):
         derivative = (traj.state_at(t + h) - traj.state_at(t - h)) / (2 * h)
