@@ -16,6 +16,16 @@ weight (scaled Gauss-Laguerre), with the interpolation basis pinned to
 All norms are therefore computed on congruence-transformed blocks
 ``B~ = L^T B L^{-T}`` with ``G = L L^T`` the energy weight, where the
 resolvent norm is the reciprocal smallest singular value of ``i*tau - B~``.
+
+Sweeps skip modes by a certified bound.  Split a block as ``B = S + H`` with
+``S = (B - B^T)/2`` skew and ``H = (B + B^T)/2`` symmetric.  ``i*tau - S`` is
+normal with eigenvalues ``i*(tau -+ s_j)``, ``s_j`` the singular values of
+the real matrix ``S``, so Weyl's inequality for singular values gives
+``sigma_min(i*tau - B) >= min_j ||tau| - s_j| - ||H||_2``.  With ``||H||_2``
+bounded by ``||H||_F`` plus a roundoff slack, ``1/(dist - h)`` bounds the
+resolvent norm of a mode from above whenever ``dist > h``.  A mode whose bound
+is below the largest norm already computed cannot be the maximiser and is
+never SVD'd; the norms, argmax modes and margins are those of the full loop.
 """
 
 from __future__ import annotations
@@ -252,12 +262,17 @@ CUTOFF_FACTOR = 4.0
 
 
 class ResolventSweeper:
-    """Caches per-mode blocks and evaluates ``max_k ||(i*tau - B_k)^{-1}||``.
+    """Evaluates ``max_k ||(i*tau - B_k)^{-1}||`` over the included modes.
 
     Mode inclusion at frequency ``tau``: every mode with
     ``xi_k <= CUTOFF_FACTOR * tau^2 / m_1`` plus the first ``FIRST_MODES_FLOOR``
     modes.  The first excluded mode is also evaluated when available and its
     norm is reported as a margin check on the cutoff.
+
+    Only per-mode certificates are cached: the singular values of each
+    block's skew part and a bound on the 2-norm of its symmetric part (see the
+    module docstring), computed once per mode as the cutoff first reaches it.
+    A block is rebuilt by ``mode_block`` each time it is SVD'd.
     """
 
     def __init__(
@@ -272,36 +287,70 @@ class ResolventSweeper:
         self.grid = grid
         self.lag = laguerre_grid(M, kernel.delta)
         self._m1 = AsymptoticConstants.from_params(params).m1
-        self._blocks: dict[int, ModeBlock] = {}
         self._xi = grid.xi
+        # certificates of modes 1..len(self._h): skew singular values (one row
+        # per mode) and ||H||_F plus the roundoff slack on ||B||_F.  The slack
+        # covers the errors of both SVDs, each at most about n*eps (n = 4 + M)
+        # times the norm of the matrix it decomposes (S, and i*tau - B).
+        self._skew_sv = np.empty((0, 4 + M))
+        self._h = np.empty(0)
+        self._slack = 2 * (4 + M) * np.finfo(float).eps
 
     def block(self, k: int) -> ModeBlock:
-        blk = self._blocks.get(k)
-        if blk is None:
-            blk = mode_block(k, self.params, self.kernel, self.lag, self.grid)
-            self._blocks[k] = blk
-        return blk
+        """Assemble the block of mode ``k`` (not cached)."""
+        return mode_block(k, self.params, self.kernel, self.lag, self.grid)
 
     def included_modes(self, tau: float) -> list[int]:
         cutoff = CUTOFF_FACTOR * tau * tau / self._m1
         n_cut = int(np.searchsorted(self._xi, cutoff, side="right"))
         return list(range(1, min(self.grid.count, max(n_cut, FIRST_MODES_FLOOR)) + 1))
 
+    def _certify(self, n: int) -> None:
+        """Extend the certificates to modes ``1..n``."""
+        done = self._h.size
+        if n <= done:
+            return
+        rows = np.empty((n - done, self._skew_sv.shape[1]))
+        h = np.empty(n - done)
+        for i, k in enumerate(range(done + 1, n + 1)):
+            b = self.block(k).matrix
+            rows[i] = sla.svdvals(0.5 * (b - b.T))
+            h[i] = np.linalg.norm(0.5 * (b + b.T)) + self._slack * np.linalg.norm(b)
+        self._skew_sv = np.concatenate([self._skew_sv, rows])
+        self._h = np.concatenate([self._h, h])
+
+    def norm_bounds(self, tau: float, n: int) -> np.ndarray:
+        """Certified upper bounds on the resolvent norms of modes ``1..n``
+        (``+inf`` where the bound says nothing)."""
+        self._certify(n)
+        dist = np.min(np.abs(abs(tau) - self._skew_sv[:n]), axis=1)
+        gap = dist - (self._h[:n] + self._slack * abs(tau))
+        return np.divide(1.0, gap, out=np.full(n, np.inf), where=gap > 0.0)
+
     def norm_at(self, tau: float) -> tuple[float, int, int, float | None]:
         """Return ``(norm, argmax mode, cutoff mode, margin)``.
 
         ``margin`` is included-max divided by the first excluded mode's norm,
-        or None when the grid is exhausted.
+        or None when the grid is exhausted.  Modes are SVD'd in decreasing
+        order of their certified bound until the bound drops below the running
+        max; exact ties go to the smaller mode, as ``np.argmax`` does.
         """
         ks = self.included_modes(tau)
-        norms = [self.block(k).resolvent_norm(tau) for k in ks]
-        i_best = int(np.argmax(norms))
-        best = norms[i_best]
+        bounds = self.norm_bounds(tau, len(ks))
+        best = -math.inf
+        k_best = 0
+        for i in np.argsort(-bounds, kind="stable"):
+            if bounds[i] < best:
+                break
+            k = ks[i]
+            norm = self.block(k).resolvent_norm(tau)
+            if norm > best or (norm == best and k < k_best):
+                best, k_best = norm, k
         margin = None
         k_next = ks[-1] + 1
         if k_next <= self.grid.count:
             margin = best / self.block(k_next).resolvent_norm(tau)
-        return best, ks[i_best], ks[-1], margin
+        return best, k_best, ks[-1], margin
 
     def spectrum_distances(self, tau: float) -> float:
         """Distance from ``i*tau`` to the union of included blocks' spectra."""

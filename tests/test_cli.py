@@ -58,6 +58,24 @@ def test_unknown_top_level_key_rejected(tmp_path):
     assert main(["validate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("bad", ["0.5", True, None])
+@pytest.mark.parametrize("key", ["s", "g", "xi"])
+def test_non_number_sample_is_schema_error(tmp_path, capsys, key, bad):
+    model = json.loads(json.dumps(P0_MODEL))
+    if key == "xi":
+        model["grid"] = {"type": "explicit", "xi": [1.0, bad, 9.0]}
+    else:
+        model["kernel"] = {
+            "type": "tabulated", "s": [0.0, 1.0, 2.0], "g": [1.0, 0.5, 0.25], "k0": 1.0, "k1": 1.0
+        }
+        model["kernel"][key][1] = bad
+    cfg = write_cfg(tmp_path, model=model)
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    error = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"]
+    assert error["type"] == "config"
+    assert error["message"].startswith("config schema violation")
+
+
 def test_spectrum_command_rows_and_root_sums(tmp_path):
     cfg = write_cfg(tmp_path, extra={"spectrum": {"modes": 100}})
     out = tmp_path / "out"

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from helpers import KER1, P0, square_grid, xi_grid
+import memwave.resolvent as resolvent
 from memwave.resolvent import (
     ModalForcing,
+    ModeBlock,
     ResolventSweeper,
     laguerre_grid,
     mode_block,
+    resonance_frequencies,
     scaled_sweep,
     static_solve,
     weighted_integration_matrix,
@@ -168,6 +171,113 @@ def test_sweep_rescaling_reuses_samples():
     reduced = sweep.rescaled(sweep.omega - 0.25)
     assert reduced.norms == pytest.approx(sweep.norms)
     assert reduced.scaled == pytest.approx(sweep.scaled * np.abs(sweep.taus) ** 0.25)
+
+
+def _certificate_taus(grid):
+    reso, _ = resonance_frequencies(P0, KER1.delta, grid, 5.0, 250.0, per_branch=6)
+    return [0.0, -7.3, 3.0, 40.0, 170.0, *reso]
+
+
+def _brute_force_norm_at(sweeper, tau):
+    ks = sweeper.included_modes(tau)
+    norms = [sweeper.block(k).resolvent_norm(tau) for k in ks]
+    i_best = int(np.argmax(norms))
+    margin = None
+    if ks[-1] < sweeper.grid.count:
+        margin = norms[i_best] / sweeper.block(ks[-1] + 1).resolvent_norm(tau)
+    return norms[i_best], ks[i_best], ks[-1], margin
+
+
+@pytest.mark.parametrize("m", [8, 24])
+def test_certified_bound_dominates_every_norm(m):
+    grid = square_grid(300)
+    sweeper = ResolventSweeper(P0, KER1, grid, M=m)
+    pruned = 0
+    for tau in _certificate_taus(grid):
+        ks = sweeper.included_modes(tau)
+        bounds = sweeper.norm_bounds(tau, len(ks))
+        norms = np.array([sweeper.block(k).resolvent_norm(tau) for k in ks])
+        assert np.all(norms <= bounds), tau
+        pruned += int(np.sum(bounds < norms.max()))
+    # the bound is not vacuous: it rules modes out
+    assert pruned > 0
+
+
+@pytest.mark.parametrize("m", [8, 24])
+def test_pruned_norm_at_matches_brute_force(m, monkeypatch):
+    grid = square_grid(300)
+    sweeper = ResolventSweeper(P0, KER1, grid, M=m)
+    svds = []
+    original = ModeBlock.resolvent_norm
+
+    def counted(self, tau):
+        svds.append(self.k)
+        return original(self, tau)
+
+    for tau in _certificate_taus(grid):
+        svds.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(ModeBlock, "resolvent_norm", counted)
+            got = sweeper.norm_at(tau)
+        assert got == _brute_force_norm_at(sweeper, tau), tau
+        # no mode is SVD'd twice, and every mode left out was ruled out by
+        # its bound
+        assert len(svds) == len(set(svds))
+        ks = sweeper.included_modes(tau)
+        skipped = np.array([k for k in ks if k not in svds], dtype=int)
+        assert np.all(sweeper.norm_bounds(tau, len(ks))[skipped - 1] < got[0]), tau
+    # at the last resonance most of the included modes are skipped
+    assert skipped.size > len(ks) // 2
+
+
+def test_exact_ties_go_to_the_smaller_mode(monkeypatch):
+    grid = square_grid(300)
+    sweeper = ResolventSweeper(P0, KER1, grid, M=8)
+    tau = 170.0
+    # the mode with the largest bound is SVD'd first; it is not mode 1
+    assert np.argmax(sweeper.norm_bounds(tau, grid.count)) > 0
+    # equal norms below every bound: nothing is pruned and np.argmax would
+    # pick mode 1
+    monkeypatch.setattr(ModeBlock, "resolvent_norm", lambda self, tau: 1e-9)
+    assert sweeper.norm_at(tau)[1] == 1
+
+
+@pytest.mark.parametrize("m", [8, 24])
+def test_block_symmetric_part_is_a_shared_dissipative_history_block(m):
+    grid = square_grid(300)
+    lag = laguerre_grid(m, KER1.delta)
+    history = None
+    for k in (1, 2, 17, 150, 300):
+        b = mode_block(k, P0, KER1, lag, grid).matrix
+        h = 0.5 * (b + b.T)
+        tol = 1e-14 * np.linalg.norm(b)
+        assert np.max(np.abs(h[:4, :])) <= tol
+        assert np.max(np.abs(h[:, :4])) <= tol
+        assert np.max(np.linalg.eigvalsh(h)) <= tol
+        if history is None:
+            history = h[4:, 4:]
+        assert np.max(np.abs(h[4:, 4:] - history)) <= tol
+
+
+def test_non_finite_block_is_never_pruned(monkeypatch):
+    grid = square_grid(300)
+    tau = 170.0
+    sweeper = ResolventSweeper(P0, KER1, grid, M=8)
+    k_bad = int(np.argmin(sweeper.norm_bounds(tau, len(sweeper.included_modes(tau))))) + 1
+    # without the NaN, the bound of k_bad rules it out
+    assert sweeper.norm_bounds(tau, k_bad)[-1] < sweeper.norm_at(tau)[0]
+
+    def poisoned(k, *args):
+        blk = mode_block(k, *args)
+        if k != k_bad:
+            return blk
+        matrix = blk.matrix.copy()
+        matrix[6, 6] = np.nan
+        return ModeBlock(k=blk.k, xi=blk.xi, M=blk.M, matrix=matrix)
+
+    monkeypatch.setattr(resolvent, "mode_block", poisoned)
+    with pytest.raises(ValueError):
+        ResolventSweeper(P0, KER1, grid, M=8).norm_at(tau)
 
 
 def test_static_solve_zero_forcing():
