@@ -11,7 +11,6 @@ from .analysis import (
     target_exponent,
 )
 from .model import (
-    AuxiliaryI,
     ConstantEta,
     DirichletLaplacianGrid,
     EnergyBreakdown,
@@ -24,7 +23,6 @@ from .model import (
     TabulatedKernel,
     energy,
     graph_norm,
-    kernel_mass,
     validate_params,
 )
 from .resolvent import (

@@ -120,7 +120,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
             f"({'resonance' if sweep.sup_at_resonance else 'grid'} sample, omega={sweep.omega:g})"
         )
     summary = {
-        "omega": 2.0 - 2.0 * cfg.params.a if opts.get("omega") is None else opts["omega"],
+        "omega": sweep.omega,
         "sup_scaled": {str(m): s for m, s in sups.items()},
         "sup_at_resonance": sweep.sup_at_resonance,
     }

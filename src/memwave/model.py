@@ -38,11 +38,6 @@ class InvalidModelError(ValueError):
     """Raised when constructor-level constraints on the model data fail."""
 
 
-class UnresolvedMemoryError(RuntimeError):
-    """Raised when an operation needs pointwise history values that the
-    state's memory representation cannot provide."""
-
-
 class DomainError(ValueError):
     """Raised when a state lies outside the generator's domain for the
     requested operation."""
@@ -131,13 +126,16 @@ class TabulatedKernel:
 
     Beyond the last sample the kernel is extrapolated by the slowest decay the
     pinch allows, ``g(s) = g(s_N) * exp(-k1*(s - s_N))``, which also closes
-    the mass integral.
+    the mass integral.  ``g_prime_values`` holds the derivative at the
+    samples: second-order finite differences, centred inside and one-sided at
+    the ends.
     """
 
     s: np.ndarray
     g_values: np.ndarray
     k0: float
     k1: float
+    g_prime_values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "s", _freeze(self.s))
@@ -148,10 +146,20 @@ class TabulatedKernel:
             raise InvalidModelError("kernel samples must start at s=0 and increase strictly")
         if not (0.0 < self.k1 <= self.k0):
             raise InvalidModelError(f"need 0 < k1 <= k0, got k0={self.k0}, k1={self.k1}")
+        object.__setattr__(
+            self, "g_prime_values", _freeze(np.gradient(self.g_values, self.s, edge_order=2))
+        )
 
     @property
     def zeta(self) -> float:
-        return kernel_mass(self)
+        """Mass ``int_0^inf g``: composite Simpson quadrature over the samples
+        plus the exponential tail bound ``g(s_N)/k1`` dictated by the pinch."""
+        from scipy.integrate import simpson  # only tabulated kernels pay for the import
+
+        zeta = float(simpson(self.g_values, x=self.s) + self.g_values[-1] / self.k1)
+        if not (zeta > 0.0 and math.isfinite(zeta)):
+            raise InvalidModelError(f"kernel mass is not a positive finite number: {zeta}")
+        return zeta
 
     def g(self, s):
         s = np.asarray(s, dtype=float)
@@ -160,34 +168,13 @@ class TabulatedKernel:
         return np.where(s <= self.s[-1], inside, tail)
 
     def g_prime(self, s):
-        # centred finite differences of the table; forward/backward at the ends
-        d = np.gradient(self.g_values, self.s)
         s = np.asarray(s, dtype=float)
-        inside = np.interp(s, self.s, d)
+        inside = np.interp(s, self.s, self.g_prime_values)
         tail = -self.k1 * self.g_values[-1] * np.exp(-self.k1 * (s - self.s[-1]))
         return np.where(s <= self.s[-1], inside, tail)
 
 
 Kernel = Union[ExponentialKernel, TabulatedKernel]
-
-
-def kernel_mass(kernel: Kernel) -> float:
-    """Total mass ``zeta = int_0^inf g(s) ds``.
-
-    Exponential kernels are closed form.  Tabulated kernels use composite
-    Simpson quadrature over the samples plus the exponential tail bound
-    ``g(s_N)/k1`` dictated by the derivative pinch.
-    """
-    if isinstance(kernel, ExponentialKernel):
-        return 1.0 / kernel.delta
-    from scipy.integrate import simpson  # only tabulated kernels pay for the import
-
-    body = float(simpson(kernel.g_values, x=kernel.s))
-    tail = kernel.g_values[-1] / kernel.k1
-    zeta = body + tail
-    if not (zeta > 0.0 and math.isfinite(zeta)):
-        raise InvalidModelError(f"kernel mass is not a positive finite number: {zeta}")
-    return zeta
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +276,7 @@ class EtaOnNodes:
             raise InvalidModelError("nodes, weights and values must share a shape")
 
 
-@dataclass(frozen=True)
-class AuxiliaryI:
-    """Convolved history ``I = int_0^inf g(s) v(t-s) ds`` for exponential
-    kernels.  Enough for the reduced five-dimensional dynamics but not for
-    energies, which need pointwise eta values."""
-
-    value: complex
-
-
-MemoryRep = Union[ConstantEta, EtaOnNodes, AuxiliaryI]
+MemoryRep = Union[ConstantEta, EtaOnNodes]
 
 ZERO_MEMORY = ConstantEta(0.0)
 
@@ -336,15 +314,10 @@ class EnergyBreakdown:
 
 
 def memory_mass(memory: MemoryRep, kernel: Kernel) -> float:
-    """``int_0^inf g(s) |eta(s)|^2 ds`` for a resolvable representation."""
+    """``int_0^inf g(s) |eta(s)|^2 ds``."""
     if isinstance(memory, ConstantEta):
-        return kernel_mass(kernel) * abs(memory.value) ** 2
-    if isinstance(memory, EtaOnNodes):
-        return float(np.sum(memory.weights * np.abs(memory.values) ** 2))
-    raise UnresolvedMemoryError(
-        "auxiliary convolved history carries no pointwise eta values; "
-        "energies need ConstantEta or EtaOnNodes"
-    )
+        return kernel.zeta * abs(memory.value) ** 2
+    return float(np.sum(memory.weights * np.abs(memory.values) ** 2))
 
 
 def energy_parts(v, u, p, q, xi: float, params: ModelParams, zeta: float):
@@ -369,7 +342,7 @@ def energy(
     ``rho*|u|^2``, ``beta*xi*|gamma*v - p|^2``, ``mu*|q|^2`` and
     ``xi^a * int g |eta|^2``.  Contributions add across modes.
     """
-    zeta = kernel_mass(kernel)
+    zeta = kernel.zeta
     stiffness = kinetic_v = coupling = kinetic_p = mem = 0.0
     for st in states:
         xi = grid.xi_of(st.k)
@@ -382,6 +355,20 @@ def energy(
     return EnergyBreakdown(stiffness, kinetic_v, coupling, kinetic_p, mem)
 
 
+def memoryless_generator(xi: float, params: ModelParams) -> np.ndarray:
+    """Memoryless part of one mode's dynamics on ``(v, u, p, q)``:
+    ``v' = u``, ``rho*u' = -alpha*xi*v + gamma*beta*xi*p``, ``p' = q`` and
+    ``mu*q' = -beta*xi*p + gamma*beta*xi*v``."""
+    return np.array(
+        [
+            [0.0, 1.0, 0.0, 0.0],
+            [-params.alpha * xi / params.rho, 0.0, params.gamma * params.beta * xi / params.rho, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+            [params.gamma * params.beta * xi / params.mu, 0.0, -params.beta * xi / params.mu, 0.0],
+        ]
+    )
+
+
 def apply_generator(
     state: ModalState,
     params: ModelParams,
@@ -390,26 +377,20 @@ def apply_generator(
 ) -> ModalState:
     """Image of a modal state under the evolution generator.
 
-    Rows: ``v' = u``, ``rho*u' = -alpha*xi*v + gamma*beta*xi*p + zeta*xi^a*v
-    - xi^a * int g eta``, ``p' = q``, ``mu*q' = -beta*xi*p + gamma*beta*xi*v``
-    and ``eta' = u - eta_s``.  Supported for memory representations whose
+    The memoryless rows act on ``(v, u, p, q)``; the memory adds
+    ``xi^a*(zeta*v - int g eta)/rho`` to the ``u`` row, and the history row
+    is ``eta' = u - eta_s``.  Supported for memory representations whose
     weighted integral and s-derivative are closed form (ConstantEta);
     node-sampled histories should go through the discretized blocks instead.
     """
     if not isinstance(state.memory, ConstantEta):
         raise DomainError("generator application is closed form only for ConstantEta history")
     xi = grid.xi_of(state.k)
-    zeta = kernel_mass(kernel)
-    g_eta = zeta * state.memory.value
-    u_dot = (
-        -params.alpha * xi * state.v
-        + params.gamma * params.beta * xi * state.p
-        + zeta * xi**params.a * state.v
-        - xi**params.a * g_eta
-    ) / params.rho
-    q_dot = (-params.beta * xi * state.p + params.gamma * params.beta * xi * state.v) / params.mu
+    x = np.array([state.v, state.u, state.p, state.q], dtype=complex)
+    image = memoryless_generator(xi, params) @ x
+    image[1] += kernel.zeta * xi**params.a * (state.v - state.memory.value) / params.rho
     # eta constant in s: eta_s = 0, so the history row is the constant u
-    return ModalState(state.k, state.u, u_dot, state.q, q_dot, ConstantEta(state.u))
+    return ModalState(state.k, *image, ConstantEta(state.u))
 
 
 def graph_norm(
@@ -474,7 +455,7 @@ def validate_params(params: ModelParams, kernel: Kernel, grid: ModeGrid) -> Vali
     )
 
     try:
-        zeta = kernel_mass(kernel)
+        zeta = kernel.zeta
         mass_ok = zeta > 0.0 and math.isfinite(zeta)
         mass_detail = f"zeta = {zeta:.12g}"
     except InvalidModelError as exc:
@@ -497,7 +478,7 @@ def validate_params(params: ModelParams, kernel: Kernel, grid: ModeGrid) -> Vali
                 "g > 0 at all samples" if pos else f"min g = {kernel.g_values.min():.6g} <= 0",
             )
         )
-        d = np.gradient(kernel.g_values, kernel.s)
+        d = kernel.g_prime_values
         neg = bool(np.all(d < 0.0))
         # the pinch is checked with slack for the finite-difference error
         slack = 1e-6 * np.max(np.abs(d)) + 1e-12

@@ -43,8 +43,10 @@ from .model import (
     InvalidModelError,
     ModeGrid,
     ModelParams,
+    energy_parts,
+    memoryless_generator,
 )
-from .spectral import AsymptoticConstants, memoryless_generator, quintic_coeffs, quintic_roots
+from .spectral import AsymptoticConstants, quintic_coeffs, quintic_roots
 
 
 class SingularBlockError(RuntimeError):
@@ -187,13 +189,6 @@ class ModeBlock:
         return 1.0 / smin
 
 
-def stiffness_weight(xi: float, params: ModelParams, zeta: float) -> np.ndarray:
-    """2x2 energy weight of the (v, p) pair for one mode."""
-    gvv = params.alpha1 * xi - zeta * xi**params.a + params.beta * params.gamma**2 * xi
-    gvp = -params.beta * params.gamma * xi
-    return np.array([[gvv, gvp], [gvp, params.beta * xi]])
-
-
 def mode_block(
     k: int,
     params: ModelParams,
@@ -203,12 +198,12 @@ def mode_block(
 ) -> ModeBlock:
     """Assemble the (4+M)-dimensional block of mode ``k``.
 
-    Rows before the congruence: ``v' = u``; ``u' = (-alpha*xi*v +
-    gamma*beta*xi*p + zeta*xi^a*v - xi^a*sum_m w_m eta_m)/rho``; ``p' = q``;
-    ``q' = (-beta*xi*p + gamma*beta*xi*v)/mu``; ``eta' = u - D eta``.  The
-    eigenvalues lying in the admissibility strip converge spectrally fast to
-    the mode's quintic roots; characteristic roots left of ``-delta/2`` are
-    not represented (they are not eigenvalues of the full generator either).
+    Rows before the congruence: ``memoryless_generator`` on ``(v, u, p, q)``
+    plus ``xi^a*(zeta*v - sum_m w_m eta_m)/rho`` on the ``u`` row, and
+    ``eta' = u - D eta``.  The eigenvalues lying in the admissibility strip
+    converge spectrally fast to the mode's quintic roots; characteristic roots
+    left of ``-delta/2`` are not represented (they are not eigenvalues of the
+    full generator either).
     """
     if not isinstance(kernel, ExponentialKernel):
         raise InvalidModelError("mode blocks require the exponential kernel")
@@ -222,9 +217,11 @@ def mode_block(
     sw = lag.sqrt_weights
     half_a = xi ** (a / 2.0)
 
-    gvp = stiffness_weight(xi, params, zeta)
+    # 2x2 energy weight of the (v, p) pair
+    gvv = params.alpha1 * xi - zeta * xi**a + params.beta * params.gamma**2 * xi
+    gvp = -params.beta * params.gamma * xi
     try:
-        l_vp = np.linalg.cholesky(gvp)
+        l_vp = np.linalg.cholesky(np.array([[gvv, gvp], [gvp, params.beta * xi]]))
     except np.linalg.LinAlgError as exc:
         raise InvalidModelError(
             f"energy weight of mode k={k} is not positive definite; "
@@ -531,15 +528,6 @@ class StaticSolution:
     stability_ratio: float
 
 
-def _h_norm_sq(
-    gvp: np.ndarray, params: ModelParams, vp: np.ndarray, u: complex, q: complex, mem_w: np.ndarray
-) -> float:
-    quad = float((vp.conj() @ gvp @ vp).real)
-    return quad + params.rho * abs(u) ** 2 + params.mu * abs(q) ** 2 + float(
-        np.sum(np.abs(mem_w) ** 2)
-    )
-
-
 def static_solve(
     forcing: ModalForcing,
     params: ModelParams,
@@ -580,23 +568,19 @@ def static_solve(
     q = forcing.z1
 
     # apply the generator back, all in weighted coordinates
-    r_v = u - forcing.f1
-    r_u = (
-        -params.alpha * xi * v
-        + params.gamma * params.beta * xi * p
-        + zeta * xi**a * v
-        - mem_integral
-    ) / params.rho - forcing.f2
-    r_p = q - forcing.z1
-    r_q = (-params.beta * xi * p + params.gamma * params.beta * xi * v) / params.mu - forcing.z2
+    w = np.array([v, u, p, q], dtype=complex)
+    image = memoryless_generator(xi, params) @ w
+    image[1] += (zeta * xi**a * v - mem_integral) / params.rho
+    f = np.array([forcing.f1, forcing.f2, forcing.z1, forcing.z2], dtype=complex)
     r_eta = half_a * sw * u - lag.diff_w @ eta_w - forcing.nu_w
 
-    gvp = stiffness_weight(xi, params, zeta)
-    n_forcing = math.sqrt(
-        _h_norm_sq(gvp, params, np.array([forcing.f1, forcing.z1]), forcing.f2, forcing.z2, forcing.nu_w)
-    )
-    n_solution = math.sqrt(_h_norm_sq(gvp, params, np.array([v, p]), u, q, eta_w))
-    n_residual = math.sqrt(_h_norm_sq(gvp, params, np.array([r_v, r_p]), r_u, r_q, r_eta))
+    def energy_norm(x: np.ndarray, mem_w: np.ndarray) -> float:
+        parts = energy_parts(*x, xi, params, zeta)
+        return math.sqrt(sum(parts) + float(np.sum(np.abs(mem_w) ** 2)))
+
+    n_forcing = energy_norm(f, forcing.nu_w)
+    n_solution = energy_norm(w, eta_w)
+    n_residual = energy_norm(image - f, r_eta)
     if n_forcing == 0.0:
         return StaticSolution(forcing.k, 0.0, 0.0, 0.0, 0.0, np.zeros(lag.M, dtype=complex), 0.0, 0.0)
     return StaticSolution(
@@ -619,6 +603,5 @@ __all__ = [
     "resonance_frequencies",
     "scaled_sweep",
     "static_solve",
-    "stiffness_weight",
     "weighted_integration_matrix",
 ]

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InvalidModelError, ModeGrid, ModelParams
+from .model import InvalidModelError, ModeGrid, ModelParams, memoryless_generator
 
 
 class ConvergenceError(RuntimeError):
@@ -451,20 +451,6 @@ def strip_check(branch: SpectrumBranch, delta: float) -> StripReport:
 # ---------------------------------------------------------------------------
 
 
-def memoryless_generator(xi: float, params: ModelParams) -> np.ndarray:
-    """Memoryless part of one mode's dynamics on ``(v, u, p, q)``:
-    ``v' = u``, ``rho*u' = -alpha*xi*v + gamma*beta*xi*p``, ``p' = q`` and
-    ``mu*q' = -beta*xi*p + gamma*beta*xi*v``."""
-    return np.array(
-        [
-            [0.0, 1.0, 0.0, 0.0],
-            [-params.alpha * xi / params.rho, 0.0, params.gamma * params.beta * xi / params.rho, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-            [params.gamma * params.beta * xi / params.mu, 0.0, -params.beta * xi / params.mu, 0.0],
-        ]
-    )
-
-
 def modal_generator(xi: float, params: ModelParams, delta: float) -> np.ndarray:
     """Five-dimensional generator of one mode for the exponential kernel.
 
@@ -532,7 +518,6 @@ __all__ = [
     "cardano_cubic_roots",
     "cubic_coeffs",
     "eigvec",
-    "memoryless_generator",
     "modal_generator",
     "quintic_coeffs",
     "quintic_roots",

@@ -36,15 +36,9 @@ from .model import (
     ModeGrid,
     ModelParams,
     energy_parts,
-    kernel_mass,
-)
-from .spectral import (
-    eigvec,
     memoryless_generator,
-    modal_generator,
-    quintic_coeffs,
-    quintic_roots,
 )
+from .spectral import eigvec, modal_generator, quintic_coeffs, quintic_roots
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +392,7 @@ def evolve_general_kernel(
 
     # remaining-mass table for the remote part of the energy
     cumulative = np.concatenate([[0.0], np.cumsum(0.5 * (g_grid[1:] + g_grid[:-1]) * dt)])
-    zeta = kernel_mass(kernel)
+    zeta = kernel.zeta
     tail_after_window = zeta - cumulative[-1]
 
     amat = memoryless_generator(xi, params)

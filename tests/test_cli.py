@@ -37,6 +37,18 @@ def test_validate_command(tmp_path, capsys):
     assert "PASS coercivity" in capsys.readouterr().out
 
 
+def test_validate_tabulated_kernel(tmp_path):
+    model = json.loads(json.dumps(P0_MODEL))
+    s = np.arange(0.0, 5.0 + 1e-9, 1e-3)
+    model["kernel"] = {"type": "tabulated", "s": list(s), "g": list(np.exp(-s)), "k0": 1.0, "k1": 1.0}
+    cfg = write_cfg(tmp_path, model=model)
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "validate.json").read_text())
+    assert report["passed"] is True
+    assert all(c["passed"] is True for c in report["checks"])
+    assert report["kappa"] == pytest.approx(0.75, abs=1e-6)
+
+
 def test_validate_failure_exit_code(tmp_path):
     model = json.loads(json.dumps(P0_MODEL))
     model["params"]["gamma"] = 2.0
