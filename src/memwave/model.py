@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -150,10 +151,11 @@ class TabulatedKernel:
             self, "g_prime_values", _freeze(np.gradient(self.g_values, self.s, edge_order=2))
         )
 
-    @property
+    @cached_property
     def zeta(self) -> float:
         """Mass ``int_0^inf g``: composite Simpson quadrature over the samples
-        plus the exponential tail bound ``g(s_N)/k1`` dictated by the pinch."""
+        plus the exponential tail bound ``g(s_N)/k1`` dictated by the pinch,
+        computed on first access and kept."""
         from scipy.integrate import simpson  # only tabulated kernels pay for the import
 
         zeta = float(simpson(self.g_values, x=self.s) + self.g_values[-1] / self.k1)
@@ -355,18 +357,23 @@ def energy(
     return EnergyBreakdown(stiffness, kinetic_v, coupling, kinetic_p, mem)
 
 
-def memoryless_generator(xi: float, params: ModelParams) -> np.ndarray:
+def memoryless_generator(xi, params: ModelParams) -> np.ndarray:
     """Memoryless part of one mode's dynamics on ``(v, u, p, q)``:
     ``v' = u``, ``rho*u' = -alpha*xi*v + gamma*beta*xi*p``, ``p' = q`` and
-    ``mu*q' = -beta*xi*p + gamma*beta*xi*v``."""
-    return np.array(
-        [
-            [0.0, 1.0, 0.0, 0.0],
-            [-params.alpha * xi / params.rho, 0.0, params.gamma * params.beta * xi / params.rho, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-            [params.gamma * params.beta * xi / params.mu, 0.0, -params.beta * xi / params.mu, 0.0],
-        ]
-    )
+    ``mu*q' = -beta*xi*p + gamma*beta*xi*v``.
+
+    A scalar ``xi`` gives one 4x4 matrix; an array of ``xi`` gives the stack
+    of their matrices along the leading axes, entry for entry the same bits.
+    """
+    xi = np.asarray(xi, dtype=float)
+    out = np.zeros(xi.shape + (4, 4))
+    out[..., 0, 1] = 1.0
+    out[..., 1, 0] = -params.alpha * xi / params.rho
+    out[..., 1, 2] = params.gamma * params.beta * xi / params.rho
+    out[..., 2, 3] = 1.0
+    out[..., 3, 0] = params.gamma * params.beta * xi / params.mu
+    out[..., 3, 2] = -params.beta * xi / params.mu
+    return out
 
 
 def apply_generator(

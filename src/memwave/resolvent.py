@@ -17,15 +17,45 @@ All norms are therefore computed on congruence-transformed blocks
 ``B~ = L^T B L^{-T}`` with ``G = L L^T`` the energy weight, where the
 resolvent norm is the reciprocal smallest singular value of ``i*tau - B~``.
 
-Sweeps skip modes by a certified bound.  Split a block as ``B = S + H`` with
-``S = (B - B^T)/2`` skew and ``H = (B + B^T)/2`` symmetric.  ``i*tau - S`` is
-normal with eigenvalues ``i*(tau -+ s_j)``, ``s_j`` the singular values of
-the real matrix ``S``, so Weyl's inequality for singular values gives
-``sigma_min(i*tau - B) >= min_j ||tau| - s_j| - ||H||_2``.  With ``||H||_2``
-bounded by ``||H||_F`` plus a roundoff slack, ``1/(dist - h)`` bounds the
-resolvent norm of a mode from above whenever ``dist > h``.  A mode whose bound
-is below the largest norm already computed cannot be the maximiser and is
-never SVD'd; the norms, argmax modes and margins are those of the full loop.
+Sweeps bound every mode through the exact reduction onto ``(v, u, p, q)``.
+A block meets the history block ``-D`` (``D = diff_w``, the same for every
+mode) only through its ``u`` row and column, which carry ``c*sqrt_weights``
+with ``c = xi^(a/2)/sqrt(rho)``.  Eliminating the history from
+``N = i*tau - B~`` therefore leaves the 4x4 Schur complement
+
+    S(tau) = i*tau - A + c^2 * phi(tau) * e_u e_u^T,
+    phi(tau) = sw^T K sw,   K = (i*tau + D)^{-1},
+
+with ``A`` the block's 4x4 corner and ``phi`` one scalar shared by all modes
+(it equals ``1/(delta*(delta + i*tau))``: the quadrature is exact for the
+reduced problem).  The blocks of ``N^{-1}`` are ``S^{-1}``,
+``-c S^{-1} e_u y``, ``c x e_u^T S^{-1}`` and ``K - c^2 (S^{-1})_uu x y``
+with ``x = K sw`` and ``y = sw^T K``, so
+
+    ||S^{-1}|| <= ||N^{-1}|| <= || [[||S^{-1}||, |c| ||S^{-1} e_u|| ||y||],
+                                    [|c| ||x|| ||e_u^T S^{-1}||,
+                                     ||K|| + c^2 |(S^{-1})_uu| ||x|| ||y||]] ||.
+
+``||K||`` enters only there and is replaced by its bound
+``sqrt(||K||_1 ||K||_inf)``, which needs no BLAS call.  One M x M inverse
+per frequency and one stacked 4x4 inverse over the modes give both bounds.
+A mode whose upper bound is below the largest lower bound or the largest
+norm already computed cannot be the maximiser and is never SVD'd; every
+reported norm is still ``1/sigma_min`` of the full block, so the norms,
+argmax modes and margins are those of the full loop.
+
+Roundoff is absorbed in ``sigma = 1/norm``.  Each computation involved (the
+SVD of the assembled block, the assembly itself, and the inverses of ``S``
+and of ``i*tau + D``) is backward stable to first order in ``eps``: its result
+is exact for data perturbed by at most ``n*eps`` (``n = 4 + M``) times the
+norm of the matrix it works on, and Weyl's perturbation theorem moves a
+smallest singular value by no more than the perturbation.  All four norms are
+at most ``nu = 2|tau| + ||A||_F + ||D||_F + 2|c| ||sw|| + c^2 |phi|``, so
+``1/upper`` is lowered and ``1/lower`` raised by ``4*n*eps*nu`` before they
+are inverted back; an upper bound whose padded ``sigma`` is not positive is
+``+inf``.  A mode whose bound data are not finite, or a frequency where a
+stacked inverse is singular, gets ``upper = +inf`` and ``lower = 0``: it is
+SVD'd and raises as the full loop would.
 """
 
 from __future__ import annotations
@@ -217,11 +247,9 @@ def mode_block(
     sw = lag.sqrt_weights
     half_a = xi ** (a / 2.0)
 
-    # 2x2 energy weight of the (v, p) pair
-    gvv = params.alpha1 * xi - zeta * xi**a + params.beta * params.gamma**2 * xi
-    gvp = -params.beta * params.gamma * xi
+    gvv, gvp, gpp = _vp_weight(xi, params, zeta)
     try:
-        l_vp = np.linalg.cholesky(np.array([[gvv, gvp], [gvp, params.beta * xi]]))
+        l_vp = np.linalg.cholesky(np.array([[gvv, gvp], [gvp, gpp]]))
     except np.linalg.LinAlgError as exc:
         raise InvalidModelError(
             f"energy weight of mode k={k} is not positive definite; "
@@ -230,24 +258,56 @@ def mode_block(
 
     # coordinates (v, u, p, q, eta~) with eta~ = xi^(a/2) sqrt(w) eta
     b = np.zeros((n, n))
-    b[:4, :4] = memoryless_generator(xi, params)
-    b[1, 0] = (-params.alpha * xi + zeta * xi**a) / params.rho
+    b[:4, :4] = _corner_generator(xi, params, zeta)
     b[1, 4:] = -(half_a / params.rho) * sw
     b[4:, 1] = half_a * sw
     b[4:, 4:] = -lag.diff_w
 
-    # congruence to energy-orthonormal coordinates for (v, p), u, q; it is
-    # the identity on the history coordinates, so only its 4x4 corner inverts
+    # the congruence is the identity on the history coordinates, so only its
+    # 4x4 corner inverts
     t = np.eye(n)
-    t[0, 0] = l_vp[0, 0]
-    t[0, 2] = l_vp[1, 0]
-    t[2, 0] = l_vp[0, 1]
-    t[2, 2] = l_vp[1, 1]
-    t[1, 1] = math.sqrt(params.rho)
-    t[3, 3] = math.sqrt(params.mu)
+    t[:4, :4] = _congruence(l_vp, params)
     t_inv = np.eye(n)
     t_inv[:4, :4] = np.linalg.inv(t[:4, :4])
     return ModeBlock(k=k, xi=xi, M=M, matrix=t @ b @ t_inv)
+
+
+def _vp_weight(xi, params: ModelParams, zeta: float):
+    """Entries ``(gvv, gvp, gpp)`` of the 2x2 energy weight of the ``(v, p)``
+    pair; scalars or arrays of ``xi`` alike."""
+    gvv = params.alpha1 * xi - zeta * xi**params.a + params.beta * params.gamma**2 * xi
+    return gvv, -params.beta * params.gamma * xi, params.beta * xi
+
+
+def _corner_generator(xi, params: ModelParams, zeta: float) -> np.ndarray:
+    """The ``(v, u, p, q)`` rows of a block before the congruence:
+    ``memoryless_generator`` plus the memory force ``zeta*xi^a*v/rho`` on the
+    ``u`` row (stacked over an array of ``xi``)."""
+    g = memoryless_generator(xi, params)
+    g[..., 1, 0] = (-params.alpha * xi + zeta * xi**params.a) / params.rho
+    return g
+
+
+def _congruence(l_vp: np.ndarray, params: ModelParams) -> np.ndarray:
+    """4x4 congruence to energy-orthonormal ``(L_vp^T (v, p), sqrt(rho) u,
+    sqrt(mu) q)``, stacked like the Cholesky factors ``l_vp``."""
+    t = np.zeros(l_vp.shape[:-2] + (4, 4))
+    t[..., 0, 0] = l_vp[..., 0, 0]
+    t[..., 0, 2] = l_vp[..., 1, 0]
+    t[..., 2, 0] = l_vp[..., 0, 1]
+    t[..., 2, 2] = l_vp[..., 1, 1]
+    t[..., 1, 1] = math.sqrt(params.rho)
+    t[..., 3, 3] = math.sqrt(params.mu)
+    return t
+
+
+def _inv_or_nan(a: np.ndarray) -> np.ndarray:
+    """Stacked inverse, or NaN everywhere when any matrix of the stack is
+    singular (``np.linalg.inv`` refuses the whole stack)."""
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return np.full(a.shape, np.nan, dtype=np.result_type(a, float))
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +326,12 @@ class ResolventSweeper:
     modes.  The first excluded mode is also evaluated when available and its
     norm is reported as a margin check on the cutoff.
 
-    Only per-mode certificates are cached: the singular values of each
-    block's skew part and a bound on the 2-norm of its symmetric part (see the
-    module docstring), computed once per mode as the cutoff first reaches it.
-    A block is rebuilt by ``mode_block`` each time it is SVD'd.
+    The sweeper keeps, for every mode of the grid, the 4x4 energy-coordinate
+    corner ``A_k`` of its block and the coupling ``c_k`` to the history
+    (see the module docstring); they are built vectorised, without assembling
+    any block.  Per frequency ``norm_bounds`` turns them into two-sided bounds,
+    and only the modes those bounds cannot rule out are assembled by
+    ``mode_block`` and SVD'd.
     """
 
     def __init__(
@@ -285,13 +347,27 @@ class ResolventSweeper:
         self.lag = laguerre_grid(M, kernel.delta)
         self._m1 = AsymptoticConstants.from_params(params).m1
         self._xi = grid.xi
-        # certificates of modes 1..len(self._h): skew singular values (one row
-        # per mode) and ||H||_F plus the roundoff slack on ||B||_F.  The slack
-        # covers the errors of both SVDs, each at most about n*eps (n = 4 + M)
-        # times the norm of the matrix it decomposes (S, and i*tau - B).
-        self._skew_sv = np.empty((0, 4 + M))
-        self._h = np.empty(0)
-        self._slack = 2 * (4 + M) * np.finfo(float).eps
+        zeta = kernel.zeta
+        gvv, gvp, gpp = _vp_weight(self._xi, params, zeta)
+        weight = np.stack([np.stack([gvv, gvp], axis=-1), np.stack([gvp, gpp], axis=-1)], axis=-2)
+        try:
+            l_vp = np.linalg.cholesky(weight)
+        except np.linalg.LinAlgError:
+            # some mode is not coercive: no bounds here, and mode_block raises
+            # for that mode when it is SVD'd
+            l_vp = np.full(weight.shape, np.nan)
+        t = _congruence(l_vp, params)
+        self._corners = t @ _corner_generator(self._xi, params, zeta) @ _inv_or_nan(t)
+        self._c = self._xi ** (params.a / 2.0) / math.sqrt(params.rho)
+        sw_norm = float(np.linalg.norm(self.lag.sqrt_weights))
+        # the part of the roundoff scale nu (module docstring) that does not
+        # depend on tau
+        self._nu = (
+            np.linalg.norm(self._corners, axis=(-2, -1))
+            + np.linalg.norm(self.lag.diff_w)
+            + 2.0 * np.abs(self._c) * sw_norm
+        )
+        self._eps_n = 4 * (4 + M) * np.finfo(float).eps
 
     def block(self, k: int) -> ModeBlock:
         """Assemble the block of mode ``k`` (not cached)."""
@@ -302,42 +378,72 @@ class ResolventSweeper:
         n_cut = int(np.searchsorted(self._xi, cutoff, side="right"))
         return list(range(1, min(self.grid.count, max(n_cut, FIRST_MODES_FLOOR)) + 1))
 
-    def _certify(self, n: int) -> None:
-        """Extend the certificates to modes ``1..n``."""
-        done = self._h.size
-        if n <= done:
-            return
-        rows = np.empty((n - done, self._skew_sv.shape[1]))
-        h = np.empty(n - done)
-        for i, k in enumerate(range(done + 1, n + 1)):
-            b = self.block(k).matrix
-            rows[i] = sla.svdvals(0.5 * (b - b.T))
-            h[i] = np.linalg.norm(0.5 * (b + b.T)) + self._slack * np.linalg.norm(b)
-        self._skew_sv = np.concatenate([self._skew_sv, rows])
-        self._h = np.concatenate([self._h, h])
+    def history_resolvent(self, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, complex]:
+        """``K = (i*tau + D)^{-1}`` of the discrete history block, ``x = K sw``,
+        ``y = sw^T K`` and ``phi = sw^T K sw``.
 
-    def norm_bounds(self, tau: float, n: int) -> np.ndarray:
-        """Certified upper bounds on the resolvent norms of modes ``1..n``
-        (``+inf`` where the bound says nothing)."""
-        self._certify(n)
-        dist = np.min(np.abs(abs(tau) - self._skew_sv[:n]), axis=1)
-        gap = dist - (self._h[:n] + self._slack * abs(tau))
-        return np.divide(1.0, gap, out=np.full(n, np.inf), where=gap > 0.0)
+        The products are summed elementwise: a threaded BLAS matrix-vector
+        call costs milliseconds at these sizes, more than the inverse.
+        """
+        M = self.lag.M
+        sw = self.lag.sqrt_weights
+        k_inv = _inv_or_nan(1j * tau * np.eye(M) + self.lag.diff_w)
+        x = np.sum(k_inv * sw, axis=1)
+        y = np.sum(sw[:, None] * k_inv, axis=0)
+        return k_inv, x, y, complex(np.sum(sw * x))
+
+    def norm_bounds(self, tau: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(lower, upper)`` bounds on the resolvent norms of modes ``1..n``,
+        roundoff included (``lower = 0``, ``upper = +inf`` where the bound data
+        are not finite)."""
+        lower = np.zeros(n)
+        upper = np.full(n, np.inf)
+        k_inv, x, y, phi = self.history_resolvent(tau)
+        if not np.all(np.isfinite(k_inv)):
+            return lower, upper
+        x_norm = float(np.linalg.norm(x))
+        y_norm = float(np.linalg.norm(y))
+        k_abs = np.abs(k_inv)
+        k_norm = math.sqrt(float(k_abs.sum(axis=0).max() * k_abs.sum(axis=1).max()))
+        c = self._c[:n]
+        schur = 1j * tau * np.eye(4) - self._corners[:n]
+        schur[:, 1, 1] += c * c * phi
+        s_inv = _inv_or_nan(schur)
+        ok = np.all(np.isfinite(s_inv), axis=(-2, -1))
+        s_inv = s_inv[ok]
+        c = c[ok]
+        # ||S^{-1}|| from the largest eigenvalue of its Gram matrix: accurate
+        # to relative roundoff, and cheaper than a stacked SVD
+        gram = np.conj(np.swapaxes(s_inv, -2, -1)) @ s_inv
+        s_norm = np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
+        # the 2x2 matrix of block norms [[p, q], [r, s]] and its 2-norm
+        p = s_norm
+        q = np.abs(c) * np.linalg.norm(s_inv[:, :, 1], axis=-1) * y_norm
+        r = np.abs(c) * x_norm * np.linalg.norm(s_inv[:, 1, :], axis=-1)
+        s = k_norm + c * c * np.abs(s_inv[:, 1, 1]) * x_norm * y_norm
+        block_norm = 0.5 * (np.hypot(p + s, q - r) + np.hypot(p - s, q + r))
+        eta = self._eps_n * (self._nu[:n][ok] + 2.0 * abs(tau) + c * c * abs(phi))
+        sigma_lo = 1.0 / block_norm - eta
+        upper[ok] = np.divide(1.0, sigma_lo, out=np.full(sigma_lo.size, np.inf), where=sigma_lo > 0.0)
+        lower[ok] = 1.0 / (1.0 / s_norm + eta)
+        return lower, upper
 
     def norm_at(self, tau: float) -> tuple[float, int, int, float | None]:
         """Return ``(norm, argmax mode, cutoff mode, margin)``.
 
         ``margin`` is included-max divided by the first excluded mode's norm,
         or None when the grid is exhausted.  Modes are SVD'd in decreasing
-        order of their certified bound until the bound drops below the running
-        max; exact ties go to the smaller mode, as ``np.argmax`` does.
+        order of their upper bound until it drops below the largest lower
+        bound or the running max; exact ties go to the smaller mode, as
+        ``np.argmax`` does.
         """
         ks = self.included_modes(tau)
-        bounds = self.norm_bounds(tau, len(ks))
+        lower, upper = self.norm_bounds(tau, len(ks))
         best = -math.inf
         k_best = 0
-        for i in np.argsort(-bounds, kind="stable"):
-            if bounds[i] < best:
+        floor = float(lower.max())
+        for i in np.argsort(-upper, kind="stable"):
+            if upper[i] < max(best, floor):
                 break
             k = ks[i]
             norm = self.block(k).resolvent_norm(tau)

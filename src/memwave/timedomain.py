@@ -242,21 +242,61 @@ def memory_energy_closed_form(traj: ModalTrajectory, t, params: ModelParams) -> 
 
 
 def memory_energy_quadrature(
-    traj: ModalTrajectory, t: float, params: ModelParams, n: int = 200
+    traj: ModalTrajectory, t: float, params: ModelParams, per_panel: int = 16
 ) -> float:
-    """Gauss-Legendre quadrature of the recent part plus the closed-form
-    remote part; the independent check on the closed form."""
+    """Composite Gauss-Legendre quadrature of the recent part plus the
+    closed-form remote part; the independent check on the closed form.
+
+    The integrand ``e^(-delta*s) |v(t) - v(t-s)|^2`` oscillates and decays no
+    faster than ``rate = 2*max|lam| + delta``, so the panels are
+    ``2*pi/rate`` long with ``per_panel`` nodes each.  The recent part is
+    integrated over ``[0, s0]``, ``s0 = min(t, log(1/eps)/delta)``.  The energy
+    does not increase and its stiffness part is
+    ``(alpha1*xi - xi^a/delta)*|v|^2``, so ``|v|^2 <= E(0)/(alpha1*xi -
+    xi^a/delta)`` along the whole trajectory and the part over ``[s0, t]`` is
+    at most ``(2/delta) e^(-delta*s0) (|v(t)|^2 + E(0)/(alpha1*xi -
+    xi^a/delta))``.  Where that bound exceeds ``eps`` times the memory
+    computed so far, ``s0`` moves right until it does not (or reaches ``t``).
+    """
     delta = traj.delta
-    gx, gw = np.polynomial.legendre.leggauss(n)
-    s = 0.5 * t * (gx + 1.0)
-    ws = 0.5 * t * gw
-    v_t = complex(traj.v_at(t))
-    eta = v_t - traj.v_at(t - s)
-    recent = float(np.sum(ws * np.exp(-delta * s) * np.abs(eta) ** 2))
+    xi = traj.xi
+    eps = np.finfo(float).eps
     h1 = history_mass(traj.history, delta)
     h2 = history_sq_mass(traj.history, delta)
-    remote = math.exp(-delta * t) * (abs(v_t) ** 2 / delta - 2.0 * (np.conj(v_t) * h1).real + h2)
-    return traj.xi**params.a * (recent + remote)
+
+    def remote(v: complex) -> float:
+        # int_0^inf e^(-delta*s) |v - h(s)|^2 ds
+        return abs(v) ** 2 / delta - 2.0 * (np.conj(v) * h1).real + h2
+
+    v_t = complex(traj.v_at(t))
+    gx, gw = np.polynomial.legendre.leggauss(per_panel)
+    panel = 2.0 * math.pi / (2.0 * float(np.max(np.abs(traj.eigenvalues))) + delta)
+
+    def recent(s0: float) -> float:
+        edges = np.linspace(0.0, s0, max(1, math.ceil(s0 / panel)) + 1)
+        half = 0.5 * np.diff(edges)[:, None]
+        s = (edges[:-1, None] + half + half * gx).ravel()
+        ws = (half * gw).ravel()
+        eta = v_t - traj.v_at(t - s)
+        return float(np.sum(ws * np.exp(-delta * s) * np.abs(eta) ** 2))
+
+    outside = math.exp(-delta * t) * remote(v_t)
+    s0 = min(t, math.log(1.0 / eps) / delta)
+    inside = recent(s0)
+    stiffness = params.alpha1 * xi - xi**params.a / delta
+    if s0 < t:
+        x0 = traj.x0
+        e0 = sum(energy_parts(*x0[:4], xi, params, 1.0 / delta)) + xi**params.a * remote(x0[0])
+        tail = (
+            2.0 / delta * math.exp(-delta * s0) * (abs(v_t) ** 2 + e0 / stiffness)
+            if stiffness > 0.0
+            else math.inf
+        )
+        memory = inside + outside
+        if tail > eps * memory:
+            s0 = t if memory <= 0.0 else min(t, s0 + math.log(tail / (eps * memory)) / delta)
+            inside = recent(s0)
+    return xi**params.a * (inside + outside)
 
 
 # ---------------------------------------------------------------------------

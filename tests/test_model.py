@@ -92,6 +92,32 @@ def test_kernel_mass_tabulated_matches_closed_form():
     assert kernel.zeta == pytest.approx(2.0, abs=1e-6)
 
 
+def test_tabulated_kernel_mass_is_computed_once(monkeypatch):
+    import scipy.integrate
+
+    calls = []
+    simpson = scipy.integrate.simpson
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return simpson(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "simpson", counted)
+    s = np.arange(0.0, 40.0 + 1e-12, 0.01)
+    kernel = TabulatedKernel(s=s, g_values=2.0 * np.exp(-s), k0=1.0, k1=1.0)
+    first = kernel.zeta
+    assert kernel.zeta == first and type(first) is float
+    assert len(calls) == 1
+
+
+def test_tabulated_kernel_mass_failure_raises_on_every_access():
+    s = np.linspace(0.0, 5.0, 40)
+    kernel = TabulatedKernel(s=s, g_values=-np.exp(-s), k0=1.1, k1=0.9)
+    for _ in range(2):
+        with pytest.raises(InvalidModelError):
+            kernel.zeta
+
+
 def test_energy_reference_mode():
     grid = square_grid(3)
     st = ModalState(1, v=1.0, u=0.0, p=0.0, q=0.0)

@@ -3,7 +3,9 @@ import pytest
 
 from helpers import KER1, P0, square_grid, xi_grid
 import memwave.resolvent as resolvent
+from memwave.model import ExplicitGrid, ExponentialKernel, ModelParams
 from memwave.resolvent import (
+    LaguerreGrid,
     ModalForcing,
     ModeBlock,
     ResolventSweeper,
@@ -188,19 +190,70 @@ def _brute_force_norm_at(sweeper, tau):
     return norms[i_best], ks[i_best], ks[-1], margin
 
 
+def _brute_force_bounds_check(sweeper, tau):
+    """lower <= ||(i*tau - B_k)^{-1}|| <= upper for every included mode;
+    returns the norms and bounds."""
+    ks = sweeper.included_modes(tau)
+    lower, upper = sweeper.norm_bounds(tau, len(ks))
+    norms = np.array([sweeper.block(k).resolvent_norm(tau) for k in ks])
+    assert np.all(lower <= norms), tau
+    assert np.all(norms <= upper), tau
+    return norms, lower, upper
+
+
 @pytest.mark.parametrize("m", [8, 24])
 def test_certified_bound_dominates_every_norm(m):
     grid = square_grid(300)
     sweeper = ResolventSweeper(P0, KER1, grid, M=m)
     pruned = 0
     for tau in _certificate_taus(grid):
-        ks = sweeper.included_modes(tau)
-        bounds = sweeper.norm_bounds(tau, len(ks))
-        norms = np.array([sweeper.block(k).resolvent_norm(tau) for k in ks])
-        assert np.all(norms <= bounds), tau
-        pruned += int(np.sum(bounds < norms.max()))
-    # the bound is not vacuous: it rules modes out
+        norms, lower, upper = _brute_force_bounds_check(sweeper, tau)
+        pruned += int(np.sum(upper < lower.max()))
+    # the bounds are not vacuous: they rule modes out
     assert pruned > 0
+
+
+def _regime_params(a):
+    # alpha = 4 keeps mode 1 (xi = 1) coercive for zeta = 1/delta up to 2
+    return ModelParams(rho=1.0, mu=1.0, alpha=4.0, beta=1.0, gamma=0.5, a=a)
+
+
+@pytest.mark.parametrize("delta", [0.5, 5.0])
+@pytest.mark.parametrize("a", [0.0, 0.5, 0.9, 0.97])
+def test_bounds_hold_across_regimes(a, delta):
+    params = _regime_params(a)
+    kernel = ExponentialKernel(delta)
+    grid = square_grid(200)
+    sweeper = ResolventSweeper(params, kernel, grid, M=16)
+    reso, _ = resonance_frequencies(params, delta, grid, 5.0, 150.0, per_branch=4)
+    pruned = 0
+    for tau in (0.0, 3.0, 40.0, *reso):
+        norms, lower, upper = _brute_force_bounds_check(sweeper, tau)
+        pruned += int(np.sum(upper < lower.max()))
+    assert pruned > 0
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5, 0.97])
+def test_bounds_hold_up_to_xi_1e8(a):
+    # at xi = 1e8 the resonant blocks have condition numbers of order 1e14, so
+    # the SVD's own roundoff is what the bounds' slack has to cover
+    params = _regime_params(a)
+    grid = ExplicitGrid(np.geomspace(1.0, 1e8, 33))
+    sweeper = ResolventSweeper(params, KER1, grid, M=16)
+    for k in (1, 17, 25, 29, 33):
+        branch = quintic_roots(quintic_coeffs(grid.xi_of(k), params, KER1.delta, k=k), params)
+        for j in (1, 2):
+            _brute_force_bounds_check(sweeper, branch.lam(j, +1).imag)
+
+
+@pytest.mark.parametrize("m", [8, 40, 80])
+def test_history_reduction_is_the_continuum_memory_symbol(m):
+    # phi_M(tau) = sw^T (i*tau + D)^{-1} sw = int_0^inf e^{-delta s} e^{-i tau s} ds / delta
+    for delta in (0.5, 1.0, 5.0):
+        sweeper = ResolventSweeper(P0, ExponentialKernel(delta), square_grid(3), M=m)
+        for tau in (0.0, 10.0, 1000.0):
+            phi = sweeper.history_resolvent(tau)[3]
+            assert phi == pytest.approx(1.0 / (delta * (delta + 1j * tau)), rel=1e-12)
 
 
 @pytest.mark.parametrize("m", [8, 24])
@@ -221,23 +274,60 @@ def test_pruned_norm_at_matches_brute_force(m, monkeypatch):
             got = sweeper.norm_at(tau)
         assert got == _brute_force_norm_at(sweeper, tau), tau
         # no mode is SVD'd twice, and every mode left out was ruled out by
-        # its bound
+        # its upper bound
         assert len(svds) == len(set(svds))
         ks = sweeper.included_modes(tau)
         skipped = np.array([k for k in ks if k not in svds], dtype=int)
-        assert np.all(sweeper.norm_bounds(tau, len(ks))[skipped - 1] < got[0]), tau
+        assert np.all(sweeper.norm_bounds(tau, len(ks))[1][skipped - 1] < got[0]), tau
     # at the last resonance most of the included modes are skipped
     assert skipped.size > len(ks) // 2
+
+
+def test_sweep_svds_only_argmax_and_margin_modes(monkeypatch):
+    # the README reference frequencies on 2000 modes: one block for the
+    # maximiser and one for the cutoff margin per frequency
+    grid = square_grid(2000)
+    base = np.geomspace(10.0, 1000.0, 128)
+    reso, _ = resonance_frequencies(P0, KER1.delta, grid, 10.0, 1000.0, per_branch=16)
+    built = []
+    svds = []
+    original_block = resolvent.mode_block
+    original_norm = ModeBlock.resolvent_norm
+
+    def counted_block(*args):
+        built.append(args[0])
+        return original_block(*args)
+
+    def counted_norm(self, tau):
+        svds.append(self.k)
+        return original_norm(self, tau)
+
+    monkeypatch.setattr(resolvent, "mode_block", counted_block)
+    monkeypatch.setattr(ModeBlock, "resolvent_norm", counted_norm)
+    for m in (40, 80):
+        sweeper = ResolventSweeper(P0, KER1, grid, M=m)
+        for tau in np.concatenate([base, reso]):
+            built.clear()
+            svds.clear()
+            sweeper.norm_at(float(tau))
+            assert len(built) <= 2 and len(svds) <= 2, (m, tau)
 
 
 def test_exact_ties_go_to_the_smaller_mode(monkeypatch):
     grid = square_grid(300)
     sweeper = ResolventSweeper(P0, KER1, grid, M=8)
     tau = 170.0
-    # the mode with the largest bound is SVD'd first; it is not mode 1
-    assert np.argmax(sweeper.norm_bounds(tau, grid.count)) > 0
-    # equal norms below every bound: nothing is pruned and np.argmax would
+    # the mode with the largest upper bound is SVD'd first; it is not mode 1
+    assert np.argmax(sweeper.norm_bounds(tau, grid.count)[1]) > 0
+    # equal norms below every upper bound, with the lower bounds (which such
+    # norms would contradict) dropped: nothing is pruned and np.argmax would
     # pick mode 1
+    bounds = ResolventSweeper.norm_bounds
+    monkeypatch.setattr(
+        ResolventSweeper,
+        "norm_bounds",
+        lambda self, tau, n: (np.zeros(n), bounds(self, tau, n)[1]),
+    )
     monkeypatch.setattr(ModeBlock, "resolvent_norm", lambda self, tau: 1e-9)
     assert sweeper.norm_at(tau)[1] == 1
 
@@ -259,25 +349,48 @@ def test_block_symmetric_part_is_a_shared_dissipative_history_block(m):
         assert np.max(np.abs(h[4:, 4:] - history)) <= tol
 
 
-def test_non_finite_block_is_never_pruned(monkeypatch):
+def _prunable_mode(sweeper, tau):
+    """The included mode with the smallest upper bound, checked to be pruned."""
+    ks = sweeper.included_modes(tau)
+    upper = sweeper.norm_bounds(tau, len(ks))[1]
+    k_bad = int(np.argmin(upper)) + 1
+    assert upper[k_bad - 1] < sweeper.norm_at(tau)[0]
+    return k_bad
+
+
+def test_non_finite_block_is_never_pruned():
     grid = square_grid(300)
     tau = 170.0
-    sweeper = ResolventSweeper(P0, KER1, grid, M=8)
-    k_bad = int(np.argmin(sweeper.norm_bounds(tau, len(sweeper.included_modes(tau))))) + 1
-    # without the NaN, the bound of k_bad rules it out
-    assert sweeper.norm_bounds(tau, k_bad)[-1] < sweeper.norm_at(tau)[0]
-
-    def poisoned(k, *args):
-        blk = mode_block(k, *args)
-        if k != k_bad:
-            return blk
-        matrix = blk.matrix.copy()
-        matrix[6, 6] = np.nan
-        return ModeBlock(k=blk.k, xi=blk.xi, M=blk.M, matrix=matrix)
-
-    monkeypatch.setattr(resolvent, "mode_block", poisoned)
+    k_bad = _prunable_mode(ResolventSweeper(P0, KER1, grid, M=8), tau)
+    xi = grid.xi.copy()
+    xi[k_bad - 1] = np.nan
+    poisoned = ExplicitGrid(xi)
+    sweeper = ResolventSweeper(P0, KER1, poisoned, M=8)
+    ks = sweeper.included_modes(tau)
+    assert ks[-1] == grid.count
+    lower, upper = sweeper.norm_bounds(tau, len(ks))
+    assert lower[k_bad - 1] == 0.0 and upper[k_bad - 1] == np.inf
     with pytest.raises(ValueError):
-        ResolventSweeper(P0, KER1, grid, M=8).norm_at(tau)
+        sweeper.norm_at(tau)
+
+
+def test_non_finite_history_block_is_never_pruned(monkeypatch):
+    grid = square_grid(300)
+    tau = 170.0
+    _prunable_mode(ResolventSweeper(P0, KER1, grid, M=8), tau)
+
+    def poisoned(M, delta):
+        lag = laguerre_grid(M, delta)
+        diff_w = lag.diff_w.copy()
+        diff_w[3, 3] = np.nan
+        return LaguerreGrid(M=lag.M, delta=lag.delta, nodes=lag.nodes, weights=lag.weights, diff_w=diff_w)
+
+    monkeypatch.setattr(resolvent, "laguerre_grid", poisoned)
+    sweeper = ResolventSweeper(P0, KER1, grid, M=8)
+    lower, upper = sweeper.norm_bounds(tau, grid.count)
+    assert np.all(lower == 0.0) and np.all(upper == np.inf)
+    with pytest.raises(ValueError):
+        sweeper.norm_at(tau)
 
 
 def test_static_solve_zero_forcing():

@@ -85,8 +85,17 @@ def test_memory_energy_matches_quadrature():
     traj = evolve(v=1.0, u=-0.3, p=0.2j)
     for t in (0.5, 1.0, 3.0):
         closed = float(memory_energy_closed_form(traj, t, P0))
-        quad = memory_energy_quadrature(traj, t, P0, n=200)
+        quad = memory_energy_quadrature(traj, t, P0)
         assert closed == pytest.approx(quad, abs=1e-8 * max(1.0, closed))
+
+
+@pytest.mark.parametrize("k", [1, 10, 30])
+def test_memory_energy_quadrature_resolves_oscillatory_modes(k):
+    # |Im lam|*t/(2*pi) reaches ~1400 oscillations at k = 30, t = 200
+    traj = exact_modal_evolve(single_mode_data(k), P0, DELTA, square_grid(40))
+    for t in (10.0, 50.0, 200.0):
+        closed = float(memory_energy_closed_form(traj, t, P0))
+        assert memory_energy_quadrature(traj, t, P0) == pytest.approx(closed, rel=1e-10), t
 
 
 def test_history_moments_closed_form():
@@ -101,7 +110,7 @@ def test_history_enters_through_initial_convolution():
     assert traj.x0[4] == pytest.approx(0.8 / 2.5, rel=1e-14)
     for t in (0.0, 0.7):
         closed = float(memory_energy_closed_form(traj, t, P0))
-        quad = memory_energy_quadrature(traj, t, P0, n=300)
+        quad = memory_energy_quadrature(traj, t, P0)
         assert closed == pytest.approx(quad, abs=1e-8 * max(1.0, closed))
 
 
