@@ -39,23 +39,25 @@ with ``x = K sw`` and ``y = sw^T K``, so
 ``||K||`` enters only there and is replaced by its bound
 ``sqrt(||K||_1 ||K||_inf)``, which needs no BLAS call.  One M x M inverse
 per frequency and one stacked 4x4 inverse over the modes give both bounds.
-A mode whose upper bound is below the largest lower bound or the largest
-norm already computed cannot be the maximiser and is never SVD'd; every
-reported norm is still ``1/sigma_min`` of the full block, so the norms,
-argmax modes and margins are those of the full loop.
+The mode with the largest lower bound is SVD'd first; after it, a mode whose
+upper bound is below the largest norm already computed cannot be the
+maximiser and is never SVD'd.  Every reported norm is still ``1/sigma_min``
+of the full block, so the norms, argmax modes and margins are those of the
+full loop.
 
-Roundoff is absorbed in ``sigma = 1/norm``.  Each computation involved (the
-SVD of the assembled block, the assembly itself, and the inverses of ``S``
-and of ``i*tau + D``) is backward stable to first order in ``eps``: its result
-is exact for data perturbed by at most ``n*eps`` (``n = 4 + M``) times the
-norm of the matrix it works on, and Weyl's perturbation theorem moves a
-smallest singular value by no more than the perturbation.  All four norms are
-at most ``nu = 2|tau| + ||A||_F + ||D||_F + 2|c| ||sw|| + c^2 |phi|``, so
-``1/upper`` is lowered and ``1/lower`` raised by ``4*n*eps*nu`` before they
-are inverted back; an upper bound whose padded ``sigma`` is not positive is
-``+inf``.  A mode whose bound data are not finite, or a frequency where a
-stacked inverse is singular, gets ``upper = +inf`` and ``lower = 0``: it is
-SVD'd and raises as the full loop would.
+The upper bound absorbs roundoff in ``sigma = 1/norm``, so that it bounds the
+computed norm too.  Each computation involved (the SVD of the assembled
+block, the assembly itself, and the inverses of ``S`` and of ``i*tau + D``)
+is backward stable to first order in ``eps``: its result is exact for data
+perturbed by at most ``n*eps`` (``n = 4 + M``) times the norm of the matrix
+it works on, and Weyl's perturbation theorem moves a smallest singular value
+by no more than the perturbation.  All four norms are at most
+``nu = 2|tau| + ||A||_F + ||D||_F + 2|c| ||sw|| + c^2 |phi|``, so ``1/upper``
+is lowered by ``4*n*eps*nu`` before it is inverted back; an upper bound whose
+lowered ``sigma`` is not positive is ``+inf``.  The lower bound only chooses
+the first mode and carries no slack.  A mode whose bound data are not finite,
+or a frequency where a stacked inverse is singular, gets ``upper = +inf`` and
+``lower = 0``: it is SVD'd and raises as the full loop would.
 """
 
 from __future__ import annotations
@@ -393,9 +395,10 @@ class ResolventSweeper:
         return k_inv, x, y, complex(np.sum(sw * x))
 
     def norm_bounds(self, tau: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(lower, upper)`` bounds on the resolvent norms of modes ``1..n``,
-        roundoff included (``lower = 0``, ``upper = +inf`` where the bound data
-        are not finite)."""
+        """``(lower, upper)`` bounds on the resolvent norms of modes ``1..n``
+        (``lower = 0``, ``upper = +inf`` where the bound data are not finite).
+        ``upper`` bounds the computed norm, roundoff included; ``lower``
+        bounds the exact norm and only picks the mode SVD'd first."""
         lower = np.zeros(n)
         upper = np.full(n, np.inf)
         k_inv, x, y, phi = self.history_resolvent(tau)
@@ -425,25 +428,26 @@ class ResolventSweeper:
         eta = self._eps_n * (self._nu[:n][ok] + 2.0 * abs(tau) + c * c * abs(phi))
         sigma_lo = 1.0 / block_norm - eta
         upper[ok] = np.divide(1.0, sigma_lo, out=np.full(sigma_lo.size, np.inf), where=sigma_lo > 0.0)
-        lower[ok] = 1.0 / (1.0 / s_norm + eta)
+        lower[ok] = s_norm
         return lower, upper
 
     def norm_at(self, tau: float) -> tuple[float, int, int, float | None]:
         """Return ``(norm, argmax mode, cutoff mode, margin)``.
 
         ``margin`` is included-max divided by the first excluded mode's norm,
-        or None when the grid is exhausted.  Modes are SVD'd in decreasing
-        order of their upper bound until it drops below the largest lower
-        bound or the running max; exact ties go to the smaller mode, as
-        ``np.argmax`` does.
+        or None when the grid is exhausted.  The mode with the largest lower
+        bound is SVD'd first, then the others in decreasing order of their
+        upper bound until it drops below the running max; exact ties go to the
+        smaller mode, as ``np.argmax`` does.
         """
         ks = self.included_modes(tau)
         lower, upper = self.norm_bounds(tau, len(ks))
+        first = int(np.argmax(lower))
+        rest = [i for i in np.argsort(-upper, kind="stable") if i != first]
         best = -math.inf
         k_best = 0
-        floor = float(lower.max())
-        for i in np.argsort(-upper, kind="stable"):
-            if upper[i] < max(best, floor):
+        for i in [first, *rest]:
+            if upper[i] < best:
                 break
             k = ks[i]
             norm = self.block(k).resolvent_norm(tau)

@@ -241,15 +241,16 @@ def memory_energy_closed_form(traj: ModalTrajectory, t, params: ModelParams) -> 
     return float(out[0]) if scalar else out
 
 
-def memory_energy_quadrature(
-    traj: ModalTrajectory, t: float, params: ModelParams, per_panel: int = 16
-) -> float:
+def memory_energy_quadrature(traj: ModalTrajectory, t: float, params: ModelParams) -> float:
     """Composite Gauss-Legendre quadrature of the recent part plus the
     closed-form remote part; the independent check on the closed form.
 
     The integrand ``e^(-delta*s) |v(t) - v(t-s)|^2`` oscillates and decays no
-    faster than ``rate = 2*max|lam| + delta``, so the panels are
-    ``2*pi/rate`` long with ``per_panel`` nodes each.  The recent part is
+    faster than ``rate = 2*max|lam| + delta``, so the panels are at most
+    ``2*pi/rate`` long with 16 nodes each.  The node states are those of the
+    earliest panel stepped forward by ``expm(generator*h)``, one panel length
+    ``h`` at a time: one matrix exponential sets up the stepping, and a dense
+    trajectory pays one more per node of a single panel only.  The recent part is
     integrated over ``[0, s0]``, ``s0 = min(t, log(1/eps)/delta)``.  The energy
     does not increase and its stiffness part is
     ``(alpha1*xi - xi^a/delta)*|v|^2``, so ``|v|^2 <= E(0)/(alpha1*xi -
@@ -269,16 +270,22 @@ def memory_energy_quadrature(
         return abs(v) ** 2 / delta - 2.0 * (np.conj(v) * h1).real + h2
 
     v_t = complex(traj.v_at(t))
-    gx, gw = np.polynomial.legendre.leggauss(per_panel)
+    gx, gw = np.polynomial.legendre.leggauss(16)
     panel = 2.0 * math.pi / (2.0 * float(np.max(np.abs(traj.eigenvalues))) + delta)
 
     def recent(s0: float) -> float:
-        edges = np.linspace(0.0, s0, max(1, math.ceil(s0 / panel)) + 1)
-        half = 0.5 * np.diff(edges)[:, None]
-        s = (edges[:-1, None] + half + half * gx).ravel()
-        ws = (half * gw).ravel()
-        eta = v_t - traj.v_at(t - s)
-        return float(np.sum(ws * np.exp(-delta * s) * np.abs(eta) ** 2))
+        n_panels = max(1, math.ceil(s0 / panel))
+        h = s0 / n_panels
+        offsets = 0.5 * h * (1.0 + gx)
+        step = sla.expm(traj.generator * h)
+        # panel j, counted from the earliest, holds the states at t - s0 + j*h + offsets
+        x = traj.state_at(t - s0 + offsets)
+        v = np.empty((n_panels, gx.size), dtype=complex)
+        for j in range(n_panels):
+            v[j] = x[0]
+            x = step @ x
+        s = s0 - h * np.arange(n_panels)[:, None] - offsets
+        return float(np.sum(0.5 * h * gw * np.exp(-delta * s) * np.abs(v_t - v) ** 2))
 
     outside = math.exp(-delta * t) * remote(v_t)
     s0 = min(t, math.log(1.0 / eps) / delta)

@@ -18,6 +18,8 @@ from memwave.resolvent import (
 )
 from memwave.spectral import modal_generator, quintic_coeffs, quintic_roots
 
+EPS = np.finfo(float).eps
+
 
 def test_single_node_grid_is_exact():
     lag = laguerre_grid(1, 1.0)
@@ -192,11 +194,21 @@ def _brute_force_norm_at(sweeper, tau):
 
 def _brute_force_bounds_check(sweeper, tau):
     """lower <= ||(i*tau - B_k)^{-1}|| <= upper for every included mode;
-    returns the norms and bounds."""
+    returns the norms and bounds.
+
+    ``upper`` bounds the computed norm.  ``lower`` bounds the exact one, and
+    the SVD computes ``sigma = 1/norm`` only to within ``n*eps`` times the
+    norm of the shifted block, so that much is allowed below it.
+    """
     ks = sweeper.included_modes(tau)
     lower, upper = sweeper.norm_bounds(tau, len(ks))
-    norms = np.array([sweeper.block(k).resolvent_norm(tau) for k in ks])
-    assert np.all(lower <= norms), tau
+    blocks = [sweeper.block(k) for k in ks]
+    norms = np.array([b.resolvent_norm(tau) for b in blocks])
+    svd_roundoff = np.array(
+        [b.dim * EPS * np.linalg.norm(1j * tau * np.eye(b.dim) - b.matrix) for b in blocks]
+    )
+    with np.errstate(divide="ignore"):
+        assert np.all(1.0 / lower >= 1.0 / norms - svd_roundoff), tau
     assert np.all(norms <= upper), tau
     return norms, lower, upper
 
@@ -317,17 +329,10 @@ def test_exact_ties_go_to_the_smaller_mode(monkeypatch):
     grid = square_grid(300)
     sweeper = ResolventSweeper(P0, KER1, grid, M=8)
     tau = 170.0
-    # the mode with the largest upper bound is SVD'd first; it is not mode 1
-    assert np.argmax(sweeper.norm_bounds(tau, grid.count)[1]) > 0
-    # equal norms below every upper bound, with the lower bounds (which such
-    # norms would contradict) dropped: nothing is pruned and np.argmax would
-    # pick mode 1
-    bounds = ResolventSweeper.norm_bounds
-    monkeypatch.setattr(
-        ResolventSweeper,
-        "norm_bounds",
-        lambda self, tau, n: (np.zeros(n), bounds(self, tau, n)[1]),
-    )
+    # the mode with the largest lower bound is SVD'd first; it is not mode 1
+    assert np.argmax(sweeper.norm_bounds(tau, grid.count)[0]) > 0
+    # equal norms below every upper bound: nothing is pruned and np.argmax
+    # would pick mode 1
     monkeypatch.setattr(ModeBlock, "resolvent_norm", lambda self, tau: 1e-9)
     assert sweeper.norm_at(tau)[1] == 1
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -91,11 +93,14 @@ def test_memory_energy_matches_quadrature():
 
 @pytest.mark.parametrize("k", [1, 10, 30])
 def test_memory_energy_quadrature_resolves_oscillatory_modes(k):
-    # |Im lam|*t/(2*pi) reaches ~1400 oscillations at k = 30, t = 200
+    # |Im lam|*t/(2*pi) reaches ~1400 oscillations at k = 30, t = 200; the
+    # dense replica is the route energy_trace takes for dense trajectories
     traj = exact_modal_evolve(single_mode_data(k), P0, DELTA, square_grid(40))
+    dense = dataclasses.replace(traj, dense=True, amplitudes=None, eigvecs=None)
     for t in (10.0, 50.0, 200.0):
         closed = float(memory_energy_closed_form(traj, t, P0))
         assert memory_energy_quadrature(traj, t, P0) == pytest.approx(closed, rel=1e-10), t
+        assert memory_energy_quadrature(dense, t, P0) == pytest.approx(closed, rel=1e-10), t
 
 
 def test_history_moments_closed_form():
@@ -187,8 +192,6 @@ def test_general_kernel_aborts_on_increasing_table():
 
 
 def test_dense_fallback_matches_expansion():
-    import dataclasses
-
     traj = evolve(v=1.0, u=0.2)
     dense = dataclasses.replace(traj, dense=True, amplitudes=None, eigvecs=None)
     for t in (0.0, 0.9, 2.5):
