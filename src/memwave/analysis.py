@@ -75,8 +75,8 @@ def fit_decay_exponent(times, norms, window: tuple[float, float]) -> DecayFit:
 
 
 def _stable_exp_integral(z: complex, w: complex, t: float) -> complex:
-    # (exp(w t) - exp((w - z) t)) / z, limit t*exp(w t); scalar twin of the
-    # vectorized closed form, kept separate on purpose
+    # (exp(w t) - exp((w - z) t)) / z, limit t*exp(w t); a pairwise form that
+    # shares no arithmetic with the factored closed form in timedomain
     if abs(z * t) < 1e-8:
         return t * cmath.exp(w * t) * (1.0 - z * t / 2.0 + (z * t) ** 2 / 6.0)
     return (cmath.exp(w * t) - cmath.exp((w - z) * t)) / z

@@ -7,6 +7,7 @@ computation starts.  All reals are IEEE doubles.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from .model import (
     DirichletLaplacianGrid,
     ExplicitGrid,
     ExponentialKernel,
+    InvalidModelError,
     Kernel,
     ModeGrid,
     ModelParams,
@@ -171,16 +173,22 @@ class RunConfig:
 
 def _check_samples(raw: dict) -> None:
     """Require every item of the sample arrays (kernel ``s`` and ``g``, grid
-    ``xi``) to be a number, as ``{"type": "number"}`` would.
+    ``xi``) to be a finite number.
 
     These arrays can hold tens of thousands of samples, and jsonschema's
     per-item validation dominated the load of a large tabulated kernel.  JSON
-    numbers parse to ``int`` or ``float``, never to ``bool``.
+    numbers parse to ``int`` or ``float``, never to ``bool``.  Python's
+    ``json`` reads ``NaN``, ``Infinity`` and ``1e400`` as non-finite floats,
+    and an integer beyond the double range would not convert.
     """
     for section, key in (("kernel", "s"), ("kernel", "g"), ("grid", "xi")):
         for value in raw[section].get(key, ()):
             if type(value) not in (int, float):
                 raise ConfigError(f"config schema violation: {value!r} is not of type 'number'")
+            if not abs(value) <= sys.float_info.max:
+                raise ConfigError(
+                    f"config schema violation: {section}.{key} holds {value!r}, not a finite number"
+                )
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -194,24 +202,27 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config schema violation: {exc.message}") from exc
     _check_samples(raw)
 
-    params = ModelParams(**raw["params"])
+    try:
+        params = ModelParams(**raw["params"])
 
-    kcfg = raw["kernel"]
-    if kcfg["type"] == "exponential":
-        kernel: Kernel = ExponentialKernel(delta=kcfg["delta"])
-    else:
-        kernel = TabulatedKernel(
-            s=np.asarray(kcfg["s"], dtype=float),
-            g_values=np.asarray(kcfg["g"], dtype=float),
-            k0=kcfg["k0"],
-            k1=kcfg["k1"],
-        )
+        kcfg = raw["kernel"]
+        if kcfg["type"] == "exponential":
+            kernel: Kernel = ExponentialKernel(delta=kcfg["delta"])
+        else:
+            kernel = TabulatedKernel(
+                s=np.asarray(kcfg["s"], dtype=float),
+                g_values=np.asarray(kcfg["g"], dtype=float),
+                k0=kcfg["k0"],
+                k1=kcfg["k1"],
+            )
 
-    gcfg = raw["grid"]
-    if gcfg["type"] == "dirichlet_laplacian":
-        grid: ModeGrid = DirichletLaplacianGrid(length=gcfg["length"], count=gcfg["count"])
-    else:
-        grid = ExplicitGrid(values=np.asarray(gcfg["xi"], dtype=float))
+        gcfg = raw["grid"]
+        if gcfg["type"] == "dirichlet_laplacian":
+            grid: ModeGrid = DirichletLaplacianGrid(length=gcfg["length"], count=gcfg["count"])
+        else:
+            grid = ExplicitGrid(values=np.asarray(gcfg["xi"], dtype=float))
+    except InvalidModelError as exc:
+        raise ConfigError(f"invalid model: {exc}") from exc
 
     options = {
         key: raw[key]

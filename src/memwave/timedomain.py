@@ -9,10 +9,10 @@ the energy,
 
     xi^a * int_0^inf g(s) |v(t) - v(t-s)|^2 ds,
 
-splits at ``s = t``: the recent part is a pairwise sum of elementary
-exponential integrals over the eigenvalue sums ``lam_i + conj(lam_j)``, the
-remote part is closed form in the prescribed history (zero or
-polynomial-times-exponential terms).
+splits at ``s = t``: the recent part factors into the five terms
+``a_i*exp(lam_i*t)`` of ``v(t)`` and one fixed 5x5 matrix per mode, so a whole
+stack of modes is one vectorised evaluation; the remote part is closed form in
+the prescribed history (zero or polynomial-times-exponential terms).
 
 General kernels satisfying the positivity/pinch hypotheses are stepped with
 an implicit-midpoint scheme whose memory force uses trapezoidal convolution
@@ -190,55 +190,83 @@ def exact_modal_evolve(
 # ---------------------------------------------------------------------------
 
 
-def _exp_diff_over(z, w, t):
-    """``(exp(w*t) - exp((w-z)*t)) / z`` with the ``z -> 0`` limit
-    ``t*exp(w*t)``; both exponents have nonpositive real part here, so the
-    combined form never overflows."""
-    zt = z * t
-    small = np.abs(zt) < 1e-8
-    safe_z = np.where(small, 1.0, z)
-    main = (np.exp(w * t) - np.exp((w - z) * t)) / safe_z
-    series = t * np.exp(w * t) * (1.0 - zt / 2.0 + zt * zt / 6.0)
-    return np.where(small, series, main)
+# ``|c|*t_max`` below which a pair term of the memory energy is evaluated as
+# ``E(c)`` instead of by the split form: there the split's two halves cancel,
+# while ``|c*t| < 1`` at every time keeps ``E(c)`` itself from overflowing
+_SPLIT_GUARD = 1.0
 
 
-def memory_energy_closed_form(traj: ModalTrajectory, t, params: ModelParams) -> np.ndarray:
-    """``xi^a * int_0^inf exp(-delta*s) |v(t) - v(t-s)|^2 ds`` at times t.
+def _expm1_ratio(x: np.ndarray) -> np.ndarray:
+    """``(1 - exp(-x)) / x`` with its limit 1 at ``x = 0``."""
+    return np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x != 0)
 
-    The ``s < t`` part expands into pairwise exponential integrals of the
-    amplitude representation; the ``s > t`` part is
-    ``e^(-delta*t) * (|v|^2/delta - 2 Re(conj(v) H1) + H2)`` with the two
-    history moments ``H1, H2``.  Dense-fallback trajectories must use the
-    quadrature route instead.
+
+def memory_energy_closed_form(
+    trajs: list[ModalTrajectory], t, params: ModelParams
+) -> np.ndarray:
+    """``xi^a * int_0^inf exp(-delta*s) |v(t) - v(t-s)|^2 ds`` for a stack of
+    trajectories, shape ``(len(trajs),) + t.shape``.
+
+    With ``f_i = a_i*exp(lam_i*t)``, ``v = sum_i f_i`` and
+    ``E(c) = int_0^t exp(-c*s) ds = -expm1(-c*t)/c``, the ``s < t`` part is
+
+        |v|^2 E(delta) - 2 Re(conj(v) sum_i f_i E(delta + lam_i))
+            + sum_ij f_i conj(f_j) E(c_ij),   c_ij = delta + lam_i + conj(lam_j),
+
+    and the ``s > t`` part is ``e^(-delta*t) (|v|^2/delta - 2 Re(conj(v) H1) +
+    H2)`` with the two history moments ``H1, H2``; their ``e^(-delta*t)
+    |v|^2/delta`` pieces cancel.  Each single-exponent term is evaluated
+    directly, from ``f_i`` where ``Re(delta + lam_i) >= 0`` and from
+    ``a_i*e^(-delta*t)`` where it is negative, so no exponential overflows.
+    Each pair term splits as ``(f_i conj(f_j) - a_i conj(a_j) e^(-delta*t)) /
+    c_ij``, one quadratic form over the stack, except where ``|c_ij|*t_max <
+    _SPLIT_GUARD``: there the halves cancel and ``E(c_ij)`` is evaluated
+    directly.  Dense-fallback trajectories must use the quadrature route
+    instead.
     """
-    if traj.dense:
+    if any(traj.dense for traj in trajs):
         raise InvalidModelError("closed-form memory energy needs the amplitude expansion")
     t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    delta = traj.delta
-    a_coef = traj.v_amplitudes
-    lams = traj.eigenvalues
-    tt = t[None, None, ...]
-    w = (lams[:, None] + lams.conj()[None, :])[..., None]
-    pair = a_coef[:, None, None] * a_coef.conj()[None, :, None]
+    tt = t.reshape(-1)
+    n = len(trajs)
+    amps = np.array([traj.v_amplitudes for traj in trajs], dtype=complex).reshape(n, 5)
+    lams = np.array([traj.eigenvalues for traj in trajs], dtype=complex).reshape(n, 5)
+    delta = np.array([traj.delta for traj in trajs], dtype=float)[:, None]
+    h1 = np.array([history_mass(traj.history, traj.delta) for traj in trajs], dtype=complex)
+    h2 = np.array([history_sq_mass(traj.history, traj.delta) for traj in trajs], dtype=float)
+    xi_a = np.array([traj.xi**params.a for traj in trajs], dtype=float)
 
-    inner = (
-        _exp_diff_over(np.full_like(w, delta, dtype=complex), w, tt)
-        - _exp_diff_over(delta + lams[:, None, None], w, tt)
-        - _exp_diff_over(delta + lams.conj()[None, :, None], w, tt)
-        + _exp_diff_over(delta + w, w, tt)
-    )
-    recent = np.sum(pair * inner, axis=(0, 1)).real
+    f = lams[:, :, None] * tt
+    np.exp(f, out=f)
+    f *= amps[:, :, None]
+    v = f.sum(axis=1)
+    decay = np.exp(-delta * tt)
 
-    v_t = np.tensordot(a_coef, np.exp(np.multiply.outer(lams, t)), axes=(0, 0))
-    h1 = history_mass(traj.history, delta)
-    h2 = history_sq_mass(traj.history, delta)
-    remote = np.exp(-delta * t) * (
-        np.abs(v_t) ** 2 / delta - 2.0 * (np.conj(v_t) * h1).real + h2
+    # one root at a time, which keeps the temporaries at (modes, times)
+    z = delta + lams
+    single = np.zeros_like(v)
+    for i in range(5):
+        flip = z[:, i, None].real < 0.0
+        base = np.where(flip, amps[:, i, None] * decay, f[:, i])
+        single += base * tt * _expm1_ratio(np.where(flip, -z[:, i, None], z[:, i, None]) * tt)
+
+    c = delta[:, :, None] + lams[:, :, None] + lams.conj()[:, None, :]
+    guard = np.abs(c) * np.max(tt, initial=0.0) < _SPLIT_GUARD
+    inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=~guard)
+    pair = np.einsum("nit,nij,njt->nt", f, inv_c, f.conj()).real
+    pair -= np.einsum("ni,nij,nj->n", amps, inv_c, amps.conj()).real[:, None] * decay
+    m, i, j = np.nonzero(guard)
+    if m.size:
+        terms = f[m, i] * f[m, j].conj() * tt * _expm1_ratio(c[m, i, j][:, None] * tt)
+        np.add.at(pair, m, terms.real)
+
+    memory = (
+        np.abs(v) ** 2 / delta
+        - 2.0 * (v.conj() * single).real
+        + pair
+        + decay * (h2[:, None] - 2.0 * (v.conj() * h1[:, None]).real)
     )
-    out = traj.xi**params.a * (recent + remote)
-    return float(out[0]) if scalar else out
+    return (xi_a[:, None] * memory).reshape((n,) + t.shape)
 
 
 def memory_energy_quadrature(traj: ModalTrajectory, t: float, params: ModelParams) -> float:
@@ -351,13 +379,23 @@ def _three_point_derivative(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     return d
 
 
+# trajectories per closed-form memory-energy call in ``energy_trace``
+_MEMORY_CHUNK = 64
+
+
 def energy_trace(
     trajs: list[ModalTrajectory],
     params: ModelParams,
     kernel: ExponentialKernel,
     times: np.ndarray,
 ) -> EnergyTrace:
-    """Exact multi-mode energy trace on the given times."""
+    """Exact multi-mode energy trace on the given times.
+
+    The mechanical parts are accumulated mode by mode.  The memory part comes
+    from ``memory_energy_closed_form`` in stacks of at most ``_MEMORY_CHUNK``
+    trajectories (which bounds its ``(modes, 5, times)`` arrays), and from
+    ``memory_energy_quadrature`` for dense-fallback trajectories.
+    """
     times = np.asarray(times, dtype=float)
     zeta = kernel.zeta
     stiff = np.zeros_like(times)
@@ -378,8 +416,10 @@ def energy_trace(
             mem += np.array(
                 [memory_energy_quadrature(traj, float(t), params) for t in times]
             )
-        else:
-            mem += memory_energy_closed_form(traj, times, params)
+    closed = [traj for traj in trajs if not traj.dense]
+    for start in range(0, len(closed), _MEMORY_CHUNK):
+        chunk = closed[start : start + _MEMORY_CHUNK]
+        mem += memory_energy_closed_form(chunk, times, params).sum(axis=0)
     total = stiff + kin_v + coup + kin_p + mem
     de = 0.5 * _three_point_derivative(times, total)
     residual = np.abs(de + 0.5 * kernel.delta * mem)

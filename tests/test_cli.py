@@ -88,6 +88,37 @@ def test_non_number_sample_is_schema_error(tmp_path, capsys, key, bad):
     assert error["message"].startswith("config schema violation")
 
 
+@pytest.mark.parametrize(
+    "key, bad",
+    [("xi", math.nan), ("xi", math.inf), ("xi", -math.inf), ("s", math.nan), ("g", math.inf)],
+)
+def test_non_finite_sample_is_config_error(tmp_path, capsys, key, bad):
+    # json.dumps writes NaN/Infinity literals, which Python's json reads back
+    model = json.loads(json.dumps(P0_MODEL))
+    if key == "xi":
+        model["grid"] = {"type": "explicit", "xi": [1.0, 4.0, bad, 16.0]}
+    else:
+        model["kernel"] = {
+            "type": "tabulated", "s": [0.0, 1.0, 2.0], "g": [1.0, 0.5, 0.25], "k0": 1.0, "k1": 1.0
+        }
+        model["kernel"][key][1] = bad
+    cfg = write_cfg(tmp_path, model=model, extra={"spectrum": {"modes": 4}})
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    error = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"]
+    assert error["type"] == "config"
+    assert "not a finite number" in error["message"]
+
+
+def test_decreasing_explicit_grid_is_config_error(tmp_path, capsys):
+    model = json.loads(json.dumps(P0_MODEL))
+    model["grid"] = {"type": "explicit", "xi": [1, 4, 3]}
+    cfg = write_cfg(tmp_path, model=model)
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    error = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"]
+    assert error["type"] == "config"
+    assert "strictly increasing" in error["message"]
+
+
 def test_spectrum_command_rows_and_root_sums(tmp_path):
     cfg = write_cfg(tmp_path, extra={"spectrum": {"modes": 100}})
     out = tmp_path / "out"

@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import KER1, P0, square_grid
-from memwave.model import ModalState, TabulatedKernel
+from helpers import KER1, P0, p0_with_a, square_grid, xi_grid
+from memwave import timedomain
+from memwave.model import ModalState, ModelParams, TabulatedKernel, energy_parts
 from memwave.spectral import modal_generator
 from memwave.timedomain import (
     ExponentialPolyHistory,
@@ -75,18 +76,18 @@ def test_mode_energy_decay_rate_matches_slowest_eigenvalue():
 
 def test_memory_energy_initial_value():
     traj = evolve()
-    assert memory_energy_closed_form(traj, 0.0, P0) == pytest.approx(1.0, rel=1e-12)
+    assert memory_energy_closed_form([traj], 0.0, P0)[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_memory_energy_vanishes_eventually():
     traj = evolve()
-    assert memory_energy_closed_form(traj, 400.0, P0) <= 1e-8
+    assert memory_energy_closed_form([traj], 400.0, P0)[0] <= 1e-8
 
 
 def test_memory_energy_matches_quadrature():
     traj = evolve(v=1.0, u=-0.3, p=0.2j)
     for t in (0.5, 1.0, 3.0):
-        closed = float(memory_energy_closed_form(traj, t, P0))
+        closed = float(memory_energy_closed_form([traj], t, P0)[0])
         quad = memory_energy_quadrature(traj, t, P0)
         assert closed == pytest.approx(quad, abs=1e-8 * max(1.0, closed))
 
@@ -98,9 +99,150 @@ def test_memory_energy_quadrature_resolves_oscillatory_modes(k):
     traj = exact_modal_evolve(single_mode_data(k), P0, DELTA, square_grid(40))
     dense = dataclasses.replace(traj, dense=True, amplitudes=None, eigvecs=None)
     for t in (10.0, 50.0, 200.0):
-        closed = float(memory_energy_closed_form(traj, t, P0))
+        closed = float(memory_energy_closed_form([traj], t, P0)[0])
         assert memory_energy_quadrature(traj, t, P0) == pytest.approx(closed, rel=1e-10), t
         assert memory_energy_quadrature(dense, t, P0) == pytest.approx(closed, rel=1e-10), t
+
+
+def _memory_energy_60_digits(mpmath, traj, t, a):
+    """``xi^a * int_0^inf e^(-delta*s) |v(t) - v(t-s)|^2 ds`` for a
+    zero-history trajectory, from its amplitudes and eigenvalues in 60-digit
+    arithmetic: the unfactored expansion with every ``E(c) = int_0^t
+    e^(-c*s) ds`` taken whole."""
+    assert isinstance(traj.history, ZeroHistory)
+    with mpmath.workdps(60):
+        delta = mpmath.mpf(traj.delta)
+        t = mpmath.mpf(t)
+        lams = [mpmath.mpc(lam) for lam in traj.eigenvalues]
+        f = [mpmath.mpc(amp) * mpmath.exp(lam * t) for amp, lam in zip(traj.v_amplitudes, lams)]
+        v = sum(f)
+
+        def e(c):
+            return t if c == 0 else -mpmath.expm1(-c * t) / c
+
+        recent = abs(v) ** 2 * e(delta)
+        recent -= 2 * mpmath.re(mpmath.conj(v) * sum(fi * e(delta + li) for fi, li in zip(f, lams)))
+        recent += mpmath.re(
+            sum(
+                fi * mpmath.conj(fj) * e(delta + li + mpmath.conj(lj))
+                for fi, li in zip(f, lams)
+                for fj, lj in zip(f, lams)
+            )
+        )
+        remote = mpmath.exp(-delta * t) * abs(v) ** 2 / delta
+        return float(mpmath.mpf(traj.xi) ** mpmath.mpf(a) * (recent + remote))
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5, 0.9])
+def test_memory_energy_matches_60_digit_evaluation(a):
+    # modes of the 2000-mode marginal family; at a = 0 the slow real root
+    # sits within 1.4e-7 of -delta on mode 2000, so delta + lam nearly vanishes
+    mpmath = pytest.importorskip("mpmath")
+    params = p0_with_a(a)
+    grid = square_grid(2000)
+    states = marginal_initial_data(grid, 2000)
+    trajs = [exact_modal_evolve(states[k - 1], params, DELTA, grid) for k in (1, 1000, 1796, 2000)]
+    for t in (1.0, 2000.0):
+        got = memory_energy_closed_form(trajs, t, params)
+        for traj, value in zip(trajs, got):
+            expected = _memory_energy_60_digits(mpmath, traj, t, a)
+            assert value == pytest.approx(expected, rel=1e-9), (traj.k, t)
+
+
+@pytest.mark.parametrize(
+    "alpha, bracket",
+    [
+        # the oscillatory pair; P0 is not coercive at delta = 0.5, so one root grows
+        (2.0, (0.6, 0.7)),
+        # the real root, in a coercive mode
+        (4.0, (1.0, 1.2)),
+    ],
+)
+def test_memory_energy_where_a_pair_exponent_vanishes(alpha, bracket):
+    # at delta = 0.5 and a = 0.5 a root crosses Re lam = -delta/2, where
+    # c_ii = delta + 2 Re lam_i = 0 and the split pair term is 0/0
+    mpmath = pytest.importorskip("mpmath")
+    delta = 0.5
+    params = ModelParams(rho=1.0, mu=1.0, alpha=alpha, beta=1.0, gamma=0.5, a=0.5)
+
+    def crossing(xi):
+        lams = exact_modal_evolve(single_mode_data(1), params, delta, xi_grid(xi)).eigenvalues
+        return delta + 2.0 * lams[np.argmin(np.abs(delta + 2.0 * lams.real))].real
+
+    lo, hi = bracket
+    rising = crossing(hi) > crossing(lo)
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if (crossing(mid) > 0.0) == rising:
+            hi = mid
+        else:
+            lo = mid
+    xi_star = min((lo, hi), key=lambda xi: abs(crossing(xi)))
+    assert abs(crossing(xi_star)) <= 1e-14
+    if alpha == 2.0:
+        assert xi_star == pytest.approx(0.670714, abs=1e-6)
+    traj = exact_modal_evolve(single_mode_data(1), params, delta, xi_grid(xi_star))
+    times = np.array([1.0, 50.0, 200.0])
+    got = memory_energy_closed_form([traj], times, params)[0]
+    for t, value in zip(times, got):
+        expected = _memory_energy_60_digits(mpmath, traj, t, params.a)
+        assert value == pytest.approx(expected, rel=1e-12), t
+
+
+def test_stacked_memory_energy_equals_single_calls():
+    grid = square_grid(30)
+    history = ExponentialPolyHistory((HistoryTerm(0.8, 1, 1.5), HistoryTerm(-0.3j, 0, 0.4)))
+    trajs = [
+        exact_modal_evolve(ModalState(k, 1.0 / k, 0.2j, -0.1, 0.05 * k), P0, DELTA, grid, hist)
+        for k in (1, 2, 7, 19, 30)
+        for hist in (ZeroHistory(), history)
+    ]
+    times = np.array([[0.0, 0.3, 2.0], [10.0, 75.0, 400.0]])
+    stacked = memory_energy_closed_form(trajs, times, P0)
+    assert stacked.shape == (len(trajs),) + times.shape
+    for traj, row in zip(trajs, stacked):
+        single = memory_energy_closed_form([traj], times, P0)[0]
+        assert row == pytest.approx(single, rel=1e-14, abs=0.0)
+    assert memory_energy_closed_form(trajs, 2.0, P0) == pytest.approx(stacked[:, 0, 2], rel=1e-14)
+
+
+def test_energy_trace_batches_memory_across_chunks(monkeypatch):
+    # 130 eigen-expansion modes cross two chunk boundaries; one more mode
+    # takes the dense route
+    grid = square_grid(130)
+    trajs = [exact_modal_evolve(st, P0, DELTA, grid) for st in marginal_initial_data(grid, 130)]
+    dense = exact_modal_evolve(ModalState(3, 0.1, 0.0, 0.05, 0.0), P0, DELTA, grid)
+    dense = dataclasses.replace(dense, dense=True, amplitudes=None, eigvecs=None)
+    trajs.insert(40, dense)
+    times = np.geomspace(0.5, 300.0, 12)
+
+    sizes = []
+    closed_form = timedomain.memory_energy_closed_form
+
+    def recorded(chunk, t, params):
+        sizes.append(len(chunk))
+        return closed_form(chunk, t, params)
+
+    monkeypatch.setattr(timedomain, "memory_energy_closed_form", recorded)
+    trace = energy_trace(trajs, P0, KER1, times)
+    assert sum(sizes) == 130 and len(sizes) == 3
+    assert max(sizes) <= timedomain._MEMORY_CHUNK
+
+    parts = [np.zeros_like(times) for _ in range(4)]
+    memory = np.zeros_like(times)
+    for traj in trajs:
+        states = traj.state_at(times)
+        for acc, part in zip(parts, energy_parts(*states[:4], traj.xi, P0, KER1.zeta)):
+            acc += part
+        if traj.dense:
+            memory += [memory_energy_quadrature(traj, float(t), P0) for t in times]
+        else:
+            memory += closed_form([traj], times, P0)[0]
+    for got, expected in zip(
+        (trace.stiffness, trace.kinetic_v, trace.coupling, trace.kinetic_p), parts
+    ):
+        assert np.array_equal(got, expected)
+    assert trace.memory == pytest.approx(memory, rel=1e-13, abs=0.0)
 
 
 def test_history_moments_closed_form():
@@ -114,7 +256,7 @@ def test_history_enters_through_initial_convolution():
     traj = evolve(history=h)
     assert traj.x0[4] == pytest.approx(0.8 / 2.5, rel=1e-14)
     for t in (0.0, 0.7):
-        closed = float(memory_energy_closed_form(traj, t, P0))
+        closed = float(memory_energy_closed_form([traj], t, P0)[0])
         quad = memory_energy_quadrature(traj, t, P0)
         assert closed == pytest.approx(quad, abs=1e-8 * max(1.0, closed))
 
