@@ -16,8 +16,10 @@ the prescribed history (zero or polynomial-times-exponential terms).
 
 General kernels satisfying the positivity/pinch hypotheses are stepped with
 an implicit-midpoint scheme whose memory force uses trapezoidal convolution
-over the stored trajectory, truncated where the kernel falls below 1e-14 of
-its initial value (the pinch bounds the discarded tail).
+over the stored trajectory.  The step is linear in the new velocity and is
+solved exactly, with one history sum per step; the convolution is truncated
+at ``s = log(1e14)/k1``, past which the pinch ``g(s) <= g(0) exp(-k1*s)``
+puts the kernel below 1e-14 of its initial value.
 """
 
 from __future__ import annotations
@@ -358,6 +360,16 @@ class EnergyTrace:
     memory: np.ndarray
     residual: np.ndarray
 
+    @classmethod
+    def from_parts(cls, times, stiffness, kinetic_v, coupling, kinetic_p, memory, dissipation):
+        """Trace from its five parts and the right-hand side ``dissipation =
+        xi^a int g' |eta|^2`` of the identity, sampled on ``times``: the
+        residual compares it with the three-point derivative of ``total``."""
+        total = stiffness + kinetic_v + coupling + kinetic_p + memory
+        de = 0.5 * _three_point_derivative(times, total)
+        residual = np.abs(de - 0.5 * dissipation)
+        return cls(times, stiffness, kinetic_v, coupling, kinetic_p, memory, residual)
+
     @property
     def total(self) -> np.ndarray:
         return self.stiffness + self.kinetic_v + self.coupling + self.kinetic_p + self.memory
@@ -420,27 +432,12 @@ def energy_trace(
     for start in range(0, len(closed), _MEMORY_CHUNK):
         chunk = closed[start : start + _MEMORY_CHUNK]
         mem += memory_energy_closed_form(chunk, times, params).sum(axis=0)
-    total = stiff + kin_v + coup + kin_p + mem
-    de = 0.5 * _three_point_derivative(times, total)
-    residual = np.abs(de + 0.5 * kernel.delta * mem)
-    return EnergyTrace(times, stiff, kin_v, coup, kin_p, mem, residual)
+    return EnergyTrace.from_parts(times, stiff, kin_v, coup, kin_p, mem, -kernel.delta * mem)
 
 
 # ---------------------------------------------------------------------------
 # general kernels: history-quadrature stepping
 # ---------------------------------------------------------------------------
-
-
-def _kernel_truncation(kernel: Kernel) -> float:
-    g0 = float(kernel.g(0.0))
-    target = 1e-14 * g0
-    if isinstance(kernel, ExponentialKernel):
-        return math.log(g0 / target) / kernel.delta
-    g_tab = kernel.g_values
-    below = np.nonzero(g_tab < target)[0]
-    if below.size:
-        return float(kernel.s[below[0]])
-    return float(kernel.s[-1] + math.log(g_tab[-1] / target) / kernel.k1)
 
 
 def evolve_general_kernel(
@@ -456,18 +453,24 @@ def evolve_general_kernel(
     memory, for any kernel satisfying the positivity/pinch hypotheses.
 
     The prescribed history is zero.  The memory force at the midpoint is the
-    average of the endpoint convolutions, closed by one fixed-point
-    correction of the new endpoint, which keeps the scheme second order.
-    The energy is sampled every ``sample_every`` steps with the history
-    coordinate reconstructed from the stored trajectory.
+    average of the endpoint convolutions ``conv_n = int_0^t g(s) v(t-s) ds``
+    by the trapezoid rule on the step grid.  ``conv_(n+1) = dt*g(0)/2 *
+    v_(n+1) + rest``, where ``rest`` sums the stored ``v_(n+1-m) .. v_n``
+    (far end halved), so the step is linear in ``v_(n+1)`` and is solved
+    exactly: one history sum per step, a dot product against the kernel
+    table reversed once.  The pinch gives ``g(s) <= g(0) exp(-k1*s)``, so
+    the convolution is truncated at ``s = log(1e14)/k1``, where the kernel
+    is below 1e-14 of its initial value.  The energy is sampled every
+    ``sample_every`` steps with the history coordinate reconstructed from the
+    stored trajectory, by the same trapezoid rule for ``g`` and ``g'``.
     """
     xi = grid.xi_of(initial.k)
-    a = params.a
+    xi_a = xi**params.a
     n_steps = int(round(T / dt))
-    s_max = _kernel_truncation(kernel)
-    window = min(n_steps, int(math.ceil(s_max / dt)))
+    window = min(n_steps, int(math.ceil(math.log(1e14) / kernel.k1 / dt)))
 
-    g_grid = np.asarray(kernel.g(dt * np.arange(window + 1)), dtype=float)
+    s_grid = dt * np.arange(window + 1)
+    g_grid = np.asarray(kernel.g(s_grid), dtype=float)
     if np.any(g_grid <= 0.0):
         raise InvalidModelError("kernel must stay positive on the stepping window")
     dg = np.diff(g_grid)
@@ -476,88 +479,56 @@ def evolve_general_kernel(
         raise InvalidModelError(
             f"kernel stopped decreasing at s ~ {dt * (i + 1):.6g}; pinch hypothesis violated"
         )
-
-    # remaining-mass table for the remote part of the energy
-    cumulative = np.concatenate([[0.0], np.cumsum(0.5 * (g_grid[1:] + g_grid[:-1]) * dt)])
-    zeta = kernel.zeta
-    tail_after_window = zeta - cumulative[-1]
+    # g and g' at s = (window, ..., 1, 0) * dt: the weight of v_i in a sum
+    # ending at v_n is the entry n - i places from the end
+    reversed_table = np.stack([g_grid, kernel.g_prime(s_grid)])[:, ::-1].copy()
+    g_reversed = reversed_table[0].astype(complex)
 
     amat = memoryless_generator(xi, params)
     eye = np.eye(4)
     lhs = np.linalg.inv(eye - 0.5 * dt * amat)
     rhs = eye + 0.5 * dt * amat
+    # the memory force enters the velocity row: y_(n+1) = z + col*kappa*v_(n+1)
+    col = lhs[:, 1] * dt * xi_a / (2.0 * params.rho)
+    kappa = 0.5 * dt * g_grid[0]
+    gain = col * kappa / (1.0 - col[0] * kappa)
 
     y = np.array([initial.v, initial.u, initial.p, initial.q], dtype=complex)
     v_hist = np.empty(n_steps + 1, dtype=complex)
     v_hist[0] = y[0]
-    states = {0: y.copy()}
-
-    def convolution(n: int, v_new: complex | None = None) -> complex:
-        m = min(n, window)
-        if m == 0:
-            return 0.0
-        v_slice = v_hist[n - m : n + 1][::-1].copy()
-        if v_new is not None:
-            v_slice[0] = v_new
-        weights = g_grid[: m + 1].copy()
-        weights[0] *= 0.5
-        weights[-1] *= 0.5
-        return dt * np.dot(weights, v_slice)
-
-    force = np.zeros(4, dtype=complex)
-    conv_n = 0.0 + 0.0j
+    samples = np.empty((n_steps // sample_every + 1, 4), dtype=complex)
+    samples[0] = y
+    conv = 0.0
     for n in range(n_steps):
-        v_guess = y[0] if n == 0 else 2.0 * v_hist[n] - v_hist[n - 1]
-        for _ in range(2):
-            conv_next = convolution(n + 1, v_new=v_guess)
-            force[1] = xi**a * 0.5 * (conv_n + conv_next) / params.rho
-            y_next = lhs @ (rhs @ y + dt * force)
-            v_guess = y_next[0]
-        y = y_next
+        m = min(n + 1, window)
+        lo = n + 1 - m
+        far = 0.5 * g_grid[m] * v_hist[lo]
+        rest = dt * (g_reversed[window - m : window] @ v_hist[lo : n + 1] - far)
+        z = lhs @ (rhs @ y) + col * (conv + rest)
+        y = z + gain * z[0]
         v_hist[n + 1] = y[0]
-        conv_n = convolution(n + 1)
+        conv = kappa * y[0] + rest
         if (n + 1) % sample_every == 0:
-            states[n + 1] = y.copy()
+            samples[(n + 1) // sample_every] = y
 
     sample_idx = np.arange(0, n_steps + 1, sample_every)
-    times = dt * sample_idx
-    stiff = np.zeros(times.size)
-    kin_v = np.zeros(times.size)
-    coup = np.zeros(times.size)
-    kin_p = np.zeros(times.size)
-    mem = np.zeros(times.size)
-    mem_deriv = np.zeros(times.size)
-    g_prime_grid = np.asarray(kernel.g_prime(dt * np.arange(window + 1)), dtype=float)
-
-    for out_i, n in enumerate(sample_idx):
-        v, u, p, q = states[int(n)]
-        s, kv, c, kp = energy_parts(v, u, p, q, xi, params, zeta)
-        stiff[out_i] = s
-        kin_v[out_i] = kv
-        coup[out_i] = c
-        kin_p[out_i] = kp
-        m = min(int(n), window)
-        eta = v - v_hist[int(n) - m : int(n) + 1][::-1]
-        wts = g_grid[: m + 1].copy()
-        wts_p = g_prime_grid[: m + 1].copy()
-        if m > 0:
-            wts[0] *= 0.5
-            wts[-1] *= 0.5
-            wts_p[0] *= 0.5
-            wts_p[-1] *= 0.5
-        recent = dt * float(np.dot(wts, np.abs(eta) ** 2)) if m > 0 else 0.0
-        recent_p = dt * float(np.dot(wts_p, np.abs(eta) ** 2)) if m > 0 else 0.0
-        remaining = zeta - cumulative[m] if m < window else tail_after_window
-        mem[out_i] = xi**a * (recent + abs(v) ** 2 * remaining)
-        # remote part of the g' integral: eta = v(t) beyond s = t, so
-        # int_t^inf g' |eta|^2 = -g(t) |v|^2
-        g_at_t = g_grid[m] if int(n) <= window else float(kernel.g(dt * int(n)))
-        mem_deriv[out_i] = xi**a * (recent_p - g_at_t * abs(v) ** 2)
-
-    total = stiff + kin_v + coup + kin_p + mem
-    de = 0.5 * _three_point_derivative(times, total)
-    residual = np.abs(de - 0.5 * mem_deriv)
-    return EnergyTrace(times, stiff, kin_v, coup, kin_p, mem, residual)
+    m = np.minimum(sample_idx, window)
+    v = samples[:, 0]
+    # recent parts of int g |eta|^2 and int g' |eta|^2; the near end holds
+    # eta(0) = 0, so only the far end needs halving
+    recent = np.empty((sample_idx.size, 2))
+    for i, (n, mi) in enumerate(zip(sample_idx, m)):
+        eta_sq = np.abs(v[i] - v_hist[n - mi : n + 1]) ** 2
+        weights = reversed_table[:, window - mi :]
+        recent[i] = dt * (weights @ eta_sq - 0.5 * weights[:, 0] * eta_sq[0])
+    # remote parts: eta = v(t) for s beyond the window, where int g = zeta -
+    # int_0^s g and int g' = -g(s) (the same truncation as the step)
+    cumulative = np.concatenate([[0.0], np.cumsum(0.5 * (g_grid[1:] + g_grid[:-1]) * dt)])
+    v_sq = np.abs(v) ** 2
+    mem = xi_a * (recent[:, 0] + v_sq * (kernel.zeta - cumulative[m]))
+    dissipation = xi_a * (recent[:, 1] - g_grid[m] * v_sq)
+    parts = energy_parts(*samples.T, xi, params, kernel.zeta)
+    return EnergyTrace.from_parts(dt * sample_idx, *parts, mem, dissipation)
 
 
 # ---------------------------------------------------------------------------

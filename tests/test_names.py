@@ -1,12 +1,15 @@
 import ast
 import importlib
 import importlib.util
+import json
+import math
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import memwave
+from memwave import cli
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(memwave.__path__))
 
@@ -47,3 +50,26 @@ def test_benchmark_tracer_targets_resolve():
         if not callable(owner):
             missing.append(f"{module_name}.{attr}")
     assert not missing
+
+
+def test_benchmark_tracer_sizes_the_general_integrator_by_steps(tmp_path):
+    # the benchmark's step count reads the keyword arguments T and dt of the
+    # call in cli.cmd_simulate
+    s = [0.01 * i for i in range(501)]
+    cfg = {
+        "params": {"rho": 1.0, "mu": 1.0, "alpha": 2.0, "beta": 1.0, "gamma": 0.5, "a": 0.5},
+        "kernel": {"type": "tabulated", "s": s, "g": [math.exp(-x) for x in s], "k0": 1.0, "k1": 1.0},
+        "grid": {"type": "dirichlet_laplacian", "length": math.pi, "count": 2},
+        "simulate": {"integrator": "general", "t_hi": 0.3, "dt": 0.01, "sample_every": 5},
+    }
+    path = tmp_path / "general.json"
+    path.write_text(json.dumps(cfg))
+    tracer = _benchmark_tracer().Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    sizes = [span[5] for span in tracer.spans if span[0] == "timedomain.evolve_general_kernel"]
+    assert sizes == [round(0.3 / 0.01)]

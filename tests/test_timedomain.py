@@ -5,7 +5,14 @@ import pytest
 
 from helpers import KER1, P0, p0_with_a, square_grid, xi_grid
 from memwave import timedomain
-from memwave.model import ModalState, ModelParams, TabulatedKernel, energy_parts
+from memwave.model import (
+    ExponentialKernel,
+    InvalidModelError,
+    ModalState,
+    ModelParams,
+    TabulatedKernel,
+    energy_parts,
+)
 from memwave.spectral import modal_generator
 from memwave.timedomain import (
     ExponentialPolyHistory,
@@ -314,6 +321,34 @@ def test_general_kernel_matches_exact_evolution():
     assert np.all(np.diff(trace_g.total) <= 1e-9 * trace_g.total[0])
 
 
+def test_general_kernel_truncated_window_matches_exact_evolution():
+    # the pinch truncates the convolution at log(1e14)/8 = 4.03, so from step
+    # 4,030 of 10,000 on every history sum runs over the truncated window
+    s = np.arange(0.0, 5.0 + 1e-12, 1e-3)
+    tab = TabulatedKernel(s=s, g_values=np.exp(-8.0 * s), k0=8.0, k1=8.0)
+    grid = square_grid(3)
+    state = single_mode_data(1)
+    trace_g = evolve_general_kernel(state, P0, tab, grid, T=10.0, dt=1e-3, sample_every=100)
+    traj = exact_modal_evolve(state, P0, 8.0, grid)
+    trace_e = energy_trace([traj], P0, ExponentialKernel(8.0), trace_g.times)
+    rel = np.abs(trace_g.total - trace_e.total) / trace_e.total
+    assert np.max(rel) <= 1e-4
+    assert np.all(np.diff(trace_g.total) <= 1e-9 * trace_g.total[0])
+
+
+def test_general_kernel_is_second_order_on_exponential_kernel():
+    grid = square_grid(3)
+    state = single_mode_data(1)
+    traj = exact_modal_evolve(state, P0, DELTA, grid)
+    errors = []
+    for dt, every in ((4e-3, 100), (2e-3, 200), (1e-3, 400)):
+        trace_g = evolve_general_kernel(state, P0, KER1, grid, T=4.0, dt=dt, sample_every=every)
+        trace_e = energy_trace([traj], P0, KER1, trace_g.times)
+        errors.append(np.max(np.abs(trace_g.total - trace_e.total) / trace_e.total))
+    assert 3.5 <= errors[0] / errors[1] <= 4.5
+    assert 3.5 <= errors[1] / errors[2] <= 4.5
+
+
 def test_general_kernel_beyond_exponential():
     s = np.arange(0.0, 14.0 + 1e-12, 1e-3)
     g = np.exp(-s) * (1.0 + 0.2 * np.exp(-s))
@@ -329,7 +364,7 @@ def test_general_kernel_aborts_on_increasing_table():
     g = np.exp(-s)
     g[100] = g[99] * 1.01
     tab = TabulatedKernel(s=s, g_values=g, k0=2.0, k1=0.1)
-    with pytest.raises(Exception):
+    with pytest.raises(InvalidModelError, match="stopped decreasing"):
         evolve_general_kernel(single_mode_data(1), P0, tab, square_grid(2), T=2.0, dt=1e-2)
 
 
