@@ -38,7 +38,6 @@ from .resolvent import (
 )
 from .spectral import (
     AsymptoticConstants,
-    CharPoly,
     SpectrumBranch,
     asymptotic_eigenvalues,
     cardano_cubic_roots,

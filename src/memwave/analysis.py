@@ -161,18 +161,18 @@ class OptimalityVerdict:
 
 
 def check_sharpness_convergence(
-    branches: list[SpectrumBranch],
+    branch: SpectrumBranch,
     params: ModelParams,
     rtol: float = 0.02,
 ) -> LegReport:
-    """Sharpness products at the largest supplied mode against their limits."""
-    branches = sorted(branches, key=lambda b: b.xi)
-    last = branches[-1]
+    """Sharpness products at the largest ``xi`` of a stacked branch against
+    their limits; the smaller probes are not read."""
+    last = branch[int(np.argmax(branch.xi))]
     details = []
     ok = True
     for j in (1, 2):
         limit = sharpness_limit(params, j)
-        got = sharpness_product(last, j, params.a)
+        got = float(sharpness_product(last, j, params.a))
         rel = abs(got - limit) / limit
         ok &= rel <= rtol
         details.append(f"j={j}: {got:.6g} vs limit {limit:.6g} (rel {rel:.2e})")
@@ -225,7 +225,7 @@ def check_unbounded_leg(sweep: SweepResult, min_slope: float = 0.05) -> LegRepor
 
 
 def optimality_check(
-    branches: list[SpectrumBranch],
+    branch: SpectrumBranch,
     sweep: SweepResult,
     params: ModelParams,
     reduction: float = 0.25,
@@ -238,7 +238,7 @@ def optimality_check(
     """
     reduced = sweep.rescaled(sweep.omega - reduction)
     return OptimalityVerdict(
-        sharpness=check_sharpness_convergence(branches, params, rtol=sharpness_rtol),
+        sharpness=check_sharpness_convergence(branch, params, rtol=sharpness_rtol),
         bounded=check_bounded_leg(sweep),
         unbounded=check_unbounded_leg(reduced),
     )

@@ -70,12 +70,7 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
     n_modes = cfg.options.get("spectrum", {}).get("modes", cfg.grid.count)
     if n_modes > cfg.grid.count:
         raise InvalidModelError(f"spectrum wants {n_modes} modes but the grid has {cfg.grid.count}")
-    sub = cfg.grid
-    if n_modes < cfg.grid.count:
-        from .model import ExplicitGrid
-
-        sub = ExplicitGrid(values=cfg.grid.xi[:n_modes])
-    rows = spectral.spectrum_rows(cfg.params, kernel.delta, sub)
+    rows = spectral.spectrum_rows(cfg.params, kernel.delta, cfg.grid.xi[:n_modes])
     _write_csv(out / "spectrum.csv", rows)
     print(f"wrote {len(rows)} modes to {out / 'spectrum.csv'}")
     return 0
@@ -148,12 +143,15 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     else:
         kernel = _require_exponential(cfg)
         if opts.get("data", "single") == "marginal":
-            states = timedomain.marginal_initial_data(cfg.grid, opts.get("n_modes", cfg.grid.count))
+            n_modes = opts.get("n_modes", cfg.grid.count)
+            if n_modes > cfg.grid.count:
+                raise InvalidModelError(
+                    f"simulate wants {n_modes} modes but the grid has {cfg.grid.count}"
+                )
+            states = timedomain.marginal_initial_data(cfg.grid, n_modes)
         else:
             states = [timedomain.single_mode_data(opts.get("k", 1), opts.get("v0", 1.0))]
-        trajs = [
-            timedomain.exact_modal_evolve(st, cfg.params, kernel.delta, cfg.grid) for st in states
-        ]
+        trajs = timedomain.exact_modal_evolve(states, cfg.params, kernel.delta, cfg.grid)
         t_lo = opts.get("t_lo", 0.0)
         t_hi = opts.get("t_hi", 100.0)
         n_times = opts.get("n_times", 201)
@@ -210,10 +208,7 @@ def cmd_verdict(cfg: RunConfig, out: Path) -> int:
     kernel = _require_exponential(cfg)
     opts = cfg.options.get("verdict", {})
     xi_probes = opts.get("xi_probes", list(np.geomspace(1e3, 1e6, 7)))
-    branches = []
-    for xi in xi_probes:
-        poly = spectral.quintic_coeffs(float(xi), cfg.params, kernel.delta)
-        branches.append(spectral.quintic_roots(poly, cfg.params))
+    branch = spectral.quintic_roots(xi_probes, cfg.params, kernel.delta)
     sweep = resolvent.scaled_sweep(
         cfg.params,
         kernel,
@@ -224,7 +219,7 @@ def cmd_verdict(cfg: RunConfig, out: Path) -> int:
         per_decade=opts.get("per_decade", 16),
         resonances_per_branch=opts.get("resonances_per_branch", 12),
     )
-    verdict = analysis.optimality_check(branches, sweep, cfg.params)
+    verdict = analysis.optimality_check(branch, sweep, cfg.params)
     payload = {
         "verdict": verdict.verdict,
         "decay_exponent": analysis.target_exponent(cfg.params.a),

@@ -11,8 +11,9 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import jsonschema
 import numpy as np
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .model import (
     DirichletLaplacianGrid,
@@ -162,6 +163,11 @@ SCHEMA = {
 }
 
 
+# built once: jsonschema.validate would re-check SCHEMA against its metaschema
+# on every load; errors are ranked by the same best_match, so messages agree
+_VALIDATOR = validator_for(SCHEMA)(SCHEMA)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     params: ModelParams
@@ -196,10 +202,9 @@ def load_config(path: str | Path) -> RunConfig:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        jsonschema.validate(raw, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema violation: {exc.message}") from exc
+    error = best_match(_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        raise ConfigError(f"config schema violation: {error.message}") from error
     _check_samples(raw)
 
     try:

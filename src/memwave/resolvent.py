@@ -78,7 +78,7 @@ from .model import (
     energy_parts,
     memoryless_generator,
 )
-from .spectral import AsymptoticConstants, quintic_coeffs, quintic_roots
+from .spectral import AsymptoticConstants, quintic_roots
 
 
 class SingularBlockError(RuntimeError):
@@ -534,8 +534,8 @@ def resonance_frequencies(
     """Imaginary parts of computed oscillatory roots inside the window,
     subsampled log-uniformly in mode index, with their branch tags."""
     c = AsymptoticConstants.from_params(params)
-    taus: list[float] = []
     tags: list[int] = []
+    modes: list[int] = []
     xi = grid.xi
     for j, m in ((1, c.m1), (2, c.m2)):
         lo = int(np.searchsorted(xi, tau_lo**2 / m, side="left")) + 1
@@ -543,16 +543,15 @@ def resonance_frequencies(
         if hi < lo or per_branch == 0:
             continue
         ks = np.unique(np.geomspace(lo, hi, per_branch).astype(int))
-        for k in map(int, ks):
-            if not 1 <= k <= grid.count:
-                continue
-            branch = quintic_roots(quintic_coeffs(grid.xi_of(k), params, delta, k=k), params)
-            im = branch.lam(j, +1).imag
-            if tau_lo <= im <= tau_hi:
-                taus.append(im)
-                tags.append(j)
-    order = np.argsort(taus)
-    return np.asarray(taus)[order], np.asarray(tags, dtype=int)[order]
+        ks = ks[(ks >= 1) & (ks <= grid.count)]
+        tags += [j] * ks.size
+        modes += ks.tolist()
+    tags = np.asarray(tags, dtype=int)
+    roots = quintic_roots(xi[np.asarray(modes, dtype=int) - 1], params, delta).roots
+    taus = roots[np.arange(tags.size), 2 * tags - 1].imag
+    keep = (tau_lo <= taus) & (taus <= tau_hi)
+    order = np.argsort(taus[keep])
+    return taus[keep][order], tags[keep][order]
 
 
 def scaled_sweep(

@@ -1,4 +1,5 @@
-"""Per-mode characteristic polynomial, exact roots, and eigenvalue asymptotics.
+"""Characteristic quintic, exact roots and eigenvalue asymptotics, each
+evaluated over a whole array of operator eigenvalues ``xi`` at once.
 
 For the exponential kernel ``g(s) = exp(-delta*s)`` the eigenvalue problem of
 one mode with operator eigenvalue ``xi`` reduces to the vanishing of
@@ -86,181 +87,144 @@ class AsymptoticConstants:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CharPoly:
-    """Monic quintic of one mode, coefficients in descending degree."""
-
-    k: int
-    xi: float
-    delta: float
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=float)
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    def __call__(self, lam: complex) -> complex:
-        return _horner(self.coeffs, lam)
-
-    def determinant(self, lam: complex) -> complex:
-        """The rational characteristic function ``Delta(lam)``, i.e. the
-        quintic divided by the cleared pole factor ``lam + delta``."""
-        return self(lam) / (lam + self.delta)
-
-
-def quintic_coeffs(xi: float, params: ModelParams, delta: float, *, k: int = 0) -> CharPoly:
-    """Quintic coefficients at the operator eigenvalue ``xi``; ``k`` only
-    labels the mode."""
+def quintic_coeffs(xi, params: ModelParams, delta: float) -> np.ndarray:
+    """Monic quintic coefficients, highest degree first, at each operator
+    eigenvalue in ``xi``: shape ``xi.shape + (6,)``."""
+    xi = np.asarray(xi, dtype=float)
     s_sum = params.beta / params.mu + params.alpha / params.rho
     p_prod = params.alpha1 * params.beta / (params.rho * params.mu)
-    coeffs = np.array(
+    ones = np.ones_like(xi)
+    return np.stack(
         [
-            1.0,
-            delta,
+            ones,
+            delta * ones,
             s_sum * xi,
             s_sum * delta * xi - xi**params.a / params.rho,
             p_prod * xi * xi,
             p_prod * delta * xi * xi - (params.beta / (params.rho * params.mu)) * xi ** (params.a + 1.0),
-        ]
+        ],
+        axis=-1,
     )
-    return CharPoly(k, float(xi), float(delta), coeffs)
-
-
-def _horner(coeffs: np.ndarray, lam: complex) -> complex:
-    acc = 0.0 + 0.0j
-    for c in coeffs:
-        acc = acc * lam + c
-    return acc
-
-
-def _horner_pair(coeffs: np.ndarray, lam: complex) -> tuple[complex, complex]:
-    p = 0.0 + 0.0j
-    dp = 0.0 + 0.0j
-    for c in coeffs:
-        dp = dp * lam + p
-        p = p * lam + c
-    return p, dp
-
-
-def _residual_scale(coeffs: np.ndarray, lam: complex) -> float:
-    mag = abs(lam)
-    scale = 0.0
-    power = 1.0
-    for c in coeffs[::-1]:
-        scale += abs(c) * power
-        power *= mag
-    return max(scale, 1e-300)
-
-
-def _polish(coeffs: np.ndarray, lam: complex, steps: int = 3) -> complex:
-    for _ in range(steps):
-        p, dp = _horner_pair(coeffs, lam)
-        if dp == 0:
-            break
-        step = p / dp
-        if abs(step) <= 1e-17 * (1.0 + abs(lam)):
-            break
-        lam = lam - step
-    return lam
 
 
 @dataclass(frozen=True)
 class SpectrumBranch:
-    """Labelled roots of one mode's quintic.
+    """Labelled roots of the quintic at each operator eigenvalue in ``xi``.
 
-    ``lambda0`` is the real-axis branch; ``lam(j, +1)``/``lam(j, -1)`` give
-    the oscillatory pair of speed ``m_j``.  Roots are conjugate-paired and the
-    relative residuals ``|quintic(root)| / sum |c_i||root|^i`` are stored.
-    ``degenerate`` marks small-``xi`` configurations where the standard
-    one-real-plus-two-pairs structure was not found and labels were assigned
-    by nearest asymptotic seed instead.
+    Every field has ``xi.shape`` in front.  ``roots`` holds the five roots
+    along its last axis in label order ``lam0, lam1+, lam1-, lam2+, lam2-``:
+    ``lambda0`` is the real-axis branch and ``lam(j, +1)``/``lam(j, -1)``
+    the oscillatory pair of speed ``m_j``.  ``residuals`` holds the relative
+    residuals ``|quintic(root)| / sum |c_i||root|^i``.  ``degenerate`` marks
+    small-``xi`` rows where the standard one-real-plus-two-pairs structure
+    was not found and labels were assigned by nearest asymptotic seed
+    instead; in every other row the pairs are exactly conjugate.
     """
 
-    k: int
-    xi: float
+    xi: np.ndarray
     delta: float
-    lambda0: complex
-    pairs: tuple[tuple[complex, complex], tuple[complex, complex]]
+    roots: np.ndarray
     residuals: np.ndarray
-    degenerate: bool = False
+    degenerate: np.ndarray
 
-    def lam(self, j: int, sign: int) -> complex:
-        plus, minus = self.pairs[j - 1]
-        return plus if sign > 0 else minus
-
-    def all_roots(self) -> np.ndarray:
-        return np.array(
-            [self.lambda0, self.pairs[0][0], self.pairs[0][1], self.pairs[1][0], self.pairs[1][1]]
+    def __getitem__(self, index) -> "SpectrumBranch":
+        return SpectrumBranch(
+            self.xi[index], self.delta, self.roots[index], self.residuals[index], self.degenerate[index]
         )
 
-    def root_sum(self) -> complex:
-        return complex(self.all_roots().sum())
+    @property
+    def lambda0(self):
+        return self.roots[..., 0]
+
+    def lam(self, j: int, sign: int):
+        return self.roots[..., 2 * j - 1 if sign > 0 else 2 * j]
+
+    def all_roots(self) -> np.ndarray:
+        return self.roots
+
+    def root_sum(self):
+        return self.roots.sum(axis=-1)
 
     def labels(self) -> tuple[str, ...]:
         return ("0", "1+", "1-", "2+", "2-")
 
 
-def quintic_roots(poly: CharPoly, params: ModelParams) -> SpectrumBranch:
-    """All five roots via companion-matrix eigenvalues plus Newton polish.
+def _horner(coeffs: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Quintic and its derivative at ``lam`` (shape ``rows + (5,)``), with
+    ``coeffs`` of shape ``rows + (6,)``."""
+    p = np.zeros_like(lam)
+    dp = np.zeros_like(lam)
+    for i in range(coeffs.shape[-1]):
+        dp = dp * lam + p
+        p = p * lam + coeffs[..., i, None]
+    return p, dp
 
-    Residual target is 1e-10 relative to ``sum |c_i||root|^i``; failure raises
-    ``ConvergenceError`` carrying the residuals.  Branch labels come from the
-    conjugate-pair structure (pairs sorted by |Im| match the ordering
-    ``m_1 < m_2``); configurations without one near-real root and two strict
-    pairs fall back to nearest-seed labelling and are flagged degenerate.
+
+def quintic_roots(xi, params: ModelParams, delta: float) -> SpectrumBranch:
+    """All five roots at each ``xi``: eigenvalues of the stacked companion
+    matrices plus at most three Newton steps per root.
+
+    A root stops early once its step is at most ``1e-17*(1 + |lam|)`` or the
+    derivative vanishes.  Residual target is 1e-10 relative to
+    ``sum |c_i||root|^i``; failure raises ``ConvergenceError`` naming the
+    ``xi``.  Branch labels come from the conjugate-pair structure (pairs
+    sorted by ``Im`` match the ordering ``m_1 < m_2``); rows without one
+    near-real root and two strict pairs fall back to nearest-seed labelling
+    and are flagged degenerate.
     """
-    raw = np.roots(poly.coeffs)
-    roots = np.array([_polish(poly.coeffs, z) for z in raw])
+    xi = np.asarray(xi, dtype=float)
+    coeffs = quintic_coeffs(xi, params, delta).reshape(-1, 6)
+    # the companion matrix of np.roots, whose leading coefficient is 1
+    companion = np.zeros((coeffs.shape[0], 5, 5))
+    companion[:, 0, :] = -coeffs[:, 1:]
+    companion[:, np.arange(1, 5), np.arange(4)] = 1.0
+    roots = np.linalg.eigvals(companion).astype(complex)
 
-    tol = 1e-8
-    real_mask = np.abs(roots.imag) <= tol * (1.0 + np.abs(roots))
-    degenerate = int(real_mask.sum()) != 1 or int((~real_mask).sum()) != 4
+    active = np.ones(roots.shape, dtype=bool)
+    for _ in range(3):
+        p, dp = _horner(coeffs, roots)
+        step = np.divide(p, dp, out=np.zeros_like(p), where=dp != 0)
+        active &= (dp != 0) & (np.abs(step) > 1e-17 * (1.0 + np.abs(roots)))
+        roots = np.where(active, roots - step, roots)
 
-    if not degenerate:
-        lam0 = complex(roots[real_mask][0].real)
-        complex_roots = roots[~real_mask]
-        plus = np.sort_complex(complex_roots[complex_roots.imag > 0])
-        minus = np.sort_complex(complex_roots[complex_roots.imag < 0].conj())
-        if plus.size == 2 and minus.size == 2:
-            # average each root with the conjugate of its partner: exact pairing
-            paired = 0.5 * (plus + minus)
-            paired = paired[np.argsort(paired.imag)]
-            pairs = (
-                (complex(paired[0]), complex(paired[0].conjugate())),
-                (complex(paired[1]), complex(paired[1].conjugate())),
-            )
-        else:
-            degenerate = True
-
-    if degenerate:
-        seeds = asymptotic_eigenvalues(poly.xi, params, poly.delta)
-        order = []
-        remaining = list(roots)
-        for seed in seeds:
-            i = int(np.argmin([abs(z - seed) for z in remaining]))
-            order.append(remaining.pop(i))
-        lam0 = complex(order[0])
-        pairs = ((complex(order[1]), complex(order[2])), (complex(order[3]), complex(order[4])))
-
-    branch = SpectrumBranch(
-        k=poly.k,
-        xi=poly.xi,
-        delta=poly.delta,
-        lambda0=lam0,
-        pairs=pairs,
-        residuals=np.array([
-            abs(_horner(poly.coeffs, z)) / _residual_scale(poly.coeffs, z)
-            for z in (lam0, pairs[0][0], pairs[0][1], pairs[1][0], pairs[1][1])
-        ]),
-        degenerate=degenerate,
+    # LAPACK returns exact conjugate pairs and the polish keeps them, so a row
+    # with one root on the real axis has two strict pairs besides
+    real = np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots))
+    degenerate = real.sum(axis=1) != 1
+    labelled = np.empty_like(roots)
+    # in Im order the real root sits between the lower and the upper pair;
+    # average each root with the conjugate of its partner (both pairs in
+    # np.sort_complex order) for an exact pairing, then order the pairs by Im
+    std = roots[~degenerate]
+    std = np.take_along_axis(std, np.argsort(std.imag, axis=1), axis=1)
+    paired = 0.5 * (np.sort(std[:, 3:], axis=1) + np.sort(std[:, :2].conj(), axis=1))
+    paired = np.take_along_axis(paired, np.argsort(paired.imag, axis=1), axis=1)
+    labelled[~degenerate] = np.stack(
+        [std[:, 2].real + 0j, paired[:, 0], paired[:, 0].conj(), paired[:, 1], paired[:, 1].conj()],
+        axis=1,
     )
-    if np.any(branch.residuals > 1e-10):
+    flat_xi = xi.reshape(-1)
+    for row in np.flatnonzero(degenerate):
+        remaining = list(roots[row])
+        for i, seed in enumerate(asymptotic_eigenvalues(flat_xi[row], params, delta)):
+            labelled[row, i] = remaining.pop(int(np.argmin([abs(z - seed) for z in remaining])))
+
+    # relative to sum |c_i||root|^i, the quintic of the |c_i| at |root|
+    scale, _ = _horner(np.abs(coeffs), np.abs(labelled))
+    residuals = np.abs(_horner(coeffs, labelled)[0]) / np.maximum(scale, 1e-300)
+    stalled = np.flatnonzero(np.any(residuals > 1e-10, axis=1))
+    if stalled.size:
+        row = stalled[0]
         raise ConvergenceError(
-            f"root polishing stalled at relative residuals {branch.residuals} "
-            f"(k={poly.k}, xi={poly.xi:g})"
+            f"root polishing stalled at relative residuals {residuals[row]} (xi={flat_xi[row]:g})"
         )
-    return branch
+    return SpectrumBranch(
+        xi=xi,
+        delta=float(delta),
+        roots=labelled.reshape(xi.shape + (5,)),
+        residuals=residuals.reshape(xi.shape + (5,)),
+        degenerate=degenerate.reshape(xi.shape),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -377,28 +341,31 @@ def shifted_cubic_coeffs(xi: float, j: int, params: ModelParams, delta: float) -
 # ---------------------------------------------------------------------------
 
 
-def asymptotic_eigenvalues(xi: float, params: ModelParams, delta: float) -> np.ndarray:
-    """Leading-order branch values ``[lam0, lam1+, lam1-, lam2+, lam2-]``.
+def asymptotic_eigenvalues(xi, params: ModelParams, delta: float) -> np.ndarray:
+    """Leading-order branch values ``[lam0, lam1+, lam1-, lam2+, lam2-]`` along
+    the last axis, shape ``xi.shape + (5,)``.
 
     ``lam0 = -delta + xi^(a-1)/alpha1`` and
     ``lam_{j,+-} = -mhat_j/(2*rho*m_j)*xi^(a-1) +- i*sqrt(m_j*xi)``.
     """
     c = AsymptoticConstants.from_params(params)
-    lam0 = -delta + xi ** (params.a - 1.0) / params.alpha1
-    out = [complex(lam0)]
+    xi = np.asarray(xi, dtype=float)
+    drift = xi ** (params.a - 1.0)
+    out = [-delta + drift / params.alpha1 + 0j]
     for j in (1, 2):
-        re = -c.mhat(j) / (2.0 * params.rho * c.m(j)) * xi ** (params.a - 1.0)
-        im = math.sqrt(c.m(j) * xi)
+        re = -c.mhat(j) / (2.0 * params.rho * c.m(j)) * drift
+        im = np.sqrt(c.m(j) * xi)
         out.extend([re + 1j * im, re - 1j * im])
-    return np.array(out)
+    return np.stack(out, axis=-1)
 
 
-def sharpness_product(branch: SpectrumBranch, j: int, a: float) -> float:
+def sharpness_product(branch: SpectrumBranch, j: int, a: float):
     """``|Re lam_{k,j,+}| * |Im lam_{k,j,+}|^(2(1-a))`` from numeric roots."""
-    if branch.degenerate:
-        raise ValueError(f"branch labels are degenerate at k={branch.k}, xi={branch.xi:g}")
+    if np.any(branch.degenerate):
+        xi = np.asarray(branch.xi)[branch.degenerate]
+        raise ValueError(f"branch labels are degenerate at xi={xi.reshape(-1)[0]:g}")
     lam = branch.lam(j, +1)
-    return abs(lam.real) * abs(lam.imag) ** (2.0 * (1.0 - a))
+    return np.abs(lam.real) * np.abs(lam.imag) ** (2.0 * (1.0 - a))
 
 
 def sharpness_limit(params: ModelParams, j: int) -> float:
@@ -423,27 +390,27 @@ class StripReport:
     branch tending to ``-delta`` is the standing example.
     """
 
-    k: int
+    xi: float
     delta: float
     admissible: tuple[tuple[str, complex], ...]
     excluded: tuple[tuple[str, complex], ...]
 
 
 def strip_check(branch: SpectrumBranch, delta: float) -> StripReport:
-    """Classify each labelled root; any root with ``Re >= 0`` is fatal."""
+    """Classify each labelled root of a one-mode branch; any root with
+    ``Re >= 0`` is fatal."""
     admissible = []
     excluded = []
     for label, root in zip(branch.labels(), branch.all_roots()):
         if root.real >= 0.0:
             raise StabilityViolationError(
-                f"characteristic root with nonnegative real part: k={branch.k}, "
-                f"xi={branch.xi:g}, lam={root}"
+                f"characteristic root with nonnegative real part: xi={branch.xi:g}, lam={root}"
             )
         if root.real > -delta / 2.0:
             admissible.append((label, complex(root)))
         else:
             excluded.append((label, complex(root)))
-    return StripReport(branch.k, delta, tuple(admissible), tuple(excluded))
+    return StripReport(float(branch.xi), delta, tuple(admissible), tuple(excluded))
 
 
 # ---------------------------------------------------------------------------
@@ -467,12 +434,14 @@ def modal_generator(xi: float, params: ModelParams, delta: float) -> np.ndarray:
     return gen
 
 
-def eigvec(lam: complex, xi: float, params: ModelParams, delta: float) -> np.ndarray:
+def eigvec(lam, xi, params: ModelParams, delta: float) -> np.ndarray:
     """Eigenvector of the reduced generator at a quintic root, normalised to
     ``v = 1``: ``(1, lam, phi, lam*phi, 1/(lam+delta))`` with
-    ``phi = gamma*beta*xi / (mu*lam^2 + beta*xi)``."""
+    ``phi = gamma*beta*xi / (mu*lam^2 + beta*xi)``.  ``lam`` and ``xi``
+    broadcast; the components run along the last axis."""
+    lam = np.asarray(lam, dtype=complex)
     phi = params.gamma * params.beta * xi / (params.mu * lam * lam + params.beta * xi)
-    return np.array([1.0, lam, phi, lam * phi, 1.0 / (lam + delta)], dtype=complex)
+    return np.stack(np.broadcast_arrays(1.0 + 0j, lam, phi, lam * phi, 1.0 / (lam + delta)), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -480,36 +449,31 @@ def eigvec(lam: complex, xi: float, params: ModelParams, delta: float) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-def spectrum_rows(params: ModelParams, delta: float, grid: ModeGrid) -> list[dict]:
-    """One dict per mode: numeric roots, asymptotic seeds, branch errors,
-    sharpness products and the root-sum check."""
-    rows = []
-    for k in range(1, grid.count + 1):
-        poly = quintic_coeffs(grid.xi_of(k), params, delta, k=k)
-        branch = quintic_roots(poly, params)
-        asym = asymptotic_eigenvalues(poly.xi, params, delta)
-        numeric = branch.all_roots()
-        row: dict = {"k": k, "xi": poly.xi}
-        for label, z in zip(("num0", "num1p", "num1m", "num2p", "num2m"), numeric):
-            row[f"{label}_re"] = z.real
-            row[f"{label}_im"] = z.imag
-        for label, z in zip(("asym0", "asym1p", "asym1m", "asym2p", "asym2m"), asym):
-            row[f"{label}_re"] = z.real
-            row[f"{label}_im"] = z.imag
-        row["err0"] = abs(numeric[0] - asym[0])
-        row["err1"] = abs(numeric[1] - asym[1])
-        row["err2"] = abs(numeric[3] - asym[3])
-        row["sharpness1"] = sharpness_product(branch, 1, params.a)
-        row["sharpness2"] = sharpness_product(branch, 2, params.a)
-        row["root_sum"] = branch.root_sum().real
-        rows.append(row)
-    return rows
+def spectrum_rows(params: ModelParams, delta: float, xi) -> list[dict]:
+    """One dict per entry of ``xi``: numeric roots, asymptotic seeds, branch
+    errors, sharpness products and the root-sum check."""
+    xi = np.asarray(xi, dtype=float)
+    branch = quintic_roots(xi, params, delta)
+    numeric = branch.roots
+    asym = asymptotic_eigenvalues(xi, params, delta)
+    columns = {"k": np.arange(1, xi.size + 1), "xi": xi}
+    for prefix, roots in (("num", numeric), ("asym", asym)):
+        for i, label in enumerate(("0", "1p", "1m", "2p", "2m")):
+            columns[f"{prefix}{label}_re"] = roots[:, i].real
+            columns[f"{prefix}{label}_im"] = roots[:, i].imag
+    columns["err0"] = np.abs(numeric[:, 0] - asym[:, 0])
+    columns["err1"] = np.abs(numeric[:, 1] - asym[:, 1])
+    columns["err2"] = np.abs(numeric[:, 3] - asym[:, 3])
+    columns["sharpness1"] = sharpness_product(branch, 1, params.a)
+    columns["sharpness2"] = sharpness_product(branch, 2, params.a)
+    columns["root_sum"] = branch.root_sum().real
+    values = [col.tolist() for col in columns.values()]
+    return [dict(zip(columns, row)) for row in zip(*values)]
 
 
 __all__ = [
     "AsymptoticConstants",
     "CardanoIntermediates",
-    "CharPoly",
     "ConvergenceError",
     "SpectrumBranch",
     "StabilityViolationError",

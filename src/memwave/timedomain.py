@@ -40,7 +40,7 @@ from .model import (
     energy_parts,
     memoryless_generator,
 )
-from .spectral import eigvec, modal_generator, quintic_coeffs, quintic_roots
+from .spectral import eigvec, modal_generator, quintic_roots
 
 
 # ---------------------------------------------------------------------------
@@ -153,38 +153,50 @@ class ModalTrajectory:
 
 
 def exact_modal_evolve(
-    initial: ModalState,
+    states: list[ModalState],
     params: ModelParams,
     delta: float,
     grid: ModeGrid,
     history: History = ZeroHistory(),
-) -> ModalTrajectory:
-    """Diagonalize the reduced five-dimensional generator and fit amplitudes.
+) -> list[ModalTrajectory]:
+    """Diagonalize the reduced five-dimensional generator of every mode in
+    ``states`` and fit amplitudes: one root solve and one stacked eigenvector
+    solve for the whole list.
 
     The initial convolved history is ``I(0) = int g h`` (closed form).  If
-    two eigenvalues collide to within 1e-8 of the spectral scale the
-    eigenvector solve is refused and a dense matrix-exponential trajectory is
-    returned, flagged by ``dense``.
+    two eigenvalues of a mode collide to within 1e-8 of its spectral scale
+    the eigenvector solve is refused for that mode and a dense
+    matrix-exponential trajectory is returned, flagged by ``dense``.
     """
-    xi = grid.xi_of(initial.k)
-    branch = quintic_roots(quintic_coeffs(xi, params, delta, k=initial.k), params)
-    lams = branch.all_roots()
-    gen = modal_generator(xi, params, delta)
+    xi = np.array([grid.xi_of(st.k) for st in states], dtype=float)
+    lams = quintic_roots(xi, params, delta).roots
     i0 = history_mass(history, delta)
-    x0 = np.array([initial.v, initial.u, initial.p, initial.q, i0], dtype=complex)
+    x0 = np.array([[st.v, st.u, st.p, st.q, i0] for st in states], dtype=complex)
 
-    scale = max(1.0, float(np.max(np.abs(lams))))
-    sep = min(
-        abs(lams[i] - lams[j]) for i in range(5) for j in range(i + 1, 5)
-    )
-    if sep < 1e-8 * scale:
-        return ModalTrajectory(
-            initial.k, xi, delta, lams, None, None, history, x0, gen, dense=True
+    scale = np.maximum(1.0, np.abs(lams).max(axis=1))
+    upper, lower = np.triu_indices(5, 1)
+    sep = np.abs(lams[:, upper] - lams[:, lower]).min(axis=1)
+    dense = sep < 1e-8 * scale
+
+    # column i of a mode's matrix is the eigenvector of its root i
+    vmat = np.swapaxes(eigvec(lams, xi[:, None], params, delta), 1, 2)
+    amps = np.zeros_like(x0)
+    amps[~dense] = np.linalg.solve(vmat[~dense], x0[~dense, :, None])[..., 0]
+    return [
+        ModalTrajectory(
+            st.k,
+            float(xi[m]),
+            delta,
+            lams[m],
+            None if dense[m] else amps[m],
+            None if dense[m] else vmat[m],
+            history,
+            x0[m],
+            modal_generator(float(xi[m]), params, delta),
+            dense=bool(dense[m]),
         )
-
-    vmat = np.stack([eigvec(lam, xi, params, delta) for lam in lams], axis=1)
-    amps = np.linalg.solve(vmat, x0)
-    return ModalTrajectory(initial.k, xi, delta, lams, amps, vmat, history, x0, gen)
+        for m, st in enumerate(states)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +204,10 @@ def exact_modal_evolve(
 # ---------------------------------------------------------------------------
 
 
-# ``|c|*t_max`` below which a pair term of the memory energy is evaluated as
-# ``E(c)`` instead of by the split form: there the split's two halves cancel,
-# while ``|c*t| < 1`` at every time keeps ``E(c)`` itself from overflowing
+# ``|c|*t_max`` below which a single or pair term of the memory energy is
+# evaluated as ``E(c)`` instead of by the split form: there the split's two
+# halves cancel, while ``|c*t| < 1`` at every time keeps ``E(c)`` itself from
+# overflowing
 _SPLIT_GUARD = 1.0
 
 
@@ -217,14 +230,13 @@ def memory_energy_closed_form(
 
     and the ``s > t`` part is ``e^(-delta*t) (|v|^2/delta - 2 Re(conj(v) H1) +
     H2)`` with the two history moments ``H1, H2``; their ``e^(-delta*t)
-    |v|^2/delta`` pieces cancel.  Each single-exponent term is evaluated
-    directly, from ``f_i`` where ``Re(delta + lam_i) >= 0`` and from
-    ``a_i*e^(-delta*t)`` where it is negative, so no exponential overflows.
-    Each pair term splits as ``(f_i conj(f_j) - a_i conj(a_j) e^(-delta*t)) /
-    c_ij``, one quadratic form over the stack, except where ``|c_ij|*t_max <
-    _SPLIT_GUARD``: there the halves cancel and ``E(c_ij)`` is evaluated
-    directly.  Dense-fallback trajectories must use the quadrature route
-    instead.
+    |v|^2/delta`` pieces cancel.  Each single-exponent term splits as
+    ``(f_i - a_i e^(-delta*t)) / (delta + lam_i)`` and each pair term as
+    ``(f_i conj(f_j) - a_i conj(a_j) e^(-delta*t)) / c_ij``, which is one
+    contraction over the stack each and overflows nowhere, except where the
+    exponent times ``t_max`` is below ``_SPLIT_GUARD`` in modulus: there the
+    halves cancel and ``E`` is evaluated directly.  Dense-fallback
+    trajectories must use the quadrature route instead.
     """
     if any(traj.dense for traj in trajs):
         raise InvalidModelError("closed-form memory energy needs the amplitude expansion")
@@ -244,16 +256,17 @@ def memory_energy_closed_form(
     v = f.sum(axis=1)
     decay = np.exp(-delta * tt)
 
-    # one root at a time, which keeps the temporaries at (modes, times)
+    t_max = np.max(tt, initial=0.0)
     z = delta + lams
-    single = np.zeros_like(v)
-    for i in range(5):
-        flip = z[:, i, None].real < 0.0
-        base = np.where(flip, amps[:, i, None] * decay, f[:, i])
-        single += base * tt * _expm1_ratio(np.where(flip, -z[:, i, None], z[:, i, None]) * tt)
+    guard = np.abs(z) * t_max < _SPLIT_GUARD
+    inv_z = np.divide(1.0, z, out=np.zeros_like(z), where=~guard)
+    single = np.einsum("nit,ni->nt", f, inv_z) - (amps * inv_z).sum(axis=1)[:, None] * decay
+    m, i = np.nonzero(guard)
+    if m.size:
+        np.add.at(single, m, f[m, i] * tt * _expm1_ratio(z[m, i][:, None] * tt))
 
     c = delta[:, :, None] + lams[:, :, None] + lams.conj()[:, None, :]
-    guard = np.abs(c) * np.max(tt, initial=0.0) < _SPLIT_GUARD
+    guard = np.abs(c) * t_max < _SPLIT_GUARD
     inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=~guard)
     pair = np.einsum("nit,nij,njt->nt", f, inv_c, f.conj()).real
     pair -= np.einsum("ni,nij,nj->n", amps, inv_c, amps.conj()).real[:, None] * decay

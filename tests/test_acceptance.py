@@ -49,7 +49,6 @@ from memwave.spectral import (
     asymptotic_eigenvalues,
     cardano_cubic_roots,
     cubic_coeffs,
-    quintic_coeffs,
     quintic_roots,
     sharpness_product,
     strip_check,
@@ -83,7 +82,7 @@ def test_1_vieta_root_sums_and_residuals():
     worst_res = 0.0
     for params, kernel in _parameter_draws():
         for xi in XI_SET:
-            branch = quintic_roots(quintic_coeffs(xi, params, kernel.delta), params)
+            branch = quintic_roots(xi, params, kernel.delta)
             worst_sum = max(worst_sum, abs(branch.root_sum() + kernel.delta))
             worst_res = max(worst_res, float(np.max(branch.residuals)))
     ok = worst_sum <= 1e-10 and worst_res <= 1e-10
@@ -115,7 +114,7 @@ def test_3_branch_remainder_orders():
         params = p0_with_a(a)
         errs = {0: [], 1: [], 2: []}
         for xi in xis:
-            branch = quintic_roots(quintic_coeffs(float(xi), params, KER1.delta), params)
+            branch = quintic_roots(float(xi), params, KER1.delta)
             asym = asymptotic_eigenvalues(float(xi), params, KER1.delta)
             errs[0].append(abs(branch.lambda0 - asym[0]))
             errs[1].append(abs(branch.lam(1, +1) - asym[1]))
@@ -134,7 +133,7 @@ def test_3_branch_remainder_orders():
 
 
 def _products_at(xi: float):
-    branch = quintic_roots(quintic_coeffs(xi, P0, KER1.delta), P0)
+    branch = quintic_roots(xi, P0, KER1.delta)
     return sharpness_product(branch, 1, P0.a), sharpness_product(branch, 2, P0.a)
 
 
@@ -187,7 +186,7 @@ def test_5_spectral_strip():
     # is asserted for every computed mode with xi_k >= xi_1
     probe_inside = False
     for xi in (0.45, 0.65, 0.85):
-        branch = quintic_roots(quintic_coeffs(xi, P0, delta), P0)
+        branch = quintic_roots(xi, P0, delta)
         if -delta / 2.0 < branch.lambda0.real < 0.0:
             probe_inside = True
 
@@ -195,7 +194,7 @@ def test_5_spectral_strip():
     oscillatory_ok = True
     last_real = None
     for k in range(1, 121):
-        branch = quintic_roots(quintic_coeffs(grid.xi_of(k), P0, delta, k=k), P0)
+        branch = quintic_roots(grid.xi_of(k), P0, delta)
         report = strip_check(branch, delta)  # raises on any Re >= 0
         labels_admissible = dict(report.admissible)
         excluded_on_grid &= "0" in dict(report.excluded)
@@ -264,7 +263,7 @@ def test_6_resolvent_order_signature(order_signature_sweeps):
 
 def test_7_dissipation_identity_and_general_kernel():
     grid = square_grid(3)
-    traj = exact_modal_evolve(single_mode_data(1), P0, KER1.delta, grid)
+    traj = exact_modal_evolve([single_mode_data(1)], P0, KER1.delta, grid)[0]
 
     dt = 1e-4
     times = 1.0 + dt * np.arange(-1, 2)
@@ -304,7 +303,7 @@ def test_8_decay_fit_matches_superposition_oracle():
         grid = square_grid(200)
         assert validate_params(params, KER1, grid).passed
         states = marginal_initial_data(grid, 200)
-        trajs = [exact_modal_evolve(st, params, KER1.delta, grid) for st in states]
+        trajs = exact_modal_evolve(states, params, KER1.delta, grid)
         times = np.geomspace(1.0, 2000.0, 60)
         trace = energy_trace(trajs, params, KER1, times)
         fit_trace = fit_decay_exponent(times, trace.norm(), (10.0, 1000.0))

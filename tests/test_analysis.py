@@ -11,7 +11,7 @@ from memwave.analysis import (
     target_exponent,
 )
 from memwave.resolvent import SweepResult
-from memwave.spectral import quintic_coeffs, quintic_roots
+from memwave.spectral import quintic_roots
 from memwave.timedomain import energy_trace, exact_modal_evolve, marginal_initial_data
 
 
@@ -50,7 +50,7 @@ def test_target_exponent_values_and_monotonicity():
 def test_oracle_matches_trace_for_multi_mode_data():
     grid = square_grid(12)
     states = marginal_initial_data(grid, 12)
-    trajs = [exact_modal_evolve(st, P0, KER1.delta, grid) for st in states]
+    trajs = exact_modal_evolve(states, P0, KER1.delta, grid)
     times = np.geomspace(1.0, 50.0, 20)
     trace = energy_trace(trajs, P0, KER1, times)
     modes = [(tr.k, tr.v_amplitudes, tr.eigenvalues) for tr in trajs]
@@ -60,7 +60,7 @@ def test_oracle_matches_trace_for_multi_mode_data():
 
 def test_oracle_single_mode_rate_and_positivity():
     grid = square_grid(4)
-    trajs = [exact_modal_evolve(st, P0, KER1.delta, grid) for st in marginal_initial_data(grid, 2)]
+    trajs = exact_modal_evolve(marginal_initial_data(grid, 2), P0, KER1.delta, grid)
     times = np.geomspace(50.0, 120.0, 30)
     single = superposition_oracle(
         [(trajs[0].k, trajs[0].v_amplitudes, trajs[0].eigenvalues)], P0, KER1, grid, times
@@ -105,13 +105,20 @@ def test_unbounded_leg_requires_positive_slope():
 
 
 def test_sharpness_leg_on_computed_branches():
-    branches = [
-        quintic_roots(quintic_coeffs(xi, P0, KER1.delta), P0)
-        for xi in np.geomspace(1e4, 1e7, 4)
-    ]
+    branches = quintic_roots(np.geomspace(1e4, 1e7, 4), P0, KER1.delta)
     report = check_sharpness_convergence(branches, P0)
     assert report.passed, report.detail
     # the products converge like 1/xi, so a tolerance below the remainder
     # at the largest probe must flip the verdict
     wrong = check_sharpness_convergence(branches, P0, rtol=1e-8)
     assert not wrong.passed
+
+
+def test_sharpness_leg_reads_only_the_largest_probe():
+    # xi = 1e-3 has degenerate labels, and its sharpness products are
+    # undefined; the leg must not read it
+    branch = quintic_roots(np.array([1e-3, 1e7, 1e4]), P0, KER1.delta)
+    assert branch.degenerate.tolist() == [True, False, False]
+    report = check_sharpness_convergence(branch, P0)
+    assert report.passed, report.detail
+    assert report == check_sharpness_convergence(branch[1:2], P0)

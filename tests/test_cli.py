@@ -211,6 +211,17 @@ def test_simulate_then_fit(tmp_path):
     assert fit["slope"] < -0.2
 
 
+def test_simulate_more_modes_than_grid_is_model_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, extra={"simulate": {"data": "marginal", "n_modes": 130}})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    error = json.loads((out / "error.json").read_text())["error"]
+    assert error == {
+        "type": "InvalidModelError",
+        "message": "simulate wants 130 modes but the grid has 100",
+    }
+
+
 def test_simulate_general_integrator(tmp_path):
     model = json.loads(json.dumps(P0_MODEL))
     s = np.arange(0.0, 12.0, 1e-2)

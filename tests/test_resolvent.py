@@ -16,7 +16,7 @@ from memwave.resolvent import (
     static_solve,
     weighted_integration_matrix,
 )
-from memwave.spectral import modal_generator, quintic_coeffs, quintic_roots
+from memwave.spectral import modal_generator, quintic_roots
 
 EPS = np.finfo(float).eps
 
@@ -58,7 +58,7 @@ def test_block_eigenvalues_match_quintic_roots_first_mode():
     lag = laguerre_grid(40, KER1.delta)
     blk = mode_block(1, P0, KER1, lag, grid)
     ev = blk.eigenvalues()
-    roots = quintic_roots(quintic_coeffs(grid.xi_of(1), P0, KER1.delta), P0).all_roots()
+    roots = quintic_roots(grid.xi_of(1), P0, KER1.delta).all_roots()
     for root in roots:
         assert np.min(np.abs(ev - root)) <= 1e-6
 
@@ -67,7 +67,7 @@ def test_block_tracks_strip_roots_only_at_large_xi():
     grid = xi_grid(1e4)
     lag = laguerre_grid(40, KER1.delta)
     ev = mode_block(1, P0, KER1, lag, grid).eigenvalues()
-    branch = quintic_roots(quintic_coeffs(grid.xi_of(1), P0, KER1.delta), P0)
+    branch = quintic_roots(grid.xi_of(1), P0, KER1.delta)
     for j in (1, 2):
         assert np.min(np.abs(ev - branch.lam(j, +1))) <= 1e-8
     # the real characteristic root sits outside the admissibility strip and
@@ -104,7 +104,7 @@ def test_resolvent_norm_even_in_tau():
 
 def test_resolvent_norm_lower_bounded_by_resonance_width():
     grid = xi_grid(1e4)
-    branch = quintic_roots(quintic_coeffs(grid.xi_of(1), P0, KER1.delta), P0)
+    branch = quintic_roots(grid.xi_of(1), P0, KER1.delta)
     lam = branch.lam(1, +1)
     value = ResolventSweeper(P0, KER1, grid, M=40).norm_at(lam.imag)[0]
     assert value >= 1.0 / abs(lam.real) * (1.0 - 1e-6)
@@ -148,7 +148,7 @@ def test_scaled_value_at_resonance_bounded_below_by_sharpness():
     grid = square_grid(80)
     sweeper = ResolventSweeper(P0, KER1, grid, M=24)
     for k in (20, 50):
-        branch = quintic_roots(quintic_coeffs(grid.xi_of(k), P0, KER1.delta, k=k), P0)
+        branch = quintic_roots(grid.xi_of(k), P0, KER1.delta)
         for j in (1, 2):
             tau = branch.lam(j, +1).imag
             scaled = sweeper.norm_at(tau)[0] * tau ** -(2.0 - 2.0 * P0.a)
@@ -253,7 +253,7 @@ def test_bounds_hold_up_to_xi_1e8(a):
     grid = ExplicitGrid(np.geomspace(1.0, 1e8, 33))
     sweeper = ResolventSweeper(params, KER1, grid, M=16)
     for k in (1, 17, 25, 29, 33):
-        branch = quintic_roots(quintic_coeffs(grid.xi_of(k), params, KER1.delta, k=k), params)
+        branch = quintic_roots(grid.xi_of(k), params, KER1.delta)
         for j in (1, 2):
             _brute_force_bounds_check(sweeper, branch.lam(j, +1).imag)
 

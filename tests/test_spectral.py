@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from helpers import P0, draw_validated, p0_with_a, square_grid, xi_grid
 from memwave.spectral import (
     AsymptoticConstants,
-    SpectrumBranch,
     StabilityViolationError,
     asymptotic_eigenvalues,
     cardano_cubic_roots,
@@ -26,35 +26,29 @@ DELTA = 1.0
 
 
 def branch_at(xi, params=P0, delta=DELTA):
-    return quintic_roots(quintic_coeffs(xi, params, delta), params)
+    return quintic_roots(xi, params, delta)
 
 
 def test_quintic_coefficients_reference():
-    poly = quintic_coeffs(square_grid(3).xi_of(1), P0, DELTA)
-    assert poly.coeffs == pytest.approx([1.0, 1.0, 3.0, 2.0, 1.75, 0.75], abs=1e-14)
+    coeffs = quintic_coeffs(square_grid(3).xi_of(1), P0, DELTA)
+    assert coeffs == pytest.approx([1.0, 1.0, 3.0, 2.0, 1.75, 0.75], abs=1e-14)
 
 
 def test_quintic_lambda4_coefficient_is_delta():
     rng = np.random.default_rng(5)
     for _ in range(5):
         params, kernel = draw_validated(rng)
-        poly = quintic_coeffs(float(rng.uniform(1, 1e6)), params, kernel.delta)
-        assert poly.coeffs[0] == 1.0
-        assert poly.coeffs[1] == kernel.delta
+        coeffs = quintic_coeffs(float(rng.uniform(1, 1e6)), params, kernel.delta)
+        assert coeffs[0] == 1.0
+        assert coeffs[1] == kernel.delta
 
 
 def test_quintic_lambda2_coefficient_at_zero_order():
     params = p0_with_a(0.0)
     xi = 37.0
-    poly = quintic_coeffs(xi, params, DELTA)
+    coeffs = quintic_coeffs(xi, params, DELTA)
     s_sum = params.beta / params.mu + params.alpha / params.rho
-    assert poly.coeffs[3] == pytest.approx(s_sum * DELTA * xi - 1.0)
-
-
-def test_determinant_is_quintic_over_pole():
-    poly = quintic_coeffs(10.0, P0, DELTA)
-    lam = 0.3 + 2.0j
-    assert poly.determinant(lam) == pytest.approx(poly(lam) / (lam + DELTA))
+    assert coeffs[3] == pytest.approx(s_sum * DELTA * xi - 1.0)
 
 
 def test_asymptotic_constants_identities():
@@ -89,14 +83,41 @@ def test_roots_match_high_precision_oracle():
 
     mpmath.mp.dps = 40
     for xi in (1.0, 1e2, 1e6):
-        poly = quintic_coeffs(xi, P0, DELTA)
-        exact = mpmath.polyroots([mpmath.mpf(c) for c in poly.coeffs], maxsteps=200)
+        coeffs = quintic_coeffs(xi, P0, DELTA)
+        exact = mpmath.polyroots([mpmath.mpf(c) for c in coeffs], maxsteps=200)
         got = sorted(branch_at(xi).all_roots(), key=lambda z: (round(z.imag, 6), z.real))
         want = sorted(
             (complex(z) for z in exact), key=lambda z: (round(z.imag, 6), z.real)
         )
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-11 * max(1.0, abs(w))
+
+
+def test_stacked_roots_label_degenerate_rows_by_nearest_seed():
+    # xi < 0.028 has no one-real-plus-two-pairs structure at these parameters
+    xi = np.array([1e-3, 0.01, 1.0, 1e4])
+    br = quintic_roots(xi, P0, DELTA)
+    assert br.roots.shape == br.residuals.shape == (4, 5)
+    assert br.degenerate.tolist() == [True, True, False, False]
+    for i, x in enumerate(xi):
+        row = list(br.roots[i])
+        # a permutation of np.roots, to 1e-12 relative
+        remaining = list(np.roots(quintic_coeffs(x, P0, DELTA)))
+        for z in row:
+            j = int(np.argmin([abs(z - w) for w in remaining]))
+            assert abs(z - remaining.pop(j)) <= 1e-12 * abs(z)
+        if br.degenerate[i]:
+            # greedy: each asymptotic seed in label order takes the nearest
+            # root not yet taken
+            remaining = list(row)
+            expected = []
+            for seed in asymptotic_eigenvalues(x, P0, DELTA):
+                expected.append(remaining.pop(int(np.argmin([abs(z - seed) for z in remaining]))))
+            assert row == expected
+        single = quintic_roots(x, P0, DELTA)
+        assert np.array_equal(single.roots, br.roots[i])
+        assert np.array_equal(single.residuals, br.residuals[i])
+        assert single.degenerate == br.degenerate[i]
 
 
 def test_roots_conjugate_closed():
@@ -230,14 +251,7 @@ def test_strip_classification():
 
 def test_strip_rejects_unstable_root():
     br = branch_at(1e2)
-    fake = SpectrumBranch(
-        k=br.k,
-        xi=br.xi,
-        delta=br.delta,
-        lambda0=complex(0.1),
-        pairs=br.pairs,
-        residuals=br.residuals,
-    )
+    fake = dataclasses.replace(br, roots=np.concatenate([[0.1 + 0j], br.roots[1:]]))
     with pytest.raises(StabilityViolationError):
         strip_check(fake, DELTA)
 
@@ -278,8 +292,8 @@ def test_modal_generator_charpoly_matches_quintic_exactly():
             gamma=float(vals["gamma"]),
             a=a_val,
         )
-        poly = quintic_coeffs(float(xi_q), params, float(delta_q))
-        for got, want in zip(poly.coeffs, exact):
+        coeffs = quintic_coeffs(float(xi_q), params, float(delta_q))
+        for got, want in zip(coeffs, exact):
             want_f = float(want)
             assert abs(got - want_f) <= 1e-10 * max(1.0, abs(want_f))
 
@@ -289,7 +303,7 @@ def test_modal_generator_numeric_charpoly_and_trace():
     gen = modal_generator(grid.xi_of(3), P0, DELTA)
     assert np.trace(gen) == pytest.approx(-DELTA)
     got = np.poly(gen)
-    want = quintic_coeffs(grid.xi_of(3), P0, DELTA).coeffs
+    want = quintic_coeffs(grid.xi_of(3), P0, DELTA)
     assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -301,14 +315,14 @@ def test_modal_generator_memory_entry_at_zero_order():
 def test_eigvec_satisfies_generator():
     grid = square_grid(3)
     gen = modal_generator(grid.xi_of(2), P0, DELTA)
-    br = quintic_roots(quintic_coeffs(grid.xi_of(2), P0, DELTA), P0)
+    br = quintic_roots(grid.xi_of(2), P0, DELTA)
     for lam in br.all_roots():
         vec = eigvec(lam, grid.xi_of(2), P0, DELTA)
         assert np.linalg.norm(gen @ vec - lam * vec) <= 1e-9 * np.linalg.norm(vec)
 
 
 def test_spectrum_rows_shape_and_vieta_column():
-    rows = spectrum_rows(P0, DELTA, square_grid(12))
+    rows = spectrum_rows(P0, DELTA, square_grid(12).xi)
     assert len(rows) == 12
     for row in rows:
         assert row["root_sum"] == pytest.approx(-DELTA, abs=1e-10)

@@ -35,7 +35,7 @@ DELTA = KER1.delta
 
 def evolve(k=1, grid=None, v=1.0, u=0.0, p=0.0, q=0.0, history=ZeroHistory(), params=P0):
     grid = grid or square_grid(4)
-    return exact_modal_evolve(ModalState(k, v, u, p, q), params, DELTA, grid, history)
+    return exact_modal_evolve([ModalState(k, v, u, p, q)], params, DELTA, grid, history)[0]
 
 
 def test_zero_initial_data_stays_zero():
@@ -66,8 +66,8 @@ def test_superposition_linearity():
     a_part = evolve(v=1.0, q=0.2)
     b_part = evolve(v=0.0, u=1.0j, p=0.5)
     combined = exact_modal_evolve(
-        ModalState(1, 2.0 * 1.0, 3.0 * 1.0j, 3.0 * 0.5, 2.0 * 0.2), P0, DELTA, grid
-    )
+        [ModalState(1, 2.0 * 1.0, 3.0 * 1.0j, 3.0 * 0.5, 2.0 * 0.2)], P0, DELTA, grid
+    )[0]
     mix = 2.0 * a_part.state_at(t) + 3.0 * b_part.state_at(t)
     assert np.max(np.abs(combined.state_at(t) - mix)) <= 1e-10 * np.max(np.abs(mix) + 1)
 
@@ -103,7 +103,7 @@ def test_memory_energy_matches_quadrature():
 def test_memory_energy_quadrature_resolves_oscillatory_modes(k):
     # |Im lam|*t/(2*pi) reaches ~1400 oscillations at k = 30, t = 200; the
     # dense replica is the route energy_trace takes for dense trajectories
-    traj = exact_modal_evolve(single_mode_data(k), P0, DELTA, square_grid(40))
+    traj = exact_modal_evolve([single_mode_data(k)], P0, DELTA, square_grid(40))[0]
     dense = dataclasses.replace(traj, dense=True, amplitudes=None, eigvecs=None)
     for t in (10.0, 50.0, 200.0):
         closed = float(memory_energy_closed_form([traj], t, P0)[0])
@@ -148,12 +148,28 @@ def test_memory_energy_matches_60_digit_evaluation(a):
     params = p0_with_a(a)
     grid = square_grid(2000)
     states = marginal_initial_data(grid, 2000)
-    trajs = [exact_modal_evolve(states[k - 1], params, DELTA, grid) for k in (1, 1000, 1796, 2000)]
+    trajs = exact_modal_evolve([states[k - 1] for k in (1, 1000, 1796, 2000)], params, DELTA, grid)
     for t in (1.0, 2000.0):
         got = memory_energy_closed_form(trajs, t, params)
         for traj, value in zip(trajs, got):
             expected = _memory_energy_60_digits(mpmath, traj, t, a)
             assert value == pytest.approx(expected, rel=1e-9), (traj.k, t)
+
+
+def test_memory_energy_single_term_guard_60_digits():
+    # at a = 0 and xi = 4e6, delta + lam0 = 1.4e-7: at t = 1 the split single
+    # term (f_0 - a_0 e^(-delta*t)) / (delta + lam0) would lose about seven
+    # digits, so it must be taken whole; the pure real-branch sum
+    # v = exp(lam0*t) leaves no other term to hide the loss
+    mpmath = pytest.importorskip("mpmath")
+    params = p0_with_a(0.0)
+    traj = exact_modal_evolve([single_mode_data(1)], params, DELTA, xi_grid(4e6))[0]
+    assert abs(DELTA + traj.eigenvalues[0]) < 2e-7
+    pure = dataclasses.replace(traj, amplitudes=np.array([1.0, 0.0, 0.0, 0.0, 0.0], dtype=complex))
+    for t in (1e-3, 1.0):
+        expected = _memory_energy_60_digits(mpmath, pure, t, params.a)
+        got = memory_energy_closed_form([pure], t, params)[0]
+        assert got == pytest.approx(expected, rel=1e-12), t
 
 
 @pytest.mark.parametrize(
@@ -173,7 +189,7 @@ def test_memory_energy_where_a_pair_exponent_vanishes(alpha, bracket):
     params = ModelParams(rho=1.0, mu=1.0, alpha=alpha, beta=1.0, gamma=0.5, a=0.5)
 
     def crossing(xi):
-        lams = exact_modal_evolve(single_mode_data(1), params, delta, xi_grid(xi)).eigenvalues
+        lams = exact_modal_evolve([single_mode_data(1)], params, delta, xi_grid(xi))[0].eigenvalues
         return delta + 2.0 * lams[np.argmin(np.abs(delta + 2.0 * lams.real))].real
 
     lo, hi = bracket
@@ -188,7 +204,7 @@ def test_memory_energy_where_a_pair_exponent_vanishes(alpha, bracket):
     assert abs(crossing(xi_star)) <= 1e-14
     if alpha == 2.0:
         assert xi_star == pytest.approx(0.670714, abs=1e-6)
-    traj = exact_modal_evolve(single_mode_data(1), params, delta, xi_grid(xi_star))
+    traj = exact_modal_evolve([single_mode_data(1)], params, delta, xi_grid(xi_star))[0]
     times = np.array([1.0, 50.0, 200.0])
     got = memory_energy_closed_form([traj], times, params)[0]
     for t, value in zip(times, got):
@@ -200,7 +216,7 @@ def test_stacked_memory_energy_equals_single_calls():
     grid = square_grid(30)
     history = ExponentialPolyHistory((HistoryTerm(0.8, 1, 1.5), HistoryTerm(-0.3j, 0, 0.4)))
     trajs = [
-        exact_modal_evolve(ModalState(k, 1.0 / k, 0.2j, -0.1, 0.05 * k), P0, DELTA, grid, hist)
+        exact_modal_evolve([ModalState(k, 1.0 / k, 0.2j, -0.1, 0.05 * k)], P0, DELTA, grid, hist)[0]
         for k in (1, 2, 7, 19, 30)
         for hist in (ZeroHistory(), history)
     ]
@@ -217,8 +233,8 @@ def test_energy_trace_batches_memory_across_chunks(monkeypatch):
     # 130 eigen-expansion modes cross two chunk boundaries; one more mode
     # takes the dense route
     grid = square_grid(130)
-    trajs = [exact_modal_evolve(st, P0, DELTA, grid) for st in marginal_initial_data(grid, 130)]
-    dense = exact_modal_evolve(ModalState(3, 0.1, 0.0, 0.05, 0.0), P0, DELTA, grid)
+    trajs = exact_modal_evolve(marginal_initial_data(grid, 130), P0, DELTA, grid)
+    dense = exact_modal_evolve([ModalState(3, 0.1, 0.0, 0.05, 0.0)], P0, DELTA, grid)[0]
     dense = dataclasses.replace(dense, dense=True, amplitudes=None, eigvecs=None)
     trajs.insert(40, dense)
     times = np.geomspace(0.5, 300.0, 12)
@@ -270,10 +286,9 @@ def test_history_enters_through_initial_convolution():
 
 def test_trace_monotone_and_split_consistent():
     grid = square_grid(6)
-    trajs = [
-        exact_modal_evolve(st, P0, DELTA, grid)
-        for st in (ModalState(1, 1.0, 0.0, 0.0, 0.0), ModalState(3, 0.2, 0.1, 0.0, -0.3))
-    ]
+    trajs = exact_modal_evolve(
+        [ModalState(1, 1.0, 0.0, 0.0, 0.0), ModalState(3, 0.2, 0.1, 0.0, -0.3)], P0, DELTA, grid
+    )
     times = np.linspace(0.0, 20.0, 201)
     trace = energy_trace(trajs, P0, KER1, times)
     assert np.all(np.diff(trace.total) <= 1e-9 * trace.total[0])
@@ -314,7 +329,7 @@ def test_general_kernel_matches_exact_evolution():
     grid = square_grid(3)
     state = single_mode_data(1)
     trace_g = evolve_general_kernel(state, P0, tab, grid, T=10.0, dt=1e-3, sample_every=100)
-    traj = exact_modal_evolve(state, P0, DELTA, grid)
+    traj = exact_modal_evolve([state], P0, DELTA, grid)[0]
     trace_e = energy_trace([traj], P0, KER1, trace_g.times)
     rel = np.abs(trace_g.total - trace_e.total) / trace_e.total
     assert np.max(rel) <= 1e-4
@@ -329,7 +344,7 @@ def test_general_kernel_truncated_window_matches_exact_evolution():
     grid = square_grid(3)
     state = single_mode_data(1)
     trace_g = evolve_general_kernel(state, P0, tab, grid, T=10.0, dt=1e-3, sample_every=100)
-    traj = exact_modal_evolve(state, P0, 8.0, grid)
+    traj = exact_modal_evolve([state], P0, 8.0, grid)[0]
     trace_e = energy_trace([traj], P0, ExponentialKernel(8.0), trace_g.times)
     rel = np.abs(trace_g.total - trace_e.total) / trace_e.total
     assert np.max(rel) <= 1e-4
@@ -339,7 +354,7 @@ def test_general_kernel_truncated_window_matches_exact_evolution():
 def test_general_kernel_is_second_order_on_exponential_kernel():
     grid = square_grid(3)
     state = single_mode_data(1)
-    traj = exact_modal_evolve(state, P0, DELTA, grid)
+    traj = exact_modal_evolve([state], P0, DELTA, grid)[0]
     errors = []
     for dt, every in ((4e-3, 100), (2e-3, 200), (1e-3, 400)):
         trace_g = evolve_general_kernel(state, P0, KER1, grid, T=4.0, dt=dt, sample_every=every)
@@ -373,6 +388,29 @@ def test_dense_fallback_matches_expansion():
     dense = dataclasses.replace(traj, dense=True, amplitudes=None, eigvecs=None)
     for t in (0.0, 0.9, 2.5):
         assert dense.state_at(t) == pytest.approx(traj.state_at(t), abs=1e-10)
+
+
+def test_colliding_roots_take_the_dense_route(monkeypatch):
+    # the collision threshold is 1e-8 of max(1, |lam|): mode 2 (|lam| ~ 3)
+    # falls under it and mode 3 (|lam| ~ 4.5) just clears it
+    solve = timedomain.quintic_roots
+
+    def colliding(xi, params, delta):
+        branch = solve(xi, params, delta)
+        roots = branch.roots.copy()
+        roots[1, 4] = roots[1, 3] + 2e-8
+        roots[2, 4] = roots[2, 3] + 6e-8
+        return dataclasses.replace(branch, roots=roots)
+
+    grid = square_grid(3)
+    states = marginal_initial_data(grid, 3)
+    plain = exact_modal_evolve(states, P0, DELTA, grid)
+    monkeypatch.setattr(timedomain, "quintic_roots", colliding)
+    trajs = exact_modal_evolve(states, P0, DELTA, grid)
+    assert [traj.dense for traj in trajs] == [False, True, False]
+    assert trajs[1].amplitudes is None and trajs[1].eigvecs is None
+    assert np.array_equal(trajs[0].amplitudes, plain[0].amplitudes)
+    assert trajs[1].state_at(0.7) == pytest.approx(plain[1].state_at(0.7), abs=1e-10)
 
 
 def test_marginal_family_amplitudes():
