@@ -120,6 +120,36 @@ class ExponentialKernel:
         return -self.delta * self.g(s)
 
 
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson quadrature of samples ``y`` on the strictly
+    increasing grid ``x`` (at least 3 samples), in the arithmetic of
+    ``scipy.integrate.simpson``: the panel formula for irregular spacing over
+    pairs of intervals and, for an even sample count, Cartwright's correction
+    for the last interval."""
+    odd = y.size % 2
+    stop = y.size - 2 if odd else y.size - 3
+    h = np.diff(x)
+    h0, h1 = h[0:stop:2], h[1 : stop + 1 : 2]
+    hsum = h0 + h1
+    ratio = h0 / h1
+    result = np.sum(
+        hsum
+        / 6.0
+        * (
+            y[0:stop:2] * (2.0 - 1.0 / ratio)
+            + y[1 : stop + 1 : 2] * (hsum * (hsum / (h0 * h1)))
+            + y[2 : stop + 2 : 2] * (2.0 - ratio)
+        )
+    )
+    if not odd:
+        h0, h1 = h[-2:]
+        alpha = (2 * h1**2 + 3 * h0 * h1) / (6 * (h1 + h0))
+        beta = (h1**2 + 3.0 * h0 * h1) / (6 * h0)
+        eta = h1**3 / (6 * h0 * (h0 + h1))
+        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return float(result)
+
+
 @dataclass(frozen=True)
 class TabulatedKernel:
     """Kernel given by samples ``(s_i, g(s_i))`` on an increasing grid
@@ -156,9 +186,7 @@ class TabulatedKernel:
         """Mass ``int_0^inf g``: composite Simpson quadrature over the samples
         plus the exponential tail bound ``g(s_N)/k1`` dictated by the pinch,
         computed on first access and kept."""
-        from scipy.integrate import simpson  # only tabulated kernels pay for the import
-
-        zeta = float(simpson(self.g_values, x=self.s) + self.g_values[-1] / self.k1)
+        zeta = _simpson(self.g_values, self.s) + float(self.g_values[-1] / self.k1)
         if not (zeta > 0.0 and math.isfinite(zeta)):
             raise InvalidModelError(f"kernel mass is not a positive finite number: {zeta}")
         return zeta

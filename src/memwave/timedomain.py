@@ -1,5 +1,5 @@
 """Time evolution per mode: exact eigen-expansion for exponential kernels,
-history-quadrature stepping for general kernels, energy traces.
+a history-quadrature scheme for general kernels, energy traces.
 
 For ``g(s) = exp(-delta*s)`` each mode reduces to the five-dimensional system
 ``(v, u, p, q, I)`` with the convolved history ``I' = v - delta*I``, so the
@@ -14,12 +14,14 @@ splits at ``s = t``: the recent part factors into the five terms
 stack of modes is one vectorised evaluation; the remote part is closed form in
 the prescribed history (zero or polynomial-times-exponential terms).
 
-General kernels satisfying the positivity/pinch hypotheses are stepped with
-an implicit-midpoint scheme whose memory force uses trapezoidal convolution
-over the stored trajectory.  The step is linear in the new velocity and is
-solved exactly, with one history sum per step; the convolution is truncated
-at ``s = log(1e14)/k1``, past which the pinch ``g(s) <= g(0) exp(-k1*s)``
-puts the kernel below 1e-14 of its initial value.
+General kernels satisfying the positivity/pinch hypotheses go through an
+implicit-midpoint scheme whose memory force uses trapezoidal convolution over
+the trajectory; the convolution is truncated at ``s = log(1e14)/k1``, past
+which the pinch ``g(s) <= g(0) exp(-k1*s)`` puts the kernel below 1e-14 of
+its initial value.  The scheme is linear and time-invariant apart from one
+trapezoid end correction on the initial velocity, so all its velocities are
+the coefficients of one power-series quotient: a Newton inversion and a few
+products by real FFTs, O(steps log steps) in all, with no loop over steps.
 """
 
 from __future__ import annotations
@@ -449,8 +451,62 @@ def energy_trace(
 
 
 # ---------------------------------------------------------------------------
-# general kernels: history-quadrature stepping
+# general kernels: the history-quadrature scheme solved as a power series
 # ---------------------------------------------------------------------------
+
+
+def _series_product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """First ``n`` coefficients of the product of the power series ``a`` and
+    the real series ``b``, by real FFTs; a complex ``a`` is split into its
+    real and imaginary parts."""
+    a, b = a[:n], b[:n]
+    size = 1 << max(a.size + b.size - 2, n - 1).bit_length()
+    fb = np.fft.rfft(b, size)
+
+    def real(x):
+        return np.fft.irfft(np.fft.rfft(x, size) * fb, size)[:n]
+
+    if np.iscomplexobj(a):
+        return real(a.real) + 1j * real(a.imag)
+    return real(a)
+
+
+def _series_inverse(d: np.ndarray, n: int) -> np.ndarray:
+    """First ``n`` coefficients of ``1/d`` for a real series with ``d[0] =
+    1``, by Newton's iteration ``x <- x + x*(1 - d*x)``, which doubles the
+    number of correct coefficients per pass."""
+    x = np.ones(1)
+    while x.size < n:
+        m = min(2 * x.size, n)
+        defect = _series_product(d, x, m)[x.size :]
+        x = np.concatenate([x, -_series_product(x, defect, m - x.size)])
+    return x
+
+
+def _doublings(a: np.ndarray):
+    """``a^(2^j)`` for ``j = 0, 1, ...``, squared in numpy's extended precision
+    and rounded to double: where the platform's ``longdouble`` is wider than
+    double, the ``j``-th carries about one rounding instead of the
+    ``2^j*eps`` of squaring in double."""
+    power = np.asarray(a, dtype=np.longdouble)
+    while True:
+        yield power.astype(float)
+        power = power @ power
+
+
+def _powers(a: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """Rows ``x, a x, ..., a^(n-1) x``, shape ``(n, x.size)``, by doubling:
+    each pass applies ``a^(2^j)`` to every row found so far, so each row
+    carries the rounding of at most ``log2(n)`` products."""
+    out = np.empty((n, x.size))
+    out[0] = x
+    done = 1
+    for power in _doublings(a):
+        if done >= n:
+            return out
+        k = min(done, n - done)
+        out[done : done + k] = out[:k] @ power.T
+        done += k
 
 
 def evolve_general_kernel(
@@ -462,20 +518,29 @@ def evolve_general_kernel(
     dt: float,
     sample_every: int = 10,
 ) -> EnergyTrace:
-    """Implicit-midpoint stepping of one mode with trapezoidal convolution
-    memory, for any kernel satisfying the positivity/pinch hypotheses.
+    """Implicit-midpoint scheme for one mode with trapezoidal convolution
+    memory, for any kernel satisfying the positivity/pinch hypotheses,
+    solved for all steps at once in O(steps log steps).
 
     The prescribed history is zero.  The memory force at the midpoint is the
     average of the endpoint convolutions ``conv_n = int_0^t g(s) v(t-s) ds``
-    by the trapezoid rule on the step grid.  ``conv_(n+1) = dt*g(0)/2 *
-    v_(n+1) + rest``, where ``rest`` sums the stored ``v_(n+1-m) .. v_n``
-    (far end halved), so the step is linear in ``v_(n+1)`` and is solved
-    exactly: one history sum per step, a dot product against the kernel
-    table reversed once.  The pinch gives ``g(s) <= g(0) exp(-k1*s)``, so
-    the convolution is truncated at ``s = log(1e14)/k1``, where the kernel
-    is below 1e-14 of its initial value.  The energy is sampled every
-    ``sample_every`` steps with the history coordinate reconstructed from the
-    stored trajectory, by the same trapezoid rule for ``g`` and ``g'``.
+    by the trapezoid rule on the step grid: ``conv_(n+1) = kappa*v_(n+1) +
+    rest_n`` with ``kappa = dt*g(0)/2`` and ``rest_n = (h*v)_(n+1) -
+    c_n*v_0``, where ``h_j = dt*g_j`` (``h_window`` halved) and the far-end
+    correction ``c_n = dt*g_(n+1)/2`` applies while ``n+1 < window``.  Each
+    step is linear in ``v_(n+1)``; solved for it, ``y_(n+1) = A y_n + b
+    F_n`` with ``F_n = conv_n + rest_n``.  With ``R_k = e0^T A^k b`` and
+    ``S_k = e0^T A^k y_0`` the velocities are the coefficients of
+
+        V = (S - v_0 z R (kappa + (1+z) C)) / (1 - R (kappa z + (1+z) H)),
+
+    one Newton inversion and a few products by real FFTs.  The states at the
+    samples follow block by block, ``y_((j+1)S) = A^S y_(jS) + sum_i
+    A^(S-1-i) b F_(jS+i)`` with ``S = sample_every``, in a scan that doubles
+    the number of blocks folded in per pass.  The history coordinate at the
+    samples is reconstructed from the velocities by the same trapezoid rule
+    for ``g`` and ``g'``, and the convolution is truncated where the pinch
+    puts the kernel below 1e-14 of ``g(0)`` (see the module docstring).
     """
     xi = grid.xi_of(initial.k)
     xi_a = xi**params.a
@@ -495,34 +560,59 @@ def evolve_general_kernel(
     # g and g' at s = (window, ..., 1, 0) * dt: the weight of v_i in a sum
     # ending at v_n is the entry n - i places from the end
     reversed_table = np.stack([g_grid, kernel.g_prime(s_grid)])[:, ::-1].copy()
-    g_reversed = reversed_table[0].astype(complex)
 
     amat = memoryless_generator(xi, params)
     eye = np.eye(4)
     lhs = np.linalg.inv(eye - 0.5 * dt * amat)
     rhs = eye + 0.5 * dt * amat
     # the memory force enters the velocity row: y_(n+1) = z + col*kappa*v_(n+1)
+    # with z = lhs rhs y_n + col*F_n, so y_(n+1) = Q z, Q = I + gain e0^T
     col = lhs[:, 1] * dt * xi_a / (2.0 * params.rho)
     kappa = 0.5 * dt * g_grid[0]
     gain = col * kappa / (1.0 - col[0] * kappa)
+    # A (``propagator``) stays in extended precision until its powers are
+    # rounded: a rounded A would perturb every step alike, an error that grows
+    # with the step count
+    q = np.eye(4, dtype=np.longdouble)
+    q[:, 0] += gain
+    propagator = q @ lhs @ rhs
+    b = (q @ col).astype(float)
 
-    y = np.array([initial.v, initial.u, initial.p, initial.q], dtype=complex)
-    v_hist = np.empty(n_steps + 1, dtype=complex)
-    v_hist[0] = y[0]
-    samples = np.empty((n_steps // sample_every + 1, 4), dtype=complex)
-    samples[0] = y
-    conv = 0.0
-    for n in range(n_steps):
-        m = min(n + 1, window)
-        lo = n + 1 - m
-        far = 0.5 * g_grid[m] * v_hist[lo]
-        rest = dt * (g_reversed[window - m : window] @ v_hist[lo : n + 1] - far)
-        z = lhs @ (rhs @ y) + col * (conv + rest)
-        y = z + gain * z[0]
-        v_hist[n + 1] = y[0]
-        conv = kappa * y[0] + rest
-        if (n + 1) % sample_every == 0:
-            samples[(n + 1) // sample_every] = y
+    size = n_steps + 1
+    y0 = np.array([initial.v, initial.u, initial.p, initial.q], dtype=complex)
+    rows = _powers(propagator.T, eye[0], size)
+    r = rows @ b
+    numerator = rows @ y0.real + 1j * (rows @ y0.imag)
+    h = dt * g_grid
+    h[0] = 0.0
+    h[-1] *= 0.5
+    c = 0.5 * dt * g_grid[1:window]
+    # kappa z + (1+z) H and kappa + (1+z) C
+    pull = np.append(h, 0.0) + np.append(0.0, h)
+    pull[1] += kappa
+    start = np.append(c, 0.0) + np.append(0.0, c)
+    start[0] += kappa
+    denominator = -_series_product(r, pull, size)
+    denominator[0] = 1.0
+    numerator[1:] -= y0[0] * _series_product(r, start, size - 1)
+    v_hist = _series_product(numerator, _series_inverse(denominator, size), size)
+
+    rest = _series_product(v_hist, h, size)[1:]
+    rest[: window - 1] -= y0[0] * c
+    force = rest.copy()
+    force[1:] += kappa * v_hist[1:-1] + rest[:-1]
+    n_blocks = n_steps // sample_every
+    # block j adds sum_i A^(S-1-i) b F_(jS+i) to A^S y_(jS)
+    kick = _powers(propagator, b, sample_every)[::-1]
+    samples = np.concatenate(
+        [y0[None], force[: n_blocks * sample_every].reshape(n_blocks, sample_every) @ kick]
+    )
+    span = 1
+    for jump in _doublings(np.linalg.matrix_power(propagator, sample_every)):
+        if span >= samples.shape[0]:
+            break
+        samples[span:] += samples[:-span] @ jump.T
+        span *= 2
 
     sample_idx = np.arange(0, n_steps + 1, sample_every)
     m = np.minimum(sample_idx, window)

@@ -160,12 +160,33 @@ def test_csv_cells_are_plain_numbers(tmp_path):
                 float(cell)
 
 
-def test_cli_import_leaves_out_scipy_integrate():
+def _run_python(code):
     src = str(Path(memwave.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, memwave.cli; print('scipy.integrate' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    assert _run_python("import sys, memwave.cli; print('scipy.integrate' in sys.modules)") == "False"
+
+
+def test_general_simulate_leaves_out_scipy_integrate(tmp_path):
+    model = json.loads(json.dumps(P0_MODEL))
+    s = np.arange(0.0, 5.0 + 1e-9, 1e-3)
+    model["kernel"] = {"type": "tabulated", "s": list(s), "g": list(np.exp(-s)), "k0": 1.0, "k1": 1.0}
+    cfg = write_cfg(
+        tmp_path,
+        model=model,
+        extra={"simulate": {"integrator": "general", "t_hi": 1.0, "dt": 1e-2, "sample_every": 10}},
+    )
+    code = (
+        "import sys; from memwave.cli import main; "
+        f"code = main(['simulate', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]); "
+        "print(code, 'scipy.integrate' in sys.modules)"
+    )
+    assert _run_python(code).splitlines()[-1] == "0 False"
+    assert (tmp_path / "out" / "trace.csv").exists()
 
 
 def test_sweep_command_summary(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import KER1, P0, draw_validated, square_grid, xi_grid
+from memwave import model
 from memwave.model import (
     ConstantEta,
     EtaOnNodes,
@@ -93,21 +94,32 @@ def test_kernel_mass_tabulated_matches_closed_form():
 
 
 def test_tabulated_kernel_mass_is_computed_once(monkeypatch):
-    import scipy.integrate
-
     calls = []
-    simpson = scipy.integrate.simpson
+    simpson = model._simpson
 
     def counted(*args, **kwargs):
         calls.append(1)
         return simpson(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.integrate, "simpson", counted)
+    monkeypatch.setattr(model, "_simpson", counted)
     s = np.arange(0.0, 40.0 + 1e-12, 0.01)
     kernel = TabulatedKernel(s=s, g_values=2.0 * np.exp(-s), k0=1.0, k1=1.0)
     first = kernel.zeta
     assert kernel.zeta == first and type(first) is float
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 10, 11, 1000, 1001, 28_001])
+@pytest.mark.parametrize("spacing", ["regular", "irregular"])
+def test_simpson_matches_scipy_bit_for_bit(n, spacing):
+    from scipy.integrate import simpson
+
+    if spacing == "regular":
+        x = 5e-4 * np.arange(n)
+    else:
+        x = np.concatenate([[0.0], np.cumsum(np.random.default_rng(n).uniform(0.1, 1.0, n - 1))])
+    y = np.exp(-x) * (1.0 + 0.3 * np.sin(7.0 * x))
+    assert model._simpson(y, x) == float(simpson(y, x=x))
 
 
 def test_tabulated_kernel_mass_failure_raises_on_every_access():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import P0, draw_validated, p0_with_a, square_grid, xi_grid
+from memwave.model import InvalidModelError, ModelParams
 from memwave.spectral import (
     AsymptoticConstants,
     StabilityViolationError,
@@ -63,6 +64,14 @@ def test_asymptotic_constants_identities():
         assert c.m1 * c.m2 == pytest.approx(p_prod, rel=1e-12)
         assert c.mhat1 + c.mhat2 == pytest.approx(1.0, rel=1e-12)
         assert 0.0 < c.mhat1 < 1.0 and 0.0 < c.mhat2 < 1.0
+
+
+def test_equal_wave_speeds_are_rejected():
+    # gamma^2*beta = 1e-18 is lost in alpha1 = alpha - gamma^2*beta, so the
+    # discriminant (beta/mu + alpha/rho)^2 - 4*alpha1*beta/(rho*mu) cancels to 0
+    params = ModelParams(rho=1.0, mu=1.0, alpha=1.0, beta=1.0, gamma=1e-9, a=0.5)
+    with pytest.raises(InvalidModelError, match="wave-speed discriminant must be positive, got 0;"):
+        AsymptoticConstants.from_params(params)
 
 
 def test_roots_reference_values_at_xi_1e4():
@@ -282,8 +291,6 @@ def test_modal_generator_charpoly_matches_quintic_exactly():
         )
         lam = sympy.symbols("lam")
         exact = sympy.Poly(gen.charpoly(lam).as_expr(), lam).all_coeffs()
-        from memwave.model import ModelParams
-
         params = ModelParams(
             rho=float(vals["rho"]),
             mu=float(vals["mu"]),

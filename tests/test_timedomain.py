@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from memwave.model import (
     ModelParams,
     TabulatedKernel,
     energy_parts,
+    memoryless_generator,
 )
 from memwave.spectral import modal_generator
 from memwave.timedomain import (
+    EnergyTrace,
     ExponentialPolyHistory,
     HistoryTerm,
     ZeroHistory,
@@ -372,6 +375,82 @@ def test_general_kernel_beyond_exponential():
     trace = evolve_general_kernel(single_mode_data(1), P0, tab, grid, T=6.0, dt=1e-3, sample_every=50)
     assert np.all(np.diff(trace.total) <= 1e-9 * trace.total[0])
     assert np.nanmax(trace.residual[1:-1]) <= 1e-3 * trace.total[0]
+
+
+def stepped_general_kernel(initial, params, kernel, grid, T, dt, sample_every):
+    """The general-kernel scheme stepped one implicit-midpoint step at a time,
+    with one history dot product per step: the oracle for the series solve."""
+    xi_a = grid.xi_of(initial.k) ** params.a
+    n_steps = int(round(T / dt))
+    window = min(n_steps, int(math.ceil(math.log(1e14) / kernel.k1 / dt)))
+    s_grid = dt * np.arange(window + 1)
+    g_grid = kernel.g(s_grid)
+    table = np.stack([g_grid, kernel.g_prime(s_grid)])[:, ::-1]
+    amat = memoryless_generator(grid.xi_of(initial.k), params)
+    lhs = np.linalg.inv(np.eye(4) - 0.5 * dt * amat)
+    rhs = np.eye(4) + 0.5 * dt * amat
+    col = lhs[:, 1] * dt * xi_a / (2.0 * params.rho)
+    kappa = 0.5 * dt * g_grid[0]
+    gain = col * kappa / (1.0 - col[0] * kappa)
+    y = np.array([initial.v, initial.u, initial.p, initial.q], dtype=complex)
+    v = np.full(n_steps + 1, y[0])
+    samples, conv = [y], 0.0
+    for n in range(n_steps):
+        m = min(n + 1, window)
+        lo = n + 1 - m
+        rest = dt * (table[0, window - m : window] @ v[lo : n + 1] - 0.5 * g_grid[m] * v[lo])
+        z = lhs @ (rhs @ y) + col * (conv + rest)
+        y = z + gain * z[0]
+        v[n + 1], conv = y[0], kappa * y[0] + rest
+        if (n + 1) % sample_every == 0:
+            samples.append(y)
+    samples = np.array(samples)
+    idx = np.arange(0, n_steps + 1, sample_every)
+    m = np.minimum(idx, window)
+    recent = np.empty((idx.size, 2))
+    for i, (n, mi) in enumerate(zip(idx, m)):
+        eta_sq = np.abs(samples[i, 0] - v[n - mi : n + 1]) ** 2
+        recent[i] = dt * (table[:, window - mi :] @ eta_sq - 0.5 * table[:, window - mi] * eta_sq[0])
+    cumulative = np.concatenate([[0.0], np.cumsum(0.5 * (g_grid[1:] + g_grid[:-1]) * dt)])
+    v_sq = np.abs(samples[:, 0]) ** 2
+    mem = xi_a * (recent[:, 0] + v_sq * (kernel.zeta - cumulative[m]))
+    dissipation = xi_a * (recent[:, 1] - g_grid[m] * v_sq)
+    parts = energy_parts(*samples.T, grid.xi_of(initial.k), params, kernel.zeta)
+    return EnergyTrace.from_parts(dt * idx, *parts, mem, dissipation)
+
+
+def _table(rate, k1, s_max=6.0):
+    s = np.arange(0.0, s_max + 1e-12, 1e-3)
+    g = np.exp(-rate * s) * (1.0 + 0.2 * np.exp(-s))
+    return TabulatedKernel(s=s, g_values=g, k0=1.2 * rate, k1=k1)
+
+
+@pytest.mark.parametrize(
+    "kernel, state, T, dt, every",
+    [
+        # complex state with every coordinate non-zero
+        (_table(1.0, 0.999), ModalState(2, 1.0 + 0.5j, -0.3 + 0.2j, 0.1j, 0.4), 3.0, 1e-3, 50),
+        # truncated window: log(1e14)/8 = 4.03, so the last 1,970 steps run over it
+        (_table(8.0, 8.0), ModalState(1, 1.0, 0.2, 0.0, -0.1), 6.0, 1e-3, 100),
+        # window == 1
+        (ExponentialKernel(1e4), ModalState(1, 1.0, 0.2, 0.0, 0.0), 2.0, 1e-2, 10),
+        (KER1, ModalState(1, 1.0, 0.0, 0.3, 0.0), 20.0, 0.05, 1),
+        # 7 does not divide the 2,000 steps
+        (KER1, ModalState(3, 0.5, 1.0, 0.0, 0.2j), 2.0, 1e-3, 7),
+        (KER1, ModalState(1, 1.0, 0.1, 0.2, 0.3), 0.01, 0.01, 1),
+        (KER1, ModalState(1, 1.0, 0.1, 0.2, 0.3), 0.03, 0.01, 1),
+    ],
+    ids=["complex", "truncated", "window1", "dt0.05", "ragged", "1step", "3steps"],
+)
+def test_general_kernel_series_matches_stepping(kernel, state, T, dt, every):
+    grid = square_grid(3)
+    trace = evolve_general_kernel(state, P0, kernel, grid, T=T, dt=dt, sample_every=every)
+    oracle = stepped_general_kernel(state, P0, kernel, grid, T, dt, every)
+    assert np.array_equal(trace.times, oracle.times)
+    assert np.max(np.abs(trace.total - oracle.total) / oracle.total) <= 1e-11
+    scale = np.max(oracle.total)
+    for part in ("stiffness", "kinetic_v", "coupling", "kinetic_p", "memory"):
+        assert np.max(np.abs(getattr(trace, part) - getattr(oracle, part))) <= 1e-11 * scale
 
 
 def test_general_kernel_aborts_on_increasing_table():
