@@ -150,6 +150,28 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
     return float(result)
 
 
+def _difference_error(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per-sample allowance for the truncation error of ``np.gradient(y, x,
+    edge_order=2)``.  Its leading term is ``h^2*|y3|/3`` at the ends and
+    ``h_l*h_r*|y3|/6`` inside (``y3`` the third derivative), so
+    ``2*gap^2*|y3|/3``, with ``gap`` the larger neighbouring spacing, covers
+    both.  ``y3`` is read from the third divided differences, each sample
+    taking the largest of those whose four-point stencil contains it; the
+    factor 2 covers that offset and the next-order terms.  With fewer than 4
+    samples there is no estimate and the allowance is zero."""
+    n = y.size
+    h = np.diff(x)
+    gap = np.maximum(np.r_[h[0], h], np.r_[h, h[-1]])
+    y3 = np.zeros(n)
+    if n >= 4:
+        d = y
+        for order in (1, 2, 3):
+            d = np.diff(d) / (x[order:] - x[:-order])
+        for offset in range(4):
+            y3[offset : offset + n - 3] = np.maximum(y3[offset : offset + n - 3], 6.0 * np.abs(d))
+    return 2.0 * gap**2 * y3 / 3.0
+
+
 @dataclass(frozen=True)
 class TabulatedKernel:
     """Kernel given by samples ``(s_i, g(s_i))`` on an increasing grid
@@ -516,7 +538,7 @@ def validate_params(params: ModelParams, kernel: Kernel, grid: ModeGrid) -> Vali
         d = kernel.g_prime_values
         neg = bool(np.all(d < 0.0))
         # the pinch is checked with slack for the finite-difference error
-        slack = 1e-6 * np.max(np.abs(d)) + 1e-12
+        slack = 1e-6 * np.max(np.abs(d)) + 1e-12 + _difference_error(kernel.g_values, kernel.s)
         lo_ok = bool(np.all(d >= -kernel.k0 * kernel.g_values - slack))
         hi_ok = bool(np.all(d <= -kernel.k1 * kernel.g_values + slack))
         if neg and lo_ok and hi_ok:

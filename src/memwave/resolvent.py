@@ -66,7 +66,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
 
@@ -215,7 +214,11 @@ class ModeBlock:
     def resolvent_norm(self, tau: float) -> float:
         n = self.dim
         shifted = 1j * tau * np.eye(n) - self.matrix
-        smin = sla.svdvals(shifted)[-1]
+        # numpy's SVD returns NaNs for inf entries and raises LinAlgError for
+        # NaN ones; both get the one typed error that error.json reports
+        if not np.isfinite(shifted).all():
+            raise ValueError("array must not contain infs or NaNs")
+        smin = np.linalg.svd(shifted, compute_uv=False)[-1]
         if smin <= 0.0 or not math.isfinite(smin):
             raise SingularBlockError(f"i*tau - B singular at tau={tau:g} for mode k={self.k}")
         return 1.0 / smin

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .model import (
     ExponentialKernel,
@@ -144,6 +143,8 @@ class ModalTrajectory:
     def state_at(self, t):
         t = np.asarray(t, dtype=float)
         if self.dense:
+            import scipy.linalg as sla  # loaded only for a dense-fallback mode
+
             if t.ndim == 0:
                 return sla.expm(self.generator * float(t)) @ self.x0
             return np.stack([sla.expm(self.generator * ti) @ self.x0 for ti in t], axis=-1)
@@ -304,6 +305,8 @@ def memory_energy_quadrature(traj: ModalTrajectory, t: float, params: ModelParam
     xi^a/delta))``.  Where that bound exceeds ``eps`` times the memory
     computed so far, ``s0`` moves right until it does not (or reaches ``t``).
     """
+    import scipy.linalg as sla  # loaded only for a dense-fallback mode or a check
+
     delta = traj.delta
     xi = traj.xi
     eps = np.finfo(float).eps

@@ -189,6 +189,41 @@ def test_general_simulate_leaves_out_scipy_integrate(tmp_path):
     assert (tmp_path / "out" / "trace.csv").exists()
 
 
+def test_commands_without_dense_modes_leave_out_scipy(tmp_path):
+    # scipy is imported only for a mode that falls back to the dense expm
+    out = tmp_path / "out"
+    commands = ["validate", "spectrum", "sweep", "verdict", "simulate", "fit"]
+    cfg = write_cfg(
+        tmp_path,
+        extra={
+            "spectrum": {"modes": 5},
+            "sweep": {"M": [8], "tau_lo": 5.0, "tau_hi": 25.0, "per_decade": 4, "resonances_per_branch": 2},
+            "verdict": {
+                "xi_probes": [1e4, 1e5, 1e6],
+                "M": 16,
+                "tau_lo": 8.0,
+                "tau_hi": 80.0,
+                "per_decade": 8,
+                "resonances_per_branch": 6,
+            },
+            "simulate": {"data": "marginal", "n_modes": 20, "t_hi": 100.0, "n_times": 30, "spacing": "log"},
+            "fit": {"trace": str(out / "trace.csv"), "window": [5.0, 100.0]},
+        },
+    )
+    code = (
+        "import sys\n"
+        "from memwave.cli import main\n"
+        "def scipy_loaded():\n"
+        "    return any(m.partition('.')[0] == 'scipy' for m in sys.modules)\n"
+        "print('GUARD import', scipy_loaded())\n"
+        f"for command in {commands!r}:\n"
+        f"    code = main([command, '--config', {cfg!r}, '--out', {str(out)!r}])\n"
+        "    print('GUARD', command, code, scipy_loaded())\n"
+    )
+    lines = [line for line in _run_python(code).splitlines() if line.startswith("GUARD")]
+    assert lines == ["GUARD import False"] + [f"GUARD {command} 0 False" for command in commands]
+
+
 def test_sweep_command_summary(tmp_path):
     cfg = write_cfg(
         tmp_path,

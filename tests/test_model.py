@@ -82,6 +82,25 @@ def test_validate_accepts_exactly_exponential_table():
     assert report.passed, report.failures()
 
 
+STEEP_TABLE = np.arange(0.0, 14.0 + 1e-9, 5e-4)
+
+
+def test_validate_accepts_steep_exponential_table():
+    # the end difference reads g'(0) = -7.99996: its error h^2*8^3/3 = 4.3e-5
+    # is five times the fixed part of the slack, 1e-6*max|g'| + 1e-12
+    kernel = TabulatedKernel(s=STEEP_TABLE, g_values=np.exp(-8.0 * STEEP_TABLE), k0=8.0, k1=8.0)
+    report = validate_params(P0, kernel, square_grid(3))
+    assert report.passed, report.failures()
+
+
+def test_validate_rejects_steep_table_past_the_pinch():
+    # g' = -8.002*g breaks g' >= -8*g by 2.5e-4 relative, about three times
+    # the whole slack at the same spacing
+    kernel = TabulatedKernel(s=STEEP_TABLE, g_values=np.exp(-8.002 * STEEP_TABLE), k0=8.0, k1=8.0)
+    report = validate_params(P0, kernel, square_grid(3))
+    assert [c.name for c in report.failures()] == ["kernel_derivative_pinch"]
+
+
 def test_kernel_mass_exponential_closed_form():
     assert ExponentialKernel(1.0).zeta == pytest.approx(1.0)
     assert ExponentialKernel(2.0).zeta == pytest.approx(0.5)

@@ -379,6 +379,18 @@ def test_non_finite_block_is_never_pruned():
         sweeper.norm_at(tau)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_block_entry_is_a_value_error(bad):
+    # an SVD of a block holding inf returns NaNs without raising; the
+    # resolvent norm must still fail with the typed error that error.json shows
+    block = ResolventSweeper(P0, KER1, square_grid(3), M=8).block(1)
+    matrix = block.matrix.copy()
+    matrix[0, 0] = bad
+    poisoned = ModeBlock(k=1, xi=block.xi, M=8, matrix=matrix)
+    with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+        poisoned.resolvent_norm(170.0)
+
+
 def test_non_finite_history_block_is_never_pruned(monkeypatch):
     grid = square_grid(300)
     tau = 170.0
