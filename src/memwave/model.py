@@ -537,8 +537,13 @@ def validate_params(params: ModelParams, kernel: Kernel, grid: ModeGrid) -> Vali
         )
         d = kernel.g_prime_values
         neg = bool(np.all(d < 0.0))
-        # the pinch is checked with slack for the finite-difference error
-        slack = 1e-6 * np.max(np.abs(d)) + 1e-12 + _difference_error(kernel.g_values, kernel.s)
+        # the pinch is checked with slack for the finite-difference error; the
+        # estimate grows with a table's roughness, so it is capped at 1e-3 of
+        # the declared -k0*g lest a jump or an under-resolved table buy slack
+        difference_error = np.minimum(
+            _difference_error(kernel.g_values, kernel.s), 1e-3 * kernel.k0 * kernel.g_values
+        )
+        slack = 1e-6 * np.max(np.abs(d)) + 1e-12 + difference_error
         lo_ok = bool(np.all(d >= -kernel.k0 * kernel.g_values - slack))
         hi_ok = bool(np.all(d <= -kernel.k1 * kernel.g_values + slack))
         if neg and lo_ok and hi_ok:

@@ -101,6 +101,52 @@ def test_validate_rejects_steep_table_past_the_pinch():
     assert [c.name for c in report.failures()] == ["kernel_derivative_pinch"]
 
 
+IRREGULAR_TABLE = 7.0 * np.linspace(0.0, 1.0, 20001) * (1.0 + np.linspace(0.0, 1.0, 20001))
+FINE_TABLE = np.arange(0.0, 40.0 + 1e-9, 0.01)
+KINK_TABLE = np.arange(0.0, 5.0 + 1e-9, 1e-3)
+
+
+@pytest.mark.parametrize(
+    "s, g, k0, k1",
+    [
+        # spacing growing from 3.5e-4 to 1.05e-3, both pinch bounds tight
+        (IRREGULAR_TABLE, np.exp(-8.0 * IRREGULAR_TABLE), 8.0, 8.0),
+        # g'/g runs from -7/6 at s = 0 to -1 at the far end
+        (FINE_TABLE, np.exp(-FINE_TABLE) * (1.0 + 0.2 * np.exp(-FINE_TABLE)), 1.17, 0.999),
+        # g'/g jumps from -1 to -2 at s = 1, which the pinch allows
+        (KINK_TABLE, np.exp(-KINK_TABLE - np.clip(KINK_TABLE - 1.0, 0.0, None)), 2.0, 1.0),
+    ],
+    ids=["irregular-exp8", "two-exponentials", "kink"],
+)
+def test_validate_accepts_tables_within_the_pinch(s, g, k0, k1):
+    report = validate_params(P0, TabulatedKernel(s=s, g_values=g, k0=k0, k1=k1), square_grid(3))
+    assert report.passed, report.failures()
+
+
+JUMP_TABLE = np.linspace(0.0, 5.0, 501)
+COARSE_TABLE = np.arange(0.0, 10.0 + 1e-9, 0.5)
+STRETCH_TABLE = np.r_[np.arange(0.0, 1.0, 0.01), np.arange(1.0, 3.0, 0.5), np.arange(3.0, 6.0 + 1e-9, 0.01)]
+
+
+@pytest.mark.parametrize(
+    "s, g",
+    [
+        # g halved at s = 1: the difference across the jump reads g' = -9.5
+        (JUMP_TABLE, np.exp(-JUMP_TABLE) * np.where(JUMP_TABLE >= 1.0, 0.5, 1.0)),
+        # g' = -5*g throughout, sampled every 0.5
+        (COARSE_TABLE, np.exp(-5.0 * COARSE_TABLE)),
+        # g' = -5*g on 1 < s < 3 only, where the table is sampled every 0.5
+        (STRETCH_TABLE, np.exp(-STRETCH_TABLE - 4.0 * np.clip(STRETCH_TABLE - 1.0, 0.0, 2.0))),
+    ],
+    ids=["jump", "coarse-exp5", "coarse-stretch"],
+)
+def test_validate_rejects_rough_tables_past_the_pinch(s, g):
+    # the third differences of a rough table are large; the slack they give
+    # must stay capped well below a breach of the declared k0 = 1
+    report = validate_params(P0, TabulatedKernel(s=s, g_values=g, k0=1.0, k1=1.0), square_grid(3))
+    assert [c.name for c in report.failures()] == ["kernel_derivative_pinch"]
+
+
 def test_kernel_mass_exponential_closed_form():
     assert ExponentialKernel(1.0).zeta == pytest.approx(1.0)
     assert ExponentialKernel(2.0).zeta == pytest.approx(0.5)
