@@ -11,18 +11,13 @@ from .analysis import (
     target_exponent,
 )
 from .model import (
-    ConstantEta,
     DirichletLaplacianGrid,
-    EnergyBreakdown,
-    EtaOnNodes,
     ExplicitGrid,
     ExponentialKernel,
     InvalidModelError,
     ModalState,
     ModelParams,
     TabulatedKernel,
-    energy,
-    graph_norm,
     validate_params,
 )
 from .resolvent import (

@@ -16,7 +16,6 @@ combines three signatures:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -74,12 +73,14 @@ def fit_decay_exponent(times, norms, window: tuple[float, float]) -> DecayFit:
 # ---------------------------------------------------------------------------
 
 
-def _stable_exp_integral(z: complex, w: complex, t: float) -> complex:
+def _stable_exp_integral(z: np.ndarray, w: np.ndarray, t: np.ndarray) -> np.ndarray:
     # (exp(w t) - exp((w - z) t)) / z, limit t*exp(w t); a pairwise form that
     # shares no arithmetic with the factored closed form in timedomain
-    if abs(z * t) < 1e-8:
-        return t * cmath.exp(w * t) * (1.0 - z * t / 2.0 + (z * t) ** 2 / 6.0)
-    return (cmath.exp(w * t) - cmath.exp((w - z) * t)) / z
+    zt = z * t
+    small = np.abs(zt) < 1e-8
+    z_safe = np.where(small, 1.0, z)
+    series = t * np.exp(w * t) * (1.0 - zt / 2.0 + zt**2 / 6.0)
+    return np.where(small, series, (np.exp(w * t) - np.exp((w - z) * t)) / z_safe)
 
 
 def superposition_oracle(
@@ -95,46 +96,40 @@ def superposition_oracle(
     Everything is rebuilt from the amplitudes of ``v`` alone: velocities are
     termwise derivatives, the second displacement comes from the coupling
     relation ``p_i = gamma*beta*xi/(mu*lam_i^2 + beta*xi) * v_i``, and the
-    memory integral is accumulated scalar term by scalar term.  No shared
-    code with the trace pipeline beyond the model constants.
+    memory integral is summed over every pair of exponential terms.  Modes
+    run along the first axis, terms along the next one or two and times along
+    the last.  No shared code with the trace pipeline beyond the model
+    constants.
     """
-    times = np.asarray(times, dtype=float)
+    t = np.asarray(times, dtype=float)
     delta = kernel.delta
-    zeta = kernel.zeta
-    out = np.zeros_like(times)
-    for k, v_amps, lams in modes:
-        xi = grid.xi_of(k)
-        phi = np.array(
-            [
-                params.gamma * params.beta * xi / (params.mu * lam * lam + params.beta * xi)
-                for lam in lams
-            ]
-        )
-        for i_t, t in enumerate(times):
-            phases = np.array([cmath.exp(lam * t) for lam in lams])
-            v = np.sum(v_amps * phases)
-            u = np.sum(v_amps * lams * phases)
-            p = np.sum(v_amps * phi * phases)
-            q = np.sum(v_amps * phi * lams * phases)
-            acc = (params.alpha1 * xi - zeta * xi**params.a) * abs(v) ** 2
-            acc += params.rho * abs(u) ** 2
-            acc += params.beta * xi * abs(params.gamma * v - p) ** 2
-            acc += params.mu * abs(q) ** 2
-            recent = 0.0
-            for i in range(len(lams)):
-                for j in range(len(lams)):
-                    w = lams[i] + lams[j].conjugate()
-                    pair = v_amps[i] * v_amps[j].conjugate()
-                    inner = (
-                        _stable_exp_integral(complex(delta), w, t)
-                        - _stable_exp_integral(delta + lams[i], w, t)
-                        - _stable_exp_integral(delta + lams[j].conjugate(), w, t)
-                        + _stable_exp_integral(delta + w, w, t)
-                    )
-                    recent += (pair * inner).real
-            acc += xi**params.a * (recent + abs(v) ** 2 * math.exp(-delta * t) / delta)
-            out[i_t] += acc
-    return np.sqrt(out)
+    xi = np.array([grid.xi_of(k) for k, _, _ in modes])[:, None]
+    amps = np.array([a for _, a, _ in modes], dtype=complex)
+    lams = np.array([lam for _, _, lam in modes], dtype=complex)
+    phi = params.gamma * params.beta * xi / (params.mu * lams * lams + params.beta * xi)
+    terms = amps[:, :, None] * np.exp(lams[:, :, None] * t)
+    v = terms.sum(axis=1)
+    u = (lams[:, :, None] * terms).sum(axis=1)
+    p = (phi[:, :, None] * terms).sum(axis=1)
+    q = ((phi * lams)[:, :, None] * terms).sum(axis=1)
+    acc = (params.alpha1 * xi - kernel.zeta * xi**params.a) * np.abs(v) ** 2
+    acc += params.rho * np.abs(u) ** 2
+    acc += params.beta * xi * np.abs(params.gamma * v - p) ** 2
+    acc += params.mu * np.abs(q) ** 2
+    # pair (i, j) on axes 1 and 2, time on axis 3
+    lam_i = lams[:, :, None, None]
+    lam_j = lams.conj()[:, None, :, None]
+    w = lam_i + lam_j
+    pair = amps[:, :, None, None] * amps.conj()[:, None, :, None]
+    inner = (
+        _stable_exp_integral(delta + 0j, w, t)
+        - _stable_exp_integral(delta + lam_i, w, t)
+        - _stable_exp_integral(delta + lam_j, w, t)
+        + _stable_exp_integral(delta + w, w, t)
+    )
+    recent = (pair * inner).real.sum(axis=(1, 2))
+    acc += xi**params.a * (recent + np.abs(v) ** 2 * np.exp(-delta * t) / delta)
+    return np.sqrt(acc.sum(axis=0))
 
 
 # ---------------------------------------------------------------------------

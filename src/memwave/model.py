@@ -10,8 +10,8 @@ the fractional power ``A^a``, ``a in [0, 1)``::
 
 Everything in this package works per mode: along the eigenfunction of ``xi_k``
 the state is the coefficient tuple ``(v, u, p, q)`` (displacements and
-velocities) plus a representation of the shifted history
-``eta(t, s) = v(t) - v(t - s)``.
+velocities) plus the shifted history ``eta(t, s) = v(t) - v(t - s)``, which
+``timedomain`` carries and evolves.
 
 The squared energy norm of a mode is
 
@@ -30,18 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Union
 
 import numpy as np
 
 
 class InvalidModelError(ValueError):
     """Raised when constructor-level constraints on the model data fail."""
-
-
-class DomainError(ValueError):
-    """Raised when a state lies outside the generator's domain for the
-    requested operation."""
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -294,55 +289,16 @@ ModeGrid = Union[DirichletLaplacianGrid, ExplicitGrid]
 
 
 @dataclass(frozen=True)
-class ConstantEta:
-    """History coordinate constant in s: ``eta(s) = value`` for s > 0.
-
-    This is the shifted-history state produced by a vanishing prescribed
-    history, ``eta(0, s) = v(0) - 0 = v0``.  Its weighted mass is
-    ``zeta*|value|^2`` and its s-derivative vanishes.
-    """
-
-    value: complex = 0.0
-
-
-@dataclass(frozen=True)
-class EtaOnNodes:
-    """History coordinate sampled at quadrature nodes of the memory weight.
-
-    ``weights`` integrate against ``g``; the reconstruction is understood as
-    the polynomial interpolant through ``{0} u nodes`` pinned to 0 at s = 0,
-    so the constraint ``eta(0) = 0`` holds by construction.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", _freeze(self.nodes))
-        object.__setattr__(self, "weights", _freeze(self.weights))
-        values = np.asarray(self.values, dtype=complex)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        if not (self.nodes.shape == self.weights.shape == self.values.shape):
-            raise InvalidModelError("nodes, weights and values must share a shape")
-
-
-MemoryRep = Union[ConstantEta, EtaOnNodes]
-
-ZERO_MEMORY = ConstantEta(0.0)
-
-
-@dataclass(frozen=True)
 class ModalState:
-    """Coefficients of one mode: displacements/velocities plus history."""
+    """Coefficients ``(v, u, p, q)`` of one mode: displacements and
+    velocities.  A prescribed history enters evolution separately, as a
+    ``timedomain.History``."""
 
     k: int
     v: complex
     u: complex
     p: complex
     q: complex
-    memory: MemoryRep = ZERO_MEMORY
 
 
 # ---------------------------------------------------------------------------
@@ -350,61 +306,16 @@ class ModalState:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """Five-part split of the squared energy norm."""
-
-    stiffness: float
-    kinetic_v: float
-    coupling: float
-    kinetic_p: float
-    memory: float
-
-    @property
-    def total(self) -> float:
-        return self.stiffness + self.kinetic_v + self.coupling + self.kinetic_p + self.memory
-
-
-def memory_mass(memory: MemoryRep, kernel: Kernel) -> float:
-    """``int_0^inf g(s) |eta(s)|^2 ds``."""
-    if isinstance(memory, ConstantEta):
-        return kernel.zeta * abs(memory.value) ** 2
-    return float(np.sum(memory.weights * np.abs(memory.values) ** 2))
-
-
 def energy_parts(v, u, p, q, xi: float, params: ModelParams, zeta: float):
     """Stiffness, kinetic-v, coupling and kinetic-p parts of the squared
-    energy norm of one mode; scalars or arrays of samples alike."""
+    energy norm of one mode; scalars or arrays of samples alike.  The memory
+    part ``xi^a * int g|eta|^2`` depends on the history and is computed in
+    ``timedomain``."""
     stiff = (params.alpha1 * xi - zeta * xi**params.a) * abs(v) ** 2
     kin_v = params.rho * abs(u) ** 2
     coup = params.beta * xi * abs(params.gamma * v - p) ** 2
     kin_p = params.mu * abs(q) ** 2
     return stiff, kin_v, coup, kin_p
-
-
-def energy(
-    states: Iterable[ModalState],
-    params: ModelParams,
-    kernel: Kernel,
-    grid: ModeGrid,
-) -> EnergyBreakdown:
-    """Squared energy norm of a multi-mode state, split into its five parts.
-
-    Mode ``k`` contributes ``alpha1*xi*|v|^2 - zeta*xi^a*|v|^2`` (stiffness),
-    ``rho*|u|^2``, ``beta*xi*|gamma*v - p|^2``, ``mu*|q|^2`` and
-    ``xi^a * int g |eta|^2``.  Contributions add across modes.
-    """
-    zeta = kernel.zeta
-    stiffness = kinetic_v = coupling = kinetic_p = mem = 0.0
-    for st in states:
-        xi = grid.xi_of(st.k)
-        s, kv, c, kp = energy_parts(st.v, st.u, st.p, st.q, xi, params, zeta)
-        stiffness += s
-        kinetic_v += kv
-        coupling += c
-        kinetic_p += kp
-        mem += xi**params.a * memory_mass(st.memory, kernel)
-    return EnergyBreakdown(stiffness, kinetic_v, coupling, kinetic_p, mem)
 
 
 def memoryless_generator(xi, params: ModelParams) -> np.ndarray:
@@ -424,44 +335,6 @@ def memoryless_generator(xi, params: ModelParams) -> np.ndarray:
     out[..., 3, 0] = params.gamma * params.beta * xi / params.mu
     out[..., 3, 2] = -params.beta * xi / params.mu
     return out
-
-
-def apply_generator(
-    state: ModalState,
-    params: ModelParams,
-    kernel: Kernel,
-    grid: ModeGrid,
-) -> ModalState:
-    """Image of a modal state under the evolution generator.
-
-    The memoryless rows act on ``(v, u, p, q)``; the memory adds
-    ``xi^a*(zeta*v - int g eta)/rho`` to the ``u`` row, and the history row
-    is ``eta' = u - eta_s``.  Supported for memory representations whose
-    weighted integral and s-derivative are closed form (ConstantEta);
-    node-sampled histories should go through the discretized blocks instead.
-    """
-    if not isinstance(state.memory, ConstantEta):
-        raise DomainError("generator application is closed form only for ConstantEta history")
-    xi = grid.xi_of(state.k)
-    x = np.array([state.v, state.u, state.p, state.q], dtype=complex)
-    image = memoryless_generator(xi, params) @ x
-    image[1] += kernel.zeta * xi**params.a * (state.v - state.memory.value) / params.rho
-    # eta constant in s: eta_s = 0, so the history row is the constant u
-    return ModalState(state.k, *image, ConstantEta(state.u))
-
-
-def graph_norm(
-    states: Sequence[ModalState],
-    params: ModelParams,
-    kernel: Kernel,
-    grid: ModeGrid,
-) -> float:
-    """Graph norm ``sqrt(||X||^2 + ||A X||^2)`` with the generator image
-    evaluated mode by mode."""
-    images = [apply_generator(st, params, kernel, grid) for st in states]
-    e_state = energy(states, params, kernel, grid).total
-    e_image = energy(images, params, kernel, grid).total
-    return math.sqrt(e_state + e_image)
 
 
 # ---------------------------------------------------------------------------
@@ -593,3 +466,21 @@ def validate_params(params: ModelParams, kernel: Kernel, grid: ModeGrid) -> Vali
     )
 
     return ValidationReport(tuple(checks), kappa)
+
+
+__all__ = [
+    "CheckResult",
+    "DirichletLaplacianGrid",
+    "ExplicitGrid",
+    "ExponentialKernel",
+    "InvalidModelError",
+    "Kernel",
+    "ModalState",
+    "ModeGrid",
+    "ModelParams",
+    "TabulatedKernel",
+    "ValidationReport",
+    "energy_parts",
+    "memoryless_generator",
+    "validate_params",
+]

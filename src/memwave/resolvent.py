@@ -96,7 +96,7 @@ class LaguerreGrid:
 
     ``diff_w`` maps weighted samples ``sqrt(w_m)*eta(s_m)`` of a polynomial
     with ``eta(0) = 0`` (degree <= M) to the weighted samples of its
-    derivative.  ``differentiate_weighted`` applies it.
+    derivative.
     """
 
     M: int
@@ -114,9 +114,6 @@ class LaguerreGrid:
     @property
     def sqrt_weights(self) -> np.ndarray:
         return np.sqrt(self.weights)
-
-    def differentiate_weighted(self, values_w: np.ndarray) -> np.ndarray:
-        return self.diff_w @ values_w
 
 
 def laguerre_grid(M: int, delta: float) -> LaguerreGrid:
@@ -207,9 +204,6 @@ class ModeBlock:
     @property
     def dim(self) -> int:
         return 4 + self.M
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvals(self.matrix)
 
     def resolvent_norm(self, tau: float) -> float:
         n = self.dim
@@ -461,14 +455,6 @@ class ResolventSweeper:
         if k_next <= self.grid.count:
             margin = best / self.block(k_next).resolvent_norm(tau)
         return best, k_best, ks[-1], margin
-
-    def spectrum_distances(self, tau: float) -> float:
-        """Distance from ``i*tau`` to the union of included blocks' spectra."""
-        dist = math.inf
-        for k in self.included_modes(tau):
-            ev = self.block(k).eigenvalues()
-            dist = min(dist, float(np.min(np.abs(ev - 1j * tau))))
-        return dist
 
 
 @dataclass(frozen=True)

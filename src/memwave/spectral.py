@@ -317,25 +317,6 @@ def cardano_cubic_roots(
     return roots, inter
 
 
-def shifted_cubic_coeffs(xi: float, j: int, params: ModelParams, delta: float) -> np.ndarray:
-    """Cubic satisfied by ``Y = -delta - lam`` for every branch-cubic root:
-    ``Y^3 + 2*delta*Y^2 + (delta^2 + m_j*xi)*Y + (mhat_j/rho)*xi^a``.
-
-    Its root product identity is what pins the pair's real part: the real
-    ``Y``-root equals twice the oscillatory real part and behaves like
-    ``-(mhat_j/(rho*m_j)) * xi^(a-1)``.
-    """
-    c = AsymptoticConstants.from_params(params)
-    return np.array(
-        [
-            1.0,
-            2.0 * delta,
-            delta**2 + c.m(j) * xi,
-            (c.mhat(j) / params.rho) * xi**params.a,
-        ]
-    )
-
-
 # ---------------------------------------------------------------------------
 # asymptotics
 # ---------------------------------------------------------------------------
@@ -487,7 +468,6 @@ __all__ = [
     "quintic_roots",
     "sharpness_limit",
     "sharpness_product",
-    "shifted_cubic_coeffs",
     "spectrum_rows",
     "strip_check",
 ]

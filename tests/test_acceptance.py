@@ -19,7 +19,8 @@ One check per numbered criterion, each printing a single PASS/FAIL line
    history resolution, and grows once the exponent is lowered by 0.25;
 7. the dissipation identity holds pointwise, energies never increase, and
    the general-kernel integrator reproduces the exact evolution;
-8. the multi-mode decay fit matches the superposition oracle;
+8. the multi-mode decay fit matches the superposition oracle, and the exact
+   trace norm equals the oracle point by point to 1e-12 relative;
 9. the static solve round-trips through the generator at machine accuracy.
 """
 
@@ -312,10 +313,11 @@ def test_8_decay_fit_matches_superposition_oracle():
         )
         fit_oracle = fit_decay_exponent(times, oracle, (10.0, 1000.0))
         gap = abs(fit_trace.slope - fit_oracle.slope)
-        ok &= gap <= 0.1
+        pointwise = float(np.max(np.abs(oracle / trace.norm() - 1.0)))
+        ok &= gap <= 0.1 and pointwise <= 1e-12
         lines.append(
             f"a={a:g}: trace {fit_trace.slope:+.4f}, oracle {fit_oracle.slope:+.4f}, "
-            f"worst-case target {target_exponent(a):+.4f}"
+            f"worst-case target {target_exponent(a):+.4f}, pointwise rel {pointwise:.1e}"
         )
     _report("8 decay-fit-consistency", ok, "; ".join(lines))
     assert ok

@@ -1,24 +1,18 @@
-import math
-
 import numpy as np
 import pytest
 
 from helpers import KER1, P0, draw_validated, square_grid, xi_grid
 from memwave import model
 from memwave.model import (
-    ConstantEta,
-    EtaOnNodes,
     ExponentialKernel,
     InvalidModelError,
     ModalState,
     ModelParams,
     TabulatedKernel,
-    apply_generator,
-    energy,
-    graph_norm,
+    energy_parts,
     validate_params,
 )
-from memwave.spectral import modal_generator
+from memwave.timedomain import energy_trace, exact_modal_evolve
 
 
 def test_alpha1_derived():
@@ -196,25 +190,26 @@ def test_tabulated_kernel_mass_failure_raises_on_every_access():
 
 
 def test_energy_reference_mode():
-    grid = square_grid(3)
-    st = ModalState(1, v=1.0, u=0.0, p=0.0, q=0.0)
-    b = energy([st], P0, KER1, grid)
+    xi = square_grid(3).xi_of(1)
+    stiff, kin_v, coup, kin_p = energy_parts(1.0, 0.0, 0.0, 0.0, xi, P0, KER1.zeta)
     # 1.75 - 1 (stiffness) + 0.25 (coupling through gamma*v)
-    assert b.total == pytest.approx(1.0, abs=1e-12)
-    assert b.stiffness == pytest.approx(0.75)
-    assert b.coupling == pytest.approx(0.25)
+    assert stiff + kin_v + coup + kin_p == pytest.approx(1.0, abs=1e-12)
+    assert stiff == pytest.approx(0.75)
+    assert coup == pytest.approx(0.25)
 
 
 def test_energy_with_flat_history():
+    # with a zero past, eta(0, s) = v0 for s > 0: the memory part
+    # adds zeta*xi^a*|v0|^2 = 1 to the mechanical 1.0
     grid = square_grid(3)
-    st = ModalState(1, v=1.0, u=0.0, p=0.0, q=0.0, memory=ConstantEta(1.0))
-    assert energy([st], P0, KER1, grid).total == pytest.approx(2.0, abs=1e-12)
+    trajs = exact_modal_evolve([ModalState(1, v=1.0, u=0.0, p=0.0, q=0.0)], P0, KER1.delta, grid)
+    trace = energy_trace(trajs, P0, KER1, np.array([0.0, 0.1, 0.2]))
+    assert trace.total[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_energy_zero_state():
-    grid = square_grid(3)
-    st = ModalState(2, 0.0, 0.0, 0.0, 0.0)
-    assert energy([st], P0, KER1, grid).total == 0.0
+    xi = square_grid(3).xi_of(2)
+    assert sum(energy_parts(0.0, 0.0, 0.0, 0.0, xi, P0, KER1.zeta)) == 0.0
 
 
 def test_energy_additive_across_modes():
@@ -222,20 +217,11 @@ def test_energy_additive_across_modes():
     rng = np.random.default_rng(7)
     s1 = ModalState(1, *(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
     s2 = ModalState(4, *(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
-    together = energy([s1, s2], P0, KER1, grid).total
-    apart = energy([s1], P0, KER1, grid).total + energy([s2], P0, KER1, grid).total
+    times = np.linspace(0.0, 3.0, 7)
+    t1, t2 = exact_modal_evolve([s1, s2], P0, KER1.delta, grid)
+    together = energy_trace([t1, t2], P0, KER1, times).total
+    apart = energy_trace([t1], P0, KER1, times).total + energy_trace([t2], P0, KER1, times).total
     assert together == pytest.approx(apart, rel=1e-14)
-
-
-def test_energy_node_sampled_history():
-    from memwave.resolvent import laguerre_grid
-
-    lag = laguerre_grid(12, 1.0)
-    st = ModalState(
-        1, 0.0, 0.0, 0.0, 0.0, memory=EtaOnNodes(lag.nodes, lag.weights, np.ones(12))
-    )
-    # constant history through the quadrature reproduces the kernel mass
-    assert energy([st], P0, KER1, square_grid(2)).total == pytest.approx(1.0, rel=1e-12)
 
 
 def test_stiffness_dominates_kappa_margin():
@@ -245,56 +231,15 @@ def test_stiffness_dominates_kappa_margin():
     for _ in range(50):
         k = int(rng.integers(1, 31))
         v = complex(*rng.standard_normal(2))
-        st = ModalState(k, v, 0.0, 0.0, 0.0)
-        b = energy([st], P0, KER1, grid)
-        assert b.stiffness >= report.kappa * grid.xi_of(k) * abs(v) ** 2 - 1e-12
+        stiff = energy_parts(v, 0.0, 0.0, 0.0, grid.xi_of(k), P0, KER1.zeta)[0]
+        assert stiff >= report.kappa * grid.xi_of(k) * abs(v) ** 2 - 1e-12
 
 
-def test_graph_norm_zero_state():
-    st = ModalState(1, 0.0, 0.0, 0.0, 0.0)
-    assert graph_norm([st], P0, KER1, square_grid(2)) == 0.0
-
-
-def test_graph_norm_reference_mode():
-    # generator image of (1, 0, 0, 0, eta=0): u-row (-alpha*xi + zeta*xi^a)/rho,
-    # q-row gamma*beta*xi/mu; its squared norm is rho*1 + mu*(1/2)^2 = 1.25
-    st = ModalState(1, 1.0, 0.0, 0.0, 0.0)
-    expected = math.sqrt(1.0 + (1.0 * (-2.0 + 1.0) ** 2 + 1.0 * 0.5**2))
-    assert graph_norm([st], P0, KER1, square_grid(2)) == pytest.approx(expected, rel=1e-13)
-
-
-def test_apply_generator_matches_modal_generator():
-    # the reduced generator carries the memory as I = int g(s) v(t-s) ds,
-    # which for a history constant in s is zeta*(v - eta)
-    grid = square_grid(8)
-    rng = np.random.default_rng(5)
-    for params, kernel in [(P0, KER1)] + [draw_validated(rng) for _ in range(4)]:
-        for k in (1, 3, 8):
-            v, u, p, q, eta = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            image = apply_generator(ModalState(k, v, u, p, q, ConstantEta(eta)), params, kernel, grid)
-            gen = modal_generator(grid.xi_of(k), params, kernel.delta)
-            x = np.array([v, u, p, q, kernel.zeta * (v - eta)])
-            scale = np.abs(gen).max() * np.abs(x).max()
-            np.testing.assert_allclose(
-                [image.v, image.u, image.p, image.q], (gen @ x)[:4], rtol=1e-13, atol=1e-14 * scale
-            )
-            assert image.memory == ConstantEta(u)
-
-
-def test_graph_norm_homogeneous():
-    st = ModalState(1, 0.3 - 0.2j, 0.1j, -0.4, 0.25, ConstantEta(0.1))
-    g1 = graph_norm([st], P0, KER1, square_grid(2))
-    st3 = ModalState(1, 3 * st.v, 3 * st.u, 3 * st.p, 3 * st.q, ConstantEta(0.3))
-    assert graph_norm([st3], P0, KER1, square_grid(2)) == pytest.approx(3 * g1, rel=1e-12)
-
-
-def test_graph_norm_rejects_node_history():
-    from memwave.resolvent import laguerre_grid
-
-    lag = laguerre_grid(6, 1.0)
-    st = ModalState(1, 1.0, 0.0, 0.0, 0.0, EtaOnNodes(lag.nodes, lag.weights, np.ones(6)))
-    with pytest.raises(Exception):
-        graph_norm([st], P0, KER1, square_grid(2))
+def test_modal_state_takes_no_history():
+    # a history passed here used to be stored and then ignored by evolution;
+    # it enters only as a timedomain.History now
+    with pytest.raises(TypeError):
+        ModalState(1, 1.0, 0.0, 0.0, 0.0, 0.5)
 
 
 def test_random_draws_validate():

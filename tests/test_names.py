@@ -21,14 +21,23 @@ def test_module_all_names_resolve(name):
     assert not missing
 
 
-def test_package_imports_resolve():
+def _reexports():
+    """``(module, name)`` for each name ``memwave/__init__.py`` imports."""
     tree = ast.parse(Path(memwave.__file__).read_text())
-    missing = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             module = importlib.import_module(f"memwave.{node.module}")
-            missing += [f"{node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
+            yield from ((module, a.name) for a in node.names)
+
+
+def test_package_imports_resolve():
+    missing = [f"{m.__name__}.{n}" for m, n in _reexports() if not hasattr(m, n)]
     assert not missing
+
+
+def test_package_reexports_are_public():
+    private = [f"{m.__name__}.{n}" for m, n in _reexports() if n not in getattr(m, "__all__", ())]
+    assert not private
 
 
 def _benchmark_tracer():

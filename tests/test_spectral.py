@@ -18,7 +18,6 @@ from memwave.spectral import (
     quintic_roots,
     sharpness_limit,
     sharpness_product,
-    shifted_cubic_coeffs,
     spectrum_rows,
     strip_check,
 )
@@ -169,18 +168,6 @@ def test_cardano_root_sum_is_minus_delta():
             roots, _ = cardano_cubic_roots(float(xi), j, P0, DELTA)
             assert complex(np.sum(roots)).real == pytest.approx(-DELTA, abs=1e-9)
             assert abs(complex(np.sum(roots)).imag) <= 1e-9
-
-
-def test_shifted_cubic_satisfied_by_translated_roots():
-    for xi in (1e2, 1e4, 1e6):
-        for j in (1, 2):
-            roots, _ = cardano_cubic_roots(float(xi), j, P0, DELTA)
-            coeffs = shifted_cubic_coeffs(float(xi), j, P0, DELTA)
-            for lam in roots:
-                y = -DELTA - lam
-                value = ((y + coeffs[1]) * y + coeffs[2]) * y + coeffs[3]
-                scale = abs(y) ** 3 + coeffs[1] * abs(y) ** 2 + coeffs[2] * abs(y) + abs(coeffs[3])
-                assert abs(value) <= 1e-9 * scale
 
 
 def test_cardano_trigonometric_fallback():
