@@ -47,7 +47,7 @@ from .timedomain import (
     EnergyTrace,
     ExponentialPolyHistory,
     HistoryTerm,
-    ModalTrajectory,
+    ModalTrajectories,
     ZeroHistory,
     energy_trace,
     evolve_general_kernel,

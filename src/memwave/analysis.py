@@ -84,14 +84,16 @@ def _stable_exp_integral(z: np.ndarray, w: np.ndarray, t: np.ndarray) -> np.ndar
 
 
 def superposition_oracle(
-    modes: list[tuple[int, np.ndarray, np.ndarray]],
+    k,
+    amplitudes,
+    eigenvalues,
     params: ModelParams,
     kernel: ExponentialKernel,
     grid: ModeGrid,
     times,
 ) -> np.ndarray:
-    """Predicted energy norm ``||X(t)||`` from per-mode ``(k, v-amplitudes,
-    eigenvalues)`` by direct summation of the exponential sums.
+    """Predicted energy norm ``||X(t)||`` from the mode numbers ``k`` and the
+    ``(modes, 5)`` v-amplitudes and eigenvalues, by direct summation.
 
     Everything is rebuilt from the amplitudes of ``v`` alone: velocities are
     termwise derivatives, the second displacement comes from the coupling
@@ -103,9 +105,9 @@ def superposition_oracle(
     """
     t = np.asarray(times, dtype=float)
     delta = kernel.delta
-    xi = np.array([grid.xi_of(k) for k, _, _ in modes])[:, None]
-    amps = np.array([a for _, a, _ in modes], dtype=complex)
-    lams = np.array([lam for _, _, lam in modes], dtype=complex)
+    xi = np.array([grid.xi_of(int(kk)) for kk in k])[:, None]
+    amps = np.asarray(amplitudes, dtype=complex)
+    lams = np.asarray(eigenvalues, dtype=complex)
     phi = params.gamma * params.beta * xi / (params.mu * lams * lams + params.beta * xi)
     terms = amps[:, :, None] * np.exp(lams[:, :, None] * t)
     v = terms.sum(axis=1)

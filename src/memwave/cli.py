@@ -43,6 +43,15 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _range(section: str, opts: dict, lo_key: str, hi_key: str, default: tuple) -> tuple:
+    """The range ``(opts[lo_key], opts[hi_key])``, each end defaulting to its
+    entry of ``default``; one that does not increase is a configuration error."""
+    lo, hi = opts.get(lo_key, default[0]), opts.get(hi_key, default[1])
+    if not lo < hi:
+        raise ConfigError(f"{section}.{lo_key} = {lo!r} must be below {section}.{hi_key} = {hi!r}")
+    return lo, hi
+
+
 def _require_exponential(cfg: RunConfig) -> ExponentialKernel:
     if not isinstance(cfg.kernel, ExponentialKernel):
         raise InvalidModelError("this command needs the exponential kernel")
@@ -80,8 +89,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     kernel = _require_exponential(cfg)
     opts = cfg.options.get("sweep", {})
     m_list = opts.get("M", [40])
-    tau_lo = opts.get("tau_lo", 10.0)
-    tau_hi = opts.get("tau_hi", 1000.0)
+    tau_lo, tau_hi = _range("sweep", opts, "tau_lo", "tau_hi", (10.0, 1000.0))
     sups = {}
     for m_nodes in m_list:
         sweep = resolvent.scaled_sweep(
@@ -142,6 +150,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         )
     else:
         kernel = _require_exponential(cfg)
+        t_lo, t_hi = _range("simulate", opts, "t_lo", "t_hi", (0.0, 100.0))
         if opts.get("data", "single") == "marginal":
             n_modes = opts.get("n_modes", cfg.grid.count)
             if n_modes > cfg.grid.count:
@@ -152,14 +161,12 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         else:
             states = [timedomain.single_mode_data(opts.get("k", 1), opts.get("v0", 1.0))]
         trajs = timedomain.exact_modal_evolve(states, cfg.params, kernel.delta, cfg.grid)
-        t_lo = opts.get("t_lo", 0.0)
-        t_hi = opts.get("t_hi", 100.0)
         n_times = opts.get("n_times", 201)
         if opts.get("spacing", "linear") == "log":
             times = np.geomspace(max(t_lo, 1e-6), t_hi, n_times)
         else:
             times = np.linspace(t_lo, t_hi, n_times)
-        trace = timedomain.energy_trace(trajs, cfg.params, kernel, times)
+        trace = timedomain.energy_trace(trajs, times)
     rows = [
         {
             "t": float(trace.times[i]),
@@ -180,6 +187,8 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
 
 def cmd_fit(cfg: RunConfig, out: Path) -> int:
     opts = cfg.options.get("fit", {})
+    ends = dict(zip(("window[0]", "window[1]"), opts.get("window", ())))
+    window = _range("fit", ends, "window[0]", "window[1]", (10.0, 1000.0))
     trace_path = opts.get("trace")
     if trace_path is None:
         raise InvalidModelError("fit needs fit.trace pointing at a simulate CSV")
@@ -187,7 +196,6 @@ def cmd_fit(cfg: RunConfig, out: Path) -> int:
         rows = list(csv.DictReader(fh))
     times = np.array([float(r["t"]) for r in rows])
     norms = np.sqrt(np.array([float(r["total"]) for r in rows]))
-    window = tuple(opts.get("window", (10.0, 1000.0)))
     fit = analysis.fit_decay_exponent(times, norms, window)
     payload = {
         "window": list(fit.window),
@@ -207,6 +215,7 @@ def cmd_fit(cfg: RunConfig, out: Path) -> int:
 def cmd_verdict(cfg: RunConfig, out: Path) -> int:
     kernel = _require_exponential(cfg)
     opts = cfg.options.get("verdict", {})
+    tau_lo, tau_hi = _range("verdict", opts, "tau_lo", "tau_hi", (10.0, 1000.0))
     xi_probes = opts.get("xi_probes", list(np.geomspace(1e3, 1e6, 7)))
     branch = spectral.quintic_roots(xi_probes, cfg.params, kernel.delta)
     sweep = resolvent.scaled_sweep(
@@ -214,8 +223,8 @@ def cmd_verdict(cfg: RunConfig, out: Path) -> int:
         kernel,
         cfg.grid,
         M=opts.get("M", 40),
-        tau_lo=opts.get("tau_lo", 10.0),
-        tau_hi=opts.get("tau_hi", 1000.0),
+        tau_lo=tau_lo,
+        tau_hi=tau_hi,
         per_decade=opts.get("per_decade", 16),
         resonances_per_branch=opts.get("resonances_per_branch", 12),
     )
@@ -272,6 +281,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return COMMANDS[args.command](cfg, out)
+    except ConfigError as exc:
+        print(json.dumps({"error": {"type": "config", "message": str(exc)}}))
+        return 2
     except Exception as exc:  # noqa: BLE001 - boundary: report and exit nonzero
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(payload))

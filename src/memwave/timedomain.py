@@ -27,7 +27,7 @@ products by real FFTs, O(steps log steps) in all, with no loop over steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,14 +71,9 @@ class HistoryTerm:
 
 @dataclass(frozen=True)
 class ExponentialPolyHistory:
-    terms: tuple[HistoryTerm, ...]
+    """The history ``h(s)``, ``s > 0``, as a sum of ``HistoryTerm``s."""
 
-    def value(self, s):
-        s = np.asarray(s, dtype=float)
-        acc = np.zeros_like(s, dtype=complex)
-        for t in self.terms:
-            acc = acc + t.coef * s**t.power * np.exp(-t.rate * s)
-        return acc
+    terms: tuple[HistoryTerm, ...]
 
 
 History = ZeroHistory | ExponentialPolyHistory
@@ -114,45 +109,60 @@ def history_sq_mass(history: History, delta: float) -> float:
 
 
 @dataclass(frozen=True)
-class ModalTrajectory:
-    """Exact solution of one mode as a five-term exponential sum.
+class ModalTrajectories:
+    """Exact solutions of a stack of modes, each a five-term exponential sum.
 
-    ``state_at`` reconstructs ``(v, u, p, q, I)``; ``v_amplitudes`` are the
-    coefficients of ``v(t) = sum a_i exp(lam_i t)``.  When the eigenvalue
-    separation check failed, ``dense`` is set and reconstruction goes through
-    the matrix exponential of the stored generator instead.
+    Modes run along the leading axis of ``k``, ``xi``, ``eigenvalues``,
+    ``eigvecs`` (column ``i`` is the eigenvector of root ``i``),
+    ``amplitudes``, ``x0`` and ``dense``; all modes share ``delta``, the
+    prescribed ``history`` and ``params``.  Indexing keeps the leading axis,
+    so ``trajs[m]``, ``trajs[a:b]`` and ``trajs[~trajs.dense]`` are stacks
+    too.  A mode whose eigenvalue separation check failed is flagged by
+    ``dense``: its amplitudes are zero and ``state_at`` takes the matrix
+    exponential of its generator instead.
     """
 
-    k: int
-    xi: float
-    delta: float
+    k: np.ndarray
+    xi: np.ndarray
     eigenvalues: np.ndarray
-    amplitudes: np.ndarray | None
-    eigvecs: np.ndarray | None
-    history: History
+    eigvecs: np.ndarray
+    amplitudes: np.ndarray
     x0: np.ndarray
-    generator: np.ndarray
-    dense: bool = False
+    dense: np.ndarray
+    delta: float
+    history: History
+    params: ModelParams
+
+    def __len__(self) -> int:
+        return self.k.shape[0]
+
+    def __getitem__(self, index) -> "ModalTrajectories":
+        rows = np.atleast_1d(np.arange(len(self))[index])
+        per_mode = ("k", "xi", "eigenvalues", "eigvecs", "amplitudes", "x0", "dense")
+        return replace(self, **{name: getattr(self, name)[rows] for name in per_mode})
 
     @property
     def v_amplitudes(self) -> np.ndarray:
-        if self.dense:
+        """Coefficients of ``v(t) = sum_i a_i exp(lam_i t)``, shape ``(modes, 5)``."""
+        if self.dense.any():
             raise InvalidModelError("dense fallback trajectory has no amplitude expansion")
-        return self.eigvecs[0, :] * self.amplitudes
+        return self.eigvecs[:, 0, :] * self.amplitudes
 
-    def state_at(self, t):
+    def state_at(self, t) -> np.ndarray:
+        """``(v, u, p, q, I)`` of every mode at ``t``, shape ``(modes, 5) + t.shape``."""
         t = np.asarray(t, dtype=float)
-        if self.dense:
+        n = len(self)
+        phases = np.exp(np.multiply.outer(self.eigenvalues, t))
+        terms = self.amplitudes[(...,) + (None,) * t.ndim] * phases
+        states = (self.eigvecs @ terms.reshape(n, 5, -1)).reshape((n, 5) + t.shape)
+        if self.dense.any():
             import scipy.linalg as sla  # loaded only for a dense-fallback mode
 
-            if t.ndim == 0:
-                return sla.expm(self.generator * float(t)) @ self.x0
-            return np.stack([sla.expm(self.generator * ti) @ self.x0 for ti in t], axis=-1)
-        phases = np.exp(np.multiply.outer(self.eigenvalues, t))
-        return self.eigvecs @ (self.amplitudes[(...,) + (None,) * t.ndim] * phases)
-
-    def v_at(self, t):
-        return self.state_at(t)[0]
+            for m in np.flatnonzero(self.dense):
+                gen = modal_generator(self.xi[m], self.params, self.delta)
+                columns = [sla.expm(gen * ti) @ self.x0[m] for ti in t.reshape(-1)]
+                states[m] = np.stack(columns, axis=-1).reshape((5,) + t.shape)
+        return states
 
 
 def exact_modal_evolve(
@@ -161,15 +171,15 @@ def exact_modal_evolve(
     delta: float,
     grid: ModeGrid,
     history: History = ZeroHistory(),
-) -> list[ModalTrajectory]:
+) -> ModalTrajectories:
     """Diagonalize the reduced five-dimensional generator of every mode in
     ``states`` and fit amplitudes: one root solve and one stacked eigenvector
-    solve for the whole list.
+    solve for the whole stack.
 
     The initial convolved history is ``I(0) = int g h`` (closed form).  If
     two eigenvalues of a mode collide to within 1e-8 of its spectral scale
-    the eigenvector solve is refused for that mode and a dense
-    matrix-exponential trajectory is returned, flagged by ``dense``.
+    the eigenvector solve is refused for that mode, which is flagged
+    ``dense`` and reconstructed by the matrix exponential.
     """
     xi = np.array([grid.xi_of(st.k) for st in states], dtype=float)
     lams = quintic_roots(xi, params, delta).roots
@@ -185,21 +195,8 @@ def exact_modal_evolve(
     vmat = np.swapaxes(eigvec(lams, xi[:, None], params, delta), 1, 2)
     amps = np.zeros_like(x0)
     amps[~dense] = np.linalg.solve(vmat[~dense], x0[~dense, :, None])[..., 0]
-    return [
-        ModalTrajectory(
-            st.k,
-            float(xi[m]),
-            delta,
-            lams[m],
-            None if dense[m] else amps[m],
-            None if dense[m] else vmat[m],
-            history,
-            x0[m],
-            modal_generator(float(xi[m]), params, delta),
-            dense=bool(dense[m]),
-        )
-        for m, st in enumerate(states)
-    ]
+    k = np.array([st.k for st in states], dtype=int)
+    return ModalTrajectories(k, xi, lams, vmat, amps, x0, dense, delta, history, params)
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +216,7 @@ def _expm1_ratio(x: np.ndarray) -> np.ndarray:
     return np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x != 0)
 
 
-def memory_energy_closed_form(
-    trajs: list[ModalTrajectory], t, params: ModelParams
-) -> np.ndarray:
+def memory_energy_closed_form(trajs: ModalTrajectories, t) -> np.ndarray:
     """``xi^a * int_0^inf exp(-delta*s) |v(t) - v(t-s)|^2 ds`` for a stack of
     trajectories, shape ``(len(trajs),) + t.shape``.
 
@@ -241,17 +236,16 @@ def memory_energy_closed_form(
     halves cancel and ``E`` is evaluated directly.  Dense-fallback
     trajectories must use the quadrature route instead.
     """
-    if any(traj.dense for traj in trajs):
+    if trajs.dense.any():
         raise InvalidModelError("closed-form memory energy needs the amplitude expansion")
     t = np.asarray(t, dtype=float)
     tt = t.reshape(-1)
     n = len(trajs)
-    amps = np.array([traj.v_amplitudes for traj in trajs], dtype=complex).reshape(n, 5)
-    lams = np.array([traj.eigenvalues for traj in trajs], dtype=complex).reshape(n, 5)
-    delta = np.array([traj.delta for traj in trajs], dtype=float)[:, None]
-    h1 = np.array([history_mass(traj.history, traj.delta) for traj in trajs], dtype=complex)
-    h2 = np.array([history_sq_mass(traj.history, traj.delta) for traj in trajs], dtype=float)
-    xi_a = np.array([traj.xi**params.a for traj in trajs], dtype=float)
+    amps = trajs.v_amplitudes
+    lams = trajs.eigenvalues
+    delta = trajs.delta
+    h1 = complex(history_mass(trajs.history, delta))
+    h2 = history_sq_mass(trajs.history, delta)
 
     f = lams[:, :, None] * tt
     np.exp(f, out=f)
@@ -268,7 +262,7 @@ def memory_energy_closed_form(
     if m.size:
         np.add.at(single, m, f[m, i] * tt * _expm1_ratio(z[m, i][:, None] * tt))
 
-    c = delta[:, :, None] + lams[:, :, None] + lams.conj()[:, None, :]
+    c = delta + lams[:, :, None] + lams.conj()[:, None, :]
     guard = np.abs(c) * t_max < _SPLIT_GUARD
     inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=~guard)
     pair = np.einsum("nit,nij,njt->nt", f, inv_c, f.conj()).real
@@ -282,14 +276,16 @@ def memory_energy_closed_form(
         np.abs(v) ** 2 / delta
         - 2.0 * (v.conj() * single).real
         + pair
-        + decay * (h2[:, None] - 2.0 * (v.conj() * h1[:, None]).real)
+        + decay * (h2 - 2.0 * (v.conj() * h1).real)
     )
+    xi_a = trajs.xi ** trajs.params.a
     return (xi_a[:, None] * memory).reshape((n,) + t.shape)
 
 
-def memory_energy_quadrature(traj: ModalTrajectory, t: float, params: ModelParams) -> float:
+def memory_energy_quadrature(traj: ModalTrajectories, t: float) -> float:
     """Composite Gauss-Legendre quadrature of the recent part plus the
-    closed-form remote part; the independent check on the closed form.
+    closed-form remote part for a one-mode stack; the independent check on
+    the closed form.
 
     The integrand ``e^(-delta*s) |v(t) - v(t-s)|^2`` oscillates and decays no
     faster than ``rate = 2*max|lam| + delta``, so the panels are at most
@@ -307,8 +303,11 @@ def memory_energy_quadrature(traj: ModalTrajectory, t: float, params: ModelParam
     """
     import scipy.linalg as sla  # loaded only for a dense-fallback mode or a check
 
+    if len(traj) != 1:
+        raise ValueError(f"memory_energy_quadrature takes one mode, got {len(traj)}")
+    params = traj.params
     delta = traj.delta
-    xi = traj.xi
+    xi = float(traj.xi[0])
     eps = np.finfo(float).eps
     h1 = history_mass(traj.history, delta)
     h2 = history_sq_mass(traj.history, delta)
@@ -317,17 +316,18 @@ def memory_energy_quadrature(traj: ModalTrajectory, t: float, params: ModelParam
         # int_0^inf e^(-delta*s) |v - h(s)|^2 ds
         return abs(v) ** 2 / delta - 2.0 * (np.conj(v) * h1).real + h2
 
-    v_t = complex(traj.v_at(t))
+    v_t = complex(traj.state_at(t)[0, 0])
     gx, gw = np.polynomial.legendre.leggauss(16)
     panel = 2.0 * math.pi / (2.0 * float(np.max(np.abs(traj.eigenvalues))) + delta)
+    generator = modal_generator(xi, params, delta)
 
     def recent(s0: float) -> float:
         n_panels = max(1, math.ceil(s0 / panel))
         h = s0 / n_panels
         offsets = 0.5 * h * (1.0 + gx)
-        step = sla.expm(traj.generator * h)
+        step = sla.expm(generator * h)
         # panel j, counted from the earliest, holds the states at t - s0 + j*h + offsets
-        x = traj.state_at(t - s0 + offsets)
+        x = traj.state_at(t - s0 + offsets)[0]
         v = np.empty((n_panels, gx.size), dtype=complex)
         for j in range(n_panels):
             v[j] = x[0]
@@ -340,7 +340,7 @@ def memory_energy_quadrature(traj: ModalTrajectory, t: float, params: ModelParam
     inside = recent(s0)
     stiffness = params.alpha1 * xi - xi**params.a / delta
     if s0 < t:
-        x0 = traj.x0
+        x0 = traj.x0[0]
         e0 = sum(energy_parts(*x0[:4], xi, params, 1.0 / delta)) + xi**params.a * remote(x0[0])
         tail = (
             2.0 / delta * math.exp(-delta * s0) * (abs(v_t) ** 2 + e0 / stiffness)
@@ -409,48 +409,33 @@ def _three_point_derivative(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     return d
 
 
-# trajectories per closed-form memory-energy call in ``energy_trace``
+# modes per chunk of ``energy_trace``, which bounds its ``(modes, 5, times)`` arrays
 _MEMORY_CHUNK = 64
 
 
-def energy_trace(
-    trajs: list[ModalTrajectory],
-    params: ModelParams,
-    kernel: ExponentialKernel,
-    times: np.ndarray,
-) -> EnergyTrace:
+def energy_trace(trajs: ModalTrajectories, times: np.ndarray) -> EnergyTrace:
     """Exact multi-mode energy trace on the given times.
 
-    The mechanical parts are accumulated mode by mode.  The memory part comes
-    from ``memory_energy_closed_form`` in stacks of at most ``_MEMORY_CHUNK``
-    trajectories (which bounds its ``(modes, 5, times)`` arrays), and from
-    ``memory_energy_quadrature`` for dense-fallback trajectories.
+    The modes go in chunks of at most ``_MEMORY_CHUNK``: each chunk is one
+    ``state_at``, one ``energy_parts`` over the stack and one call of
+    ``memory_energy_closed_form`` (``memory_energy_quadrature`` for dense
+    modes).  The mechanical parts enter the running sums mode by mode: a sum
+    over the stack would associate the additions differently.
     """
     times = np.asarray(times, dtype=float)
-    zeta = kernel.zeta
-    stiff = np.zeros_like(times)
-    kin_v = np.zeros_like(times)
-    coup = np.zeros_like(times)
-    kin_p = np.zeros_like(times)
+    zeta = ExponentialKernel(trajs.delta).zeta
+    mechanical = np.zeros((4,) + times.shape)
     mem = np.zeros_like(times)
-    for traj in trajs:
-        states = traj.state_at(times)
-        s, kv, c, kp = energy_parts(
-            states[0], states[1], states[2], states[3], traj.xi, params, zeta
-        )
-        stiff += s
-        kin_v += kv
-        coup += c
-        kin_p += kp
-        if traj.dense:
-            mem += np.array(
-                [memory_energy_quadrature(traj, float(t), params) for t in times]
-            )
-    closed = [traj for traj in trajs if not traj.dense]
-    for start in range(0, len(closed), _MEMORY_CHUNK):
-        chunk = closed[start : start + _MEMORY_CHUNK]
-        mem += memory_energy_closed_form(chunk, times, params).sum(axis=0)
-    return EnergyTrace.from_parts(times, stiff, kin_v, coup, kin_p, mem, -kernel.delta * mem)
+    for start in range(0, len(trajs), _MEMORY_CHUNK):
+        chunk = trajs[start : start + _MEMORY_CHUNK]
+        states = chunk.state_at(times)
+        parts = energy_parts(*states.swapaxes(0, 1)[:4], chunk.xi[:, None], trajs.params, zeta)
+        for part in np.stack(parts, axis=1):
+            mechanical += part
+        mem += memory_energy_closed_form(chunk[~chunk.dense], times).sum(axis=0)
+        for m in np.flatnonzero(chunk.dense):
+            mem += [memory_energy_quadrature(chunk[m], float(t)) for t in times]
+    return EnergyTrace.from_parts(times, *mechanical, mem, -trajs.delta * mem)
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +648,7 @@ __all__ = [
     "ExponentialPolyHistory",
     "History",
     "HistoryTerm",
-    "ModalTrajectory",
+    "ModalTrajectories",
     "ZeroHistory",
     "energy_trace",
     "evolve_general_kernel",

@@ -264,15 +264,15 @@ def test_6_resolvent_order_signature(order_signature_sweeps):
 
 def test_7_dissipation_identity_and_general_kernel():
     grid = square_grid(3)
-    traj = exact_modal_evolve([single_mode_data(1)], P0, KER1.delta, grid)[0]
+    traj = exact_modal_evolve([single_mode_data(1)], P0, KER1.delta, grid)
 
     dt = 1e-4
     times = 1.0 + dt * np.arange(-1, 2)
-    trace = energy_trace([traj], P0, KER1, times)
-    e0 = energy_trace([traj], P0, KER1, np.array([0.0, dt, 2 * dt])).total[0] / 2.0
+    trace = energy_trace(traj, times)
+    e0 = energy_trace(traj, np.array([0.0, dt, 2 * dt])).total[0] / 2.0
     residual_ok = trace.residual[1] <= 1e-6 * e0
 
-    long_trace = energy_trace([traj], P0, KER1, np.linspace(0.0, 30.0, 301))
+    long_trace = energy_trace(traj, np.linspace(0.0, 30.0, 301))
     monotone_exact = bool(np.all(np.diff(long_trace.total) <= 1e-9 * long_trace.total[0]))
 
     s = np.arange(0.0, 14.0 + 1e-12, 5e-4)
@@ -280,7 +280,7 @@ def test_7_dissipation_identity_and_general_kernel():
     gen_trace = evolve_general_kernel(
         single_mode_data(1), P0, tab, grid, T=10.0, dt=1e-3, sample_every=100
     )
-    exact_trace = energy_trace([traj], P0, KER1, gen_trace.times)
+    exact_trace = energy_trace(traj, gen_trace.times)
     agreement = float(np.max(np.abs(gen_trace.total - exact_trace.total) / exact_trace.total))
     monotone_general = bool(np.all(np.diff(gen_trace.total) <= 1e-9 * gen_trace.total[0]))
 
@@ -306,10 +306,10 @@ def test_8_decay_fit_matches_superposition_oracle():
         states = marginal_initial_data(grid, 200)
         trajs = exact_modal_evolve(states, params, KER1.delta, grid)
         times = np.geomspace(1.0, 2000.0, 60)
-        trace = energy_trace(trajs, params, KER1, times)
+        trace = energy_trace(trajs, times)
         fit_trace = fit_decay_exponent(times, trace.norm(), (10.0, 1000.0))
         oracle = superposition_oracle(
-            [(t.k, t.v_amplitudes, t.eigenvalues) for t in trajs], params, KER1, grid, times
+            trajs.k, trajs.v_amplitudes, trajs.eigenvalues, params, KER1, grid, times
         )
         fit_oracle = fit_decay_exponent(times, oracle, (10.0, 1000.0))
         gap = abs(fit_trace.slope - fit_oracle.slope)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import KER1, P0, square_grid
+from helpers import KER1, P0, p0_with_a, square_grid
 from memwave.analysis import (
     check_bounded_leg,
     check_sharpness_convergence,
@@ -10,7 +10,8 @@ from memwave.analysis import (
     superposition_oracle,
     target_exponent,
 )
-from memwave.resolvent import SweepResult
+from memwave.model import ExponentialKernel
+from memwave.resolvent import SweepResult, scaled_sweep
 from memwave.spectral import quintic_roots
 from memwave.timedomain import energy_trace, exact_modal_evolve, marginal_initial_data
 
@@ -52,9 +53,10 @@ def test_oracle_matches_trace_for_multi_mode_data():
     states = marginal_initial_data(grid, 12)
     trajs = exact_modal_evolve(states, P0, KER1.delta, grid)
     times = np.geomspace(1.0, 50.0, 20)
-    trace = energy_trace(trajs, P0, KER1, times)
-    modes = [(tr.k, tr.v_amplitudes, tr.eigenvalues) for tr in trajs]
-    oracle = superposition_oracle(modes, P0, KER1, grid, times)
+    trace = energy_trace(trajs, times)
+    oracle = superposition_oracle(
+        trajs.k, trajs.v_amplitudes, trajs.eigenvalues, P0, KER1, grid, times
+    )
     assert oracle == pytest.approx(trace.norm(), rel=1e-8)
 
 
@@ -62,14 +64,15 @@ def test_oracle_single_mode_rate_and_positivity():
     grid = square_grid(4)
     trajs = exact_modal_evolve(marginal_initial_data(grid, 2), P0, KER1.delta, grid)
     times = np.geomspace(50.0, 120.0, 30)
+    first = trajs[0]
     single = superposition_oracle(
-        [(trajs[0].k, trajs[0].v_amplitudes, trajs[0].eigenvalues)], P0, KER1, grid, times
+        first.k, first.v_amplitudes, first.eigenvalues, P0, KER1, grid, times
     )
     both = superposition_oracle(
-        [(t.k, t.v_amplitudes, t.eigenvalues) for t in trajs], P0, KER1, grid, times
+        trajs.k, trajs.v_amplitudes, trajs.eigenvalues, P0, KER1, grid, times
     )
     assert np.all(both >= single)
-    rate = max(lam.real for lam in trajs[0].eigenvalues)
+    rate = first.eigenvalues.real.max()
     slope = np.polyfit(times, np.log(single), 1)[0]
     assert slope == pytest.approx(rate, rel=0.02)
 
@@ -102,6 +105,28 @@ def test_unbounded_leg_requires_positive_slope():
     assert ok.passed
     flat = check_unbounded_leg(_synthetic_sweep(1.5, 1.0))  # scaled ~ tau^-0.5
     assert not flat.passed
+
+
+@pytest.mark.parametrize("delta", [1.0, 5.0])
+@pytest.mark.parametrize("a", [0.0, 0.5, 0.97])
+def test_verdict_legs_fail_under_a_wrong_exponent(a, delta):
+    # negative controls on a real sweep: a decay rate raised by 0.5 must
+    # break the bounded leg, and the unreduced exponent must show no growth
+    sweep = scaled_sweep(
+        p0_with_a(a),
+        ExponentialKernel(delta),
+        square_grid(400),
+        M=40,
+        tau_lo=10.0,
+        tau_hi=1000.0,
+        per_decade=16,
+        resonances_per_branch=12,
+    )
+    omega = sweep.omega
+    assert check_bounded_leg(sweep).passed
+    assert not check_bounded_leg(sweep.rescaled(omega + 0.5)).passed
+    assert not check_unbounded_leg(sweep).passed
+    assert check_unbounded_leg(sweep.rescaled(omega - 0.25)).passed
 
 
 def test_sharpness_leg_on_computed_branches():

@@ -119,6 +119,30 @@ def test_decreasing_explicit_grid_is_config_error(tmp_path, capsys):
     assert "strictly increasing" in error["message"]
 
 
+# each range command with reversed ends, with one end defaulted, and with equal ends
+@pytest.mark.parametrize(
+    "command, section, message",
+    [
+        ("sweep", {"sweep": {"tau_lo": 1000.0, "tau_hi": 10.0, "per_decade": 4}}, "sweep.tau_lo"),
+        ("sweep", {"sweep": {"tau_lo": 2000.0}}, "sweep.tau_lo = 2000.0 must be below sweep.tau_hi = 1000.0"),
+        ("verdict", {"verdict": {"tau_lo": 1000.0, "tau_hi": 10.0, "per_decade": 4}}, "verdict.tau_lo"),
+        ("verdict", {"verdict": {"tau_hi": 5.0}}, "verdict.tau_lo = 10.0 must be below verdict.tau_hi = 5.0"),
+        ("simulate", {"simulate": {"t_lo": 100.0, "t_hi": 1.0}}, "simulate.t_lo"),
+        ("simulate", {"simulate": {"t_lo": 200.0}}, "simulate.t_lo = 200.0 must be below simulate.t_hi"),
+        ("fit", {"fit": {"trace": "trace.csv", "window": [1000.0, 10.0]}}, "fit.window[0]"),
+        ("fit", {"fit": {"trace": "trace.csv", "window": [10.0, 10.0]}}, "fit.window[0]"),
+    ],
+)
+def test_range_that_does_not_increase_is_config_error(tmp_path, capsys, command, section, message):
+    cfg = write_cfg(tmp_path, extra=section)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"]
+    assert error["type"] == "config"
+    assert error["message"].startswith(message)
+    assert not any(out.iterdir())
+
+
 def test_spectrum_command_rows_and_root_sums(tmp_path):
     cfg = write_cfg(tmp_path, extra={"spectrum": {"modes": 100}})
     out = tmp_path / "out"

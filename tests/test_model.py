@@ -203,7 +203,7 @@ def test_energy_with_flat_history():
     # adds zeta*xi^a*|v0|^2 = 1 to the mechanical 1.0
     grid = square_grid(3)
     trajs = exact_modal_evolve([ModalState(1, v=1.0, u=0.0, p=0.0, q=0.0)], P0, KER1.delta, grid)
-    trace = energy_trace(trajs, P0, KER1, np.array([0.0, 0.1, 0.2]))
+    trace = energy_trace(trajs, np.array([0.0, 0.1, 0.2]))
     assert trace.total[0] == pytest.approx(2.0, abs=1e-12)
 
 
@@ -218,9 +218,9 @@ def test_energy_additive_across_modes():
     s1 = ModalState(1, *(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
     s2 = ModalState(4, *(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
     times = np.linspace(0.0, 3.0, 7)
-    t1, t2 = exact_modal_evolve([s1, s2], P0, KER1.delta, grid)
-    together = energy_trace([t1, t2], P0, KER1, times).total
-    apart = energy_trace([t1], P0, KER1, times).total + energy_trace([t2], P0, KER1, times).total
+    trajs = exact_modal_evolve([s1, s2], P0, KER1.delta, grid)
+    together = energy_trace(trajs, times).total
+    apart = energy_trace(trajs[0], times).total + energy_trace(trajs[1], times).total
     assert together == pytest.approx(apart, rel=1e-14)
 
 
