@@ -11,11 +11,10 @@ from .analysis import (
     target_exponent,
 )
 from .model import (
-    DirichletLaplacianGrid,
-    ExplicitGrid,
     ExponentialKernel,
     InvalidModelError,
     ModalState,
+    ModeGrid,
     ModelParams,
     TabulatedKernel,
     validate_params,

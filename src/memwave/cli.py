@@ -111,7 +111,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
                 "argmax_mode": int(sweep.argmax_modes[i]),
                 "cutoff": int(sweep.cutoffs[i]),
                 "resonance": int(sweep.resonance_mask[i]),
-                "margin": float("nan") if sweep.margins[i] is None else float(sweep.margins[i]),
+                "margin": float(sweep.margins[i]),
                 "M": m_nodes,
             }
             for i in range(sweep.taus.size)

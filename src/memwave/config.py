@@ -16,8 +16,6 @@ from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
 from .model import (
-    DirichletLaplacianGrid,
-    ExplicitGrid,
     ExponentialKernel,
     InvalidModelError,
     Kernel,
@@ -223,9 +221,9 @@ def load_config(path: str | Path) -> RunConfig:
 
         gcfg = raw["grid"]
         if gcfg["type"] == "dirichlet_laplacian":
-            grid: ModeGrid = DirichletLaplacianGrid(length=gcfg["length"], count=gcfg["count"])
+            grid = ModeGrid.dirichlet(gcfg["length"], gcfg["count"])
         else:
-            grid = ExplicitGrid(values=np.asarray(gcfg["xi"], dtype=float))
+            grid = ModeGrid(np.asarray(gcfg["xi"], dtype=float))
     except InvalidModelError as exc:
         raise ConfigError(f"invalid model: {exc}") from exc
 

@@ -230,57 +230,38 @@ Kernel = Union[ExponentialKernel, TabulatedKernel]
 
 
 @dataclass(frozen=True)
-class DirichletLaplacianGrid:
-    """Eigenvalues ``xi_k = (k*pi/L)^2`` of the 1-d Dirichlet Laplacian."""
+class ModeGrid:
+    """Strictly increasing positive operator eigenvalues ``xi_1 < xi_2 < ...``,
+    stored once; ``xi_of(k)`` reads the same bits as ``xi[k - 1]``."""
 
-    length: float
-    count: int
-
-    def __post_init__(self) -> None:
-        if not self.length > 0.0:
-            raise InvalidModelError(f"length must be > 0, got {self.length}")
-        if self.count < 1:
-            raise InvalidModelError(f"count must be >= 1, got {self.count}")
-
-    @property
-    def xi(self) -> np.ndarray:
-        k = np.arange(1, self.count + 1, dtype=float)
-        return _freeze((k * math.pi / self.length) ** 2)
-
-    def xi_of(self, k: int) -> float:
-        if not 1 <= k <= self.count:
-            raise IndexError(f"mode index {k} outside 1..{self.count}")
-        return (k * math.pi / self.length) ** 2
-
-
-@dataclass(frozen=True)
-class ExplicitGrid:
-    """Explicit strictly increasing positive eigenvalue sequence."""
-
-    values: np.ndarray
+    xi: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _freeze(self.values))
-        if self.values.ndim != 1 or self.values.size < 1:
+        object.__setattr__(self, "xi", _freeze(self.xi))
+        if self.xi.ndim != 1 or self.xi.size < 1:
             raise InvalidModelError("explicit grid needs a nonempty 1-d array")
-        if self.values[0] <= 0.0 or np.any(np.diff(self.values) <= 0):
+        if self.xi[0] <= 0.0 or np.any(np.diff(self.xi) <= 0):
             raise InvalidModelError("eigenvalues must be strictly increasing and positive")
+
+    @classmethod
+    def dirichlet(cls, length: float, count: int) -> "ModeGrid":
+        """Eigenvalues ``xi_k = (k*pi/length)^2`` of the 1-d Dirichlet
+        Laplacian on ``(0, length)``, ``k = 1..count``."""
+        if not length > 0.0:
+            raise InvalidModelError(f"length must be > 0, got {length}")
+        if count < 1:
+            raise InvalidModelError(f"count must be >= 1, got {count}")
+        k = np.arange(1, count + 1, dtype=float)
+        return cls((k * math.pi / length) ** 2)
 
     @property
     def count(self) -> int:
-        return int(self.values.size)
-
-    @property
-    def xi(self) -> np.ndarray:
-        return self.values
+        return int(self.xi.size)
 
     def xi_of(self, k: int) -> float:
         if not 1 <= k <= self.count:
             raise IndexError(f"mode index {k} outside 1..{self.count}")
-        return float(self.values[k - 1])
-
-
-ModeGrid = Union[DirichletLaplacianGrid, ExplicitGrid]
+        return float(self.xi[k - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +451,6 @@ def validate_params(params: ModelParams, kernel: Kernel, grid: ModeGrid) -> Vali
 
 __all__ = [
     "CheckResult",
-    "DirichletLaplacianGrid",
-    "ExplicitGrid",
     "ExponentialKernel",
     "InvalidModelError",
     "Kernel",

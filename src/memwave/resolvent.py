@@ -16,11 +16,18 @@ weight (scaled Gauss-Laguerre), with the interpolation basis pinned to
 All norms are therefore computed on congruence-transformed blocks
 ``B~ = L^T B L^{-T}`` with ``G = L L^T`` the energy weight, where the
 resolvent norm is the reciprocal smallest singular value of ``i*tau - B~``.
+The congruence is the identity on the history coordinates, so a block is
+assembled directly in that layout: ``energy_corners`` gives the 4x4
+``(v, u, p, q)`` corners ``A`` of all modes at once, and ``mode_block`` puts
+its mode's corner next to the history block ``-D`` (``D = diff_w``, the same
+for every mode) and the coupling ``-c*sqrt_weights`` in the ``u`` row and
+``c*sqrt_weights`` in the ``u`` column, ``c = xi^(a/2)/sqrt(rho)``.  The
+sweep bounds below read the same corners, so a mode's bounds describe the
+very block that is SVD'd.
 
 Sweeps bound every mode through the exact reduction onto ``(v, u, p, q)``.
-A block meets the history block ``-D`` (``D = diff_w``, the same for every
-mode) only through its ``u`` row and column, which carry ``c*sqrt_weights``
-with ``c = xi^(a/2)/sqrt(rho)``.  Eliminating the history from
+A block meets the history block ``-D`` only through its ``u`` row and
+column.  Eliminating the history from
 ``N = i*tau - B~`` therefore leaves the 4x4 Schur complement
 
     S(tau) = i*tau - A + c^2 * phi(tau) * e_u e_u^T,
@@ -225,79 +232,68 @@ def mode_block(
     lag: LaguerreGrid,
     grid: ModeGrid,
 ) -> ModeBlock:
-    """Assemble the (4+M)-dimensional block of mode ``k``.
+    """Assemble the (4+M)-dimensional block of mode ``k``,
+    ``[[A, -c e_u sw^T], [c sw e_u^T, -D]]`` with ``A`` the mode's
+    ``energy_corners`` and ``c = xi^(a/2)/sqrt(rho)``.
 
     Rows before the congruence: ``memoryless_generator`` on ``(v, u, p, q)``
     plus ``xi^a*(zeta*v - sum_m w_m eta_m)/rho`` on the ``u`` row, and
-    ``eta' = u - D eta``.  The eigenvalues lying in the admissibility strip
-    converge spectrally fast to the mode's quintic roots; characteristic roots
-    left of ``-delta/2`` are not represented (they are not eigenvalues of the
-    full generator either).
+    ``eta' = u - D eta``; the congruence is the identity on the history
+    coordinates, so it only turns the 4x4 corner into ``A`` and the
+    coupling on the ``u`` row and column into ``-c sw`` and ``c sw``.  The
+    eigenvalues lying in the admissibility strip converge spectrally fast to
+    the mode's quintic roots; characteristic roots left of ``-delta/2`` are
+    not represented (they are not eigenvalues of the full generator either).
     """
     if not isinstance(kernel, ExponentialKernel):
         raise InvalidModelError("mode blocks require the exponential kernel")
     if abs(lag.delta - kernel.delta) > 1e-12 * kernel.delta:
         raise InvalidModelError("Laguerre grid was built for a different decay rate")
     xi = grid.xi_of(k)
-    zeta = kernel.zeta
-    a = params.a
-    M = lag.M
-    n = 4 + M
-    sw = lag.sqrt_weights
-    half_a = xi ** (a / 2.0)
-
-    gvv, gvp, gpp = _vp_weight(xi, params, zeta)
     try:
-        l_vp = np.linalg.cholesky(np.array([[gvv, gvp], [gvp, gpp]]))
+        corner = energy_corners(grid.xi[k - 1 : k], params, kernel.zeta)[0]
     except np.linalg.LinAlgError as exc:
         raise InvalidModelError(
             f"energy weight of mode k={k} is not positive definite; "
             "the coercivity condition fails at this mode"
         ) from exc
-
-    # coordinates (v, u, p, q, eta~) with eta~ = xi^(a/2) sqrt(w) eta
-    b = np.zeros((n, n))
-    b[:4, :4] = _corner_generator(xi, params, zeta)
-    b[1, 4:] = -(half_a / params.rho) * sw
-    b[4:, 1] = half_a * sw
+    c = xi ** (params.a / 2.0) / math.sqrt(params.rho)
+    sw = lag.sqrt_weights
+    b = np.zeros((4 + lag.M, 4 + lag.M))
+    b[:4, :4] = corner
+    b[1, 4:] = -c * sw
+    b[4:, 1] = c * sw
     b[4:, 4:] = -lag.diff_w
-
-    # the congruence is the identity on the history coordinates, so only its
-    # 4x4 corner inverts
-    t = np.eye(n)
-    t[:4, :4] = _congruence(l_vp, params)
-    t_inv = np.eye(n)
-    t_inv[:4, :4] = np.linalg.inv(t[:4, :4])
-    return ModeBlock(k=k, xi=xi, M=M, matrix=t @ b @ t_inv)
+    return ModeBlock(k=k, xi=xi, M=lag.M, matrix=b)
 
 
-def _vp_weight(xi, params: ModelParams, zeta: float):
-    """Entries ``(gvv, gvp, gpp)`` of the 2x2 energy weight of the ``(v, p)``
-    pair; scalars or arrays of ``xi`` alike."""
-    gvv = params.alpha1 * xi - zeta * xi**params.a + params.beta * params.gamma**2 * xi
-    return gvv, -params.beta * params.gamma * xi, params.beta * xi
+def energy_corners(xi: np.ndarray, params: ModelParams, zeta: float) -> np.ndarray:
+    """The 4x4 ``(v, u, p, q)`` corners ``A = T G T^{-1}`` of the blocks of
+    the modes ``xi``, stacked along the leading axis.
 
-
-def _corner_generator(xi, params: ModelParams, zeta: float) -> np.ndarray:
-    """The ``(v, u, p, q)`` rows of a block before the congruence:
-    ``memoryless_generator`` plus the memory force ``zeta*xi^a*v/rho`` on the
-    ``u`` row (stacked over an array of ``xi``)."""
-    g = memoryless_generator(xi, params)
-    g[..., 1, 0] = (-params.alpha * xi + zeta * xi**params.a) / params.rho
-    return g
-
-
-def _congruence(l_vp: np.ndarray, params: ModelParams) -> np.ndarray:
-    """4x4 congruence to energy-orthonormal ``(L_vp^T (v, p), sqrt(rho) u,
-    sqrt(mu) q)``, stacked like the Cholesky factors ``l_vp``."""
-    t = np.zeros(l_vp.shape[:-2] + (4, 4))
+    ``G`` is ``memoryless_generator`` plus the memory force
+    ``zeta*xi^a*v/rho`` on the ``u`` row, and ``T`` the congruence to
+    energy-orthonormal ``(L_vp^T (v, p), sqrt(rho) u, sqrt(mu) q)``, with
+    ``L_vp`` the Cholesky factor of the 2x2 stiffness-plus-coupling weight.
+    Raises ``np.linalg.LinAlgError`` when that weight is not positive
+    definite at some mode.
+    """
+    xi_a = xi**params.a
+    gvv = params.alpha1 * xi - zeta * xi_a + params.beta * params.gamma**2 * xi
+    gvp = -params.beta * params.gamma * xi
+    gpp = params.beta * xi
+    weight = np.stack([np.stack([gvv, gvp], axis=-1), np.stack([gvp, gpp], axis=-1)], axis=-2)
+    l_vp = np.linalg.cholesky(weight)
+    t = np.zeros(xi.shape + (4, 4))
     t[..., 0, 0] = l_vp[..., 0, 0]
     t[..., 0, 2] = l_vp[..., 1, 0]
     t[..., 2, 0] = l_vp[..., 0, 1]
     t[..., 2, 2] = l_vp[..., 1, 1]
     t[..., 1, 1] = math.sqrt(params.rho)
     t[..., 3, 3] = math.sqrt(params.mu)
-    return t
+    g = memoryless_generator(xi, params)
+    g[..., 1, 0] = (-params.alpha * xi + zeta * xi_a) / params.rho
+    return t @ g @ np.linalg.inv(t)
 
 
 def _inv_or_nan(a: np.ndarray) -> np.ndarray:
@@ -327,10 +323,10 @@ class ResolventSweeper:
 
     The sweeper keeps, for every mode of the grid, the 4x4 energy-coordinate
     corner ``A_k`` of its block and the coupling ``c_k`` to the history
-    (see the module docstring); they are built vectorised, without assembling
-    any block.  Per frequency ``norm_bounds`` turns them into two-sided bounds,
-    and only the modes those bounds cannot rule out are assembled by
-    ``mode_block`` and SVD'd.
+    (see the module docstring); the corners come from one ``energy_corners``
+    call over the grid, without assembling any block.  Per frequency
+    ``norm_bounds`` turns them into two-sided bounds, and only the modes those
+    bounds cannot rule out are assembled by ``mode_block`` and SVD'd.
     """
 
     def __init__(
@@ -346,17 +342,12 @@ class ResolventSweeper:
         self.lag = laguerre_grid(M, kernel.delta)
         self._m1 = AsymptoticConstants.from_params(params).m1
         self._xi = grid.xi
-        zeta = kernel.zeta
-        gvv, gvp, gpp = _vp_weight(self._xi, params, zeta)
-        weight = np.stack([np.stack([gvv, gvp], axis=-1), np.stack([gvp, gpp], axis=-1)], axis=-2)
         try:
-            l_vp = np.linalg.cholesky(weight)
+            self._corners = energy_corners(self._xi, params, kernel.zeta)
         except np.linalg.LinAlgError:
             # some mode is not coercive: no bounds here, and mode_block raises
             # for that mode when it is SVD'd
-            l_vp = np.full(weight.shape, np.nan)
-        t = _congruence(l_vp, params)
-        self._corners = t @ _corner_generator(self._xi, params, zeta) @ _inv_or_nan(t)
+            self._corners = np.full(self._xi.shape + (4, 4), np.nan)
         self._c = self._xi ** (params.a / 2.0) / math.sqrt(params.rho)
         sw_norm = float(np.linalg.norm(self.lag.sqrt_weights))
         # the part of the roundoff scale nu (module docstring) that does not
@@ -428,11 +419,11 @@ class ResolventSweeper:
         lower[ok] = s_norm
         return lower, upper
 
-    def norm_at(self, tau: float) -> tuple[float, int, int, float | None]:
+    def norm_at(self, tau: float) -> tuple[float, int, int, float]:
         """Return ``(norm, argmax mode, cutoff mode, margin)``.
 
         ``margin`` is included-max divided by the first excluded mode's norm,
-        or None when the grid is exhausted.  The mode with the largest lower
+        or NaN when the grid is exhausted.  The mode with the largest lower
         bound is SVD'd first, then the others in decreasing order of their
         upper bound until it drops below the running max; exact ties go to the
         smaller mode, as ``np.argmax`` does.
@@ -450,7 +441,7 @@ class ResolventSweeper:
             norm = self.block(k).resolvent_norm(tau)
             if norm > best or (norm == best and k < k_best):
                 best, k_best = norm, k
-        margin = None
+        margin = math.nan
         k_next = ks[-1] + 1
         if k_next <= self.grid.count:
             margin = best / self.block(k_next).resolvent_norm(tau)
@@ -462,7 +453,9 @@ class SweepResult:
     """Samples of the scaled resolvent norm ``|tau|^(-omega) * norm(tau)``.
 
     ``resonance_branch`` tags each sample with the oscillatory branch whose
-    computed imaginary part produced it (0 for plain log-grid samples).
+    computed imaginary part produced it (0 for plain log-grid samples), and
+    ``margins`` holds the cutoff margins of ``ResolventSweeper.norm_at`` (NaN
+    where the grid is exhausted).
     """
 
     omega: float
@@ -473,10 +466,10 @@ class SweepResult:
     argmax_modes: np.ndarray
     cutoffs: np.ndarray
     resonance_branch: np.ndarray
-    margins: tuple[float | None, ...]
+    margins: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("taus", "norms", "scaled"):
+        for name in ("taus", "norms", "scaled", "margins"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -573,10 +566,9 @@ def scaled_sweep(
     norms = np.empty(taus.size)
     argmax = np.empty(taus.size, dtype=int)
     cutoffs = np.empty(taus.size, dtype=int)
-    margins: list[float | None] = []
+    margins = np.empty(taus.size)
     for i, tau in enumerate(taus):
-        norms[i], argmax[i], cutoffs[i], margin = sweeper.norm_at(float(tau))
-        margins.append(margin)
+        norms[i], argmax[i], cutoffs[i], margins[i] = sweeper.norm_at(float(tau))
     scaled = np.abs(taus) ** (-omega) * norms
     return SweepResult(
         omega=omega,
@@ -587,7 +579,7 @@ def scaled_sweep(
         argmax_modes=argmax,
         cutoffs=cutoffs,
         resonance_branch=branch_tag,
-        margins=tuple(margins),
+        margins=margins,
     )
 
 
@@ -696,6 +688,7 @@ __all__ = [
     "SingularBlockError",
     "StaticSolution",
     "SweepResult",
+    "energy_corners",
     "laguerre_grid",
     "mode_block",
     "resonance_frequencies",

@@ -107,6 +107,10 @@ def quintic_coeffs(xi, params: ModelParams, delta: float) -> np.ndarray:
     )
 
 
+# labels of the five roots, in the order of ``SpectrumBranch.roots``
+_ROOT_LABELS = ("0", "1+", "1-", "2+", "2-")
+
+
 @dataclass(frozen=True)
 class SpectrumBranch:
     """Labelled roots of the quintic at each operator eigenvalue in ``xi``.
@@ -139,14 +143,8 @@ class SpectrumBranch:
     def lam(self, j: int, sign: int):
         return self.roots[..., 2 * j - 1 if sign > 0 else 2 * j]
 
-    def all_roots(self) -> np.ndarray:
-        return self.roots
-
     def root_sum(self):
         return self.roots.sum(axis=-1)
-
-    def labels(self) -> tuple[str, ...]:
-        return ("0", "1+", "1-", "2+", "2-")
 
 
 def _horner(coeffs: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -382,7 +380,7 @@ def strip_check(branch: SpectrumBranch, delta: float) -> StripReport:
     ``Re >= 0`` is fatal."""
     admissible = []
     excluded = []
-    for label, root in zip(branch.labels(), branch.all_roots()):
+    for label, root in zip(_ROOT_LABELS, branch.roots):
         if root.real >= 0.0:
             raise StabilityViolationError(
                 f"characteristic root with nonnegative real part: xi={branch.xi:g}, lam={root}"

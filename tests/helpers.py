@@ -6,12 +6,7 @@ import math
 
 import numpy as np
 
-from memwave.model import (
-    DirichletLaplacianGrid,
-    ExplicitGrid,
-    ExponentialKernel,
-    ModelParams,
-)
+from memwave.model import ExponentialKernel, ModeGrid, ModelParams
 
 # reference parameter set used throughout: rho = mu = beta = 1, alpha = 2,
 # gamma = 1/2, fractional order 1/2, exponential kernel rate 1, xi_k = k^2
@@ -23,12 +18,12 @@ def p0_with_a(a: float) -> ModelParams:
     return ModelParams(rho=1.0, mu=1.0, alpha=2.0, beta=1.0, gamma=0.5, a=a)
 
 
-def square_grid(n: int) -> DirichletLaplacianGrid:
-    return DirichletLaplacianGrid(length=math.pi, count=n)
+def square_grid(n: int) -> ModeGrid:
+    return ModeGrid.dirichlet(math.pi, n)
 
 
-def xi_grid(*values: float) -> ExplicitGrid:
-    return ExplicitGrid(values=np.array(values, dtype=float))
+def xi_grid(*values: float) -> ModeGrid:
+    return ModeGrid(np.array(values, dtype=float))
 
 
 def draw_validated(rng: np.random.Generator) -> tuple[ModelParams, ExponentialKernel]:

@@ -91,7 +91,7 @@ def _synthetic_sweep(omega: float, growth: float) -> SweepResult:
         argmax_modes=np.ones(40, dtype=int),
         cutoffs=np.ones(40, dtype=int),
         resonance_branch=branch,
-        margins=(None,) * 40,
+        margins=np.full(40, np.nan),
     )
 
 

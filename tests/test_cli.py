@@ -302,6 +302,23 @@ def test_simulate_more_modes_than_grid_is_model_error(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize("command", ["sweep", "verdict"])
+def test_non_coercive_mode_is_model_error(tmp_path, capsys, command):
+    # delta = 0.2 gives zeta = 5, so alpha1 - zeta*xi_1^(a-1) = 1.75 - 5 < 0
+    model = json.loads(json.dumps(P0_MODEL))
+    model["kernel"]["delta"] = 0.2
+    cfg = write_cfg(tmp_path, model=model)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    want = {
+        "type": "InvalidModelError",
+        "message": "energy weight of mode k=1 is not positive definite; "
+        "the coercivity condition fails at this mode",
+    }
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"] == want
+    assert json.loads((out / "error.json").read_text())["error"] == want
+
+
 def test_simulate_general_integrator(tmp_path):
     model = json.loads(json.dumps(P0_MODEL))
     s = np.arange(0.0, 12.0, 1e-2)

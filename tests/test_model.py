@@ -7,6 +7,7 @@ from memwave.model import (
     ExponentialKernel,
     InvalidModelError,
     ModalState,
+    ModeGrid,
     ModelParams,
     TabulatedKernel,
     energy_parts,
@@ -40,6 +41,13 @@ def test_dirichlet_grid_eigenvalues():
     grid = square_grid(4)
     assert grid.xi == pytest.approx([1.0, 4.0, 9.0, 16.0])
     assert grid.xi_of(3) == pytest.approx(9.0)
+
+
+def test_dirichlet_grid_stores_one_set_of_bits():
+    # Python's pow(x, 2) and numpy's x*x disagree in the last bit for 12 of
+    # these modes; xi_of must read the stored array, not recompute it
+    grid = ModeGrid.dirichlet(1.0, 2300)
+    assert all(grid.xi_of(k) == grid.xi[k - 1] for k in range(1, grid.count + 1))
 
 
 def test_validate_reference_set_passes():

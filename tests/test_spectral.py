@@ -93,7 +93,7 @@ def test_roots_match_high_precision_oracle():
     for xi in (1.0, 1e2, 1e6):
         coeffs = quintic_coeffs(xi, P0, DELTA)
         exact = mpmath.polyroots([mpmath.mpf(c) for c in coeffs], maxsteps=200)
-        got = sorted(branch_at(xi).all_roots(), key=lambda z: (round(z.imag, 6), z.real))
+        got = sorted(branch_at(xi).roots, key=lambda z: (round(z.imag, 6), z.real))
         want = sorted(
             (complex(z) for z in exact), key=lambda z: (round(z.imag, 6), z.real)
         )
@@ -310,7 +310,7 @@ def test_eigvec_satisfies_generator():
     grid = square_grid(3)
     gen = modal_generator(grid.xi_of(2), P0, DELTA)
     br = quintic_roots(grid.xi_of(2), P0, DELTA)
-    for lam in br.all_roots():
+    for lam in br.roots:
         vec = eigvec(lam, grid.xi_of(2), P0, DELTA)
         assert np.linalg.norm(gen @ vec - lam * vec) <= 1e-9 * np.linalg.norm(vec)
 
