@@ -47,7 +47,6 @@ from .timedomain import (
     ExponentialPolyHistory,
     HistoryTerm,
     ModalTrajectories,
-    ZeroHistory,
     energy_trace,
     evolve_general_kernel,
     exact_modal_evolve,

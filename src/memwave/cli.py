@@ -28,15 +28,13 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, rows: list[dict]) -> None:
+def _write_csv(path: Path, columns: dict) -> None:
+    """One CSV column per entry of ``columns``, all of the same length."""
+    values = [np.asarray(col).tolist() for col in columns.values()]
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        if not rows:
-            return
-        header = list(rows[0].keys())
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(row[key]) for key in header])
+        writer.writerow(columns)
+        writer.writerows([_fmt(x) for x in row] for row in zip(*values))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -79,9 +77,9 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
     n_modes = cfg.options.get("spectrum", {}).get("modes", cfg.grid.count)
     if n_modes > cfg.grid.count:
         raise InvalidModelError(f"spectrum wants {n_modes} modes but the grid has {cfg.grid.count}")
-    rows = spectral.spectrum_rows(cfg.params, kernel.delta, cfg.grid.xi[:n_modes])
-    _write_csv(out / "spectrum.csv", rows)
-    print(f"wrote {len(rows)} modes to {out / 'spectrum.csv'}")
+    columns = spectral.spectrum_columns(cfg.params, kernel.delta, cfg.grid.xi[:n_modes])
+    _write_csv(out / "spectrum.csv", columns)
+    print(f"wrote {n_modes} modes to {out / 'spectrum.csv'}")
     return 0
 
 
@@ -103,20 +101,17 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
             per_decade=opts.get("per_decade", 64),
             resonances_per_branch=opts.get("resonances_per_branch", 16),
         )
-        rows = [
-            {
-                "tau": float(sweep.taus[i]),
-                "norm": float(sweep.norms[i]),
-                "scaled": float(sweep.scaled[i]),
-                "argmax_mode": int(sweep.argmax_modes[i]),
-                "cutoff": int(sweep.cutoffs[i]),
-                "resonance": int(sweep.resonance_mask[i]),
-                "margin": float(sweep.margins[i]),
-                "M": m_nodes,
-            }
-            for i in range(sweep.taus.size)
-        ]
-        _write_csv(out / f"sweep_M{m_nodes}.csv", rows)
+        columns = {
+            "tau": sweep.taus,
+            "norm": sweep.norms,
+            "scaled": sweep.scaled,
+            "argmax_mode": sweep.argmax_modes,
+            "cutoff": sweep.cutoffs,
+            "resonance": sweep.resonance_mask.astype(int),
+            "margin": sweep.margins,
+            "M": [m_nodes] * sweep.taus.size,
+        }
+        _write_csv(out / f"sweep_M{m_nodes}.csv", columns)
         sups[m_nodes] = sweep.sup_scaled
         print(
             f"M={m_nodes}: sup scaled {sweep.sup_scaled:.6g} at tau {sweep.argmax_tau:.6g} "
@@ -138,15 +133,17 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     opts = cfg.options.get("simulate", {})
     integ = opts.get("integrator", "exact")
     if integ == "general":
+        t_hi, dt, every = opts.get("t_hi", 10.0), opts.get("dt", 1e-3), opts.get("sample_every", 10)
+        # as the exact path's n_times >= 3: t = 0 and at least two samples after it
+        n_samples = round(t_hi / dt) // every
+        if n_samples < 2:
+            raise ConfigError(
+                f"simulate.t_hi = {t_hi!r}, simulate.dt = {dt!r} and simulate.sample_every = "
+                f"{every!r} give {n_samples} samples after t = 0; need at least 2"
+            )
         state = timedomain.single_mode_data(opts.get("k", 1), opts.get("v0", 1.0))
         trace = timedomain.evolve_general_kernel(
-            state,
-            cfg.params,
-            cfg.kernel,
-            cfg.grid,
-            T=opts.get("t_hi", 10.0),
-            dt=opts.get("dt", 1e-3),
-            sample_every=opts.get("sample_every", 10),
+            state, cfg.params, cfg.kernel, cfg.grid, T=t_hi, dt=dt, sample_every=every
         )
     else:
         kernel = _require_exponential(cfg)
@@ -167,21 +164,18 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         else:
             times = np.linspace(t_lo, t_hi, n_times)
         trace = timedomain.energy_trace(trajs, times)
-    rows = [
-        {
-            "t": float(trace.times[i]),
-            "total": float(trace.total[i]),
-            "stiffness": float(trace.stiffness[i]),
-            "kinetic_v": float(trace.kinetic_v[i]),
-            "coupling": float(trace.coupling[i]),
-            "kinetic_p": float(trace.kinetic_p[i]),
-            "memory": float(trace.memory[i]),
-            "residual": float(trace.residual[i]),
-        }
-        for i in range(trace.times.size)
-    ]
-    _write_csv(out / "trace.csv", rows)
-    print(f"wrote {len(rows)} samples to {out / 'trace.csv'}")
+    columns = {
+        "t": trace.times,
+        "total": trace.total,
+        "stiffness": trace.stiffness,
+        "kinetic_v": trace.kinetic_v,
+        "coupling": trace.coupling,
+        "kinetic_p": trace.kinetic_p,
+        "memory": trace.memory,
+        "residual": trace.residual,
+    }
+    _write_csv(out / "trace.csv", columns)
+    print(f"wrote {trace.times.size} samples to {out / 'trace.csv'}")
     return 0
 
 

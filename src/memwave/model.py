@@ -39,8 +39,8 @@ class InvalidModelError(ValueError):
     """Raised when constructor-level constraints on the model data fail."""
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+def _freeze(a: np.ndarray, dtype=float) -> np.ndarray:
+    a = np.asarray(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -167,7 +167,7 @@ def _difference_error(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return 2.0 * gap**2 * y3 / 3.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TabulatedKernel:
     """Kernel given by samples ``(s_i, g(s_i))`` on an increasing grid
     starting at 0, with declared derivative pinch ``-k0*g <= g' <= -k1*g``.
@@ -229,7 +229,7 @@ Kernel = Union[ExponentialKernel, TabulatedKernel]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeGrid:
     """Strictly increasing positive operator eigenvalues ``xi_1 < xi_2 < ...``,
     stored once; ``xi_of(k)`` reads the same bits as ``xi[k - 1]``."""
@@ -273,7 +273,7 @@ class ModeGrid:
 class ModalState:
     """Coefficients ``(v, u, p, q)`` of one mode: displacements and
     velocities.  A prescribed history enters evolution separately, as a
-    ``timedomain.History``."""
+    ``timedomain.ExponentialPolyHistory``."""
 
     k: int
     v: complex

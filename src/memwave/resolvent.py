@@ -65,6 +65,13 @@ lowered ``sigma`` is not positive is ``+inf``.  The lower bound only chooses
 the first mode and carries no slack.  A mode whose bound data are not finite,
 or a frequency where a stacked inverse is singular, gets ``upper = +inf`` and
 ``lower = 0``: it is SVD'd and raises as the full loop would.
+
+The static problem at ``lambda = 0`` is solved on the same block: the
+forcing goes into energy coordinates with the mode's ``energy_congruence``,
+one linear solve with the ``mode_block`` matrix gives the solution, and the
+congruence maps it back.  Its ``||W|| / ||F||`` is therefore at most the
+block's ``resolvent_norm(0)``, and the round trip through the physical
+generator checks the block assembly the sweeps rely on.
 """
 
 from __future__ import annotations
@@ -74,13 +81,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
-from numpy.polynomial.legendre import leggauss
 
 from .model import (
     ExponentialKernel,
     InvalidModelError,
     ModeGrid,
     ModelParams,
+    _freeze,
     energy_parts,
     memoryless_generator,
 )
@@ -96,7 +103,7 @@ class SingularBlockError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LaguerreGrid:
     """Gauss nodes/weights for ``int_0^inf exp(-delta*s) f(s) ds`` plus the
     spectral differentiation matrix in sqrt(weight) coordinates.
@@ -114,9 +121,7 @@ class LaguerreGrid:
 
     def __post_init__(self) -> None:
         for name in ("nodes", "weights", "diff_w"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     @property
     def sqrt_weights(self) -> np.ndarray:
@@ -151,43 +156,12 @@ def laguerre_grid(M: int, delta: float) -> LaguerreGrid:
     return LaguerreGrid(M=M, delta=delta, nodes=x / delta, weights=w / delta, diff_w=delta * dw)
 
 
-def weighted_integration_matrix(lag: LaguerreGrid) -> np.ndarray:
-    """Matrix of ``f -> int_0^{s_m} f`` in sqrt(weight) coordinates, where
-    ``f`` is the degree M-1 interpolant through the node samples.
-
-    This is the discrete Hardy operator of the static solve; its 2-norm stays
-    near ``2/delta`` independently of M.
-    """
-    s = lag.nodes
-    M = lag.M
-    d = s[:, None] - s[None, :]
-    np.fill_diagonal(d, 1.0)
-    log_b = -np.sum(np.log(np.abs(d)), axis=1)
-    sign_b = np.prod(np.sign(d), axis=1)
-    n_gauss = M // 2 + 2
-    gx, gw = leggauss(n_gauss)
-    q = np.zeros((M, M))
-    idx = np.arange(M)
-    for m in range(M):
-        r = 0.5 * s[m] * (gx + 1.0)
-        rw = 0.5 * s[m] * gw
-        dr = r[:, None] - s[None, :]
-        log_all = np.sum(np.log(np.abs(dr)), axis=1)
-        sign_all = np.prod(np.sign(dr), axis=1)
-        for j in idx:
-            log_lj = log_all - np.log(np.abs(dr[:, j])) + log_b[j]
-            sign_lj = sign_all * np.sign(dr[:, j]) * sign_b[j]
-            q[m, j] = np.sum(rw * sign_lj * np.exp(log_lj))
-    sw = lag.sqrt_weights
-    return (sw[:, None] / sw[None, :]) * q
-
-
 # ---------------------------------------------------------------------------
 # per-mode blocks
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeBlock:
     """Semidiscrete generator of one mode in energy-orthonormal coordinates.
 
@@ -204,9 +178,7 @@ class ModeBlock:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.matrix, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
+        object.__setattr__(self, "matrix", _freeze(self.matrix))
 
     @property
     def dim(self) -> int:
@@ -267,19 +239,16 @@ def mode_block(
     return ModeBlock(k=k, xi=xi, M=lag.M, matrix=b)
 
 
-def energy_corners(xi: np.ndarray, params: ModelParams, zeta: float) -> np.ndarray:
-    """The 4x4 ``(v, u, p, q)`` corners ``A = T G T^{-1}`` of the blocks of
-    the modes ``xi``, stacked along the leading axis.
-
-    ``G`` is ``memoryless_generator`` plus the memory force
-    ``zeta*xi^a*v/rho`` on the ``u`` row, and ``T`` the congruence to
-    energy-orthonormal ``(L_vp^T (v, p), sqrt(rho) u, sqrt(mu) q)``, with
-    ``L_vp`` the Cholesky factor of the 2x2 stiffness-plus-coupling weight.
-    Raises ``np.linalg.LinAlgError`` when that weight is not positive
-    definite at some mode.
+def energy_congruence(xi: np.ndarray, params: ModelParams, zeta: float) -> np.ndarray:
+    """The 4x4 congruences ``T`` of the modes ``xi``, stacked along the
+    leading axis: ``T (v, u, p, q)`` is the energy-orthonormal
+    ``(L_vp^T (v, p), sqrt(rho) u, sqrt(mu) q)``, with ``L_vp`` the Cholesky
+    factor of the 2x2 stiffness-plus-coupling weight, so ``|T w|^2`` is the
+    sum of ``energy_parts``.  Raises ``np.linalg.LinAlgError`` when that
+    weight is not positive definite at some mode, which is exactly when
+    ``alpha1*xi - zeta*xi^a <= 0`` (its Schur complement on ``v``).
     """
-    xi_a = xi**params.a
-    gvv = params.alpha1 * xi - zeta * xi_a + params.beta * params.gamma**2 * xi
+    gvv = params.alpha1 * xi - zeta * xi**params.a + params.beta * params.gamma**2 * xi
     gvp = -params.beta * params.gamma * xi
     gpp = params.beta * xi
     weight = np.stack([np.stack([gvv, gvp], axis=-1), np.stack([gvp, gpp], axis=-1)], axis=-2)
@@ -291,8 +260,20 @@ def energy_corners(xi: np.ndarray, params: ModelParams, zeta: float) -> np.ndarr
     t[..., 2, 2] = l_vp[..., 1, 1]
     t[..., 1, 1] = math.sqrt(params.rho)
     t[..., 3, 3] = math.sqrt(params.mu)
+    return t
+
+
+def energy_corners(xi: np.ndarray, params: ModelParams, zeta: float) -> np.ndarray:
+    """The 4x4 ``(v, u, p, q)`` corners ``A = T G T^{-1}`` of the blocks of
+    the modes ``xi``, stacked along the leading axis.
+
+    ``G`` is ``memoryless_generator`` plus the memory force
+    ``zeta*xi^a*v/rho`` on the ``u`` row, and ``T`` the
+    ``energy_congruence``, whose ``np.linalg.LinAlgError`` it passes on.
+    """
+    t = energy_congruence(xi, params, zeta)
     g = memoryless_generator(xi, params)
-    g[..., 1, 0] = (-params.alpha * xi + zeta * xi_a) / params.rho
+    g[..., 1, 0] = (-params.alpha * xi + zeta * xi**params.a) / params.rho
     return t @ g @ np.linalg.inv(t)
 
 
@@ -448,7 +429,7 @@ class ResolventSweeper:
         return best, k_best, ks[-1], margin
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
     """Samples of the scaled resolvent norm ``|tau|^(-omega) * norm(tau)``.
 
@@ -470,9 +451,7 @@ class SweepResult:
 
     def __post_init__(self) -> None:
         for name in ("taus", "norms", "scaled", "margins"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     @property
     def resonance_mask(self) -> np.ndarray:
@@ -588,7 +567,7 @@ def scaled_sweep(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModalForcing:
     """Right-hand side of one mode: ``(f1, f2, z1, z2, nu)`` with the history
     component given in sqrt(weight) coordinates."""
@@ -601,12 +580,10 @@ class ModalForcing:
     nu_w: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.nu_w, dtype=complex)
-        arr.setflags(write=False)
-        object.__setattr__(self, "nu_w", arr)
+        object.__setattr__(self, "nu_w", _freeze(self.nu_w, complex))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StaticSolution:
     k: int
     v: complex
@@ -624,44 +601,35 @@ def static_solve(
     kernel: ExponentialKernel,
     lag: LaguerreGrid,
     grid: ModeGrid,
-    integration_w: np.ndarray | None = None,
 ) -> StaticSolution:
     """Solve the generator equation ``A W = F`` on one mode.
 
-    The history row integrates directly, ``eta(s) = int_0^s (f1 - nu)``; the
-    remaining unknowns collapse to ``beta*xi*(gamma*v - p) = mu*z2`` and
-    ``(alpha1*xi - zeta*xi^a)*v = -(rho*f2 + gamma*mu*z2 + xi^a*int g eta)``.
-    The result is verified by applying the generator back; the returned
-    ``residual`` is relative to the forcing norm and ``stability_ratio`` is
-    ``||W|| / ||F||``.
+    The solve runs on the very block the sweep SVDs: the forcing goes into
+    energy coordinates ``(T f, nu_w)`` with the mode's ``energy_congruence``
+    ``T``, one ``np.linalg.solve`` with the ``mode_block`` matrix gives the
+    solution in those coordinates, and ``T^{-1}`` maps its ``(v, u, p, q)``
+    back.  ``stability_ratio = ||W|| / ||F||`` is therefore at most
+    ``mode_block(k).resolvent_norm(0.0)``.  The result is verified by
+    applying the physical generator back; the returned ``residual`` is
+    relative to the forcing norm.  A mode that is not coercive raises
+    ``InvalidModelError`` from ``mode_block``.
     """
-    xi = grid.xi_of(forcing.k)
+    block = mode_block(forcing.k, params, kernel, lag, grid)
+    xi = block.xi
     zeta = kernel.zeta
-    a = params.a
-    sw = lag.sqrt_weights
-    half_a = xi ** (a / 2.0)
-    if integration_w is None:
-        integration_w = weighted_integration_matrix(lag)
-
-    # history component in weighted coordinates: eta~ = xi^(a/2) sqrt(w) eta
-    eta_w = forcing.f1 * half_a * sw * lag.nodes - integration_w @ forcing.nu_w
-    mem_integral = half_a * np.sum(sw * eta_w)  # = xi^a * sum w_m eta_m
-
-    denom = params.alpha1 * xi - zeta * xi**a
-    if denom <= 0.0:
-        raise InvalidModelError(
-            f"static solve needs alpha1*xi - zeta*xi^a > 0; mode k={forcing.k} gives {denom:.6g}"
-        )
-    v = -(params.rho * forcing.f2 + params.gamma * params.mu * forcing.z2 + mem_integral) / denom
-    p = params.gamma * v - params.mu * forcing.z2 / (params.beta * xi)
-    u = forcing.f1
-    q = forcing.z1
-
-    # apply the generator back, all in weighted coordinates
-    w = np.array([v, u, p, q], dtype=complex)
-    image = memoryless_generator(xi, params) @ w
-    image[1] += (zeta * xi**a * v - mem_integral) / params.rho
+    t = energy_congruence(grid.xi[forcing.k - 1 : forcing.k], params, zeta)[0]
     f = np.array([forcing.f1, forcing.f2, forcing.z1, forcing.z2], dtype=complex)
+    solution = np.linalg.solve(block.matrix, np.concatenate([t @ f, forcing.nu_w]))
+    w = np.linalg.solve(t, solution[:4])
+    eta_w = solution[4:]
+    v, u, p, q = w
+
+    # apply the physical generator back; eta~ = xi^(a/2) sqrt(w) eta
+    sw = lag.sqrt_weights
+    half_a = xi ** (params.a / 2.0)
+    mem_integral = half_a * np.sum(sw * eta_w)  # = xi^a * sum w_m eta_m
+    image = memoryless_generator(xi, params) @ w
+    image[1] += (zeta * xi**params.a * v - mem_integral) / params.rho
     r_eta = half_a * sw * u - lag.diff_w @ eta_w - forcing.nu_w
 
     def energy_norm(x: np.ndarray, mem_w: np.ndarray) -> float:
@@ -688,11 +656,11 @@ __all__ = [
     "SingularBlockError",
     "StaticSolution",
     "SweepResult",
+    "energy_congruence",
     "energy_corners",
     "laguerre_grid",
     "mode_block",
     "resonance_frequencies",
     "scaled_sweep",
     "static_solve",
-    "weighted_integration_matrix",
 ]

@@ -111,7 +111,7 @@ def quintic_coeffs(xi, params: ModelParams, delta: float) -> np.ndarray:
 _ROOT_LABELS = ("0", "1+", "1-", "2+", "2-")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumBranch:
     """Labelled roots of the quintic at each operator eigenvalue in ``xi``.
 
@@ -428,9 +428,10 @@ def eigvec(lam, xi, params: ModelParams, delta: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def spectrum_rows(params: ModelParams, delta: float, xi) -> list[dict]:
-    """One dict per entry of ``xi``: numeric roots, asymptotic seeds, branch
-    errors, sharpness products and the root-sum check."""
+def spectrum_columns(params: ModelParams, delta: float, xi) -> dict[str, np.ndarray]:
+    """One array per CSV column, one entry per entry of ``xi``: numeric
+    roots, asymptotic seeds, branch errors, sharpness products and the
+    root-sum check."""
     xi = np.asarray(xi, dtype=float)
     branch = quintic_roots(xi, params, delta)
     numeric = branch.roots
@@ -446,8 +447,7 @@ def spectrum_rows(params: ModelParams, delta: float, xi) -> list[dict]:
     columns["sharpness1"] = sharpness_product(branch, 1, params.a)
     columns["sharpness2"] = sharpness_product(branch, 2, params.a)
     columns["root_sum"] = branch.root_sum().real
-    values = [col.tolist() for col in columns.values()]
-    return [dict(zip(columns, row)) for row in zip(*values)]
+    return columns
 
 
 __all__ = [
@@ -466,6 +466,6 @@ __all__ = [
     "quintic_roots",
     "sharpness_limit",
     "sharpness_product",
-    "spectrum_rows",
+    "spectrum_columns",
     "strip_check",
 ]

@@ -50,11 +50,6 @@ from .spectral import eigvec, modal_generator, quintic_roots
 
 
 @dataclass(frozen=True)
-class ZeroHistory:
-    """No prescribed motion before t = 0."""
-
-
-@dataclass(frozen=True)
 class HistoryTerm:
     """One term ``coef * s^power * exp(-rate*s)`` of a prescribed history."""
 
@@ -71,29 +66,23 @@ class HistoryTerm:
 
 @dataclass(frozen=True)
 class ExponentialPolyHistory:
-    """The history ``h(s)``, ``s > 0``, as a sum of ``HistoryTerm``s."""
+    """The history ``h(s)``, ``s > 0``, as a sum of ``HistoryTerm``s; the
+    default, no terms, is no prescribed motion before t = 0."""
 
-    terms: tuple[HistoryTerm, ...]
-
-
-History = ZeroHistory | ExponentialPolyHistory
+    terms: tuple[HistoryTerm, ...] = ()
 
 
-def history_mass(history: History, delta: float) -> complex:
+def history_mass(history: ExponentialPolyHistory, delta: float) -> complex:
     """``int_0^inf exp(-delta*s) h(s) ds`` (also the initial convolved
     history I(0) for the exponential kernel)."""
-    if isinstance(history, ZeroHistory):
-        return 0.0
     acc = 0.0 + 0.0j
     for t in history.terms:
         acc += t.coef * math.factorial(t.power) / (delta + t.rate) ** (t.power + 1)
     return acc
 
 
-def history_sq_mass(history: History, delta: float) -> float:
+def history_sq_mass(history: ExponentialPolyHistory, delta: float) -> float:
     """``int_0^inf exp(-delta*s) |h(s)|^2 ds``."""
-    if isinstance(history, ZeroHistory):
-        return 0.0
     acc = 0.0 + 0.0j
     for t1 in history.terms:
         for t2 in history.terms:
@@ -108,7 +97,7 @@ def history_sq_mass(history: History, delta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModalTrajectories:
     """Exact solutions of a stack of modes, each a five-term exponential sum.
 
@@ -130,7 +119,7 @@ class ModalTrajectories:
     x0: np.ndarray
     dense: np.ndarray
     delta: float
-    history: History
+    history: ExponentialPolyHistory
     params: ModelParams
 
     def __len__(self) -> int:
@@ -170,7 +159,7 @@ def exact_modal_evolve(
     params: ModelParams,
     delta: float,
     grid: ModeGrid,
-    history: History = ZeroHistory(),
+    history: ExponentialPolyHistory = ExponentialPolyHistory(),
 ) -> ModalTrajectories:
     """Diagonalize the reduced five-dimensional generator of every mode in
     ``states`` and fit amplitudes: one root solve and one stacked eigenvector
@@ -359,7 +348,7 @@ def memory_energy_quadrature(traj: ModalTrajectories, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnergyTrace:
     """Squared-norm trace with its five-part split.
 
@@ -646,10 +635,8 @@ def marginal_initial_data(grid: ModeGrid, n_modes: int) -> list[ModalState]:
 __all__ = [
     "EnergyTrace",
     "ExponentialPolyHistory",
-    "History",
     "HistoryTerm",
     "ModalTrajectories",
-    "ZeroHistory",
     "energy_trace",
     "evolve_general_kernel",
     "exact_modal_evolve",

@@ -21,7 +21,9 @@ One check per numbered criterion, each printing a single PASS/FAIL line
    the general-kernel integrator reproduces the exact evolution;
 8. the multi-mode decay fit matches the superposition oracle, and the exact
    trace norm equals the oracle point by point to 1e-12 relative;
-9. the static solve round-trips through the generator at machine accuracy.
+9. the static solve, one solve on the sweep's block of each mode, round-trips
+   through the physical generator at machine accuracy, and its stability
+   ratio is bounded by that block's ``resolvent_norm(0)``.
 """
 
 import math
@@ -42,9 +44,9 @@ from memwave.model import TabulatedKernel, validate_params
 from memwave.resolvent import (
     ModalForcing,
     laguerre_grid,
+    mode_block,
     scaled_sweep,
     static_solve,
-    weighted_integration_matrix,
 )
 from memwave.spectral import (
     asymptotic_eigenvalues,
@@ -326,24 +328,29 @@ def test_8_decay_fit_matches_superposition_oracle():
 def test_9_static_solve_round_trip():
     grid = square_grid(20)
     lag = laguerre_grid(40, KER1.delta)
-    q_int = weighted_integration_matrix(lag)
     rng = np.random.default_rng(SEED)
     worst = 0.0
     worst_ratio = 0.0
+    worst_share = 0.0
     for k in range(1, 21):
+        bound = mode_block(k, P0, KER1, lag, grid).resolvent_norm(0.0)
         for _ in range(100):
             forcing = ModalForcing(
                 k,
                 *(rng.standard_normal(4) + 1j * rng.standard_normal(4)),
                 rng.standard_normal(40) + 1j * rng.standard_normal(40),
             )
-            sol = static_solve(forcing, P0, KER1, lag, grid, integration_w=q_int)
+            sol = static_solve(forcing, P0, KER1, lag, grid)
             worst = max(worst, sol.residual)
             worst_ratio = max(worst_ratio, sol.stability_ratio)
-    ok = worst <= 1e-10
+            worst_share = max(worst_share, sol.stability_ratio / bound)
+    ok = worst <= 1e-10 and worst_ratio < 10.0 and worst_share <= 1.0 + 1e-12
     _report(
         "9 static-solve-round-trip",
         ok,
-        f"max relative residual {worst:.2e} over 2000 solves; max ||W||/||F|| {worst_ratio:.2f}",
+        f"max relative residual {worst:.2e} over 2000 solves on the sweep's blocks; "
+        f"max ||W||/||F|| {worst_ratio:.2f}, at most {worst_share:.3f} of resolvent_norm(0)",
     )
     assert worst <= 1e-10
+    assert worst_ratio < 10.0
+    assert worst_share <= 1.0 + 1e-12

@@ -342,6 +342,35 @@ def test_simulate_general_integrator(tmp_path):
     assert np.all(np.diff(totals) <= 1e-9 * totals[0])
 
 
+@pytest.mark.parametrize(
+    "simulate, samples",
+    [
+        ({"t_hi": 0.05, "dt": 0.01, "sample_every": 10}, 0),
+        ({"t_hi": 0.001, "dt": 0.01}, 0),
+        ({"t_hi": 0.19, "dt": 0.01, "sample_every": 10}, 1),
+        ({"t_hi": 0.2, "dt": 0.01, "sample_every": 10}, 2),
+    ],
+)
+def test_general_simulate_needs_two_samples_after_zero(tmp_path, capsys, simulate, samples):
+    model = json.loads(json.dumps(P0_MODEL))
+    s = np.arange(0.0, 12.0, 1e-2)
+    model["kernel"] = {"type": "tabulated", "s": list(s), "g": list(np.exp(-s)), "k0": 1.0, "k1": 1.0}
+    cfg = write_cfg(tmp_path, model=model, extra={"simulate": {"integrator": "general", **simulate}})
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", cfg, "--out", str(out)])
+    if samples >= 2:
+        assert code == 0
+        assert len((out / "trace.csv").read_text().strip().splitlines()) == 1 + 1 + samples
+        return
+    assert code == 2
+    error = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"]
+    assert error["type"] == "config"
+    for key in ("simulate.t_hi", "simulate.dt", "simulate.sample_every"):
+        assert key in error["message"]
+    assert f"give {samples} samples after t = 0" in error["message"]
+    assert not any(out.iterdir())
+
+
 def test_verdict_command(tmp_path):
     cfg = write_cfg(
         tmp_path,

@@ -13,6 +13,8 @@ from memwave.model import (
     energy_parts,
     validate_params,
 )
+from memwave import resolvent, spectral, timedomain
+from memwave.resolvent import laguerre_grid
 from memwave.timedomain import energy_trace, exact_modal_evolve
 
 
@@ -243,9 +245,33 @@ def test_stiffness_dominates_kappa_margin():
         assert stiff >= report.kappa * grid.xi_of(k) * abs(v) ** 2 - 1e-12
 
 
+def test_array_holding_objects_hash_and_compare_by_identity():
+    # an ndarray field made == raise ValueError and hash() raise TypeError
+    grid = ModeGrid.dirichlet(1.0, 3)
+    lag = laguerre_grid(4, 1.0)
+    twin = ModeGrid.dirichlet(1.0, 3)
+    members = {grid, lag, twin, grid}
+    assert len(members) == 3 and grid in members and lag in members
+    assert grid == grid and lag == lag
+    assert grid != twin and lag != laguerre_grid(4, 1.0) and grid != lag
+    holders = [
+        model.ModeGrid,
+        model.TabulatedKernel,
+        resolvent.LaguerreGrid,
+        resolvent.ModeBlock,
+        resolvent.SweepResult,
+        resolvent.ModalForcing,
+        resolvent.StaticSolution,
+        spectral.SpectrumBranch,
+        timedomain.ModalTrajectories,
+        timedomain.EnergyTrace,
+    ]
+    assert [cls.__name__ for cls in holders if cls.__dataclass_params__.eq] == []
+
+
 def test_modal_state_takes_no_history():
     # a history passed here used to be stored and then ignored by evolution;
-    # it enters only as a timedomain.History now
+    # it enters only as a timedomain.ExponentialPolyHistory now
     with pytest.raises(TypeError):
         ModalState(1, 1.0, 0.0, 0.0, 0.0, 0.5)
 

@@ -3,7 +3,7 @@ import pytest
 
 from helpers import KER1, P0, square_grid, xi_grid
 import memwave.resolvent as resolvent
-from memwave.model import ExponentialKernel, ModeGrid, ModelParams
+from memwave.model import ExponentialKernel, InvalidModelError, ModeGrid, ModelParams
 from memwave.resolvent import (
     LaguerreGrid,
     ModalForcing,
@@ -15,7 +15,6 @@ from memwave.resolvent import (
     resonance_frequencies,
     scaled_sweep,
     static_solve,
-    weighted_integration_matrix,
 )
 from memwave.spectral import modal_generator, quintic_roots
 
@@ -42,6 +41,24 @@ def test_weighted_derivative_degree_one_exact():
         sw = lag.sqrt_weights
         err = lag.diff_w @ (sw * lag.nodes) - sw
         assert np.max(np.abs(err)) <= 1e-8
+
+
+@pytest.mark.parametrize("m", [8, 40, 80])
+@pytest.mark.parametrize("delta", [0.2, 1.0, 5.0])
+def test_inverse_derivative_is_the_hardy_operator(m, delta):
+    # D^{-1} integrates from s = 0: it maps sw*s^n to sw*s^(n+1)/(n+1) for
+    # every n < M (measured: at most 7.9e-14 of the largest entry, at M = 80),
+    # and its norm tends to the weighted Hardy constant 2/delta (measured:
+    # 1.9985 at M = 40 and 1.9996 at M = 80 for delta = 1)
+    lag = laguerre_grid(m, delta)
+    sw = lag.sqrt_weights
+    n = np.arange(m)[:, None]
+    got = np.linalg.solve(lag.diff_w, (sw * lag.nodes**n).T).T
+    want = sw * lag.nodes ** (n + 1) / (n + 1)
+    err = np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
+    assert np.max(err) <= 2e-15 * m
+    if m >= 40:
+        assert np.linalg.norm(np.linalg.inv(lag.diff_w), 2) == pytest.approx(2.0 / delta, rel=0.01)
 
 
 def test_single_node_block_matches_reduced_generator():
@@ -459,25 +476,44 @@ def test_static_solve_linear():
     assert s2.eta_w == pytest.approx(2 * s1.eta_w, rel=1e-12)
 
 
-def test_static_solve_round_trip_random_forcing():
+def _static_round_trip(params):
     grid = square_grid(10)
     lag = laguerre_grid(40, KER1.delta)
-    q_int = weighted_integration_matrix(lag)
     rng = np.random.default_rng(4)
     worst_res = 0.0
     worst_c = 0.0
     for k in range(1, 11):
+        bound = mode_block(k, params, KER1, lag, grid).resolvent_norm(0.0)
         for _ in range(10):
             f = ModalForcing(
                 k,
                 *(rng.standard_normal(4) + 1j * rng.standard_normal(4)),
                 rng.standard_normal(40) + 1j * rng.standard_normal(40),
             )
-            sol = static_solve(f, P0, KER1, lag, grid, integration_w=q_int)
+            sol = static_solve(f, params, KER1, lag, grid)
             worst_res = max(worst_res, sol.residual)
             worst_c = max(worst_c, sol.stability_ratio)
+            # ||W||/||F|| on the block the sweep SVDs is at most its norm at 0
+            assert sol.stability_ratio <= (1.0 + 1e-12) * bound
     assert worst_res <= 1e-10
     assert worst_c < 10.0
+
+
+def test_static_solve_round_trip_random_forcing():
+    _static_round_trip(P0)
+
+
+def test_static_solve_round_trip_other_parameters():
+    _static_round_trip(ModelParams(rho=1.7, mu=0.6, alpha=3.0, beta=1.3, gamma=0.4, a=0.9))
+
+
+def test_static_solve_non_coercive_mode_is_model_error():
+    # delta = 0.2 gives zeta = 5: alpha1*xi - zeta*xi^a = 1.75 - 5 < 0 at k = 1
+    kernel = ExponentialKernel(0.2)
+    lag = laguerre_grid(8, kernel.delta)
+    forcing = ModalForcing(1, 1.0, 0.0, 0.0, 0.0, np.zeros(8))
+    with pytest.raises(InvalidModelError, match="k=1 is not positive definite"):
+        static_solve(forcing, P0, kernel, lag, square_grid(3))
 
 
 def test_mode_block_requires_matching_rate():

@@ -18,7 +18,7 @@ from memwave.spectral import (
     quintic_roots,
     sharpness_limit,
     sharpness_product,
-    spectrum_rows,
+    spectrum_columns,
     strip_check,
 )
 
@@ -316,8 +316,7 @@ def test_eigvec_satisfies_generator():
 
 
 def test_spectrum_rows_shape_and_vieta_column():
-    rows = spectrum_rows(P0, DELTA, square_grid(12).xi)
-    assert len(rows) == 12
-    for row in rows:
-        assert row["root_sum"] == pytest.approx(-DELTA, abs=1e-10)
-        assert row["sharpness1"] > 0.0
+    columns = spectrum_columns(P0, DELTA, square_grid(12).xi)
+    assert {col.shape for col in columns.values()} == {(12,)}
+    assert columns["root_sum"] == pytest.approx(np.full(12, -DELTA), abs=1e-10)
+    assert np.all(columns["sharpness1"] > 0.0)

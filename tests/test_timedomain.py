@@ -20,7 +20,6 @@ from memwave.timedomain import (
     EnergyTrace,
     ExponentialPolyHistory,
     HistoryTerm,
-    ZeroHistory,
     energy_trace,
     evolve_general_kernel,
     exact_modal_evolve,
@@ -36,7 +35,7 @@ from memwave.timedomain import (
 DELTA = KER1.delta
 
 
-def evolve(k=1, grid=None, v=1.0, u=0.0, p=0.0, q=0.0, history=ZeroHistory(), params=P0):
+def evolve(k=1, grid=None, v=1.0, u=0.0, p=0.0, q=0.0, history=ExponentialPolyHistory(), params=P0):
     grid = grid or square_grid(4)
     return exact_modal_evolve([ModalState(k, v, u, p, q)], params, DELTA, grid, history)
 
@@ -119,7 +118,7 @@ def _memory_energy_60_digits(mpmath, traj, t, a):
     zero-history one-mode stack, from its amplitudes and eigenvalues in 60-digit
     arithmetic: the unfactored expansion with every ``E(c) = int_0^t
     e^(-c*s) ds`` taken whole."""
-    assert isinstance(traj.history, ZeroHistory)
+    assert traj.history.terms == ()
     with mpmath.workdps(60):
         delta = mpmath.mpf(traj.delta)
         t = mpmath.mpf(t)
@@ -220,7 +219,7 @@ def test_stacked_memory_energy_equals_single_calls():
     history = ExponentialPolyHistory((HistoryTerm(0.8, 1, 1.5), HistoryTerm(-0.3j, 0, 0.4)))
     states = [ModalState(k, 1.0 / k, 0.2j, -0.1, 0.05 * k) for k in (1, 2, 7, 19, 30)]
     times = np.array([[0.0, 0.3, 2.0], [10.0, 75.0, 400.0]])
-    for hist in (ZeroHistory(), history):
+    for hist in (ExponentialPolyHistory(), history):
         trajs = exact_modal_evolve(states, P0, DELTA, grid, hist)
         stacked = memory_energy_closed_form(trajs, times)
         assert stacked.shape == (len(trajs),) + times.shape
