@@ -4,7 +4,6 @@ evolution, and decay-rate/optimality verdicts."""
 
 from .analysis import (
     DecayFit,
-    OptimalityVerdict,
     fit_decay_exponent,
     optimality_check,
     superposition_oracle,

@@ -150,11 +150,6 @@ SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "xi_probes": {"type": "array", "items": _POSITIVE, "minItems": 2},
-                "M": {"type": "integer", "minimum": 1},
-                "tau_lo": _POSITIVE,
-                "tau_hi": _POSITIVE,
-                "per_decade": {"type": "integer", "minimum": 2},
-                "resonances_per_branch": {"type": "integer", "minimum": 1},
             },
         },
     },

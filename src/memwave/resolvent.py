@@ -66,6 +66,12 @@ the first mode and carries no slack.  A mode whose bound data are not finite,
 or a frequency where a stacked inverse is singular, gets ``upper = +inf`` and
 ``lower = 0``: it is SVD'd and raises as the full loop would.
 
+With the continuum history in place of the collocated one the same bounds
+need no ``M``: ``phi`` as above, ``||y||^2 = 1/(delta*(delta^2 + tau^2))``,
+``||x||^2 = 2*||y||^2`` and the weighted Hardy constant ``||K|| = 2/delta``,
+each the limit of its collocated value and never below it.
+``resolvent_peaks`` maximises them over ``tau`` near a mode's resonance.
+
 The static problem at ``lambda = 0`` is solved on the same block: the
 forcing goes into energy coordinates with the mode's ``energy_congruence``,
 one linear solve with the ``mode_block`` matrix gives the solution, and the
@@ -91,7 +97,7 @@ from .model import (
     energy_parts,
     memoryless_generator,
 )
-from .spectral import AsymptoticConstants, quintic_roots
+from .spectral import AsymptoticConstants, SpectrumBranch, quintic_roots
 
 
 class SingularBlockError(RuntimeError):
@@ -286,6 +292,35 @@ def _inv_or_nan(a: np.ndarray) -> np.ndarray:
         return np.full(a.shape, np.nan, dtype=np.result_type(a, float))
 
 
+def schur_bounds(corners, c, tau, phi, x_norm, y_norm, k_norm, slack=0.0):
+    """``(lower, upper)`` bounds on the resolvent norms of the blocks with
+    4x4 corners ``corners`` (module docstring) at the frequencies ``tau``,
+    from their history couplings ``c`` and the history data ``phi``,
+    ``||x||``, ``||y||`` and ``||K||``, all broadcast over the leading axes
+    of ``corners``.  ``1/upper`` is lowered by ``slack``; an ``upper`` with
+    no positive ``1/upper`` left, or whose ``S`` has no finite inverse, is
+    ``+inf``, and ``lower = ||S^{-1}||`` is then 0 for the latter.
+    """
+    schur = 1j * np.asarray(tau)[..., None, None] * np.eye(4) - corners
+    schur[..., 1, 1] += c * c * phi
+    s_inv = _inv_or_nan(schur)
+    ok = np.all(np.isfinite(s_inv), axis=(-2, -1))
+    s_inv = np.where(ok[..., None, None], s_inv, 0.0)
+    # ||S^{-1}|| from the largest eigenvalue of its Gram matrix: accurate
+    # to relative roundoff, and cheaper than a stacked SVD
+    gram = np.conj(np.swapaxes(s_inv, -2, -1)) @ s_inv
+    s_norm = np.sqrt(np.linalg.eigvalsh(gram)[..., -1])
+    # the 2x2 matrix of block norms [[p, q], [r, s]] and its 2-norm
+    p = s_norm
+    q = np.abs(c) * np.linalg.norm(s_inv[..., :, 1], axis=-1) * y_norm
+    r = np.abs(c) * x_norm * np.linalg.norm(s_inv[..., 1, :], axis=-1)
+    s = k_norm + c * c * np.abs(s_inv[..., 1, 1]) * x_norm * y_norm
+    block_norm = 0.5 * (np.hypot(p + s, q - r) + np.hypot(p - s, q + r))
+    sigma_lo = 1.0 / block_norm - slack
+    upper = np.divide(1.0, sigma_lo, out=np.full(sigma_lo.shape, np.inf), where=ok & (sigma_lo > 0.0))
+    return np.where(ok, s_norm, 0.0), upper
+
+
 # ---------------------------------------------------------------------------
 # resolvent norms along the imaginary axis
 # ---------------------------------------------------------------------------
@@ -368,37 +403,14 @@ class ResolventSweeper:
         (``lower = 0``, ``upper = +inf`` where the bound data are not finite).
         ``upper`` bounds the computed norm, roundoff included; ``lower``
         bounds the exact norm and only picks the mode SVD'd first."""
-        lower = np.zeros(n)
-        upper = np.full(n, np.inf)
         k_inv, x, y, phi = self.history_resolvent(tau)
         if not np.all(np.isfinite(k_inv)):
-            return lower, upper
-        x_norm = float(np.linalg.norm(x))
-        y_norm = float(np.linalg.norm(y))
+            return np.zeros(n), np.full(n, np.inf)
         k_abs = np.abs(k_inv)
         k_norm = math.sqrt(float(k_abs.sum(axis=0).max() * k_abs.sum(axis=1).max()))
         c = self._c[:n]
-        schur = 1j * tau * np.eye(4) - self._corners[:n]
-        schur[:, 1, 1] += c * c * phi
-        s_inv = _inv_or_nan(schur)
-        ok = np.all(np.isfinite(s_inv), axis=(-2, -1))
-        s_inv = s_inv[ok]
-        c = c[ok]
-        # ||S^{-1}|| from the largest eigenvalue of its Gram matrix: accurate
-        # to relative roundoff, and cheaper than a stacked SVD
-        gram = np.conj(np.swapaxes(s_inv, -2, -1)) @ s_inv
-        s_norm = np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
-        # the 2x2 matrix of block norms [[p, q], [r, s]] and its 2-norm
-        p = s_norm
-        q = np.abs(c) * np.linalg.norm(s_inv[:, :, 1], axis=-1) * y_norm
-        r = np.abs(c) * x_norm * np.linalg.norm(s_inv[:, 1, :], axis=-1)
-        s = k_norm + c * c * np.abs(s_inv[:, 1, 1]) * x_norm * y_norm
-        block_norm = 0.5 * (np.hypot(p + s, q - r) + np.hypot(p - s, q + r))
-        eta = self._eps_n * (self._nu[:n][ok] + 2.0 * abs(tau) + c * c * abs(phi))
-        sigma_lo = 1.0 / block_norm - eta
-        upper[ok] = np.divide(1.0, sigma_lo, out=np.full(sigma_lo.size, np.inf), where=sigma_lo > 0.0)
-        lower[ok] = s_norm
-        return lower, upper
+        slack = self._eps_n * (self._nu[:n] + 2.0 * abs(tau) + c * c * abs(phi))
+        return schur_bounds(self._corners[:n], c, tau, phi, np.linalg.norm(x), np.linalg.norm(y), k_norm, slack)
 
     def norm_at(self, tau: float) -> tuple[float, int, int, float]:
         """Return ``(norm, argmax mode, cutoff mode, margin)``.
@@ -452,6 +464,8 @@ class SweepResult:
     def __post_init__(self) -> None:
         for name in ("taus", "norms", "scaled", "margins"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
+        for name in ("argmax_modes", "cutoffs", "resonance_branch"):
+            object.__setattr__(self, name, _freeze(getattr(self, name), int))
 
     @property
     def resonance_mask(self) -> np.ndarray:
@@ -468,20 +482,6 @@ class SweepResult:
     @property
     def sup_at_resonance(self) -> bool:
         return bool(self.resonance_branch[int(np.argmax(self.scaled))] > 0)
-
-    def rescaled(self, omega: float) -> "SweepResult":
-        """Same samples under a different scaling exponent (no recompute)."""
-        return SweepResult(
-            omega=omega,
-            M=self.M,
-            taus=self.taus.copy(),
-            norms=self.norms.copy(),
-            scaled=np.abs(self.taus) ** (-omega) * self.norms,
-            argmax_modes=self.argmax_modes,
-            cutoffs=self.cutoffs,
-            resonance_branch=self.resonance_branch,
-            margins=self.margins,
-        )
 
 
 def resonance_frequencies(
@@ -560,6 +560,42 @@ def scaled_sweep(
         resonance_branch=branch_tag,
         margins=margins,
     )
+
+
+# ---------------------------------------------------------------------------
+# resolvent peaks with the continuum history
+# ---------------------------------------------------------------------------
+
+PEAK_PASSES = 6
+PEAK_POINTS = 41
+
+
+def resolvent_peaks(branch: SpectrumBranch, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Peaks over ``tau`` near ``Im lam_{1+}`` of the continuum lower and
+    upper bounds (module docstring) of each mode of ``branch`` (kernel
+    ``exp(-branch.delta*s)``; every mode coercive), as ``(taus, peaks)`` of
+    shape ``(modes, 2)``, the lower bound in column 0.  Each bound is
+    maximised on its own by ``PEAK_PASSES`` passes of ``PEAK_POINTS``
+    frequencies, the first over ``Im lam +- 4|Re lam|`` and each next one
+    over the two intervals around the previous maximiser.
+    """
+    xi, lam, delta = branch.xi.reshape(-1), branch.lam(1, +1).reshape(-1), branch.delta
+    corners = energy_corners(xi, params, 1.0 / delta)[:, None, None]
+    c = (xi ** (params.a / 2.0) / math.sqrt(params.rho))[:, None, None]
+    offsets = np.linspace(-1.0, 1.0, PEAK_POINTS)
+    centers = np.repeat(lam.imag[:, None], 2, axis=1)
+    half = 4.0 * np.abs(lam.real)[:, None, None]
+    for _ in range(PEAK_PASSES):
+        taus = centers[..., None] + half * offsets
+        y_sq = 1.0 / (delta * (delta * delta + taus * taus))
+        phi = 1.0 / (delta * (delta + 1j * taus))
+        lower, upper = schur_bounds(corners, c, taus, phi, np.sqrt(2.0 * y_sq), np.sqrt(y_sq), 2.0 / delta)
+        values = np.stack([lower[:, 0], upper[:, 1]], axis=1)
+        best = np.argmax(values, axis=-1)[..., None]
+        centers = np.take_along_axis(taus, best, axis=-1)[..., 0]
+        peaks = np.take_along_axis(values, best, axis=-1)[..., 0]
+        half = half * (2.0 / (PEAK_POINTS - 1))
+    return centers, peaks
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +685,8 @@ def static_solve(
 __all__ = [
     "CUTOFF_FACTOR",
     "FIRST_MODES_FLOOR",
+    "PEAK_PASSES",
+    "PEAK_POINTS",
     "LaguerreGrid",
     "ModalForcing",
     "ModeBlock",
@@ -660,7 +698,9 @@ __all__ = [
     "energy_corners",
     "laguerre_grid",
     "mode_block",
+    "resolvent_peaks",
     "resonance_frequencies",
     "scaled_sweep",
+    "schur_bounds",
     "static_solve",
 ]

@@ -3,15 +3,13 @@ import pytest
 
 from helpers import KER1, P0, p0_with_a, square_grid
 from memwave.analysis import (
-    check_bounded_leg,
+    SLOPE_TOL,
+    check_exponent_leg,
     check_sharpness_convergence,
-    check_unbounded_leg,
     fit_decay_exponent,
     superposition_oracle,
     target_exponent,
 )
-from memwave.model import ExponentialKernel
-from memwave.resolvent import SweepResult, scaled_sweep
 from memwave.spectral import quintic_roots
 from memwave.timedomain import energy_trace, exact_modal_evolve, marginal_initial_data
 
@@ -77,56 +75,33 @@ def test_oracle_single_mode_rate_and_positivity():
     assert slope == pytest.approx(rate, rel=0.02)
 
 
-def _synthetic_sweep(omega: float, growth: float) -> SweepResult:
-    taus = np.geomspace(10.0, 1000.0, 40)
-    norms = 5.0 * taus**growth
-    branch = np.ones(40, dtype=int)
-    branch[1::2] = 2
-    return SweepResult(
-        omega=omega,
-        M=8,
-        taus=taus,
-        norms=norms,
-        scaled=taus**-omega * norms,
-        argmax_modes=np.ones(40, dtype=int),
-        cutoffs=np.ones(40, dtype=int),
-        resonance_branch=branch,
-        margins=np.full(40, np.nan),
-    )
-
-
-def test_bounded_leg_detects_growth():
-    assert check_bounded_leg(_synthetic_sweep(1.0, 1.0)).passed
-    assert not check_bounded_leg(_synthetic_sweep(1.0, 1.6)).passed
-
-
-def test_unbounded_leg_requires_positive_slope():
-    ok = check_unbounded_leg(_synthetic_sweep(0.75, 1.0))  # scaled ~ tau^0.25
-    assert ok.passed
-    flat = check_unbounded_leg(_synthetic_sweep(1.5, 1.0))  # scaled ~ tau^-0.5
-    assert not flat.passed
-
-
-@pytest.mark.parametrize("delta", [1.0, 5.0])
-@pytest.mark.parametrize("a", [0.0, 0.5, 0.97])
+# the six regimes of the README table plus a = 0.9, where the gap between the
+# bounds is widest at small delta
+@pytest.mark.parametrize(
+    "a, delta",
+    [(0.0, 1.0), (0.0, 5.0), (0.5, 1.0), (0.5, 5.0), (0.97, 1.0), (0.97, 5.0), (0.9, 0.5), (0.9, 1.0), (0.9, 5.0)],
+)
 def test_verdict_legs_fail_under_a_wrong_exponent(a, delta):
-    # negative controls on a real sweep: a decay rate raised by 0.5 must
-    # break the bounded leg, and the unreduced exponent must show no growth
-    sweep = scaled_sweep(
-        p0_with_a(a),
-        ExponentialKernel(delta),
-        square_grid(400),
-        M=40,
-        tau_lo=10.0,
-        tau_hi=1000.0,
-        per_decade=16,
-        resonances_per_branch=12,
-    )
-    omega = sweep.omega
-    assert check_bounded_leg(sweep).passed
-    assert not check_bounded_leg(sweep.rescaled(omega + 0.5)).passed
-    assert not check_unbounded_leg(sweep).passed
-    assert check_unbounded_leg(sweep.rescaled(omega - 0.25)).passed
+    # negative controls: the growth exponent leg passes at 2 - 2a and fails
+    # once the claimed exponent is off by 0.05 either way
+    branch = quintic_roots(np.geomspace(9.0, 1e10, 80), p0_with_a(a), delta)
+    omega = 2.0 - 2.0 * a
+    assert check_exponent_leg(branch, p0_with_a(a)).passed
+    assert not check_exponent_leg(branch, p0_with_a(a), omega=omega + 0.05).passed
+    assert not check_exponent_leg(branch, p0_with_a(a), omega=omega - 0.05).passed
+    assert SLOPE_TOL == 0.02
+
+
+def test_exponent_leg_needs_three_probes_past_the_guard():
+    # a = 0.5: Im lam_{1+} is about 8.9 at xi = 100 and 89 at xi = 1e4,
+    # below tau = 100
+    few = check_exponent_leg(quintic_roots([1e2, 1e4, 1e6, 1e7], P0, KER1.delta), P0)
+    assert not few.passed
+    assert few.detail == "2 probes pass the guard, need 3"
+    assert check_exponent_leg(quintic_roots([1e2, 1e5, 1e6, 1e7], P0, KER1.delta), P0).passed
+    # a = 0: |Re lam_{1+}| / Im lam_{1+} is 3.3e-9 at xi = 1e5 and 1.0e-10 at 1e6
+    damped = check_exponent_leg(quintic_roots([1e5, 1e6, 1e7, 1e8], p0_with_a(0.0), 1.0), p0_with_a(0.0))
+    assert damped.detail == "1 probes pass the guard, need 3"
 
 
 def test_sharpness_leg_on_computed_branches():

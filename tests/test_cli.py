@@ -119,14 +119,23 @@ def test_decreasing_explicit_grid_is_config_error(tmp_path, capsys):
     assert "strictly increasing" in error["message"]
 
 
+UNKNOWN_KEY = "config schema violation: Additional properties are not allowed"
+
+
 # each range command with reversed ends, with one end defaulted, and with equal ends
 @pytest.mark.parametrize(
     "command, section, message",
     [
         ("sweep", {"sweep": {"tau_lo": 1000.0, "tau_hi": 10.0, "per_decade": 4}}, "sweep.tau_lo"),
         ("sweep", {"sweep": {"tau_lo": 2000.0}}, "sweep.tau_lo = 2000.0 must be below sweep.tau_hi = 1000.0"),
-        ("verdict", {"verdict": {"tau_lo": 1000.0, "tau_hi": 10.0, "per_decade": 4}}, "verdict.tau_lo"),
-        ("verdict", {"verdict": {"tau_hi": 5.0}}, "verdict.tau_lo = 10.0 must be below verdict.tau_hi = 5.0"),
+        # the verdict takes no range any more: its former range keys are unknown keys
+        pytest.param(
+            "verdict",
+            {"verdict": {"tau_lo": 1000.0, "tau_hi": 10.0, "per_decade": 4}},
+            UNKNOWN_KEY,
+            id="verdict-section2-schema",
+        ),
+        pytest.param("verdict", {"verdict": {"tau_hi": 5.0}}, UNKNOWN_KEY, id="verdict-section3-schema"),
         ("simulate", {"simulate": {"t_lo": 100.0, "t_hi": 1.0}}, "simulate.t_lo"),
         ("simulate", {"simulate": {"t_lo": 200.0}}, "simulate.t_lo = 200.0 must be below simulate.t_hi"),
         ("fit", {"fit": {"trace": "trace.csv", "window": [1000.0, 10.0]}}, "fit.window[0]"),
@@ -140,7 +149,19 @@ def test_range_that_does_not_increase_is_config_error(tmp_path, capsys, command,
     error = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"]
     assert error["type"] == "config"
     assert error["message"].startswith(message)
-    assert not any(out.iterdir())
+    assert not list(out.glob("*"))
+
+
+# the verdict reads no sweep and no history resolution
+@pytest.mark.parametrize("section", [{"M": 40, "xi_probes": [1e4, 1e5, 1e6]}, {"resonances_per_branch": 12}])
+def test_verdict_sweep_keys_are_schema_errors(tmp_path, capsys, section):
+    cfg = write_cfg(tmp_path, extra={"verdict": section})
+    out = tmp_path / "out"
+    assert main(["verdict", "--config", cfg, "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"]
+    assert error["type"] == "config"
+    assert error["message"].startswith(UNKNOWN_KEY)
+    assert not out.exists()
 
 
 def test_spectrum_command_rows_and_root_sums(tmp_path):
@@ -222,14 +243,7 @@ def test_commands_without_dense_modes_leave_out_scipy(tmp_path):
         extra={
             "spectrum": {"modes": 5},
             "sweep": {"M": [8], "tau_lo": 5.0, "tau_hi": 25.0, "per_decade": 4, "resonances_per_branch": 2},
-            "verdict": {
-                "xi_probes": [1e4, 1e5, 1e6],
-                "M": 16,
-                "tau_lo": 8.0,
-                "tau_hi": 80.0,
-                "per_decade": 8,
-                "resonances_per_branch": 6,
-            },
+            "verdict": {"xi_probes": [1e4, 1e5, 1e6, 1e7]},
             "simulate": {"data": "marginal", "n_modes": 20, "t_hi": 100.0, "n_times": 30, "spacing": "log"},
             "fit": {"trace": str(out / "trace.csv"), "window": [5.0, 100.0]},
         },
@@ -372,24 +386,40 @@ def test_general_simulate_needs_two_samples_after_zero(tmp_path, capsys, simulat
 
 
 def test_verdict_command(tmp_path):
-    cfg = write_cfg(
-        tmp_path,
-        extra={
-            "verdict": {
-                "xi_probes": [1e4, 1e5, 1e6],
-                "M": 16,
-                "tau_lo": 8.0,
-                "tau_hi": 80.0,
-                "per_decade": 8,
-                "resonances_per_branch": 6,
-            }
-        },
-    )
+    cfg = write_cfg(tmp_path, extra={"verdict": {"xi_probes": [1e4, 1e5, 1e6, 1e7]}})
     out = tmp_path / "out"
     assert main(["verdict", "--config", cfg, "--out", str(out)]) == 0
     verdict = json.loads((out / "verdict.json").read_text())
     assert verdict["verdict"] is True
     assert (out / "verdict.md").read_text().startswith("# Decay-order verdict")
+
+
+def test_verdict_reads_neither_grid_size_nor_history_resolution(tmp_path):
+    # the default probes reach xi = 1e10, far past either grid
+    files = []
+    for count in (10, 2000):
+        model = json.loads(json.dumps(P0_MODEL))
+        model["grid"]["count"] = count
+        out = tmp_path / f"out{count}"
+        assert main(["verdict", "--config", write_cfg(tmp_path, model=model), "--out", str(out)]) == 0
+        files.append([(out / name).read_bytes() for name in ("verdict.json", "verdict.md")])
+    assert files[0] == files[1]
+    assert json.loads(files[0][0])["verdict"] is True
+
+
+def test_verdict_probe_below_the_grid_is_left_out(tmp_path):
+    # a = 0.9, delta = 0.1 (zeta = 10): the grid's first mode xi = 1e8 is
+    # coercive, the probe xi = 1e5 below it is not, though its Im lam_{1+} is
+    # past the guard's tau = 100; it must be left out, not raise
+    model = json.loads(json.dumps(P0_MODEL))
+    model["params"]["a"] = 0.9
+    model["kernel"]["delta"] = 0.1
+    model["grid"] = {"type": "explicit", "xi": [1e8, 2e8]}
+    cfg = write_cfg(tmp_path, model=model, extra={"verdict": {"xi_probes": [1e5, 1e8, 1e9, 1e10]}})
+    out = tmp_path / "out"
+    assert main(["verdict", "--config", cfg, "--out", str(out)]) == 0
+    legs = json.loads((out / "verdict.json").read_text())["legs"]
+    assert "over 3 probes at tau 8904 " in legs[1]["detail"]
 
 
 def test_module_error_returns_one(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 
 import memwave
 from memwave import cli
+from memwave.config import SCHEMA
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(memwave.__path__))
 
@@ -38,6 +39,21 @@ def test_package_imports_resolve():
 def test_package_reexports_are_public():
     private = [f"{m.__name__}.{n}" for m, n in _reexports() if n not in getattr(m, "__all__", ())]
     assert not private
+
+
+def test_every_command_option_is_read():
+    # a schema key that no command reads is a knob that does nothing: each
+    # option key must be a string constant of a cli function that names its section
+    functions = [
+        {n.value for n in ast.walk(f) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+        for f in ast.parse(Path(cli.__file__).read_text()).body
+        if isinstance(f, ast.FunctionDef)
+    ]
+    unread = []
+    for section in ("spectrum", "sweep", "simulate", "fit", "verdict"):
+        read = set().union(*(consts for consts in functions if section in consts))
+        unread += [f"{section}.{key}" for key in SCHEMA["properties"][section]["properties"] if key not in read]
+    assert unread == []
 
 
 def _benchmark_tracer():

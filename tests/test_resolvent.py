@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import KER1, P0, square_grid, xi_grid
+from helpers import KER1, P0, p0_with_a, square_grid, xi_grid
 import memwave.resolvent as resolvent
 from memwave.model import ExponentialKernel, InvalidModelError, ModeGrid, ModelParams
 from memwave.resolvent import (
@@ -12,8 +12,10 @@ from memwave.resolvent import (
     energy_corners,
     laguerre_grid,
     mode_block,
+    resolvent_peaks,
     resonance_frequencies,
     scaled_sweep,
+    schur_bounds,
     static_solve,
 )
 from memwave.spectral import modal_generator, quintic_roots
@@ -181,21 +183,78 @@ def test_heavier_scaling_decays_along_resonances():
     sweep = scaled_sweep(
         P0, KER1, grid, M=16, tau_lo=10.0, tau_hi=300.0, per_decade=4, resonances_per_branch=8
     )
-    heavier = sweep.rescaled(sweep.omega + 0.5)
+    heavier = np.abs(sweep.taus) ** -(sweep.omega + 0.5) * sweep.norms
     for j in (1, 2):
-        mask = heavier.resonance_branch == j
-        slope = np.polyfit(np.log(heavier.taus[mask]), np.log(heavier.scaled[mask]), 1)[0]
+        mask = sweep.resonance_branch == j
+        slope = np.polyfit(np.log(sweep.taus[mask]), np.log(heavier[mask]), 1)[0]
         assert slope < -0.3
 
 
-def test_sweep_rescaling_reuses_samples():
-    grid = square_grid(30)
+def test_sweep_result_arrays_are_read_only():
     sweep = scaled_sweep(
-        P0, KER1, grid, M=12, tau_lo=5.0, tau_hi=20.0, per_decade=6, resonances_per_branch=3
+        P0, KER1, square_grid(30), M=12, tau_lo=5.0, tau_hi=20.0, per_decade=6, resonances_per_branch=3
     )
-    reduced = sweep.rescaled(sweep.omega - 0.25)
-    assert reduced.norms == pytest.approx(sweep.norms)
-    assert reduced.scaled == pytest.approx(sweep.scaled * np.abs(sweep.taus) ** 0.25)
+    for name in ("taus", "norms", "scaled", "margins", "argmax_modes", "cutoffs", "resonance_branch"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(sweep, name)[0] = 999
+
+
+def test_resolvent_peaks_reach_the_maximum_of_each_bound():
+    # a dense scan of each continuum bound over Im lam +- 4|Re lam| finds
+    # nothing above its zoomed peak
+    params, delta = p0_with_a(0.9), 0.5
+    branch = quintic_roots(np.array([1e2, 1e4, 1e6]), params, delta)
+    taus, peaks = resolvent_peaks(branch, params)
+    corners = energy_corners(branch.xi, params, 1.0 / delta)
+    for i, lam in enumerate(branch.lam(1, +1)):
+        scan = lam.imag + 4.0 * abs(lam.real) * np.linspace(-1.0, 1.0, 4001)
+        y_sq = 1.0 / (delta * (delta**2 + scan**2))
+        c = branch.xi[i] ** (params.a / 2.0)  # rho = 1
+        phi = 1.0 / (delta * (delta + 1j * scan))
+        bounds = schur_bounds(corners[i], c, scan, phi, np.sqrt(2.0 * y_sq), np.sqrt(y_sq), 2.0 / delta)
+        for j in (0, 1):
+            assert peaks[i, j] >= bounds[j].max() * (1.0 - 1e-12)
+            assert peaks[i, j] <= bounds[j].max() * (1.0 + 1e-5)
+
+
+@pytest.mark.parametrize("a, delta", [(0.9, 0.5), (0.5, 1.0), (0.97, 5.0)])
+def test_continuum_peaks_bracket_the_collocated_peak(a, delta):
+    # the M = 80 block's own peak near Im lam_{1+}, found by three zoom passes
+    # that start at the lower bound's maximiser, lies between the peaks of the
+    # M-free bounds; at a = 0.9, delta = 0.5, k = 12: 15.80 <= 17.96 <= 19.51
+    params = p0_with_a(a)
+    kernel = ExponentialKernel(delta)
+    grid = square_grid(45)
+    lag = laguerre_grid(80, delta)
+    ks = [12, 20, 30, 45]
+    branch = quintic_roots(grid.xi[np.array(ks) - 1], params, delta)
+    taus, peaks = resolvent_peaks(branch, params)
+    for i, k in enumerate(ks):
+        block = mode_block(k, params, kernel, lag, grid)
+        center, half, best = taus[i, 0], 4.0 * abs(branch.lam(1, +1)[i].real), 0.0
+        for _ in range(3):
+            grid_taus = center + half * np.linspace(-1.0, 1.0, 11)
+            norms = [block.resolvent_norm(t) for t in grid_taus]
+            center, best, half = grid_taus[int(np.argmax(norms))], max(best, max(norms)), half / 5.0
+        assert peaks[i, 0] <= best <= peaks[i, 1], (k, peaks[i], best)
+
+
+@pytest.mark.parametrize("delta", [0.5, 1.0, 5.0])
+def test_continuum_history_data_bound_the_collocated_ones(delta):
+    # the continuum data fed to resolvent_peaks: phi and ||y|| are what the
+    # collocation computes, and ||x||^2 = 2/(delta*(delta^2 + tau^2)) and
+    # ||K|| = 2/delta bound their collocated values, which approach them
+    for tau in (1.0, 10.0, 100.0):
+        y_sq = 1.0 / (delta * (delta * delta + tau * tau))
+        for m in (20, 80):
+            sweeper = ResolventSweeper(P0, ExponentialKernel(delta), square_grid(2), M=m)
+            k_inv, x, y, phi = sweeper.history_resolvent(tau)
+            assert phi == pytest.approx(1.0 / (delta * (delta + 1j * tau)), rel=1e-11)
+            assert np.linalg.norm(y) == pytest.approx(np.sqrt(y_sq), rel=1e-9)
+            assert np.linalg.norm(x) <= np.sqrt(2.0 * y_sq) * (1.0 + 1e-12)
+            assert np.linalg.norm(k_inv, 2) <= 2.0 / delta
+        if tau == 1.0:
+            assert np.linalg.norm(x) == pytest.approx(np.sqrt(2.0 * y_sq), rel=1e-3)
 
 
 def _certificate_taus(grid):
