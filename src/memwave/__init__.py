@@ -12,7 +12,6 @@ from .analysis import (
 from .model import (
     ExponentialKernel,
     InvalidModelError,
-    ModalState,
     ModeGrid,
     ModelParams,
     TabulatedKernel,
@@ -49,9 +48,7 @@ from .timedomain import (
     energy_trace,
     evolve_general_kernel,
     exact_modal_evolve,
-    marginal_initial_data,
     memory_energy_closed_form,
-    single_mode_data,
 )
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ExponentialKernel, ModeGrid, ModelParams
+from .model import ExponentialKernel, ModelParams
 from .resolvent import resolvent_peaks
 from .spectral import SpectrumBranch, sharpness_limit, sharpness_product
 
@@ -84,15 +84,14 @@ def _stable_exp_integral(z: np.ndarray, w: np.ndarray, t: np.ndarray) -> np.ndar
 
 
 def superposition_oracle(
-    k,
+    xi,
     amplitudes,
     eigenvalues,
     params: ModelParams,
     kernel: ExponentialKernel,
-    grid: ModeGrid,
     times,
 ) -> np.ndarray:
-    """Predicted energy norm ``||X(t)||`` from the mode numbers ``k`` and the
+    """Predicted energy norm ``||X(t)||`` from the modes ``xi`` and their
     ``(modes, 5)`` v-amplitudes and eigenvalues, by direct summation.
 
     Everything is rebuilt from the amplitudes of ``v`` alone: velocities are
@@ -105,7 +104,7 @@ def superposition_oracle(
     """
     t = np.asarray(times, dtype=float)
     delta = kernel.delta
-    xi = np.array([grid.xi_of(int(kk)) for kk in k])[:, None]
+    xi = np.asarray(xi, dtype=float)[:, None]
     amps = np.asarray(amplitudes, dtype=complex)
     lams = np.asarray(eigenvalues, dtype=complex)
     phi = params.gamma * params.beta * xi / (params.mu * lams * lams + params.beta * xi)
@@ -202,14 +201,12 @@ def check_exponent_leg(branch: SpectrumBranch, params: ModelParams, omega: float
     )
 
 
-def optimality_check(
-    branch: SpectrumBranch, params: ModelParams, sharpness_rtol: float = 0.02
-) -> tuple[LegReport, LegReport]:
+def optimality_check(branch: SpectrumBranch, params: ModelParams) -> tuple[LegReport, LegReport]:
     """The sharpness and exponent legs of the decay-order verdict, which
     holds when both pass, from the roots at the probes ``branch``
     (exponential kernel of rate ``branch.delta``)."""
     return (
-        check_sharpness_convergence(branch, params, rtol=sharpness_rtol),
+        check_sharpness_convergence(branch, params),
         check_exponent_leg(branch, params),
     )
 

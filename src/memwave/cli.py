@@ -24,20 +24,13 @@ from .config import ConfigError, RunConfig, load_config
 from .model import ExponentialKernel, InvalidModelError, validate_params
 
 
-def _fmt(x) -> str:
-    # numpy scalars subclass float but repr as np.float64(...) under numpy 2
-    if isinstance(x, float):
-        return repr(float(x))
-    return str(x)
-
-
 def _write_csv(path: Path, columns: dict) -> None:
     """One CSV column per entry of ``columns``, all of the same length."""
     values = [np.asarray(col).tolist() for col in columns.values()]
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        writer.writerows([_fmt(x) for x in row] for row in zip(*values))
+        writer.writerows(zip(*values))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -100,7 +93,6 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
             M=m_nodes,
             tau_lo=tau_lo,
             tau_hi=tau_hi,
-            omega=opts.get("omega"),
             per_decade=opts.get("per_decade", 64),
             resonances_per_branch=opts.get("resonances_per_branch", 16),
         )
@@ -144,9 +136,14 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
                 f"simulate.t_hi = {t_hi!r}, simulate.dt = {dt!r} and simulate.sample_every = "
                 f"{every!r} give {n_samples} samples after t = 0; need at least 2"
             )
-        state = timedomain.single_mode_data(opts.get("k", 1), opts.get("v0", 1.0))
         trace = timedomain.evolve_general_kernel(
-            state, cfg.params, cfg.kernel, cfg.grid, T=t_hi, dt=dt, sample_every=every
+            cfg.grid.xi_of(opts.get("k", 1)),
+            [opts.get("v0", 1.0), 0.0, 0.0, 0.0],
+            cfg.params,
+            cfg.kernel,
+            T=t_hi,
+            dt=dt,
+            sample_every=every,
         )
     else:
         kernel = _require_exponential(cfg)
@@ -157,10 +154,13 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
                 raise InvalidModelError(
                     f"simulate wants {n_modes} modes but the grid has {cfg.grid.count}"
                 )
-            states = timedomain.marginal_initial_data(cfg.grid, n_modes)
+            xi = cfg.grid.xi[:n_modes]
+            x0 = np.zeros((n_modes, 4))
+            x0[:, 0] = timedomain.marginal_data_amplitudes(cfg.grid, n_modes)
         else:
-            states = [timedomain.single_mode_data(opts.get("k", 1), opts.get("v0", 1.0))]
-        trajs = timedomain.exact_modal_evolve(states, cfg.params, kernel.delta, cfg.grid)
+            xi = [cfg.grid.xi_of(opts.get("k", 1))]
+            x0 = [[opts.get("v0", 1.0), 0.0, 0.0, 0.0]]
+        trajs = timedomain.exact_modal_evolve(xi, x0, cfg.params, kernel.delta)
         n_times = opts.get("n_times", 201)
         if opts.get("spacing", "linear") == "log":
             times = np.geomspace(max(t_lo, 1e-6), t_hi, n_times)
@@ -213,7 +213,7 @@ def cmd_verdict(cfg: RunConfig, out: Path) -> int:
     kernel = _require_exponential(cfg)
     # the probes need no grid and no history resolution; a model that is not
     # coercive at the grid's first mode is still refused, as the sweep does
-    resolvent.mode_block(1, cfg.params, kernel, resolvent.laguerre_grid(1, kernel.delta), cfg.grid)
+    resolvent.mode_block(cfg.grid.xi[0], cfg.params, kernel, resolvent.laguerre_grid(1, kernel.delta))
     xi_probes = cfg.options.get("verdict", {}).get("xi_probes", np.geomspace(9.0, 1e10, 80))
     branch = spectral.quintic_roots(xi_probes, cfg.params, kernel.delta)
     legs = analysis.optimality_check(branch, cfg.params)

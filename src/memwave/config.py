@@ -112,7 +112,6 @@ SCHEMA = {
                 "tau_hi": _POSITIVE,
                 "per_decade": {"type": "integer", "minimum": 2},
                 "resonances_per_branch": {"type": "integer", "minimum": 0},
-                "omega": {"type": "number"},
             },
         },
         "simulate": {

@@ -1,4 +1,4 @@
-"""Model data: physical parameters, memory kernels, mode grids, modal states.
+"""Model data: physical parameters, memory kernels, mode grids, modal energy.
 
 The system under study couples two second-order equations through a strictly
 positive self-adjoint operator ``A`` with eigenvalues ``0 < xi_1 < xi_2 < ...``
@@ -8,10 +8,11 @@ the fractional power ``A^a``, ``a in [0, 1)``::
     rho * v_tt = -alpha*A*v + gamma*beta*A*p + int_0^inf g(s) A^a v(t-s) ds
     mu  * p_tt = -beta *A*p + gamma*beta*A*v
 
-Everything in this package works per mode: along the eigenfunction of ``xi_k``
-the state is the coefficient tuple ``(v, u, p, q)`` (displacements and
-velocities) plus the shifted history ``eta(t, s) = v(t) - v(t - s)``, which
-``timedomain`` carries and evolves.
+Everything in this package works per mode, and a mode is known by its
+eigenvalue ``xi`` alone: along its eigenfunction the state is the coefficient
+tuple ``(v, u, p, q)`` (displacements and velocities) plus the shifted
+history ``eta(t, s) = v(t) - v(t - s)``, which ``timedomain`` carries and
+evolves.  Only the command line maps a mode number ``k`` to ``xi_k``.
 
 The squared energy norm of a mode is
 
@@ -265,24 +266,6 @@ class ModeGrid:
 
 
 # ---------------------------------------------------------------------------
-# modal states
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ModalState:
-    """Coefficients ``(v, u, p, q)`` of one mode: displacements and
-    velocities.  A prescribed history enters evolution separately, as a
-    ``timedomain.ExponentialPolyHistory``."""
-
-    k: int
-    v: complex
-    u: complex
-    p: complex
-    q: complex
-
-
-# ---------------------------------------------------------------------------
 # energy
 # ---------------------------------------------------------------------------
 
@@ -454,7 +437,6 @@ __all__ = [
     "ExponentialKernel",
     "InvalidModelError",
     "Kernel",
-    "ModalState",
     "ModeGrid",
     "ModelParams",
     "TabulatedKernel",

@@ -178,7 +178,6 @@ class ModeBlock:
     the resolvent norm is ``1/sigma_min(i*tau - B~)``.
     """
 
-    k: int
     xi: float
     M: int
     matrix: np.ndarray
@@ -199,18 +198,17 @@ class ModeBlock:
             raise ValueError("array must not contain infs or NaNs")
         smin = np.linalg.svd(shifted, compute_uv=False)[-1]
         if smin <= 0.0 or not math.isfinite(smin):
-            raise SingularBlockError(f"i*tau - B singular at tau={tau:g} for mode k={self.k}")
+            raise SingularBlockError(f"i*tau - B singular at tau={tau:g} for mode xi={self.xi:.6g}")
         return 1.0 / smin
 
 
 def mode_block(
-    k: int,
+    xi: float,
     params: ModelParams,
     kernel: ExponentialKernel,
     lag: LaguerreGrid,
-    grid: ModeGrid,
 ) -> ModeBlock:
-    """Assemble the (4+M)-dimensional block of mode ``k``,
+    """Assemble the (4+M)-dimensional block of the mode ``xi``,
     ``[[A, -c e_u sw^T], [c sw e_u^T, -D]]`` with ``A`` the mode's
     ``energy_corners`` and ``c = xi^(a/2)/sqrt(rho)``.
 
@@ -227,12 +225,14 @@ def mode_block(
         raise InvalidModelError("mode blocks require the exponential kernel")
     if abs(lag.delta - kernel.delta) > 1e-12 * kernel.delta:
         raise InvalidModelError("Laguerre grid was built for a different decay rate")
-    xi = grid.xi_of(k)
+    # a Python float, so that c is Python's scalar power; the corner comes from
+    # the vectorised energy_corners, bit for bit the sweep bounds' corner
+    xi = float(xi)
     try:
-        corner = energy_corners(grid.xi[k - 1 : k], params, kernel.zeta)[0]
+        corner = energy_corners(np.array([xi]), params, kernel.zeta)[0]
     except np.linalg.LinAlgError as exc:
         raise InvalidModelError(
-            f"energy weight of mode k={k} is not positive definite; "
+            f"energy weight of mode xi={xi:.6g} is not positive definite; "
             "the coercivity condition fails at this mode"
         ) from exc
     c = xi ** (params.a / 2.0) / math.sqrt(params.rho)
@@ -242,7 +242,7 @@ def mode_block(
     b[1, 4:] = -c * sw
     b[4:, 1] = c * sw
     b[4:, 4:] = -lag.diff_w
-    return ModeBlock(k=k, xi=xi, M=lag.M, matrix=b)
+    return ModeBlock(xi=xi, M=lag.M, matrix=b)
 
 
 def energy_congruence(xi: np.ndarray, params: ModelParams, zeta: float) -> np.ndarray:
@@ -377,7 +377,7 @@ class ResolventSweeper:
 
     def block(self, k: int) -> ModeBlock:
         """Assemble the block of mode ``k`` (not cached)."""
-        return mode_block(k, self.params, self.kernel, self.lag, self.grid)
+        return mode_block(self.grid.xi_of(k), self.params, self.kernel, self.lag)
 
     def included_modes(self, tau: float) -> list[int]:
         cutoff = CUTOFF_FACTOR * tau * tau / self._m1
@@ -522,14 +522,12 @@ def scaled_sweep(
     M: int,
     tau_lo: float,
     tau_hi: float,
-    omega: float | None = None,
     per_decade: int = 64,
     resonances_per_branch: int = 16,
 ) -> SweepResult:
     """Sample ``|tau|^(-omega) * max_k ||(i*tau - B_k)^{-1}||`` on a log grid
-    plus near-resonance frequencies.  Default ``omega = 2 - 2a``."""
-    if omega is None:
-        omega = 2.0 - 2.0 * params.a
+    plus near-resonance frequencies, ``omega = 2 - 2a``."""
+    omega = 2.0 - 2.0 * params.a
     n_grid = max(2, int(round(per_decade * math.log10(tau_hi / tau_lo))))
     base = np.geomspace(tau_lo, tau_hi, n_grid)
     reso, tags = resonance_frequencies(
@@ -608,7 +606,6 @@ class ModalForcing:
     """Right-hand side of one mode: ``(f1, f2, z1, z2, nu)`` with the history
     component given in sqrt(weight) coordinates."""
 
-    k: int
     f1: complex
     f2: complex
     z1: complex
@@ -621,7 +618,6 @@ class ModalForcing:
 
 @dataclass(frozen=True, eq=False)
 class StaticSolution:
-    k: int
     v: complex
     u: complex
     p: complex
@@ -632,28 +628,28 @@ class StaticSolution:
 
 
 def static_solve(
+    xi: float,
     forcing: ModalForcing,
     params: ModelParams,
     kernel: ExponentialKernel,
     lag: LaguerreGrid,
-    grid: ModeGrid,
 ) -> StaticSolution:
-    """Solve the generator equation ``A W = F`` on one mode.
+    """Solve the generator equation ``A W = F`` on the mode ``xi``.
 
     The solve runs on the very block the sweep SVDs: the forcing goes into
     energy coordinates ``(T f, nu_w)`` with the mode's ``energy_congruence``
     ``T``, one ``np.linalg.solve`` with the ``mode_block`` matrix gives the
     solution in those coordinates, and ``T^{-1}`` maps its ``(v, u, p, q)``
     back.  ``stability_ratio = ||W|| / ||F||`` is therefore at most
-    ``mode_block(k).resolvent_norm(0.0)``.  The result is verified by
+    ``mode_block(xi, ...).resolvent_norm(0.0)``.  The result is verified by
     applying the physical generator back; the returned ``residual`` is
     relative to the forcing norm.  A mode that is not coercive raises
     ``InvalidModelError`` from ``mode_block``.
     """
-    block = mode_block(forcing.k, params, kernel, lag, grid)
+    block = mode_block(xi, params, kernel, lag)
     xi = block.xi
     zeta = kernel.zeta
-    t = energy_congruence(grid.xi[forcing.k - 1 : forcing.k], params, zeta)[0]
+    t = energy_congruence(np.array([xi]), params, zeta)[0]
     f = np.array([forcing.f1, forcing.f2, forcing.z1, forcing.z2], dtype=complex)
     solution = np.linalg.solve(block.matrix, np.concatenate([t @ f, forcing.nu_w]))
     w = np.linalg.solve(t, solution[:4])
@@ -676,10 +672,8 @@ def static_solve(
     n_solution = energy_norm(w, eta_w)
     n_residual = energy_norm(image - f, r_eta)
     if n_forcing == 0.0:
-        return StaticSolution(forcing.k, 0.0, 0.0, 0.0, 0.0, np.zeros(lag.M, dtype=complex), 0.0, 0.0)
-    return StaticSolution(
-        forcing.k, v, u, p, q, eta_w, n_residual / n_forcing, n_solution / n_forcing
-    )
+        return StaticSolution(0.0, 0.0, 0.0, 0.0, np.zeros(lag.M, dtype=complex), 0.0, 0.0)
+    return StaticSolution(v, u, p, q, eta_w, n_residual / n_forcing, n_solution / n_forcing)
 
 
 __all__ = [

@@ -1,5 +1,7 @@
 """Time evolution per mode: exact eigen-expansion for exponential kernels,
-a history-quadrature scheme for general kernels, energy traces.
+a history-quadrature scheme for general kernels, energy traces.  A mode is
+given by its eigenvalue ``xi`` and its initial data by a plain array of
+``(v, u, p, q)``; no mode number enters.
 
 For ``g(s) = exp(-delta*s)`` each mode reduces to the five-dimensional system
 ``(v, u, p, q, I)`` with the convolved history ``I' = v - delta*I``, so the
@@ -35,7 +37,6 @@ from .model import (
     ExponentialKernel,
     InvalidModelError,
     Kernel,
-    ModalState,
     ModeGrid,
     ModelParams,
     energy_parts,
@@ -101,9 +102,9 @@ def history_sq_mass(history: ExponentialPolyHistory, delta: float) -> float:
 class ModalTrajectories:
     """Exact solutions of a stack of modes, each a five-term exponential sum.
 
-    Modes run along the leading axis of ``k``, ``xi``, ``eigenvalues``,
-    ``eigvecs`` (column ``i`` is the eigenvector of root ``i``),
-    ``amplitudes``, ``x0`` and ``dense``; all modes share ``delta``, the
+    Modes run along the leading axis of ``xi``, ``eigenvalues``, ``eigvecs``
+    (column ``i`` is the eigenvector of root ``i``), ``amplitudes``, ``x0``
+    (``(v, u, p, q, I)`` at t = 0) and ``dense``; all modes share ``delta``, the
     prescribed ``history`` and ``params``.  Indexing keeps the leading axis,
     so ``trajs[m]``, ``trajs[a:b]`` and ``trajs[~trajs.dense]`` are stacks
     too.  A mode whose eigenvalue separation check failed is flagged by
@@ -111,7 +112,6 @@ class ModalTrajectories:
     exponential of its generator instead.
     """
 
-    k: np.ndarray
     xi: np.ndarray
     eigenvalues: np.ndarray
     eigvecs: np.ndarray
@@ -123,11 +123,11 @@ class ModalTrajectories:
     params: ModelParams
 
     def __len__(self) -> int:
-        return self.k.shape[0]
+        return self.xi.shape[0]
 
     def __getitem__(self, index) -> "ModalTrajectories":
         rows = np.atleast_1d(np.arange(len(self))[index])
-        per_mode = ("k", "xi", "eigenvalues", "eigvecs", "amplitudes", "x0", "dense")
+        per_mode = ("xi", "eigenvalues", "eigvecs", "amplitudes", "x0", "dense")
         return replace(self, **{name: getattr(self, name)[rows] for name in per_mode})
 
     @property
@@ -155,25 +155,26 @@ class ModalTrajectories:
 
 
 def exact_modal_evolve(
-    states: list[ModalState],
+    xi,
+    x0,
     params: ModelParams,
     delta: float,
-    grid: ModeGrid,
     history: ExponentialPolyHistory = ExponentialPolyHistory(),
 ) -> ModalTrajectories:
-    """Diagonalize the reduced five-dimensional generator of every mode in
-    ``states`` and fit amplitudes: one root solve and one stacked eigenvector
-    solve for the whole stack.
+    """Diagonalize the reduced five-dimensional generator of the modes ``xi``,
+    shape ``(modes,)``, and fit amplitudes to their initial ``(v, u, p, q)``
+    in ``x0``, shape ``(modes, 4)``: one root solve and one stacked
+    eigenvector solve for the whole stack.
 
     The initial convolved history is ``I(0) = int g h`` (closed form).  If
     two eigenvalues of a mode collide to within 1e-8 of its spectral scale
     the eigenvector solve is refused for that mode, which is flagged
     ``dense`` and reconstructed by the matrix exponential.
     """
-    xi = np.array([grid.xi_of(st.k) for st in states], dtype=float)
+    xi = np.asarray(xi, dtype=float)
     lams = quintic_roots(xi, params, delta).roots
     i0 = history_mass(history, delta)
-    x0 = np.array([[st.v, st.u, st.p, st.q, i0] for st in states], dtype=complex)
+    x0 = np.column_stack([np.asarray(x0, dtype=complex), np.full(xi.size, i0)])
 
     scale = np.maximum(1.0, np.abs(lams).max(axis=1))
     upper, lower = np.triu_indices(5, 1)
@@ -184,8 +185,7 @@ def exact_modal_evolve(
     vmat = np.swapaxes(eigvec(lams, xi[:, None], params, delta), 1, 2)
     amps = np.zeros_like(x0)
     amps[~dense] = np.linalg.solve(vmat[~dense], x0[~dense, :, None])[..., 0]
-    k = np.array([st.k for st in states], dtype=int)
-    return ModalTrajectories(k, xi, lams, vmat, amps, x0, dense, delta, history, params)
+    return ModalTrajectories(xi, lams, vmat, amps, x0, dense, delta, history, params)
 
 
 # ---------------------------------------------------------------------------
@@ -487,17 +487,18 @@ def _powers(a: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
 
 
 def evolve_general_kernel(
-    initial: ModalState,
+    xi: float,
+    y0,
     params: ModelParams,
     kernel: Kernel,
-    grid: ModeGrid,
     T: float,
     dt: float,
     sample_every: int = 10,
 ) -> EnergyTrace:
-    """Implicit-midpoint scheme for one mode with trapezoidal convolution
-    memory, for any kernel satisfying the positivity/pinch hypotheses,
-    solved for all steps at once in O(steps log steps).
+    """Implicit-midpoint scheme for the mode ``xi`` from the initial ``(v, u,
+    p, q)`` in ``y0``, with trapezoidal convolution memory, for any kernel
+    satisfying the positivity/pinch hypotheses, solved for all steps at once
+    in O(steps log steps).
 
     The prescribed history is zero.  The memory force at the midpoint is the
     average of the endpoint convolutions ``conv_n = int_0^t g(s) v(t-s) ds``
@@ -519,7 +520,7 @@ def evolve_general_kernel(
     for ``g`` and ``g'``, and the convolution is truncated where the pinch
     puts the kernel below 1e-14 of ``g(0)`` (see the module docstring).
     """
-    xi = grid.xi_of(initial.k)
+    xi = float(xi)
     xi_a = xi**params.a
     n_steps = int(round(T / dt))
     window = min(n_steps, int(math.ceil(math.log(1e14) / kernel.k1 / dt)))
@@ -556,7 +557,7 @@ def evolve_general_kernel(
     b = (q @ col).astype(float)
 
     size = n_steps + 1
-    y0 = np.array([initial.v, initial.u, initial.p, initial.q], dtype=complex)
+    y0 = np.asarray(y0, dtype=complex)
     rows = _powers(propagator.T, eye[0], size)
     r = rows @ b
     numerator = rows @ y0.real + 1j * (rows @ y0.imag)
@@ -612,12 +613,8 @@ def evolve_general_kernel(
 
 
 # ---------------------------------------------------------------------------
-# canonical initial-data families
+# marginal initial data
 # ---------------------------------------------------------------------------
-
-
-def single_mode_data(k: int, v0: complex = 1.0) -> ModalState:
-    return ModalState(k, v0, 0.0, 0.0, 0.0)
 
 
 def marginal_data_amplitudes(grid: ModeGrid, n_modes: int) -> np.ndarray:
@@ -625,11 +622,6 @@ def marginal_data_amplitudes(grid: ModeGrid, n_modes: int) -> np.ndarray:
     finite, so the multi-mode decay saturates the worst-case rate."""
     k = np.arange(1, n_modes + 1, dtype=float)
     return grid.xi[:n_modes] ** (-1.0) / k**0.51
-
-
-def marginal_initial_data(grid: ModeGrid, n_modes: int) -> list[ModalState]:
-    amps = marginal_data_amplitudes(grid, n_modes)
-    return [ModalState(k, amps[k - 1], 0.0, 0.0, 0.0) for k in range(1, n_modes + 1)]
 
 
 __all__ = [
@@ -643,8 +635,6 @@ __all__ = [
     "history_mass",
     "history_sq_mass",
     "marginal_data_amplitudes",
-    "marginal_initial_data",
     "memory_energy_closed_form",
     "memory_energy_quadrature",
-    "single_mode_data",
 ]

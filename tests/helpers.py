@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from memwave.model import ExponentialKernel, ModeGrid, ModelParams
+from memwave.timedomain import marginal_data_amplitudes
 
 # reference parameter set used throughout: rho = mu = beta = 1, alpha = 2,
 # gamma = 1/2, fractional order 1/2, exponential kernel rate 1, xi_k = k^2
@@ -24,6 +25,14 @@ def square_grid(n: int) -> ModeGrid:
 
 def xi_grid(*values: float) -> ModeGrid:
     return ModeGrid(np.array(values, dtype=float))
+
+
+def marginal_data(grid: ModeGrid, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``n_modes`` modes ``xi`` of ``grid`` and their initial ``(v, u,
+    p, q)``: the marginal displacements, at rest."""
+    x0 = np.zeros((n_modes, 4))
+    x0[:, 0] = marginal_data_amplitudes(grid, n_modes)
+    return grid.xi[:n_modes], x0
 
 
 def draw_validated(rng: np.random.Generator) -> tuple[ModelParams, ExponentialKernel]:

@@ -33,7 +33,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import KER1, P0, draw_validated, p0_with_a, square_grid
+from helpers import KER1, P0, draw_validated, marginal_data, p0_with_a, square_grid
 from memwave.analysis import (
     fit_decay_exponent,
     superposition_oracle,
@@ -59,8 +59,6 @@ from memwave.timedomain import (
     energy_trace,
     evolve_general_kernel,
     exact_modal_evolve,
-    marginal_initial_data,
-    single_mode_data,
 )
 
 XI_SET = (1.0, 1e2, 1e4, 1e6, 1e8)
@@ -279,7 +277,7 @@ def test_6_resolvent_order_signature(order_signature_sweeps):
 
 def test_7_dissipation_identity_and_general_kernel():
     grid = square_grid(3)
-    traj = exact_modal_evolve([single_mode_data(1)], P0, KER1.delta, grid)
+    traj = exact_modal_evolve([grid.xi_of(1)], [[1.0, 0.0, 0.0, 0.0]], P0, KER1.delta)
 
     dt = 1e-4
     times = 1.0 + dt * np.arange(-1, 2)
@@ -293,7 +291,7 @@ def test_7_dissipation_identity_and_general_kernel():
     s = np.arange(0.0, 14.0 + 1e-12, 5e-4)
     tab = TabulatedKernel(s=s, g_values=np.exp(-s), k0=1.0, k1=1.0)
     gen_trace = evolve_general_kernel(
-        single_mode_data(1), P0, tab, grid, T=10.0, dt=1e-3, sample_every=100
+        grid.xi_of(1), [1.0, 0.0, 0.0, 0.0], P0, tab, T=10.0, dt=1e-3, sample_every=100
     )
     exact_trace = energy_trace(traj, gen_trace.times)
     agreement = float(np.max(np.abs(gen_trace.total - exact_trace.total) / exact_trace.total))
@@ -318,14 +316,11 @@ def test_8_decay_fit_matches_superposition_oracle():
         params = p0_with_a(a)
         grid = square_grid(200)
         assert validate_params(params, KER1, grid).passed
-        states = marginal_initial_data(grid, 200)
-        trajs = exact_modal_evolve(states, params, KER1.delta, grid)
+        trajs = exact_modal_evolve(*marginal_data(grid, 200), params, KER1.delta)
         times = np.geomspace(1.0, 2000.0, 60)
         trace = energy_trace(trajs, times)
         fit_trace = fit_decay_exponent(times, trace.norm(), (10.0, 1000.0))
-        oracle = superposition_oracle(
-            trajs.k, trajs.v_amplitudes, trajs.eigenvalues, params, KER1, grid, times
-        )
+        oracle = superposition_oracle(grid.xi, trajs.v_amplitudes, trajs.eigenvalues, params, KER1, times)
         fit_oracle = fit_decay_exponent(times, oracle, (10.0, 1000.0))
         gap = abs(fit_trace.slope - fit_oracle.slope)
         pointwise = float(np.max(np.abs(oracle / trace.norm() - 1.0)))
@@ -346,14 +341,13 @@ def test_9_static_solve_round_trip():
     worst_ratio = 0.0
     worst_share = 0.0
     for k in range(1, 21):
-        bound = mode_block(k, P0, KER1, lag, grid).resolvent_norm(0.0)
+        bound = mode_block(grid.xi_of(k), P0, KER1, lag).resolvent_norm(0.0)
         for _ in range(100):
             forcing = ModalForcing(
-                k,
                 *(rng.standard_normal(4) + 1j * rng.standard_normal(4)),
                 rng.standard_normal(40) + 1j * rng.standard_normal(40),
             )
-            sol = static_solve(forcing, P0, KER1, lag, grid)
+            sol = static_solve(grid.xi_of(k), forcing, P0, KER1, lag)
             worst = max(worst, sol.residual)
             worst_ratio = max(worst_ratio, sol.stability_ratio)
             worst_share = max(worst_share, sol.stability_ratio / bound)

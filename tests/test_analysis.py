@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import KER1, P0, p0_with_a, square_grid
+from helpers import KER1, P0, marginal_data, p0_with_a, square_grid
 from memwave.analysis import (
     SLOPE_TOL,
     check_exponent_leg,
@@ -11,7 +11,7 @@ from memwave.analysis import (
     target_exponent,
 )
 from memwave.spectral import quintic_roots
-from memwave.timedomain import energy_trace, exact_modal_evolve, marginal_initial_data
+from memwave.timedomain import energy_trace, exact_modal_evolve
 
 
 def test_fit_recovers_synthetic_power_law():
@@ -48,27 +48,20 @@ def test_target_exponent_values_and_monotonicity():
 
 def test_oracle_matches_trace_for_multi_mode_data():
     grid = square_grid(12)
-    states = marginal_initial_data(grid, 12)
-    trajs = exact_modal_evolve(states, P0, KER1.delta, grid)
+    trajs = exact_modal_evolve(*marginal_data(grid, 12), P0, KER1.delta)
     times = np.geomspace(1.0, 50.0, 20)
     trace = energy_trace(trajs, times)
-    oracle = superposition_oracle(
-        trajs.k, trajs.v_amplitudes, trajs.eigenvalues, P0, KER1, grid, times
-    )
+    oracle = superposition_oracle(grid.xi, trajs.v_amplitudes, trajs.eigenvalues, P0, KER1, times)
     assert oracle == pytest.approx(trace.norm(), rel=1e-8)
 
 
 def test_oracle_single_mode_rate_and_positivity():
     grid = square_grid(4)
-    trajs = exact_modal_evolve(marginal_initial_data(grid, 2), P0, KER1.delta, grid)
+    trajs = exact_modal_evolve(*marginal_data(grid, 2), P0, KER1.delta)
     times = np.geomspace(50.0, 120.0, 30)
     first = trajs[0]
-    single = superposition_oracle(
-        first.k, first.v_amplitudes, first.eigenvalues, P0, KER1, grid, times
-    )
-    both = superposition_oracle(
-        trajs.k, trajs.v_amplitudes, trajs.eigenvalues, P0, KER1, grid, times
-    )
+    single = superposition_oracle(grid.xi[:1], first.v_amplitudes, first.eigenvalues, P0, KER1, times)
+    both = superposition_oracle(grid.xi[:2], trajs.v_amplitudes, trajs.eigenvalues, P0, KER1, times)
     assert np.all(both >= single)
     rate = first.eigenvalues.real.max()
     slope = np.polyfit(times, np.log(single), 1)[0]

@@ -316,6 +316,27 @@ def test_simulate_more_modes_than_grid_is_model_error(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "simulate",
+    [{"k": 500}, {"integrator": "general", "k": 500, "t_hi": 0.3, "dt": 0.01, "sample_every": 5}],
+    ids=["exact", "general"],
+)
+def test_simulate_mode_past_the_grid_is_model_error(tmp_path, capsys, simulate):
+    # the command line is the one place that maps k to xi
+    model = json.loads(json.dumps(P0_MODEL))
+    model["grid"]["count"] = 200
+    if simulate.get("integrator") == "general":
+        s = [0.01 * i for i in range(501)]
+        model["kernel"] = {"type": "tabulated", "s": s, "g": [math.exp(-x) for x in s], "k0": 1.0, "k1": 1.0}
+    cfg = write_cfg(tmp_path, model=model, extra={"simulate": simulate})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    want = {"type": "IndexError", "message": "mode index 500 outside 1..200"}
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"] == want
+    assert json.loads((out / "error.json").read_text())["error"] == want
+    assert not (out / "trace.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["sweep", "verdict"])
 def test_non_coercive_mode_is_model_error(tmp_path, capsys, command):
     # delta = 0.2 gives zeta = 5, so alpha1 - zeta*xi_1^(a-1) = 1.75 - 5 < 0
@@ -326,7 +347,7 @@ def test_non_coercive_mode_is_model_error(tmp_path, capsys, command):
     assert main([command, "--config", cfg, "--out", str(out)]) == 1
     want = {
         "type": "InvalidModelError",
-        "message": "energy weight of mode k=1 is not positive definite; "
+        "message": "energy weight of mode xi=1 is not positive definite; "
         "the coercivity condition fails at this mode",
     }
     assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"] == want

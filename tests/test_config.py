@@ -24,6 +24,7 @@ def test_schema_is_valid_under_its_metaschema():
         ("mystery", 1),  # unknown key
         ("kernel", {"type": "exponential", "delta": 1.0, "k0": 1.0}),  # matches no oneOf branch
         ("simulate", {"n_modes": "many"}),  # wrong type
+        ("sweep", {"omega": 1.0}),  # removed key: the sweep scales by tau^-(2-2a)
     ],
 )
 def test_schema_error_message_matches_jsonschema_validate(tmp_path, section, value):

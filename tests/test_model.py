@@ -6,7 +6,6 @@ from memwave import model
 from memwave.model import (
     ExponentialKernel,
     InvalidModelError,
-    ModalState,
     ModeGrid,
     ModelParams,
     TabulatedKernel,
@@ -212,7 +211,7 @@ def test_energy_with_flat_history():
     # with a zero past, eta(0, s) = v0 for s > 0: the memory part
     # adds zeta*xi^a*|v0|^2 = 1 to the mechanical 1.0
     grid = square_grid(3)
-    trajs = exact_modal_evolve([ModalState(1, v=1.0, u=0.0, p=0.0, q=0.0)], P0, KER1.delta, grid)
+    trajs = exact_modal_evolve([grid.xi_of(1)], [[1.0, 0.0, 0.0, 0.0]], P0, KER1.delta)
     trace = energy_trace(trajs, np.array([0.0, 0.1, 0.2]))
     assert trace.total[0] == pytest.approx(2.0, abs=1e-12)
 
@@ -225,10 +224,10 @@ def test_energy_zero_state():
 def test_energy_additive_across_modes():
     grid = square_grid(5)
     rng = np.random.default_rng(7)
-    s1 = ModalState(1, *(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
-    s2 = ModalState(4, *(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
+    s1 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    s2 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     times = np.linspace(0.0, 3.0, 7)
-    trajs = exact_modal_evolve([s1, s2], P0, KER1.delta, grid)
+    trajs = exact_modal_evolve([grid.xi_of(1), grid.xi_of(4)], [s1, s2], P0, KER1.delta)
     together = energy_trace(trajs, times).total
     apart = energy_trace(trajs[0], times).total + energy_trace(trajs[1], times).total
     assert together == pytest.approx(apart, rel=1e-14)
@@ -267,13 +266,6 @@ def test_array_holding_objects_hash_and_compare_by_identity():
         timedomain.EnergyTrace,
     ]
     assert [cls.__name__ for cls in holders if cls.__dataclass_params__.eq] == []
-
-
-def test_modal_state_takes_no_history():
-    # a history passed here used to be stored and then ignored by evolution;
-    # it enters only as a timedomain.ExponentialPolyHistory now
-    with pytest.raises(TypeError):
-        ModalState(1, 1.0, 0.0, 0.0, 0.0, 0.5)
 
 
 def test_random_draws_validate():

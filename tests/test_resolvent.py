@@ -66,7 +66,7 @@ def test_inverse_derivative_is_the_hardy_operator(m, delta):
 def test_single_node_block_matches_reduced_generator():
     grid = square_grid(4)
     lag = laguerre_grid(1, KER1.delta)
-    blk = mode_block(2, P0, KER1, lag, grid)
+    blk = mode_block(grid.xi_of(2), P0, KER1, lag)
     assert blk.dim == 5
     got = np.sort_complex(np.linalg.eigvals(blk.matrix))
     want = np.sort_complex(np.linalg.eigvals(modal_generator(grid.xi_of(2), P0, KER1.delta)))
@@ -76,7 +76,7 @@ def test_single_node_block_matches_reduced_generator():
 def test_block_eigenvalues_match_quintic_roots_first_mode():
     grid = square_grid(4)
     lag = laguerre_grid(40, KER1.delta)
-    blk = mode_block(1, P0, KER1, lag, grid)
+    blk = mode_block(grid.xi_of(1), P0, KER1, lag)
     ev = np.linalg.eigvals(blk.matrix)
     roots = quintic_roots(grid.xi_of(1), P0, KER1.delta).roots
     for root in roots:
@@ -86,7 +86,7 @@ def test_block_eigenvalues_match_quintic_roots_first_mode():
 def test_block_tracks_strip_roots_only_at_large_xi():
     grid = xi_grid(1e4)
     lag = laguerre_grid(40, KER1.delta)
-    ev = np.linalg.eigvals(mode_block(1, P0, KER1, lag, grid).matrix)
+    ev = np.linalg.eigvals(mode_block(grid.xi_of(1), P0, KER1, lag).matrix)
     branch = quintic_roots(grid.xi_of(1), P0, KER1.delta)
     for j in (1, 2):
         assert np.min(np.abs(ev - branch.lam(j, +1))) <= 1e-8
@@ -98,7 +98,7 @@ def test_block_tracks_strip_roots_only_at_large_xi():
 def test_block_dissipative_in_energy_coordinates():
     grid = square_grid(4)
     lag = laguerre_grid(40, KER1.delta)
-    blk = mode_block(1, P0, KER1, lag, grid)
+    blk = mode_block(grid.xi_of(1), P0, KER1, lag)
     rng = np.random.default_rng(0)
     worst = -np.inf
     for _ in range(100):
@@ -230,7 +230,7 @@ def test_continuum_peaks_bracket_the_collocated_peak(a, delta):
     branch = quintic_roots(grid.xi[np.array(ks) - 1], params, delta)
     taus, peaks = resolvent_peaks(branch, params)
     for i, k in enumerate(ks):
-        block = mode_block(k, params, kernel, lag, grid)
+        block = mode_block(grid.xi_of(k), params, kernel, lag)
         center, half, best = taus[i, 0], 4.0 * abs(branch.lam(1, +1)[i].real), 0.0
         for _ in range(3):
             grid_taus = center + half * np.linspace(-1.0, 1.0, 11)
@@ -356,7 +356,7 @@ def test_pruned_norm_at_matches_brute_force(m, monkeypatch):
     original = ModeBlock.resolvent_norm
 
     def counted(self, tau):
-        svds.append(self.k)
+        svds.append(self.xi)
         return original(self, tau)
 
     for tau in _certificate_taus(grid):
@@ -369,7 +369,7 @@ def test_pruned_norm_at_matches_brute_force(m, monkeypatch):
         # its upper bound
         assert len(svds) == len(set(svds))
         ks = sweeper.included_modes(tau)
-        skipped = np.array([k for k in ks if k not in svds], dtype=int)
+        skipped = np.array([k for k in ks if grid.xi_of(k) not in svds], dtype=int)
         assert np.all(sweeper.norm_bounds(tau, len(ks))[1][skipped - 1] < got[0]), tau
     # at the last resonance most of the included modes are skipped
     assert skipped.size > len(ks) // 2
@@ -391,7 +391,7 @@ def test_sweep_svds_only_argmax_and_margin_modes(monkeypatch):
         return original_block(*args)
 
     def counted_norm(self, tau):
-        svds.append(self.k)
+        svds.append(self.xi)
         return original_norm(self, tau)
 
     monkeypatch.setattr(resolvent, "mode_block", counted_block)
@@ -423,7 +423,7 @@ def test_block_symmetric_part_is_a_shared_dissipative_history_block(m):
     lag = laguerre_grid(m, KER1.delta)
     history = None
     for k in (1, 2, 17, 150, 300):
-        b = mode_block(k, P0, KER1, lag, grid).matrix
+        b = mode_block(grid.xi_of(k), P0, KER1, lag).matrix
         h = 0.5 * (b + b.T)
         tol = 1e-14 * np.linalg.norm(b)
         assert np.max(np.abs(h[:4, :])) <= tol
@@ -443,7 +443,7 @@ def test_block_corners_are_the_stacked_energy_corners():
     lag = laguerre_grid(8, KER1.delta)
     corners = energy_corners(grid.xi, params, KER1.zeta)
     for k in range(1, grid.count + 1):
-        assert np.array_equal(mode_block(k, params, KER1, lag, grid).matrix[:4, :4], corners[k - 1]), k
+        assert np.array_equal(mode_block(grid.xi_of(k), params, KER1, lag).matrix[:4, :4], corners[k - 1]), k
 
 
 def _prunable_mode(sweeper, tau):
@@ -478,7 +478,7 @@ def test_non_finite_block_entry_is_a_value_error(bad):
     block = ResolventSweeper(P0, KER1, square_grid(3), M=8).block(1)
     matrix = block.matrix.copy()
     matrix[0, 0] = bad
-    poisoned = ModeBlock(k=1, xi=block.xi, M=8, matrix=matrix)
+    poisoned = ModeBlock(xi=block.xi, M=8, matrix=matrix)
     with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
         poisoned.resolvent_norm(170.0)
 
@@ -505,8 +505,8 @@ def test_non_finite_history_block_is_never_pruned(monkeypatch):
 def test_static_solve_zero_forcing():
     grid = square_grid(3)
     lag = laguerre_grid(16, KER1.delta)
-    forcing = ModalForcing(1, 0.0, 0.0, 0.0, 0.0, np.zeros(16))
-    sol = static_solve(forcing, P0, KER1, lag, grid)
+    forcing = ModalForcing(0.0, 0.0, 0.0, 0.0, np.zeros(16))
+    sol = static_solve(grid.xi_of(1), forcing, P0, KER1, lag)
     assert sol.v == 0.0 and np.all(sol.eta_w == 0.0)
     assert sol.residual == 0.0
 
@@ -515,8 +515,8 @@ def test_static_solve_velocity_forcing_reference():
     # F = (0, 1, 0, 0, 0): v = -rho/(alpha1*xi - zeta*xi^a), p = gamma*v
     grid = square_grid(3)
     lag = laguerre_grid(16, KER1.delta)
-    forcing = ModalForcing(1, 0.0, 1.0, 0.0, 0.0, np.zeros(16))
-    sol = static_solve(forcing, P0, KER1, lag, grid)
+    forcing = ModalForcing(0.0, 1.0, 0.0, 0.0, np.zeros(16))
+    sol = static_solve(grid.xi_of(1), forcing, P0, KER1, lag)
     assert sol.v == pytest.approx(-1.0 / 0.75, rel=1e-12)
     assert sol.p == pytest.approx(P0.gamma * sol.v, rel=1e-12)
     assert sol.residual <= 1e-12
@@ -527,10 +527,10 @@ def test_static_solve_linear():
     lag = laguerre_grid(12, KER1.delta)
     rng = np.random.default_rng(2)
     nu = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    f = ModalForcing(2, 0.3, -0.7j, 1.1, 0.2 + 0.1j, nu)
-    f2 = ModalForcing(2, 0.6, -1.4j, 2.2, 0.4 + 0.2j, 2 * nu)
-    s1 = static_solve(f, P0, KER1, lag, grid)
-    s2 = static_solve(f2, P0, KER1, lag, grid)
+    f = ModalForcing(0.3, -0.7j, 1.1, 0.2 + 0.1j, nu)
+    f2 = ModalForcing(0.6, -1.4j, 2.2, 0.4 + 0.2j, 2 * nu)
+    s1 = static_solve(grid.xi_of(2), f, P0, KER1, lag)
+    s2 = static_solve(grid.xi_of(2), f2, P0, KER1, lag)
     assert s2.v == pytest.approx(2 * s1.v, rel=1e-12)
     assert s2.eta_w == pytest.approx(2 * s1.eta_w, rel=1e-12)
 
@@ -542,14 +542,13 @@ def _static_round_trip(params):
     worst_res = 0.0
     worst_c = 0.0
     for k in range(1, 11):
-        bound = mode_block(k, params, KER1, lag, grid).resolvent_norm(0.0)
+        bound = mode_block(grid.xi_of(k), params, KER1, lag).resolvent_norm(0.0)
         for _ in range(10):
             f = ModalForcing(
-                k,
                 *(rng.standard_normal(4) + 1j * rng.standard_normal(4)),
                 rng.standard_normal(40) + 1j * rng.standard_normal(40),
             )
-            sol = static_solve(f, params, KER1, lag, grid)
+            sol = static_solve(grid.xi_of(k), f, params, KER1, lag)
             worst_res = max(worst_res, sol.residual)
             worst_c = max(worst_c, sol.stability_ratio)
             # ||W||/||F|| on the block the sweep SVDs is at most its norm at 0
@@ -570,15 +569,15 @@ def test_static_solve_non_coercive_mode_is_model_error():
     # delta = 0.2 gives zeta = 5: alpha1*xi - zeta*xi^a = 1.75 - 5 < 0 at k = 1
     kernel = ExponentialKernel(0.2)
     lag = laguerre_grid(8, kernel.delta)
-    forcing = ModalForcing(1, 1.0, 0.0, 0.0, 0.0, np.zeros(8))
-    with pytest.raises(InvalidModelError, match="k=1 is not positive definite"):
-        static_solve(forcing, P0, kernel, lag, square_grid(3))
+    forcing = ModalForcing(1.0, 0.0, 0.0, 0.0, np.zeros(8))
+    with pytest.raises(InvalidModelError, match="xi=1 is not positive definite"):
+        static_solve(square_grid(3).xi_of(1), forcing, P0, kernel, lag)
 
 
 def test_mode_block_requires_matching_rate():
     lag = laguerre_grid(8, 2.0)
     with pytest.raises(Exception):
-        mode_block(1, P0, KER1, lag, square_grid(2))
+        mode_block(square_grid(2).xi_of(1), P0, KER1, lag)
 
 
 def test_block_rejects_non_exponential_kernel():
@@ -588,4 +587,4 @@ def test_block_rejects_non_exponential_kernel():
     tab = TabulatedKernel(s=s, g_values=np.exp(-s), k0=1.1, k1=0.9)
     lag = laguerre_grid(8, 1.0)
     with pytest.raises(Exception):
-        mode_block(1, P0, tab, lag, square_grid(2))
+        mode_block(square_grid(2).xi_of(1), P0, tab, lag)

@@ -4,12 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import KER1, P0, p0_with_a, square_grid, xi_grid
+from helpers import KER1, P0, marginal_data, p0_with_a, square_grid
 from memwave import timedomain
 from memwave.model import (
     ExponentialKernel,
     InvalidModelError,
-    ModalState,
     ModelParams,
     TabulatedKernel,
     energy_parts,
@@ -26,10 +25,8 @@ from memwave.timedomain import (
     history_mass,
     history_sq_mass,
     marginal_data_amplitudes,
-    marginal_initial_data,
     memory_energy_closed_form,
     memory_energy_quadrature,
-    single_mode_data,
 )
 
 DELTA = KER1.delta
@@ -37,7 +34,7 @@ DELTA = KER1.delta
 
 def evolve(k=1, grid=None, v=1.0, u=0.0, p=0.0, q=0.0, history=ExponentialPolyHistory(), params=P0):
     grid = grid or square_grid(4)
-    return exact_modal_evolve([ModalState(k, v, u, p, q)], params, DELTA, grid, history)
+    return exact_modal_evolve([grid.xi_of(k)], [[v, u, p, q]], params, DELTA, history)
 
 
 def test_zero_initial_data_stays_zero():
@@ -67,9 +64,7 @@ def test_superposition_linearity():
     t = np.linspace(0, 3, 11)
     a_part = evolve(v=1.0, q=0.2)
     b_part = evolve(v=0.0, u=1.0j, p=0.5)
-    combined = exact_modal_evolve(
-        [ModalState(1, 2.0 * 1.0, 3.0 * 1.0j, 3.0 * 0.5, 2.0 * 0.2)], P0, DELTA, grid
-    )
+    combined = exact_modal_evolve([grid.xi_of(1)], [[2.0 * 1.0, 3.0 * 1.0j, 3.0 * 0.5, 2.0 * 0.2]], P0, DELTA)
     mix = 2.0 * a_part.state_at(t) + 3.0 * b_part.state_at(t)
     assert np.max(np.abs(combined.state_at(t) - mix)) <= 1e-10 * np.max(np.abs(mix) + 1)
 
@@ -105,7 +100,7 @@ def test_memory_energy_matches_quadrature():
 def test_memory_energy_quadrature_resolves_oscillatory_modes(k):
     # |Im lam|*t/(2*pi) reaches ~1400 oscillations at k = 30, t = 200; the
     # dense replica is the route energy_trace takes for dense trajectories
-    traj = exact_modal_evolve([single_mode_data(k)], P0, DELTA, square_grid(40))
+    traj = exact_modal_evolve([square_grid(40).xi_of(k)], [[1.0, 0.0, 0.0, 0.0]], P0, DELTA)
     dense = dataclasses.replace(traj, dense=np.array([True]))
     for t in (10.0, 50.0, 200.0):
         closed = float(memory_energy_closed_form(traj, t)[0])
@@ -149,13 +144,14 @@ def test_memory_energy_matches_60_digit_evaluation(a):
     mpmath = pytest.importorskip("mpmath")
     params = p0_with_a(a)
     grid = square_grid(2000)
-    states = marginal_initial_data(grid, 2000)
-    trajs = exact_modal_evolve([states[k - 1] for k in (1, 1000, 1796, 2000)], params, DELTA, grid)
+    xi, x0 = marginal_data(grid, 2000)
+    rows = [k - 1 for k in (1, 1000, 1796, 2000)]
+    trajs = exact_modal_evolve(xi[rows], x0[rows], params, DELTA)
     for t in (1.0, 2000.0):
         got = memory_energy_closed_form(trajs, t)
         for m, value in enumerate(got):
             expected = _memory_energy_60_digits(mpmath, trajs[m], t, a)
-            assert value == pytest.approx(expected, rel=1e-9), (trajs.k[m], t)
+            assert value == pytest.approx(expected, rel=1e-9), (trajs.xi[m], t)
 
 
 def test_memory_energy_single_term_guard_60_digits():
@@ -165,7 +161,7 @@ def test_memory_energy_single_term_guard_60_digits():
     # v = exp(lam0*t) leaves no other term to hide the loss
     mpmath = pytest.importorskip("mpmath")
     params = p0_with_a(0.0)
-    traj = exact_modal_evolve([single_mode_data(1)], params, DELTA, xi_grid(4e6))
+    traj = exact_modal_evolve([4e6], [[1.0, 0.0, 0.0, 0.0]], params, DELTA)
     assert abs(DELTA + traj.eigenvalues[0, 0]) < 2e-7
     pure = dataclasses.replace(traj, amplitudes=np.array([[1.0, 0.0, 0.0, 0.0, 0.0]], dtype=complex))
     for t in (1e-3, 1.0):
@@ -191,7 +187,7 @@ def test_memory_energy_where_a_pair_exponent_vanishes(alpha, bracket):
     params = ModelParams(rho=1.0, mu=1.0, alpha=alpha, beta=1.0, gamma=0.5, a=0.5)
 
     def crossing(xi):
-        lams = exact_modal_evolve([single_mode_data(1)], params, delta, xi_grid(xi)).eigenvalues[0]
+        lams = exact_modal_evolve([xi], [[1.0, 0.0, 0.0, 0.0]], params, delta).eigenvalues[0]
         return delta + 2.0 * lams[np.argmin(np.abs(delta + 2.0 * lams.real))].real
 
     lo, hi = bracket
@@ -206,7 +202,7 @@ def test_memory_energy_where_a_pair_exponent_vanishes(alpha, bracket):
     assert abs(crossing(xi_star)) <= 1e-14
     if alpha == 2.0:
         assert xi_star == pytest.approx(0.670714, abs=1e-6)
-    traj = exact_modal_evolve([single_mode_data(1)], params, delta, xi_grid(xi_star))
+    traj = exact_modal_evolve([xi_star], [[1.0, 0.0, 0.0, 0.0]], params, delta)
     times = np.array([1.0, 50.0, 200.0])
     got = memory_energy_closed_form(traj, times)[0]
     for t, value in zip(times, got):
@@ -217,10 +213,12 @@ def test_memory_energy_where_a_pair_exponent_vanishes(alpha, bracket):
 def test_stacked_memory_energy_equals_single_calls():
     grid = square_grid(30)
     history = ExponentialPolyHistory((HistoryTerm(0.8, 1, 1.5), HistoryTerm(-0.3j, 0, 0.4)))
-    states = [ModalState(k, 1.0 / k, 0.2j, -0.1, 0.05 * k) for k in (1, 2, 7, 19, 30)]
+    ks = (1, 2, 7, 19, 30)
+    xi = [grid.xi_of(k) for k in ks]
+    x0 = [[1.0 / k, 0.2j, -0.1, 0.05 * k] for k in ks]
     times = np.array([[0.0, 0.3, 2.0], [10.0, 75.0, 400.0]])
     for hist in (ExponentialPolyHistory(), history):
-        trajs = exact_modal_evolve(states, P0, DELTA, grid, hist)
+        trajs = exact_modal_evolve(xi, x0, P0, DELTA, hist)
         stacked = memory_energy_closed_form(trajs, times)
         assert stacked.shape == (len(trajs),) + times.shape
         for m, row in enumerate(stacked):
@@ -233,9 +231,10 @@ def test_energy_trace_batches_memory_across_chunks(monkeypatch):
     # 130 eigen-expansion modes cross two chunk boundaries; one more mode
     # takes the dense route
     grid = square_grid(130)
-    states = marginal_initial_data(grid, 130)
-    states.insert(40, ModalState(3, 0.1, 0.0, 0.05, 0.0))
-    trajs = exact_modal_evolve(states, P0, DELTA, grid)
+    xi, x0 = marginal_data(grid, 130)
+    xi = np.insert(xi, 40, grid.xi_of(3))
+    x0 = np.insert(x0, 40, [0.1, 0.0, 0.05, 0.0], axis=0)
+    trajs = exact_modal_evolve(xi, x0, P0, DELTA)
     trajs = dataclasses.replace(trajs, dense=np.arange(131) == 40)
     times = np.geomspace(0.5, 300.0, 12)
 
@@ -288,7 +287,7 @@ def test_history_enters_through_initial_convolution():
 def test_trace_monotone_and_split_consistent():
     grid = square_grid(6)
     trajs = exact_modal_evolve(
-        [ModalState(1, 1.0, 0.0, 0.0, 0.0), ModalState(3, 0.2, 0.1, 0.0, -0.3)], P0, DELTA, grid
+        [grid.xi_of(1), grid.xi_of(3)], [[1.0, 0.0, 0.0, 0.0], [0.2, 0.1, 0.0, -0.3]], P0, DELTA
     )
     times = np.linspace(0.0, 20.0, 201)
     trace = energy_trace(trajs, times)
@@ -328,9 +327,9 @@ def test_general_kernel_matches_exact_evolution():
     s = np.arange(0.0, 14.0 + 1e-12, 5e-4)
     tab = TabulatedKernel(s=s, g_values=np.exp(-s), k0=1.0, k1=1.0)
     grid = square_grid(3)
-    state = single_mode_data(1)
-    trace_g = evolve_general_kernel(state, P0, tab, grid, T=10.0, dt=1e-3, sample_every=100)
-    traj = exact_modal_evolve([state], P0, DELTA, grid)
+    xi, y0 = grid.xi_of(1), [1.0, 0.0, 0.0, 0.0]
+    trace_g = evolve_general_kernel(xi, y0, P0, tab, T=10.0, dt=1e-3, sample_every=100)
+    traj = exact_modal_evolve([xi], [y0], P0, DELTA)
     trace_e = energy_trace(traj, trace_g.times)
     rel = np.abs(trace_g.total - trace_e.total) / trace_e.total
     assert np.max(rel) <= 1e-4
@@ -343,9 +342,9 @@ def test_general_kernel_truncated_window_matches_exact_evolution():
     s = np.arange(0.0, 5.0 + 1e-12, 1e-3)
     tab = TabulatedKernel(s=s, g_values=np.exp(-8.0 * s), k0=8.0, k1=8.0)
     grid = square_grid(3)
-    state = single_mode_data(1)
-    trace_g = evolve_general_kernel(state, P0, tab, grid, T=10.0, dt=1e-3, sample_every=100)
-    traj = exact_modal_evolve([state], P0, 8.0, grid)
+    xi, y0 = grid.xi_of(1), [1.0, 0.0, 0.0, 0.0]
+    trace_g = evolve_general_kernel(xi, y0, P0, tab, T=10.0, dt=1e-3, sample_every=100)
+    traj = exact_modal_evolve([xi], [y0], P0, 8.0)
     trace_e = energy_trace(traj, trace_g.times)
     rel = np.abs(trace_g.total - trace_e.total) / trace_e.total
     assert np.max(rel) <= 1e-4
@@ -354,11 +353,11 @@ def test_general_kernel_truncated_window_matches_exact_evolution():
 
 def test_general_kernel_is_second_order_on_exponential_kernel():
     grid = square_grid(3)
-    state = single_mode_data(1)
-    traj = exact_modal_evolve([state], P0, DELTA, grid)
+    xi, y0 = grid.xi_of(1), [1.0, 0.0, 0.0, 0.0]
+    traj = exact_modal_evolve([xi], [y0], P0, DELTA)
     errors = []
     for dt, every in ((4e-3, 100), (2e-3, 200), (1e-3, 400)):
-        trace_g = evolve_general_kernel(state, P0, KER1, grid, T=4.0, dt=dt, sample_every=every)
+        trace_g = evolve_general_kernel(xi, y0, P0, KER1, T=4.0, dt=dt, sample_every=every)
         trace_e = energy_trace(traj, trace_g.times)
         errors.append(np.max(np.abs(trace_g.total - trace_e.total) / trace_e.total))
     assert 3.5 <= errors[0] / errors[1] <= 4.5
@@ -370,27 +369,27 @@ def test_general_kernel_beyond_exponential():
     g = np.exp(-s) * (1.0 + 0.2 * np.exp(-s))
     tab = TabulatedKernel(s=s, g_values=g, k0=1.17, k1=0.999)
     grid = square_grid(3)
-    trace = evolve_general_kernel(single_mode_data(1), P0, tab, grid, T=6.0, dt=1e-3, sample_every=50)
+    trace = evolve_general_kernel(grid.xi_of(1), [1.0, 0.0, 0.0, 0.0], P0, tab, T=6.0, dt=1e-3, sample_every=50)
     assert np.all(np.diff(trace.total) <= 1e-9 * trace.total[0])
     assert np.nanmax(trace.residual[1:-1]) <= 1e-3 * trace.total[0]
 
 
-def stepped_general_kernel(initial, params, kernel, grid, T, dt, sample_every):
+def stepped_general_kernel(xi, y0, params, kernel, T, dt, sample_every):
     """The general-kernel scheme stepped one implicit-midpoint step at a time,
     with one history dot product per step: the oracle for the series solve."""
-    xi_a = grid.xi_of(initial.k) ** params.a
+    xi_a = xi**params.a
     n_steps = int(round(T / dt))
     window = min(n_steps, int(math.ceil(math.log(1e14) / kernel.k1 / dt)))
     s_grid = dt * np.arange(window + 1)
     g_grid = kernel.g(s_grid)
     table = np.stack([g_grid, kernel.g_prime(s_grid)])[:, ::-1]
-    amat = memoryless_generator(grid.xi_of(initial.k), params)
+    amat = memoryless_generator(xi, params)
     lhs = np.linalg.inv(np.eye(4) - 0.5 * dt * amat)
     rhs = np.eye(4) + 0.5 * dt * amat
     col = lhs[:, 1] * dt * xi_a / (2.0 * params.rho)
     kappa = 0.5 * dt * g_grid[0]
     gain = col * kappa / (1.0 - col[0] * kappa)
-    y = np.array([initial.v, initial.u, initial.p, initial.q], dtype=complex)
+    y = np.array(y0, dtype=complex)
     v = np.full(n_steps + 1, y[0])
     samples, conv = [y], 0.0
     for n in range(n_steps):
@@ -413,7 +412,7 @@ def stepped_general_kernel(initial, params, kernel, grid, T, dt, sample_every):
     v_sq = np.abs(samples[:, 0]) ** 2
     mem = xi_a * (recent[:, 0] + v_sq * (kernel.zeta - cumulative[m]))
     dissipation = xi_a * (recent[:, 1] - g_grid[m] * v_sq)
-    parts = energy_parts(*samples.T, grid.xi_of(initial.k), params, kernel.zeta)
+    parts = energy_parts(*samples.T, xi, params, kernel.zeta)
     return EnergyTrace.from_parts(dt * idx, *parts, mem, dissipation)
 
 
@@ -424,26 +423,26 @@ def _table(rate, k1, s_max=6.0):
 
 
 @pytest.mark.parametrize(
-    "kernel, state, T, dt, every",
+    "kernel, k, y0, T, dt, every",
     [
         # complex state with every coordinate non-zero
-        (_table(1.0, 0.999), ModalState(2, 1.0 + 0.5j, -0.3 + 0.2j, 0.1j, 0.4), 3.0, 1e-3, 50),
+        (_table(1.0, 0.999), 2, [1.0 + 0.5j, -0.3 + 0.2j, 0.1j, 0.4], 3.0, 1e-3, 50),
         # truncated window: log(1e14)/8 = 4.03, so the last 1,970 steps run over it
-        (_table(8.0, 8.0), ModalState(1, 1.0, 0.2, 0.0, -0.1), 6.0, 1e-3, 100),
+        (_table(8.0, 8.0), 1, [1.0, 0.2, 0.0, -0.1], 6.0, 1e-3, 100),
         # window == 1
-        (ExponentialKernel(1e4), ModalState(1, 1.0, 0.2, 0.0, 0.0), 2.0, 1e-2, 10),
-        (KER1, ModalState(1, 1.0, 0.0, 0.3, 0.0), 20.0, 0.05, 1),
+        (ExponentialKernel(1e4), 1, [1.0, 0.2, 0.0, 0.0], 2.0, 1e-2, 10),
+        (KER1, 1, [1.0, 0.0, 0.3, 0.0], 20.0, 0.05, 1),
         # 7 does not divide the 2,000 steps
-        (KER1, ModalState(3, 0.5, 1.0, 0.0, 0.2j), 2.0, 1e-3, 7),
-        (KER1, ModalState(1, 1.0, 0.1, 0.2, 0.3), 0.01, 0.01, 1),
-        (KER1, ModalState(1, 1.0, 0.1, 0.2, 0.3), 0.03, 0.01, 1),
+        (KER1, 3, [0.5, 1.0, 0.0, 0.2j], 2.0, 1e-3, 7),
+        (KER1, 1, [1.0, 0.1, 0.2, 0.3], 0.01, 0.01, 1),
+        (KER1, 1, [1.0, 0.1, 0.2, 0.3], 0.03, 0.01, 1),
     ],
     ids=["complex", "truncated", "window1", "dt0.05", "ragged", "1step", "3steps"],
 )
-def test_general_kernel_series_matches_stepping(kernel, state, T, dt, every):
-    grid = square_grid(3)
-    trace = evolve_general_kernel(state, P0, kernel, grid, T=T, dt=dt, sample_every=every)
-    oracle = stepped_general_kernel(state, P0, kernel, grid, T, dt, every)
+def test_general_kernel_series_matches_stepping(kernel, k, y0, T, dt, every):
+    xi = square_grid(3).xi_of(k)
+    trace = evolve_general_kernel(xi, y0, P0, kernel, T=T, dt=dt, sample_every=every)
+    oracle = stepped_general_kernel(xi, y0, P0, kernel, T, dt, every)
     assert np.array_equal(trace.times, oracle.times)
     assert np.max(np.abs(trace.total - oracle.total) / oracle.total) <= 1e-11
     scale = np.max(oracle.total)
@@ -457,7 +456,7 @@ def test_general_kernel_aborts_on_increasing_table():
     g[100] = g[99] * 1.01
     tab = TabulatedKernel(s=s, g_values=g, k0=2.0, k1=0.1)
     with pytest.raises(InvalidModelError, match="stopped decreasing"):
-        evolve_general_kernel(single_mode_data(1), P0, tab, square_grid(2), T=2.0, dt=1e-2)
+        evolve_general_kernel(square_grid(2).xi_of(1), [1.0, 0.0, 0.0, 0.0], P0, tab, T=2.0, dt=1e-2)
 
 
 def test_dense_fallback_matches_expansion():
@@ -471,7 +470,7 @@ def test_state_at_two_dimensional_times():
     # one mode forced dense; BLAS rounding depends on the number of time
     # columns, so the rows agree to roundoff rather than bit for bit
     grid = square_grid(4)
-    trajs = exact_modal_evolve(marginal_initial_data(grid, 3), P0, DELTA, grid)
+    trajs = exact_modal_evolve(*marginal_data(grid, 3), P0, DELTA)
     trajs = dataclasses.replace(trajs, dense=np.array([False, True, False]))
     times = np.array([[0.0, 0.4, 1.3], [2.0, 7.5, 30.0]])
     states = trajs.state_at(times)
@@ -494,10 +493,10 @@ def test_colliding_roots_take_the_dense_route(monkeypatch):
         return dataclasses.replace(branch, roots=roots)
 
     grid = square_grid(3)
-    states = marginal_initial_data(grid, 3)
-    plain = exact_modal_evolve(states, P0, DELTA, grid)
+    xi, x0 = marginal_data(grid, 3)
+    plain = exact_modal_evolve(xi, x0, P0, DELTA)
     monkeypatch.setattr(timedomain, "quintic_roots", colliding)
-    trajs = exact_modal_evolve(states, P0, DELTA, grid)
+    trajs = exact_modal_evolve(xi, x0, P0, DELTA)
     assert trajs.dense.tolist() == [False, True, False]
     assert not trajs[1].amplitudes.any()
     assert np.array_equal(trajs[0].amplitudes, plain[0].amplitudes)
@@ -509,6 +508,6 @@ def test_marginal_family_amplitudes():
     amps = marginal_data_amplitudes(grid, 50)
     k = np.arange(1, 51)
     assert amps == pytest.approx(k**-2.51)
-    states = marginal_initial_data(grid, 50)
-    assert states[0].v == pytest.approx(1.0)
-    assert all(st.u == 0.0 and st.p == 0.0 and st.q == 0.0 for st in states)
+    x0 = marginal_data(grid, 50)[1]
+    assert x0[0, 0] == pytest.approx(1.0)
+    assert not x0[:, 1:].any()
