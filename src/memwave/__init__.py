@@ -19,7 +19,6 @@ from .model import (
 )
 from .resolvent import (
     LaguerreGrid,
-    ModalForcing,
     ModeBlock,
     ResolventSweeper,
     SweepResult,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ExponentialKernel, ModelParams
+from .model import ModelParams, coercivity_margin
 from .resolvent import resolvent_peaks
 from .spectral import SpectrumBranch, sharpness_limit, sharpness_product
 
@@ -45,8 +45,8 @@ def target_exponent(a: float) -> float:
 def fit_decay_exponent(times, norms, window: tuple[float, float]) -> DecayFit:
     """Least-squares slope of ``log ||X(t)||`` against ``log t``.
 
-    The window must start at t >= 1 (the algebraic regime); nonpositive
-    norms inside the window are an error.
+    The window must start at t >= 1 (the algebraic regime); a norm inside
+    the window that is not finite and positive is an error.
     """
     t_lo, t_hi = window
     if t_lo < 1.0:
@@ -56,8 +56,8 @@ def fit_decay_exponent(times, norms, window: tuple[float, float]) -> DecayFit:
     mask = (times >= t_lo) & (times <= t_hi)
     if mask.sum() < 3:
         raise ValueError("fit window contains fewer than 3 samples")
-    if np.any(norms[mask] <= 0.0):
-        raise ValueError("norms must be strictly positive on the fit window")
+    if not np.all(np.isfinite(norms[mask]) & (norms[mask] > 0.0)):
+        raise ValueError("norms must be finite and strictly positive on the fit window")
     x = np.log(times[mask])
     y = np.log(norms[mask])
     slope, intercept = np.polyfit(x, y, 1)
@@ -88,11 +88,12 @@ def superposition_oracle(
     amplitudes,
     eigenvalues,
     params: ModelParams,
-    kernel: ExponentialKernel,
+    delta: float,
     times,
 ) -> np.ndarray:
     """Predicted energy norm ``||X(t)||`` from the modes ``xi`` and their
-    ``(modes, 5)`` v-amplitudes and eigenvalues, by direct summation.
+    ``(modes, 5)`` v-amplitudes and eigenvalues, by direct summation, for
+    the kernel ``exp(-delta*s)``.
 
     Everything is rebuilt from the amplitudes of ``v`` alone: velocities are
     termwise derivatives, the second displacement comes from the coupling
@@ -103,7 +104,6 @@ def superposition_oracle(
     constants.
     """
     t = np.asarray(times, dtype=float)
-    delta = kernel.delta
     xi = np.asarray(xi, dtype=float)[:, None]
     amps = np.asarray(amplitudes, dtype=complex)
     lams = np.asarray(eigenvalues, dtype=complex)
@@ -113,7 +113,7 @@ def superposition_oracle(
     u = (lams[:, :, None] * terms).sum(axis=1)
     p = (phi[:, :, None] * terms).sum(axis=1)
     q = ((phi * lams)[:, :, None] * terms).sum(axis=1)
-    acc = (params.alpha1 * xi - kernel.zeta * xi**params.a) * np.abs(v) ** 2
+    acc = (params.alpha1 * xi - 1.0 / delta * xi**params.a) * np.abs(v) ** 2
     acc += params.rho * np.abs(u) ** 2
     acc += params.beta * xi * np.abs(params.gamma * v - p) ** 2
     acc += params.mu * np.abs(q) ** 2
@@ -186,7 +186,7 @@ def check_exponent_leg(branch: SpectrumBranch, params: ModelParams, omega: float
     if omega is None:
         omega = 2.0 - 2.0 * params.a
     lam = branch.lam(1, +1)
-    coercive = params.alpha1 > branch.xi ** (params.a - 1.0) / branch.delta
+    coercive = coercivity_margin(branch.xi, params, 1.0 / branch.delta) > 0.0
     keep = coercive & (lam.imag >= PEAK_TAU_MIN) & (np.abs(lam.real) >= PEAK_DAMPING_MIN * lam.imag)
     if keep.sum() < 3:
         return LegReport("resolvent_growth", False, f"{keep.sum()} probes pass the guard, need 3")

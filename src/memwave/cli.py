@@ -4,9 +4,10 @@ Commands: validate, spectrum, sweep, simulate, fit, verdict.  ``sweep``
 samples the M-resolved resolvent norms over the grid; ``verdict`` reads the
 growth exponent of the resolvent off the 4x4 Schur peaks of its ``xi``
 probes, with no sweep.  Artifacts are plot-ready CSV and UTF-8 JSON written
-under the output directory.  Exit codes: 0 success, 1 computation/module
-error, 2 configuration error.  Errors emit a machine-readable JSON object on
-stdout.
+under the output directory, JSON with no NaN.  Exit codes: 0 success, 1
+computation/module error, 2 configuration error.  Errors emit a
+machine-readable JSON object on stdout.  Only this module reads kernel and
+grid objects: the layers below get the ``xi`` array and ``delta``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import analysis, resolvent, spectral, timedomain
 from .config import ConfigError, RunConfig, load_config
-from .model import ExponentialKernel, InvalidModelError, validate_params
+from .model import ExponentialKernel, InvalidModelError, coercivity_margin, require_coercive, validate_params
 
 
 def _write_csv(path: Path, columns: dict) -> None:
@@ -34,7 +35,7 @@ def _write_csv(path: Path, columns: dict) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _range(section: str, opts: dict, lo_key: str, hi_key: str, default: tuple) -> tuple:
@@ -50,6 +51,12 @@ def _require_exponential(cfg: RunConfig) -> ExponentialKernel:
     if not isinstance(cfg.kernel, ExponentialKernel):
         raise InvalidModelError("this command needs the exponential kernel")
     return cfg.kernel
+
+
+def _require_coercive(cfg: RunConfig) -> None:
+    """Refuse a model that is not coercive; the grid's first mode decides."""
+    xi = cfg.grid.xi[:1]
+    require_coercive(xi, coercivity_margin(xi, cfg.params, cfg.kernel.zeta) <= 0.0)
 
 
 def cmd_validate(cfg: RunConfig, out: Path) -> int:
@@ -88,8 +95,8 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     for m_nodes in m_list:
         sweep = resolvent.scaled_sweep(
             cfg.params,
-            kernel,
-            cfg.grid,
+            kernel.delta,
+            cfg.grid.xi,
             M=m_nodes,
             tau_lo=tau_lo,
             tau_hi=tau_hi,
@@ -136,6 +143,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
                 f"simulate.t_hi = {t_hi!r}, simulate.dt = {dt!r} and simulate.sample_every = "
                 f"{every!r} give {n_samples} samples after t = 0; need at least 2"
             )
+        _require_coercive(cfg)
         trace = timedomain.evolve_general_kernel(
             cfg.grid.xi_of(opts.get("k", 1)),
             [opts.get("v0", 1.0), 0.0, 0.0, 0.0],
@@ -148,6 +156,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     else:
         kernel = _require_exponential(cfg)
         t_lo, t_hi = _range("simulate", opts, "t_lo", "t_hi", (0.0, 100.0))
+        _require_coercive(cfg)
         if opts.get("data", "single") == "marginal":
             n_modes = opts.get("n_modes", cfg.grid.count)
             if n_modes > cfg.grid.count:
@@ -156,7 +165,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
                 )
             xi = cfg.grid.xi[:n_modes]
             x0 = np.zeros((n_modes, 4))
-            x0[:, 0] = timedomain.marginal_data_amplitudes(cfg.grid, n_modes)
+            x0[:, 0] = timedomain.marginal_data_amplitudes(xi)
         else:
             xi = [cfg.grid.xi_of(opts.get("k", 1))]
             x0 = [[opts.get("v0", 1.0), 0.0, 0.0, 0.0]]
@@ -192,7 +201,8 @@ def cmd_fit(cfg: RunConfig, out: Path) -> int:
     with open(trace_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     times = np.array([float(r["t"]) for r in rows])
-    norms = np.sqrt(np.array([float(r["total"]) for r in rows]))
+    with np.errstate(invalid="ignore"):  # a negative total is a NaN norm, which the fit refuses
+        norms = np.sqrt(np.array([float(r["total"]) for r in rows]))
     fit = analysis.fit_decay_exponent(times, norms, window)
     payload = {
         "window": list(fit.window),
@@ -211,9 +221,8 @@ def cmd_fit(cfg: RunConfig, out: Path) -> int:
 
 def cmd_verdict(cfg: RunConfig, out: Path) -> int:
     kernel = _require_exponential(cfg)
-    # the probes need no grid and no history resolution; a model that is not
-    # coercive at the grid's first mode is still refused, as the sweep does
-    resolvent.mode_block(cfg.grid.xi[0], cfg.params, kernel, resolvent.laguerre_grid(1, kernel.delta))
+    # the probes need no grid; a model that is not coercive is still refused
+    _require_coercive(cfg)
     xi_probes = cfg.options.get("verdict", {}).get("xi_probes", np.geomspace(9.0, 1e10, 80))
     branch = spectral.quintic_roots(xi_probes, cfg.params, kernel.delta)
     legs = analysis.optimality_check(branch, cfg.params)

@@ -21,8 +21,9 @@ The squared energy norm of a mode is
 
 with ``alpha1 = alpha - gamma^2*beta > 0`` and ``zeta = int_0^inf g``.  The
 first two terms stay uniformly positive exactly when the coercivity margin
-``kappa = alpha1 - zeta*xi_1^(a-1)`` is positive; ``validate_params`` checks
-that together with the kernel hypotheses (positivity, strictly negative
+``kappa = alpha1 - zeta*xi_1^(a-1)`` is positive.  ``coercivity_margin`` and
+``require_coercive`` decide that for every module; ``validate_params`` reports
+it together with the kernel hypotheses (positivity, strictly negative
 derivative pinched between two exponential rates).
 """
 
@@ -301,6 +302,24 @@ def memoryless_generator(xi, params: ModelParams) -> np.ndarray:
     return out
 
 
+def coercivity_margin(xi, params: ModelParams, zeta: float):
+    """``alpha1 - zeta*xi^(a-1)`` at the modes ``xi``, kernel mass ``zeta``.
+    It increases with ``xi`` (``a < 1``): a grid's first mode decides its sign
+    for the whole grid."""
+    return params.alpha1 - zeta * xi ** (params.a - 1.0)
+
+
+def require_coercive(xi, failed) -> None:
+    """Raise ``InvalidModelError`` naming the first mode of the array ``xi``
+    that the mask ``failed`` flags, such as ``coercivity_margin(...) <= 0``."""
+    bad = np.asarray(xi, dtype=float)[np.asarray(failed, dtype=bool)]
+    if bad.size:
+        raise InvalidModelError(
+            f"energy weight of mode xi={bad[0]:.6g} is not positive definite; "
+            "the coercivity condition fails at this mode"
+        )
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -405,7 +424,7 @@ def validate_params(params: ModelParams, kernel: Kernel, grid: ModeGrid) -> Vali
 
     kappa: float | None = None
     if mass_ok and a1 > 0.0:
-        margin = a1 - zeta * xi1 ** (params.a - 1.0)
+        margin = coercivity_margin(xi1, params, zeta)
         coercive = margin > 0.0
         if coercive:
             kappa = margin
@@ -413,7 +432,7 @@ def validate_params(params: ModelParams, kernel: Kernel, grid: ModeGrid) -> Vali
             CheckResult(
                 "coercivity",
                 coercive,
-                f"alpha1 - zeta*xi_1^(a-1) = {a1:.6g} - {zeta * xi1 ** (params.a - 1.0):.6g} = {margin:.6g}",
+                f"alpha1 - zeta*xi_1^(a-1) = {a1:.6g} - {a1 - margin:.6g} = {margin:.6g}",
             )
         )
     else:
@@ -441,7 +460,9 @@ __all__ = [
     "ModelParams",
     "TabulatedKernel",
     "ValidationReport",
+    "coercivity_margin",
     "energy_parts",
     "memoryless_generator",
+    "require_coercive",
     "validate_params",
 ]

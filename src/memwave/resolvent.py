@@ -78,6 +78,10 @@ one linear solve with the ``mode_block`` matrix gives the solution, and the
 congruence maps it back.  Its ``||W|| / ||F||`` is therefore at most the
 block's ``resolvent_norm(0)``, and the round trip through the physical
 generator checks the block assembly the sweeps rely on.
+
+The kernel is its rate ``delta`` (or the ``LaguerreGrid`` built for it), the
+modes are their ``xi`` and forcings are plain arrays.  ``energy_congruence``
+refuses a mode that is not coercive, so blocks, sweeps and solves all do.
 """
 
 from __future__ import annotations
@@ -89,13 +93,13 @@ import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
 from .model import (
-    ExponentialKernel,
     InvalidModelError,
-    ModeGrid,
     ModelParams,
     _freeze,
+    coercivity_margin,
     energy_parts,
     memoryless_generator,
+    require_coercive,
 )
 from .spectral import AsymptoticConstants, SpectrumBranch, quintic_roots
 
@@ -202,13 +206,9 @@ class ModeBlock:
         return 1.0 / smin
 
 
-def mode_block(
-    xi: float,
-    params: ModelParams,
-    kernel: ExponentialKernel,
-    lag: LaguerreGrid,
-) -> ModeBlock:
-    """Assemble the (4+M)-dimensional block of the mode ``xi``,
+def mode_block(xi: float, params: ModelParams, lag: LaguerreGrid) -> ModeBlock:
+    """Assemble the (4+M)-dimensional block of the mode ``xi`` for the kernel
+    ``exp(-lag.delta*s)``,
     ``[[A, -c e_u sw^T], [c sw e_u^T, -D]]`` with ``A`` the mode's
     ``energy_corners`` and ``c = xi^(a/2)/sqrt(rho)``.
 
@@ -221,20 +221,10 @@ def mode_block(
     the mode's quintic roots; characteristic roots left of ``-delta/2`` are
     not represented (they are not eigenvalues of the full generator either).
     """
-    if not isinstance(kernel, ExponentialKernel):
-        raise InvalidModelError("mode blocks require the exponential kernel")
-    if abs(lag.delta - kernel.delta) > 1e-12 * kernel.delta:
-        raise InvalidModelError("Laguerre grid was built for a different decay rate")
     # a Python float, so that c is Python's scalar power; the corner comes from
     # the vectorised energy_corners, bit for bit the sweep bounds' corner
     xi = float(xi)
-    try:
-        corner = energy_corners(np.array([xi]), params, kernel.zeta)[0]
-    except np.linalg.LinAlgError as exc:
-        raise InvalidModelError(
-            f"energy weight of mode xi={xi:.6g} is not positive definite; "
-            "the coercivity condition fails at this mode"
-        ) from exc
+    corner = energy_corners(np.array([xi]), params, 1.0 / lag.delta)[0]
     c = xi ** (params.a / 2.0) / math.sqrt(params.rho)
     sw = lag.sqrt_weights
     b = np.zeros((4 + lag.M, 4 + lag.M))
@@ -250,15 +240,20 @@ def energy_congruence(xi: np.ndarray, params: ModelParams, zeta: float) -> np.nd
     leading axis: ``T (v, u, p, q)`` is the energy-orthonormal
     ``(L_vp^T (v, p), sqrt(rho) u, sqrt(mu) q)``, with ``L_vp`` the Cholesky
     factor of the 2x2 stiffness-plus-coupling weight, so ``|T w|^2`` is the
-    sum of ``energy_parts``.  Raises ``np.linalg.LinAlgError`` when that
-    weight is not positive definite at some mode, which is exactly when
-    ``alpha1*xi - zeta*xi^a <= 0`` (its Schur complement on ``v``).
+    sum of ``energy_parts``.  That weight is positive definite exactly when
+    its Schur complement on ``v``, ``xi`` times the ``coercivity_margin``, is
+    positive; a mode where it is not raises ``InvalidModelError``.
     """
+    require_coercive(xi, coercivity_margin(xi, params, zeta) <= 0.0)
     gvv = params.alpha1 * xi - zeta * xi**params.a + params.beta * params.gamma**2 * xi
     gvp = -params.beta * params.gamma * xi
     gpp = params.beta * xi
     weight = np.stack([np.stack([gvv, gvp], axis=-1), np.stack([gvp, gpp], axis=-1)], axis=-2)
-    l_vp = np.linalg.cholesky(weight)
+    try:
+        l_vp = np.linalg.cholesky(weight)
+    except np.linalg.LinAlgError:
+        # within roundoff of kappa = 0 it can fail where the margin is positive
+        require_coercive(xi, [np.isnan(_or_nan(np.linalg.cholesky, w)).any() for w in weight])
     t = np.zeros(xi.shape + (4, 4))
     t[..., 0, 0] = l_vp[..., 0, 0]
     t[..., 0, 2] = l_vp[..., 1, 0]
@@ -275,7 +270,7 @@ def energy_corners(xi: np.ndarray, params: ModelParams, zeta: float) -> np.ndarr
 
     ``G`` is ``memoryless_generator`` plus the memory force
     ``zeta*xi^a*v/rho`` on the ``u`` row, and ``T`` the
-    ``energy_congruence``, whose ``np.linalg.LinAlgError`` it passes on.
+    ``energy_congruence``, which refuses a mode that is not coercive.
     """
     t = energy_congruence(xi, params, zeta)
     g = memoryless_generator(xi, params)
@@ -283,11 +278,11 @@ def energy_corners(xi: np.ndarray, params: ModelParams, zeta: float) -> np.ndarr
     return t @ g @ np.linalg.inv(t)
 
 
-def _inv_or_nan(a: np.ndarray) -> np.ndarray:
-    """Stacked inverse, or NaN everywhere when any matrix of the stack is
-    singular (``np.linalg.inv`` refuses the whole stack)."""
+def _or_nan(solve, a: np.ndarray) -> np.ndarray:
+    """``solve(a)`` for ``np.linalg.inv`` or ``cholesky``, or NaN everywhere
+    when LAPACK refuses any matrix of the stack ``a`` (numpy then refuses all)."""
     try:
-        return np.linalg.inv(a)
+        return solve(a)
     except np.linalg.LinAlgError:
         return np.full(a.shape, np.nan, dtype=np.result_type(a, float))
 
@@ -303,7 +298,7 @@ def schur_bounds(corners, c, tau, phi, x_norm, y_norm, k_norm, slack=0.0):
     """
     schur = 1j * np.asarray(tau)[..., None, None] * np.eye(4) - corners
     schur[..., 1, 1] += c * c * phi
-    s_inv = _inv_or_nan(schur)
+    s_inv = _or_nan(np.linalg.inv, schur)
     ok = np.all(np.isfinite(s_inv), axis=(-2, -1))
     s_inv = np.where(ok[..., None, None], s_inv, 0.0)
     # ||S^{-1}|| from the largest eigenvalue of its Gram matrix: accurate
@@ -337,34 +332,22 @@ class ResolventSweeper:
     modes.  The first excluded mode is also evaluated when available and its
     norm is reported as a margin check on the cutoff.
 
-    The sweeper keeps, for every mode of the grid, the 4x4 energy-coordinate
-    corner ``A_k`` of its block and the coupling ``c_k`` to the history
-    (see the module docstring); the corners come from one ``energy_corners``
-    call over the grid, without assembling any block.  Per frequency
+    Mode ``k`` is ``xi[k - 1]`` and the kernel ``exp(-delta*s)``.  The
+    sweeper keeps, for every mode, the 4x4 energy-coordinate corner ``A_k``
+    of its block and the coupling ``c_k`` to the history (see the module
+    docstring); the corners come from one ``energy_corners`` call over all
+    modes, without assembling any block.  Per frequency
     ``norm_bounds`` turns them into two-sided bounds, and only the modes those
     bounds cannot rule out are assembled by ``mode_block`` and SVD'd.
     """
 
-    def __init__(
-        self,
-        params: ModelParams,
-        kernel: ExponentialKernel,
-        grid: ModeGrid,
-        M: int,
-    ) -> None:
+    def __init__(self, params: ModelParams, delta: float, xi: np.ndarray, M: int) -> None:
         self.params = params
-        self.kernel = kernel
-        self.grid = grid
-        self.lag = laguerre_grid(M, kernel.delta)
+        self.xi = np.asarray(xi, dtype=float)
+        self.lag = laguerre_grid(M, delta)
         self._m1 = AsymptoticConstants.from_params(params).m1
-        self._xi = grid.xi
-        try:
-            self._corners = energy_corners(self._xi, params, kernel.zeta)
-        except np.linalg.LinAlgError:
-            # some mode is not coercive: no bounds here, and mode_block raises
-            # for that mode when it is SVD'd
-            self._corners = np.full(self._xi.shape + (4, 4), np.nan)
-        self._c = self._xi ** (params.a / 2.0) / math.sqrt(params.rho)
+        self._corners = energy_corners(self.xi, params, 1.0 / delta)
+        self._c = self.xi ** (params.a / 2.0) / math.sqrt(params.rho)
         sw_norm = float(np.linalg.norm(self.lag.sqrt_weights))
         # the part of the roundoff scale nu (module docstring) that does not
         # depend on tau
@@ -377,12 +360,14 @@ class ResolventSweeper:
 
     def block(self, k: int) -> ModeBlock:
         """Assemble the block of mode ``k`` (not cached)."""
-        return mode_block(self.grid.xi_of(k), self.params, self.kernel, self.lag)
+        if not 1 <= k <= self.xi.size:
+            raise IndexError(f"mode index {k} outside 1..{self.xi.size}")
+        return mode_block(self.xi[k - 1], self.params, self.lag)
 
     def included_modes(self, tau: float) -> list[int]:
         cutoff = CUTOFF_FACTOR * tau * tau / self._m1
-        n_cut = int(np.searchsorted(self._xi, cutoff, side="right"))
-        return list(range(1, min(self.grid.count, max(n_cut, FIRST_MODES_FLOOR)) + 1))
+        n_cut = int(np.searchsorted(self.xi, cutoff, side="right"))
+        return list(range(1, min(self.xi.size, max(n_cut, FIRST_MODES_FLOOR)) + 1))
 
     def history_resolvent(self, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, complex]:
         """``K = (i*tau + D)^{-1}`` of the discrete history block, ``x = K sw``,
@@ -393,7 +378,7 @@ class ResolventSweeper:
         """
         M = self.lag.M
         sw = self.lag.sqrt_weights
-        k_inv = _inv_or_nan(1j * tau * np.eye(M) + self.lag.diff_w)
+        k_inv = _or_nan(np.linalg.inv, 1j * tau * np.eye(M) + self.lag.diff_w)
         x = np.sum(k_inv * sw, axis=1)
         y = np.sum(sw[:, None] * k_inv, axis=0)
         return k_inv, x, y, complex(np.sum(sw * x))
@@ -436,7 +421,7 @@ class ResolventSweeper:
                 best, k_best = norm, k
         margin = math.nan
         k_next = ks[-1] + 1
-        if k_next <= self.grid.count:
+        if k_next <= self.xi.size:
             margin = best / self.block(k_next).resolvent_norm(tau)
         return best, k_best, ks[-1], margin
 
@@ -487,24 +472,23 @@ class SweepResult:
 def resonance_frequencies(
     params: ModelParams,
     delta: float,
-    grid: ModeGrid,
+    xi: np.ndarray,
     tau_lo: float,
     tau_hi: float,
-    per_branch: int = 16,
+    per_branch: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Imaginary parts of computed oscillatory roots inside the window,
-    subsampled log-uniformly in mode index, with their branch tags."""
+    subsampled log-uniformly in mode index of ``xi``, with their branch tags."""
     c = AsymptoticConstants.from_params(params)
     tags: list[int] = []
     modes: list[int] = []
-    xi = grid.xi
     for j, m in ((1, c.m1), (2, c.m2)):
         lo = int(np.searchsorted(xi, tau_lo**2 / m, side="left")) + 1
         hi = int(np.searchsorted(xi, tau_hi**2 / m, side="right"))
         if hi < lo or per_branch == 0:
             continue
         ks = np.unique(np.geomspace(lo, hi, per_branch).astype(int))
-        ks = ks[(ks >= 1) & (ks <= grid.count)]
+        ks = ks[(ks >= 1) & (ks <= xi.size)]
         tags += [j] * ks.size
         modes += ks.tolist()
     tags = np.asarray(tags, dtype=int)
@@ -517,29 +501,27 @@ def resonance_frequencies(
 
 def scaled_sweep(
     params: ModelParams,
-    kernel: ExponentialKernel,
-    grid: ModeGrid,
+    delta: float,
+    xi: np.ndarray,
     M: int,
     tau_lo: float,
     tau_hi: float,
-    per_decade: int = 64,
-    resonances_per_branch: int = 16,
+    per_decade: int,
+    resonances_per_branch: int,
 ) -> SweepResult:
-    """Sample ``|tau|^(-omega) * max_k ||(i*tau - B_k)^{-1}||`` on a log grid
-    plus near-resonance frequencies, ``omega = 2 - 2a``."""
+    """Sample ``|tau|^(-omega) * max_k ||(i*tau - B_k)^{-1}||`` over ``xi``
+    on a log grid plus near-resonance frequencies, ``omega = 2 - 2a``."""
     omega = 2.0 - 2.0 * params.a
     n_grid = max(2, int(round(per_decade * math.log10(tau_hi / tau_lo))))
     base = np.geomspace(tau_lo, tau_hi, n_grid)
-    reso, tags = resonance_frequencies(
-        params, kernel.delta, grid, tau_lo, tau_hi, per_branch=resonances_per_branch
-    )
+    reso, tags = resonance_frequencies(params, delta, xi, tau_lo, tau_hi, per_branch=resonances_per_branch)
     taus = np.concatenate([base, reso])
     branch_tag = np.concatenate([np.zeros(base.size, dtype=int), tags])
     order = np.argsort(taus)
     taus = taus[order]
     branch_tag = branch_tag[order]
 
-    sweeper = ResolventSweeper(params, kernel, grid, M)
+    sweeper = ResolventSweeper(params, delta, xi, M)
     norms = np.empty(taus.size)
     argmax = np.empty(taus.size, dtype=int)
     cutoffs = np.empty(taus.size, dtype=int)
@@ -601,60 +583,32 @@ def resolvent_peaks(branch: SpectrumBranch, params: ModelParams) -> tuple[np.nda
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class ModalForcing:
-    """Right-hand side of one mode: ``(f1, f2, z1, z2, nu)`` with the history
-    component given in sqrt(weight) coordinates."""
-
-    f1: complex
-    f2: complex
-    z1: complex
-    z2: complex
-    nu_w: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nu_w", _freeze(self.nu_w, complex))
-
-
-@dataclass(frozen=True, eq=False)
-class StaticSolution:
-    v: complex
-    u: complex
-    p: complex
-    q: complex
-    eta_w: np.ndarray
-    residual: float
-    stability_ratio: float
-
-
 def static_solve(
-    xi: float,
-    forcing: ModalForcing,
-    params: ModelParams,
-    kernel: ExponentialKernel,
-    lag: LaguerreGrid,
-) -> StaticSolution:
-    """Solve the generator equation ``A W = F`` on the mode ``xi``.
+    xi: float, forcing, params: ModelParams, lag: LaguerreGrid
+) -> tuple[np.ndarray, float, float]:
+    """Solve the generator equation ``A W = F`` on the mode ``xi`` for the
+    kernel ``exp(-lag.delta*s)``; ``forcing`` is the ``(4 + M)`` array ``(f1,
+    f2, z1, z2, nu_w)``, its history part in sqrt(weight) coordinates.
 
     The solve runs on the very block the sweep SVDs: the forcing goes into
     energy coordinates ``(T f, nu_w)`` with the mode's ``energy_congruence``
     ``T``, one ``np.linalg.solve`` with the ``mode_block`` matrix gives the
     solution in those coordinates, and ``T^{-1}`` maps its ``(v, u, p, q)``
-    back.  ``stability_ratio = ||W|| / ||F||`` is therefore at most
+    back.  Returns ``(W, residual, stability_ratio)`` with ``W`` laid out as
+    ``forcing``; ``stability_ratio = ||W|| / ||F||`` is therefore at most
     ``mode_block(xi, ...).resolvent_norm(0.0)``.  The result is verified by
-    applying the physical generator back; the returned ``residual`` is
-    relative to the forcing norm.  A mode that is not coercive raises
-    ``InvalidModelError`` from ``mode_block``.
+    applying the physical generator back; the ``residual`` is relative to the
+    forcing norm.  A mode that is not coercive raises ``InvalidModelError``.
     """
-    block = mode_block(xi, params, kernel, lag)
+    block = mode_block(xi, params, lag)
     xi = block.xi
-    zeta = kernel.zeta
+    zeta = 1.0 / lag.delta
     t = energy_congruence(np.array([xi]), params, zeta)[0]
-    f = np.array([forcing.f1, forcing.f2, forcing.z1, forcing.z2], dtype=complex)
-    solution = np.linalg.solve(block.matrix, np.concatenate([t @ f, forcing.nu_w]))
+    f, nu_w = np.split(np.asarray(forcing, dtype=complex), [4])
+    solution = np.linalg.solve(block.matrix, np.concatenate([t @ f, nu_w]))
     w = np.linalg.solve(t, solution[:4])
     eta_w = solution[4:]
-    v, u, p, q = w
+    v, u = w[:2]
 
     # apply the physical generator back; eta~ = xi^(a/2) sqrt(w) eta
     sw = lag.sqrt_weights
@@ -662,18 +616,18 @@ def static_solve(
     mem_integral = half_a * np.sum(sw * eta_w)  # = xi^a * sum w_m eta_m
     image = memoryless_generator(xi, params) @ w
     image[1] += (zeta * xi**params.a * v - mem_integral) / params.rho
-    r_eta = half_a * sw * u - lag.diff_w @ eta_w - forcing.nu_w
+    r_eta = half_a * sw * u - lag.diff_w @ eta_w - nu_w
 
     def energy_norm(x: np.ndarray, mem_w: np.ndarray) -> float:
         parts = energy_parts(*x, xi, params, zeta)
         return math.sqrt(sum(parts) + float(np.sum(np.abs(mem_w) ** 2)))
 
-    n_forcing = energy_norm(f, forcing.nu_w)
+    n_forcing = energy_norm(f, nu_w)
     n_solution = energy_norm(w, eta_w)
     n_residual = energy_norm(image - f, r_eta)
     if n_forcing == 0.0:
-        return StaticSolution(0.0, 0.0, 0.0, 0.0, np.zeros(lag.M, dtype=complex), 0.0, 0.0)
-    return StaticSolution(v, u, p, q, eta_w, n_residual / n_forcing, n_solution / n_forcing)
+        return np.zeros(4 + lag.M, dtype=complex), 0.0, 0.0
+    return np.concatenate([w, eta_w]), n_residual / n_forcing, n_solution / n_forcing
 
 
 __all__ = [
@@ -682,11 +636,9 @@ __all__ = [
     "PEAK_PASSES",
     "PEAK_POINTS",
     "LaguerreGrid",
-    "ModalForcing",
     "ModeBlock",
     "ResolventSweeper",
     "SingularBlockError",
-    "StaticSolution",
     "SweepResult",
     "energy_congruence",
     "energy_corners",

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InvalidModelError, ModeGrid, ModelParams, memoryless_generator
+from .model import InvalidModelError, ModelParams, memoryless_generator
 
 
 class ConvergenceError(RuntimeError):

@@ -33,15 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (
-    ExponentialKernel,
-    InvalidModelError,
-    Kernel,
-    ModeGrid,
-    ModelParams,
-    energy_parts,
-    memoryless_generator,
-)
+from .model import InvalidModelError, Kernel, ModelParams, energy_parts, memoryless_generator
 from .spectral import eigvec, modal_generator, quintic_roots
 
 
@@ -412,7 +404,7 @@ def energy_trace(trajs: ModalTrajectories, times: np.ndarray) -> EnergyTrace:
     over the stack would associate the additions differently.
     """
     times = np.asarray(times, dtype=float)
-    zeta = ExponentialKernel(trajs.delta).zeta
+    zeta = 1.0 / trajs.delta
     mechanical = np.zeros((4,) + times.shape)
     mem = np.zeros_like(times)
     for start in range(0, len(trajs), _MEMORY_CHUNK):
@@ -493,7 +485,7 @@ def evolve_general_kernel(
     kernel: Kernel,
     T: float,
     dt: float,
-    sample_every: int = 10,
+    sample_every: int,
 ) -> EnergyTrace:
     """Implicit-midpoint scheme for the mode ``xi`` from the initial ``(v, u,
     p, q)`` in ``y0``, with trapezoidal convolution memory, for any kernel
@@ -617,11 +609,11 @@ def evolve_general_kernel(
 # ---------------------------------------------------------------------------
 
 
-def marginal_data_amplitudes(grid: ModeGrid, n_modes: int) -> np.ndarray:
-    """Displacement amplitudes ``xi_k^(-1) / k^0.51``: graph norm barely
-    finite, so the multi-mode decay saturates the worst-case rate."""
-    k = np.arange(1, n_modes + 1, dtype=float)
-    return grid.xi[:n_modes] ** (-1.0) / k**0.51
+def marginal_data_amplitudes(xi: np.ndarray) -> np.ndarray:
+    """Displacement amplitudes ``xi_k^(-1) / k^0.51``, ``k`` counting ``xi``
+    from 1: graph norm barely finite, so the decay saturates the worst-case rate."""
+    k = np.arange(1, xi.size + 1, dtype=float)
+    return xi ** (-1.0) / k**0.51
 
 
 __all__ = [

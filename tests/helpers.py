@@ -31,7 +31,7 @@ def marginal_data(grid: ModeGrid, n_modes: int) -> tuple[np.ndarray, np.ndarray]
     """The first ``n_modes`` modes ``xi`` of ``grid`` and their initial ``(v, u,
     p, q)``: the marginal displacements, at rest."""
     x0 = np.zeros((n_modes, 4))
-    x0[:, 0] = marginal_data_amplitudes(grid, n_modes)
+    x0[:, 0] = marginal_data_amplitudes(grid.xi[:n_modes])
     return grid.xi[:n_modes], x0
 
 

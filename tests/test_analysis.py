@@ -51,7 +51,7 @@ def test_oracle_matches_trace_for_multi_mode_data():
     trajs = exact_modal_evolve(*marginal_data(grid, 12), P0, KER1.delta)
     times = np.geomspace(1.0, 50.0, 20)
     trace = energy_trace(trajs, times)
-    oracle = superposition_oracle(grid.xi, trajs.v_amplitudes, trajs.eigenvalues, P0, KER1, times)
+    oracle = superposition_oracle(grid.xi, trajs.v_amplitudes, trajs.eigenvalues, P0, KER1.delta, times)
     assert oracle == pytest.approx(trace.norm(), rel=1e-8)
 
 
@@ -60,8 +60,8 @@ def test_oracle_single_mode_rate_and_positivity():
     trajs = exact_modal_evolve(*marginal_data(grid, 2), P0, KER1.delta)
     times = np.geomspace(50.0, 120.0, 30)
     first = trajs[0]
-    single = superposition_oracle(grid.xi[:1], first.v_amplitudes, first.eigenvalues, P0, KER1, times)
-    both = superposition_oracle(grid.xi[:2], trajs.v_amplitudes, trajs.eigenvalues, P0, KER1, times)
+    single = superposition_oracle(grid.xi[:1], first.v_amplitudes, first.eigenvalues, P0, KER1.delta, times)
+    both = superposition_oracle(grid.xi[:2], trajs.v_amplitudes, trajs.eigenvalues, P0, KER1.delta, times)
     assert np.all(both >= single)
     rate = first.eigenvalues.real.max()
     slope = np.polyfit(times, np.log(single), 1)[0]

@@ -337,12 +337,25 @@ def test_simulate_mode_past_the_grid_is_model_error(tmp_path, capsys, simulate):
     assert not (out / "trace.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["sweep", "verdict"])
-def test_non_coercive_mode_is_model_error(tmp_path, capsys, command):
-    # delta = 0.2 gives zeta = 5, so alpha1 - zeta*xi_1^(a-1) = 1.75 - 5 < 0
+@pytest.mark.parametrize(
+    "command, simulate",
+    [
+        ("sweep", None),
+        ("verdict", None),
+        ("simulate", {"t_lo": 1.0, "t_hi": 200.0, "n_times": 20}),
+        ("simulate", {"integrator": "general", "t_hi": 0.3, "dt": 0.01, "sample_every": 5}),
+    ],
+    ids=["sweep", "verdict", "simulate-exact", "simulate-general"],
+)
+def test_non_coercive_mode_is_model_error(tmp_path, capsys, command, simulate):
+    # delta = 0.2 gives zeta = 5, so alpha1 - zeta*xi_1^(a-1) = 1.75 - 5 < 0;
+    # the general integrator gets exp(-0.2*s) as a table
     model = json.loads(json.dumps(P0_MODEL))
     model["kernel"]["delta"] = 0.2
-    cfg = write_cfg(tmp_path, model=model)
+    if simulate and simulate.get("integrator") == "general":
+        s = [0.05 * i for i in range(2001)]
+        model["kernel"] = {"type": "tabulated", "s": s, "g": [math.exp(-0.2 * x) for x in s], "k0": 0.2, "k1": 0.2}
+    cfg = write_cfg(tmp_path, model=model, extra={"simulate": simulate} if simulate else None)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 1
     want = {
@@ -352,6 +365,21 @@ def test_non_coercive_mode_is_model_error(tmp_path, capsys, command):
     }
     assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"] == want
     assert json.loads((out / "error.json").read_text())["error"] == want
+    assert not (out / "trace.csv").exists()
+
+
+def test_fit_refuses_a_negative_total_in_the_window(tmp_path, capsys):
+    # its square root is NaN, which must not reach fit.json as "slope": NaN
+    trace = tmp_path / "trace.csv"
+    totals = [1.0 / t for t in range(1, 21)]
+    totals[12] = -1e-3
+    trace.write_text("t,total\n" + "".join(f"{t},{e!r}\n" for t, e in zip(range(1, 21), totals)))
+    cfg = write_cfg(tmp_path, extra={"fit": {"trace": str(trace), "window": [2.0, 20.0]}})
+    out = tmp_path / "out"
+    assert main(["fit", "--config", cfg, "--out", str(out)]) == 1
+    want = {"type": "ValueError", "message": "norms must be finite and strictly positive on the fit window"}
+    assert json.loads((out / "error.json").read_text())["error"] == want
+    assert not (out / "fit.json").exists()
 
 
 def test_simulate_general_integrator(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import KER1, P0, draw_validated, square_grid, xi_grid
+from helpers import KER1, P0, draw_validated, p0_with_a, square_grid, xi_grid
 from memwave import model
 from memwave.model import (
     ExponentialKernel,
@@ -9,6 +9,7 @@ from memwave.model import (
     ModeGrid,
     ModelParams,
     TabulatedKernel,
+    coercivity_margin,
     energy_parts,
     validate_params,
 )
@@ -259,8 +260,6 @@ def test_array_holding_objects_hash_and_compare_by_identity():
         resolvent.LaguerreGrid,
         resolvent.ModeBlock,
         resolvent.SweepResult,
-        resolvent.ModalForcing,
-        resolvent.StaticSolution,
         spectral.SpectrumBranch,
         timedomain.ModalTrajectories,
         timedomain.EnergyTrace,
@@ -275,3 +274,11 @@ def test_random_draws_validate():
         report = validate_params(params, kernel, square_grid(5))
         assert report.passed, report.failures()
         assert 0.0 < report.kappa < params.alpha1
+
+
+def test_coercivity_margin_is_the_reported_kappa_and_grows_with_xi():
+    # validate reports the margin at the first mode, which decides for the grid
+    grid = square_grid(30)
+    assert validate_params(P0, KER1, grid).kappa == coercivity_margin(grid.xi_of(1), P0, KER1.zeta)
+    for params in (P0, p0_with_a(0.0), p0_with_a(0.97)):
+        assert np.all(np.diff(coercivity_margin(grid.xi, params, KER1.zeta)) > 0.0)

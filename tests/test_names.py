@@ -41,6 +41,36 @@ def test_package_reexports_are_public():
     assert not private
 
 
+def _imports(name):
+    """``(module source tree, alias nodes of its imports)``, ``__future__``
+    features left out."""
+    tree = ast.parse((Path(memwave.__file__).parent / f"{name}.py").read_text())
+    aliases = [
+        alias
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    return tree, aliases
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_uses_every_name_it_imports(name):
+    # the package __init__ is not among MODULES: its imports are re-exports
+    tree, aliases = _imports(name)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    imported = [a.asname or a.name.split(".")[0] for a in aliases]
+    assert [n for n in imported if n not in used] == []
+
+
+@pytest.mark.parametrize("name", ["spectral", "resolvent", "timedomain", "analysis"])
+def test_numerical_layers_take_no_kernel_or_grid_object(name):
+    # below the command line a kernel is its delta and a grid its xi array;
+    # timedomain keeps the Kernel type for the general integrator
+    names = {a.name for a in _imports(name)[1]}
+    assert names & {"ModeGrid", "ExponentialKernel", "TabulatedKernel"} == set()
+
+
 def test_every_command_option_is_read():
     # a schema key that no command reads is a knob that does nothing: each
     # option key must be a string constant of a cli function that names its section

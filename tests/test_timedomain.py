@@ -456,7 +456,7 @@ def test_general_kernel_aborts_on_increasing_table():
     g[100] = g[99] * 1.01
     tab = TabulatedKernel(s=s, g_values=g, k0=2.0, k1=0.1)
     with pytest.raises(InvalidModelError, match="stopped decreasing"):
-        evolve_general_kernel(square_grid(2).xi_of(1), [1.0, 0.0, 0.0, 0.0], P0, tab, T=2.0, dt=1e-2)
+        evolve_general_kernel(square_grid(2).xi_of(1), [1.0, 0.0, 0.0, 0.0], P0, tab, T=2.0, dt=1e-2, sample_every=10)
 
 
 def test_dense_fallback_matches_expansion():
@@ -505,7 +505,7 @@ def test_colliding_roots_take_the_dense_route(monkeypatch):
 
 def test_marginal_family_amplitudes():
     grid = square_grid(50)
-    amps = marginal_data_amplitudes(grid, 50)
+    amps = marginal_data_amplitudes(grid.xi)
     k = np.arange(1, 51)
     assert amps == pytest.approx(k**-2.51)
     x0 = marginal_data(grid, 50)[1]
