@@ -8,13 +8,22 @@ under the output directory, JSON with no NaN.  Exit codes: 0 success, 1
 computation/module error, 2 configuration error.  Errors emit a
 machine-readable JSON object on stdout.  Only this module reads kernel and
 grid objects: the layers below get the ``xi`` array and ``delta``.
+
+Each command runs on one OpenBLAS thread (numpy's bundled OpenBLAS, unless
+``OPENBLAS_NUM_THREADS`` is set): its small SVDs gain nothing from more, and
+the sweep's bytes then do not depend on the machine's core count.  The
+caller's thread count is restored on return.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import ctypes
+import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -23,6 +32,41 @@ import numpy as np
 from . import analysis, resolvent, spectral, timedomain
 from .config import ConfigError, RunConfig, load_config
 from .model import ExponentialKernel, InvalidModelError, coercivity_margin, require_coercive, validate_params
+
+
+@functools.cache
+def _openblas_threads():
+    """``(get, set)`` of the thread count of the OpenBLAS that numpy's wheel
+    bundles, or ``None`` where there is no such library or it lacks the calls.
+    The library is already loaded, so ``CDLL`` returns that same instance."""
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """One OpenBLAS thread inside the block, the caller's count after it; a
+    no-op where ``OPENBLAS_NUM_THREADS`` is set or the library is absent."""
+    threads = None if "OPENBLAS_NUM_THREADS" in os.environ else _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def _write_csv(path: Path, columns: dict) -> None:
@@ -274,7 +318,8 @@ def main(argv: list[str] | None = None) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     try:
-        return COMMANDS[args.command](cfg, out)
+        with _one_blas_thread():
+            return COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(json.dumps({"error": {"type": "config", "message": str(exc)}}))
         return 2

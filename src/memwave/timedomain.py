@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import InvalidModelError, Kernel, ModelParams, energy_parts, memoryless_generator
+from .model import InvalidModelError, Kernel, ModelParams, coercivity_margin, energy_parts, memoryless_generator
 from .spectral import eigvec, modal_generator, quintic_roots
 
 
@@ -129,11 +129,17 @@ class ModalTrajectories:
             raise InvalidModelError("dense fallback trajectory has no amplitude expansion")
         return self.eigvecs[:, 0, :] * self.amplitudes
 
-    def state_at(self, t) -> np.ndarray:
-        """``(v, u, p, q, I)`` of every mode at ``t``, shape ``(modes, 5) + t.shape``."""
+    def phases(self, t) -> np.ndarray:
+        """``exp(lam_i*t)`` of every mode and root, shape ``(modes, 5) + t.shape``."""
+        return np.exp(np.multiply.outer(self.eigenvalues, np.asarray(t, dtype=float)))
+
+    def state_at(self, t, phases=None) -> np.ndarray:
+        """``(v, u, p, q, I)`` of every mode at ``t``, shape ``(modes, 5) +
+        t.shape``; ``phases``, if given, is ``self.phases(t)``."""
         t = np.asarray(t, dtype=float)
         n = len(self)
-        phases = np.exp(np.multiply.outer(self.eigenvalues, t))
+        if phases is None:
+            phases = self.phases(t)
         terms = self.amplitudes[(...,) + (None,) * t.ndim] * phases
         states = (self.eigvecs @ terms.reshape(n, 5, -1)).reshape((n, 5) + t.shape)
         if self.dense.any():
@@ -197,9 +203,10 @@ def _expm1_ratio(x: np.ndarray) -> np.ndarray:
     return np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x != 0)
 
 
-def memory_energy_closed_form(trajs: ModalTrajectories, t) -> np.ndarray:
+def memory_energy_closed_form(trajs: ModalTrajectories, t, phases=None) -> np.ndarray:
     """``xi^a * int_0^inf exp(-delta*s) |v(t) - v(t-s)|^2 ds`` for a stack of
-    trajectories, shape ``(len(trajs),) + t.shape``.
+    trajectories, shape ``(len(trajs),) + t.shape``; ``phases``, if given, is
+    ``trajs.phases(t)``.
 
     With ``f_i = a_i*exp(lam_i*t)``, ``v = sum_i f_i`` and
     ``E(c) = int_0^t exp(-c*s) ds = -expm1(-c*t)/c``, the ``s < t`` part is
@@ -228,9 +235,8 @@ def memory_energy_closed_form(trajs: ModalTrajectories, t) -> np.ndarray:
     h1 = complex(history_mass(trajs.history, delta))
     h2 = history_sq_mass(trajs.history, delta)
 
-    f = lams[:, :, None] * tt
-    np.exp(f, out=f)
-    f *= amps[:, :, None]
+    phases = trajs.phases(tt) if phases is None else phases.reshape(n, 5, -1)
+    f = phases * amps[:, :, None]
     v = f.sum(axis=1)
     decay = np.exp(-delta * tt)
 
@@ -275,11 +281,11 @@ def memory_energy_quadrature(traj: ModalTrajectories, t: float) -> float:
     ``h`` at a time: one matrix exponential sets up the stepping, and a dense
     trajectory pays one more per node of a single panel only.  The recent part is
     integrated over ``[0, s0]``, ``s0 = min(t, log(1/eps)/delta)``.  The energy
-    does not increase and its stiffness part is
-    ``(alpha1*xi - xi^a/delta)*|v|^2``, so ``|v|^2 <= E(0)/(alpha1*xi -
-    xi^a/delta)`` along the whole trajectory and the part over ``[s0, t]`` is
-    at most ``(2/delta) e^(-delta*s0) (|v(t)|^2 + E(0)/(alpha1*xi -
-    xi^a/delta))``.  Where that bound exceeds ``eps`` times the memory
+    does not increase and its stiffness part is ``xi*m*|v|^2`` with the
+    coercivity margin ``m = alpha1 - xi^(a-1)/delta``, so ``|v|^2 <=
+    E(0)/(xi*m)`` along the whole trajectory and the part over ``[s0, t]`` is
+    at most ``(2/delta) e^(-delta*s0) (|v(t)|^2 + E(0)/(xi*m))`` (infinite
+    where ``m <= 0``).  Where that bound exceeds ``eps`` times the memory
     computed so far, ``s0`` moves right until it does not (or reaches ``t``).
     """
     import scipy.linalg as sla  # loaded only for a dense-fallback mode or a check
@@ -319,13 +325,13 @@ def memory_energy_quadrature(traj: ModalTrajectories, t: float) -> float:
     outside = math.exp(-delta * t) * remote(v_t)
     s0 = min(t, math.log(1.0 / eps) / delta)
     inside = recent(s0)
-    stiffness = params.alpha1 * xi - xi**params.a / delta
+    margin = coercivity_margin(xi, params, 1.0 / delta)
     if s0 < t:
         x0 = traj.x0[0]
         e0 = sum(energy_parts(*x0[:4], xi, params, 1.0 / delta)) + xi**params.a * remote(x0[0])
         tail = (
-            2.0 / delta * math.exp(-delta * s0) * (abs(v_t) ** 2 + e0 / stiffness)
-            if stiffness > 0.0
+            2.0 / delta * math.exp(-delta * s0) * (abs(v_t) ** 2 + e0 / (xi * margin))
+            if margin > 0.0
             else math.inf
         )
         memory = inside + outside
@@ -398,10 +404,11 @@ def energy_trace(trajs: ModalTrajectories, times: np.ndarray) -> EnergyTrace:
     """Exact multi-mode energy trace on the given times.
 
     The modes go in chunks of at most ``_MEMORY_CHUNK``: each chunk is one
-    ``state_at``, one ``energy_parts`` over the stack and one call of
+    phase array ``exp(lam_i*t)``, which feeds one ``state_at`` and one call of
     ``memory_energy_closed_form`` (``memory_energy_quadrature`` for dense
-    modes).  The mechanical parts enter the running sums mode by mode: a sum
-    over the stack would associate the additions differently.
+    modes), and one ``energy_parts`` over the stack.  The mechanical parts
+    enter the running sums mode by mode: a sum over the stack would associate
+    the additions differently.
     """
     times = np.asarray(times, dtype=float)
     zeta = 1.0 / trajs.delta
@@ -409,11 +416,12 @@ def energy_trace(trajs: ModalTrajectories, times: np.ndarray) -> EnergyTrace:
     mem = np.zeros_like(times)
     for start in range(0, len(trajs), _MEMORY_CHUNK):
         chunk = trajs[start : start + _MEMORY_CHUNK]
-        states = chunk.state_at(times)
+        phases = chunk.phases(times)
+        states = chunk.state_at(times, phases)
         parts = energy_parts(*states.swapaxes(0, 1)[:4], chunk.xi[:, None], trajs.params, zeta)
         for part in np.stack(parts, axis=1):
             mechanical += part
-        mem += memory_energy_closed_form(chunk[~chunk.dense], times).sum(axis=0)
+        mem += memory_energy_closed_form(chunk[~chunk.dense], times, phases=phases[~chunk.dense]).sum(axis=0)
         for m in np.flatnonzero(chunk.dense):
             mem += [memory_energy_quadrature(chunk[m], float(t)) for t in times]
     return EnergyTrace.from_parts(times, *mechanical, mem, -trajs.delta * mem)

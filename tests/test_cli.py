@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 import memwave
+from memwave import cli
+from memwave.config import ConfigError
 from memwave.cli import main
 
 P0_MODEL = {
@@ -205,10 +207,14 @@ def test_csv_cells_are_plain_numbers(tmp_path):
                 float(cell)
 
 
-def _run_python(code):
+def _python_env():
+    """The environment with this package's source first on ``PYTHONPATH``."""
     src = str(Path(memwave.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def _run_python(code):
+    proc = subprocess.run([sys.executable, "-c", code], env=_python_env(), capture_output=True, text=True, check=True)
     return proc.stdout.strip()
 
 
@@ -260,6 +266,103 @@ def test_commands_without_dense_modes_leave_out_scipy(tmp_path):
     )
     lines = [line for line in _run_python(code).splitlines() if line.startswith("GUARD")]
     assert lines == ["GUARD import False"] + [f"GUARD {command} 0 False" for command in commands]
+
+
+BLAS = cli._openblas_threads()
+needs_openblas = pytest.mark.skipif(BLAS is None, reason="numpy's OpenBLAS exports no thread-count calls")
+
+
+@pytest.fixture
+def two_blas_threads():
+    """The library's thread count set to 2 for the test and put back after."""
+    get, set_ = BLAS
+    before = get()
+    set_(2)
+    yield get()
+    set_(before)
+
+
+def _recording_command(monkeypatch, raises=None):
+    """Replace ``validate`` by a command that records the BLAS thread count
+    it runs with, then raises ``raises`` or returns 0."""
+    seen = []
+
+    def command(cfg, out):
+        seen.append(BLAS[0]() if BLAS else None)
+        if raises is not None:
+            raise raises
+        return 0
+
+    monkeypatch.setitem(cli.COMMANDS, "validate", command)
+    return seen
+
+
+@needs_openblas
+def test_sweep_bytes_do_not_depend_on_openblas_threads(tmp_path):
+    # the README example configuration, at the library's default thread
+    # count and at one thread: the SVDs behind the M = 80 norms round
+    # differently on two threads unless the command pins one
+    readme = json.loads(json.dumps(P0_MODEL))
+    readme["grid"]["count"] = 200
+    cfg = write_cfg(tmp_path, model=readme, extra={"sweep": {"M": [40, 80], "tau_lo": 10.0, "tau_hi": 1000.0}})
+    env = _python_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    files = []
+    for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        out = tmp_path / f"out{len(files)}"
+        argv = [sys.executable, "-m", "memwave.cli", "sweep", "--config", cfg, "--out", str(out)]
+        subprocess.run(argv, env=dict(env, **threads), capture_output=True, check=True)
+        files.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert list(files[0]) == ["sweep_M40.csv", "sweep_M80.csv", "sweep_summary.json"]
+    assert [name for name in files[0] if files[0][name] != files[1].get(name)] == []
+
+
+@needs_openblas
+@pytest.mark.parametrize(
+    "extra, code",
+    [
+        ({"sweep": {"M": [8], "tau_lo": 5.0, "tau_hi": 25.0, "per_decade": 4, "resonances_per_branch": 2}}, 0),
+        ({"sweep": {"M": [8], "tau_lo": 25.0, "tau_hi": 5.0}}, 2),
+        ({"kernel": {"type": "exponential", "delta": 0.2}}, 1),  # not coercive
+    ],
+)
+def test_main_restores_the_blas_thread_count(tmp_path, monkeypatch, two_blas_threads, extra, code):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    cfg = write_cfg(tmp_path, extra=extra)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == code
+    assert BLAS[0]() == two_blas_threads
+
+
+@needs_openblas
+@pytest.mark.parametrize("raises, code", [(None, 0), (RuntimeError("boom"), 1), (ConfigError("bad"), 2)])
+def test_command_runs_on_one_blas_thread(tmp_path, monkeypatch, two_blas_threads, raises, code):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    seen = _recording_command(monkeypatch, raises)
+    assert main(["validate", "--config", write_cfg(tmp_path), "--out", str(tmp_path / "out")]) == code
+    assert seen == [1]
+    assert BLAS[0]() == two_blas_threads
+
+
+@needs_openblas
+def test_explicit_openblas_num_threads_is_honoured(tmp_path, monkeypatch, two_blas_threads):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    seen = _recording_command(monkeypatch)
+    assert main(["validate", "--config", write_cfg(tmp_path), "--out", str(tmp_path / "out")]) == 0
+    assert seen == [two_blas_threads]
+
+
+def test_pin_is_a_no_op_without_the_library(tmp_path, monkeypatch):
+    # the lookup finds nothing in a site directory with no numpy.libs ...
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "site" / "numpy" / "__init__.py"))
+    assert cli._openblas_threads.__wrapped__() is None
+    monkeypatch.undo()
+    # ... and then the command runs on the caller's count
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
+    seen = _recording_command(monkeypatch)
+    before = BLAS[0]() if BLAS else None
+    assert main(["validate", "--config", write_cfg(tmp_path), "--out", str(tmp_path / "out")]) == 0
+    assert seen == [before]
 
 
 def test_sweep_command_summary(tmp_path):

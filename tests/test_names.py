@@ -71,6 +71,18 @@ def test_numerical_layers_take_no_kernel_or_grid_object(name):
     assert names & {"ModeGrid", "ExponentialKernel", "TabulatedKernel"} == set()
 
 
+SOURCES = sorted(Path(memwave.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_only_the_command_line_sets_blas_threads(path):
+    # cli pins one OpenBLAS thread around each command and puts the caller's
+    # count back; a numerical layer that set the count itself would undo that
+    words = ("ctypes", "openblas", "num_threads", "threadpool")
+    found = [w for w in words if w in path.read_text().lower()]
+    assert found == (list(words[:3]) if path.name == "cli.py" else [])
+
+
 def test_every_command_option_is_read():
     # a schema key that no command reads is a knob that does nothing: each
     # option key must be a string constant of a cli function that names its section

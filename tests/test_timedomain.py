@@ -241,9 +241,9 @@ def test_energy_trace_batches_memory_across_chunks(monkeypatch):
     sizes = []
     closed_form = timedomain.memory_energy_closed_form
 
-    def recorded(chunk, t):
+    def recorded(chunk, t, **kwargs):
         sizes.append(len(chunk))
-        return closed_form(chunk, t)
+        return closed_form(chunk, t, **kwargs)
 
     monkeypatch.setattr(timedomain, "memory_energy_closed_form", recorded)
     trace = energy_trace(trajs, times)
