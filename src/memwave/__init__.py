@@ -41,8 +41,6 @@ from .spectral import (
 )
 from .timedomain import (
     EnergyTrace,
-    ExponentialPolyHistory,
-    HistoryTerm,
     ModalTrajectories,
     energy_trace,
     evolve_general_kernel,

@@ -132,6 +132,7 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
 
 def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     kernel = _require_exponential(cfg)
+    _require_coercive(cfg)
     opts = cfg.options.get("sweep", {})
     m_list = opts.get("M", [40])
     tau_lo, tau_hi = _range("sweep", opts, "tau_lo", "tau_hi", (10.0, 1000.0))

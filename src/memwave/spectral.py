@@ -53,10 +53,15 @@ class AsymptoticConstants:
     m2: float
     mhat1: float
     mhat2: float
-    discriminant: float
 
     @classmethod
     def from_params(cls, params: ModelParams) -> "AsymptoticConstants":
+        if not params.alpha1 > 0.0:
+            # m1*m2 = alpha1*beta/(rho*mu), so m1 <= 0: no wave speed
+            raise InvalidModelError(
+                f"alpha1 = alpha - gamma^2*beta must be positive, got {params.alpha1:.6g}; "
+                "the squared wave speed m1 is then not positive"
+            )
         s_sum = params.beta / params.mu + params.alpha / params.rho
         p_prod = params.alpha1 * params.beta / (params.rho * params.mu)
         disc = s_sum**2 - 4.0 * p_prod
@@ -72,7 +77,6 @@ class AsymptoticConstants:
             m2=(s_sum + root) / 2.0,
             mhat1=0.5 * (1.0 + diff / root),
             mhat2=0.5 * (1.0 - diff / root),
-            discriminant=disc,
         )
 
     def m(self, j: int) -> float:

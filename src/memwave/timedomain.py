@@ -1,20 +1,21 @@
 """Time evolution per mode: exact eigen-expansion for exponential kernels,
 a history-quadrature scheme for general kernels, energy traces.  A mode is
 given by its eigenvalue ``xi`` and its initial data by a plain array of
-``(v, u, p, q)``; no mode number enters.
+``(v, u, p, q)``; no mode number enters.  Every mode is at rest before
+``t = 0``.
 
 For ``g(s) = exp(-delta*s)`` each mode reduces to the five-dimensional system
-``(v, u, p, q, I)`` with the convolved history ``I' = v - delta*I``, so the
-trajectory is an exact five-term exponential sum.  That removes all
-time-discretization error from decay-rate measurements.  The memory part of
-the energy,
+``(v, u, p, q, I)`` with the convolved history ``I' = v - delta*I`` and
+``I(0) = 0``, so the trajectory is an exact five-term exponential sum.  That
+removes all time-discretization error from decay-rate measurements.  The
+memory part of the energy,
 
     xi^a * int_0^inf g(s) |v(t) - v(t-s)|^2 ds,
 
 splits at ``s = t``: the recent part factors into the five terms
 ``a_i*exp(lam_i*t)`` of ``v(t)`` and one fixed 5x5 matrix per mode, so a whole
-stack of modes is one vectorised evaluation; the remote part is closed form in
-the prescribed history (zero or polynomial-times-exponential terms).
+stack of modes is one vectorised evaluation; the remote part, where the mode
+was at rest, is ``e^(-delta*t) |v(t)|^2/delta``.
 
 General kernels satisfying the positivity/pinch hypotheses go through an
 implicit-midpoint scheme whose memory force uses trapezoidal convolution over
@@ -38,54 +39,6 @@ from .spectral import eigvec, modal_generator, quintic_roots
 
 
 # ---------------------------------------------------------------------------
-# prescribed histories
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HistoryTerm:
-    """One term ``coef * s^power * exp(-rate*s)`` of a prescribed history."""
-
-    coef: complex
-    power: int
-    rate: float
-
-    def __post_init__(self) -> None:
-        if self.power < 0:
-            raise InvalidModelError(f"power must be >= 0, got {self.power}")
-        if not self.rate > 0.0:
-            raise InvalidModelError(f"rate must be > 0, got {self.rate}")
-
-
-@dataclass(frozen=True)
-class ExponentialPolyHistory:
-    """The history ``h(s)``, ``s > 0``, as a sum of ``HistoryTerm``s; the
-    default, no terms, is no prescribed motion before t = 0."""
-
-    terms: tuple[HistoryTerm, ...] = ()
-
-
-def history_mass(history: ExponentialPolyHistory, delta: float) -> complex:
-    """``int_0^inf exp(-delta*s) h(s) ds`` (also the initial convolved
-    history I(0) for the exponential kernel)."""
-    acc = 0.0 + 0.0j
-    for t in history.terms:
-        acc += t.coef * math.factorial(t.power) / (delta + t.rate) ** (t.power + 1)
-    return acc
-
-
-def history_sq_mass(history: ExponentialPolyHistory, delta: float) -> float:
-    """``int_0^inf exp(-delta*s) |h(s)|^2 ds``."""
-    acc = 0.0 + 0.0j
-    for t1 in history.terms:
-        for t2 in history.terms:
-            n = t1.power + t2.power
-            c = delta + t1.rate + t2.rate
-            acc += t1.coef * np.conj(t2.coef) * math.factorial(n) / c ** (n + 1)
-    return float(acc.real)
-
-
-# ---------------------------------------------------------------------------
 # exact modal evolution (exponential kernel)
 # ---------------------------------------------------------------------------
 
@@ -96,12 +49,14 @@ class ModalTrajectories:
 
     Modes run along the leading axis of ``xi``, ``eigenvalues``, ``eigvecs``
     (column ``i`` is the eigenvector of root ``i``), ``amplitudes``, ``x0``
-    (``(v, u, p, q, I)`` at t = 0) and ``dense``; all modes share ``delta``, the
-    prescribed ``history`` and ``params``.  Indexing keeps the leading axis,
-    so ``trajs[m]``, ``trajs[a:b]`` and ``trajs[~trajs.dense]`` are stacks
-    too.  A mode whose eigenvalue separation check failed is flagged by
-    ``dense``: its amplitudes are zero and ``state_at`` takes the matrix
-    exponential of its generator instead.
+    (``(v, u, p, q, I)`` at t = 0, ``I = 0``) and ``dense``; all modes share
+    ``delta`` and ``params``.  Every eigenvector is normalised to ``v = 1``
+    (``eigvecs[:, 0, :]`` is exactly 1), so the amplitudes are also the
+    coefficients of ``v(t) = sum_i a_i exp(lam_i t)``.  Indexing keeps the
+    leading axis, so ``trajs[m]``, ``trajs[a:b]`` and ``trajs[~trajs.dense]``
+    are stacks too.  A mode whose eigenvalue separation check failed is
+    flagged by ``dense``: its amplitudes are zero and ``state_at`` takes the
+    matrix exponential of its generator instead.
     """
 
     xi: np.ndarray
@@ -111,7 +66,6 @@ class ModalTrajectories:
     x0: np.ndarray
     dense: np.ndarray
     delta: float
-    history: ExponentialPolyHistory
     params: ModelParams
 
     def __len__(self) -> int:
@@ -121,13 +75,6 @@ class ModalTrajectories:
         rows = np.atleast_1d(np.arange(len(self))[index])
         per_mode = ("xi", "eigenvalues", "eigvecs", "amplitudes", "x0", "dense")
         return replace(self, **{name: getattr(self, name)[rows] for name in per_mode})
-
-    @property
-    def v_amplitudes(self) -> np.ndarray:
-        """Coefficients of ``v(t) = sum_i a_i exp(lam_i t)``, shape ``(modes, 5)``."""
-        if self.dense.any():
-            raise InvalidModelError("dense fallback trajectory has no amplitude expansion")
-        return self.eigvecs[:, 0, :] * self.amplitudes
 
     def phases(self, t) -> np.ndarray:
         """``exp(lam_i*t)`` of every mode and root, shape ``(modes, 5) + t.shape``."""
@@ -152,27 +99,20 @@ class ModalTrajectories:
         return states
 
 
-def exact_modal_evolve(
-    xi,
-    x0,
-    params: ModelParams,
-    delta: float,
-    history: ExponentialPolyHistory = ExponentialPolyHistory(),
-) -> ModalTrajectories:
+def exact_modal_evolve(xi, x0, params: ModelParams, delta: float) -> ModalTrajectories:
     """Diagonalize the reduced five-dimensional generator of the modes ``xi``,
     shape ``(modes,)``, and fit amplitudes to their initial ``(v, u, p, q)``
     in ``x0``, shape ``(modes, 4)``: one root solve and one stacked
     eigenvector solve for the whole stack.
 
-    The initial convolved history is ``I(0) = int g h`` (closed form).  If
-    two eigenvalues of a mode collide to within 1e-8 of its spectral scale
-    the eigenvector solve is refused for that mode, which is flagged
-    ``dense`` and reconstructed by the matrix exponential.
+    The modes are at rest before t = 0, so the initial convolved history is
+    ``I(0) = 0``.  If two eigenvalues of a mode collide to within 1e-8 of its
+    spectral scale the eigenvector solve is refused for that mode, which is
+    flagged ``dense`` and reconstructed by the matrix exponential.
     """
     xi = np.asarray(xi, dtype=float)
     lams = quintic_roots(xi, params, delta).roots
-    i0 = history_mass(history, delta)
-    x0 = np.column_stack([np.asarray(x0, dtype=complex), np.full(xi.size, i0)])
+    x0 = np.column_stack([np.asarray(x0, dtype=complex), np.zeros(xi.size)])
 
     scale = np.maximum(1.0, np.abs(lams).max(axis=1))
     upper, lower = np.triu_indices(5, 1)
@@ -183,7 +123,7 @@ def exact_modal_evolve(
     vmat = np.swapaxes(eigvec(lams, xi[:, None], params, delta), 1, 2)
     amps = np.zeros_like(x0)
     amps[~dense] = np.linalg.solve(vmat[~dense], x0[~dense, :, None])[..., 0]
-    return ModalTrajectories(xi, lams, vmat, amps, x0, dense, delta, history, params)
+    return ModalTrajectories(xi, lams, vmat, amps, x0, dense, delta, params)
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +154,10 @@ def memory_energy_closed_form(trajs: ModalTrajectories, t, phases=None) -> np.nd
         |v|^2 E(delta) - 2 Re(conj(v) sum_i f_i E(delta + lam_i))
             + sum_ij f_i conj(f_j) E(c_ij),   c_ij = delta + lam_i + conj(lam_j),
 
-    and the ``s > t`` part is ``e^(-delta*t) (|v|^2/delta - 2 Re(conj(v) H1) +
-    H2)`` with the two history moments ``H1, H2``; their ``e^(-delta*t)
-    |v|^2/delta`` pieces cancel.  Each single-exponent term splits as
-    ``(f_i - a_i e^(-delta*t)) / (delta + lam_i)`` and each pair term as
+    and the ``s > t`` part, where the mode was at rest, is ``e^(-delta*t)
+    |v|^2/delta``, which cancels the same piece of ``|v|^2 E(delta)``.  Each
+    single-exponent term splits as ``(f_i - a_i e^(-delta*t)) / (delta +
+    lam_i)`` and each pair term as
     ``(f_i conj(f_j) - a_i conj(a_j) e^(-delta*t)) / c_ij``, which is one
     contraction over the stack each and overflows nowhere, except where the
     exponent times ``t_max`` is below ``_SPLIT_GUARD`` in modulus: there the
@@ -229,13 +169,12 @@ def memory_energy_closed_form(trajs: ModalTrajectories, t, phases=None) -> np.nd
     t = np.asarray(t, dtype=float)
     tt = t.reshape(-1)
     n = len(trajs)
-    amps = trajs.v_amplitudes
+    amps = trajs.amplitudes
     lams = trajs.eigenvalues
     delta = trajs.delta
-    h1 = complex(history_mass(trajs.history, delta))
-    h2 = history_sq_mass(trajs.history, delta)
 
-    phases = trajs.phases(tt) if phases is None else phases.reshape(n, 5, -1)
+    # tt.size, not -1: an empty stack (all of a chunk dense) gives nothing to infer from
+    phases = trajs.phases(tt) if phases is None else phases.reshape(n, 5, tt.size)
     f = phases * amps[:, :, None]
     v = f.sum(axis=1)
     decay = np.exp(-delta * tt)
@@ -259,12 +198,7 @@ def memory_energy_closed_form(trajs: ModalTrajectories, t, phases=None) -> np.nd
         terms = f[m, i] * f[m, j].conj() * tt * _expm1_ratio(c[m, i, j][:, None] * tt)
         np.add.at(pair, m, terms.real)
 
-    memory = (
-        np.abs(v) ** 2 / delta
-        - 2.0 * (v.conj() * single).real
-        + pair
-        + decay * (h2 - 2.0 * (v.conj() * h1).real)
-    )
+    memory = np.abs(v) ** 2 / delta - 2.0 * (v.conj() * single).real + pair
     xi_a = trajs.xi ** trajs.params.a
     return (xi_a[:, None] * memory).reshape((n,) + t.shape)
 
@@ -296,12 +230,6 @@ def memory_energy_quadrature(traj: ModalTrajectories, t: float) -> float:
     delta = traj.delta
     xi = float(traj.xi[0])
     eps = np.finfo(float).eps
-    h1 = history_mass(traj.history, delta)
-    h2 = history_sq_mass(traj.history, delta)
-
-    def remote(v: complex) -> float:
-        # int_0^inf e^(-delta*s) |v - h(s)|^2 ds
-        return abs(v) ** 2 / delta - 2.0 * (np.conj(v) * h1).real + h2
 
     v_t = complex(traj.state_at(t)[0, 0])
     gx, gw = np.polynomial.legendre.leggauss(16)
@@ -322,13 +250,15 @@ def memory_energy_quadrature(traj: ModalTrajectories, t: float) -> float:
         s = s0 - h * np.arange(n_panels)[:, None] - offsets
         return float(np.sum(0.5 * h * gw * np.exp(-delta * s) * np.abs(v_t - v) ** 2))
 
-    outside = math.exp(-delta * t) * remote(v_t)
+    # remote part: v(t - s) = 0 for s > t, the mode being at rest before t = 0
+    outside = math.exp(-delta * t) * (abs(v_t) ** 2 / delta)
     s0 = min(t, math.log(1.0 / eps) / delta)
     inside = recent(s0)
     margin = coercivity_margin(xi, params, 1.0 / delta)
     if s0 < t:
         x0 = traj.x0[0]
-        e0 = sum(energy_parts(*x0[:4], xi, params, 1.0 / delta)) + xi**params.a * remote(x0[0])
+        e0 = sum(energy_parts(*x0[:4], xi, params, 1.0 / delta))
+        e0 += xi**params.a * (abs(x0[0]) ** 2 / delta)
         tail = (
             2.0 / delta * math.exp(-delta * s0) * (abs(v_t) ** 2 + e0 / (xi * margin))
             if margin > 0.0
@@ -500,7 +430,7 @@ def evolve_general_kernel(
     satisfying the positivity/pinch hypotheses, solved for all steps at once
     in O(steps log steps).
 
-    The prescribed history is zero.  The memory force at the midpoint is the
+    The mode is at rest before t = 0.  The memory force at the midpoint is the
     average of the endpoint convolutions ``conv_n = int_0^t g(s) v(t-s) ds``
     by the trapezoid rule on the step grid: ``conv_(n+1) = kappa*v_(n+1) +
     rest_n`` with ``kappa = dt*g(0)/2`` and ``rest_n = (h*v)_(n+1) -
@@ -626,14 +556,10 @@ def marginal_data_amplitudes(xi: np.ndarray) -> np.ndarray:
 
 __all__ = [
     "EnergyTrace",
-    "ExponentialPolyHistory",
-    "HistoryTerm",
     "ModalTrajectories",
     "energy_trace",
     "evolve_general_kernel",
     "exact_modal_evolve",
-    "history_mass",
-    "history_sq_mass",
     "marginal_data_amplitudes",
     "memory_energy_closed_form",
     "memory_energy_quadrature",

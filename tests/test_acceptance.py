@@ -319,7 +319,7 @@ def test_8_decay_fit_matches_superposition_oracle():
         times = np.geomspace(1.0, 2000.0, 60)
         trace = energy_trace(trajs, times)
         fit_trace = fit_decay_exponent(times, trace.norm(), (10.0, 1000.0))
-        oracle = superposition_oracle(grid.xi, trajs.v_amplitudes, trajs.eigenvalues, params, KER1.delta, times)
+        oracle = superposition_oracle(grid.xi, trajs.amplitudes, trajs.eigenvalues, params, KER1.delta, times)
         fit_oracle = fit_decay_exponent(times, oracle, (10.0, 1000.0))
         gap = abs(fit_trace.slope - fit_oracle.slope)
         pointwise = float(np.max(np.abs(oracle / trace.norm() - 1.0)))

@@ -408,6 +408,27 @@ def test_simulate_then_fit(tmp_path):
     assert fit["slope"] < -0.2
 
 
+def test_simulate_through_a_real_exceptional_point(tmp_path):
+    # README parameters at a = 0.9: two real roots of the first mode sit
+    # 8.4e-10 apart, below the 1e-8*max(1, |lam|) separation threshold, and the
+    # coercivity margin there is +0.0023; the mode takes the dense route alone
+    xi0 = 0.003761474648682634
+    model = json.loads(json.dumps(P0_MODEL))
+    model["params"]["a"] = 0.9
+    model["grid"] = {"type": "explicit", "xi": [xi0, 1.0, 4.0]}
+    params = memwave.ModelParams(**model["params"])
+    assert memwave.exact_modal_evolve([xi0], [[1.0, 0.0, 0.0, 0.0]], params, 1.0).dense.tolist() == [True]
+    cfg = write_cfg(tmp_path, model=model, extra={"simulate": {"t_lo": 0.0, "t_hi": 50.0, "n_times": 6}})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    with (out / "trace.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    total = np.array([float(r["total"]) for r in rows])
+    assert len(rows) == 6 and np.all(np.diff(total) <= 0.0)
+    # at rest before t = 0, the memory energy starts at xi^a*|v0|^2/delta
+    assert float(rows[0]["memory"]) == pytest.approx(xi0**0.9, rel=1e-12)
+
+
 def test_simulate_more_modes_than_grid_is_model_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, extra={"simulate": {"data": "marginal", "n_modes": 130}})
     out = tmp_path / "out"
@@ -441,20 +462,23 @@ def test_simulate_mode_past_the_grid_is_model_error(tmp_path, capsys, simulate):
 
 
 @pytest.mark.parametrize(
-    "command, simulate",
+    "command, simulate, gamma",
     [
-        ("sweep", None),
-        ("verdict", None),
-        ("simulate", {"t_lo": 1.0, "t_hi": 200.0, "n_times": 20}),
-        ("simulate", {"integrator": "general", "t_hi": 0.3, "dt": 0.01, "sample_every": 5}),
+        ("sweep", None, 0.5),
+        ("sweep", None, 2.0),
+        ("verdict", None, 0.5),
+        ("simulate", {"t_lo": 1.0, "t_hi": 200.0, "n_times": 20}, 0.5),
+        ("simulate", {"integrator": "general", "t_hi": 0.3, "dt": 0.01, "sample_every": 5}, 0.5),
     ],
-    ids=["sweep", "verdict", "simulate-exact", "simulate-general"],
+    ids=["sweep", "sweep-alpha1-negative", "verdict", "simulate-exact", "simulate-general"],
 )
-def test_non_coercive_mode_is_model_error(tmp_path, capsys, command, simulate):
+def test_non_coercive_mode_is_model_error(tmp_path, capsys, command, simulate, gamma):
     # delta = 0.2 gives zeta = 5, so alpha1 - zeta*xi_1^(a-1) = 1.75 - 5 < 0;
-    # the general integrator gets exp(-0.2*s) as a table
+    # gamma = 2 makes alpha1 = -2 itself, which must be refused before the
+    # sweep computes a wave speed; the general integrator gets exp(-0.2*s) as a table
     model = json.loads(json.dumps(P0_MODEL))
     model["kernel"]["delta"] = 0.2
+    model["params"]["gamma"] = gamma
     if simulate and simulate.get("integrator") == "general":
         s = [0.05 * i for i in range(2001)]
         model["kernel"] = {"type": "tabulated", "s": s, "g": [math.exp(-0.2 * x) for x in s], "k0": 0.2, "k1": 0.2}

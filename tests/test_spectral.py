@@ -73,6 +73,15 @@ def test_equal_wave_speeds_are_rejected():
         AsymptoticConstants.from_params(params)
 
 
+@pytest.mark.parametrize("alpha, gamma", [(2.0, 2.0), (1.0, 1.0)])
+def test_non_positive_alpha1_is_rejected(alpha, gamma):
+    # alpha1 = alpha - gamma^2 is -2, then exactly 0: with m1*m2 = alpha1 the
+    # slower squared wave speed m1 is not positive
+    params = ModelParams(rho=1.0, mu=1.0, alpha=alpha, beta=1.0, gamma=gamma, a=0.5)
+    with pytest.raises(InvalidModelError, match="alpha1 = alpha - gamma\\^2\\*beta must be positive"):
+        AsymptoticConstants.from_params(params)
+
+
 def test_roots_reference_values_at_xi_1e4():
     # frozen from an independent high-precision solve (mpmath, 40 digits)
     br = branch_at(1e4)

@@ -17,13 +17,9 @@ from memwave.model import (
 from memwave.spectral import modal_generator
 from memwave.timedomain import (
     EnergyTrace,
-    ExponentialPolyHistory,
-    HistoryTerm,
     energy_trace,
     evolve_general_kernel,
     exact_modal_evolve,
-    history_mass,
-    history_sq_mass,
     marginal_data_amplitudes,
     memory_energy_closed_form,
     memory_energy_quadrature,
@@ -32,9 +28,9 @@ from memwave.timedomain import (
 DELTA = KER1.delta
 
 
-def evolve(k=1, grid=None, v=1.0, u=0.0, p=0.0, q=0.0, history=ExponentialPolyHistory(), params=P0):
+def evolve(k=1, grid=None, v=1.0, u=0.0, p=0.0, q=0.0, params=P0):
     grid = grid or square_grid(4)
-    return exact_modal_evolve([grid.xi_of(k)], [[v, u, p, q]], params, DELTA, history)
+    return exact_modal_evolve([grid.xi_of(k)], [[v, u, p, q]], params, DELTA)
 
 
 def test_zero_initial_data_stays_zero():
@@ -47,6 +43,7 @@ def test_initial_state_reconstruction():
     traj = evolve(v=1.0, u=0.3j, p=-0.2, q=0.75)
     x0 = traj.state_at(0.0)
     assert np.max(np.abs(x0 - traj.x0)) <= 1e-10
+    assert np.all(traj.eigvecs[:, 0, :] == 1.0)
 
 
 def test_trajectory_satisfies_reduced_system():
@@ -110,15 +107,14 @@ def test_memory_energy_quadrature_resolves_oscillatory_modes(k):
 
 def _memory_energy_60_digits(mpmath, traj, t, a):
     """``xi^a * int_0^inf e^(-delta*s) |v(t) - v(t-s)|^2 ds`` for a
-    zero-history one-mode stack, from its amplitudes and eigenvalues in 60-digit
+    one-mode stack, from its amplitudes and eigenvalues in 60-digit
     arithmetic: the unfactored expansion with every ``E(c) = int_0^t
     e^(-c*s) ds`` taken whole."""
-    assert traj.history.terms == ()
     with mpmath.workdps(60):
         delta = mpmath.mpf(traj.delta)
         t = mpmath.mpf(t)
         lams = [mpmath.mpc(lam) for lam in traj.eigenvalues[0]]
-        f = [mpmath.mpc(amp) * mpmath.exp(lam * t) for amp, lam in zip(traj.v_amplitudes[0], lams)]
+        f = [mpmath.mpc(amp) * mpmath.exp(lam * t) for amp, lam in zip(traj.amplitudes[0], lams)]
         v = sum(f)
 
         def e(c):
@@ -212,19 +208,17 @@ def test_memory_energy_where_a_pair_exponent_vanishes(alpha, bracket):
 
 def test_stacked_memory_energy_equals_single_calls():
     grid = square_grid(30)
-    history = ExponentialPolyHistory((HistoryTerm(0.8, 1, 1.5), HistoryTerm(-0.3j, 0, 0.4)))
     ks = (1, 2, 7, 19, 30)
     xi = [grid.xi_of(k) for k in ks]
     x0 = [[1.0 / k, 0.2j, -0.1, 0.05 * k] for k in ks]
     times = np.array([[0.0, 0.3, 2.0], [10.0, 75.0, 400.0]])
-    for hist in (ExponentialPolyHistory(), history):
-        trajs = exact_modal_evolve(xi, x0, P0, DELTA, hist)
-        stacked = memory_energy_closed_form(trajs, times)
-        assert stacked.shape == (len(trajs),) + times.shape
-        for m, row in enumerate(stacked):
-            single = memory_energy_closed_form(trajs[m], times)[0]
-            assert row == pytest.approx(single, rel=1e-14, abs=0.0)
-        assert memory_energy_closed_form(trajs, 2.0) == pytest.approx(stacked[:, 0, 2], rel=1e-14)
+    trajs = exact_modal_evolve(xi, x0, P0, DELTA)
+    stacked = memory_energy_closed_form(trajs, times)
+    assert stacked.shape == (len(trajs),) + times.shape
+    for m, row in enumerate(stacked):
+        single = memory_energy_closed_form(trajs[m], times)[0]
+        assert row == pytest.approx(single, rel=1e-14, abs=0.0)
+    assert memory_energy_closed_form(trajs, 2.0) == pytest.approx(stacked[:, 0, 2], rel=1e-14)
 
 
 def test_energy_trace_batches_memory_across_chunks(monkeypatch):
@@ -266,22 +260,6 @@ def test_energy_trace_batches_memory_across_chunks(monkeypatch):
     ):
         assert np.array_equal(got, expected)
     assert trace.memory == pytest.approx(memory, rel=1e-13, abs=0.0)
-
-
-def test_history_moments_closed_form():
-    h = ExponentialPolyHistory((HistoryTerm(1.0, 1, 2.0),))
-    assert history_mass(h, 1.0) == pytest.approx(1.0 / 9.0, rel=1e-14)
-    assert history_sq_mass(h, 1.0) == pytest.approx(2.0 / 125.0, rel=1e-14)
-
-
-def test_history_enters_through_initial_convolution():
-    h = ExponentialPolyHistory((HistoryTerm(0.8, 0, 1.5),))
-    traj = evolve(history=h)
-    assert traj.x0[0, 4] == pytest.approx(0.8 / 2.5, rel=1e-14)
-    for t in (0.0, 0.7):
-        closed = float(memory_energy_closed_form(traj, t)[0])
-        quad = memory_energy_quadrature(traj, t)
-        assert closed == pytest.approx(quad, abs=1e-8 * max(1.0, closed))
 
 
 def test_trace_monotone_and_split_consistent():
