@@ -1,7 +1,9 @@
 """JSON run configuration: schema validation and object construction.
 
 The schema is strict: unknown keys anywhere are rejected before any
-computation starts.  All reals are IEEE doubles.
+computation starts.  All reals are IEEE doubles.  ``SCHEMA`` is checked by a
+small interpreter of the keywords it uses; jsonschema, slow to import, is
+loaded only to word a rejection.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from .model import (
     ExponentialKernel,
@@ -155,9 +155,52 @@ SCHEMA = {
 }
 
 
-# built once: jsonschema.validate would re-check SCHEMA against its metaschema
-# on every load; errors are ranked by the same best_match, so messages agree
-_VALIDATOR = validator_for(SCHEMA)(SCHEMA)
+def _is_number(x) -> bool:
+    # json.loads yields int or float for numbers; bool subclasses int
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# jsonschema's type rules: a bool is no number, and 1.0 is an integer
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "number": _is_number,
+    "integer": lambda x: _is_number(x) and (isinstance(x, int) or x.is_integer()),
+}
+
+# keyword -> test(value, instance, schema), true when the instance satisfies
+# the keyword; as in jsonschema a keyword passes an instance of a type it does
+# not constrain, and a bound fails only when its comparison holds, so NaN
+# passes every bound.  const and enum values in SCHEMA are strings, for which
+# == is jsonschema's equality.
+_KEYWORDS = {
+    "type": lambda t, x, s: _TYPES[t](x),
+    "required": lambda keys, x, s: not isinstance(x, dict) or all(k in x for k in keys),
+    "properties": lambda props, x, s: (
+        not isinstance(x, dict) or all(_accepts(x[k], sub) for k, sub in props.items() if k in x)
+    ),
+    "additionalProperties": lambda sub, x, s: (
+        not isinstance(x, dict) or all(_accepts(x[k], sub) for k in x if k not in s.get("properties", {}))
+    ),
+    "items": lambda sub, x, s: not isinstance(x, list) or all(_accepts(item, sub) for item in x),
+    "oneOf": lambda subs, x, s: sum(_accepts(x, sub) for sub in subs) == 1,
+    "const": lambda c, x, s: x == c,
+    "enum": lambda values, x, s: x in values,
+    "minimum": lambda m, x, s: not (_is_number(x) and x < m),
+    "exclusiveMinimum": lambda m, x, s: not (_is_number(x) and x <= m),
+    "exclusiveMaximum": lambda m, x, s: not (_is_number(x) and x >= m),
+    "minItems": lambda n, x, s: not isinstance(x, list) or len(x) >= n,
+    "maxItems": lambda n, x, s: not isinstance(x, list) or len(x) <= n,
+}
+
+
+def _accepts(instance, schema) -> bool:
+    """Whether ``instance`` is valid under ``schema`` (a dict of the keywords
+    in ``_KEYWORDS``, or a boolean schema), as jsonschema would decide."""
+    if isinstance(schema, bool):
+        return schema
+    return all(_KEYWORDS[key](value, instance, schema) for key, value in schema.items())
 
 
 @dataclass(frozen=True)
@@ -173,11 +216,12 @@ def _check_samples(raw: dict) -> None:
     """Require every item of the sample arrays (kernel ``s`` and ``g``, grid
     ``xi``) to be a finite number.
 
-    These arrays can hold tens of thousands of samples, and jsonschema's
-    per-item validation dominated the load of a large tabulated kernel.  JSON
-    numbers parse to ``int`` or ``float``, never to ``bool``.  Python's
-    ``json`` reads ``NaN``, ``Infinity`` and ``1e400`` as non-finite floats,
-    and an integer beyond the double range would not convert.
+    These arrays can hold tens of thousands of samples; ``SCHEMA`` gives them
+    only a type and a length, so its check does not walk them, and this one
+    loop checks every item.  JSON numbers parse to ``int`` or ``float``, never
+    to ``bool``.  Python's ``json`` reads ``NaN``, ``Infinity`` and ``1e400``
+    as non-finite floats, and an integer beyond the double range would not
+    convert.
     """
     for section, key in (("kernel", "s"), ("kernel", "g"), ("grid", "xi")):
         for value in raw[section].get(key, ()):
@@ -194,8 +238,11 @@ def load_config(path: str | Path) -> RunConfig:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    error = best_match(_VALIDATOR.iter_errors(raw))
-    if error is not None:
+    if not _accepts(raw, SCHEMA):
+        from jsonschema.exceptions import best_match
+        from jsonschema.validators import validator_for
+
+        error = best_match(validator_for(SCHEMA)(SCHEMA).iter_errors(raw))
         raise ConfigError(f"config schema violation: {error.message}") from error
     _check_samples(raw)
 

@@ -353,8 +353,9 @@ def validate_params(params: ModelParams, kernel: Kernel, grid: ModeGrid) -> Vali
     sample for tabulated kernels, identically for exponential ones);
     the coercivity condition ``zeta*xi_1^(a-1) < alpha1`` whose gap is the
     reported ``kappa``; and the wave-speed split
-    ``(beta/mu + alpha/rho)^2 > 4*alpha1*beta/(rho*mu)`` needed for two
-    distinct oscillatory branches.
+    ``(beta/mu + alpha/rho)^2 > 4*alpha1*beta/(rho*mu)`` with ``alpha1 > 0``,
+    needed for two distinct positive squared wave speeds, one per oscillatory
+    branch.
     """
     checks: list[CheckResult] = []
 
@@ -438,15 +439,14 @@ def validate_params(params: ModelParams, kernel: Kernel, grid: ModeGrid) -> Vali
     else:
         checks.append(CheckResult("coercivity", False, "skipped: prerequisites failed"))
 
+    # the squared wave speeds are the roots of c^4 - s_sum*c^2 + prod4/4: two
+    # distinct positive ones need the discriminant and their product positive
     s_sum = params.beta / params.mu + params.alpha / params.rho
     prod4 = 4.0 * a1 * params.beta / (params.rho * params.mu)
-    checks.append(
-        CheckResult(
-            "wave_speed_split",
-            s_sum**2 > prod4,
-            f"(beta/mu + alpha/rho)^2 = {s_sum**2:.6g} vs 4*alpha1*beta/(rho*mu) = {prod4:.6g}",
-        )
-    )
+    split = f"(beta/mu + alpha/rho)^2 = {s_sum**2:.6g} vs 4*alpha1*beta/(rho*mu) = {prod4:.6g}"
+    if a1 <= 0.0:
+        split += "; alpha1 <= 0, so the slower squared wave speed is not positive"
+    checks.append(CheckResult("wave_speed_split", s_sum**2 > prod4 and a1 > 0.0, split))
 
     return ValidationReport(tuple(checks), kappa)
 

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import math
 
+import jsonschema
 import numpy as np
 
+from memwave import config
 from memwave.model import ExponentialKernel, ModeGrid, ModelParams
 from memwave.timedomain import marginal_data_amplitudes
 
@@ -49,3 +51,12 @@ def draw_validated(rng: np.random.Generator) -> tuple[ModelParams, ExponentialKe
         ModelParams(rho=rho, mu=mu, alpha=alpha, beta=beta, gamma=gamma, a=a),
         ExponentialKernel(delta),
     )
+
+
+SCHEMA_VALIDATOR = jsonschema.validators.validator_for(config.SCHEMA)(config.SCHEMA)
+
+
+def schema_agrees(raw) -> bool:
+    """Whether ``load_config``'s interpreter of ``SCHEMA`` and jsonschema both
+    accept or both reject ``raw``."""
+    return config._accepts(raw, config.SCHEMA) == SCHEMA_VALIDATOR.is_valid(raw)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import memwave
+from helpers import schema_agrees
 from memwave import cli
 from memwave.config import ConfigError
 from memwave.cli import main
@@ -24,6 +25,7 @@ P0_MODEL = {
 def write_cfg(tmp_path, extra=None, model=None):
     cfg = dict(model or P0_MODEL)
     cfg.update(extra or {})
+    assert schema_agrees(json.loads(json.dumps(cfg)))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return str(path)
@@ -240,11 +242,13 @@ def test_general_simulate_leaves_out_scipy_integrate(tmp_path):
     assert (tmp_path / "out" / "trace.csv").exists()
 
 
-def test_commands_without_dense_modes_leave_out_scipy(tmp_path):
-    # scipy is imported only for a mode that falls back to the dense expm
-    out = tmp_path / "out"
-    commands = ["validate", "spectrum", "sweep", "verdict", "simulate", "fit"]
-    cfg = write_cfg(
+ALL_COMMANDS = ["validate", "spectrum", "sweep", "verdict", "simulate", "fit"]
+
+
+def write_all_commands_cfg(tmp_path, out):
+    """A small config with a section for every command, ``fit`` reading the
+    trace that ``simulate`` writes to ``out``."""
+    return write_cfg(
         tmp_path,
         extra={
             "spectrum": {"modes": 5},
@@ -254,18 +258,55 @@ def test_commands_without_dense_modes_leave_out_scipy(tmp_path):
             "fit": {"trace": str(out / "trace.csv"), "window": [5.0, 100.0]},
         },
     )
+
+
+def test_commands_without_dense_modes_leave_out_scipy(tmp_path):
+    # scipy is imported only for a mode that falls back to the dense expm
+    out = tmp_path / "out"
+    cfg = write_all_commands_cfg(tmp_path, out)
     code = (
         "import sys\n"
         "from memwave.cli import main\n"
         "def scipy_loaded():\n"
         "    return any(m.partition('.')[0] == 'scipy' for m in sys.modules)\n"
         "print('GUARD import', scipy_loaded())\n"
-        f"for command in {commands!r}:\n"
+        f"for command in {ALL_COMMANDS!r}:\n"
         f"    code = main([command, '--config', {cfg!r}, '--out', {str(out)!r}])\n"
         "    print('GUARD', command, code, scipy_loaded())\n"
     )
     lines = [line for line in _run_python(code).splitlines() if line.startswith("GUARD")]
-    assert lines == ["GUARD import False"] + [f"GUARD {command} 0 False" for command in commands]
+    assert lines == ["GUARD import False"] + [f"GUARD {command} 0 False" for command in ALL_COMMANDS]
+
+
+def test_cli_import_leaves_out_jsonschema():
+    assert _run_python("import sys, memwave.cli; print('jsonschema' in sys.modules)") == "False"
+
+
+def test_jsonschema_loads_only_to_word_a_rejection(tmp_path):
+    # config.SCHEMA is checked by its own interpreter; jsonschema only words
+    # the message of a rejection
+    out = tmp_path / "out"
+    good = write_all_commands_cfg(tmp_path, out)
+    (tmp_path / "bad").mkdir()
+    bad = write_cfg(tmp_path / "bad", extra={"mystery": 1})
+    code = (
+        "import sys\n"
+        "from memwave.cli import main\n"
+        f"for command in {ALL_COMMANDS!r}:\n"
+        f"    code = main([command, '--config', {good!r}, '--out', {str(out)!r}])\n"
+        "    print('GUARD', command, code, 'jsonschema' in sys.modules)\n"
+        f"code = main(['validate', '--config', {bad!r}, '--out', {str(out)!r}])\n"
+        "print('GUARD rejected', code, 'jsonschema' in sys.modules)\n"
+    )
+    lines = _run_python(code).splitlines()
+    assert [line for line in lines if line.startswith("GUARD")] == [
+        f"GUARD {command} 0 False" for command in ALL_COMMANDS
+    ] + ["GUARD rejected 2 True"]
+    error = json.loads(lines[-2])["error"]
+    assert error == {
+        "type": "config",
+        "message": "config schema violation: Additional properties are not allowed ('mystery' was unexpected)",
+    }
 
 
 BLAS = cli._openblas_threads()

@@ -67,6 +67,15 @@ def test_validate_fails_on_negative_alpha1():
     assert "-3" in [c for c in report.checks if c.name == "alpha1_positive"][0].detail
 
 
+@pytest.mark.parametrize("alpha, gamma", [(2.0, 2.0), (1.0, 1.0)])  # alpha1 = -2 and exactly 0
+def test_wave_speed_split_fails_without_positive_alpha1(alpha, gamma):
+    # README parameters otherwise: (beta/mu + alpha/rho)^2 > 4*alpha1*beta/(rho*mu)
+    # holds, but the squared wave speeds multiply to alpha1*beta/(rho*mu) <= 0
+    params = ModelParams(rho=1.0, mu=1.0, alpha=alpha, beta=1.0, gamma=gamma, a=0.5)
+    report = validate_params(params, KER1, square_grid(3))
+    assert "wave_speed_split" in [c.name for c in report.failures()]
+
+
 def test_validate_fails_on_flat_kernel_sample():
     s = np.linspace(0.0, 5.0, 51)
     g = np.exp(-s)

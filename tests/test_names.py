@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import memwave
+from helpers import schema_agrees
 from memwave import cli
 from memwave.config import SCHEMA
 
@@ -129,6 +130,7 @@ def test_benchmark_tracer_sizes_the_general_integrator_by_steps(tmp_path):
         "grid": {"type": "dirichlet_laplacian", "length": math.pi, "count": 2},
         "simulate": {"integrator": "general", "t_hi": 0.3, "dt": 0.01, "sample_every": 5},
     }
+    assert schema_agrees(cfg)
     path = tmp_path / "general.json"
     path.write_text(json.dumps(cfg))
     tracer = _benchmark_tracer().Tracer()
