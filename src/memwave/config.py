@@ -1,9 +1,10 @@
 """JSON run configuration: schema validation and object construction.
 
 The schema is strict: unknown keys anywhere are rejected before any
-computation starts.  All reals are IEEE doubles.  ``SCHEMA`` is checked by a
-small interpreter of the keywords it uses; jsonschema, slow to import, is
-loaded only to word a rejection.
+computation starts.  All reals are IEEE doubles, and every number in the
+config must be finite.  ``SCHEMA`` is checked by a small interpreter of the
+keywords it uses; jsonschema, slow to import, is loaded only to word a
+rejection.
 """
 
 from __future__ import annotations
@@ -212,25 +213,41 @@ class RunConfig:
     options: dict = field(default_factory=dict)
 
 
-def _check_samples(raw: dict) -> None:
-    """Require every item of the sample arrays (kernel ``s`` and ``g``, grid
-    ``xi``) to be a finite number.
+def _finite_numbers(values: list) -> bool:
+    """Whether every item of ``values`` is a finite number, checked as one
+    array: ``type``, not ``isinstance``, so a ``bool`` counts as no number."""
+    if not set(map(type, values)) <= {int, float}:
+        return False
+    try:
+        return bool(np.isfinite(np.asarray(values, dtype=float)).all())
+    except OverflowError:  # an integer beyond the double range
+        return False
 
-    These arrays can hold tens of thousands of samples; ``SCHEMA`` gives them
-    only a type and a length, so its check does not walk them, and this one
-    loop checks every item.  JSON numbers parse to ``int`` or ``float``, never
-    to ``bool``.  Python's ``json`` reads ``NaN``, ``Infinity`` and ``1e400``
-    as non-finite floats, and an integer beyond the double range would not
-    convert.
+
+def _check_finite(node, place: str = "") -> None:
+    """Require every number in the config, and every item of its arrays, to
+    be a finite number; ``place`` is the dotted key of ``node``.
+
+    ``SCHEMA`` puts bounds on numbers but, as jsonschema, lets NaN pass them,
+    and it gives the sample arrays (kernel ``s`` and ``g``, grid ``xi``), which
+    can hold tens of thousands of items, only a type and a length.  Every
+    array of the config holds numbers, so an array is checked as one numpy
+    array, and walked item by item only to word a rejection.  Python's
+    ``json`` reads ``NaN``, ``Infinity`` and ``1e400`` as non-finite floats,
+    and an integer beyond the double range does not convert.
     """
-    for section, key in (("kernel", "s"), ("kernel", "g"), ("grid", "xi")):
-        for value in raw[section].get(key, ()):
-            if type(value) not in (int, float):
-                raise ConfigError(f"config schema violation: {value!r} is not of type 'number'")
-            if not abs(value) <= sys.float_info.max:
-                raise ConfigError(
-                    f"config schema violation: {section}.{key} holds {value!r}, not a finite number"
-                )
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _check_finite(value, f"{place}.{key}" if place else key)
+    elif isinstance(node, list):
+        if _finite_numbers(node):
+            return
+        for item in node:
+            if type(item) not in (int, float):
+                raise ConfigError(f"config schema violation: {item!r} is not of type 'number'")
+            _check_finite(item, place)
+    elif _is_number(node) and not abs(node) <= sys.float_info.max:
+        raise ConfigError(f"config schema violation: {place} holds {node!r}, not a finite number")
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -244,7 +261,7 @@ def load_config(path: str | Path) -> RunConfig:
 
         error = best_match(validator_for(SCHEMA)(SCHEMA).iter_errors(raw))
         raise ConfigError(f"config schema violation: {error.message}") from error
-    _check_samples(raw)
+    _check_finite(raw)
 
     try:
         params = ModelParams(**raw["params"])

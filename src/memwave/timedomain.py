@@ -77,17 +77,40 @@ class ModalTrajectories:
         return replace(self, **{name: getattr(self, name)[rows] for name in per_mode})
 
     def phases(self, t) -> np.ndarray:
-        """``exp(lam_i*t)`` of every mode and root, shape ``(modes, 5) + t.shape``."""
-        return np.exp(np.multiply.outer(self.eigenvalues, np.asarray(t, dtype=float)))
+        """``exp(lam_i*t)`` of every mode and root, shape ``(modes, 5) + t.shape``.
 
-    def state_at(self, t, phases=None) -> np.ndarray:
+        ``quintic_roots`` labels a mode ``[real, p, conj(p), q, conj(q)]``
+        with exact conjugates, and ``conj(exp(z))`` is ``exp(conj(z))`` bit
+        for bit, so roots 0, 1 and 3 take an ``exp`` and roots 2 and 4 the
+        conjugate of their partner's phase.  A mode whose slot 2 (or 4) is
+        not the exact conjugate of slot 1 (or 3), as in a degenerate
+        labelling, takes its own ``exp`` there.
+        """
+        lams = self.eigenvalues
+        t = np.asarray(t, dtype=float)
+        out = np.multiply.outer(lams, t)
+        np.exp(out[:, :2], out=out[:, :2])
+        np.exp(out[:, 3], out=out[:, 3])
+        for own, partner in ((2, 1), (4, 3)):
+            paired = (lams[:, own] == lams[:, partner].conj()).reshape((-1,) + (1,) * t.ndim)
+            np.conjugate(out[:, partner], out=out[:, own], where=paired)
+            np.exp(out[:, own], out=out[:, own], where=~paired)
+        return out
+
+    def terms(self, t) -> np.ndarray:
+        """The five terms ``a_i*exp(lam_i*t)`` of ``v(t)`` of every mode,
+        shape ``(modes, 5) + t.shape``."""
+        t = np.asarray(t, dtype=float)
+        return self.amplitudes[(...,) + (None,) * t.ndim] * self.phases(t)
+
+    def state_at(self, t, terms=None) -> np.ndarray:
         """``(v, u, p, q, I)`` of every mode at ``t``, shape ``(modes, 5) +
-        t.shape``; ``phases``, if given, is ``self.phases(t)``."""
+        t.shape``: the eigenvectors applied to the five terms, ``terms`` if
+        given (it is then ``self.terms(t)``)."""
         t = np.asarray(t, dtype=float)
         n = len(self)
-        if phases is None:
-            phases = self.phases(t)
-        terms = self.amplitudes[(...,) + (None,) * t.ndim] * phases
+        if terms is None:
+            terms = self.terms(t)
         states = (self.eigvecs @ terms.reshape(n, 5, -1)).reshape((n, 5) + t.shape)
         if self.dense.any():
             import scipy.linalg as sla  # loaded only for a dense-fallback mode
@@ -143,10 +166,10 @@ def _expm1_ratio(x: np.ndarray) -> np.ndarray:
     return np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x != 0)
 
 
-def memory_energy_closed_form(trajs: ModalTrajectories, t, phases=None) -> np.ndarray:
+def memory_energy_closed_form(trajs: ModalTrajectories, t, terms=None) -> np.ndarray:
     """``xi^a * int_0^inf exp(-delta*s) |v(t) - v(t-s)|^2 ds`` for a stack of
-    trajectories, shape ``(len(trajs),) + t.shape``; ``phases``, if given, is
-    ``trajs.phases(t)``.
+    trajectories, shape ``(len(trajs),) + t.shape``; ``terms``, if given, is
+    ``trajs.terms(t)``.
 
     With ``f_i = a_i*exp(lam_i*t)``, ``v = sum_i f_i`` and
     ``E(c) = int_0^t exp(-c*s) ds = -expm1(-c*t)/c``, the ``s < t`` part is
@@ -174,8 +197,7 @@ def memory_energy_closed_form(trajs: ModalTrajectories, t, phases=None) -> np.nd
     delta = trajs.delta
 
     # tt.size, not -1: an empty stack (all of a chunk dense) gives nothing to infer from
-    phases = trajs.phases(tt) if phases is None else phases.reshape(n, 5, tt.size)
-    f = phases * amps[:, :, None]
+    f = trajs.terms(tt) if terms is None else terms.reshape(n, 5, tt.size)
     v = f.sum(axis=1)
     decay = np.exp(-delta * tt)
 
@@ -191,7 +213,7 @@ def memory_energy_closed_form(trajs: ModalTrajectories, t, phases=None) -> np.nd
     c = delta + lams[:, :, None] + lams.conj()[:, None, :]
     guard = np.abs(c) * t_max < _SPLIT_GUARD
     inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=~guard)
-    pair = np.einsum("nit,nij,njt->nt", f, inv_c, f.conj()).real
+    pair = (f * (inv_c @ f.conj())).sum(axis=1).real
     pair -= np.einsum("ni,nij,nj->n", amps, inv_c, amps.conj()).real[:, None] * decay
     m, i, j = np.nonzero(guard)
     if m.size:
@@ -333,12 +355,13 @@ _MEMORY_CHUNK = 64
 def energy_trace(trajs: ModalTrajectories, times: np.ndarray) -> EnergyTrace:
     """Exact multi-mode energy trace on the given times.
 
-    The modes go in chunks of at most ``_MEMORY_CHUNK``: each chunk is one
-    phase array ``exp(lam_i*t)``, which feeds one ``state_at`` and one call of
+    The modes go in chunks of at most ``_MEMORY_CHUNK``: each chunk forms its
+    terms ``a_i*exp(lam_i*t)`` once, and they feed both ``state_at`` and
     ``memory_energy_closed_form`` (``memory_energy_quadrature`` for dense
-    modes), and one ``energy_parts`` over the stack.  The mechanical parts
-    enter the running sums mode by mode: a sum over the stack would associate
-    the additions differently.
+    modes), followed by one ``energy_parts`` over the stack.  The mechanical
+    parts enter the running sums mode by mode: a sum over the stack would
+    associate the additions differently, and a sequential ``np.add.accumulate``
+    over the chunk, which would keep the association, is slower than this loop.
     """
     times = np.asarray(times, dtype=float)
     zeta = 1.0 / trajs.delta
@@ -346,12 +369,12 @@ def energy_trace(trajs: ModalTrajectories, times: np.ndarray) -> EnergyTrace:
     mem = np.zeros_like(times)
     for start in range(0, len(trajs), _MEMORY_CHUNK):
         chunk = trajs[start : start + _MEMORY_CHUNK]
-        phases = chunk.phases(times)
-        states = chunk.state_at(times, phases)
+        terms = chunk.terms(times)
+        states = chunk.state_at(times, terms)
         parts = energy_parts(*states.swapaxes(0, 1)[:4], chunk.xi[:, None], trajs.params, zeta)
         for part in np.stack(parts, axis=1):
             mechanical += part
-        mem += memory_energy_closed_form(chunk[~chunk.dense], times, phases=phases[~chunk.dense]).sum(axis=0)
+        mem += memory_energy_closed_form(chunk[~chunk.dense], times, terms=terms[~chunk.dense]).sum(axis=0)
         for m in np.flatnonzero(chunk.dense):
             mem += [memory_energy_quadrature(chunk[m], float(t)) for t in times]
     return EnergyTrace.from_parts(times, *mechanical, mem, -trajs.delta * mem)

@@ -113,6 +113,35 @@ def test_non_finite_sample_is_config_error(tmp_path, capsys, key, bad):
     assert "not a finite number" in error["message"]
 
 
+# each of these once reached the computation: a trace or report of nan or
+# inf with exit 0, or a LinAlgError with exit 1
+@pytest.mark.parametrize(
+    "command, place, bad",
+    [
+        ("simulate", "simulate.v0", math.nan),
+        ("simulate", "simulate.t_hi", math.inf),
+        ("verdict", "verdict.xi_probes", math.nan),
+        ("validate", "params.rho", math.inf),
+    ],
+)
+def test_non_finite_option_is_config_error(tmp_path, capsys, command, place, bad):
+    model = json.loads(json.dumps(P0_MODEL))
+    model["simulate"] = {"data": "single", "k": 1, "v0": 1.0, "t_lo": 0.0, "t_hi": 5.0, "n_times": 5}
+    model["verdict"] = {"xi_probes": [1e4, 1e5, 1e6]}
+    section, key = place.split(".")
+    if isinstance(model[section][key], list):
+        model[section][key][1] = bad
+    else:
+        model[section][key] = bad
+    cfg = write_cfg(tmp_path, model=model)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    error = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"]
+    assert error == {
+        "type": "config",
+        "message": f"config schema violation: {place} holds {bad!r}, not a finite number",
+    }
+
+
 def test_decreasing_explicit_grid_is_config_error(tmp_path, capsys):
     model = json.loads(json.dumps(P0_MODEL))
     model["grid"] = {"type": "explicit", "xi": [1, 4, 3]}

@@ -458,6 +458,64 @@ def test_state_at_two_dimensional_times():
         assert np.max(np.abs(states[:, :, r] - expected)) <= 1e-15 * np.max(np.abs(expected))
 
 
+def _full_exp(trajs, t):
+    return np.exp(np.multiply.outer(trajs.eigenvalues, np.asarray(t, dtype=float)))
+
+
+def _readme_stack():
+    return exact_modal_evolve(*marginal_data(square_grid(200), 200), P0, DELTA)
+
+
+def _one_ulp_off(trajs, row):
+    # slot 2 of ``row`` one ulp away from the conjugate of slot 1
+    lams = trajs.eigenvalues.copy()
+    lams[row, 2] = complex(lams[row, 2].real, np.nextafter(lams[row, 2].imag, -np.inf))
+    return dataclasses.replace(trajs, eigenvalues=lams)
+
+
+@pytest.mark.parametrize(
+    "times", [np.geomspace(1.0, 2000.0, 60), np.array([[0.0, 0.3, 2.0], [10.0, 75.0, 400.0]]), 2.5]
+)
+def test_paired_phases_equal_the_full_exponential(times):
+    trajs = _readme_stack()
+    assert np.array_equal(trajs.eigenvalues[:, 2], trajs.eigenvalues[:, 1].conj())
+    assert np.array_equal(trajs.eigenvalues[:, 4], trajs.eigenvalues[:, 3].conj())
+    assert np.array_equal(trajs.phases(times), _full_exp(trajs, times))
+
+
+def test_unpaired_row_takes_its_own_exponential():
+    trajs = _one_ulp_off(_readme_stack(), 7)
+    times = np.geomspace(1.0, 2000.0, 60)
+    phases = trajs.phases(times)
+    assert np.array_equal(phases, _full_exp(trajs, times))
+    assert not np.array_equal(phases[7, 2], phases[7, 1].conj())
+
+
+def test_phases_take_three_exponentials_per_paired_mode(monkeypatch):
+    # one unpaired slot costs one more exponential for its row alone
+    trajs = _one_ulp_off(_readme_stack(), 7)
+    times = np.geomspace(1.0, 2000.0, 60)
+    exp = np.exp
+    evaluated = []
+
+    def counting(x, out=None, where=True):
+        evaluated.append(int(np.broadcast_to(where, np.shape(x)).sum()))
+        return exp(x, out=out, where=where)
+
+    monkeypatch.setattr(timedomain.np, "exp", counting)
+    trajs.phases(times)
+    assert sum(evaluated) == (3 * len(trajs) + 1) * times.size
+
+
+def test_phases_at_a_real_exceptional_point():
+    # README parameters at a = 0.9: slots 3 and 4 hold two distinct real roots
+    trajs = exact_modal_evolve([0.003761474648682634], [[1.0, 0.0, 0.0, 0.0]], p0_with_a(0.9), DELTA)
+    lams = trajs.eigenvalues[0]
+    assert lams[1] == lams[2].conj() and lams[4] != lams[3].conj()
+    times = np.geomspace(1.0, 2000.0, 60)
+    assert np.array_equal(trajs.phases(times), _full_exp(trajs, times))
+
+
 def test_colliding_roots_take_the_dense_route(monkeypatch):
     # the collision threshold is 1e-8 of max(1, |lam|): mode 2 (|lam| ~ 3)
     # falls under it and mode 3 (|lam| ~ 4.5) just clears it
