@@ -286,7 +286,11 @@ def cmd_verdict(cfg: RunConfig, out: Path) -> int:
         "",
     ]
     lines += [f"- **{leg.name}**: {'PASS' if leg.passed else 'FAIL'} - {leg.detail}" for leg in legs]
-    lines += ["", "Peaks: each probe's exact 4x4 Schur reduction with the continuum history, no sweep and no M."]
+    lines += [
+        "",
+        "Peaks: bracketed by 1/|Re lam_1+| below and by the exact 4x4 Schur reduction with the continuum history"
+        " above, no sweep and no M.",
+    ]
     (out / "verdict.md").write_text("\n".join(lines) + "\n")
     print(f"verdict: {'optimal' if optimal else 'inconclusive'}")
     return 0

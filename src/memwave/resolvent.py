@@ -70,7 +70,7 @@ With the continuum history in place of the collocated one the same bounds
 need no ``M``: ``phi`` as above, ``||y||^2 = 1/(delta*(delta^2 + tau^2))``,
 ``||x||^2 = 2*||y||^2`` and the weighted Hardy constant ``||K|| = 2/delta``,
 each the limit of its collocated value and never below it.
-``resolvent_peaks`` maximises them over ``tau`` near a mode's resonance.
+``resolvent_peaks`` maximises the upper one near a mode's resonance.
 
 The static problem at ``lambda = 0`` is solved on the same block: the
 forcing goes into energy coordinates with the mode's ``energy_congruence``,
@@ -551,29 +551,25 @@ PEAK_POINTS = 41
 
 
 def resolvent_peaks(branch: SpectrumBranch, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Peaks over ``tau`` near ``Im lam_{1+}`` of the continuum lower and
-    upper bounds (module docstring) of each mode of ``branch`` (kernel
+    """Peaks over ``tau`` near ``Im lam_{1+}`` of the continuum upper bound
+    (module docstring) of each mode of ``branch`` (kernel
     ``exp(-branch.delta*s)``; every mode coercive), as ``(taus, peaks)`` of
-    shape ``(modes, 2)``, the lower bound in column 0.  Each bound is
-    maximised on its own by ``PEAK_PASSES`` passes of ``PEAK_POINTS``
-    frequencies, the first over ``Im lam +- 4|Re lam|`` and each next one
-    over the two intervals around the previous maximiser.
+    shape ``(modes,)``.  The bound is maximised by ``PEAK_PASSES`` passes of
+    ``PEAK_POINTS`` frequencies, the first over ``Im lam +- 4|Re lam|`` and
+    each next one over the two intervals around the previous maximiser.
     """
     xi, lam, delta = branch.xi.reshape(-1), branch.lam(1, +1).reshape(-1), branch.delta
-    corners = energy_corners(xi, params, 1.0 / delta)[:, None, None]
-    c = (xi ** (params.a / 2.0) / math.sqrt(params.rho))[:, None, None]
+    corners = energy_corners(xi, params, 1.0 / delta)[:, None]
+    c = (xi ** (params.a / 2.0) / math.sqrt(params.rho))[:, None]
     offsets = np.linspace(-1.0, 1.0, PEAK_POINTS)
-    centers = np.repeat(lam.imag[:, None], 2, axis=1)
-    half = 4.0 * np.abs(lam.real)[:, None, None]
+    centers, half = lam.imag, 4.0 * np.abs(lam.real)[:, None]
     for _ in range(PEAK_PASSES):
-        taus = centers[..., None] + half * offsets
+        taus = centers[:, None] + half * offsets
         y_sq = 1.0 / (delta * (delta * delta + taus * taus))
         phi = 1.0 / (delta * (delta + 1j * taus))
-        lower, upper = schur_bounds(corners, c, taus, phi, np.sqrt(2.0 * y_sq), np.sqrt(y_sq), 2.0 / delta)
-        values = np.stack([lower[:, 0], upper[:, 1]], axis=1)
-        best = np.argmax(values, axis=-1)[..., None]
-        centers = np.take_along_axis(taus, best, axis=-1)[..., 0]
-        peaks = np.take_along_axis(values, best, axis=-1)[..., 0]
+        _, upper = schur_bounds(corners, c, taus, phi, np.sqrt(2.0 * y_sq), np.sqrt(y_sq), 2.0 / delta)
+        best = (np.arange(xi.size), np.argmax(upper, axis=-1))
+        centers, peaks = taus[best], upper[best]
         half = half * (2.0 / (PEAK_POINTS - 1))
     return centers, peaks
 

@@ -374,7 +374,8 @@ def energy_trace(trajs: ModalTrajectories, times: np.ndarray) -> EnergyTrace:
         parts = energy_parts(*states.swapaxes(0, 1)[:4], chunk.xi[:, None], trajs.params, zeta)
         for part in np.stack(parts, axis=1):
             mechanical += part
-        mem += memory_energy_closed_form(chunk[~chunk.dense], times, terms=terms[~chunk.dense]).sum(axis=0)
+        light, light_terms = (chunk[~chunk.dense], terms[~chunk.dense]) if chunk.dense.any() else (chunk, terms)
+        mem += memory_energy_closed_form(light, times, terms=light_terms).sum(axis=0)
         for m in np.flatnonzero(chunk.dense):
             mem += [memory_energy_quadrature(chunk[m], float(t)) for t in times]
     return EnergyTrace.from_parts(times, *mechanical, mem, -trajs.delta * mem)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from helpers import KER1, P0, marginal_data, p0_with_a, square_grid
+import memwave.analysis as analysis
 from memwave.analysis import (
+    BRACKET_MAX,
     SLOPE_TOL,
     check_exponent_leg,
     check_sharpness_convergence,
@@ -68,11 +70,23 @@ def test_oracle_single_mode_rate_and_positivity():
     assert slope == pytest.approx(rate, rel=0.02)
 
 
-# the six regimes of the README table plus a = 0.9, where the gap between the
-# bounds is widest at small delta
+# the regimes of the README table; the bracket is widest at a = 0.9 and small
+# delta (upper peak times |Re lam| up to 1.165 at delta = 0.1)
 @pytest.mark.parametrize(
     "a, delta",
-    [(0.0, 1.0), (0.0, 5.0), (0.5, 1.0), (0.5, 5.0), (0.97, 1.0), (0.97, 5.0), (0.9, 0.5), (0.9, 1.0), (0.9, 5.0)],
+    [
+        (0.0, 1.0),
+        (0.0, 5.0),
+        (0.5, 1.0),
+        (0.5, 5.0),
+        (0.97, 1.0),
+        (0.97, 5.0),
+        (0.9, 0.1),
+        (0.9, 0.2),
+        (0.9, 0.5),
+        (0.9, 1.0),
+        (0.9, 5.0),
+    ],
 )
 def test_verdict_legs_fail_under_a_wrong_exponent(a, delta):
     # negative controls: the growth exponent leg passes at 2 - 2a and fails
@@ -83,6 +97,35 @@ def test_verdict_legs_fail_under_a_wrong_exponent(a, delta):
     assert not check_exponent_leg(branch, p0_with_a(a), omega=omega + 0.05).passed
     assert not check_exponent_leg(branch, p0_with_a(a), omega=omega - 0.05).passed
     assert SLOPE_TOL == 0.02
+    assert BRACKET_MAX == 1.25
+
+
+def test_exponent_leg_fails_when_the_bracket_is_too_tight(monkeypatch):
+    # a = 0.9, delta = 1: the slope reads 0.2000, but the upper peaks reach
+    # 1.021/|Re lam_{1+}|, above a bracket constant of 1.01
+    branch = quintic_roots(np.geomspace(9.0, 1e10, 80), p0_with_a(0.9), 1.0)
+    monkeypatch.setattr(analysis, "BRACKET_MAX", 1.01)
+    report = check_exponent_leg(branch, p0_with_a(0.9))
+    assert not report.passed
+    assert "slope of 1/|Re lam_1+| 0.2000 vs 0.2 +- 0.02" in report.detail
+    assert " to 1.0213" in report.detail
+
+
+def test_exponent_leg_fails_when_a_peak_is_below_the_eigenvalue_bound(monkeypatch):
+    # every peak is at least 1/|Re lam_{1+}|; README parameters read at least
+    # 1.000005 times it, so peaks cut by 1e-4, as from a zoom that missed the
+    # maximum, must fail the leg
+    branch = quintic_roots(np.geomspace(9.0, 1e10, 80), P0, KER1.delta)
+    peaks = analysis.resolvent_peaks
+
+    def cut(probes, params):
+        taus, upper = peaks(probes, params)
+        return taus, upper * (1.0 - 1e-4)
+
+    monkeypatch.setattr(analysis, "resolvent_peaks", cut)
+    report = check_exponent_leg(branch, P0)
+    assert not report.passed
+    assert "peaks*|Re lam_1+| 0.99990" in report.detail
 
 
 def test_exponent_leg_needs_three_probes_past_the_guard():

@@ -656,7 +656,8 @@ def test_verdict_reads_neither_grid_size_nor_history_resolution(tmp_path):
 def test_verdict_probe_below_the_grid_is_left_out(tmp_path):
     # a = 0.9, delta = 0.1 (zeta = 10): the grid's first mode xi = 1e8 is
     # coercive, the probe xi = 1e5 below it is not, though its Im lam_{1+} is
-    # past the guard's tau = 100; it must be left out, not raise
+    # past the guard's tau = 100; it must be left out, not raise, and the
+    # three probes kept certify the rate
     model = json.loads(json.dumps(P0_MODEL))
     model["params"]["a"] = 0.9
     model["kernel"]["delta"] = 0.1
@@ -664,8 +665,9 @@ def test_verdict_probe_below_the_grid_is_left_out(tmp_path):
     cfg = write_cfg(tmp_path, model=model, extra={"verdict": {"xi_probes": [1e5, 1e8, 1e9, 1e10]}})
     out = tmp_path / "out"
     assert main(["verdict", "--config", cfg, "--out", str(out)]) == 0
-    legs = json.loads((out / "verdict.json").read_text())["legs"]
-    assert "over 3 probes at tau 8904 " in legs[1]["detail"]
+    payload = json.loads((out / "verdict.json").read_text())
+    assert "over 3 probes at tau 8904 " in payload["legs"][1]["detail"]
+    assert payload["verdict"] is True
 
 
 def test_module_error_returns_one(tmp_path):

@@ -198,29 +198,30 @@ def test_sweep_result_arrays_are_read_only():
             getattr(sweep, name)[0] = 999
 
 
-def test_resolvent_peaks_reach_the_maximum_of_each_bound():
-    # a dense scan of each continuum bound over Im lam +- 4|Re lam| finds
-    # nothing above its zoomed peak
+def test_resolvent_peaks_reach_the_maximum_of_the_upper_bound():
+    # a dense scan of the continuum upper bound over Im lam +- 4|Re lam|
+    # finds nothing above its zoomed peak
     params, delta = p0_with_a(0.9), 0.5
     branch = quintic_roots(np.array([1e2, 1e4, 1e6]), params, delta)
     taus, peaks = resolvent_peaks(branch, params)
+    assert taus.shape == peaks.shape == (3,)
     corners = energy_corners(branch.xi, params, 1.0 / delta)
     for i, lam in enumerate(branch.lam(1, +1)):
         scan = lam.imag + 4.0 * abs(lam.real) * np.linspace(-1.0, 1.0, 4001)
         y_sq = 1.0 / (delta * (delta**2 + scan**2))
         c = branch.xi[i] ** (params.a / 2.0)  # rho = 1
         phi = 1.0 / (delta * (delta + 1j * scan))
-        bounds = schur_bounds(corners[i], c, scan, phi, np.sqrt(2.0 * y_sq), np.sqrt(y_sq), 2.0 / delta)
-        for j in (0, 1):
-            assert peaks[i, j] >= bounds[j].max() * (1.0 - 1e-12)
-            assert peaks[i, j] <= bounds[j].max() * (1.0 + 1e-5)
+        _, upper = schur_bounds(corners[i], c, scan, phi, np.sqrt(2.0 * y_sq), np.sqrt(y_sq), 2.0 / delta)
+        assert peaks[i] >= upper.max() * (1.0 - 1e-12)
+        assert peaks[i] <= upper.max() * (1.0 + 1e-5)
 
 
 @pytest.mark.parametrize("a, delta", [(0.9, 0.5), (0.5, 1.0), (0.97, 5.0)])
 def test_continuum_peaks_bracket_the_collocated_peak(a, delta):
     # the M = 80 block's own peak near Im lam_{1+}, found by three zoom passes
-    # that start at the lower bound's maximiser, lies between the peaks of the
-    # M-free bounds; at a = 0.9, delta = 0.5, k = 12: 15.80 <= 17.96 <= 19.51
+    # that start at the upper bound's maximiser, lies between the eigenvalue
+    # bound 1/|Re lam_{1+}| and the peak of the M-free upper bound; at
+    # a = 0.9, delta = 0.5, k = 12: 17.80 <= 17.96 <= 19.51
     params = p0_with_a(a)
     grid = square_grid(45)
     lag = laguerre_grid(80, delta)
@@ -229,12 +230,13 @@ def test_continuum_peaks_bracket_the_collocated_peak(a, delta):
     taus, peaks = resolvent_peaks(branch, params)
     for i, k in enumerate(ks):
         block = mode_block(grid.xi_of(k), params, lag)
-        center, half, best = taus[i, 0], 4.0 * abs(branch.lam(1, +1)[i].real), 0.0
+        damping = abs(branch.lam(1, +1)[i].real)
+        center, half, best = taus[i], 4.0 * damping, 0.0
         for _ in range(3):
             grid_taus = center + half * np.linspace(-1.0, 1.0, 11)
             norms = [block.resolvent_norm(t) for t in grid_taus]
             center, best, half = grid_taus[int(np.argmax(norms))], max(best, max(norms)), half / 5.0
-        assert peaks[i, 0] <= best <= peaks[i, 1], (k, peaks[i], best)
+        assert 1.0 / damping <= best <= peaks[i], (k, 1.0 / damping, best, peaks[i])
 
 
 @pytest.mark.parametrize("delta", [0.5, 1.0, 5.0])
