@@ -6,7 +6,6 @@ from .analysis import (
     DecayFit,
     fit_decay_exponent,
     optimality_check,
-    superposition_oracle,
     target_exponent,
 )
 from .model import (
@@ -25,19 +24,16 @@ from .resolvent import (
     laguerre_grid,
     mode_block,
     scaled_sweep,
-    static_solve,
 )
 from .spectral import (
     AsymptoticConstants,
     SpectrumBranch,
     asymptotic_eigenvalues,
-    cardano_cubic_roots,
     modal_generator,
     quintic_coeffs,
     quintic_roots,
     sharpness_limit,
     sharpness_product,
-    strip_check,
 )
 from .timedomain import (
     EnergyTrace,

@@ -1,10 +1,9 @@
-"""Decay-exponent fits, the modal-superposition oracle, optimality verdict.
+"""Decay-exponent fits and the optimality verdict.
 
 The worst-case decay of smooth data is algebraic with exponent
-``-1/(2 - 2a)`` in the energy norm.  A fitted trace exponent is compared
-against the brute-force superposition prediction rather than against the
-worst-case rate directly: any fixed datum may decay faster, so the growth of
-the resolvent, not the trace fit, carries the optimality burden.  The verdict
+``-1/(2 - 2a)`` in the energy norm.  A fitted trace exponent is not compared
+against the worst-case rate: any fixed datum may decay faster, so the growth
+of the resolvent, not the trace fit, carries the optimality burden.  The verdict
 combines two signatures at the probes ``xi``:
 
 * sharpness products ``|Re| * |Im|^(2(1-a))`` along both oscillatory branches
@@ -66,71 +65,6 @@ def fit_decay_exponent(times, norms, window: tuple[float, float]) -> DecayFit:
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r_sq = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return DecayFit((t_lo, t_hi), float(slope), float(intercept), r_sq)
-
-
-# ---------------------------------------------------------------------------
-# superposition oracle
-# ---------------------------------------------------------------------------
-
-
-def _stable_exp_integral(z: np.ndarray, w: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # (exp(w t) - exp((w - z) t)) / z, limit t*exp(w t); a pairwise form that
-    # shares no arithmetic with the factored closed form in timedomain
-    zt = z * t
-    small = np.abs(zt) < 1e-8
-    z_safe = np.where(small, 1.0, z)
-    series = t * np.exp(w * t) * (1.0 - zt / 2.0 + zt**2 / 6.0)
-    return np.where(small, series, (np.exp(w * t) - np.exp((w - z) * t)) / z_safe)
-
-
-def superposition_oracle(
-    xi,
-    amplitudes,
-    eigenvalues,
-    params: ModelParams,
-    delta: float,
-    times,
-) -> np.ndarray:
-    """Predicted energy norm ``||X(t)||`` from the modes ``xi`` and their
-    ``(modes, 5)`` v-amplitudes and eigenvalues, by direct summation, for
-    the kernel ``exp(-delta*s)``.
-
-    Everything is rebuilt from the amplitudes of ``v`` alone: velocities are
-    termwise derivatives, the second displacement comes from the coupling
-    relation ``p_i = gamma*beta*xi/(mu*lam_i^2 + beta*xi) * v_i``, and the
-    memory integral is summed over every pair of exponential terms.  Modes
-    run along the first axis, terms along the next one or two and times along
-    the last.  No shared code with the trace pipeline beyond the model
-    constants.
-    """
-    t = np.asarray(times, dtype=float)
-    xi = np.asarray(xi, dtype=float)[:, None]
-    amps = np.asarray(amplitudes, dtype=complex)
-    lams = np.asarray(eigenvalues, dtype=complex)
-    phi = params.gamma * params.beta * xi / (params.mu * lams * lams + params.beta * xi)
-    terms = amps[:, :, None] * np.exp(lams[:, :, None] * t)
-    v = terms.sum(axis=1)
-    u = (lams[:, :, None] * terms).sum(axis=1)
-    p = (phi[:, :, None] * terms).sum(axis=1)
-    q = ((phi * lams)[:, :, None] * terms).sum(axis=1)
-    acc = (params.alpha1 * xi - 1.0 / delta * xi**params.a) * np.abs(v) ** 2
-    acc += params.rho * np.abs(u) ** 2
-    acc += params.beta * xi * np.abs(params.gamma * v - p) ** 2
-    acc += params.mu * np.abs(q) ** 2
-    # pair (i, j) on axes 1 and 2, time on axis 3
-    lam_i = lams[:, :, None, None]
-    lam_j = lams.conj()[:, None, :, None]
-    w = lam_i + lam_j
-    pair = amps[:, :, None, None] * amps.conj()[:, None, :, None]
-    inner = (
-        _stable_exp_integral(delta + 0j, w, t)
-        - _stable_exp_integral(delta + lam_i, w, t)
-        - _stable_exp_integral(delta + lam_j, w, t)
-        + _stable_exp_integral(delta + w, w, t)
-    )
-    recent = (pair * inner).real.sum(axis=(1, 2))
-    acc += xi**params.a * (recent + np.abs(v) ** 2 * np.exp(-delta * t) / delta)
-    return np.sqrt(acc.sum(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +159,5 @@ __all__ = [
     "check_sharpness_convergence",
     "fit_decay_exponent",
     "optimality_check",
-    "superposition_oracle",
     "target_exponent",
 ]

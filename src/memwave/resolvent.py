@@ -72,16 +72,9 @@ need no ``M``: ``phi`` as above, ``||y||^2 = 1/(delta*(delta^2 + tau^2))``,
 each the limit of its collocated value and never below it.
 ``resolvent_peaks`` maximises the upper one near a mode's resonance.
 
-The static problem at ``lambda = 0`` is solved on the same block: the
-forcing goes into energy coordinates with the mode's ``energy_congruence``,
-one linear solve with the ``mode_block`` matrix gives the solution, and the
-congruence maps it back.  Its ``||W|| / ||F||`` is therefore at most the
-block's ``resolvent_norm(0)``, and the round trip through the physical
-generator checks the block assembly the sweeps rely on.
-
-The kernel is its rate ``delta`` (or the ``LaguerreGrid`` built for it), the
-modes are their ``xi`` and forcings are plain arrays.  ``energy_congruence``
-refuses a mode that is not coercive, so blocks, sweeps and solves all do.
+The kernel is its rate ``delta`` (or the ``LaguerreGrid`` built for it) and
+the modes are their ``xi``.  ``energy_congruence`` refuses a mode that is not
+coercive, so blocks and sweeps do.
 """
 
 from __future__ import annotations
@@ -97,7 +90,6 @@ from .model import (
     ModelParams,
     _freeze,
     coercivity_margin,
-    energy_parts,
     memoryless_generator,
     require_coercive,
 )
@@ -574,58 +566,6 @@ def resolvent_peaks(branch: SpectrumBranch, params: ModelParams) -> tuple[np.nda
     return centers, peaks
 
 
-# ---------------------------------------------------------------------------
-# static solve at lam = 0
-# ---------------------------------------------------------------------------
-
-
-def static_solve(
-    xi: float, forcing, params: ModelParams, lag: LaguerreGrid
-) -> tuple[np.ndarray, float, float]:
-    """Solve the generator equation ``A W = F`` on the mode ``xi`` for the
-    kernel ``exp(-lag.delta*s)``; ``forcing`` is the ``(4 + M)`` array ``(f1,
-    f2, z1, z2, nu_w)``, its history part in sqrt(weight) coordinates.
-
-    The solve runs on the very block the sweep SVDs: the forcing goes into
-    energy coordinates ``(T f, nu_w)`` with the mode's ``energy_congruence``
-    ``T``, one ``np.linalg.solve`` with the ``mode_block`` matrix gives the
-    solution in those coordinates, and ``T^{-1}`` maps its ``(v, u, p, q)``
-    back.  Returns ``(W, residual, stability_ratio)`` with ``W`` laid out as
-    ``forcing``; ``stability_ratio = ||W|| / ||F||`` is therefore at most
-    ``mode_block(xi, ...).resolvent_norm(0.0)``.  The result is verified by
-    applying the physical generator back; the ``residual`` is relative to the
-    forcing norm.  A mode that is not coercive raises ``InvalidModelError``.
-    """
-    block = mode_block(xi, params, lag)
-    xi = block.xi
-    zeta = 1.0 / lag.delta
-    t = energy_congruence(np.array([xi]), params, zeta)[0]
-    f, nu_w = np.split(np.asarray(forcing, dtype=complex), [4])
-    solution = np.linalg.solve(block.matrix, np.concatenate([t @ f, nu_w]))
-    w = np.linalg.solve(t, solution[:4])
-    eta_w = solution[4:]
-    v, u = w[:2]
-
-    # apply the physical generator back; eta~ = xi^(a/2) sqrt(w) eta
-    sw = lag.sqrt_weights
-    half_a = xi ** (params.a / 2.0)
-    mem_integral = half_a * np.sum(sw * eta_w)  # = xi^a * sum w_m eta_m
-    image = memoryless_generator(xi, params) @ w
-    image[1] += (zeta * xi**params.a * v - mem_integral) / params.rho
-    r_eta = half_a * sw * u - lag.diff_w @ eta_w - nu_w
-
-    def energy_norm(x: np.ndarray, mem_w: np.ndarray) -> float:
-        parts = energy_parts(*x, xi, params, zeta)
-        return math.sqrt(sum(parts) + float(np.sum(np.abs(mem_w) ** 2)))
-
-    n_forcing = energy_norm(f, nu_w)
-    n_solution = energy_norm(w, eta_w)
-    n_residual = energy_norm(image - f, r_eta)
-    if n_forcing == 0.0:
-        return np.zeros(4 + lag.M, dtype=complex), 0.0, 0.0
-    return np.concatenate([w, eta_w]), n_residual / n_forcing, n_solution / n_forcing
-
-
 __all__ = [
     "CUTOFF_FACTOR",
     "FIRST_MODES_FLOOR",
@@ -644,5 +584,4 @@ __all__ = [
     "resonance_frequencies",
     "scaled_sweep",
     "schur_bounds",
-    "static_solve",
 ]

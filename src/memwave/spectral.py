@@ -39,10 +39,6 @@ class ConvergenceError(RuntimeError):
     """Root refinement failed to reach the requested residual."""
 
 
-class StabilityViolationError(RuntimeError):
-    """A characteristic root with nonnegative real part was found."""
-
-
 @dataclass(frozen=True)
 class AsymptoticConstants:
     """Squared wave speeds ``m_1 < m_2`` of the decoupled limit and the
@@ -109,10 +105,6 @@ def quintic_coeffs(xi, params: ModelParams, delta: float) -> np.ndarray:
         ],
         axis=-1,
     )
-
-
-# labels of the five roots, in the order of ``SpectrumBranch.roots``
-_ROOT_LABELS = ("0", "1+", "1-", "2+", "2-")
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,96 +222,6 @@ def quintic_roots(xi, params: ModelParams, delta: float) -> SpectrumBranch:
 
 
 # ---------------------------------------------------------------------------
-# cubic branch equations and their closed-form roots
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CardanoIntermediates:
-    """Intermediates of the closed-form cubic solve.
-
-    The branch cubic is depressed with ``p_hat = 9*m_j*xi - 3*delta^2`` and
-    ``q_hat = 2*delta^3 + 18*m_j*xi*delta - 27*(mhat_j/rho)*xi^a``; the
-    discriminant combination is ``Lambda = (q_hat/2)^2 + (p_hat/3)^3`` with
-    ``Phi_+- = -q_hat/2 +- sqrt(Lambda)`` when ``Lambda >= 0``.  A negative
-    ``Lambda`` (possible only at small ``xi``) switches to the trigonometric
-    three-real-root form, flagged by ``trigonometric``.
-    """
-
-    p_hat: float
-    q_hat: float
-    Lambda: float
-    Phi_plus: float
-    Phi_minus: float
-    cube_root_sum: float
-    cube_root_diff: float
-    trigonometric: bool
-
-
-def cubic_coeffs(xi: float, j: int, params: ModelParams, delta: float) -> np.ndarray:
-    """Monic cubic of oscillatory branch ``j``:
-    ``lam^3 + delta*lam^2 + m_j*xi*lam + m_j*delta*xi - (mhat_j/rho)*xi^a``.
-    """
-    c = AsymptoticConstants.from_params(params)
-    return np.array(
-        [
-            1.0,
-            delta,
-            c.m(j) * xi,
-            c.m(j) * delta * xi - (c.mhat(j) / params.rho) * xi**params.a,
-        ]
-    )
-
-
-def cardano_cubic_roots(
-    xi: float, j: int, params: ModelParams, delta: float
-) -> tuple[np.ndarray, CardanoIntermediates]:
-    """Roots of the branch cubic by the closed-form route.
-
-    For ``Lambda >= 0`` (the oscillatory regime): real root
-    ``(Phi_+^(1/3) + Phi_-^(1/3) - delta)/3`` and conjugate pair
-    ``-(Phi_+^(1/3) + Phi_-^(1/3) + 2*delta)/6
-    +- i*sqrt(3)/6 * (Phi_+^(1/3) - Phi_-^(1/3))``, cube roots taken real and
-    signed.  For ``Lambda < 0`` the trigonometric form returns three real
-    roots and the intermediates are flagged.
-    """
-    c = AsymptoticConstants.from_params(params)
-    m = c.m(j)
-    mhat = c.mhat(j)
-    p_hat = 9.0 * m * xi - 3.0 * delta**2
-    q_hat = 2.0 * delta**3 + 18.0 * m * xi * delta - 27.0 * (mhat / params.rho) * xi**params.a
-    lam_disc = (q_hat / 2.0) ** 2 + (p_hat / 3.0) ** 3
-
-    if lam_disc >= 0.0:
-        root = math.sqrt(lam_disc)
-        phi_plus = -q_hat / 2.0 + root
-        phi_minus = -q_hat / 2.0 - root
-        cp = math.copysign(abs(phi_plus) ** (1.0 / 3.0), phi_plus)
-        cm = math.copysign(abs(phi_minus) ** (1.0 / 3.0), phi_minus)
-        csum = cp + cm
-        cdiff = cp - cm
-        lam_real = (csum - delta) / 3.0
-        re_pair = -(csum + 2.0 * delta) / 6.0
-        im_pair = math.sqrt(3.0) / 6.0 * cdiff
-        roots = np.array([lam_real, re_pair + 1j * im_pair, re_pair - 1j * im_pair])
-        inter = CardanoIntermediates(
-            p_hat, q_hat, lam_disc, phi_plus, phi_minus, csum, cdiff, trigonometric=False
-        )
-    else:
-        # three real roots: depressed cubic y^3 + p*y + q with p<0
-        p = p_hat / 9.0
-        q = q_hat / 27.0
-        r = math.sqrt(-p / 3.0)
-        theta = math.acos(min(1.0, max(-1.0, 3.0 * q / (2.0 * p * r))))
-        ys = [2.0 * r * math.cos((theta - 2.0 * math.pi * i) / 3.0) for i in range(3)]
-        roots = np.array([y - delta / 3.0 for y in ys], dtype=complex)
-        inter = CardanoIntermediates(
-            p_hat, q_hat, lam_disc, math.nan, math.nan, math.nan, math.nan, trigonometric=True
-        )
-    return roots, inter
-
-
-# ---------------------------------------------------------------------------
 # asymptotics
 # ---------------------------------------------------------------------------
 
@@ -355,45 +257,6 @@ def sharpness_limit(params: ModelParams, j: int) -> float:
     """Large-mode limit of the sharpness product: ``mhat_j * m_j^(-a) / (2*rho)``."""
     c = AsymptoticConstants.from_params(params)
     return c.mhat(j) * c.m(j) ** (-params.a) / (2.0 * params.rho)
-
-
-# ---------------------------------------------------------------------------
-# spectral strip
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StripReport:
-    """Classification of characteristic roots against the admissibility strip
-    ``-delta/2 < Re lam < 0``.
-
-    A root with ``Re lam <= -delta/2`` makes the history profile
-    ``(1 - exp(-lam*s)) * v`` leave the weighted history space, so it is a
-    characteristic root but not an eigenvalue of the full generator; the real
-    branch tending to ``-delta`` is the standing example.
-    """
-
-    xi: float
-    delta: float
-    admissible: tuple[tuple[str, complex], ...]
-    excluded: tuple[tuple[str, complex], ...]
-
-
-def strip_check(branch: SpectrumBranch, delta: float) -> StripReport:
-    """Classify each labelled root of a one-mode branch; any root with
-    ``Re >= 0`` is fatal."""
-    admissible = []
-    excluded = []
-    for label, root in zip(_ROOT_LABELS, branch.roots):
-        if root.real >= 0.0:
-            raise StabilityViolationError(
-                f"characteristic root with nonnegative real part: xi={branch.xi:g}, lam={root}"
-            )
-        if root.real > -delta / 2.0:
-            admissible.append((label, complex(root)))
-        else:
-            excluded.append((label, complex(root)))
-    return StripReport(float(branch.xi), delta, tuple(admissible), tuple(excluded))
 
 
 # ---------------------------------------------------------------------------
@@ -456,14 +319,9 @@ def spectrum_columns(params: ModelParams, delta: float, xi) -> dict[str, np.ndar
 
 __all__ = [
     "AsymptoticConstants",
-    "CardanoIntermediates",
     "ConvergenceError",
     "SpectrumBranch",
-    "StabilityViolationError",
-    "StripReport",
     "asymptotic_eigenvalues",
-    "cardano_cubic_roots",
-    "cubic_coeffs",
     "eigvec",
     "modal_generator",
     "quintic_coeffs",
@@ -471,5 +329,4 @@ __all__ = [
     "sharpness_limit",
     "sharpness_product",
     "spectrum_columns",
-    "strip_check",
 ]

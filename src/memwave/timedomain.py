@@ -34,7 +34,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import InvalidModelError, Kernel, ModelParams, coercivity_margin, energy_parts, memoryless_generator
+from .model import (
+    InvalidModelError,
+    Kernel,
+    ModelParams,
+    coercivity_margin,
+    energy_parts,
+    memoryless_generator,
+    require_coercive,
+)
 from .spectral import eigvec, modal_generator, quintic_roots
 
 
@@ -131,9 +139,11 @@ def exact_modal_evolve(xi, x0, params: ModelParams, delta: float) -> ModalTrajec
     The modes are at rest before t = 0, so the initial convolved history is
     ``I(0) = 0``.  If two eigenvalues of a mode collide to within 1e-8 of its
     spectral scale the eigenvector solve is refused for that mode, which is
-    flagged ``dense`` and reconstructed by the matrix exponential.
+    flagged ``dense`` and reconstructed by the matrix exponential.  A mode
+    that is not coercive raises ``InvalidModelError``.
     """
     xi = np.asarray(xi, dtype=float)
+    require_coercive(xi, coercivity_margin(xi, params, 1.0 / delta) <= 0.0)
     lams = quintic_roots(xi, params, delta).roots
     x0 = np.column_stack([np.asarray(x0, dtype=complex), np.zeros(xi.size)])
 
@@ -472,9 +482,11 @@ def evolve_general_kernel(
     the number of blocks folded in per pass.  The history coordinate at the
     samples is reconstructed from the velocities by the same trapezoid rule
     for ``g`` and ``g'``, and the convolution is truncated where the pinch
-    puts the kernel below 1e-14 of ``g(0)`` (see the module docstring).
+    puts the kernel below 1e-14 of ``g(0)`` (see the module docstring).  A
+    mode that is not coercive raises ``InvalidModelError``.
     """
     xi = float(xi)
+    require_coercive(xi, coercivity_margin(xi, params, kernel.zeta) <= 0.0)
     xi_a = xi**params.a
     n_steps = int(round(T / dt))
     window = min(n_steps, int(math.ceil(math.log(1e14) / kernel.k1 / dt)))

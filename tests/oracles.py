@@ -1,0 +1,282 @@
+"""Independent reference computations that the tests check the package
+against; no command runs them.
+
+* ``cardano_cubic_roots``: each oscillatory branch's cubic solved in closed
+  form, against the companion-matrix roots (acceptance criterion 2);
+* ``strip_check``: the labelled roots of one mode against the admissibility
+  strip ``-delta/2 < Re lam < 0`` (acceptance criterion 5);
+* ``superposition_oracle``: the energy norm by brute-force modal
+  superposition, against the decay fit and the exact trace (acceptance
+  criterion 8);
+* ``static_solve``: the static problem ``0 in rho(A)`` solved on the block the
+  sweep SVDs and applied back through the physical generator (acceptance
+  criterion 9).
+
+Each reads only the ``memwave`` names that ``test_names.ORACLE_READS`` pins
+for it: the model constants and types, and for ``static_solve`` the block it
+checks and the public builders it checks it with.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from memwave.model import ModelParams, energy_parts, memoryless_generator
+from memwave.resolvent import LaguerreGrid, energy_congruence, mode_block
+from memwave.spectral import AsymptoticConstants, SpectrumBranch
+
+# ---------------------------------------------------------------------------
+# cubic branch equations and their closed-form roots
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CardanoIntermediates:
+    """Intermediates of the closed-form cubic solve.
+
+    The branch cubic is depressed with ``p_hat = 9*m_j*xi - 3*delta^2`` and
+    ``q_hat = 2*delta^3 + 18*m_j*xi*delta - 27*(mhat_j/rho)*xi^a``; the
+    discriminant combination is ``Lambda = (q_hat/2)^2 + (p_hat/3)^3`` with
+    ``Phi_+- = -q_hat/2 +- sqrt(Lambda)`` when ``Lambda >= 0``.  A negative
+    ``Lambda`` (possible only at small ``xi``) switches to the trigonometric
+    three-real-root form, flagged by ``trigonometric``.
+    """
+
+    p_hat: float
+    q_hat: float
+    Lambda: float
+    Phi_plus: float
+    Phi_minus: float
+    cube_root_sum: float
+    cube_root_diff: float
+    trigonometric: bool
+
+
+def cubic_coeffs(xi: float, j: int, params: ModelParams, delta: float) -> np.ndarray:
+    """Monic cubic of oscillatory branch ``j``:
+    ``lam^3 + delta*lam^2 + m_j*xi*lam + m_j*delta*xi - (mhat_j/rho)*xi^a``.
+    """
+    c = AsymptoticConstants.from_params(params)
+    return np.array(
+        [
+            1.0,
+            delta,
+            c.m(j) * xi,
+            c.m(j) * delta * xi - (c.mhat(j) / params.rho) * xi**params.a,
+        ]
+    )
+
+
+def cardano_cubic_roots(
+    xi: float, j: int, params: ModelParams, delta: float
+) -> tuple[np.ndarray, CardanoIntermediates]:
+    """Roots of the branch cubic by the closed-form route.
+
+    For ``Lambda >= 0`` (the oscillatory regime): real root
+    ``(Phi_+^(1/3) + Phi_-^(1/3) - delta)/3`` and conjugate pair
+    ``-(Phi_+^(1/3) + Phi_-^(1/3) + 2*delta)/6
+    +- i*sqrt(3)/6 * (Phi_+^(1/3) - Phi_-^(1/3))``, cube roots taken real and
+    signed.  For ``Lambda < 0`` the trigonometric form returns three real
+    roots and the intermediates are flagged.
+    """
+    c = AsymptoticConstants.from_params(params)
+    m = c.m(j)
+    mhat = c.mhat(j)
+    p_hat = 9.0 * m * xi - 3.0 * delta**2
+    q_hat = 2.0 * delta**3 + 18.0 * m * xi * delta - 27.0 * (mhat / params.rho) * xi**params.a
+    lam_disc = (q_hat / 2.0) ** 2 + (p_hat / 3.0) ** 3
+
+    if lam_disc >= 0.0:
+        root = math.sqrt(lam_disc)
+        phi_plus = -q_hat / 2.0 + root
+        phi_minus = -q_hat / 2.0 - root
+        cp = math.copysign(abs(phi_plus) ** (1.0 / 3.0), phi_plus)
+        cm = math.copysign(abs(phi_minus) ** (1.0 / 3.0), phi_minus)
+        csum = cp + cm
+        cdiff = cp - cm
+        lam_real = (csum - delta) / 3.0
+        re_pair = -(csum + 2.0 * delta) / 6.0
+        im_pair = math.sqrt(3.0) / 6.0 * cdiff
+        roots = np.array([lam_real, re_pair + 1j * im_pair, re_pair - 1j * im_pair])
+        inter = CardanoIntermediates(
+            p_hat, q_hat, lam_disc, phi_plus, phi_minus, csum, cdiff, trigonometric=False
+        )
+    else:
+        # three real roots: depressed cubic y^3 + p*y + q with p<0
+        p = p_hat / 9.0
+        q = q_hat / 27.0
+        r = math.sqrt(-p / 3.0)
+        theta = math.acos(min(1.0, max(-1.0, 3.0 * q / (2.0 * p * r))))
+        ys = [2.0 * r * math.cos((theta - 2.0 * math.pi * i) / 3.0) for i in range(3)]
+        roots = np.array([y - delta / 3.0 for y in ys], dtype=complex)
+        inter = CardanoIntermediates(
+            p_hat, q_hat, lam_disc, math.nan, math.nan, math.nan, math.nan, trigonometric=True
+        )
+    return roots, inter
+
+
+# ---------------------------------------------------------------------------
+# spectral strip
+# ---------------------------------------------------------------------------
+
+
+class StabilityViolationError(RuntimeError):
+    """A characteristic root with nonnegative real part was found."""
+
+
+# labels of the five roots, in the order of ``SpectrumBranch.roots``
+_ROOT_LABELS = ("0", "1+", "1-", "2+", "2-")
+
+
+@dataclass(frozen=True)
+class StripReport:
+    """Classification of characteristic roots against the admissibility strip
+    ``-delta/2 < Re lam < 0``.
+
+    A root with ``Re lam <= -delta/2`` makes the history profile
+    ``(1 - exp(-lam*s)) * v`` leave the weighted history space, so it is a
+    characteristic root but not an eigenvalue of the full generator; the real
+    branch tending to ``-delta`` is the standing example.
+    """
+
+    xi: float
+    delta: float
+    admissible: tuple[tuple[str, complex], ...]
+    excluded: tuple[tuple[str, complex], ...]
+
+
+def strip_check(branch: SpectrumBranch, delta: float) -> StripReport:
+    """Classify each labelled root of a one-mode branch; any root with
+    ``Re >= 0`` is fatal."""
+    admissible = []
+    excluded = []
+    for label, root in zip(_ROOT_LABELS, branch.roots):
+        if root.real >= 0.0:
+            raise StabilityViolationError(
+                f"characteristic root with nonnegative real part: xi={branch.xi:g}, lam={root}"
+            )
+        if root.real > -delta / 2.0:
+            admissible.append((label, complex(root)))
+        else:
+            excluded.append((label, complex(root)))
+    return StripReport(float(branch.xi), delta, tuple(admissible), tuple(excluded))
+
+
+# ---------------------------------------------------------------------------
+# superposition oracle
+# ---------------------------------------------------------------------------
+
+
+def _stable_exp_integral(z: np.ndarray, w: np.ndarray, t: np.ndarray) -> np.ndarray:
+    # (exp(w t) - exp((w - z) t)) / z, limit t*exp(w t); a pairwise form that
+    # shares no arithmetic with the factored closed form in timedomain
+    zt = z * t
+    small = np.abs(zt) < 1e-8
+    z_safe = np.where(small, 1.0, z)
+    series = t * np.exp(w * t) * (1.0 - zt / 2.0 + zt**2 / 6.0)
+    return np.where(small, series, (np.exp(w * t) - np.exp((w - z) * t)) / z_safe)
+
+
+def superposition_oracle(
+    xi,
+    amplitudes,
+    eigenvalues,
+    params: ModelParams,
+    delta: float,
+    times,
+) -> np.ndarray:
+    """Predicted energy norm ``||X(t)||`` from the modes ``xi`` and their
+    ``(modes, 5)`` v-amplitudes and eigenvalues, by direct summation, for
+    the kernel ``exp(-delta*s)``.
+
+    Everything is rebuilt from the amplitudes of ``v`` alone: velocities are
+    termwise derivatives, the second displacement comes from the coupling
+    relation ``p_i = gamma*beta*xi/(mu*lam_i^2 + beta*xi) * v_i``, and the
+    memory integral is summed over every pair of exponential terms.  Modes
+    run along the first axis, terms along the next one or two and times along
+    the last.  No shared code with the trace pipeline beyond the model
+    constants.
+    """
+    t = np.asarray(times, dtype=float)
+    xi = np.asarray(xi, dtype=float)[:, None]
+    amps = np.asarray(amplitudes, dtype=complex)
+    lams = np.asarray(eigenvalues, dtype=complex)
+    phi = params.gamma * params.beta * xi / (params.mu * lams * lams + params.beta * xi)
+    terms = amps[:, :, None] * np.exp(lams[:, :, None] * t)
+    v = terms.sum(axis=1)
+    u = (lams[:, :, None] * terms).sum(axis=1)
+    p = (phi[:, :, None] * terms).sum(axis=1)
+    q = ((phi * lams)[:, :, None] * terms).sum(axis=1)
+    acc = (params.alpha1 * xi - 1.0 / delta * xi**params.a) * np.abs(v) ** 2
+    acc += params.rho * np.abs(u) ** 2
+    acc += params.beta * xi * np.abs(params.gamma * v - p) ** 2
+    acc += params.mu * np.abs(q) ** 2
+    # pair (i, j) on axes 1 and 2, time on axis 3
+    lam_i = lams[:, :, None, None]
+    lam_j = lams.conj()[:, None, :, None]
+    w = lam_i + lam_j
+    pair = amps[:, :, None, None] * amps.conj()[:, None, :, None]
+    inner = (
+        _stable_exp_integral(delta + 0j, w, t)
+        - _stable_exp_integral(delta + lam_i, w, t)
+        - _stable_exp_integral(delta + lam_j, w, t)
+        + _stable_exp_integral(delta + w, w, t)
+    )
+    recent = (pair * inner).real.sum(axis=(1, 2))
+    acc += xi**params.a * (recent + np.abs(v) ** 2 * np.exp(-delta * t) / delta)
+    return np.sqrt(acc.sum(axis=0))
+
+
+# ---------------------------------------------------------------------------
+# static solve at lam = 0
+# ---------------------------------------------------------------------------
+
+
+def static_solve(
+    xi: float, forcing, params: ModelParams, lag: LaguerreGrid
+) -> tuple[np.ndarray, float, float]:
+    """Solve the generator equation ``A W = F`` on the mode ``xi`` for the
+    kernel ``exp(-lag.delta*s)``; ``forcing`` is the ``(4 + M)`` array ``(f1,
+    f2, z1, z2, nu_w)``, its history part in sqrt(weight) coordinates.
+
+    The solve runs on the very block the sweep SVDs: the forcing goes into
+    energy coordinates ``(T f, nu_w)`` with the mode's ``energy_congruence``
+    ``T``, one ``np.linalg.solve`` with the ``mode_block`` matrix gives the
+    solution in those coordinates, and ``T^{-1}`` maps its ``(v, u, p, q)``
+    back.  Returns ``(W, residual, stability_ratio)`` with ``W`` laid out as
+    ``forcing``; ``stability_ratio = ||W|| / ||F||`` is therefore at most
+    ``mode_block(xi, ...).resolvent_norm(0.0)``.  The result is verified by
+    applying the physical generator back; the ``residual`` is relative to the
+    forcing norm.  A mode that is not coercive raises ``InvalidModelError``.
+    """
+    block = mode_block(xi, params, lag)
+    xi = block.xi
+    zeta = 1.0 / lag.delta
+    t = energy_congruence(np.array([xi]), params, zeta)[0]
+    f, nu_w = np.split(np.asarray(forcing, dtype=complex), [4])
+    solution = np.linalg.solve(block.matrix, np.concatenate([t @ f, nu_w]))
+    w = np.linalg.solve(t, solution[:4])
+    eta_w = solution[4:]
+    v, u = w[:2]
+
+    # apply the physical generator back; eta~ = xi^(a/2) sqrt(w) eta
+    sw = lag.sqrt_weights
+    half_a = xi ** (params.a / 2.0)
+    mem_integral = half_a * np.sum(sw * eta_w)  # = xi^a * sum w_m eta_m
+    image = memoryless_generator(xi, params) @ w
+    image[1] += (zeta * xi**params.a * v - mem_integral) / params.rho
+    r_eta = half_a * sw * u - lag.diff_w @ eta_w - nu_w
+
+    def energy_norm(x: np.ndarray, mem_w: np.ndarray) -> float:
+        parts = energy_parts(*x, xi, params, zeta)
+        return math.sqrt(sum(parts) + float(np.sum(np.abs(mem_w) ** 2)))
+
+    n_forcing = energy_norm(f, nu_w)
+    n_solution = energy_norm(w, eta_w)
+    n_residual = energy_norm(image - f, r_eta)
+    if n_forcing == 0.0:
+        return np.zeros(4 + lag.M, dtype=complex), 0.0, 0.0
+    return np.concatenate([w, eta_w]), n_residual / n_forcing, n_solution / n_forcing

@@ -36,7 +36,6 @@ import pytest
 from helpers import KER1, P0, draw_validated, marginal_data, p0_with_a, square_grid
 from memwave.analysis import (
     fit_decay_exponent,
-    superposition_oracle,
     target_exponent,
 )
 from memwave.model import TabulatedKernel, validate_params
@@ -44,21 +43,18 @@ from memwave.resolvent import (
     laguerre_grid,
     mode_block,
     scaled_sweep,
-    static_solve,
 )
 from memwave.spectral import (
     asymptotic_eigenvalues,
-    cardano_cubic_roots,
-    cubic_coeffs,
     quintic_roots,
     sharpness_product,
-    strip_check,
 )
 from memwave.timedomain import (
     energy_trace,
     evolve_general_kernel,
     exact_modal_evolve,
 )
+from oracles import cardano_cubic_roots, cubic_coeffs, static_solve, strip_check, superposition_oracle
 
 XI_SET = (1.0, 1e2, 1e4, 1e6, 1e8)
 SEED = 20240809

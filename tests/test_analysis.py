@@ -9,11 +9,11 @@ from memwave.analysis import (
     check_exponent_leg,
     check_sharpness_convergence,
     fit_decay_exponent,
-    superposition_oracle,
     target_exponent,
 )
 from memwave.spectral import quintic_roots
 from memwave.timedomain import energy_trace, exact_modal_evolve
+from oracles import superposition_oracle
 
 
 def test_fit_recovers_synthetic_power_law():

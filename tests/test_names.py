@@ -14,6 +14,8 @@ from memwave import cli
 from memwave.config import SCHEMA
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(memwave.__path__))
+PACKAGE = Path(memwave.__file__).parent
+ORACLES = Path(__file__).with_name("oracles.py")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -42,10 +44,10 @@ def test_package_reexports_are_public():
     assert not private
 
 
-def _imports(name):
+def _imports(path):
     """``(module source tree, alias nodes of its imports)``, ``__future__``
     features left out."""
-    tree = ast.parse((Path(memwave.__file__).parent / f"{name}.py").read_text())
+    tree = ast.parse(path.read_text())
     aliases = [
         alias
         for node in ast.walk(tree)
@@ -55,10 +57,10 @@ def _imports(name):
     return tree, aliases
 
 
-@pytest.mark.parametrize("name", MODULES)
-def test_module_uses_every_name_it_imports(name):
+@pytest.mark.parametrize("path", [PACKAGE / f"{m}.py" for m in MODULES] + [ORACLES], ids=[*MODULES, "oracles"])
+def test_module_uses_every_name_it_imports(path):
     # the package __init__ is not among MODULES: its imports are re-exports
-    tree, aliases = _imports(name)
+    tree, aliases = _imports(path)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     imported = [a.asname or a.name.split(".")[0] for a in aliases]
     assert [n for n in imported if n not in used] == []
@@ -68,11 +70,11 @@ def test_module_uses_every_name_it_imports(name):
 def test_numerical_layers_take_no_kernel_or_grid_object(name):
     # below the command line a kernel is its delta and a grid its xi array;
     # timedomain keeps the Kernel type for the general integrator
-    names = {a.name for a in _imports(name)[1]}
+    names = {a.name for a in _imports(PACKAGE / f"{name}.py")[1]}
     assert names & {"ModeGrid", "ExponentialKernel", "TabulatedKernel"} == set()
 
 
-SOURCES = sorted(Path(memwave.__file__).parent.glob("*.py"))
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
@@ -97,6 +99,101 @@ def test_every_command_option_is_read():
         read = set().union(*(consts for consts in functions if section in consts))
         unread += [f"{section}.{key}" for key in SCHEMA["properties"][section]["properties"] if key not in read]
     assert unread == []
+
+
+def _parse(module, path, binds):
+    """Top-level definitions ``{(module, name): node}`` of the source ``path``
+    and its other top-level statements, which run on import.  ``binds`` gets
+    the package names its imports bind: ``from .x import y`` and ``from
+    memwave.x import y`` bind ``(x, y)``, ``from . import x`` the submodule
+    ``(x, None)``."""
+    defined, statements = {}, []
+    for stmt in ast.parse(path.read_text()).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            defined[module, stmt.name] = stmt
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            defined.update({(module, n.id): stmt for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)})
+        elif isinstance(stmt, ast.ImportFrom):
+            if stmt.level == 1 or (stmt.module or "").split(".")[0] == "memwave":
+                owner = (stmt.module or "").removeprefix("memwave").lstrip(".")
+                binds.update({a.asname or a.name: (owner, a.name) if owner else (a.name, None) for a in stmt.names})
+        elif not isinstance(stmt, ast.Import):
+            statements.append(stmt)
+    return defined, statements
+
+
+def _references(node, module, binds):
+    """``(module, name)`` of each name that ``node`` of ``module`` reads: a
+    bare name through ``binds`` or else in ``module`` itself, and ``x.attr``
+    on an imported submodule ``x`` as ``(x, attr)``."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and binds.get(n.value.id) == (n.value.id, None):
+            yield n.value.id, n.attr
+        elif isinstance(n, ast.Name):
+            yield binds.get(n.id, (module, n.id))
+
+
+def _walk(todo, defined, binds):
+    """``(reached, read)``: the definitions reached from the ``(module,
+    name)`` keys in ``todo`` through the names each reads, and every key read
+    on the way, defined or not."""
+    reached, read = set(), set()
+    while todo:
+        key = todo.pop()
+        read.add(key)
+        if key in defined and key not in reached:
+            reached.add(key)
+            todo += _references(defined[key], key[0], binds[key[0]])
+    return reached, read
+
+
+def test_every_package_name_is_reached_from_a_command():
+    # src holds what a command runs: a name that no command reaches serves
+    # only the tests, and the independent checks live in tests/oracles.py.
+    # The walk starts at cli.COMMANDS and the statements run on import; every
+    # __all__ name and every private top-level name counts, with no allowlist
+    defined, binds, todo = {}, {}, [("cli", "COMMANDS")]
+    for module in MODULES:
+        binds[module] = {}
+        found, statements = _parse(module, PACKAGE / f"{module}.py", binds[module])
+        defined.update(found)
+        todo += [ref for stmt in statements for ref in _references(stmt, module, binds[module])]
+    reached, _ = _walk(todo, defined, binds)
+    public = {(m, n) for m in MODULES for n in getattr(importlib.import_module(f"memwave.{m}"), "__all__", ())}
+    names = (set(defined) | public) - {(m, "__all__") for m in MODULES}
+    assert sorted(f"{m}.{n}" for m, n in names - reached) == []
+
+
+# the package names each oracle reads, through the oracle module's own
+# helpers: an oracle that called the computation it checks would check nothing
+ORACLE_READS = {
+    "cardano_cubic_roots": {"memwave.spectral.AsymptoticConstants", "memwave.model.ModelParams"},
+    "cubic_coeffs": {"memwave.spectral.AsymptoticConstants", "memwave.model.ModelParams"},
+    "strip_check": {"memwave.spectral.SpectrumBranch"},
+    "superposition_oracle": {"memwave.model.ModelParams"},
+    "static_solve": {
+        "memwave.model.ModelParams",
+        "memwave.model.energy_parts",
+        "memwave.model.memoryless_generator",
+        "memwave.resolvent.LaguerreGrid",
+        "memwave.resolvent.energy_congruence",
+        "memwave.resolvent.mode_block",
+    },
+}
+
+
+def test_oracles_read_only_the_package_names_pinned_for_them():
+    tree = ast.parse(ORACLES.read_text())
+    assert not [n for n in ast.walk(tree) if isinstance(n, ast.Import) and any("memwave" in a.name for a in n.names)]
+    binds = {"oracles": {}}
+    defined, _ = _parse("oracles", ORACLES, binds["oracles"])
+    entries = [n for (_, n), node in defined.items() if isinstance(node, ast.FunctionDef) and not n.startswith("_")]
+    reads = {
+        entry: {f"memwave.{m}.{n}" for m, n in _walk([("oracles", entry)], defined, binds)[1] if m != "oracles"}
+        for entry in entries
+    }
+    assert reads == ORACLE_READS
 
 
 def _benchmark_tracer():

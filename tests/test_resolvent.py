@@ -15,9 +15,9 @@ from memwave.resolvent import (
     resonance_frequencies,
     scaled_sweep,
     schur_bounds,
-    static_solve,
 )
 from memwave.spectral import modal_generator, quintic_roots
+from oracles import static_solve
 
 EPS = np.finfo(float).eps
 

@@ -5,13 +5,11 @@ import numpy as np
 import pytest
 
 from helpers import P0, draw_validated, p0_with_a, square_grid, xi_grid
+from oracles import StabilityViolationError, cardano_cubic_roots, cubic_coeffs, strip_check
 from memwave.model import InvalidModelError, ModelParams
 from memwave.spectral import (
     AsymptoticConstants,
-    StabilityViolationError,
     asymptotic_eigenvalues,
-    cardano_cubic_roots,
-    cubic_coeffs,
     eigvec,
     modal_generator,
     quintic_coeffs,
@@ -19,7 +17,6 @@ from memwave.spectral import (
     sharpness_limit,
     sharpness_product,
     spectrum_columns,
-    strip_check,
 )
 
 DELTA = 1.0

@@ -14,9 +14,10 @@ from memwave.model import (
     energy_parts,
     memoryless_generator,
 )
-from memwave.spectral import modal_generator
+from memwave.spectral import eigvec, modal_generator, quintic_roots
 from memwave.timedomain import (
     EnergyTrace,
+    ModalTrajectories,
     energy_trace,
     evolve_general_kernel,
     exact_modal_evolve,
@@ -166,6 +167,19 @@ def test_memory_energy_single_term_guard_60_digits():
         assert got == pytest.approx(expected, rel=1e-12), t
 
 
+def _five_terms_from_rest(xi, params, delta):
+    """The one-mode trajectory from ``v = 1`` at rest as five exponential
+    terms: the quintic roots, their eigenvectors and one solve for the
+    amplitudes, as ``exact_modal_evolve`` builds it, but also at a mode that
+    is not coercive, which ``exact_modal_evolve`` refuses."""
+    xi = np.array([xi])
+    lams = quintic_roots(xi, params, delta).roots
+    vmat = np.swapaxes(eigvec(lams, xi[:, None], params, delta), 1, 2)
+    x0 = np.array([[1.0, 0.0, 0.0, 0.0, 0.0]], dtype=complex)
+    amps = np.linalg.solve(vmat, x0[:, :, None])[..., 0]
+    return ModalTrajectories(xi, lams, vmat, amps, x0, np.array([False]), delta, params)
+
+
 @pytest.mark.parametrize(
     "alpha, bracket",
     [
@@ -177,13 +191,15 @@ def test_memory_energy_single_term_guard_60_digits():
 )
 def test_memory_energy_where_a_pair_exponent_vanishes(alpha, bracket):
     # at delta = 0.5 and a = 0.5 a root crosses Re lam = -delta/2, where
-    # c_ii = delta + 2 Re lam_i = 0 and the split pair term is 0/0
+    # c_ii = delta + 2 Re lam_i = 0 and the split pair term is 0/0; the
+    # oscillatory pair crosses only where the mode is not coercive, so the
+    # trajectory is built here rather than by exact_modal_evolve
     mpmath = pytest.importorskip("mpmath")
     delta = 0.5
     params = ModelParams(rho=1.0, mu=1.0, alpha=alpha, beta=1.0, gamma=0.5, a=0.5)
 
     def crossing(xi):
-        lams = exact_modal_evolve([xi], [[1.0, 0.0, 0.0, 0.0]], params, delta).eigenvalues[0]
+        lams = _five_terms_from_rest(xi, params, delta).eigenvalues[0]
         return delta + 2.0 * lams[np.argmin(np.abs(delta + 2.0 * lams.real))].real
 
     lo, hi = bracket
@@ -198,7 +214,7 @@ def test_memory_energy_where_a_pair_exponent_vanishes(alpha, bracket):
     assert abs(crossing(xi_star)) <= 1e-14
     if alpha == 2.0:
         assert xi_star == pytest.approx(0.670714, abs=1e-6)
-    traj = exact_modal_evolve([xi_star], [[1.0, 0.0, 0.0, 0.0]], params, delta)
+    traj = _five_terms_from_rest(xi_star, params, delta)
     times = np.array([1.0, 50.0, 200.0])
     got = memory_energy_closed_form(traj, times)[0]
     for t, value in zip(times, got):
@@ -435,6 +451,17 @@ def test_general_kernel_aborts_on_increasing_table():
     tab = TabulatedKernel(s=s, g_values=g, k0=2.0, k1=0.1)
     with pytest.raises(InvalidModelError, match="stopped decreasing"):
         evolve_general_kernel(square_grid(2).xi_of(1), [1.0, 0.0, 0.0, 0.0], P0, tab, T=2.0, dt=1e-2, sample_every=10)
+
+
+def test_exact_evolution_refuses_a_non_coercive_mode():
+    # delta = 0.5 gives zeta = 2: alpha1 - zeta*xi^(a-1) = 1.75 - 2 < 0 at xi = 1
+    with pytest.raises(InvalidModelError, match="xi=1 is not positive definite"):
+        exact_modal_evolve([9.0, 1.0, 0.25], np.eye(3, 4), P0, 0.5)
+
+
+def test_general_kernel_refuses_a_non_coercive_mode():
+    with pytest.raises(InvalidModelError, match="xi=1 is not positive definite"):
+        evolve_general_kernel(1.0, [1.0, 0.0, 0.0, 0.0], P0, ExponentialKernel(0.5), T=1.0, dt=1e-2, sample_every=10)
 
 
 def test_dense_fallback_matches_expansion():
