@@ -1,16 +1,16 @@
-"""JSON run configuration: schema validation and object construction.
+"""JSON run configuration: key checks and object construction.
 
-The schema is strict: unknown keys anywhere are rejected before any
-computation starts.  All reals are IEEE doubles, and every number in the
-config must be finite.  ``SCHEMA`` is checked by a small interpreter of the
-keywords it uses; jsonschema, slow to import, is loaded only to word a
-rejection.
+``TABLE`` holds every key a config may have and the rule its value must
+meet, so unknown keys anywhere are rejected before any computation starts.
+All reals are IEEE doubles, and every number in the config must be finite.
+A rejection names the dotted key at fault.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,181 +27,167 @@ from .model import (
 
 
 class ConfigError(ValueError):
-    """Configuration file failed schema or construction checks."""
+    """Configuration file failed its key checks or construction."""
 
 
-_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_VIOLATION = "config schema violation: "
 
-SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["params", "kernel", "grid"],
-    "properties": {
-        "params": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["rho", "mu", "alpha", "beta", "gamma", "a"],
-            "properties": {
-                "rho": _POSITIVE,
-                "mu": _POSITIVE,
-                "alpha": _POSITIVE,
-                "beta": _POSITIVE,
-                "gamma": _POSITIVE,
-                "a": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-            },
-        },
-        "kernel": {
-            "oneOf": [
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["type", "delta"],
-                    "properties": {
-                        "type": {"const": "exponential"},
-                        "delta": _POSITIVE,
-                    },
-                },
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["type", "s", "g", "k0", "k1"],
-                    "properties": {
-                        "type": {"const": "tabulated"},
-                        "s": {"type": "array", "minItems": 3},
-                        "g": {"type": "array", "minItems": 3},
-                        "k0": _POSITIVE,
-                        "k1": _POSITIVE,
-                    },
-                },
-            ]
-        },
-        "grid": {
-            "oneOf": [
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["type", "length", "count"],
-                    "properties": {
-                        "type": {"const": "dirichlet_laplacian"},
-                        "length": _POSITIVE,
-                        "count": {"type": "integer", "minimum": 1},
-                    },
-                },
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["type", "xi"],
-                    "properties": {
-                        "type": {"const": "explicit"},
-                        "xi": {"type": "array", "minItems": 1},
-                    },
-                },
-            ]
-        },
-        "out": {"type": "string"},
-        "spectrum": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"modes": {"type": "integer", "minimum": 1}},
-        },
-        "sweep": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "M": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1},
-                "tau_lo": _POSITIVE,
-                "tau_hi": _POSITIVE,
-                "per_decade": {"type": "integer", "minimum": 2},
-                "resonances_per_branch": {"type": "integer", "minimum": 0},
-            },
-        },
-        "simulate": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "data": {"enum": ["single", "marginal"]},
-                "k": {"type": "integer", "minimum": 1},
-                "n_modes": {"type": "integer", "minimum": 1},
-                "v0": {"type": "number"},
-                "integrator": {"enum": ["exact", "general"]},
-                "t_lo": {"type": "number", "minimum": 0},
-                "t_hi": _POSITIVE,
-                "n_times": {"type": "integer", "minimum": 3},
-                "spacing": {"enum": ["log", "linear"]},
-                "dt": _POSITIVE,
-                "sample_every": {"type": "integer", "minimum": 1},
-            },
-        },
-        "fit": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "trace": {"type": "string"},
-                "window": {
-                    "type": "array",
-                    "items": {"type": "number"},
-                    "minItems": 2,
-                    "maxItems": 2,
-                },
-            },
-        },
-        "verdict": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "xi_probes": {"type": "array", "items": _POSITIVE, "minItems": 2},
-            },
-        },
+
+def _fail(place: str, value, wanted: str):
+    raise ConfigError(f"{_VIOLATION}{place} holds {value!r}, not {wanted}")
+
+
+def _finite(x) -> bool:
+    # json.loads yields int or float for a number (type, not isinstance: a
+    # bool is no number), and NaN, Infinity and 1e400 as non-finite floats
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
+def _floats(items: list) -> np.ndarray | None:
+    """``items`` as one float array, or None unless each is a finite number."""
+    if not set(map(type, items)) <= {int, float}:
+        return None
+    try:
+        values = np.asarray(items, dtype=float)
+    except OverflowError:  # an integer beyond the double range
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+class _Number:
+    """Rule: a finite number ``x`` with ``test(x)`` true, ``wanted`` in words.
+    ``test`` takes a float, or a float array to check all items of an array."""
+
+    def __init__(self, wanted: str = "a finite number", test: Callable | None = None):
+        self.wanted, self.test = wanted, test
+
+    def __call__(self, x, place: str) -> None:
+        if not _finite(x):
+            _fail(place, x, "a finite number" if type(x) in (int, float) else self.wanted)
+        if self.test is not None and not self.test(float(x)):
+            _fail(place, x, self.wanted)
+
+
+def _integer(least: int) -> _Number:
+    # as in JSON Schema, 1.0 is an integer
+    return _Number(f"an integer >= {least}", lambda x: (x >= least) & (x == np.floor(x)))
+
+
+def _array(least: int, most: float = np.inf, item: _Number = _Number(), unique: bool = False) -> Callable:
+    """Rule: an array of ``least`` to ``most`` finite numbers, each meeting
+    ``item`` and, if ``unique``, no two equal; checked as one float array."""
+
+    def rule(node, place: str) -> None:
+        if not isinstance(node, list):
+            _fail(place, node, "an array")
+        if not least <= len(node) <= most:
+            count = least if most == least else f"at least {least}"
+            raise ConfigError(f"{_VIOLATION}{place} has length {len(node)}, not {count}")
+        values = _floats(node)
+        if values is None:  # the item rule rejects the first item that is no finite number
+            item(next(x for x in node if not _finite(x)), place)
+        if item.test is not None:
+            ok = item.test(values)
+            if not ok.all():
+                _fail(place, node[int(np.argmin(ok))], item.wanted)
+        if unique and len(set(node)) < len(node):
+            twice = next(x for i, x in enumerate(node) if x in node[:i])
+            raise ConfigError(f"{_VIOLATION}{place} holds {twice!r} more than once")
+
+    return rule
+
+
+def _string(node, place: str) -> None:
+    if not isinstance(node, str):
+        _fail(place, node, "a string")
+
+
+def _choice(*names: str) -> Callable:
+    def rule(node, place: str) -> None:
+        if node not in names:
+            _fail(place, node, "one of " + ", ".join(map(repr, names)))
+
+    return rule
+
+
+_POSITIVE = _Number("a number > 0", lambda x: x > 0)
+
+# section -> {key: rule}; kernel and grid hold one such table per value of
+# their "type".  Every key of a required section is required, and no key of
+# the other sections.
+TABLE = {
+    "params": {
+        **dict.fromkeys(("rho", "mu", "alpha", "beta", "gamma"), _POSITIVE),
+        "a": _Number("a number >= 0 and < 1", lambda x: (x >= 0) & (x < 1)),
     },
+    "kernel": {
+        "exponential": {"delta": _POSITIVE},
+        "tabulated": {"s": _array(3), "g": _array(3), "k0": _POSITIVE, "k1": _POSITIVE},
+    },
+    "grid": {
+        "dirichlet_laplacian": {"length": _POSITIVE, "count": _integer(1)},
+        "explicit": {"xi": _array(1)},
+    },
+    "spectrum": {"modes": _integer(1)},
+    "sweep": {
+        "M": _array(1, item=_integer(1), unique=True),
+        "tau_lo": _POSITIVE,
+        "tau_hi": _POSITIVE,
+        "per_decade": _integer(2),
+        "resonances_per_branch": _integer(0),
+    },
+    "simulate": {
+        "data": _choice("single", "marginal"),
+        "k": _integer(1),
+        "n_modes": _integer(1),
+        "v0": _Number(),
+        "integrator": _choice("exact", "general"),
+        "t_lo": _Number("a number >= 0", lambda x: x >= 0),
+        "t_hi": _POSITIVE,
+        "n_times": _integer(3),
+        "spacing": _choice("log", "linear"),
+        "dt": _POSITIVE,
+        "sample_every": _integer(1),
+    },
+    "fit": {"trace": _string, "window": _array(2, 2)},
+    "verdict": {"xi_probes": _array(2, item=_POSITIVE)},
 }
+_REQUIRED = ("params", "kernel", "grid")
 
 
-def _is_number(x) -> bool:
-    # json.loads yields int or float for numbers; bool subclasses int
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _object(node, place: str, rules: dict, required) -> None:
+    """Check that ``node`` is an object holding each key of ``required`` and
+    no key outside ``rules``, and each value against the rule of its key."""
+    if not isinstance(node, dict):
+        _fail(place or "the config", node, "an object")
+    at = f"{place}." if place else ""
+    for key in required:
+        if key not in node:
+            raise ConfigError(f"{_VIOLATION}{at}{key} is missing")
+    for key, value in node.items():
+        if key not in rules:
+            raise ConfigError(f"{_VIOLATION}{at}{key} is not a known key")
+        rules[key](value, at + key)
 
 
-# jsonschema's type rules: a bool is no number, and 1.0 is an integer
-_TYPES = {
-    "object": lambda x: isinstance(x, dict),
-    "array": lambda x: isinstance(x, list),
-    "string": lambda x: isinstance(x, str),
-    "number": _is_number,
-    "integer": lambda x: _is_number(x) and (isinstance(x, int) or x.is_integer()),
-}
-
-# keyword -> test(value, instance, schema), true when the instance satisfies
-# the keyword; as in jsonschema a keyword passes an instance of a type it does
-# not constrain, and a bound fails only when its comparison holds, so NaN
-# passes every bound.  const and enum values in SCHEMA are strings, for which
-# == is jsonschema's equality.
-_KEYWORDS = {
-    "type": lambda t, x, s: _TYPES[t](x),
-    "required": lambda keys, x, s: not isinstance(x, dict) or all(k in x for k in keys),
-    "properties": lambda props, x, s: (
-        not isinstance(x, dict) or all(_accepts(x[k], sub) for k, sub in props.items() if k in x)
-    ),
-    "additionalProperties": lambda sub, x, s: (
-        not isinstance(x, dict) or all(_accepts(x[k], sub) for k in x if k not in s.get("properties", {}))
-    ),
-    "items": lambda sub, x, s: not isinstance(x, list) or all(_accepts(item, sub) for item in x),
-    "oneOf": lambda subs, x, s: sum(_accepts(x, sub) for sub in subs) == 1,
-    "const": lambda c, x, s: x == c,
-    "enum": lambda values, x, s: x in values,
-    "minimum": lambda m, x, s: not (_is_number(x) and x < m),
-    "exclusiveMinimum": lambda m, x, s: not (_is_number(x) and x <= m),
-    "exclusiveMaximum": lambda m, x, s: not (_is_number(x) and x >= m),
-    "minItems": lambda n, x, s: not isinstance(x, list) or len(x) >= n,
-    "maxItems": lambda n, x, s: not isinstance(x, list) or len(x) <= n,
-}
+def _section(node, name: str) -> None:
+    """Check section ``name`` of the config, kernel and grid by the table of
+    their ``type``."""
+    rules = TABLE[name]
+    if name in ("kernel", "grid"):
+        kind = _choice(*rules)
+        if isinstance(node, dict) and "type" in node:
+            kind(node["type"], f"{name}.type")
+            rules = {"type": kind, **rules[node["type"]]}
+        else:
+            rules = {"type": kind}
+    _object(node, name, rules, rules if name in _REQUIRED else ())
 
 
-def _accepts(instance, schema) -> bool:
-    """Whether ``instance`` is valid under ``schema`` (a dict of the keywords
-    in ``_KEYWORDS``, or a boolean schema), as jsonschema would decide."""
-    if isinstance(schema, bool):
-        return schema
-    return all(_KEYWORDS[key](value, instance, schema) for key, value in schema.items())
+def _check(raw) -> None:
+    """Raise ``ConfigError`` at the first value of ``raw`` that breaks its
+    rule in ``TABLE``, naming its dotted key."""
+    _object(raw, "", {"out": _string, **dict.fromkeys(TABLE, _section)}, _REQUIRED)
 
 
 @dataclass(frozen=True)
@@ -213,55 +199,12 @@ class RunConfig:
     options: dict = field(default_factory=dict)
 
 
-def _finite_numbers(values: list) -> bool:
-    """Whether every item of ``values`` is a finite number, checked as one
-    array: ``type``, not ``isinstance``, so a ``bool`` counts as no number."""
-    if not set(map(type, values)) <= {int, float}:
-        return False
-    try:
-        return bool(np.isfinite(np.asarray(values, dtype=float)).all())
-    except OverflowError:  # an integer beyond the double range
-        return False
-
-
-def _check_finite(node, place: str = "") -> None:
-    """Require every number in the config, and every item of its arrays, to
-    be a finite number; ``place`` is the dotted key of ``node``.
-
-    ``SCHEMA`` puts bounds on numbers but, as jsonschema, lets NaN pass them,
-    and it gives the sample arrays (kernel ``s`` and ``g``, grid ``xi``), which
-    can hold tens of thousands of items, only a type and a length.  Every
-    array of the config holds numbers, so an array is checked as one numpy
-    array, and walked item by item only to word a rejection.  Python's
-    ``json`` reads ``NaN``, ``Infinity`` and ``1e400`` as non-finite floats,
-    and an integer beyond the double range does not convert.
-    """
-    if isinstance(node, dict):
-        for key, value in node.items():
-            _check_finite(value, f"{place}.{key}" if place else key)
-    elif isinstance(node, list):
-        if _finite_numbers(node):
-            return
-        for item in node:
-            if type(item) not in (int, float):
-                raise ConfigError(f"config schema violation: {item!r} is not of type 'number'")
-            _check_finite(item, place)
-    elif _is_number(node) and not abs(node) <= sys.float_info.max:
-        raise ConfigError(f"config schema violation: {place} holds {node!r}, not a finite number")
-
-
 def load_config(path: str | Path) -> RunConfig:
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not _accepts(raw, SCHEMA):
-        from jsonschema.exceptions import best_match
-        from jsonschema.validators import validator_for
-
-        error = best_match(validator_for(SCHEMA)(SCHEMA).iter_errors(raw))
-        raise ConfigError(f"config schema violation: {error.message}") from error
-    _check_finite(raw)
+    _check(raw)
 
     try:
         params = ModelParams(**raw["params"])
@@ -299,4 +242,4 @@ def load_config(path: str | Path) -> RunConfig:
     )
 
 
-__all__ = ["SCHEMA", "ConfigError", "RunConfig", "load_config"]
+__all__ = ["TABLE", "ConfigError", "RunConfig", "load_config"]

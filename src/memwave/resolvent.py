@@ -363,16 +363,12 @@ class ResolventSweeper:
 
     def history_resolvent(self, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, complex]:
         """``K = (i*tau + D)^{-1}`` of the discrete history block, ``x = K sw``,
-        ``y = sw^T K`` and ``phi = sw^T K sw``.
-
-        The products are summed elementwise: a threaded BLAS matrix-vector
-        call costs milliseconds at these sizes, more than the inverse.
-        """
+        ``y = sw^T K`` and ``phi = sw^T K sw``."""
         M = self.lag.M
         sw = self.lag.sqrt_weights
         k_inv = _or_nan(np.linalg.inv, 1j * tau * np.eye(M) + self.lag.diff_w)
-        x = np.sum(k_inv * sw, axis=1)
-        y = np.sum(sw[:, None] * k_inv, axis=0)
+        x = k_inv @ sw
+        y = sw @ k_inv
         return k_inv, x, y, complex(np.sum(sw * x))
 
     def norm_bounds(self, tau: float, n: int) -> tuple[np.ndarray, np.ndarray]:

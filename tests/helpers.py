@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import math
 
-import jsonschema
 import numpy as np
 
 from memwave import config
 from memwave.model import ExponentialKernel, ModeGrid, ModelParams
 from memwave.timedomain import marginal_data_amplitudes
+from oracles import config_accepted
 
 # reference parameter set used throughout: rho = mu = beta = 1, alpha = 2,
 # gamma = 1/2, fractional order 1/2, exponential kernel rate 1, xi_k = k^2
@@ -53,10 +53,11 @@ def draw_validated(rng: np.random.Generator) -> tuple[ModelParams, ExponentialKe
     )
 
 
-SCHEMA_VALIDATOR = jsonschema.validators.validator_for(config.SCHEMA)(config.SCHEMA)
-
-
 def schema_agrees(raw) -> bool:
-    """Whether ``load_config``'s interpreter of ``SCHEMA`` and jsonschema both
-    accept or both reject ``raw``."""
-    return config._accepts(raw, config.SCHEMA) == SCHEMA_VALIDATOR.is_valid(raw)
+    """Whether ``load_config``'s key table and the reference
+    ``oracles.config_accepted`` both accept or both reject ``raw``."""
+    try:
+        config._check(raw)
+    except config.ConfigError:
+        return not config_accepted(raw)
+    return config_accepted(raw)

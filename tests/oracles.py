@@ -10,7 +10,10 @@ against; no command runs them.
   criterion 8);
 * ``static_solve``: the static problem ``0 in rho(A)`` solved on the block the
   sweep SVDs and applied back through the physical generator (acceptance
-  criterion 9).
+  criterion 9);
+* ``config_accepted``: whether a run configuration is valid under the JSON
+  Schema ``SCHEMA`` and holds only finite numbers, against the key table of
+  ``memwave.config``.
 
 Each reads only the ``memwave`` names that ``test_names.ORACLE_READS`` pins
 for it: the model constants and types, and for ``static_solve`` the block it
@@ -20,8 +23,10 @@ checks and the public builders it checks it with.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
+import jsonschema
 import numpy as np
 
 from memwave.model import ModelParams, energy_parts, memoryless_generator
@@ -280,3 +285,157 @@ def static_solve(
     if n_forcing == 0.0:
         return np.zeros(4 + lag.M, dtype=complex), 0.0, 0.0
     return np.concatenate([w, eta_w]), n_residual / n_forcing, n_solution / n_forcing
+
+
+# ---------------------------------------------------------------------------
+# run configuration
+# ---------------------------------------------------------------------------
+
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+
+SCHEMA = {
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["params", "kernel", "grid"],
+    "properties": {
+        "params": {
+            "type": "object",
+            "additionalProperties": False,
+            "required": ["rho", "mu", "alpha", "beta", "gamma", "a"],
+            "properties": {
+                "rho": _POSITIVE,
+                "mu": _POSITIVE,
+                "alpha": _POSITIVE,
+                "beta": _POSITIVE,
+                "gamma": _POSITIVE,
+                "a": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
+            },
+        },
+        "kernel": {
+            "oneOf": [
+                {
+                    "type": "object",
+                    "additionalProperties": False,
+                    "required": ["type", "delta"],
+                    "properties": {
+                        "type": {"const": "exponential"},
+                        "delta": _POSITIVE,
+                    },
+                },
+                {
+                    "type": "object",
+                    "additionalProperties": False,
+                    "required": ["type", "s", "g", "k0", "k1"],
+                    "properties": {
+                        "type": {"const": "tabulated"},
+                        "s": {"type": "array", "minItems": 3},
+                        "g": {"type": "array", "minItems": 3},
+                        "k0": _POSITIVE,
+                        "k1": _POSITIVE,
+                    },
+                },
+            ]
+        },
+        "grid": {
+            "oneOf": [
+                {
+                    "type": "object",
+                    "additionalProperties": False,
+                    "required": ["type", "length", "count"],
+                    "properties": {
+                        "type": {"const": "dirichlet_laplacian"},
+                        "length": _POSITIVE,
+                        "count": {"type": "integer", "minimum": 1},
+                    },
+                },
+                {
+                    "type": "object",
+                    "additionalProperties": False,
+                    "required": ["type", "xi"],
+                    "properties": {
+                        "type": {"const": "explicit"},
+                        "xi": {"type": "array", "minItems": 1},
+                    },
+                },
+            ]
+        },
+        "out": {"type": "string"},
+        "spectrum": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {"modes": {"type": "integer", "minimum": 1}},
+        },
+        "sweep": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "M": {
+                    "type": "array",
+                    "items": {"type": "integer", "minimum": 1},
+                    "minItems": 1,
+                    "uniqueItems": True,
+                },
+                "tau_lo": _POSITIVE,
+                "tau_hi": _POSITIVE,
+                "per_decade": {"type": "integer", "minimum": 2},
+                "resonances_per_branch": {"type": "integer", "minimum": 0},
+            },
+        },
+        "simulate": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "data": {"enum": ["single", "marginal"]},
+                "k": {"type": "integer", "minimum": 1},
+                "n_modes": {"type": "integer", "minimum": 1},
+                "v0": {"type": "number"},
+                "integrator": {"enum": ["exact", "general"]},
+                "t_lo": {"type": "number", "minimum": 0},
+                "t_hi": _POSITIVE,
+                "n_times": {"type": "integer", "minimum": 3},
+                "spacing": {"enum": ["log", "linear"]},
+                "dt": _POSITIVE,
+                "sample_every": {"type": "integer", "minimum": 1},
+            },
+        },
+        "fit": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "trace": {"type": "string"},
+                "window": {
+                    "type": "array",
+                    "items": {"type": "number"},
+                    "minItems": 2,
+                    "maxItems": 2,
+                },
+            },
+        },
+        "verdict": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "xi_probes": {"type": "array", "items": _POSITIVE, "minItems": 2},
+            },
+        },
+    },
+}
+
+_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+
+
+def _finite_numbers(node) -> bool:
+    """Whether every number in ``node`` is finite and every array item a
+    number: ``SCHEMA`` bounds numbers but lets NaN pass, and gives the sample
+    arrays (kernel ``s`` and ``g``, grid ``xi``) no item type."""
+    if isinstance(node, dict):
+        return all(_finite_numbers(v) for v in node.values())
+    if isinstance(node, list):
+        return all(type(v) in (int, float) and _finite_numbers(v) for v in node)
+    return type(node) not in (int, float) or abs(node) <= sys.float_info.max
+
+
+def config_accepted(raw) -> bool:
+    """Whether jsonschema accepts the parsed config ``raw`` under ``SCHEMA``
+    and every number in it is finite."""
+    return _VALIDATOR.is_valid(raw) and _finite_numbers(raw)

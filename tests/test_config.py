@@ -1,12 +1,16 @@
 import json
 import math
+import re
 
 import jsonschema
 import pytest
 
-from helpers import SCHEMA_VALIDATOR, schema_agrees
+from helpers import schema_agrees
 from memwave import config
-from memwave.config import SCHEMA, ConfigError, load_config
+from memwave.config import ConfigError, load_config
+from oracles import SCHEMA, config_accepted
+
+VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
 
 MODEL = {
     "params": {"rho": 1.0, "mu": 1.0, "alpha": 2.0, "beta": 1.0, "gamma": 0.5, "a": 0.5},
@@ -16,31 +20,52 @@ MODEL = {
 
 
 def test_schema_is_valid_under_its_metaschema():
-    # load_config interprets SCHEMA itself and never checks it against the metaschema
+    # jsonschema checks instances against the reference SCHEMA without first
+    # checking SCHEMA itself
     jsonschema.validators.validator_for(SCHEMA).check_schema(SCHEMA)
 
 
 @pytest.mark.parametrize(
-    "section, value",
+    "section, value, message",
     [
-        ("mystery", 1),  # unknown key
-        ("kernel", {"type": "exponential", "delta": 1.0, "k0": 1.0}),  # matches no oneOf branch
-        ("simulate", {"n_modes": "many"}),  # wrong type
-        ("sweep", {"omega": 1.0}),  # removed key: the sweep scales by tau^-(2-2a)
+        pytest.param("mystery", 1, "mystery is not a known key", id="mystery-1"),
+        pytest.param(
+            "kernel",
+            {"type": "exponential", "delta": 1.0, "k0": 1.0},
+            "kernel.k0 is not a known key",
+            id="kernel-value1",
+        ),
+        pytest.param(
+            "simulate", {"n_modes": "many"}, "simulate.n_modes holds 'many', not an integer >= 1", id="simulate-value2"
+        ),
+        # removed key: the sweep scales by tau^-(2-2a)
+        pytest.param("sweep", {"omega": 1.0}, "sweep.omega is not a known key", id="sweep-value3"),
+        pytest.param("sweep", {"per_decade": 1}, "sweep.per_decade holds 1, not an integer >= 2", id="per-decade"),
+        pytest.param("sweep", {"M": [8, 16, 8]}, "sweep.M holds 8 more than once", id="repeated-M"),
+        pytest.param("sweep", {"M": []}, "sweep.M has length 0, not at least 1", id="empty-M"),
+        pytest.param(
+            "params", dict(MODEL["params"], rho=0), "params.rho holds 0, not a number > 0", id="zero-rho"
+        ),
+        pytest.param(
+            "kernel",
+            {"type": "gaussian", "delta": 1.0},
+            "kernel.type holds 'gaussian', not one of 'exponential', 'tabulated'",
+            id="kernel-type",
+        ),
+        pytest.param("grid", {"length": 1.0, "count": 3}, "grid.type is missing", id="grid-type"),
     ],
 )
-def test_schema_error_message_matches_jsonschema_validate(tmp_path, section, value):
+def test_rejection_message_names_the_key(tmp_path, section, value, message):
     raw = dict(MODEL, **{section: value})
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
-    with pytest.raises(jsonschema.ValidationError) as expected:
-        jsonschema.validate(raw, SCHEMA)
+    assert not config_accepted(raw)
     with pytest.raises(ConfigError) as got:
         load_config(path)
-    assert str(got.value) == f"config schema violation: {expected.value.message}"
+    assert str(got.value) == f"config schema violation: {message}"
 
 
-# every optional section and key of SCHEMA, set to a value it accepts
+# every optional section and key of the reference SCHEMA, set to a value it accepts
 FULL = dict(
     MODEL,
     out="out",
@@ -94,7 +119,7 @@ def _variants(instance, schema):
     """Copies of ``instance`` with one change each, at every place ``schema``
     constrains: a replaced value, a dropped required key, an unknown key."""
     if "oneOf" in schema:
-        schema = next(s for s in schema["oneOf"] if SCHEMA_VALIDATOR.evolve(schema=s).is_valid(instance))
+        schema = next(s for s in schema["oneOf"] if VALIDATOR.evolve(schema=s).is_valid(instance))
     yield from _probes(schema)
     if isinstance(instance, dict):
         for key in schema.get("required", ()):
@@ -107,7 +132,7 @@ def _variants(instance, schema):
         yield from ([v] + instance[1:] for v in _variants(instance[0], schema["items"]))
 
 
-MESSAGE_CASES = test_schema_error_message_matches_jsonschema_validate.pytestmark[0].args[1]
+MESSAGE_CASES = [case.values[:2] for case in test_rejection_message_names_the_key.pytestmark[0].args[1]]
 CORPUS = [
     MODEL,
     dict(MODEL, kernel=TABULATED),
@@ -123,43 +148,44 @@ CORPUS = [
 
 
 def test_corpus_holds_accepted_and_rejected_configs():
-    assert all(SCHEMA_VALIDATOR.is_valid(base) for base in BASES)
-    accepted = sum(SCHEMA_VALIDATOR.is_valid(raw) for raw in CORPUS)
+    assert all(config_accepted(base) for base in BASES)
+    accepted = sum(config_accepted(raw) for raw in CORPUS)
     assert accepted > 100 and len(CORPUS) - accepted > 1000
 
 
 def test_schema_interpreter_agrees_with_jsonschema():
+    # load_config's key table accepts exactly what the reference accepts
     disagree = [raw for raw in CORPUS if not schema_agrees(raw)]
     assert disagree == []
 
 
-@pytest.mark.parametrize("instance", [1, -1, 0.5, "a", None, True])
-def test_one_of_needs_exactly_one_matching_branch(instance):
-    # SCHEMA's branches carry distinct const types, so no config matches both
-    schema = {"oneOf": [{"type": "number"}, {"minimum": 0}]}
-    expected = jsonschema.validators.validator_for(schema)(schema).is_valid(instance)
-    assert config._accepts(instance, schema) == expected
+def _names_a_key(raw, message: str) -> bool:
+    """Whether ``message`` names the dotted key of a value in ``raw``, or of
+    a key that ``raw`` misses."""
+    found = re.fullmatch(r"config schema violation: ([\w.]+) (holds|has length|is) .*", message)
+    if found is None:
+        return False
+    *parents, last = found[1].split(".")
+    node = raw
+    for key in parents:
+        if not isinstance(node, dict) or key not in node:
+            return False
+        node = node[key]
+    return isinstance(node, dict) and (last in node or message.endswith(" is missing"))
 
 
-def _schemas(schema):
-    """``schema`` and every subschema in it."""
-    yield schema
-    for key, value in schema.items():
-        if key == "properties":
-            for sub in value.values():
-                yield from _schemas(sub)
-        elif key == "oneOf":
-            for sub in value:
-                yield from _schemas(sub)
-        elif key in ("items", "additionalProperties") and isinstance(value, dict):
-            yield from _schemas(value)
-
-
-def test_schema_uses_only_interpreted_keywords():
-    # a keyword the interpreter does not know, such as pattern or anyOf, would
-    # fail here instead of being ignored
-    schemas = list(_schemas(SCHEMA))
-    assert {key for s in schemas for key in s} <= set(config._KEYWORDS)
-    assert {s["type"] for s in schemas if "type" in s} <= set(config._TYPES)
-    # == is jsonschema's equality for strings only (it tells True from 1)
-    assert all(isinstance(v, str) for s in schemas for v in [s.get("const", "")] + s.get("enum", []))
+def test_every_rejection_names_its_key():
+    unnamed = []
+    for raw in CORPUS:
+        if config_accepted(raw):
+            continue
+        with pytest.raises(ConfigError) as got:
+            config._check(raw)
+        message = str(got.value)
+        if isinstance(raw, dict):
+            named = _names_a_key(raw, message)
+        else:  # a config that is no object has no key to name
+            named = message.startswith("config schema violation: the config holds ")
+        if not named:
+            unnamed.append(message)
+    assert unnamed == []
