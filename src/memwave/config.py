@@ -55,29 +55,33 @@ def _floats(items: list) -> np.ndarray | None:
 
 
 class _Number:
-    """Rule: a finite number ``x`` with ``test(x)`` true, ``wanted`` in words.
-    ``test`` takes a float, or a float array to check all items of an array."""
+    """Rule: a finite number ``x`` with ``test(x)`` true, and an ``int`` if
+    ``integer``, ``wanted`` in words.  ``test`` takes a float, or a float
+    array to check all items of an array."""
 
-    def __init__(self, wanted: str = "a finite number", test: Callable | None = None):
-        self.wanted, self.test = wanted, test
+    def __init__(self, wanted: str = "a finite number", test: Callable | None = None, integer: bool = False):
+        self.wanted, self.test, self.integer = wanted, test, integer
 
-    def __call__(self, x, place: str) -> None:
+    def __call__(self, x, place: str):
         if not _finite(x):
             _fail(place, x, "a finite number" if type(x) in (int, float) else self.wanted)
-        if self.test is not None and not self.test(float(x)):
+        if (self.integer and type(x) is not int) or (self.test is not None and not self.test(float(x))):
             _fail(place, x, self.wanted)
+        return x
 
 
 def _integer(least: int) -> _Number:
-    # as in JSON Schema, 1.0 is an integer
-    return _Number(f"an integer >= {least}", lambda x: (x >= least) & (x == np.floor(x)))
+    # an int, not an integral float such as 1.0 (which JSON Schema calls an
+    # integer): the commands use these keys as counts and indices
+    return _Number(f"an integer >= {least}", lambda x: x >= least, integer=True)
 
 
 def _array(least: int, most: float = np.inf, item: _Number = _Number(), unique: bool = False) -> Callable:
     """Rule: an array of ``least`` to ``most`` finite numbers, each meeting
-    ``item`` and, if ``unique``, no two equal; checked as one float array."""
+    ``item`` and, if ``unique``, no two equal; checked as one float array,
+    which the rule returns."""
 
-    def rule(node, place: str) -> None:
+    def rule(node, place: str) -> np.ndarray:
         if not isinstance(node, list):
             _fail(place, node, "an array")
         if not least <= len(node) <= most:
@@ -86,6 +90,10 @@ def _array(least: int, most: float = np.inf, item: _Number = _Number(), unique: 
         values = _floats(node)
         if values is None:  # the item rule rejects the first item that is no finite number
             item(next(x for x in node if not _finite(x)), place)
+        if item.integer:
+            for x in node:
+                if type(x) is not int:
+                    _fail(place, x, item.wanted)
         if item.test is not None:
             ok = item.test(values)
             if not ok.all():
@@ -93,19 +101,22 @@ def _array(least: int, most: float = np.inf, item: _Number = _Number(), unique: 
         if unique and len(set(node)) < len(node):
             twice = next(x for i, x in enumerate(node) if x in node[:i])
             raise ConfigError(f"{_VIOLATION}{place} holds {twice!r} more than once")
+        return values
 
     return rule
 
 
-def _string(node, place: str) -> None:
+def _string(node, place: str) -> str:
     if not isinstance(node, str):
         _fail(place, node, "a string")
+    return node
 
 
 def _choice(*names: str) -> Callable:
-    def rule(node, place: str) -> None:
+    def rule(node, place: str) -> str:
         if node not in names:
             _fail(place, node, "one of " + ", ".join(map(repr, names)))
+        return node
 
     return rule
 
@@ -155,22 +166,25 @@ TABLE = {
 _REQUIRED = ("params", "kernel", "grid")
 
 
-def _object(node, place: str, rules: dict, required) -> None:
+def _object(node, place: str, rules: dict, required) -> dict:
     """Check that ``node`` is an object holding each key of ``required`` and
-    no key outside ``rules``, and each value against the rule of its key."""
+    no key outside ``rules``, and each value against the rule of its key;
+    return the values as their rules return them."""
     if not isinstance(node, dict):
         _fail(place or "the config", node, "an object")
     at = f"{place}." if place else ""
     for key in required:
         if key not in node:
             raise ConfigError(f"{_VIOLATION}{at}{key} is missing")
+    checked = {}
     for key, value in node.items():
         if key not in rules:
             raise ConfigError(f"{_VIOLATION}{at}{key} is not a known key")
-        rules[key](value, at + key)
+        checked[key] = rules[key](value, at + key)
+    return checked
 
 
-def _section(node, name: str) -> None:
+def _section(node, name: str) -> dict:
     """Check section ``name`` of the config, kernel and grid by the table of
     their ``type``."""
     rules = TABLE[name]
@@ -181,13 +195,14 @@ def _section(node, name: str) -> None:
             rules = {"type": kind, **rules[node["type"]]}
         else:
             rules = {"type": kind}
-    _object(node, name, rules, rules if name in _REQUIRED else ())
+    return _object(node, name, rules, rules if name in _REQUIRED else ())
 
 
-def _check(raw) -> None:
+def _check(raw) -> dict:
     """Raise ``ConfigError`` at the first value of ``raw`` that breaks its
-    rule in ``TABLE``, naming its dotted key."""
-    _object(raw, "", {"out": _string, **dict.fromkeys(TABLE, _section)}, _REQUIRED)
+    rule in ``TABLE``, naming its dotted key; return ``raw`` with each array
+    as the float array it was checked as."""
+    return _object(raw, "", {"out": _string, **dict.fromkeys(TABLE, _section)}, _REQUIRED)
 
 
 @dataclass(frozen=True)
@@ -204,27 +219,22 @@ def load_config(path: str | Path) -> RunConfig:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    _check(raw)
+    checked = _check(raw)
 
     try:
         params = ModelParams(**raw["params"])
 
-        kcfg = raw["kernel"]
+        kcfg = checked["kernel"]
         if kcfg["type"] == "exponential":
             kernel: Kernel = ExponentialKernel(delta=kcfg["delta"])
         else:
-            kernel = TabulatedKernel(
-                s=np.asarray(kcfg["s"], dtype=float),
-                g_values=np.asarray(kcfg["g"], dtype=float),
-                k0=kcfg["k0"],
-                k1=kcfg["k1"],
-            )
+            kernel = TabulatedKernel(s=kcfg["s"], g_values=kcfg["g"], k0=kcfg["k0"], k1=kcfg["k1"])
 
-        gcfg = raw["grid"]
+        gcfg = checked["grid"]
         if gcfg["type"] == "dirichlet_laplacian":
             grid = ModeGrid.dirichlet(gcfg["length"], gcfg["count"])
         else:
-            grid = ModeGrid(np.asarray(gcfg["xi"], dtype=float))
+            grid = ModeGrid(gcfg["xi"])
     except InvalidModelError as exc:
         raise ConfigError(f"invalid model: {exc}") from exc
 

@@ -7,15 +7,22 @@ given by its eigenvalue ``xi`` and its initial data by a plain array of
 For ``g(s) = exp(-delta*s)`` each mode reduces to the five-dimensional system
 ``(v, u, p, q, I)`` with the convolved history ``I' = v - delta*I`` and
 ``I(0) = 0``, so the trajectory is an exact five-term exponential sum.  That
-removes all time-discretization error from decay-rate measurements.  The
-memory part of the energy,
+removes all time-discretization error from decay-rate measurements.  Its
+roots are one real root and two exact conjugate pairs (or another real
+labelling), so real data make a real solution: five real pair coordinates,
+``f_0``, ``Re f_1``, ``Im f_1``, ``Re f_3`` and ``Im f_3`` with ``f_i =
+a_i*exp(lam_i*t)``, carry it, at one real and two complex exponentials per
+mode and time.  Complex data are the sum of their real and imaginary parts,
+whose energies add.  The states are a fixed real 4x5 map of the coordinates,
+and the memory part of the energy,
 
     xi^a * int_0^inf g(s) |v(t) - v(t-s)|^2 ds,
 
-splits at ``s = t``: the recent part factors into the five terms
-``a_i*exp(lam_i*t)`` of ``v(t)`` and one fixed 5x5 matrix per mode, so a whole
-stack of modes is one vectorised evaluation; the remote part, where the mode
-was at rest, is ``e^(-delta*t) |v(t)|^2/delta``.
+splits at ``s = t`` into a fixed real symmetric 5x5 form of them per mode
+plus a term in ``e^(-delta*t)``: the recent part factors into the five terms
+of ``v(t)``, and the remote part, where the mode was at rest, is
+``e^(-delta*t) |v(t)|^2/delta``.  So a whole stack of modes is one
+vectorised evaluation.
 
 General kernels satisfying the positivity/pinch hypotheses go through an
 implicit-midpoint scheme whose memory force uses trapezoidal convolution over
@@ -31,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +73,14 @@ class ModalTrajectories:
     are stacks too.  A mode whose eigenvalue separation check failed is
     flagged by ``dense``: its amplitudes are zero and ``state_at`` takes the
     matrix exponential of its generator instead.
+
+    A mode's roots are real or come in exact conjugate pairs (``partners``),
+    and so do its eigenvectors.  With real data the amplitudes of a pair are
+    conjugate too, and each term ``f_i = a_i exp(lam_i t)`` is a real
+    coordinate or half of a pair's: the five reals of ``pair_coordinates``
+    carry the whole solution, and every state is a fixed real map of them
+    (``pair_basis``).  ``real_rows`` splits complex data into its real and
+    imaginary parts, whose energies add.
     """
 
     xi: np.ndarray
@@ -83,6 +99,86 @@ class ModalTrajectories:
         rows = np.atleast_1d(np.arange(len(self))[index])
         per_mode = ("xi", "eigenvalues", "eigvecs", "amplitudes", "x0", "dense")
         return replace(self, **{name: getattr(self, name)[rows] for name in per_mode})
+
+    @cached_property
+    def partners(self) -> np.ndarray:
+        """The conjugation partner ``p(i)`` of every root, ``lam[p(i)] ==
+        conj(lam[i])`` exactly, shape ``(modes, 5)``: ``p(i) = i`` for a real
+        root, and -1 where a root has no such partner or more than one.
+        ``quintic_roots`` labels a mode ``[real, p, conj(p), q, conj(q)]``,
+        so ``p = (0, 2, 1, 4, 3)``; a degenerate labelling has its own."""
+        match = self.eigenvalues[:, :, None].conj() == self.eigenvalues[:, None, :]
+        return np.where(match.sum(axis=2) == 1, match.argmax(axis=2), -1)
+
+    def real_rows(self) -> tuple["ModalTrajectories", np.ndarray]:
+        """The stack as trajectories of real data, and the mode each one
+        comes from: every mode with the real part of its data, then each mode
+        whose data has a nonzero imaginary part once more, with that part.
+
+        With ``conj(V) = V P`` for the eigenvectors ``V`` and the partner
+        permutation ``P``, the data ``conj(x0)`` has the amplitudes
+        ``conj(a[p(i)])``, so the two parts have ``(a + conj(a[p]))/2`` and
+        ``(a - conj(a[p]))/2i``; every mode must have its partners.
+        """
+        split = np.flatnonzero(self.x0.imag.any(axis=1))
+        owner = np.concatenate([np.arange(len(self)), split])
+        if not split.size:
+            return self, owner
+        amps = self.amplitudes[split]
+        mirror = np.take_along_axis(amps, self.partners[split], axis=1).conj()
+        real_part = self.amplitudes.copy()
+        real_part[split] = 0.5 * (amps + mirror)
+        rows = self[owner]
+        return replace(
+            rows,
+            amplitudes=np.concatenate([real_part, -0.5j * (amps - mirror)]),
+            x0=np.concatenate([self.x0.real, self.x0[split].imag]).astype(complex),
+        ), owner
+
+    def pair_coordinates(self, t) -> np.ndarray:
+        """The real pair coordinates ``r`` of every mode of real data at
+        ``t``, shape ``(modes, 5) + t.shape``: ``r_i = f_i`` for a real root
+        ``i``, and ``r_i = Re f_i``, ``r_p(i) = Im f_i`` for a pair ``i <
+        p(i)``, with ``f_i = a_i exp(lam_i t)``.  A real root takes one real
+        ``exp`` and a pair one complex ``exp``; the amplitude of a pair's
+        second root is not read, being the conjugate of its partner's.  A
+        root without its partner raises ``InvalidModelError``.
+        """
+        t = np.asarray(t, dtype=float)
+        tt = t.reshape(-1)
+        partner = self.partners
+        if (partner < 0).any():
+            raise InvalidModelError("pair coordinates need the exact conjugate partner of every root")
+        slot = np.arange(5)
+        out = np.empty((len(self), 5, tt.size))
+        # one pass per labelling: the rows of one partner pattern share their slots
+        _, first, which = np.unique(partner @ 6**slot, return_index=True, return_inverse=True)
+        for k, p in enumerate(partner[first]):
+            rows = np.flatnonzero(which == k)
+            block = out if first.size == 1 else np.empty((rows.size, 5, tt.size))
+            lams, amps = self.eigenvalues[rows], self.amplitudes[rows]
+            real, lead = slot[p == slot], slot[p > slot]
+            block[:, real] = amps[:, real, None].real * np.exp(np.multiply.outer(lams[:, real].real, tt))
+            f = amps[:, lead, None] * np.exp(np.multiply.outer(lams[:, lead], tt))
+            block[:, lead] = f.real
+            block[:, p[lead]] = f.imag
+            if block is not out:
+                out[rows] = block
+        return out.reshape((len(self), 5) + t.shape)
+
+    def pair_basis(self) -> np.ndarray:
+        """The complex ``(modes, 5, 5)`` matrix ``C`` of each mode with ``f =
+        C r`` for real data: row ``i`` picks ``r_i`` for a real root, ``r_i
+        + i r_p(i)`` for the first root of a pair and ``r_p(i) - i r_i`` for
+        the second.  A complex linear map ``L`` of the terms, such as the
+        eigenvectors, acts on ``r`` as the real map ``Re(L C)``."""
+        partner = self.partners
+        slot = np.arange(5)
+        rows = np.arange(len(self))[:, None]
+        basis = np.zeros((len(self), 5, 5), dtype=complex)
+        basis[rows, slot, np.minimum(slot, partner)] = 1.0
+        basis[rows, slot, np.maximum(slot, partner)] += 1j * np.sign(partner - slot)
+        return basis
 
     def phases(self, t) -> np.ndarray:
         """``exp(lam_i*t)`` of every mode and root, shape ``(modes, 5) + t.shape``.
@@ -111,15 +207,13 @@ class ModalTrajectories:
         t = np.asarray(t, dtype=float)
         return self.amplitudes[(...,) + (None,) * t.ndim] * self.phases(t)
 
-    def state_at(self, t, terms=None) -> np.ndarray:
-        """``(v, u, p, q, I)`` of every mode at ``t``, shape ``(modes, 5) +
-        t.shape``: the eigenvectors applied to the five terms, ``terms`` if
-        given (it is then ``self.terms(t)``)."""
+    def state_at(self, t) -> np.ndarray:
+        """``(v, u, p, q, I)`` of every mode at ``t``, complex, shape
+        ``(modes, 5) + t.shape``: the eigenvectors applied to the five
+        terms, or the matrix exponential for a dense mode."""
         t = np.asarray(t, dtype=float)
         n = len(self)
-        if terms is None:
-            terms = self.terms(t)
-        states = (self.eigvecs @ terms.reshape(n, 5, -1)).reshape((n, 5) + t.shape)
+        states = (self.eigvecs @ self.terms(t).reshape(n, 5, -1)).reshape((n, 5) + t.shape)
         if self.dense.any():
             import scipy.linalg as sla  # loaded only for a dense-fallback mode
 
@@ -176,10 +270,31 @@ def _expm1_ratio(x: np.ndarray) -> np.ndarray:
     return np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x != 0)
 
 
-def memory_energy_closed_form(trajs: ModalTrajectories, t, terms=None) -> np.ndarray:
+def _whole(re, im, c, tt) -> np.ndarray:
+    """``Re((re + i*im) * E(c))`` with ``E(c) = int_0^t exp(-c*s) ds =
+    t*(1 - exp(-c*t))/(c*t)``, one ``c`` per row of ``re`` and ``im``; a
+    real ``c`` takes a real ``expm1``."""
+    real = c.imag == 0
+    out = np.empty_like(re)
+    out[real] = re[real] * (tt * _expm1_ratio(np.multiply.outer(c[real].real, tt)))
+    e = tt * _expm1_ratio(np.multiply.outer(c[~real], tt))
+    out[~real] = re[~real] * e.real - im[~real] * e.imag
+    return out
+
+
+def _term(r, partner, m, i):
+    """Real and imaginary parts of the terms ``f_i`` of rows ``m`` from their
+    pair coordinates ``r``."""
+    p = partner[m, i]
+    return r[m, np.minimum(i, p)], np.sign(p - i)[:, None] * r[m, np.maximum(i, p)]
+
+
+def memory_energy_closed_form(trajs: ModalTrajectories, t, coords=None) -> np.ndarray:
     """``xi^a * int_0^inf exp(-delta*s) |v(t) - v(t-s)|^2 ds`` for a stack of
-    trajectories, shape ``(len(trajs),) + t.shape``; ``terms``, if given, is
-    ``trajs.terms(t)``.
+    trajectories, shape ``(len(trajs),) + t.shape``.  Complex data enters as
+    its real and imaginary parts (``ModalTrajectories.real_rows``), whose
+    memory energies add; ``coords``, if given, is
+    ``trajs.pair_coordinates(t)`` of a stack of real data.
 
     With ``f_i = a_i*exp(lam_i*t)``, ``v = sum_i f_i`` and
     ``E(c) = int_0^t exp(-c*s) ds = -expm1(-c*t)/c``, the ``s < t`` part is
@@ -190,49 +305,76 @@ def memory_energy_closed_form(trajs: ModalTrajectories, t, terms=None) -> np.nda
     and the ``s > t`` part, where the mode was at rest, is ``e^(-delta*t)
     |v|^2/delta``, which cancels the same piece of ``|v|^2 E(delta)``.  Each
     single-exponent term splits as ``(f_i - a_i e^(-delta*t)) / (delta +
-    lam_i)`` and each pair term as
-    ``(f_i conj(f_j) - a_i conj(a_j) e^(-delta*t)) / c_ij``, which is one
-    contraction over the stack each and overflows nowhere, except where the
-    exponent times ``t_max`` is below ``_SPLIT_GUARD`` in modulus: there the
-    halves cancel and ``E`` is evaluated directly.  Dense-fallback
-    trajectories must use the quadrature route instead.
+    lam_i)`` and each pair term as ``(f_i conj(f_j) - a_i conj(a_j)
+    e^(-delta*t)) / c_ij``, except where the exponent times ``t_max`` is
+    below ``_SPLIT_GUARD`` in modulus: there the halves cancel and ``E`` is
+    evaluated directly, with a real ``expm1`` where the exponent is real.
+
+    On real data ``v = e.r`` and ``f = C r`` in the pair coordinates ``r``
+    (``ModalTrajectories.pair_basis``), so the split parts fold into one real
+    symmetric 5x5 form per mode:
+
+        r.Q r + e^(-delta*t) (2 sigma e.r - pi),
+
+    ``Q = e e^T/delta - (e s^T + s e^T) + Re(C^T W conj(C))`` with the split
+    single terms ``s = Re(w C)``, ``w_i = 1/(delta + lam_i)``, and pair terms
+    ``W_ij = 1/c_ij``; ``sigma`` and ``pi`` are the same forms at ``r(0)``.
+    Dense-fallback trajectories, and those whose roots lack an exact
+    conjugate partner, must use the quadrature route instead.
     """
-    if trajs.dense.any():
-        raise InvalidModelError("closed-form memory energy needs the amplitude expansion")
+    if trajs.dense.any() or (trajs.partners < 0).any():
+        raise InvalidModelError("closed-form memory energy needs the amplitude expansion in conjugate pairs")
     t = np.asarray(t, dtype=float)
     tt = t.reshape(-1)
     n = len(trajs)
-    amps = trajs.amplitudes
-    lams = trajs.eigenvalues
-    delta = trajs.delta
-
+    real, owner = trajs.real_rows()
     # tt.size, not -1: an empty stack (all of a chunk dense) gives nothing to infer from
-    f = trajs.terms(tt) if terms is None else terms.reshape(n, 5, tt.size)
-    v = f.sum(axis=1)
-    decay = np.exp(-delta * tt)
-
+    r = real.pair_coordinates(tt) if coords is None else coords.reshape(len(real), 5, tt.size)
+    lams = real.eigenvalues
+    delta = trajs.delta
+    partner = real.partners
+    basis = real.pair_basis()
     t_max = np.max(tt, initial=0.0)
+
     z = delta + lams
-    guard = np.abs(z) * t_max < _SPLIT_GUARD
-    inv_z = np.divide(1.0, z, out=np.zeros_like(z), where=~guard)
-    single = np.einsum("nit,ni->nt", f, inv_z) - (amps * inv_z).sum(axis=1)[:, None] * decay
-    m, i = np.nonzero(guard)
-    if m.size:
-        np.add.at(single, m, f[m, i] * tt * _expm1_ratio(z[m, i][:, None] * tt))
-
+    single_guard = np.abs(z) * t_max < _SPLIT_GUARD
+    w = np.divide(1.0, z, out=np.zeros_like(z), where=~single_guard)
     c = delta + lams[:, :, None] + lams.conj()[:, None, :]
-    guard = np.abs(c) * t_max < _SPLIT_GUARD
-    inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=~guard)
-    pair = (f * (inv_c @ f.conj())).sum(axis=1).real
-    pair -= np.einsum("ni,nij,nj->n", amps, inv_c, amps.conj()).real[:, None] * decay
-    m, i, j = np.nonzero(guard)
-    if m.size:
-        terms = f[m, i] * f[m, j].conj() * tt * _expm1_ratio(c[m, i, j][:, None] * tt)
-        np.add.at(pair, m, terms.real)
+    pair_guard = np.abs(c) * t_max < _SPLIT_GUARD
+    inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=~pair_guard)
 
-    memory = np.abs(v) ** 2 / delta - 2.0 * (v.conj() * single).real + pair
-    xi_a = trajs.xi ** trajs.params.a
-    return (xi_a[:, None] * memory).reshape((n,) + t.shape)
+    e = basis.sum(axis=1).real
+    s = (w[:, None, :] @ basis)[:, 0].real
+    pair = (np.swapaxes(basis, 1, 2) @ inv_c @ basis.conj()).real
+    pair = 0.5 * (pair + np.swapaxes(pair, 1, 2))
+    cross = e[:, :, None] * s[:, None, :]
+    form = pair + e[:, :, None] * e[:, None, :] / delta - (cross + np.swapaxes(cross, 1, 2))
+    # r at t = 0, where f = a
+    slot = np.arange(5)
+    lead = np.take_along_axis(real.amplitudes, np.minimum(slot, partner), axis=1)
+    r0 = np.where(partner < slot, lead.imag, lead.real)
+    sigma = (s * r0).sum(axis=1)
+    pi = np.einsum("ni,nij,nj->n", r0, pair, r0)
+
+    # one product gives Q r and v = e.r
+    image = np.concatenate([form, e[:, None, :]], axis=1) @ r
+    v = image[:, 5]
+    memory = np.einsum("nit,nit->nt", r, image[:, :5])
+    memory += np.exp(-delta * tt) * (2.0 * sigma[:, None] * v - pi[:, None])
+
+    # the terms taken whole, the guarded rows of one slot (or slot pair) at a time
+    for i in np.flatnonzero(single_guard.any(axis=0)):
+        m = np.flatnonzero(single_guard[:, i])
+        memory[m] -= 2.0 * v[m] * _whole(*_term(r, partner, m, i), z[m, i], tt)
+    for i, j in zip(*np.nonzero(pair_guard.any(axis=0))):
+        m = np.flatnonzero(pair_guard[:, i, j])
+        (re_i, im_i), (re_j, im_j) = _term(r, partner, m, i), _term(r, partner, m, j)
+        memory[m] += _whole(re_i * re_j + im_i * im_j, im_i * re_j - re_i * im_j, c[m, i, j], tt)
+
+    memory *= (real.xi ** real.params.a)[:, None]
+    out = memory[:n]
+    out[owner[n:]] += memory[n:]
+    return out.reshape((n,) + t.shape)
 
 
 def memory_energy_quadrature(traj: ModalTrajectories, t: float) -> float:
@@ -365,30 +507,44 @@ _MEMORY_CHUNK = 64
 def energy_trace(trajs: ModalTrajectories, times: np.ndarray) -> EnergyTrace:
     """Exact multi-mode energy trace on the given times.
 
-    The modes go in chunks of at most ``_MEMORY_CHUNK``: each chunk forms its
-    terms ``a_i*exp(lam_i*t)`` once, and they feed both ``state_at`` and
-    ``memory_energy_closed_form`` (``memory_energy_quadrature`` for dense
-    modes), followed by one ``energy_parts`` over the stack.  The mechanical
-    parts enter the running sums mode by mode: a sum over the stack would
-    associate the additions differently, and a sequential ``np.add.accumulate``
-    over the chunk, which would keep the association, is slower than this loop.
+    The modes go in chunks of at most ``_MEMORY_CHUNK``.  Each chunk is
+    evaluated in real pair coordinates: ``real_rows`` splits complex data
+    into real rows, ``pair_coordinates`` forms their five reals ``r`` once,
+    and every part is a fixed real map of ``r`` built once per row: the
+    states ``Re(V C) r`` feed ``energy_parts``, and
+    ``memory_energy_closed_form`` takes ``r`` as it is.  Dense modes, and
+    modes whose roots lack an exact conjugate partner, take the dense route:
+    ``state_at`` and ``memory_energy_quadrature``.  The parts of the two rows
+    of complex data are added, and then each mode's parts enter the running
+    sums in turn: a sum over the stack would associate the additions
+    differently, and a sequential ``np.add.accumulate`` over the chunk, which
+    would keep the association, is slower than this loop.
     """
     times = np.asarray(times, dtype=float)
+    params = trajs.params
     zeta = 1.0 / trajs.delta
-    mechanical = np.zeros((4,) + times.shape)
-    mem = np.zeros_like(times)
+    expanded = ~trajs.dense & (trajs.partners >= 0).all(axis=1)
+    sums = np.zeros((5,) + times.shape)
     for start in range(0, len(trajs), _MEMORY_CHUNK):
         chunk = trajs[start : start + _MEMORY_CHUNK]
-        terms = chunk.terms(times)
-        states = chunk.state_at(times, terms)
-        parts = energy_parts(*states.swapaxes(0, 1)[:4], chunk.xi[:, None], trajs.params, zeta)
-        for part in np.stack(parts, axis=1):
-            mechanical += part
-        light, light_terms = (chunk[~chunk.dense], terms[~chunk.dense]) if chunk.dense.any() else (chunk, terms)
-        mem += memory_energy_closed_form(light, times, terms=light_terms).sum(axis=0)
-        for m in np.flatnonzero(chunk.dense):
-            mem += [memory_energy_quadrature(chunk[m], float(t)) for t in times]
-    return EnergyTrace.from_parts(times, *mechanical, mem, -trajs.delta * mem)
+        light = expanded[start : start + _MEMORY_CHUNK]
+        parts = np.empty((len(chunk), 5) + times.shape)
+        if light.any():
+            real, owner = (chunk if light.all() else chunk[light]).real_rows()
+            r = real.pair_coordinates(times)
+            states = np.ascontiguousarray((real.eigvecs[:, :4] @ real.pair_basis()).real) @ r
+            mechanical = energy_parts(*states.swapaxes(0, 1), real.xi[:, None], params, zeta)
+            rows = np.stack([*mechanical, memory_energy_closed_form(real, times, coords=r)], axis=1)
+            n = int(light.sum())
+            rows[owner[n:]] += rows[n:]
+            parts[light] = rows[:n]
+        for m in np.flatnonzero(~light):
+            states = chunk[m].state_at(times)[0]
+            parts[m, :4] = energy_parts(*states[:4], chunk.xi[m], params, zeta)
+            parts[m, 4] = [memory_energy_quadrature(chunk[m], float(t)) for t in times]
+        for part in parts:
+            sums += part
+    return EnergyTrace.from_parts(times, *sums, -trajs.delta * sums[4])
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,9 @@ against; no command runs them.
 * ``static_solve``: the static problem ``0 in rho(A)`` solved on the block the
   sweep SVDs and applied back through the physical generator (acceptance
   criterion 9);
+* ``five_term_trace``: the exact energy trace of a stack of trajectories in
+  complex arithmetic over all five exponential terms, against the real pair
+  coordinates of ``timedomain.energy_trace``;
 * ``config_accepted``: whether a run configuration is valid under the JSON
   Schema ``SCHEMA`` and holds only finite numbers, against the key table of
   ``memwave.config``.
@@ -236,6 +239,67 @@ def superposition_oracle(
 
 
 # ---------------------------------------------------------------------------
+# exact trace over all five complex terms
+# ---------------------------------------------------------------------------
+
+# ``|c|*t_max`` below which a term of the memory energy is taken whole
+_SPLIT_GUARD = 1.0
+
+
+def _integral(c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``E(c) = int_0^t exp(-c*s) ds`` for exponents ``c`` (one per row) and
+    times ``t``, by a complex ``expm1``."""
+    x = np.multiply.outer(c.astype(complex), t)
+    ratio = np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x != 0)
+    return t * ratio
+
+
+def five_term_trace(trajs, times) -> np.ndarray:
+    """Stiffness, kinetic-v, coupling, kinetic-p and memory parts of the
+    exact energy trace of a stack of trajectories without dense modes, summed
+    over the modes, shape ``(5,) + times.shape``.
+
+    Every step runs in complex arithmetic over all five terms ``f_i =
+    a_i*exp(lam_i*t)``, with one ``exp`` per root: the states ``V f`` feed
+    ``energy_parts``, and the memory energy is the split closed form
+
+        |v|^2/delta - 2 Re(conj(v) sum_i (f_i - a_i e^(-delta*t))/(delta + lam_i))
+            + sum_ij (f_i conj(f_j) - a_i conj(a_j) e^(-delta*t))/c_ij,
+
+    ``c_ij = delta + lam_i + conj(lam_j)``, with each term whose exponent
+    times ``t_max`` is below ``_SPLIT_GUARD`` in modulus taken whole as
+    ``f E(c)``.  It reads the trajectories' arrays only, not their methods.
+    """
+    t = np.asarray(times, dtype=float)
+    tt = t.reshape(-1)
+    amps, lams, delta = trajs.amplitudes, trajs.eigenvalues, trajs.delta
+    params = trajs.params
+    f = amps[:, :, None] * np.exp(np.multiply.outer(lams, tt))
+    states = trajs.eigvecs @ f
+    parts = energy_parts(*states.swapaxes(0, 1)[:4], trajs.xi[:, None], params, 1.0 / delta)
+
+    v = f.sum(axis=1)
+    decay = np.exp(-delta * tt)
+    t_max = np.max(tt, initial=0.0)
+    z = delta + lams
+    guard = np.abs(z) * t_max < _SPLIT_GUARD
+    inv_z = np.divide(1.0, z, out=np.zeros_like(z), where=~guard)
+    single = np.einsum("nit,ni->nt", f, inv_z) - (amps * inv_z).sum(axis=1)[:, None] * decay
+    m, i = np.nonzero(guard)
+    np.add.at(single, m, f[m, i] * _integral(z[m, i], tt))
+    c = delta + lams[:, :, None] + lams.conj()[:, None, :]
+    guard = np.abs(c) * t_max < _SPLIT_GUARD
+    inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=~guard)
+    pair = (f * (inv_c @ f.conj())).sum(axis=1).real
+    pair -= np.einsum("ni,nij,nj->n", amps, inv_c, amps.conj()).real[:, None] * decay
+    m, i, j = np.nonzero(guard)
+    np.add.at(pair, m, (f[m, i] * f[m, j].conj() * _integral(c[m, i, j], tt)).real)
+    memory = np.abs(v) ** 2 / delta - 2.0 * (v.conj() * single).real + pair
+    memory *= (trajs.xi ** params.a)[:, None]
+    return np.stack([np.sum(part, axis=0) for part in (*parts, memory)]).reshape((5,) + t.shape)
+
+
+# ---------------------------------------------------------------------------
 # static solve at lam = 0
 # ---------------------------------------------------------------------------
 
@@ -421,7 +485,14 @@ SCHEMA = {
     },
 }
 
-_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+# Two stated exceptions to the JSON Schema of a run configuration: sweep.M
+# takes each value once ("uniqueItems" above), and an "integer" is an int, a
+# number written without a fraction or an exponent, where JSON Schema takes
+# any integral number, 1.0 too: the commands use integers as counts and indices
+_DRAFT = jsonschema.validators.validator_for(SCHEMA)
+_VALIDATOR = jsonschema.validators.extend(
+    _DRAFT, type_checker=_DRAFT.TYPE_CHECKER.redefine("integer", lambda checker, x: type(x) is int)
+)(SCHEMA)
 
 
 def _finite_numbers(node) -> bool:
@@ -436,6 +507,6 @@ def _finite_numbers(node) -> bool:
 
 
 def config_accepted(raw) -> bool:
-    """Whether jsonschema accepts the parsed config ``raw`` under ``SCHEMA``
-    and every number in it is finite."""
+    """Whether jsonschema accepts the parsed config ``raw`` under ``SCHEMA``,
+    with an integer an int, and every number in it is finite."""
     return _VALIDATOR.is_valid(raw) and _finite_numbers(raw)

@@ -211,6 +211,26 @@ def test_repeated_history_resolution_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+# an integral float passed JSON Schema's "integer" and then failed in the
+# command with exit 1: a TypeError in the sweep's Laguerre degree, a slice
+# index in the spectrum, an IndexError in the simulation
+@pytest.mark.parametrize(
+    "command, section, message",
+    [
+        ("sweep", {"sweep": {"M": [8.0], "tau_lo": 5.0, "tau_hi": 25.0, "per_decade": 4}}, "sweep.M holds 8.0"),
+        ("spectrum", {"spectrum": {"modes": 3.0}}, "spectrum.modes holds 3.0"),
+        ("simulate", {"simulate": {"data": "single", "k": 2.0, "t_lo": 0.0, "t_hi": 5.0, "n_times": 5}}, "simulate.k holds 2.0"),
+    ],
+)
+def test_integral_float_is_config_error(tmp_path, capsys, command, section, message):
+    cfg = write_cfg(tmp_path, extra=section)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"]
+    assert error == {"type": "config", "message": f"config schema violation: {message}, not an integer >= 1"}
+    assert not out.exists()
+
+
 def test_spectrum_command_rows_and_root_sums(tmp_path):
     cfg = write_cfg(tmp_path, extra={"spectrum": {"modes": 100}})
     out = tmp_path / "out"

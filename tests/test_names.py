@@ -180,6 +180,7 @@ ORACLE_READS = {
         "memwave.resolvent.energy_congruence",
         "memwave.resolvent.mode_block",
     },
+    "five_term_trace": {"memwave.model.energy_parts"},
     "config_accepted": set(),
 }
 

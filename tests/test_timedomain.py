@@ -25,6 +25,7 @@ from memwave.timedomain import (
     memory_energy_closed_form,
     memory_energy_quadrature,
 )
+from oracles import five_term_trace
 
 DELTA = KER1.delta
 
@@ -239,15 +240,9 @@ def test_stacked_memory_energy_equals_single_calls():
 
 def test_energy_trace_batches_memory_across_chunks(monkeypatch):
     # 130 eigen-expansion modes cross two chunk boundaries; one more mode
-    # takes the dense route
-    grid = square_grid(130)
-    xi, x0 = marginal_data(grid, 130)
-    xi = np.insert(xi, 40, grid.xi_of(3))
-    x0 = np.insert(x0, 40, [0.1, 0.0, 0.05, 0.0], axis=0)
-    trajs = exact_modal_evolve(xi, x0, P0, DELTA)
-    trajs = dataclasses.replace(trajs, dense=np.arange(131) == 40)
-    times = np.geomspace(0.5, 300.0, 12)
-
+    # takes the dense route.  Each mode's parts are the same real maps of its
+    # own pair coordinates in a chunk as alone, and enter the sums in mode
+    # order either way, so the chunked trace is the per-mode traces summed
     sizes = []
     closed_form = timedomain.memory_energy_closed_form
 
@@ -255,27 +250,137 @@ def test_energy_trace_batches_memory_across_chunks(monkeypatch):
         sizes.append(len(chunk))
         return closed_form(chunk, t, **kwargs)
 
+    trajs, times = _chunk_stack()
+    trajs = dataclasses.replace(trajs, dense=np.arange(131) == 40)
     monkeypatch.setattr(timedomain, "memory_energy_closed_form", recorded)
     trace = energy_trace(trajs, times)
     assert sum(sizes) == 130 and len(sizes) == 3
     assert max(sizes) <= timedomain._MEMORY_CHUNK
 
-    parts = [np.zeros_like(times) for _ in range(4)]
-    memory = np.zeros_like(times)
+    expected = np.zeros((5,) + times.shape)
     for m in range(len(trajs)):
-        traj = trajs[m]
-        states = traj.state_at(times)[0]
-        for acc, part in zip(parts, energy_parts(*states[:4], traj.xi, P0, KER1.zeta)):
-            acc += part
-        if traj.dense[0]:
-            memory += [memory_energy_quadrature(traj, float(t)) for t in times]
-        else:
-            memory += closed_form(traj, times)[0]
-    for got, expected in zip(
-        (trace.stiffness, trace.kinetic_v, trace.coupling, trace.kinetic_p), parts
-    ):
-        assert np.array_equal(got, expected)
-    assert trace.memory == pytest.approx(memory, rel=1e-13, abs=0.0)
+        expected += _columns(energy_trace(trajs[m], times))
+    assert np.array_equal(_columns(trace), expected)
+
+
+def _columns(trace):
+    return np.stack([trace.stiffness, trace.kinetic_v, trace.coupling, trace.kinetic_p, trace.memory])
+
+
+def _chunk_stack():
+    """131 modes of the marginal family, mode 3 inserted at row 40 with data
+    of its own, and 12 log-spaced times."""
+    grid = square_grid(130)
+    xi, x0 = marginal_data(grid, 130)
+    xi = np.insert(xi, 40, grid.xi_of(3))
+    x0 = np.insert(x0, 40, [0.1, 0.0, 0.05, 0.0], axis=0)
+    return exact_modal_evolve(xi, x0, P0, DELTA), np.geomspace(0.5, 300.0, 12)
+
+
+def _complex_stack(n=70):
+    """``n`` modes of random complex data, every coordinate nonzero."""
+    rng = np.random.default_rng(3)
+    x0 = (rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))) / np.arange(1, n + 1)[:, None] ** 2
+    return exact_modal_evolve(square_grid(n).xi, x0, P0, DELTA)
+
+
+def _degenerate_stack():
+    # README parameters at a = 0.9: at xi = 0.00373 and 0.00375 slots 3 and 4
+    # hold two distinct real roots, a degenerate labelling with partners
+    # (0, 2, 1, 3, 4); xi = 0.004 has the standard (0, 2, 1, 4, 3)
+    x0 = [[1.0, 0.3, -0.2, 0.1], [1.0, 0.0, 0.0, 0.0], [0.5, 1.0j, 0.0, 0.2]]
+    return exact_modal_evolve([0.00373, 0.00375, 0.004], x0, p0_with_a(0.9), DELTA)
+
+
+README_TIMES = np.geomspace(1.0, 2000.0, 60)
+
+
+@pytest.mark.parametrize(
+    "stack",
+    [lambda: (_readme_stack(), README_TIMES), _chunk_stack, lambda: (_complex_stack(), README_TIMES)],
+    ids=["readme", "chunks", "complex"],
+)
+def test_energy_trace_matches_the_five_term_reference(stack):
+    # the reference evaluates all five complex terms; the largest measured
+    # gap is 2.4e-15, in the memory column of the complex stack
+    trajs, times = stack()
+    got, expected = _columns(energy_trace(trajs, times)), five_term_trace(trajs, times)
+    rel = np.max(np.abs(got - expected) / expected, axis=1)
+    assert np.all(rel <= 5e-15), rel
+
+
+def test_degenerate_labels_take_their_own_partners():
+    # the stack holds two labellings, so each chunk runs one pass per pattern.
+    # The two nearly equal real roots make the eigenvectors ill-conditioned
+    # (condition numbers 1.6e4 to 7.6e4): the five-term reference and the
+    # real route then both differ from a matrix-exponential quadrature by up
+    # to 2.4e-10 in the memory energy at late times, and from each other by 2.1e-10
+    trajs = _degenerate_stack()
+    assert trajs.partners.tolist() == [[0, 2, 1, 3, 4], [0, 2, 1, 3, 4], [0, 2, 1, 4, 3]]
+    assert not trajs.dense.any()
+    got, expected = _columns(energy_trace(trajs, README_TIMES)), five_term_trace(trajs, README_TIMES)
+    rel = np.max(np.abs(got - expected) / expected, axis=1)
+    assert np.all(rel[:4] <= 1e-13) and rel[4] <= 1e-9, rel
+    t = README_TIMES[-12]
+    quadrature = [memory_energy_quadrature(dataclasses.replace(trajs[m], dense=np.array([True])), t) for m in range(3)]
+    assert memory_energy_closed_form(trajs, t) == pytest.approx(quadrature, rel=1e-9)
+
+
+def test_complex_data_trace_is_the_sum_of_its_parts():
+    trajs = _complex_stack()
+    parts = [exact_modal_evolve(trajs.xi, part, P0, DELTA) for part in (trajs.x0[:, :4].real, trajs.x0[:, :4].imag)]
+    got = _columns(energy_trace(trajs, README_TIMES))
+    expected = sum(_columns(energy_trace(part, README_TIMES)) for part in parts)
+    assert np.max(np.abs(got - expected) / expected) <= 1e-13
+
+
+def test_real_data_trace_takes_two_complex_exponentials_per_mode(monkeypatch):
+    # no complex (modes, 5, times) array: the five-term phases, terms and
+    # states are never formed, and every complex exp is of a pair's root
+    trajs = _readme_stack()
+    exp = np.exp
+    shapes = []
+
+    def recording(x, *args, **kwargs):
+        out = exp(x, *args, **kwargs)
+        if np.iscomplexobj(out):
+            shapes.append(out.shape)
+        return out
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a five-term complex array was formed")
+
+    for name in ("phases", "terms", "state_at"):
+        monkeypatch.setattr(ModalTrajectories, name, refused)
+    monkeypatch.setattr(timedomain.np, "exp", recording)
+    trace = energy_trace(trajs, README_TIMES)
+    monkeypatch.undo()
+    assert all(getattr(trace, name).dtype == np.float64 for name in ("stiffness", "kinetic_v", "coupling", "kinetic_p", "memory", "residual"))
+    assert {shape[1:] for shape in shapes} == {(2, README_TIMES.size)}
+    assert sum(shape[0] for shape in shapes) == len(trajs)
+
+
+def test_unpaired_row_takes_the_dense_route(monkeypatch):
+    # slot 2 of row 7 one ulp off the conjugate of slot 1: its real
+    # coordinates would drop that ulp, so the row takes state_at and the quadrature
+    trajs = _one_ulp_off(_readme_stack()[:12], 7)
+    assert (trajs.partners[7] == -1).tolist() == [False, True, True, False, False]
+    with pytest.raises(InvalidModelError, match="conjugate pairs"):
+        memory_energy_closed_form(trajs, 1.0)
+    with pytest.raises(InvalidModelError, match="conjugate partner"):
+        trajs.pair_coordinates(1.0)
+    quadrature = timedomain.memory_energy_quadrature
+    rows = []
+
+    def recorded(traj, t):
+        rows.append(float(traj.xi[0]))
+        return quadrature(traj, t)
+
+    monkeypatch.setattr(timedomain, "memory_energy_quadrature", recorded)
+    got = _columns(energy_trace(trajs, README_TIMES))
+    assert rows == [float(trajs.xi[7])] * README_TIMES.size
+    expected = five_term_trace(trajs, README_TIMES)
+    assert np.max(np.abs(got - expected) / expected) <= 1e-10
 
 
 def test_trace_monotone_and_split_consistent():
