@@ -136,18 +136,18 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     opts = cfg.options.get("sweep", {})
     m_list = opts.get("M", [40])
     tau_lo, tau_hi = _range("sweep", opts, "tau_lo", "tau_hi", (10.0, 1000.0))
+    sweeps = resolvent.scaled_sweep(
+        cfg.params,
+        kernel.delta,
+        cfg.grid.xi,
+        M=m_list,
+        tau_lo=tau_lo,
+        tau_hi=tau_hi,
+        per_decade=opts.get("per_decade", 64),
+        resonances_per_branch=opts.get("resonances_per_branch", 16),
+    )
     sups = {}
-    for m_nodes in m_list:
-        sweep = resolvent.scaled_sweep(
-            cfg.params,
-            kernel.delta,
-            cfg.grid.xi,
-            M=m_nodes,
-            tau_lo=tau_lo,
-            tau_hi=tau_hi,
-            per_decade=opts.get("per_decade", 64),
-            resonances_per_branch=opts.get("resonances_per_branch", 16),
-        )
+    for m_nodes, sweep in zip(m_list, sweeps):
         columns = {
             "tau": sweep.taus,
             "norm": sweep.norms,

@@ -30,22 +30,39 @@ A block meets the history block ``-D`` only through its ``u`` row and
 column.  Eliminating the history from
 ``N = i*tau - B~`` therefore leaves the 4x4 Schur complement
 
-    S(tau) = i*tau - A + c^2 * phi(tau) * e_u e_u^T,
-    phi(tau) = sw^T K sw,   K = (i*tau + D)^{-1},
+    S_M(tau) = i*tau - A + c^2 * phi_M(tau) * e_u e_u^T,
+    phi_M(tau) = sw^T K sw,   K = (i*tau + D)^{-1},
 
-with ``A`` the block's 4x4 corner and ``phi`` one scalar shared by all modes
-(it equals ``1/(delta*(delta + i*tau))``: the quadrature is exact for the
-reduced problem).  The blocks of ``N^{-1}`` are ``S^{-1}``,
-``-c S^{-1} e_u y``, ``c x e_u^T S^{-1}`` and ``K - c^2 (S^{-1})_uu x y``
-with ``x = K sw`` and ``y = sw^T K``, so
+with ``A`` the block's 4x4 corner and ``phi_M`` one scalar shared by all
+modes.  The blocks of ``N^{-1}`` are ``S_M^{-1}``, ``-c S_M^{-1} e_u y``,
+``c x e_u^T S_M^{-1}`` and ``K - c^2 (S_M^{-1})_uu x y`` with ``x = K sw``
+and ``y = sw^T K``, so
 
-    ||S^{-1}|| <= ||N^{-1}|| <= || [[||S^{-1}||, |c| ||S^{-1} e_u|| ||y||],
-                                    [|c| ||x|| ||e_u^T S^{-1}||,
-                                     ||K|| + c^2 |(S^{-1})_uu| ||x|| ||y||]] ||.
+    ||S_M^{-1}|| <= ||N^{-1}|| <= || [[||S_M^{-1}||, |c| ||S_M^{-1} e_u|| ||y||],
+                                      [|c| ||x|| ||e_u^T S_M^{-1}||,
+                                       ||K|| + c^2 |(S_M^{-1})_uu| ||x|| ||y||]] ||.
 
 ``||K||`` enters only there and is replaced by its bound
-``sqrt(||K||_1 ||K||_inf)``, which needs no BLAS call.  One M x M inverse
-per frequency and one stacked 4x4 inverse over the modes give both bounds.
+``sqrt(||K||_1 ||K||_inf)``, which needs no BLAS call.
+
+The only part of ``S_M`` that depends on ``M`` is ``phi_M``, and the
+quadrature is exact for the reduced problem: ``phi_M`` equals the continuum
+symbol ``phi(tau) = 1/(delta*(delta + i*tau))`` up to roundoff (about 1e-13
+relative at ``M <= 80``).  So ``schur_inverse`` inverts the M-free
+``S = i*tau - A + c^2 * phi * e_u e_u^T`` once per frequency for every
+resolution, and ``schur_bounds`` turns its four norms into each
+resolution's bounds.  With ``Delta = phi_M - phi``,
+``S_M = S (I + E)`` for ``E = c^2 Delta S^{-1} e_u e_u^T``, whose norm is at
+most ``eps_M = c^2 |Delta| ||S^{-1}||``.  Where ``eps_M < 1``, each of
+``||S_M^{-1}||``, ``||S_M^{-1} e_u||``, ``||e_u^T S_M^{-1}||`` and
+``|(S_M^{-1})_uu|`` is at most its ``S`` counterpart over ``1 - eps_M`` (the
+last by Sherman-Morrison), so the four scaled pieces give the upper bound;
+where ``eps_M >= 1`` or is not finite the upper bound is ``+inf``.  And
+``S^{-1} = (I + E) S_M^{-1}`` gives the lower bound
+``||S_M^{-1}|| >= ||S^{-1}||/(1 + eps_M)``.  One M x M inverse per frequency
+and resolution, and one stacked 4x4 inverse over the modes per frequency,
+give all the bounds.
+
 The mode with the largest lower bound is SVD'd first; after it, a mode whose
 upper bound is below the largest norm already computed cannot be the
 maximiser and is never SVD'd.  Every reported norm is still ``1/sigma_min``
@@ -59,15 +76,16 @@ is backward stable to first order in ``eps``: its result is exact for data
 perturbed by at most ``n*eps`` (``n = 4 + M``) times the norm of the matrix
 it works on, and Weyl's perturbation theorem moves a smallest singular value
 by no more than the perturbation.  All four norms are at most
-``nu = 2|tau| + ||A||_F + ||D||_F + 2|c| ||sw|| + c^2 |phi|``, so ``1/upper``
-is lowered by ``4*n*eps*nu`` before it is inverted back; an upper bound whose
-lowered ``sigma`` is not positive is ``+inf``.  The lower bound only chooses
-the first mode and carries no slack.  A mode whose bound data are not finite,
-or a frequency where a stacked inverse is singular, gets ``upper = +inf`` and
-``lower = 0``: it is SVD'd and raises as the full loop would.
+``nu = 2|tau| + ||A||_F + ||D||_F + 2|c| ||sw|| + c^2 max(|phi|, |phi_M|)``,
+so ``1/upper`` is lowered by ``4*n*eps*nu`` before it is inverted back; an
+upper bound whose lowered ``sigma`` is not positive is ``+inf``.  The lower
+bound only chooses the first mode and carries no slack.  A mode whose bound
+data are not finite, or a frequency where a stacked inverse is singular,
+gets ``upper = +inf`` and ``lower = 0``: it is SVD'd and raises as the full
+loop would.
 
 With the continuum history in place of the collocated one the same bounds
-need no ``M``: ``phi`` as above, ``||y||^2 = 1/(delta*(delta^2 + tau^2))``,
+need no ``M``: ``Delta = 0``, ``||y||^2 = 1/(delta*(delta^2 + tau^2))``,
 ``||x||^2 = 2*||y||^2`` and the weighted Hardy constant ``||K|| = 2/delta``,
 each the limit of its collocated value and never below it.
 ``resolvent_peaks`` maximises the upper one near a mode's resonance.
@@ -79,7 +97,9 @@ coercive, so blocks and sweeps do.
 
 from __future__ import annotations
 
+import copy
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,33 +299,59 @@ def _or_nan(solve, a: np.ndarray) -> np.ndarray:
         return np.full(a.shape, np.nan, dtype=np.result_type(a, float))
 
 
-def schur_bounds(corners, c, tau, phi, x_norm, y_norm, k_norm, slack=0.0):
-    """``(lower, upper)`` bounds on the resolvent norms of the blocks with
-    4x4 corners ``corners`` (module docstring) at the frequencies ``tau``,
-    from their history couplings ``c`` and the history data ``phi``,
-    ``||x||``, ``||y||`` and ``||K||``, all broadcast over the leading axes
-    of ``corners``.  ``1/upper`` is lowered by ``slack``; an ``upper`` with
-    no positive ``1/upper`` left, or whose ``S`` has no finite inverse, is
-    ``+inf``, and ``lower = ||S^{-1}||`` is then 0 for the latter.
+def continuum_phi(delta: float, tau):
+    """The continuum history symbol ``phi(tau) = 1/(delta*(delta + i*tau))``
+    of the kernel ``exp(-delta*s)`` (module docstring)."""
+    return 1.0 / (delta * (delta + 1j * tau))
+
+
+def schur_inverse(corners, c, tau, delta):
+    """The M-free part of the bounds (module docstring): ``(||S^{-1}||,
+    ||S^{-1} e_u||, ||e_u^T S^{-1}||, |(S^{-1})_uu|)`` of the Schur complements
+    ``S = i*tau - A + c^2 phi(tau) e_u e_u^T`` with the continuum ``phi`` of
+    the rate ``delta``, for the 4x4 corners ``A`` and couplings ``c``
+    broadcast over the leading axes of ``corners``; all four are NaN where
+    ``S`` has no finite inverse.
     """
     schur = 1j * np.asarray(tau)[..., None, None] * np.eye(4) - corners
-    schur[..., 1, 1] += c * c * phi
+    schur[..., 1, 1] += c * c * continuum_phi(delta, tau)
     s_inv = _or_nan(np.linalg.inv, schur)
     ok = np.all(np.isfinite(s_inv), axis=(-2, -1))
     s_inv = np.where(ok[..., None, None], s_inv, 0.0)
     # ||S^{-1}|| from the largest eigenvalue of its Gram matrix: accurate
     # to relative roundoff, and cheaper than a stacked SVD
     gram = np.conj(np.swapaxes(s_inv, -2, -1)) @ s_inv
-    s_norm = np.sqrt(np.linalg.eigvalsh(gram)[..., -1])
+    norms = (
+        np.sqrt(np.linalg.eigvalsh(gram)[..., -1]),
+        np.linalg.norm(s_inv[..., :, 1], axis=-1),
+        np.linalg.norm(s_inv[..., 1, :], axis=-1),
+        np.abs(s_inv[..., 1, 1]),
+    )
+    return tuple(np.where(ok, v, np.nan) for v in norms)
+
+
+def schur_bounds(inverse, c, dphi, x_norm, y_norm, k_norm, slack=0.0):
+    """``(lower, upper)`` bounds on the resolvent norms of the blocks whose
+    ``schur_inverse`` is ``inverse`` (module docstring), from their history
+    couplings ``c`` and the history data ``dphi = phi_M - phi``, ``||x||``,
+    ``||y||`` and ``||K||``, all broadcast over ``inverse``.  ``1/upper`` is
+    lowered by ``slack``.  ``upper`` is ``+inf`` where no positive ``1/upper``
+    is left, where ``eps_M >= 1`` or where ``inverse`` is not finite, and
+    ``lower`` is 0 where it is not finite.
+    """
+    s_norm, col_u, row_u, s_uu = inverse
+    eps_m = c * c * np.abs(dphi) * s_norm
+    grow = np.divide(1.0, 1.0 - eps_m, out=np.full(np.shape(eps_m), np.nan), where=eps_m < 1.0)
     # the 2x2 matrix of block norms [[p, q], [r, s]] and its 2-norm
-    p = s_norm
-    q = np.abs(c) * np.linalg.norm(s_inv[..., :, 1], axis=-1) * y_norm
-    r = np.abs(c) * x_norm * np.linalg.norm(s_inv[..., 1, :], axis=-1)
-    s = k_norm + c * c * np.abs(s_inv[..., 1, 1]) * x_norm * y_norm
+    p = s_norm * grow
+    q = np.abs(c) * (col_u * grow) * y_norm
+    r = np.abs(c) * x_norm * (row_u * grow)
+    s = k_norm + c * c * (s_uu * grow) * x_norm * y_norm
     block_norm = 0.5 * (np.hypot(p + s, q - r) + np.hypot(p - s, q + r))
     sigma_lo = 1.0 / block_norm - slack
-    upper = np.divide(1.0, sigma_lo, out=np.full(sigma_lo.shape, np.inf), where=ok & (sigma_lo > 0.0))
-    return np.where(ok, s_norm, 0.0), upper
+    upper = np.divide(1.0, sigma_lo, out=np.full(sigma_lo.shape, np.inf), where=sigma_lo > 0.0)
+    lower = s_norm / (1.0 + eps_m)
+    return np.where(np.isfinite(lower), lower, 0.0), upper
 
 
 # ---------------------------------------------------------------------------
@@ -324,31 +370,46 @@ class ResolventSweeper:
     modes.  The first excluded mode is also evaluated when available and its
     norm is reported as a margin check on the cutoff.
 
-    Mode ``k`` is ``xi[k - 1]`` and the kernel ``exp(-delta*s)``.  The
-    sweeper keeps, for every mode, the 4x4 energy-coordinate corner ``A_k``
-    of its block and the coupling ``c_k`` to the history (see the module
-    docstring); the corners come from one ``energy_corners`` call over all
-    modes, without assembling any block.  Per frequency
-    ``norm_bounds`` turns them into two-sided bounds, and only the modes those
-    bounds cannot rule out are assembled by ``mode_block`` and SVD'd.
+    Mode ``k`` is ``xi[k - 1]``, the kernel ``exp(-delta*s)`` and the history
+    resolution ``M``.  The sweeper keeps, for every mode, the 4x4
+    energy-coordinate corner ``A_k`` of its block and the coupling ``c_k`` to
+    the history (see the module docstring); the corners come from one
+    ``energy_corners`` call over all modes, without assembling any block.
+    Per frequency ``norm_bounds`` turns them into two-sided bounds, and only
+    the modes those bounds cannot rule out are assembled by ``mode_block`` and
+    SVD'd.  ``at_resolution`` gives a sweeper of the same modes at another
+    ``M``; the two share the M-free ``schur_inverse`` of the frequency last
+    asked for, so sweeping every resolution at one frequency before the next
+    inverts the stacked Schur complements once per frequency.
     """
 
     def __init__(self, params: ModelParams, delta: float, xi: np.ndarray, M: int) -> None:
         self.params = params
+        self.delta = delta
         self.xi = np.asarray(xi, dtype=float)
-        self.lag = laguerre_grid(M, delta)
         self._m1 = AsymptoticConstants.from_params(params).m1
         self._corners = energy_corners(self.xi, params, 1.0 / delta)
         self._c = self.xi ** (params.a / 2.0) / math.sqrt(params.rho)
+        self._corner_norms = np.linalg.norm(self._corners, axis=(-2, -1))
+        # {(tau, n): schur_inverse of modes 1..n at tau}, for the last
+        # frequency only, shared with every at_resolution sweeper
+        self._inverse: dict = {}
+        self._set_resolution(M)
+
+    def _set_resolution(self, M: int) -> None:
+        self.lag = laguerre_grid(M, self.delta)
         sw_norm = float(np.linalg.norm(self.lag.sqrt_weights))
         # the part of the roundoff scale nu (module docstring) that does not
         # depend on tau
-        self._nu = (
-            np.linalg.norm(self._corners, axis=(-2, -1))
-            + np.linalg.norm(self.lag.diff_w)
-            + 2.0 * np.abs(self._c) * sw_norm
-        )
+        self._nu = self._corner_norms + np.linalg.norm(self.lag.diff_w) + 2.0 * np.abs(self._c) * sw_norm
         self._eps_n = 4 * (4 + M) * np.finfo(float).eps
+
+    def at_resolution(self, M: int) -> ResolventSweeper:
+        """A sweeper of the same modes at the history resolution ``M``, sharing
+        this one's corners, couplings and M-free Schur inverse."""
+        other = copy.copy(self)
+        other._set_resolution(M)
+        return other
 
     def block(self, k: int) -> ModeBlock:
         """Assemble the block of mode ``k`` (not cached)."""
@@ -363,7 +424,7 @@ class ResolventSweeper:
 
     def history_resolvent(self, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, complex]:
         """``K = (i*tau + D)^{-1}`` of the discrete history block, ``x = K sw``,
-        ``y = sw^T K`` and ``phi = sw^T K sw``."""
+        ``y = sw^T K`` and ``phi_M = sw^T K sw``."""
         M = self.lag.M
         sw = self.lag.sqrt_weights
         k_inv = _or_nan(np.linalg.inv, 1j * tau * np.eye(M) + self.lag.diff_w)
@@ -376,14 +437,19 @@ class ResolventSweeper:
         (``lower = 0``, ``upper = +inf`` where the bound data are not finite).
         ``upper`` bounds the computed norm, roundoff included; ``lower``
         bounds the exact norm and only picks the mode SVD'd first."""
-        k_inv, x, y, phi = self.history_resolvent(tau)
+        k_inv, x, y, phi_m = self.history_resolvent(tau)
         if not np.all(np.isfinite(k_inv)):
             return np.zeros(n), np.full(n, np.inf)
         k_abs = np.abs(k_inv)
         k_norm = math.sqrt(float(k_abs.sum(axis=0).max() * k_abs.sum(axis=1).max()))
+        key = (float(tau), n)
+        if key not in self._inverse:
+            self._inverse.clear()
+            self._inverse[key] = schur_inverse(self._corners[:n], self._c[:n], tau, self.delta)
+        phi = continuum_phi(self.delta, tau)
         c = self._c[:n]
-        slack = self._eps_n * (self._nu[:n] + 2.0 * abs(tau) + c * c * abs(phi))
-        return schur_bounds(self._corners[:n], c, tau, phi, np.linalg.norm(x), np.linalg.norm(y), k_norm, slack)
+        slack = self._eps_n * (self._nu[:n] + 2.0 * abs(tau) + c * c * max(abs(phi), abs(phi_m)))
+        return schur_bounds(self._inverse[key], c, phi_m - phi, np.linalg.norm(x), np.linalg.norm(y), k_norm, slack)
 
     def norm_at(self, tau: float) -> tuple[float, int, int, float]:
         """Return ``(norm, argmax mode, cutoff mode, margin)``.
@@ -396,11 +462,11 @@ class ResolventSweeper:
         """
         ks = self.included_modes(tau)
         lower, upper = self.norm_bounds(tau, len(ks))
-        first = int(np.argmax(lower))
-        rest = [i for i in np.argsort(-upper, kind="stable") if i != first]
+        first = np.argmax(lower)
+        rest = np.argsort(-upper, kind="stable")
         best = -math.inf
         k_best = 0
-        for i in [first, *rest]:
+        for i in np.concatenate(([first], rest[rest != first])):
             if upper[i] < best:
                 break
             k = ks[i]
@@ -491,14 +557,17 @@ def scaled_sweep(
     params: ModelParams,
     delta: float,
     xi: np.ndarray,
-    M: int,
+    M: Sequence[int],
     tau_lo: float,
     tau_hi: float,
     per_decade: int,
     resonances_per_branch: int,
-) -> SweepResult:
+) -> list[SweepResult]:
     """Sample ``|tau|^(-omega) * max_k ||(i*tau - B_k)^{-1}||`` over ``xi``
-    on a log grid plus near-resonance frequencies, ``omega = 2 - 2a``."""
+    on a log grid plus near-resonance frequencies, ``omega = 2 - 2a``, at
+    each history resolution in ``M``; one ``SweepResult`` per resolution, in
+    the order of ``M``.  Every resolution is swept at one frequency before the
+    next, so the frequency's M-free Schur inverse is computed once."""
     omega = 2.0 - 2.0 * params.a
     n_grid = max(2, int(round(per_decade * math.log10(tau_hi / tau_lo))))
     base = np.geomspace(tau_lo, tau_hi, n_grid)
@@ -509,25 +578,29 @@ def scaled_sweep(
     taus = taus[order]
     branch_tag = branch_tag[order]
 
-    sweeper = ResolventSweeper(params, delta, xi, M)
-    norms = np.empty(taus.size)
-    argmax = np.empty(taus.size, dtype=int)
-    cutoffs = np.empty(taus.size, dtype=int)
-    margins = np.empty(taus.size)
+    first = ResolventSweeper(params, delta, xi, M[0])
+    sweepers = [first] + [first.at_resolution(m) for m in M[1:]]
+    # (norm, argmax mode, cutoff mode, margin) by resolution and frequency
+    rows = np.empty((4, len(M), taus.size))
     for i, tau in enumerate(taus):
-        norms[i], argmax[i], cutoffs[i], margins[i] = sweeper.norm_at(float(tau))
+        for j, sweeper in enumerate(sweepers):
+            rows[:, j, i] = sweeper.norm_at(float(tau))
+    norms, argmax, cutoffs, margins = rows
     scaled = np.abs(taus) ** (-omega) * norms
-    return SweepResult(
-        omega=omega,
-        M=M,
-        taus=taus,
-        norms=norms,
-        scaled=scaled,
-        argmax_modes=argmax,
-        cutoffs=cutoffs,
-        resonance_branch=branch_tag,
-        margins=margins,
-    )
+    return [
+        SweepResult(
+            omega=omega,
+            M=m,
+            taus=taus,
+            norms=norms[j],
+            scaled=scaled[j],
+            argmax_modes=argmax[j],
+            cutoffs=cutoffs[j],
+            resonance_branch=branch_tag,
+            margins=margins[j],
+        )
+        for j, m in enumerate(M)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +627,8 @@ def resolvent_peaks(branch: SpectrumBranch, params: ModelParams) -> tuple[np.nda
     for _ in range(PEAK_PASSES):
         taus = centers[:, None] + half * offsets
         y_sq = 1.0 / (delta * (delta * delta + taus * taus))
-        phi = 1.0 / (delta * (delta + 1j * taus))
-        _, upper = schur_bounds(corners, c, taus, phi, np.sqrt(2.0 * y_sq), np.sqrt(y_sq), 2.0 / delta)
+        inverse = schur_inverse(corners, c, taus, delta)
+        _, upper = schur_bounds(inverse, c, 0.0, np.sqrt(2.0 * y_sq), np.sqrt(y_sq), 2.0 / delta)
         best = (np.arange(xi.size), np.argmax(upper, axis=-1))
         centers, peaks = taus[best], upper[best]
         half = half * (2.0 / (PEAK_POINTS - 1))
@@ -572,6 +645,7 @@ __all__ = [
     "ResolventSweeper",
     "SingularBlockError",
     "SweepResult",
+    "continuum_phi",
     "energy_congruence",
     "energy_corners",
     "laguerre_grid",
@@ -580,4 +654,5 @@ __all__ = [
     "resonance_frequencies",
     "scaled_sweep",
     "schur_bounds",
+    "schur_inverse",
 ]

@@ -212,19 +212,22 @@ def test_5_spectral_strip():
 def order_signature_sweeps():
     grid = square_grid(2000)  # operator eigenvalues up to 4e6
     t0 = time.perf_counter()
-    sweeps = {
-        m: scaled_sweep(
-            P0,
-            KER1.delta,
-            grid.xi,
-            M=m,
-            tau_lo=10.0,
-            tau_hi=1000.0,
-            per_decade=64,
-            resonances_per_branch=16,
+    ms = (40, 80)
+    sweeps = dict(
+        zip(
+            ms,
+            scaled_sweep(
+                P0,
+                KER1.delta,
+                grid.xi,
+                M=ms,
+                tau_lo=10.0,
+                tau_hi=1000.0,
+                per_decade=64,
+                resonances_per_branch=16,
+            ),
         )
-        for m in (40, 80)
-    }
+    )
     return sweeps, time.perf_counter() - t0
 
 

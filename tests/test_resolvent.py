@@ -15,6 +15,7 @@ from memwave.resolvent import (
     resonance_frequencies,
     scaled_sweep,
     schur_bounds,
+    schur_inverse,
 )
 from memwave.spectral import modal_generator, quintic_roots
 from oracles import static_solve
@@ -152,8 +153,8 @@ def test_resolvent_norm_converges_in_node_count():
 
 def test_sweep_collects_resonances_and_margins():
     grid = square_grid(60)
-    sweep = scaled_sweep(
-        P0, KER1.delta, grid.xi, M=16, tau_lo=5.0, tau_hi=40.0, per_decade=8, resonances_per_branch=4
+    [sweep] = scaled_sweep(
+        P0, KER1.delta, grid.xi, M=[16], tau_lo=5.0, tau_hi=40.0, per_decade=8, resonances_per_branch=4
     )
     assert sweep.resonance_mask.any()
     assert np.all(np.diff(sweep.taus) >= 0)
@@ -179,8 +180,8 @@ def test_scaled_value_at_resonance_bounded_below_by_sharpness():
 
 def test_heavier_scaling_decays_along_resonances():
     grid = square_grid(400)
-    sweep = scaled_sweep(
-        P0, KER1.delta, grid.xi, M=16, tau_lo=10.0, tau_hi=300.0, per_decade=4, resonances_per_branch=8
+    [sweep] = scaled_sweep(
+        P0, KER1.delta, grid.xi, M=[16], tau_lo=10.0, tau_hi=300.0, per_decade=4, resonances_per_branch=8
     )
     heavier = np.abs(sweep.taus) ** -(sweep.omega + 0.5) * sweep.norms
     for j in (1, 2):
@@ -190,8 +191,8 @@ def test_heavier_scaling_decays_along_resonances():
 
 
 def test_sweep_result_arrays_are_read_only():
-    sweep = scaled_sweep(
-        P0, KER1.delta, square_grid(30).xi, M=12, tau_lo=5.0, tau_hi=20.0, per_decade=6, resonances_per_branch=3
+    [sweep] = scaled_sweep(
+        P0, KER1.delta, square_grid(30).xi, M=[12], tau_lo=5.0, tau_hi=20.0, per_decade=6, resonances_per_branch=3
     )
     for name in ("taus", "norms", "scaled", "margins", "argmax_modes", "cutoffs", "resonance_branch"):
         with pytest.raises(ValueError, match="read-only"):
@@ -210,8 +211,8 @@ def test_resolvent_peaks_reach_the_maximum_of_the_upper_bound():
         scan = lam.imag + 4.0 * abs(lam.real) * np.linspace(-1.0, 1.0, 4001)
         y_sq = 1.0 / (delta * (delta**2 + scan**2))
         c = branch.xi[i] ** (params.a / 2.0)  # rho = 1
-        phi = 1.0 / (delta * (delta + 1j * scan))
-        _, upper = schur_bounds(corners[i], c, scan, phi, np.sqrt(2.0 * y_sq), np.sqrt(y_sq), 2.0 / delta)
+        inverse = schur_inverse(corners[i], c, scan, delta)
+        _, upper = schur_bounds(inverse, c, 0.0, np.sqrt(2.0 * y_sq), np.sqrt(y_sq), 2.0 / delta)
         assert peaks[i] >= upper.max() * (1.0 - 1e-12)
         assert peaks[i] <= upper.max() * (1.0 + 1e-5)
 
@@ -376,6 +377,67 @@ def test_pruned_norm_at_matches_brute_force(m, monkeypatch):
     assert skipped.size > len(ks) // 2
 
 
+def test_one_call_sweep_matches_brute_force_at_every_resolution():
+    # the resolutions share one M-free Schur inverse per frequency and keep
+    # their own history data; each must still reproduce the full loop
+    grid = square_grid(300)
+    ms = (8, 16, 24)
+    first = ResolventSweeper(P0, KER1.delta, grid.xi, M=ms[0])
+    shared = [first] + [first.at_resolution(m) for m in ms[1:]]
+    alone = [ResolventSweeper(P0, KER1.delta, grid.xi, M=m) for m in ms]
+    for tau in _certificate_taus(grid):
+        for sweeper, reference in zip(shared, alone):
+            np.testing.assert_equal(sweeper.norm_at(tau), _brute_force_norm_at(reference, tau), err_msg=str(tau))
+    sweeps = scaled_sweep(
+        P0, KER1.delta, grid.xi, M=list(ms), tau_lo=5.0, tau_hi=250.0, per_decade=4, resonances_per_branch=6
+    )
+    assert [s.M for s in sweeps] == list(ms)
+    for sweep, reference in zip(sweeps, alone):
+        assert sweep.resonance_mask.any()
+        for tau, *row in zip(sweep.taus, sweep.norms, sweep.argmax_modes, sweep.cutoffs, sweep.margins):
+            np.testing.assert_equal(row, _brute_force_norm_at(reference, tau), err_msg=str(tau))
+
+
+def test_two_resolution_sweep_inverts_the_schur_complements_once_per_frequency(monkeypatch):
+    grid = square_grid(300)
+    inverted = []
+    original = resolvent.schur_inverse
+
+    def counted(corners, c, tau, delta):
+        inverted.append(tau)
+        return original(corners, c, tau, delta)
+
+    monkeypatch.setattr(resolvent, "schur_inverse", counted)
+    sweeps = scaled_sweep(
+        P0, KER1.delta, grid.xi, M=[8, 16], tau_lo=5.0, tau_hi=250.0, per_decade=4, resonances_per_branch=6
+    )
+    assert inverted == sweeps[0].taus.tolist() == sweeps[1].taus.tolist()
+
+
+def test_bounds_hold_with_history_weights_off_the_closed_form(monkeypatch):
+    # sqrt-weights off by 1 + 1e-3 move phi_M off the closed-form phi by
+    # about 2e-3 relative; the bounds hold only through their 1/(1 -+ eps_M)
+    # factors (without them the upper bound misses norms by up to 0.2% and
+    # the lower one exceeds them by up to 12%), and eps_M >= 1 at some modes
+    def off(M, delta):
+        lag = laguerre_grid(M, delta)
+        weights = lag.weights * (1.0 + 1e-3) ** 2
+        return LaguerreGrid(M=lag.M, delta=lag.delta, nodes=lag.nodes, weights=weights, diff_w=lag.diff_w)
+
+    monkeypatch.setattr(resolvent, "laguerre_grid", off)
+    grid = square_grid(300)
+    for m in (8, 24):
+        sweeper = ResolventSweeper(P0, KER1.delta, grid.xi, M=m)
+        phi = sweeper.history_resolvent(40.0)[3]
+        assert abs(phi / resolvent.continuum_phi(KER1.delta, 40.0) - 1.0) == pytest.approx(2e-3, rel=1e-3)
+        unbounded = pruned = 0
+        for tau in _certificate_taus(grid):
+            norms, lower, upper = _brute_force_bounds_check(sweeper, tau)
+            unbounded += int(np.sum(upper == np.inf))
+            pruned += int(np.sum(upper < lower.max()))
+        assert unbounded > 0 and pruned > 0
+
+
 def test_sweep_svds_only_argmax_and_margin_modes(monkeypatch):
     # the README reference frequencies on 2000 modes: one block for the
     # maximiser and one for the cutoff margin per frequency
@@ -414,8 +476,18 @@ def test_exact_ties_go_to_the_smaller_mode(monkeypatch):
     assert np.argmax(sweeper.norm_bounds(tau, grid.count)[0]) > 0
     # equal norms below every upper bound: nothing is pruned and np.argmax
     # would pick mode 1
-    monkeypatch.setattr(ModeBlock, "resolvent_norm", lambda self, tau: 1e-9)
+    visited = []
+
+    def equal(self, tau):
+        visited.append(int(round(self.xi**0.5)))
+        return 1e-9
+
+    monkeypatch.setattr(ModeBlock, "resolvent_norm", equal)
     assert sweeper.norm_at(tau)[1] == 1
+    # the first mode, then the others by decreasing upper bound, ties in mode order
+    lower, upper = sweeper.norm_bounds(tau, grid.count)
+    first = int(np.argmax(lower))
+    assert visited == [first + 1] + [int(i) + 1 for i in np.argsort(-upper, kind="stable") if i != first]
 
 
 @pytest.mark.parametrize("m", [8, 24])
