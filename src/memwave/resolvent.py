@@ -49,9 +49,8 @@ The only part of ``S_M`` that depends on ``M`` is ``phi_M``, and the
 quadrature is exact for the reduced problem: ``phi_M`` equals the continuum
 symbol ``phi(tau) = 1/(delta*(delta + i*tau))`` up to roundoff (about 1e-13
 relative at ``M <= 80``).  So ``schur_inverse`` inverts the M-free
-``S = i*tau - A + c^2 * phi * e_u e_u^T`` once per frequency for every
-resolution, and ``schur_bounds`` turns its four norms into each
-resolution's bounds.  With ``Delta = phi_M - phi``,
+``S = i*tau - A + c^2 * phi * e_u e_u^T``, and ``schur_bounds`` turns its
+four norms into each resolution's bounds.  With ``Delta = phi_M - phi``,
 ``S_M = S (I + E)`` for ``E = c^2 Delta S^{-1} e_u e_u^T``, whose norm is at
 most ``eps_M = c^2 |Delta| ||S^{-1}||``.  Where ``eps_M < 1``, each of
 ``||S_M^{-1}||``, ``||S_M^{-1} e_u||``, ``||e_u^T S_M^{-1}||`` and
@@ -59,15 +58,49 @@ most ``eps_M = c^2 |Delta| ||S^{-1}||``.  Where ``eps_M < 1``, each of
 last by Sherman-Morrison), so the four scaled pieces give the upper bound;
 where ``eps_M >= 1`` or is not finite the upper bound is ``+inf``.  And
 ``S^{-1} = (I + E) S_M^{-1}`` gives the lower bound
-``||S_M^{-1}|| >= ||S^{-1}||/(1 + eps_M)``.  One M x M inverse per frequency
-and resolution, and one stacked 4x4 inverse over the modes per frequency,
-give all the bounds.
+``||S_M^{-1}|| >= ||S^{-1}||/(1 + eps_M)``.  One M x M inverse and one
+stacked 4x4 inverse over the few modes near resonance per frequency and
+resolution give all the bounds.
+
+A screen spares the modes far from resonance that inverse.  Each corner is
+``A = Q + H`` with ``Q`` its skew part and ``H`` its symmetric part, which
+is zero up to roundoff.  Write ``S = i*(tau - T) + Re(beta) e_u e_u^T - H``
+with ``beta = c^2 phi`` and the Hermitian ``T = -i*Q - Im(beta) e_u e_u^T``.
+The eigenvalues ``+-omega`` of ``-i*Q``, in ascending order, come from one
+stacked ``eigvalsh`` per sweeper.  A rank-one Hermitian term moves each
+eigenvalue one way and by at most its norm (Weyl's monotonicity theorem),
+so the ``j``-th eigenvalue of ``T`` lies on the segment from ``omega_j`` to
+``omega_j - Im(beta)``, and ``i*(tau - T)`` is normal with ``sigma_min``
+between ``near``, the distance from ``tau`` to the nearest segment, and
+``far``, the least over ``j`` of the distance to the farther end of a
+segment.  Weyl's perturbation theorem then gives
+``1/h = near - |Re(beta)| - ||H|| - fuzz <= sigma_min(S)``, and
+``sigma_min(S_M) <= far_M + |Re(beta_M)| + ||H|| + fuzz`` with
+``beta_M = c^2 phi_M`` (``||H||`` is its Frobenius norm).  ``fuzz`` is the
+roundoff of the computed ``omega``, ``near`` and ``far``:
+``eps*||A||_F`` each for forming ``Q`` and ``H``, ``4*n*eps*||A||_F``
+(``n = 4``) for the backward-stable ``eigvalsh``, and at most eight
+roundings, each of at most ``eps*(|tau| + ||A||_F + 2|beta|)``.  With
+``|beta|`` taken as ``c^2 max(|phi|, |phi_M|)`` that sums to less than
+``fuzz = 8*eps*(4*||A||_F + |tau| + 2|beta|)``.  ``h`` bounds all four
+norms of ``S^{-1}``, so ``schur_bounds`` fed ``h`` four times gives a
+screening upper bound, ``+inf`` where ``1/h <= 0``.  ``S_M^{-1}`` is a
+block of ``N^{-1}``, so the screening lower bound is
+``1/(far_M + |Re(beta_M)| + ||H|| + fuzz + slack)``, with the slack below.
+It needs no ``eps_M``, so it stays finite where ``h`` is not.  Only the
+modes whose screening upper bound reaches the largest screening lower bound
+are inverted, and the others keep their screening pair.
 
 The mode with the largest lower bound is SVD'd first; after it, a mode whose
 upper bound is below the largest norm already computed cannot be the
-maximiser and is never SVD'd.  Every reported norm is still ``1/sigma_min``
-of the full block, so the norms, argmax modes and margins are those of the
-full loop.
+maximiser and is never SVD'd.  That covers the screened-out modes: the
+mode ``j`` with the largest screening lower bound is kept, and its sharp
+upper bound is at least its computed norm, which is at least that lower
+bound.  So ``j`` is SVD'd, or pruned below the running maximum, before any
+screened-out mode comes up, and each of those has an upper bound below
+``j``'s screening lower bound.  Every reported norm is still
+``1/sigma_min`` of the full block, so the norms, argmax modes and margins
+are those of the full loop.
 
 The upper bound absorbs roundoff in ``sigma = 1/norm``, so that it bounds the
 computed norm too.  Each computation involved (the SVD of the assembled
@@ -78,11 +111,14 @@ it works on, and Weyl's perturbation theorem moves a smallest singular value
 by no more than the perturbation.  All four norms are at most
 ``nu = 2|tau| + ||A||_F + ||D||_F + 2|c| ||sw|| + c^2 max(|phi|, |phi_M|)``,
 so ``1/upper`` is lowered by ``4*n*eps*nu`` before it is inverted back; an
-upper bound whose lowered ``sigma`` is not positive is ``+inf``.  The lower
-bound only chooses the first mode and carries no slack.  A mode whose bound
-data are not finite, or a frequency where a stacked inverse is singular,
-gets ``upper = +inf`` and ``lower = 0``: it is SVD'd and raises as the full
-loop would.
+upper bound whose lowered ``sigma`` is not positive is ``+inf``.  The
+screening lower bound sets the screen's threshold, so it has to bound the
+computed norm too: its ``1/lower`` is raised by the same ``4*n*eps*nu``.  The sharp
+lower bound only chooses the first mode and carries no slack.  A mode whose
+bound data are not finite (its corner, its ``omega``, ``h`` or screening
+lower bound), or a frequency where a stacked inverse is singular, gets
+``upper = +inf`` and ``lower = 0``: it is never screened out, is SVD'd and
+raises as the full loop would.
 
 With the continuum history in place of the collocated one the same bounds
 need no ``M``: ``Delta = 0``, ``||y||^2 = 1/(delta*(delta^2 + tau^2))``,
@@ -172,8 +208,10 @@ def laguerre_grid(M: int, delta: float) -> LaguerreGrid:
     gap = x[:, None] - x[None, :]
     np.fill_diagonal(gap, 1.0)
     dw = ratio / gap
-    for i in range(M):
-        dw[i, i] = np.sum(1.0 / (full[i + 1] - np.delete(full, i + 1)))
+    # diagonal i: the sum of 1/(x_i - s) over the other points s of {0} u
+    # nodes, in their order, one row each
+    others = np.broadcast_to(full, (M, M + 1))[~np.eye(M, M + 1, k=1, dtype=bool)].reshape(M, M)
+    dw[np.diag_indices(M)] = np.sum(1.0 / (x[:, None] - others), axis=1)
     # physical scaling s = x/delta
     return LaguerreGrid(M=M, delta=delta, nodes=x / delta, weights=w / delta, diff_w=delta * dw)
 
@@ -218,11 +256,12 @@ class ModeBlock:
         return 1.0 / smin
 
 
-def mode_block(xi: float, params: ModelParams, lag: LaguerreGrid) -> ModeBlock:
+def mode_block(xi: float, params: ModelParams, lag: LaguerreGrid, corner: np.ndarray | None = None) -> ModeBlock:
     """Assemble the (4+M)-dimensional block of the mode ``xi`` for the kernel
     ``exp(-lag.delta*s)``,
     ``[[A, -c e_u sw^T], [c sw e_u^T, -D]]`` with ``A`` the mode's
-    ``energy_corners`` and ``c = xi^(a/2)/sqrt(rho)``.
+    ``energy_corners`` (``corner`` when given, which must be that corner)
+    and ``c = xi^(a/2)/sqrt(rho)``.
 
     Rows before the congruence: ``memoryless_generator`` on ``(v, u, p, q)``
     plus ``xi^a*(zeta*v - sum_m w_m eta_m)/rho`` on the ``u`` row, and
@@ -236,7 +275,8 @@ def mode_block(xi: float, params: ModelParams, lag: LaguerreGrid) -> ModeBlock:
     # a Python float, so that c is Python's scalar power; the corner comes from
     # the vectorised energy_corners, bit for bit the sweep bounds' corner
     xi = float(xi)
-    corner = energy_corners(np.array([xi]), params, 1.0 / lag.delta)[0]
+    if corner is None:
+        corner = energy_corners(np.array([xi]), params, 1.0 / lag.delta)[0]
     c = xi ** (params.a / 2.0) / math.sqrt(params.rho)
     sw = lag.sqrt_weights
     b = np.zeros((4 + lag.M, 4 + lag.M))
@@ -290,12 +330,16 @@ def energy_corners(xi: np.ndarray, params: ModelParams, zeta: float) -> np.ndarr
     return t @ g @ np.linalg.inv(t)
 
 
-def _or_nan(solve, a: np.ndarray) -> np.ndarray:
-    """``solve(a)`` for ``np.linalg.inv`` or ``cholesky``, or NaN everywhere
-    when LAPACK refuses any matrix of the stack ``a`` (numpy then refuses all)."""
+def _or_nan(solve, a: np.ndarray, eigvals: bool = False) -> np.ndarray:
+    """``solve(a)`` for ``np.linalg.inv`` or ``cholesky``, or for
+    ``np.linalg.eigvalsh`` with ``eigvals``, or NaN everywhere in the shape
+    and type of ``solve``'s result when LAPACK refuses any matrix of the
+    stack ``a`` (numpy then refuses all)."""
     try:
         return solve(a)
     except np.linalg.LinAlgError:
+        if eigvals:
+            return np.full(a.shape[:-1], np.nan)
         return np.full(a.shape, np.nan, dtype=np.result_type(a, float))
 
 
@@ -360,6 +404,7 @@ def schur_bounds(inverse, c, dphi, x_norm, y_norm, k_norm, slack=0.0):
 
 FIRST_MODES_FLOOR = 10
 CUTOFF_FACTOR = 4.0
+EPS = np.finfo(float).eps
 
 
 class ResolventSweeper:
@@ -377,10 +422,11 @@ class ResolventSweeper:
     ``energy_corners`` call over all modes, without assembling any block.
     Per frequency ``norm_bounds`` turns them into two-sided bounds, and only
     the modes those bounds cannot rule out are assembled by ``mode_block`` and
-    SVD'd.  ``at_resolution`` gives a sweeper of the same modes at another
-    ``M``; the two share the M-free ``schur_inverse`` of the frequency last
-    asked for, so sweeping every resolution at one frequency before the next
-    inverts the stacked Schur complements once per frequency.
+    SVD'd from their stored corners.  The eigenvalues ``+-i*omega_k`` of the
+    skew parts of the corners, from one stacked ``eigvalsh``, screen out the
+    modes far from resonance before any Schur complement is inverted (module
+    docstring).  ``at_resolution`` gives a sweeper of the same modes at
+    another ``M``.
     """
 
     def __init__(self, params: ModelParams, delta: float, xi: np.ndarray, M: int) -> None:
@@ -391,9 +437,15 @@ class ResolventSweeper:
         self._corners = energy_corners(self.xi, params, 1.0 / delta)
         self._c = self.xi ** (params.a / 2.0) / math.sqrt(params.rho)
         self._corner_norms = np.linalg.norm(self._corners, axis=(-2, -1))
-        # {(tau, n): schur_inverse of modes 1..n at tau}, for the last
-        # frequency only, shared with every at_resolution sweeper
-        self._inverse: dict = {}
+        transposed = np.swapaxes(self._corners, -2, -1)
+        skew = 0.5 * (self._corners - transposed)
+        self._sym_norms = np.linalg.norm(0.5 * (self._corners + transposed), axis=(-2, -1))
+        # the ascending real spectra +-omega of the Hermitian -i*Q; LAPACK's
+        # answer for a matrix holding NaN is not to be trusted, so those rows
+        # are NaN
+        finite = np.all(np.isfinite(skew), axis=(-2, -1))
+        self._omega = _or_nan(np.linalg.eigvalsh, -1j * np.where(finite[:, None, None], skew, 0.0), eigvals=True)
+        self._omega[~finite] = np.nan
         self._set_resolution(M)
 
     def _set_resolution(self, M: int) -> None:
@@ -402,20 +454,20 @@ class ResolventSweeper:
         # the part of the roundoff scale nu (module docstring) that does not
         # depend on tau
         self._nu = self._corner_norms + np.linalg.norm(self.lag.diff_w) + 2.0 * np.abs(self._c) * sw_norm
-        self._eps_n = 4 * (4 + M) * np.finfo(float).eps
+        self._eps_n = 4 * (4 + M) * EPS
 
     def at_resolution(self, M: int) -> ResolventSweeper:
         """A sweeper of the same modes at the history resolution ``M``, sharing
-        this one's corners, couplings and M-free Schur inverse."""
+        this one's corners, couplings and skew spectra."""
         other = copy.copy(self)
         other._set_resolution(M)
         return other
 
     def block(self, k: int) -> ModeBlock:
-        """Assemble the block of mode ``k`` (not cached)."""
+        """Assemble the block of mode ``k`` from its stored corner (not cached)."""
         if not 1 <= k <= self.xi.size:
             raise IndexError(f"mode index {k} outside 1..{self.xi.size}")
-        return mode_block(self.xi[k - 1], self.params, self.lag)
+        return mode_block(self.xi[k - 1], self.params, self.lag, self._corners[k - 1])
 
     def included_modes(self, tau: float) -> list[int]:
         cutoff = CUTOFF_FACTOR * tau * tau / self._m1
@@ -432,24 +484,47 @@ class ResolventSweeper:
         y = sw @ k_inv
         return k_inv, x, y, complex(np.sum(sw * x))
 
-    def norm_bounds(self, tau: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    def norm_bounds(self, tau: float, n: int, screen_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """``(lower, upper)`` bounds on the resolvent norms of modes ``1..n``
         (``lower = 0``, ``upper = +inf`` where the bound data are not finite).
-        ``upper`` bounds the computed norm, roundoff included; ``lower``
-        bounds the exact norm and only picks the mode SVD'd first."""
+        Every mode first gets a screening pair, which bounds the computed
+        norm, roundoff included.  A mode whose screening ``upper`` is below
+        the largest screening ``lower`` keeps it.  Unless ``screen_only``, the
+        others get the sharp pair of their inverted Schur complements:
+        ``upper`` bounds the computed norm, and ``lower`` bounds the exact norm
+        and only picks the mode SVD'd first (module docstring)."""
         k_inv, x, y, phi_m = self.history_resolvent(tau)
         if not np.all(np.isfinite(k_inv)):
             return np.zeros(n), np.full(n, np.inf)
         k_abs = np.abs(k_inv)
         k_norm = math.sqrt(float(k_abs.sum(axis=0).max() * k_abs.sum(axis=1).max()))
-        key = (float(tau), n)
-        if key not in self._inverse:
-            self._inverse.clear()
-            self._inverse[key] = schur_inverse(self._corners[:n], self._c[:n], tau, self.delta)
         phi = continuum_phi(self.delta, tau)
+        history = (phi_m - phi, np.linalg.norm(x), np.linalg.norm(y), k_norm)
         c = self._c[:n]
-        slack = self._eps_n * (self._nu[:n] + 2.0 * abs(tau) + c * c * max(abs(phi), abs(phi_m)))
-        return schur_bounds(self._inverse[key], c, phi_m - phi, np.linalg.norm(x), np.linalg.norm(y), k_norm, slack)
+        c_sq = c * c
+        beta_max = c_sq * max(abs(phi), abs(phi_m))
+        slack = self._eps_n * (self._nu[:n] + 2.0 * abs(tau) + beta_max)
+        # the screen: the distance from tau to the nearest segment from omega
+        # to omega - Im(beta) for S, and to the farther ends of the segments
+        # for S_M, where beta_M = c^2 phi_M takes the place of beta = c^2 phi
+        omega = self._omega[:n]
+        other_end = omega - (c_sq * phi.imag)[:, None]
+        outside = np.maximum(np.minimum(omega, other_end) - tau, tau - np.maximum(omega, other_end))
+        near = np.min(np.maximum(outside, 0.0), axis=-1)
+        far = np.min(np.maximum(np.abs(tau - omega), np.abs(tau - omega + (c_sq * phi_m.imag)[:, None])), axis=-1)
+        shift = self._sym_norms[:n] + 8.0 * EPS * (4.0 * self._corner_norms[:n] + abs(tau) + 2.0 * beta_max)
+        gap = near - c_sq * abs(phi.real) - shift
+        h = np.divide(1.0, gap, out=np.full(n, np.nan), where=gap > 0.0)
+        _, upper = schur_bounds((h, h, h, h), c, *history, slack)
+        lower = 1.0 / (far + c_sq * abs(phi_m.real) + shift + slack)
+        lower[~np.isfinite(lower)] = 0.0
+        if screen_only:
+            return lower, upper
+        # the screened modes keep (lower, upper); the others get the sharp pair
+        keep = np.flatnonzero(~(upper < lower.max(initial=0.0)))
+        inverse = schur_inverse(self._corners[keep], c[keep], tau, self.delta)
+        lower[keep], upper[keep] = schur_bounds(inverse, c[keep], *history, slack[keep])
+        return lower, upper
 
     def norm_at(self, tau: float) -> tuple[float, int, int, float]:
         """Return ``(norm, argmax mode, cutoff mode, margin)``.
@@ -566,8 +641,8 @@ def scaled_sweep(
     """Sample ``|tau|^(-omega) * max_k ||(i*tau - B_k)^{-1}||`` over ``xi``
     on a log grid plus near-resonance frequencies, ``omega = 2 - 2a``, at
     each history resolution in ``M``; one ``SweepResult`` per resolution, in
-    the order of ``M``.  Every resolution is swept at one frequency before the
-    next, so the frequency's M-free Schur inverse is computed once."""
+    the order of ``M``.  The modes' corners, couplings and skew spectra, the
+    frequencies and the resonances are computed once for all resolutions."""
     omega = 2.0 - 2.0 * params.a
     n_grid = max(2, int(round(per_decade * math.log10(tau_hi / tau_lo))))
     base = np.geomspace(tau_lo, tau_hi, n_grid)

@@ -259,8 +259,8 @@ def test_continuum_history_data_bound_the_collocated_ones(delta):
             assert np.linalg.norm(x) == pytest.approx(np.sqrt(2.0 * y_sq), rel=1e-3)
 
 
-def _certificate_taus(grid):
-    reso, _ = resonance_frequencies(P0, KER1.delta, grid.xi, 5.0, 250.0, per_branch=6)
+def _certificate_taus(grid, params=P0, delta=KER1.delta):
+    reso, _ = resonance_frequencies(params, delta, grid.xi, 5.0, 250.0, per_branch=6)
     return [0.0, -7.3, 3.0, 40.0, 170.0, *reso]
 
 
@@ -398,20 +398,24 @@ def test_one_call_sweep_matches_brute_force_at_every_resolution():
             np.testing.assert_equal(row, _brute_force_norm_at(reference, tau), err_msg=str(tau))
 
 
-def test_two_resolution_sweep_inverts_the_schur_complements_once_per_frequency(monkeypatch):
-    grid = square_grid(300)
+def test_sweep_inverts_a_few_schur_complements_per_row(monkeypatch):
+    # the README reference sweep on 2000 modes at both resolutions: the screen
+    # leaves at most 8 modes of a row to the stacked Schur inverse (measured:
+    # 3-6 of 22-2000 included modes)
+    grid = square_grid(2000)
     inverted = []
     original = resolvent.schur_inverse
 
     def counted(corners, c, tau, delta):
-        inverted.append(tau)
+        inverted.append(len(corners))
         return original(corners, c, tau, delta)
 
     monkeypatch.setattr(resolvent, "schur_inverse", counted)
     sweeps = scaled_sweep(
-        P0, KER1.delta, grid.xi, M=[8, 16], tau_lo=5.0, tau_hi=250.0, per_decade=4, resonances_per_branch=6
+        P0, KER1.delta, grid.xi, M=[40, 80], tau_lo=10.0, tau_hi=1000.0, per_decade=64, resonances_per_branch=16
     )
-    assert inverted == sweeps[0].taus.tolist() == sweeps[1].taus.tolist()
+    assert len(inverted) == 2 * sweeps[0].taus.size
+    assert 1 <= min(inverted) and max(inverted) <= 8
 
 
 def test_bounds_hold_with_history_weights_off_the_closed_form(monkeypatch):
@@ -436,6 +440,60 @@ def test_bounds_hold_with_history_weights_off_the_closed_form(monkeypatch):
             unbounded += int(np.sum(upper == np.inf))
             pruned += int(np.sum(upper < lower.max()))
         assert unbounded > 0 and pruned > 0
+
+
+def _screen_check(sweeper, tau):
+    """The screening pair bounds every computed norm from both sides, and a
+    mode screened out keeps it and has its norm strictly below the row's max;
+    returns the number of modes screened out."""
+    ks = sweeper.included_modes(tau)
+    lower0, upper0 = sweeper.norm_bounds(tau, len(ks), screen_only=True)
+    lower, upper = sweeper.norm_bounds(tau, len(ks))
+    norms = np.array([sweeper.block(k).resolvent_norm(tau) for k in ks])
+    assert np.all(norms <= upper0) and np.all(lower0 <= norms), tau
+    out = upper0 < lower0.max()
+    assert np.array_equal(lower[out], lower0[out]) and np.array_equal(upper[out], upper0[out])
+    assert np.all(norms[out] < norms.max()), tau
+    return int(np.sum(out))
+
+
+@pytest.mark.parametrize("delta", [0.6, 1.0, 5.0])
+@pytest.mark.parametrize("a", [0.0, 0.5, 0.97])
+def test_screening_pair_bounds_every_norm(a, delta):
+    params = _regime_params(a)
+    grid = square_grid(200)
+    sweeper = ResolventSweeper(params, delta, grid.xi, M=8)
+    assert sum(_screen_check(sweeper, tau) for tau in _certificate_taus(grid, params, delta)) > 0
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5])
+def test_bounds_hold_with_a_symmetric_part_in_the_corners(a, monkeypatch):
+    # the screen sees the corners' symmetric part H only through ||H||; with a
+    # random symmetric H of norm 1e-3 ||A|| added to every corner, both the
+    # screening pair and the sharp bounds still hold (without the ||H|| term
+    # the screening pair misses norms at a = 0 on both sides: its lower bound
+    # up to 49x too high, its upper bound 0.04% too low)
+    rng = np.random.default_rng(7)
+    original = resolvent.energy_corners
+
+    def with_symmetric_part(xi, params, zeta):
+        corners = original(xi, params, zeta)
+        g = rng.standard_normal(corners.shape)
+        h = g + np.swapaxes(g, -2, -1)
+        scale = 1e-3 * np.linalg.norm(corners, 2, axis=(-2, -1)) / np.linalg.norm(h, 2, axis=(-2, -1))
+        return corners + scale[:, None, None] * h
+
+    monkeypatch.setattr(resolvent, "energy_corners", with_symmetric_part)
+    params = _regime_params(a)
+    grid = square_grid(300)
+    sweeper = ResolventSweeper(params, KER1.delta, grid.xi, M=8)
+    corners = sweeper._corners
+    assert np.max(np.abs(corners + np.swapaxes(corners, -2, -1))) > 1e-3
+    screened = 0
+    for tau in _certificate_taus(grid, params, KER1.delta):
+        _brute_force_bounds_check(sweeper, tau)
+        screened += _screen_check(sweeper, tau)
+    assert screened > 0
 
 
 def test_sweep_svds_only_argmax_and_margin_modes(monkeypatch):
@@ -507,6 +565,16 @@ def test_block_symmetric_part_is_a_shared_dissipative_history_block(m):
         assert np.max(np.abs(h[4:, 4:] - history)) <= tol
 
 
+@pytest.mark.parametrize("m", [8, 16, 24, 40, 80, 160])
+def test_weighted_derivative_diagonal_is_the_per_row_sum(m):
+    # the diagonal of diff_w, one row-wise sum, is bit for bit the sum of
+    # 1/(x_i - s) over the other points s of {0} u nodes taken one row at a time
+    lag = laguerre_grid(m, 1.0)
+    full = np.concatenate([[0.0], lag.nodes])
+    rows = [np.sum(1.0 / (full[i + 1] - np.delete(full, i + 1))) for i in range(m)]
+    assert np.array_equal(np.diag(lag.diff_w), rows)
+
+
 def test_block_corners_are_the_stacked_energy_corners():
     # numpy's vectorised xi**a and Python's scalar one disagree in the last
     # bit for some of these modes; the SVD'd blocks must carry the corners
@@ -540,8 +608,36 @@ def test_non_finite_block_is_never_pruned():
     assert ks[-1] == grid.count
     lower, upper = sweeper.norm_bounds(tau, len(ks))
     assert lower[k_bad - 1] == 0.0 and upper[k_bad - 1] == np.inf
+    # its NaN omega gives it the same screening pair, and the screen of the
+    # other modes still works
+    lower0, upper0 = sweeper.norm_bounds(tau, len(ks), screen_only=True)
+    assert lower0[k_bad - 1] == 0.0 and upper0[k_bad - 1] == np.inf
+    assert np.sum(upper0 < lower0.max()) > len(ks) // 2
     with pytest.raises(ValueError):
         sweeper.norm_at(tau)
+
+
+def test_refused_skew_spectra_screen_out_nothing(monkeypatch):
+    # were LAPACK to refuse the stacked eigvalsh, every omega is NaN: no mode
+    # is screened out and the sweep still reproduces the full loop
+    grid = square_grid(300)
+    tau = 170.0
+
+    original = np.linalg.eigvalsh
+
+    def refuse(a):
+        # the Gauss-Laguerre nodes come from one unstacked eigvalsh
+        if a.ndim == 3:
+            raise np.linalg.LinAlgError("refused")
+        return original(a)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", refuse)
+        sweeper = ResolventSweeper(P0, KER1.delta, grid.xi, M=8)
+    assert sweeper._omega.shape == (grid.count, 4) and np.all(np.isnan(sweeper._omega))
+    lower0, upper0 = sweeper.norm_bounds(tau, grid.count, screen_only=True)
+    assert np.all(lower0 == 0.0) and np.all(upper0 == np.inf)
+    np.testing.assert_equal(sweeper.norm_at(tau), _brute_force_norm_at(sweeper, tau))
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
