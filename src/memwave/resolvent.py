@@ -96,9 +96,13 @@ upper bound is below the largest norm already computed cannot be the
 maximiser and is never SVD'd.  That covers the screened-out modes: the
 mode ``j`` with the largest screening lower bound is kept, and its sharp
 upper bound is at least its computed norm, which is at least that lower
-bound.  So ``j`` is SVD'd, or pruned below the running maximum, before any
-screened-out mode comes up, and each of those has an upper bound below
-``j``'s screening lower bound.  Every reported norm is still
+bound, while each screened-out mode has an upper bound below it.  So in the
+order of decreasing upper bounds ``j`` is SVD'd, or pruned below the running
+maximum, before any screened-out mode comes up, and the loop stops there.
+The mode SVD'd first may still be a screened-out one, where a large
+``eps_M`` deflates the sharp lower bounds of the kept modes below its
+screening one; that costs one SVD and cannot change the result, as its norm
+is below ``j``'s.  Every reported norm is still
 ``1/sigma_min`` of the full block, so the norms, argmax modes and margins
 are those of the full loop.
 
@@ -113,7 +117,11 @@ by no more than the perturbation.  All four norms are at most
 so ``1/upper`` is lowered by ``4*n*eps*nu`` before it is inverted back; an
 upper bound whose lowered ``sigma`` is not positive is ``+inf``.  The
 screening lower bound sets the screen's threshold, so it has to bound the
-computed norm too: its ``1/lower`` is raised by the same ``4*n*eps*nu``.  The sharp
+computed norm too: its ``1/lower`` is raised by the same ``4*n*eps*nu``.
+Both roundoff terms are worst-case bounds: exactly on resonance, where they
+set the screening lower bound, either of ``fuzz`` and the slack alone keeps
+it below the computed norm, so a test sees only the loss of both; that each
+is needed rests on the derivation above.  The sharp
 lower bound only chooses the first mode and carries no slack.  A mode whose
 bound data are not finite (its corner, its ``omega``, ``h`` or screening
 lower bound), or a frequency where a stacked inverse is singular, gets
@@ -330,16 +338,12 @@ def energy_corners(xi: np.ndarray, params: ModelParams, zeta: float) -> np.ndarr
     return t @ g @ np.linalg.inv(t)
 
 
-def _or_nan(solve, a: np.ndarray, eigvals: bool = False) -> np.ndarray:
-    """``solve(a)`` for ``np.linalg.inv`` or ``cholesky``, or for
-    ``np.linalg.eigvalsh`` with ``eigvals``, or NaN everywhere in the shape
-    and type of ``solve``'s result when LAPACK refuses any matrix of the
-    stack ``a`` (numpy then refuses all)."""
+def _or_nan(solve, a: np.ndarray) -> np.ndarray:
+    """``solve(a)`` for ``np.linalg.inv`` or ``cholesky``, or NaN everywhere
+    when LAPACK refuses any matrix of the stack ``a`` (numpy then refuses all)."""
     try:
         return solve(a)
     except np.linalg.LinAlgError:
-        if eigvals:
-            return np.full(a.shape[:-1], np.nan)
         return np.full(a.shape, np.nan, dtype=np.result_type(a, float))
 
 
@@ -444,7 +448,7 @@ class ResolventSweeper:
         # answer for a matrix holding NaN is not to be trusted, so those rows
         # are NaN
         finite = np.all(np.isfinite(skew), axis=(-2, -1))
-        self._omega = _or_nan(np.linalg.eigvalsh, -1j * np.where(finite[:, None, None], skew, 0.0), eigvals=True)
+        self._omega = np.linalg.eigvalsh(-1j * np.where(finite[:, None, None], skew, 0.0))
         self._omega[~finite] = np.nan
         self._set_resolution(M)
 
@@ -484,18 +488,31 @@ class ResolventSweeper:
         y = sw @ k_inv
         return k_inv, x, y, complex(np.sum(sw * x))
 
-    def norm_bounds(self, tau: float, n: int, screen_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    def norm_bounds(self, tau: float, n: int) -> tuple[np.ndarray, np.ndarray]:
         """``(lower, upper)`` bounds on the resolvent norms of modes ``1..n``
         (``lower = 0``, ``upper = +inf`` where the bound data are not finite).
-        Every mode first gets a screening pair, which bounds the computed
-        norm, roundoff included.  A mode whose screening ``upper`` is below
-        the largest screening ``lower`` keeps it.  Unless ``screen_only``, the
-        others get the sharp pair of their inverted Schur complements:
-        ``upper`` bounds the computed norm, and ``lower`` bounds the exact norm
-        and only picks the mode SVD'd first (module docstring)."""
+        A mode whose screening ``upper`` is below the largest screening
+        ``lower`` keeps its screening pair (``_screen``).  The others get the
+        sharp pair of their inverted Schur complements: ``upper`` bounds the
+        computed norm, and ``lower`` bounds the exact norm and only picks the
+        mode SVD'd first (module docstring)."""
+        lower, upper, history, slack = self._screen(tau, n)
+        if history is None:
+            return lower, upper
+        keep = np.flatnonzero(~(upper < lower.max(initial=0.0)))
+        inverse = schur_inverse(self._corners[keep], self._c[keep], tau, self.delta)
+        lower[keep], upper[keep] = schur_bounds(inverse, self._c[keep], *history, slack[keep])
+        return lower, upper
+
+    def _screen(self, tau: float, n: int) -> tuple[np.ndarray, np.ndarray, tuple | None, np.ndarray | None]:
+        """The screening pair ``(lower, upper)`` of modes ``1..n``, which
+        bounds their computed norms, roundoff included (module docstring),
+        followed by the history data and the slack that ``schur_bounds``
+        takes.  Where ``K`` is not finite the history data are None and the
+        pair is ``(0, +inf)`` for every mode."""
         k_inv, x, y, phi_m = self.history_resolvent(tau)
         if not np.all(np.isfinite(k_inv)):
-            return np.zeros(n), np.full(n, np.inf)
+            return np.zeros(n), np.full(n, np.inf), None, None
         k_abs = np.abs(k_inv)
         k_norm = math.sqrt(float(k_abs.sum(axis=0).max() * k_abs.sum(axis=1).max()))
         phi = continuum_phi(self.delta, tau)
@@ -504,9 +521,9 @@ class ResolventSweeper:
         c_sq = c * c
         beta_max = c_sq * max(abs(phi), abs(phi_m))
         slack = self._eps_n * (self._nu[:n] + 2.0 * abs(tau) + beta_max)
-        # the screen: the distance from tau to the nearest segment from omega
-        # to omega - Im(beta) for S, and to the farther ends of the segments
-        # for S_M, where beta_M = c^2 phi_M takes the place of beta = c^2 phi
+        # the distance from tau to the nearest segment from omega to
+        # omega - Im(beta) for S, and to the farther ends of the segments for
+        # S_M, where beta_M = c^2 phi_M takes the place of beta = c^2 phi
         omega = self._omega[:n]
         other_end = omega - (c_sq * phi.imag)[:, None]
         outside = np.maximum(np.minimum(omega, other_end) - tau, tau - np.maximum(omega, other_end))
@@ -518,13 +535,7 @@ class ResolventSweeper:
         _, upper = schur_bounds((h, h, h, h), c, *history, slack)
         lower = 1.0 / (far + c_sq * abs(phi_m.real) + shift + slack)
         lower[~np.isfinite(lower)] = 0.0
-        if screen_only:
-            return lower, upper
-        # the screened modes keep (lower, upper); the others get the sharp pair
-        keep = np.flatnonzero(~(upper < lower.max(initial=0.0)))
-        inverse = schur_inverse(self._corners[keep], c[keep], tau, self.delta)
-        lower[keep], upper[keep] = schur_bounds(inverse, c[keep], *history, slack[keep])
-        return lower, upper
+        return lower, upper, history, slack
 
     def norm_at(self, tau: float) -> tuple[float, int, int, float]:
         """Return ``(norm, argmax mode, cutoff mode, margin)``.

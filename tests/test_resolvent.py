@@ -447,7 +447,7 @@ def _screen_check(sweeper, tau):
     mode screened out keeps it and has its norm strictly below the row's max;
     returns the number of modes screened out."""
     ks = sweeper.included_modes(tau)
-    lower0, upper0 = sweeper.norm_bounds(tau, len(ks), screen_only=True)
+    lower0, upper0 = sweeper._screen(tau, len(ks))[:2]
     lower, upper = sweeper.norm_bounds(tau, len(ks))
     norms = np.array([sweeper.block(k).resolvent_norm(tau) for k in ks])
     assert np.all(norms <= upper0) and np.all(lower0 <= norms), tau
@@ -464,6 +464,21 @@ def test_screening_pair_bounds_every_norm(a, delta):
     grid = square_grid(200)
     sweeper = ResolventSweeper(params, delta, grid.xi, M=8)
     assert sum(_screen_check(sweeper, tau) for tau in _certificate_taus(grid, params, delta)) > 0
+
+
+def test_screening_lower_bound_holds_on_resonance():
+    # tau exactly at a skew frequency omega of a mode with xi >= 1e14 at a = 0:
+    # there far, |Re(beta_M)| and ||H|| are at roundoff level, and the slack
+    # alone is more than half of 1/lower; the screening lower bound stays
+    # finite and below the computed norm
+    params = _regime_params(0.0)
+    xi = np.geomspace(1e14, 1e20, 4)
+    sweeper = ResolventSweeper(params, KER1.delta, xi, M=8)
+    for k in range(1, xi.size + 1):
+        for tau in sweeper._omega[k - 1, 2:]:
+            lower0, _, _, slack = sweeper._screen(float(tau), k)
+            assert slack[-1] * lower0[-1] > 0.5, (k, tau)
+            assert 0.0 < lower0[-1] <= sweeper.block(k).resolvent_norm(float(tau)), (k, tau)
 
 
 @pytest.mark.parametrize("a", [0.0, 0.5])
@@ -610,34 +625,11 @@ def test_non_finite_block_is_never_pruned():
     assert lower[k_bad - 1] == 0.0 and upper[k_bad - 1] == np.inf
     # its NaN omega gives it the same screening pair, and the screen of the
     # other modes still works
-    lower0, upper0 = sweeper.norm_bounds(tau, len(ks), screen_only=True)
+    lower0, upper0 = sweeper._screen(tau, len(ks))[:2]
     assert lower0[k_bad - 1] == 0.0 and upper0[k_bad - 1] == np.inf
     assert np.sum(upper0 < lower0.max()) > len(ks) // 2
     with pytest.raises(ValueError):
         sweeper.norm_at(tau)
-
-
-def test_refused_skew_spectra_screen_out_nothing(monkeypatch):
-    # were LAPACK to refuse the stacked eigvalsh, every omega is NaN: no mode
-    # is screened out and the sweep still reproduces the full loop
-    grid = square_grid(300)
-    tau = 170.0
-
-    original = np.linalg.eigvalsh
-
-    def refuse(a):
-        # the Gauss-Laguerre nodes come from one unstacked eigvalsh
-        if a.ndim == 3:
-            raise np.linalg.LinAlgError("refused")
-        return original(a)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(np.linalg, "eigvalsh", refuse)
-        sweeper = ResolventSweeper(P0, KER1.delta, grid.xi, M=8)
-    assert sweeper._omega.shape == (grid.count, 4) and np.all(np.isnan(sweeper._omega))
-    lower0, upper0 = sweeper.norm_bounds(tau, grid.count, screen_only=True)
-    assert np.all(lower0 == 0.0) and np.all(upper0 == np.inf)
-    np.testing.assert_equal(sweeper.norm_at(tau), _brute_force_norm_at(sweeper, tau))
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
