@@ -11,18 +11,20 @@ removes all time-discretization error from decay-rate measurements.  Its
 roots are one real root and two exact conjugate pairs (or another real
 labelling), so real data make a real solution: five real pair coordinates,
 ``f_0``, ``Re f_1``, ``Im f_1``, ``Re f_3`` and ``Im f_3`` with ``f_i =
-a_i*exp(lam_i*t)``, carry it, at one real and two complex exponentials per
-mode and time.  Complex data are the sum of their real and imaginary parts,
-whose energies add.  The states are a fixed real 4x5 map of the coordinates,
-and the memory part of the energy,
+a_i*exp(lam_i*t)``, carry it.  Per mode and time they take three real
+exponentials and two tangents: a pair's phase comes from the tangent of its
+half angle, with no complex ``exp``.  Complex data are the sum of their real
+and imaginary parts, whose energies add.  The states are a fixed real 4x5
+map of the coordinates, and the memory part of the energy,
 
     xi^a * int_0^inf g(s) |v(t) - v(t-s)|^2 ds,
 
 splits at ``s = t`` into a fixed real symmetric 5x5 form of them per mode
 plus a term in ``e^(-delta*t)``: the recent part factors into the five terms
 of ``v(t)``, and the remote part, where the mode was at rest, is
-``e^(-delta*t) |v(t)|^2/delta``.  So a whole stack of modes is one
-vectorised evaluation.
+``e^(-delta*t) |v(t)|^2/delta``.  So every per-mode constant is built
+once for a whole stack, and each chunk of modes is one vectorised evaluation
+of the coordinates and one real matrix product with them.
 
 General kernels satisfying the positivity/pinch hypotheses go through an
 implicit-midpoint scheme whose memory force uses trapezoidal convolution over
@@ -31,7 +33,9 @@ which the pinch ``g(s) <= g(0) exp(-k1*s)`` puts the kernel below 1e-14 of
 its initial value.  The scheme is linear and time-invariant apart from one
 trapezoid end correction on the initial velocity, so all its velocities are
 the coefficients of one power-series quotient: a Newton inversion and a few
-products by real FFTs, O(steps log steps) in all, with no loop over steps.
+products by real FFTs at 5-smooth lengths, O(steps log steps) in all, with
+no loop over steps.  Only the energy at the samples loops, over samples
+times the window.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,7 +103,11 @@ class ModalTrajectories:
     def __getitem__(self, index) -> "ModalTrajectories":
         rows = np.atleast_1d(np.arange(len(self))[index])
         per_mode = ("xi", "eigenvalues", "eigvecs", "amplitudes", "x0", "dense")
-        return replace(self, **{name: getattr(self, name)[rows] for name in per_mode})
+        out = replace(self, **{name: getattr(self, name)[rows] for name in per_mode})
+        if "partners" in vars(self):
+            # a row's partners depend on its roots alone: take them along
+            vars(out)["partners"] = self.partners[rows]
+        return out
 
     @cached_property
     def partners(self) -> np.ndarray:
@@ -140,30 +149,17 @@ class ModalTrajectories:
         ``t``, shape ``(modes, 5) + t.shape``: ``r_i = f_i`` for a real root
         ``i``, and ``r_i = Re f_i``, ``r_p(i) = Im f_i`` for a pair ``i <
         p(i)``, with ``f_i = a_i exp(lam_i t)``.  A real root takes one real
-        ``exp`` and a pair one complex ``exp``; the amplitude of a pair's
-        second root is not read, being the conjugate of its partner's.  A
-        root without its partner raises ``InvalidModelError``.
+        ``exp``; a pair ``lam = sigma + i omega`` takes one real ``exp`` and
+        one ``tan`` (see ``_pair_coordinates``), and forms no complex array.
+        The amplitude of a pair's second root is not read, being the
+        conjugate of its partner's.  A root without its partner raises
+        ``InvalidModelError``.
         """
         t = np.asarray(t, dtype=float)
-        tt = t.reshape(-1)
         partner = self.partners
         if (partner < 0).any():
             raise InvalidModelError("pair coordinates need the exact conjugate partner of every root")
-        slot = np.arange(5)
-        out = np.empty((len(self), 5, tt.size))
-        # one pass per labelling: the rows of one partner pattern share their slots
-        _, first, which = np.unique(partner @ 6**slot, return_index=True, return_inverse=True)
-        for k, p in enumerate(partner[first]):
-            rows = np.flatnonzero(which == k)
-            block = out if first.size == 1 else np.empty((rows.size, 5, tt.size))
-            lams, amps = self.eigenvalues[rows], self.amplitudes[rows]
-            real, lead = slot[p == slot], slot[p > slot]
-            block[:, real] = amps[:, real, None].real * np.exp(np.multiply.outer(lams[:, real].real, tt))
-            f = amps[:, lead, None] * np.exp(np.multiply.outer(lams[:, lead], tt))
-            block[:, lead] = f.real
-            block[:, p[lead]] = f.imag
-            if block is not out:
-                out[rows] = block
+        out = _pair_coordinates(self.eigenvalues, self.amplitudes, *_labellings(partner), t.reshape(-1))
         return out.reshape((len(self), 5) + t.shape)
 
     def pair_basis(self) -> np.ndarray:
@@ -222,6 +218,64 @@ class ModalTrajectories:
                 columns = [sla.expm(gen * ti) @ self.x0[m] for ti in t.reshape(-1)]
                 states[m] = np.stack(columns, axis=-1).reshape((5,) + t.shape)
         return states
+
+
+def _labellings(partner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a stack's ``partners``, shape ``(labellings,
+    5)``, and the index of each mode's among them."""
+    _, first, which = np.unique(partner @ 6 ** np.arange(5), return_index=True, return_inverse=True)
+    return partner[first], which
+
+
+def _pair_coordinates(lams, amps, labellings, which, tt) -> np.ndarray:
+    """The pair coordinates of rows of real data with the roots ``lams`` and
+    amplitudes ``amps``, each row with the partners ``labellings[which]``, at
+    the flat times ``tt``: shape ``(rows, 5, tt.size)``, one pass per
+    labelling present.
+
+    A pair's lead root ``lam = sigma + i omega`` takes ``u = tan(omega t/2)``
+    and ``w = 2/(1 + u^2)``, so that ``exp(i omega t) = (w - 1) + i u w``,
+    and its growth ``exp(sigma t)`` scales the amplitude: no complex ``exp``.
+    The half angle is ``0.5*fl(omega*t)`` exactly, the phase a complex
+    ``exp`` would take.  ``|u|`` stays below about 1.6e16 in double, where
+    ``u^2`` is far from overflow, and ``w - 1`` and ``u w`` are the cosine
+    and sine to a few units of ``eps`` in absolute terms, whatever ``u``.
+    The growth multiplies the amplitude rather than ``w``, so no product
+    underflows before the coordinate does.
+    """
+    slot = np.arange(5)
+    out = np.empty((len(lams), 5, tt.size))
+    present = np.flatnonzero(np.bincount(which, minlength=len(labellings)))
+    for k in present:
+        p = labellings[k]
+        rows = np.flatnonzero(which == k) if present.size > 1 else slice(None)
+        lam, amp = lams[rows], amps[rows]
+        real, lead = slot[p == slot], slot[p > slot]
+        block = out if present.size == 1 else np.empty((len(lam), 5, tt.size))
+        # the real roots take their own exp: their growth underflows at late
+        # times, and exp runs slower over an array that mixes such lanes in
+        block[:, real] = amp[:, real, None].real * np.exp(np.multiply.outer(lam[:, real].real, tt))
+        u = np.tan(np.multiply.outer(0.5 * lam[:, lead].imag, tt))
+        w = np.multiply(u, u)
+        w += 1.0
+        np.divide(2.0, w, out=w)
+        sin = np.multiply(u, w, out=u)
+        cos = np.subtract(w, 1.0, out=w)
+        a_im = np.exp(np.multiply.outer(lam[:, lead].real, tt))
+        a_re = amp[:, lead, None].real * a_im
+        a_im *= amp[:, lead, None].imag
+        # Re f = a_re cos - a_im sin and Im f = a_re sin + a_im cos, in place
+        re = a_re * cos
+        im = np.multiply(a_re, sin, out=a_re)
+        sin *= a_im
+        re -= sin
+        cos *= a_im
+        im += cos
+        block[:, lead] = re
+        block[:, p[lead]] = im
+        if block is not out:
+            out[rows] = block
+    return out
 
 
 def exact_modal_evolve(xi, x0, params: ModelParams, delta: float) -> ModalTrajectories:
@@ -289,12 +343,69 @@ def _term(r, partner, m, i):
     return r[m, np.minimum(i, p)], np.sign(p - i)[:, None] * r[m, np.maximum(i, p)]
 
 
-def memory_energy_closed_form(trajs: ModalTrajectories, t, coords=None) -> np.ndarray:
+class _MemoryForm(NamedTuple):
+    """The constants of ``memory_energy_closed_form`` for a stack of real
+    data, one row per mode: ``maps`` stacks the form ``Q`` on ``e``, shape
+    ``(modes, 6, 5)``; ``sigma`` and ``pi``; the single exponents ``z`` and
+    the pair exponents ``c`` with the masks of those taken whole; and ``scale
+    = xi^a``.  ``image``, if set, is ``maps @ r`` at the times evaluated,
+    formed by the caller."""
+
+    maps: np.ndarray
+    sigma: np.ndarray
+    pi: np.ndarray
+    z: np.ndarray
+    single_guard: np.ndarray
+    c: np.ndarray
+    pair_guard: np.ndarray
+    scale: np.ndarray
+    image: np.ndarray | None = None
+
+    def take(self, rows) -> "_MemoryForm":
+        """The constants of the modes ``rows``, with no image."""
+        return _MemoryForm(*(x[rows] for x in self[:-1]))
+
+
+def _memory_form(real: ModalTrajectories, basis: np.ndarray, t_max: float) -> _MemoryForm:
+    """The constants of ``memory_energy_closed_form`` for the stack ``real``
+    of real data, whose ``pair_basis`` is ``basis``, at times up to
+    ``t_max`` (see there)."""
+    lams = real.eigenvalues
+    delta = real.delta
+    z = delta + lams
+    single_guard = np.abs(z) * t_max < _SPLIT_GUARD
+    w = np.divide(1.0, z, out=np.zeros_like(z), where=~single_guard)
+    c = delta + lams[:, :, None] + lams.conj()[:, None, :]
+    pair_guard = np.abs(c) * t_max < _SPLIT_GUARD
+    inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=~pair_guard)
+
+    e = basis.sum(axis=1).real
+    s = (w[:, None, :] @ basis)[:, 0].real
+    pair = (np.swapaxes(basis, 1, 2) @ inv_c @ basis.conj()).real
+    pair = 0.5 * (pair + np.swapaxes(pair, 1, 2))
+    cross = e[:, :, None] * s[:, None, :]
+    form = pair + e[:, :, None] * e[:, None, :] / delta - (cross + np.swapaxes(cross, 1, 2))
+    # r at t = 0, where f = a
+    slot = np.arange(5)
+    partner = real.partners
+    lead = np.take_along_axis(real.amplitudes, np.minimum(slot, partner), axis=1)
+    r0 = np.where(partner < slot, lead.imag, lead.real)
+    sigma = (s * r0).sum(axis=1)
+    pi = np.einsum("ni,nij,nj->n", r0, pair, r0)
+    maps = np.concatenate([form, e[:, None, :]], axis=1)
+    return _MemoryForm(maps, sigma, pi, z, single_guard, c, pair_guard, real.xi**real.params.a)
+
+
+def memory_energy_closed_form(trajs: ModalTrajectories, t, coords=None, form=None) -> np.ndarray:
     """``xi^a * int_0^inf exp(-delta*s) |v(t) - v(t-s)|^2 ds`` for a stack of
     trajectories, shape ``(len(trajs),) + t.shape``.  Complex data enters as
     its real and imaginary parts (``ModalTrajectories.real_rows``), whose
-    memory energies add; ``coords``, if given, is
-    ``trajs.pair_coordinates(t)`` of a stack of real data.
+    memory energies add.  ``coords`` and ``form``, if given, are for a
+    stack of real data: ``coords`` is ``trajs.pair_coordinates(t)``, and
+    ``form`` is ``_memory_form(trajs, trajs.pair_basis(), t_max)`` at a
+    ``t_max`` no less than any ``t``, which lets a caller build the
+    per-mode constants once for many calls; with its ``image`` set, the
+    caller has formed the product of ``form.maps`` with ``coords`` too.
 
     With ``f_i = a_i*exp(lam_i*t)``, ``v = sum_i f_i`` and
     ``E(c) = int_0^t exp(-c*s) ds = -expm1(-c*t)/c``, the ``s < t`` part is
@@ -330,48 +441,27 @@ def memory_energy_closed_form(trajs: ModalTrajectories, t, coords=None) -> np.nd
     real, owner = trajs.real_rows()
     # tt.size, not -1: an empty stack (all of a chunk dense) gives nothing to infer from
     r = real.pair_coordinates(tt) if coords is None else coords.reshape(len(real), 5, tt.size)
-    lams = real.eigenvalues
-    delta = trajs.delta
+    if form is None:
+        form = _memory_form(real, real.pair_basis(), np.max(tt, initial=0.0))
     partner = real.partners
-    basis = real.pair_basis()
-    t_max = np.max(tt, initial=0.0)
-
-    z = delta + lams
-    single_guard = np.abs(z) * t_max < _SPLIT_GUARD
-    w = np.divide(1.0, z, out=np.zeros_like(z), where=~single_guard)
-    c = delta + lams[:, :, None] + lams.conj()[:, None, :]
-    pair_guard = np.abs(c) * t_max < _SPLIT_GUARD
-    inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=~pair_guard)
-
-    e = basis.sum(axis=1).real
-    s = (w[:, None, :] @ basis)[:, 0].real
-    pair = (np.swapaxes(basis, 1, 2) @ inv_c @ basis.conj()).real
-    pair = 0.5 * (pair + np.swapaxes(pair, 1, 2))
-    cross = e[:, :, None] * s[:, None, :]
-    form = pair + e[:, :, None] * e[:, None, :] / delta - (cross + np.swapaxes(cross, 1, 2))
-    # r at t = 0, where f = a
-    slot = np.arange(5)
-    lead = np.take_along_axis(real.amplitudes, np.minimum(slot, partner), axis=1)
-    r0 = np.where(partner < slot, lead.imag, lead.real)
-    sigma = (s * r0).sum(axis=1)
-    pi = np.einsum("ni,nij,nj->n", r0, pair, r0)
 
     # one product gives Q r and v = e.r
-    image = np.concatenate([form, e[:, None, :]], axis=1) @ r
+    image = form.maps @ r if form.image is None else form.image
     v = image[:, 5]
     memory = np.einsum("nit,nit->nt", r, image[:, :5])
-    memory += np.exp(-delta * tt) * (2.0 * sigma[:, None] * v - pi[:, None])
+    memory += np.exp(-trajs.delta * tt) * (2.0 * form.sigma[:, None] * v - form.pi[:, None])
 
     # the terms taken whole, the guarded rows of one slot (or slot pair) at a time
-    for i in np.flatnonzero(single_guard.any(axis=0)):
-        m = np.flatnonzero(single_guard[:, i])
+    z, c = form.z, form.c
+    for i in np.flatnonzero(form.single_guard.any(axis=0)):
+        m = np.flatnonzero(form.single_guard[:, i])
         memory[m] -= 2.0 * v[m] * _whole(*_term(r, partner, m, i), z[m, i], tt)
-    for i, j in zip(*np.nonzero(pair_guard.any(axis=0))):
-        m = np.flatnonzero(pair_guard[:, i, j])
+    for i, j in zip(*np.nonzero(form.pair_guard.any(axis=0))):
+        m = np.flatnonzero(form.pair_guard[:, i, j])
         (re_i, im_i), (re_j, im_j) = _term(r, partner, m, i), _term(r, partner, m, j)
         memory[m] += _whole(re_i * re_j + im_i * im_j, im_i * re_j - re_i * im_j, c[m, i, j], tt)
 
-    memory *= (real.xi ** real.params.a)[:, None]
+    memory *= form.scale[:, None]
     out = memory[:n]
     out[owner[n:]] += memory[n:]
     return out.reshape((n,) + t.shape)
@@ -507,43 +597,59 @@ _MEMORY_CHUNK = 64
 def energy_trace(trajs: ModalTrajectories, times: np.ndarray) -> EnergyTrace:
     """Exact multi-mode energy trace on the given times.
 
-    The modes go in chunks of at most ``_MEMORY_CHUNK``.  Each chunk is
-    evaluated in real pair coordinates: ``real_rows`` splits complex data
-    into real rows, ``pair_coordinates`` forms their five reals ``r`` once,
-    and every part is a fixed real map of ``r`` built once per row: the
-    states ``Re(V C) r`` feed ``energy_parts``, and
-    ``memory_energy_closed_form`` takes ``r`` as it is.  Dense modes, and
-    modes whose roots lack an exact conjugate partner, take the dense route:
-    ``state_at`` and ``memory_energy_quadrature``.  The parts of the two rows
-    of complex data are added, and then each mode's parts enter the running
-    sums in turn: a sum over the stack would associate the additions
-    differently, and a sequential ``np.add.accumulate`` over the chunk, which
-    would keep the association, is slower than this loop.
+    The trace is evaluated in real pair coordinates: ``real_rows`` splits
+    complex data into real rows, and every part is a fixed real map of a
+    row's five reals ``r``.  Those per-mode constants are built once for the
+    whole stack: the labellings, the states ``Re(V C)[:4]`` and the memory
+    form (``_memory_form``), stacked into one ``(rows, 10, 5)`` map.  The
+    modes then go in chunks of at most ``_MEMORY_CHUNK``, which bounds the
+    ``(modes, 5, times)`` arrays; a chunk forms ``r`` (``_pair_coordinates``)
+    and the one product of the map with it, whose states feed
+    ``energy_parts`` and whose rest ``memory_energy_closed_form`` takes as it
+    is.  Dense modes, and modes whose roots lack an exact conjugate partner,
+    take the dense route: ``state_at`` and ``memory_energy_quadrature``.  The
+    parts of the two rows of complex data are added, and then each mode's
+    parts enter the running sums in turn: a sum over the stack would
+    associate the additions differently, and a sequential
+    ``np.add.accumulate`` over the chunk, which would keep the association,
+    is slower than this loop.
     """
     times = np.asarray(times, dtype=float)
+    tt = times.reshape(-1)
     params = trajs.params
     zeta = 1.0 / trajs.delta
     expanded = ~trajs.dense & (trajs.partners >= 0).all(axis=1)
-    sums = np.zeros((5,) + times.shape)
+    light = np.flatnonzero(expanded)
+    # the light modes in order, then the imaginary rows of complex data in order
+    real, owner = (trajs if expanded.all() else trajs[light]).real_rows()
+    labellings, which = _labellings(real.partners)
+    basis = real.pair_basis()
+    form = _memory_form(real, basis, np.max(tt, initial=0.0))
+    maps = np.concatenate([(real.eigvecs[:, :4] @ basis).real, form.maps], axis=1)
+    sums = np.zeros((5, tt.size))
     for start in range(0, len(trajs), _MEMORY_CHUNK):
-        chunk = trajs[start : start + _MEMORY_CHUNK]
-        light = expanded[start : start + _MEMORY_CHUNK]
-        parts = np.empty((len(chunk), 5) + times.shape)
-        if light.any():
-            real, owner = (chunk if light.all() else chunk[light]).real_rows()
-            r = real.pair_coordinates(times)
-            states = np.ascontiguousarray((real.eigvecs[:, :4] @ real.pair_basis()).real) @ r
-            mechanical = energy_parts(*states.swapaxes(0, 1), real.xi[:, None], params, zeta)
-            rows = np.stack([*mechanical, memory_energy_closed_form(real, times, coords=r)], axis=1)
-            n = int(light.sum())
-            rows[owner[n:]] += rows[n:]
-            parts[light] = rows[:n]
-        for m in np.flatnonzero(~light):
-            states = chunk[m].state_at(times)[0]
-            parts[m, :4] = energy_parts(*states[:4], chunk.xi[m], params, zeta)
-            parts[m, 4] = [memory_energy_quadrature(chunk[m], float(t)) for t in times]
+        stop = min(start + _MEMORY_CHUNK, len(trajs))
+        parts = np.empty((stop - start, 5, tt.size))
+        lo, hi = np.searchsorted(light, [start, stop])
+        if hi > lo:
+            imag_lo, imag_hi = light.size + np.searchsorted(owner[light.size :], [lo, hi])
+            rows = slice(lo, hi) if imag_lo == imag_hi else np.r_[lo:hi, imag_lo:imag_hi]
+            r = _pair_coordinates(real.eigenvalues[rows], real.amplitudes[rows], labellings, which[rows], tt)
+            image = maps[rows] @ r
+            mechanical = energy_parts(*image[:, :4].swapaxes(0, 1), real.xi[rows, None], params, zeta)
+            memory = memory_energy_closed_form(
+                real[rows], tt, coords=r, form=form.take(rows)._replace(image=image[:, 4:])
+            )
+            block = np.stack([*mechanical, memory], axis=1)
+            block[owner[imag_lo:imag_hi] - lo] += block[hi - lo :]
+            parts[light[lo:hi] - start] = block[: hi - lo]
+        for m in start + np.flatnonzero(~expanded[start:stop]):
+            states = trajs[m].state_at(tt)[0]
+            parts[m - start, :4] = energy_parts(*states[:4], trajs.xi[m], params, zeta)
+            parts[m - start, 4] = [memory_energy_quadrature(trajs[m], float(t)) for t in tt]
         for part in parts:
             sums += part
+    sums = sums.reshape((5,) + times.shape)
     return EnergyTrace.from_parts(times, *sums, -trajs.delta * sums[4])
 
 
@@ -552,12 +658,27 @@ def energy_trace(trajs: ModalTrajectories, times: np.ndarray) -> EnergyTrace:
 # ---------------------------------------------------------------------------
 
 
+def _smooth_size(n: int) -> int:
+    """The smallest ``2^i 3^j 5^k`` no less than ``n >= 1``: a length that
+    the FFT splits into radix-2, 3 and 5 passes only."""
+    best = 1 << (n - 1).bit_length()
+    five = 1
+    while five < best:
+        odd = five
+        while odd < best:
+            best = min(best, odd << ((n - 1) // odd).bit_length())
+            odd *= 3
+        five *= 5
+    return best
+
+
 def _series_product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """First ``n`` coefficients of the product of the power series ``a`` and
-    the real series ``b``, by real FFTs; a complex ``a`` is split into its
-    real and imaginary parts."""
+    the real series ``b``, by real FFTs of the smallest 5-smooth length that
+    holds the whole product (``_smooth_size``); a complex ``a`` is split into
+    its real and imaginary parts."""
     a, b = a[:n], b[:n]
-    size = 1 << max(a.size + b.size - 2, n - 1).bit_length()
+    size = _smooth_size(max(a.size + b.size - 1, n))
     fb = np.fft.rfft(b, size)
 
     def real(x):
@@ -571,12 +692,22 @@ def _series_product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
 def _series_inverse(d: np.ndarray, n: int) -> np.ndarray:
     """First ``n`` coefficients of ``1/d`` for a real series with ``d[0] =
     1``, by Newton's iteration ``x <- x + x*(1 - d*x)``, which doubles the
-    number of correct coefficients per pass."""
+    number ``k`` of correct coefficients per pass, to ``m = min(2k, n)``.
+
+    A pass takes both its products at one cyclic length ``L >= m`` and
+    shares the spectrum of ``x`` between them (the middle product of
+    Hanrot, Quercia and Zimmermann, AAECC 2004): ``d*x`` has degree below
+    ``m + k - 1``, so its wraparound lands below ``k``, in coefficients the
+    pass discards, and ``x*defect`` has degree below ``m - 1`` and does not
+    wrap at all."""
     x = np.ones(1)
     while x.size < n:
-        m = min(2 * x.size, n)
-        defect = _series_product(d, x, m)[x.size :]
-        x = np.concatenate([x, -_series_product(x, defect, m - x.size)])
+        k = x.size
+        m = min(2 * k, n)
+        size = _smooth_size(m)
+        fx = np.fft.rfft(x, size)
+        defect = np.fft.irfft(np.fft.rfft(d[:m], size) * fx, size)[k:m]
+        x = np.concatenate([x, -np.fft.irfft(np.fft.rfft(defect, size) * fx, size)[: m - k]])
     return x
 
 
@@ -718,10 +849,16 @@ def evolve_general_kernel(
     m = np.minimum(sample_idx, window)
     v = samples[:, 0]
     # recent parts of int g |eta|^2 and int g' |eta|^2; the near end holds
-    # eta(0) = 0, so only the far end needs halving
+    # eta(0) = 0, so only the far end needs halving.  |eta|^2 is re^2 + im^2
+    # of contiguous parts, which abs() would take through hypot
     recent = np.empty((sample_idx.size, 2))
+    hist_re, hist_im = v_hist.real.copy(), v_hist.imag.copy()
     for i, (n, mi) in enumerate(zip(sample_idx, m)):
-        eta_sq = np.abs(v[i] - v_hist[n - mi : n + 1]) ** 2
+        eta_sq = v[i].real - hist_re[n - mi : n + 1]
+        eta_im = v[i].imag - hist_im[n - mi : n + 1]
+        eta_sq *= eta_sq
+        eta_im *= eta_im
+        eta_sq += eta_im
         weights = reversed_table[:, window - mi :]
         recent[i] = dt * (weights @ eta_sq - 0.5 * weights[:, 0] * eta_sq[0])
     # remote parts: eta = v(t) for s beyond the window, where int g = zeta -

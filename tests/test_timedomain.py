@@ -334,30 +334,71 @@ def test_complex_data_trace_is_the_sum_of_its_parts():
     assert np.max(np.abs(got - expected) / expected) <= 1e-13
 
 
-def test_real_data_trace_takes_two_complex_exponentials_per_mode(monkeypatch):
+def test_real_data_trace_takes_one_tangent_per_pair_and_no_complex_exponential(monkeypatch):
     # no complex (modes, 5, times) array: the five-term phases, terms and
-    # states are never formed, and every complex exp is of a pair's root
+    # states are never formed, no exp is complex, and each pair's phase is
+    # one tan of a (rows, 2, times) block, the two lead roots of every mode
     trajs = _readme_stack()
-    exp = np.exp
-    shapes = []
+    exp, tan = np.exp, np.tan
+    complex_exps, tans = [], []
 
-    def recording(x, *args, **kwargs):
+    def recording_exp(x, *args, **kwargs):
         out = exp(x, *args, **kwargs)
         if np.iscomplexobj(out):
-            shapes.append(out.shape)
+            complex_exps.append(out.shape)
         return out
+
+    def recording_tan(x, *args, **kwargs):
+        tans.append(np.shape(x))
+        return tan(x, *args, **kwargs)
 
     def refused(*args, **kwargs):
         raise AssertionError("a five-term complex array was formed")
 
     for name in ("phases", "terms", "state_at"):
         monkeypatch.setattr(ModalTrajectories, name, refused)
-    monkeypatch.setattr(timedomain.np, "exp", recording)
+    monkeypatch.setattr(timedomain.np, "exp", recording_exp)
+    monkeypatch.setattr(timedomain.np, "tan", recording_tan)
     trace = energy_trace(trajs, README_TIMES)
     monkeypatch.undo()
     assert all(getattr(trace, name).dtype == np.float64 for name in ("stiffness", "kinetic_v", "coupling", "kinetic_p", "memory", "residual"))
-    assert {shape[1:] for shape in shapes} == {(2, README_TIMES.size)}
-    assert sum(shape[0] for shape in shapes) == len(trajs)
+    assert complex_exps == []
+    assert {shape[1:] for shape in tans} == {(2, README_TIMES.size)}
+    assert sum(shape[0] for shape in tans) == len(trajs)
+
+
+def _near_half_poles(omega):
+    """Times where ``omega*t/2`` lies within 1e-6 of an odd multiple of
+    ``pi/2``, where ``tan`` is near its poles: the closest double, and 1e-6
+    and 3e-7 off either side, at the first and the 1001st pole."""
+    poles = (2.0 * np.array([0.0, 1000.0]) + 1.0) * (0.5 * np.pi)
+    return np.add.outer(poles, [0.0, 1e-6, -1e-6, 3e-7, -3e-7]).ravel() * (2.0 / omega)
+
+
+@pytest.mark.parametrize("k", [1, 50, 200])
+def test_tangent_pair_coordinates_match_40_digits(k):
+    # the reference is a*exp(lam*t) in 40 digits at the exponent the code
+    # rounds to, fl(sigma*t) + i*2*fl(0.5*omega*t): the phase rounding itself
+    # is left out.  Times: t = 0, near the poles of tan(omega*t/2) for both
+    # pairs, and t = 2000, the README's largest, where omega*t reaches 5.9e5
+    # at k = 200
+    mpmath = pytest.importorskip("mpmath")
+    traj = _readme_stack()[k - 1]
+    lams, amps = traj.eigenvalues[0], traj.amplitudes[0]
+    assert traj.partners[0].tolist() == [0, 2, 1, 4, 3]
+    times = np.concatenate([[0.0, 2000.0], _near_half_poles(lams[1].imag), _near_half_poles(lams[3].imag)])
+    r = traj.pair_coordinates(times)[0]
+    with mpmath.workdps(40):
+        for j, t in enumerate(times):
+            for i, slots in ((0, (0, 0)), (1, (1, 2)), (3, (3, 4))):
+                sigma_t, half = lams[i].real * t, 0.5 * lams[i].imag * t
+                f = mpmath.mpc(amps[i]) * mpmath.exp(mpmath.mpf(sigma_t)) * mpmath.expj(2 * mpmath.mpf(half))
+                bound = 1e-15 * abs(amps[i]) * math.exp(sigma_t)
+                assert abs(r[slots[0], j] - float(f.real)) <= bound, (i, t)
+                if slots[1] != slots[0]:
+                    assert abs(r[slots[1], j] - float(f.imag)) <= bound, (i, t)
+    # at t = 0 the coordinates are the amplitudes themselves
+    assert r[:, 0].tolist() == [amps[0].real, amps[1].real, amps[1].imag, amps[3].real, amps[3].imag]
 
 
 def test_unpaired_row_takes_the_dense_route(monkeypatch):
@@ -679,3 +720,38 @@ def test_marginal_family_amplitudes():
     x0 = marginal_data(grid, 50)[1]
     assert x0[0, 0] == pytest.approx(1.0)
     assert not x0[:, 1:].any()
+
+
+def test_smooth_size_is_the_next_5_smooth_length():
+    smooth = sorted(2**i * 3**j * 5**k for i in range(13) for j in range(8) for k in range(6))
+    for n in range(1, 4097):
+        assert timedomain._smooth_size(n) == next(x for x in smooth if x >= n), n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 1000, 20001])
+def test_series_product_and_inverse_match_direct_sums(n):
+    # the full products of length 2n - 1 take 5-smooth FFT lengths that are
+    # not powers of two from n = 7 on: 15, 2000 and 40500; the inverse's last
+    # Newton pass at n = 1000 runs at length 1000
+    rng = np.random.default_rng(n)
+    if n >= 7:
+        assert timedomain._smooth_size(2 * n - 1) & (timedomain._smooth_size(2 * n - 1) - 1)
+    a = rng.normal(size=n) + 1j * rng.normal(size=n)
+    b = rng.normal(size=n)
+    direct = np.convolve(a.real, b)[:n] + 1j * np.convolve(a.imag, b)[:n]
+    scale = np.sqrt(n) * np.max(np.abs(a)) * np.max(np.abs(b))
+    assert np.max(np.abs(timedomain._series_product(a, b, n) - direct)) <= 1e-14 * scale
+    assert np.max(np.abs(timedomain._series_product(a.real, b, n) - direct.real)) <= 1e-14 * scale
+
+    # d - 1 sums to below 1/2 in modulus, so 1/d has coefficients of order 1
+    d = np.concatenate([[1.0], 0.5 * rng.uniform(-1.0, 1.0, n - 1) / np.arange(2, n + 1) ** 2])
+    x = timedomain._series_inverse(d, n)
+    assert x.shape == (n,)
+    unit = np.zeros(n)
+    unit[0] = 1.0
+    assert np.max(np.abs(np.convolve(d, x)[:n] - unit)) <= 1e-14
+    # the coefficients one at a time: x_j = -sum_(i=1..j) d_i x_(j-i)
+    expected = unit.copy()
+    for j in range(1, n):
+        expected[j] = -(d[1 : j + 1] @ expected[j - 1 :: -1])
+    assert np.max(np.abs(x - expected)) <= 1e-14
