@@ -1,5 +1,5 @@
-"""Time evolution per mode: exact eigen-expansion for exponential kernels,
-a history-quadrature scheme for general kernels, energy traces.  A mode is
+"""Time evolution per mode: exact evolution for exponential kernels, a
+history-quadrature scheme for general kernels, energy traces.  A mode is
 given by its eigenvalue ``xi`` and its initial data by a plain array of
 ``(v, u, p, q)``; no mode number enters.  Every mode is at rest before
 ``t = 0``.
@@ -24,7 +24,11 @@ plus a term in ``e^(-delta*t)``: the recent part factors into the five terms
 of ``v(t)``, and the remote part, where the mode was at rest, is
 ``e^(-delta*t) |v(t)|^2/delta``.  So every per-mode constant is built
 once for a whole stack, and each chunk of modes is one vectorised evaluation
-of the coordinates and one real matrix product with them.
+of the coordinates and one real matrix product with them.  A mode whose
+roots nearly collide, or lack an exact conjugate partner, has no such
+expansion; it takes the matrix form instead, the states ``expm(G t) x0`` of
+its 5x5 generator ``G`` and its memory energy from one Lyapunov solve for
+``G`` (``_matrix_parts``).
 
 General kernels satisfying the positivity/pinch hypotheses go through an
 implicit-midpoint scheme whose memory force uses trapezoidal convolution over
@@ -76,8 +80,9 @@ class ModalTrajectories:
     coefficients of ``v(t) = sum_i a_i exp(lam_i t)``.  Indexing keeps the
     leading axis, so ``trajs[m]``, ``trajs[a:b]`` and ``trajs[~trajs.dense]``
     are stacks too.  A mode whose eigenvalue separation check failed is
-    flagged by ``dense``: its amplitudes are zero and ``state_at`` takes the
-    matrix exponential of its generator instead.
+    flagged by ``dense``: its amplitudes are zero, and ``energy_trace``
+    takes its parts from the matrix form (``_matrix_parts``), as for a mode
+    whose roots lack an exact conjugate partner.
 
     A mode's roots are real or come in exact conjugate pairs (``partners``),
     and so do its eigenvectors.  With real data the amplitudes of a pair are
@@ -175,49 +180,6 @@ class ModalTrajectories:
         basis[rows, slot, np.minimum(slot, partner)] = 1.0
         basis[rows, slot, np.maximum(slot, partner)] += 1j * np.sign(partner - slot)
         return basis
-
-    def phases(self, t) -> np.ndarray:
-        """``exp(lam_i*t)`` of every mode and root, shape ``(modes, 5) + t.shape``.
-
-        ``quintic_roots`` labels a mode ``[real, p, conj(p), q, conj(q)]``
-        with exact conjugates, and ``conj(exp(z))`` is ``exp(conj(z))`` bit
-        for bit, so roots 0, 1 and 3 take an ``exp`` and roots 2 and 4 the
-        conjugate of their partner's phase.  A mode whose slot 2 (or 4) is
-        not the exact conjugate of slot 1 (or 3), as in a degenerate
-        labelling, takes its own ``exp`` there.
-        """
-        lams = self.eigenvalues
-        t = np.asarray(t, dtype=float)
-        out = np.multiply.outer(lams, t)
-        np.exp(out[:, :2], out=out[:, :2])
-        np.exp(out[:, 3], out=out[:, 3])
-        for own, partner in ((2, 1), (4, 3)):
-            paired = (lams[:, own] == lams[:, partner].conj()).reshape((-1,) + (1,) * t.ndim)
-            np.conjugate(out[:, partner], out=out[:, own], where=paired)
-            np.exp(out[:, own], out=out[:, own], where=~paired)
-        return out
-
-    def terms(self, t) -> np.ndarray:
-        """The five terms ``a_i*exp(lam_i*t)`` of ``v(t)`` of every mode,
-        shape ``(modes, 5) + t.shape``."""
-        t = np.asarray(t, dtype=float)
-        return self.amplitudes[(...,) + (None,) * t.ndim] * self.phases(t)
-
-    def state_at(self, t) -> np.ndarray:
-        """``(v, u, p, q, I)`` of every mode at ``t``, complex, shape
-        ``(modes, 5) + t.shape``: the eigenvectors applied to the five
-        terms, or the matrix exponential for a dense mode."""
-        t = np.asarray(t, dtype=float)
-        n = len(self)
-        states = (self.eigvecs @ self.terms(t).reshape(n, 5, -1)).reshape((n, 5) + t.shape)
-        if self.dense.any():
-            import scipy.linalg as sla  # loaded only for a dense-fallback mode
-
-            for m in np.flatnonzero(self.dense):
-                gen = modal_generator(self.xi[m], self.params, self.delta)
-                columns = [sla.expm(gen * ti) @ self.x0[m] for ti in t.reshape(-1)]
-                states[m] = np.stack(columns, axis=-1).reshape((5,) + t.shape)
-        return states
 
 
 def _labellings(partner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -431,7 +393,7 @@ def memory_energy_closed_form(trajs: ModalTrajectories, t, coords=None, form=Non
     single terms ``s = Re(w C)``, ``w_i = 1/(delta + lam_i)``, and pair terms
     ``W_ij = 1/c_ij``; ``sigma`` and ``pi`` are the same forms at ``r(0)``.
     Dense-fallback trajectories, and those whose roots lack an exact
-    conjugate partner, must use the quadrature route instead.
+    conjugate partner, must use the matrix form (``_matrix_parts``) instead.
     """
     if trajs.dense.any() or (trajs.partners < 0).any():
         raise InvalidModelError("closed-form memory energy needs the amplitude expansion in conjugate pairs")
@@ -465,74 +427,6 @@ def memory_energy_closed_form(trajs: ModalTrajectories, t, coords=None, form=Non
     out = memory[:n]
     out[owner[n:]] += memory[n:]
     return out.reshape((n,) + t.shape)
-
-
-def memory_energy_quadrature(traj: ModalTrajectories, t: float) -> float:
-    """Composite Gauss-Legendre quadrature of the recent part plus the
-    closed-form remote part for a one-mode stack; the independent check on
-    the closed form.
-
-    The integrand ``e^(-delta*s) |v(t) - v(t-s)|^2`` oscillates and decays no
-    faster than ``rate = 2*max|lam| + delta``, so the panels are at most
-    ``2*pi/rate`` long with 16 nodes each.  The node states are those of the
-    earliest panel stepped forward by ``expm(generator*h)``, one panel length
-    ``h`` at a time: one matrix exponential sets up the stepping, and a dense
-    trajectory pays one more per node of a single panel only.  The recent part is
-    integrated over ``[0, s0]``, ``s0 = min(t, log(1/eps)/delta)``.  The energy
-    does not increase and its stiffness part is ``xi*m*|v|^2`` with the
-    coercivity margin ``m = alpha1 - xi^(a-1)/delta``, so ``|v|^2 <=
-    E(0)/(xi*m)`` along the whole trajectory and the part over ``[s0, t]`` is
-    at most ``(2/delta) e^(-delta*s0) (|v(t)|^2 + E(0)/(xi*m))`` (infinite
-    where ``m <= 0``).  Where that bound exceeds ``eps`` times the memory
-    computed so far, ``s0`` moves right until it does not (or reaches ``t``).
-    """
-    import scipy.linalg as sla  # loaded only for a dense-fallback mode or a check
-
-    if len(traj) != 1:
-        raise ValueError(f"memory_energy_quadrature takes one mode, got {len(traj)}")
-    params = traj.params
-    delta = traj.delta
-    xi = float(traj.xi[0])
-    eps = np.finfo(float).eps
-
-    v_t = complex(traj.state_at(t)[0, 0])
-    gx, gw = np.polynomial.legendre.leggauss(16)
-    panel = 2.0 * math.pi / (2.0 * float(np.max(np.abs(traj.eigenvalues))) + delta)
-    generator = modal_generator(xi, params, delta)
-
-    def recent(s0: float) -> float:
-        n_panels = max(1, math.ceil(s0 / panel))
-        h = s0 / n_panels
-        offsets = 0.5 * h * (1.0 + gx)
-        step = sla.expm(generator * h)
-        # panel j, counted from the earliest, holds the states at t - s0 + j*h + offsets
-        x = traj.state_at(t - s0 + offsets)[0]
-        v = np.empty((n_panels, gx.size), dtype=complex)
-        for j in range(n_panels):
-            v[j] = x[0]
-            x = step @ x
-        s = s0 - h * np.arange(n_panels)[:, None] - offsets
-        return float(np.sum(0.5 * h * gw * np.exp(-delta * s) * np.abs(v_t - v) ** 2))
-
-    # remote part: v(t - s) = 0 for s > t, the mode being at rest before t = 0
-    outside = math.exp(-delta * t) * (abs(v_t) ** 2 / delta)
-    s0 = min(t, math.log(1.0 / eps) / delta)
-    inside = recent(s0)
-    margin = coercivity_margin(xi, params, 1.0 / delta)
-    if s0 < t:
-        x0 = traj.x0[0]
-        e0 = sum(energy_parts(*x0[:4], xi, params, 1.0 / delta))
-        e0 += xi**params.a * (abs(x0[0]) ** 2 / delta)
-        tail = (
-            2.0 / delta * math.exp(-delta * s0) * (abs(v_t) ** 2 + e0 / (xi * margin))
-            if margin > 0.0
-            else math.inf
-        )
-        memory = inside + outside
-        if tail > eps * memory:
-            s0 = t if memory <= 0.0 else min(t, s0 + math.log(tail / (eps * memory)) / delta)
-            inside = recent(s0)
-    return xi**params.a * (inside + outside)
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +484,47 @@ def _three_point_derivative(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     return d
 
 
+def _matrix_parts(trajs: ModalTrajectories, tt: np.ndarray) -> np.ndarray:
+    """The five parts of the energy of every mode of ``trajs`` at the flat
+    times ``tt``, shape ``(modes, 5, tt.size)``, from each mode's generator
+    ``G`` (``modal_generator``) and data ``x0`` alone: no roots and no
+    eigenvectors, so it holds where the roots collide or lack an exact
+    conjugate partner.  The states are ``x(t) = expm(G t) x0``, and with ``I
+    = x[4] = int_0^t e^(-delta*s) v(t-s) ds`` the memory energy is
+
+        xi^a (|v|^2/delta - 2 Re(conj(v) I) + x^T W conj(x) - e^(-delta*t) x0^T W conj(x0)),
+
+    ``W`` the real symmetric solution of ``G^T W + W G + delta W = e0
+    e0^T``: then ``d/dt x^T W conj(x) = |v|^2 - delta x^T W conj(x)``, so the
+    last two terms are ``int_0^t e^(-delta*s) |v(t-s)|^2 ds``.  ``W`` is one
+    Kronecker solve of order 25 per mode (Bartels and Stewart, CACM 1972,
+    solve the same equation by Schur forms), and exists where every ``delta +
+    lam_i + lam_j`` is nonzero, as the closed form needs.  Complex data need
+    no split.
+    """
+    import scipy.linalg as sla  # loaded only for a dense or partnerless mode
+
+    params, delta = trajs.params, trajs.delta
+    gens = np.stack([modal_generator(xi, params, delta) for xi in trajs.xi])
+    states = np.stack([(sla.expm(np.multiply.outer(tt, g)) @ x0).T for g, x0 in zip(gens, trajs.x0)])
+    # G^T W + W G + delta W on the row-major entries of W
+    gt, eye = gens.swapaxes(1, 2), np.eye(5)
+    lyapunov = np.einsum("nij,kl->nikjl", gt, eye) + np.einsum("ij,nkl->nikjl", eye, gt)
+    lyapunov = lyapunov.reshape(-1, 25, 25) + delta * np.eye(25)
+    e0e0 = np.zeros((len(trajs), 25, 1))
+    e0e0[:, 0] = 1.0
+    w = np.linalg.solve(lyapunov, e0e0).reshape(-1, 5, 5)
+
+    # the real part of x^T W conj(x) reads only the symmetric part of W
+    v, history = states[:, 0], states[:, 4]
+    recent = (states * (w @ states.conj())).sum(axis=1).real
+    start = np.einsum("ni,nij,nj->n", trajs.x0, w, trajs.x0.conj()).real
+    memory = np.abs(v) ** 2 / delta - 2.0 * (v.conj() * history).real + recent
+    memory -= np.exp(-delta * tt) * start[:, None]
+    mechanical = energy_parts(*states[:, :4].swapaxes(0, 1), trajs.xi[:, None], params, 1.0 / delta)
+    return np.stack([*mechanical, trajs.xi[:, None] ** params.a * memory], axis=1)
+
+
 # modes per chunk of ``energy_trace``, which bounds its ``(modes, 5, times)`` arrays
 _MEMORY_CHUNK = 64
 
@@ -607,12 +542,12 @@ def energy_trace(trajs: ModalTrajectories, times: np.ndarray) -> EnergyTrace:
     and the one product of the map with it, whose states feed
     ``energy_parts`` and whose rest ``memory_energy_closed_form`` takes as it
     is.  Dense modes, and modes whose roots lack an exact conjugate partner,
-    take the dense route: ``state_at`` and ``memory_energy_quadrature``.  The
-    parts of the two rows of complex data are added, and then each mode's
-    parts enter the running sums in turn: a sum over the stack would
-    associate the additions differently, and a sequential
-    ``np.add.accumulate`` over the chunk, which would keep the association,
-    is slower than this loop.
+    take the matrix form (``_matrix_parts``), a chunk's such modes in one
+    call, with no split of complex data.  The parts of the two rows of
+    complex data are added, and then each mode's parts enter the running
+    sums in turn: a sum over the stack would associate the additions
+    differently, and a sequential ``np.add.accumulate`` over the chunk, which
+    would keep the association, is slower than this loop.
     """
     times = np.asarray(times, dtype=float)
     tt = times.reshape(-1)
@@ -643,10 +578,9 @@ def energy_trace(trajs: ModalTrajectories, times: np.ndarray) -> EnergyTrace:
             block = np.stack([*mechanical, memory], axis=1)
             block[owner[imag_lo:imag_hi] - lo] += block[hi - lo :]
             parts[light[lo:hi] - start] = block[: hi - lo]
-        for m in start + np.flatnonzero(~expanded[start:stop]):
-            states = trajs[m].state_at(tt)[0]
-            parts[m - start, :4] = energy_parts(*states[:4], trajs.xi[m], params, zeta)
-            parts[m - start, 4] = [memory_energy_quadrature(trajs[m], float(t)) for t in tt]
+        matrix = start + np.flatnonzero(~expanded[start:stop])
+        if matrix.size:
+            parts[matrix - start] = _matrix_parts(trajs[matrix], tt)
         for part in parts:
             sums += part
     sums = sums.reshape((5,) + times.shape)
@@ -891,5 +825,4 @@ __all__ = [
     "exact_modal_evolve",
     "marginal_data_amplitudes",
     "memory_energy_closed_form",
-    "memory_energy_quadrature",
 ]

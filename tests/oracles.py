@@ -14,13 +14,18 @@ against; no command runs them.
 * ``five_term_trace``: the exact energy trace of a stack of trajectories in
   complex arithmetic over all five exponential terms, against the real pair
   coordinates of ``timedomain.energy_trace``;
+* ``memory_energy_quadrature``: the memory energy of one mode by composite
+  Gauss-Legendre quadrature over states from the matrix exponential of its
+  generator, against the closed form and the matrix form of
+  ``timedomain.energy_trace``;
 * ``config_accepted``: whether a run configuration is valid under the JSON
   Schema ``SCHEMA`` and holds only finite numbers, against the key table of
   ``memwave.config``.
 
 Each reads only the ``memwave`` names that ``test_names.ORACLE_READS`` pins
-for it: the model constants and types, and for ``static_solve`` the block it
-checks and the public builders it checks it with.
+for it: the model constants and types, the mode's generator for
+``memory_energy_quadrature``, and for ``static_solve`` the block it checks
+and the public builders it checks it with.
 """
 
 from __future__ import annotations
@@ -31,10 +36,11 @@ from dataclasses import dataclass
 
 import jsonschema
 import numpy as np
+import scipy.linalg as sla
 
-from memwave.model import ModelParams, energy_parts, memoryless_generator
+from memwave.model import ModelParams, coercivity_margin, energy_parts, memoryless_generator
 from memwave.resolvent import LaguerreGrid, energy_congruence, mode_block
-from memwave.spectral import AsymptoticConstants, SpectrumBranch
+from memwave.spectral import AsymptoticConstants, SpectrumBranch, modal_generator
 
 # ---------------------------------------------------------------------------
 # cubic branch equations and their closed-form roots
@@ -297,6 +303,76 @@ def five_term_trace(trajs, times) -> np.ndarray:
     memory = np.abs(v) ** 2 / delta - 2.0 * (v.conj() * single).real + pair
     memory *= (trajs.xi ** params.a)[:, None]
     return np.stack([np.sum(part, axis=0) for part in (*parts, memory)]).reshape((5,) + t.shape)
+
+
+def memory_energy_quadrature(traj, t: float) -> float:
+    """``xi^a * int_0^inf exp(-delta*s) |v(t) - v(t-s)|^2 ds`` for a one-mode
+    stack: composite Gauss-Legendre quadrature of the recent part plus the
+    closed-form remote part, over states ``expm(G s) x0`` of the mode's
+    generator ``G`` (``modal_generator``).  It reads the trajectory's
+    ``xi``, ``x0`` and roots, not its amplitudes or methods.
+
+    The integrand ``e^(-delta*s) |v(t) - v(t-s)|^2`` oscillates and decays no
+    faster than ``rate = 2*max|lam| + delta``, so the panels are at most
+    ``2*pi/rate`` long with 16 nodes each.  The node states are those of the
+    earliest panel, one matrix exponential per node, stepped forward by
+    ``expm(G*h)``, one panel length ``h`` at a time.  The recent part is
+    integrated over ``[0, s0]``, ``s0 = min(t, log(1/eps)/delta)``.  The energy
+    does not increase and its stiffness part is ``xi*m*|v|^2`` with the
+    coercivity margin ``m = alpha1 - xi^(a-1)/delta``, so ``|v|^2 <=
+    E(0)/(xi*m)`` along the whole trajectory and the part over ``[s0, t]`` is
+    at most ``(2/delta) e^(-delta*s0) (|v(t)|^2 + E(0)/(xi*m))`` (infinite
+    where ``m <= 0``).  Where that bound exceeds ``eps`` times the memory
+    computed so far, ``s0`` moves right until it does not (or reaches ``t``).
+    """
+    if len(traj) != 1:
+        raise ValueError(f"memory_energy_quadrature takes one mode, got {len(traj)}")
+    params = traj.params
+    delta = traj.delta
+    xi = float(traj.xi[0])
+    x0 = traj.x0[0]
+    eps = np.finfo(float).eps
+    generator = modal_generator(xi, params, delta)
+
+    def states(times):
+        return np.stack([sla.expm(generator * s) @ x0 for s in times], axis=-1)
+
+    v_t = complex(states([t])[0, 0])
+    gx, gw = np.polynomial.legendre.leggauss(16)
+    panel = 2.0 * math.pi / (2.0 * float(np.max(np.abs(traj.eigenvalues))) + delta)
+
+    def recent(s0: float) -> float:
+        n_panels = max(1, math.ceil(s0 / panel))
+        h = s0 / n_panels
+        offsets = 0.5 * h * (1.0 + gx)
+        step = sla.expm(generator * h)
+        # panel j, counted from the earliest, holds the states at t - s0 + j*h + offsets
+        x = states(t - s0 + offsets)
+        v = np.empty((n_panels, gx.size), dtype=complex)
+        for j in range(n_panels):
+            v[j] = x[0]
+            x = step @ x
+        s = s0 - h * np.arange(n_panels)[:, None] - offsets
+        return float(np.sum(0.5 * h * gw * np.exp(-delta * s) * np.abs(v_t - v) ** 2))
+
+    # remote part: v(t - s) = 0 for s > t, the mode being at rest before t = 0
+    outside = math.exp(-delta * t) * (abs(v_t) ** 2 / delta)
+    s0 = min(t, math.log(1.0 / eps) / delta)
+    inside = recent(s0)
+    margin = coercivity_margin(xi, params, 1.0 / delta)
+    if s0 < t:
+        e0 = sum(energy_parts(*x0[:4], xi, params, 1.0 / delta))
+        e0 += xi**params.a * (abs(x0[0]) ** 2 / delta)
+        tail = (
+            2.0 / delta * math.exp(-delta * s0) * (abs(v_t) ** 2 + e0 / (xi * margin))
+            if margin > 0.0
+            else math.inf
+        )
+        memory = inside + outside
+        if tail > eps * memory:
+            s0 = t if memory <= 0.0 else min(t, s0 + math.log(tail / (eps * memory)) / delta)
+            inside = recent(s0)
+    return xi**params.a * (inside + outside)
 
 
 # ---------------------------------------------------------------------------

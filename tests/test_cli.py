@@ -324,7 +324,7 @@ def write_all_commands_cfg(tmp_path, out):
 
 
 def test_commands_without_dense_modes_leave_out_scipy(tmp_path):
-    # scipy is imported only for a mode that falls back to the dense expm
+    # scipy is imported only for a mode that takes the matrix form of the trace
     out = tmp_path / "out"
     cfg = write_all_commands_cfg(tmp_path, out)
     code = (

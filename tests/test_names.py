@@ -181,6 +181,11 @@ ORACLE_READS = {
         "memwave.resolvent.mode_block",
     },
     "five_term_trace": {"memwave.model.energy_parts"},
+    "memory_energy_quadrature": {
+        "memwave.model.coercivity_margin",
+        "memwave.model.energy_parts",
+        "memwave.spectral.modal_generator",
+    },
     "config_accepted": set(),
 }
 

@@ -23,9 +23,8 @@ from memwave.timedomain import (
     exact_modal_evolve,
     marginal_data_amplitudes,
     memory_energy_closed_form,
-    memory_energy_quadrature,
 )
-from oracles import five_term_trace
+from oracles import five_term_trace, memory_energy_quadrature
 
 DELTA = KER1.delta
 
@@ -35,15 +34,29 @@ def evolve(k=1, grid=None, v=1.0, u=0.0, p=0.0, q=0.0, params=P0):
     return exact_modal_evolve([grid.xi_of(k)], [[v, u, p, q]], params, DELTA)
 
 
+def real_states(trajs, t):
+    """``(v, u, p, q, I)`` of every mode at ``t``, shape ``(modes, 5) +
+    t.shape``, by the real state map ``Re(V C)`` of the pair coordinates,
+    whose first four rows ``energy_trace`` applies; complex data as the real
+    and imaginary rows of ``real_rows``."""
+    t = np.asarray(t, dtype=float)
+    real, owner = trajs.real_rows()
+    states = (real.eigvecs @ real.pair_basis()).real @ real.pair_coordinates(t.reshape(-1))
+    n = len(trajs)
+    out = states[:n].astype(complex)
+    out[owner[n:]] += 1j * states[n:]
+    return out.reshape((n, 5) + t.shape)
+
+
 def test_zero_initial_data_stays_zero():
     traj = evolve(v=0.0)
-    states = traj.state_at(np.linspace(0, 5, 7))
+    states = real_states(traj, np.linspace(0, 5, 7))
     assert np.max(np.abs(states)) == 0.0
 
 
 def test_initial_state_reconstruction():
     traj = evolve(v=1.0, u=0.3j, p=-0.2, q=0.75)
-    x0 = traj.state_at(0.0)
+    x0 = real_states(traj, 0.0)
     assert np.max(np.abs(x0 - traj.x0)) <= 1e-10
     assert np.all(traj.eigvecs[:, 0, :] == 1.0)
 
@@ -53,8 +66,8 @@ def test_trajectory_satisfies_reduced_system():
     gen = modal_generator(square_grid(4).xi_of(1), P0, DELTA)
     h = 1e-5
     for t in (0.5, 1.7):
-        derivative = (traj.state_at(t + h)[0] - traj.state_at(t - h)[0]) / (2 * h)
-        rhs = gen @ traj.state_at(t)[0]
+        derivative = (real_states(traj, t + h)[0] - real_states(traj, t - h)[0]) / (2 * h)
+        rhs = gen @ real_states(traj, t)[0]
         assert np.max(np.abs(derivative - rhs)) <= 1e-6 * max(1.0, np.max(np.abs(rhs)))
 
 
@@ -64,8 +77,8 @@ def test_superposition_linearity():
     a_part = evolve(v=1.0, q=0.2)
     b_part = evolve(v=0.0, u=1.0j, p=0.5)
     combined = exact_modal_evolve([grid.xi_of(1)], [[2.0 * 1.0, 3.0 * 1.0j, 3.0 * 0.5, 2.0 * 0.2]], P0, DELTA)
-    mix = 2.0 * a_part.state_at(t) + 3.0 * b_part.state_at(t)
-    assert np.max(np.abs(combined.state_at(t) - mix)) <= 1e-10 * np.max(np.abs(mix) + 1)
+    mix = 2.0 * real_states(a_part, t) + 3.0 * real_states(b_part, t)
+    assert np.max(np.abs(real_states(combined, t) - mix)) <= 1e-10 * np.max(np.abs(mix) + 1)
 
 
 def test_mode_energy_decay_rate_matches_slowest_eigenvalue():
@@ -98,13 +111,15 @@ def test_memory_energy_matches_quadrature():
 @pytest.mark.parametrize("k", [1, 10, 30])
 def test_memory_energy_quadrature_resolves_oscillatory_modes(k):
     # |Im lam|*t/(2*pi) reaches ~1400 oscillations at k = 30, t = 200; the
-    # dense replica is the route energy_trace takes for dense trajectories
+    # dense replica takes the matrix form in energy_trace
     traj = exact_modal_evolve([square_grid(40).xi_of(k)], [[1.0, 0.0, 0.0, 0.0]], P0, DELTA)
     dense = dataclasses.replace(traj, dense=np.array([True]))
-    for t in (10.0, 50.0, 200.0):
-        closed = float(memory_energy_closed_form(traj, t)[0])
-        assert memory_energy_quadrature(traj, t) == pytest.approx(closed, rel=1e-10), t
-        assert memory_energy_quadrature(dense, t) == pytest.approx(closed, rel=1e-10), t
+    times = np.array([10.0, 50.0, 200.0])
+    matrix = energy_trace(dense, times).memory
+    for t, closed, value in zip(times, memory_energy_closed_form(traj, times)[0], matrix):
+        quadrature = memory_energy_quadrature(traj, t)
+        assert quadrature == pytest.approx(closed, rel=1e-10), t
+        assert value == pytest.approx(quadrature, rel=1e-10), t
 
 
 def _memory_energy_60_digits(mpmath, traj, t, a):
@@ -335,9 +350,9 @@ def test_complex_data_trace_is_the_sum_of_its_parts():
 
 
 def test_real_data_trace_takes_one_tangent_per_pair_and_no_complex_exponential(monkeypatch):
-    # no complex (modes, 5, times) array: the five-term phases, terms and
-    # states are never formed, no exp is complex, and each pair's phase is
-    # one tan of a (rows, 2, times) block, the two lead roots of every mode
+    # no complex (modes, 5, times) array: the matrix form is never taken, no
+    # exp is complex, and each pair's phase is one tan of a (rows, 2, times)
+    # block, the two lead roots of every mode
     trajs = _readme_stack()
     exp, tan = np.exp, np.tan
     complex_exps, tans = [], []
@@ -353,10 +368,9 @@ def test_real_data_trace_takes_one_tangent_per_pair_and_no_complex_exponential(m
         return tan(x, *args, **kwargs)
 
     def refused(*args, **kwargs):
-        raise AssertionError("a five-term complex array was formed")
+        raise AssertionError("a mode took the matrix form")
 
-    for name in ("phases", "terms", "state_at"):
-        monkeypatch.setattr(ModalTrajectories, name, refused)
+    monkeypatch.setattr(timedomain, "_matrix_parts", refused)
     monkeypatch.setattr(timedomain.np, "exp", recording_exp)
     monkeypatch.setattr(timedomain.np, "tan", recording_tan)
     trace = energy_trace(trajs, README_TIMES)
@@ -403,25 +417,92 @@ def test_tangent_pair_coordinates_match_40_digits(k):
 
 def test_unpaired_row_takes_the_dense_route(monkeypatch):
     # slot 2 of row 7 one ulp off the conjugate of slot 1: its real
-    # coordinates would drop that ulp, so the row takes state_at and the quadrature
+    # coordinates would drop that ulp, so the row takes the matrix form
     trajs = _one_ulp_off(_readme_stack()[:12], 7)
     assert (trajs.partners[7] == -1).tolist() == [False, True, True, False, False]
     with pytest.raises(InvalidModelError, match="conjugate pairs"):
         memory_energy_closed_form(trajs, 1.0)
     with pytest.raises(InvalidModelError, match="conjugate partner"):
         trajs.pair_coordinates(1.0)
-    quadrature = timedomain.memory_energy_quadrature
+    matrix_parts = timedomain._matrix_parts
     rows = []
 
-    def recorded(traj, t):
-        rows.append(float(traj.xi[0]))
-        return quadrature(traj, t)
+    def recorded(stack, tt):
+        rows.append(stack.xi.tolist())
+        return matrix_parts(stack, tt)
 
-    monkeypatch.setattr(timedomain, "memory_energy_quadrature", recorded)
+    monkeypatch.setattr(timedomain, "_matrix_parts", recorded)
     got = _columns(energy_trace(trajs, README_TIMES))
-    assert rows == [float(trajs.xi[7])] * README_TIMES.size
+    assert rows == [[float(trajs.xi[7])]]
     expected = five_term_trace(trajs, README_TIMES)
     assert np.max(np.abs(got - expected) / expected) <= 1e-10
+
+
+def _lifted_parts_60_digits(mpmath, trajs, steps):
+    """The five parts of every mode of a stack that shares one ``xi``, shape
+    ``(modes, 5, len(steps))``, at the times ``t = n`` for the increasing
+    integers ``n`` in ``steps``, each a multiple of the one before, from the
+    generator ``G`` and the data ``x0`` in 60-digit arithmetic: the
+    states from powers of ``mp.expm(G)``, and ``int_0^t e^(-delta*s)
+    |v(t-s)|^2 ds`` from powers of the exponential of the lifted system
+    ``[[G (+) G, 0], [vec(e0 e0^T)^T, -delta]]`` on ``(x0 (x) conj(x0), 0)``,
+    with no Lyapunov solve."""
+    out = np.empty((len(trajs), 5, len(steps)))
+    params, delta = trajs.params, trajs.delta
+    with mpmath.workdps(60):
+        g = mpmath.matrix(modal_generator(float(trajs.xi[0]), params, delta).tolist())
+        lift = mpmath.zeros(26, 26)
+        for i in range(5):
+            for j in range(5):
+                for k in range(5):
+                    lift[5 * i + j, 5 * k + j] += g[i, k]
+                    lift[5 * i + j, 5 * i + k] += g[j, k]
+        lift[25, 0] = 1
+        lift[25, 25] = -delta
+        xi = mpmath.mpf(trajs.xi[0])
+        states, lifted, done = mpmath.expm(g), mpmath.expm(lift), 1
+        for j, n in enumerate(steps):
+            states, lifted, done = states ** (n // done), lifted ** (n // done), n
+            for m, data in enumerate(trajs.x0):
+                x0 = mpmath.matrix([mpmath.mpc(c) for c in data])
+                y0 = mpmath.matrix([x0[i] * mpmath.conj(x0[k]) for i in range(5) for k in range(5)] + [0])
+                x = states * x0
+                recent = mpmath.re((lifted * y0)[25])
+                memory = abs(x[0]) ** 2 / delta - 2 * mpmath.re(mpmath.conj(x[0]) * x[4]) + recent
+                mechanical = energy_parts(*x[:4], xi, params, 1 / mpmath.mpf(delta))
+                out[m, :, j] = [float(part) for part in mechanical] + [float(xi ** mpmath.mpf(params.a) * memory)]
+    return out
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        # README parameters at a = 0.9: the exceptional-point mode of
+        # test_simulate_through_a_real_exceptional_point, where min|c_ij|*t_max
+        # = 0.198 at t_max = 50 and the split form cancels; measured worst
+        # 1.3e-10 in memory (v0 = 1 at t = 50), 2.4e-15 in the others
+        ("exceptional-point", 0.003761474648682634, p0_with_a(0.9), [[1.0, 0, 0, 0], [1.0, 0.3, -0.2j, 0.1]], [1, 10, 50], 3e-10, 1e-14),
+        # xi = 151^2 forced dense at README times 1 and 2000 and the end of its
+        # fit window: the double-precision phase of expm(G t), ~4e5 radians at
+        # t = 2000, limits every part; measured worst 1.1e-9 in memory and
+        # 4.7e-10 in the others, at t = 1000 and 2000
+        ("dense-151sq", 151.0**2, P0, [[1.0, 0, 0, 0]], [1, 1000, 2000], 2e-9, 1e-9),
+    ],
+    ids=lambda case: case[0],
+)
+def test_matrix_form_matches_60_digit_lifted_exponential(case):
+    # memory relative to itself, the mechanical parts relative to the total
+    mpmath = pytest.importorskip("mpmath")
+    _, xi, params, x0, steps, memory_bound, mechanical_bound = case
+    times = np.array(steps, dtype=float)
+    trajs = exact_modal_evolve([xi] * len(x0), x0, params, DELTA)
+    trajs = dataclasses.replace(trajs, dense=np.ones(len(trajs), dtype=bool))
+    reference = _lifted_parts_60_digits(mpmath, trajs, steps)
+    for m, expected in enumerate(reference):
+        got = _columns(energy_trace(trajs[m], times))
+        error = np.abs(got - expected)
+        assert np.all(error[4] <= memory_bound * expected[4]), (m, error[4] / expected[4])
+        assert np.all(error[:4] <= mechanical_bound * expected.sum(axis=0)), m
 
 
 def test_trace_monotone_and_split_consistent():
@@ -613,26 +694,23 @@ def test_general_kernel_refuses_a_non_coercive_mode():
 def test_dense_fallback_matches_expansion():
     traj = evolve(v=1.0, u=0.2)
     dense = dataclasses.replace(traj, dense=np.array([True]))
-    for t in (0.0, 0.9, 2.5):
-        assert dense.state_at(t) == pytest.approx(traj.state_at(t), abs=1e-10)
+    times = np.array([0.0, 0.9, 2.5])
+    got, expected = _columns(energy_trace(dense, times)), _columns(energy_trace(traj, times))
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(expected)
 
 
 def test_state_at_two_dimensional_times():
-    # one mode forced dense; BLAS rounding depends on the number of time
-    # columns, so the rows agree to roundoff rather than bit for bit
+    # the real state map of the pair coordinates at a (2, 3) array of times;
+    # BLAS rounding depends on the number of time columns, so the rows agree
+    # to roundoff rather than bit for bit
     grid = square_grid(4)
     trajs = exact_modal_evolve(*marginal_data(grid, 3), P0, DELTA)
-    trajs = dataclasses.replace(trajs, dense=np.array([False, True, False]))
     times = np.array([[0.0, 0.4, 1.3], [2.0, 7.5, 30.0]])
-    states = trajs.state_at(times)
+    states = real_states(trajs, times)
     assert states.shape == (3, 5) + times.shape
     for r, row in enumerate(times):
-        expected = trajs.state_at(row)
+        expected = real_states(trajs, row)
         assert np.max(np.abs(states[:, :, r] - expected)) <= 1e-15 * np.max(np.abs(expected))
-
-
-def _full_exp(trajs, t):
-    return np.exp(np.multiply.outer(trajs.eigenvalues, np.asarray(t, dtype=float)))
 
 
 def _readme_stack():
@@ -644,49 +722,6 @@ def _one_ulp_off(trajs, row):
     lams = trajs.eigenvalues.copy()
     lams[row, 2] = complex(lams[row, 2].real, np.nextafter(lams[row, 2].imag, -np.inf))
     return dataclasses.replace(trajs, eigenvalues=lams)
-
-
-@pytest.mark.parametrize(
-    "times", [np.geomspace(1.0, 2000.0, 60), np.array([[0.0, 0.3, 2.0], [10.0, 75.0, 400.0]]), 2.5]
-)
-def test_paired_phases_equal_the_full_exponential(times):
-    trajs = _readme_stack()
-    assert np.array_equal(trajs.eigenvalues[:, 2], trajs.eigenvalues[:, 1].conj())
-    assert np.array_equal(trajs.eigenvalues[:, 4], trajs.eigenvalues[:, 3].conj())
-    assert np.array_equal(trajs.phases(times), _full_exp(trajs, times))
-
-
-def test_unpaired_row_takes_its_own_exponential():
-    trajs = _one_ulp_off(_readme_stack(), 7)
-    times = np.geomspace(1.0, 2000.0, 60)
-    phases = trajs.phases(times)
-    assert np.array_equal(phases, _full_exp(trajs, times))
-    assert not np.array_equal(phases[7, 2], phases[7, 1].conj())
-
-
-def test_phases_take_three_exponentials_per_paired_mode(monkeypatch):
-    # one unpaired slot costs one more exponential for its row alone
-    trajs = _one_ulp_off(_readme_stack(), 7)
-    times = np.geomspace(1.0, 2000.0, 60)
-    exp = np.exp
-    evaluated = []
-
-    def counting(x, out=None, where=True):
-        evaluated.append(int(np.broadcast_to(where, np.shape(x)).sum()))
-        return exp(x, out=out, where=where)
-
-    monkeypatch.setattr(timedomain.np, "exp", counting)
-    trajs.phases(times)
-    assert sum(evaluated) == (3 * len(trajs) + 1) * times.size
-
-
-def test_phases_at_a_real_exceptional_point():
-    # README parameters at a = 0.9: slots 3 and 4 hold two distinct real roots
-    trajs = exact_modal_evolve([0.003761474648682634], [[1.0, 0.0, 0.0, 0.0]], p0_with_a(0.9), DELTA)
-    lams = trajs.eigenvalues[0]
-    assert lams[1] == lams[2].conj() and lams[4] != lams[3].conj()
-    times = np.geomspace(1.0, 2000.0, 60)
-    assert np.array_equal(trajs.phases(times), _full_exp(trajs, times))
 
 
 def test_colliding_roots_take_the_dense_route(monkeypatch):
@@ -709,7 +744,9 @@ def test_colliding_roots_take_the_dense_route(monkeypatch):
     assert trajs.dense.tolist() == [False, True, False]
     assert not trajs[1].amplitudes.any()
     assert np.array_equal(trajs[0].amplitudes, plain[0].amplitudes)
-    assert trajs[1].state_at(0.7) == pytest.approx(plain[1].state_at(0.7), abs=1e-10)
+    times = np.array([0.7, 5.0])
+    got, expected = _columns(energy_trace(trajs, times)), _columns(energy_trace(plain, times))
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(expected)
 
 
 def test_marginal_family_amplitudes():
