@@ -1,21 +1,21 @@
 """Time evolution per mode: exact evolution for exponential kernels, a
 history-quadrature scheme for general kernels, energy traces.  A mode is
-given by its eigenvalue ``xi`` and its initial data by a plain array of
-``(v, u, p, q)``; no mode number enters.  Every mode is at rest before
-``t = 0``.
+given by its eigenvalue ``xi`` and its initial data by a plain real array
+of ``(v, u, p, q)``; no mode number enters.  Every mode is at rest before
+``t = 0``.  The system is real, so complex data, whose trace would be the sum
+of the traces of their real and imaginary parts, are refused.
 
 For ``g(s) = exp(-delta*s)`` each mode reduces to the five-dimensional system
 ``(v, u, p, q, I)`` with the convolved history ``I' = v - delta*I`` and
 ``I(0) = 0``, so the trajectory is an exact five-term exponential sum.  That
 removes all time-discretization error from decay-rate measurements.  Its
 roots are one real root and two exact conjugate pairs (or another real
-labelling), so real data make a real solution: five real pair coordinates,
-``f_0``, ``Re f_1``, ``Im f_1``, ``Re f_3`` and ``Im f_3`` with ``f_i =
+labelling), so the solution is real: five real pair coordinates, ``f_0``,
+``Re f_1``, ``Im f_1``, ``Re f_3`` and ``Im f_3`` with ``f_i =
 a_i*exp(lam_i*t)``, carry it.  Per mode and time they take three real
 exponentials and two tangents: a pair's phase comes from the tangent of its
-half angle, with no complex ``exp``.  Complex data are the sum of their real
-and imaginary parts, whose energies add.  The states are a fixed real 4x5
-map of the coordinates, and the memory part of the energy,
+half angle, with no complex ``exp``.  The states are a fixed real 4x5 map of
+the coordinates, and the memory part of the energy,
 
     xi^a * int_0^inf g(s) |v(t) - v(t-s)|^2 ds,
 
@@ -36,9 +36,9 @@ the trajectory; the convolution is truncated at ``s = log(1e14)/k1``, past
 which the pinch ``g(s) <= g(0) exp(-k1*s)`` puts the kernel below 1e-14 of
 its initial value.  The scheme is linear and time-invariant apart from one
 trapezoid end correction on the initial velocity, so all its velocities are
-the coefficients of one power-series quotient: a Newton inversion and a few
-products by real FFTs at 5-smooth lengths, O(steps log steps) in all, with
-no loop over steps.  Only the energy at the samples loops, over samples
+the coefficients of one real power-series quotient: a Newton inversion and a
+few products by real FFTs at 5-smooth lengths, O(steps log steps) in all,
+with no loop over steps.  Only the energy at the samples loops, over samples
 times the window.
 """
 
@@ -74,10 +74,10 @@ class ModalTrajectories:
 
     Modes run along the leading axis of ``xi``, ``eigenvalues``, ``eigvecs``
     (column ``i`` is the eigenvector of root ``i``), ``amplitudes``, ``x0``
-    (``(v, u, p, q, I)`` at t = 0, ``I = 0``) and ``dense``; all modes share
-    ``delta`` and ``params``.  Every eigenvector is normalised to ``v = 1``
-    (``eigvecs[:, 0, :]`` is exactly 1), so the amplitudes are also the
-    coefficients of ``v(t) = sum_i a_i exp(lam_i t)``.  Indexing keeps the
+    (the real ``(v, u, p, q, I)`` at t = 0, ``I = 0``) and ``dense``; all
+    modes share ``delta`` and ``params``.  Every eigenvector is normalised to
+    ``v = 1`` (``eigvecs[:, 0, :]`` is exactly 1), so the amplitudes are also
+    the coefficients of ``v(t) = sum_i a_i exp(lam_i t)``.  Indexing keeps the
     leading axis, so ``trajs[m]``, ``trajs[a:b]`` and ``trajs[~trajs.dense]``
     are stacks too.  A mode whose eigenvalue separation check failed is
     flagged by ``dense``: its amplitudes are zero, and ``energy_trace``
@@ -85,12 +85,11 @@ class ModalTrajectories:
     whose roots lack an exact conjugate partner.
 
     A mode's roots are real or come in exact conjugate pairs (``partners``),
-    and so do its eigenvectors.  With real data the amplitudes of a pair are
-    conjugate too, and each term ``f_i = a_i exp(lam_i t)`` is a real
-    coordinate or half of a pair's: the five reals of ``pair_coordinates``
-    carry the whole solution, and every state is a fixed real map of them
-    (``pair_basis``).  ``real_rows`` splits complex data into its real and
-    imaginary parts, whose energies add.
+    and so do its eigenvectors.  The data are real, so the amplitudes of a
+    pair are conjugate too, and each term ``f_i = a_i exp(lam_i t)`` is a
+    real coordinate or half of a pair's: the five reals of
+    ``pair_coordinates`` carry the whole solution, and every state is a
+    fixed real map of them (``pair_basis``).
     """
 
     xi: np.ndarray
@@ -124,36 +123,11 @@ class ModalTrajectories:
         match = self.eigenvalues[:, :, None].conj() == self.eigenvalues[:, None, :]
         return np.where(match.sum(axis=2) == 1, match.argmax(axis=2), -1)
 
-    def real_rows(self) -> tuple["ModalTrajectories", np.ndarray]:
-        """The stack as trajectories of real data, and the mode each one
-        comes from: every mode with the real part of its data, then each mode
-        whose data has a nonzero imaginary part once more, with that part.
-
-        With ``conj(V) = V P`` for the eigenvectors ``V`` and the partner
-        permutation ``P``, the data ``conj(x0)`` has the amplitudes
-        ``conj(a[p(i)])``, so the two parts have ``(a + conj(a[p]))/2`` and
-        ``(a - conj(a[p]))/2i``; every mode must have its partners.
-        """
-        split = np.flatnonzero(self.x0.imag.any(axis=1))
-        owner = np.concatenate([np.arange(len(self)), split])
-        if not split.size:
-            return self, owner
-        amps = self.amplitudes[split]
-        mirror = np.take_along_axis(amps, self.partners[split], axis=1).conj()
-        real_part = self.amplitudes.copy()
-        real_part[split] = 0.5 * (amps + mirror)
-        rows = self[owner]
-        return replace(
-            rows,
-            amplitudes=np.concatenate([real_part, -0.5j * (amps - mirror)]),
-            x0=np.concatenate([self.x0.real, self.x0[split].imag]).astype(complex),
-        ), owner
-
     def pair_coordinates(self, t) -> np.ndarray:
-        """The real pair coordinates ``r`` of every mode of real data at
-        ``t``, shape ``(modes, 5) + t.shape``: ``r_i = f_i`` for a real root
-        ``i``, and ``r_i = Re f_i``, ``r_p(i) = Im f_i`` for a pair ``i <
-        p(i)``, with ``f_i = a_i exp(lam_i t)``.  A real root takes one real
+        """The real pair coordinates ``r`` of every mode at ``t``, shape
+        ``(modes, 5) + t.shape``: ``r_i = f_i`` for a real root ``i``, and
+        ``r_i = Re f_i``, ``r_p(i) = Im f_i`` for a pair ``i < p(i)``, with
+        ``f_i = a_i exp(lam_i t)``.  A real root takes one real
         ``exp``; a pair ``lam = sigma + i omega`` takes one real ``exp`` and
         one ``tan`` (see ``_pair_coordinates``), and forms no complex array.
         The amplitude of a pair's second root is not read, being the
@@ -169,10 +143,10 @@ class ModalTrajectories:
 
     def pair_basis(self) -> np.ndarray:
         """The complex ``(modes, 5, 5)`` matrix ``C`` of each mode with ``f =
-        C r`` for real data: row ``i`` picks ``r_i`` for a real root, ``r_i
-        + i r_p(i)`` for the first root of a pair and ``r_p(i) - i r_i`` for
-        the second.  A complex linear map ``L`` of the terms, such as the
-        eigenvectors, acts on ``r`` as the real map ``Re(L C)``."""
+        C r``: row ``i`` picks ``r_i`` for a real root, ``r_i + i r_p(i)`` for
+        the first root of a pair and ``r_p(i) - i r_i`` for the second.  A
+        complex linear map ``L`` of the terms, such as the eigenvectors, acts
+        on ``r`` as the real map ``Re(L C)``."""
         partner = self.partners
         slot = np.arange(5)
         rows = np.arange(len(self))[:, None]
@@ -190,10 +164,10 @@ def _labellings(partner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pair_coordinates(lams, amps, labellings, which, tt) -> np.ndarray:
-    """The pair coordinates of rows of real data with the roots ``lams`` and
-    amplitudes ``amps``, each row with the partners ``labellings[which]``, at
-    the flat times ``tt``: shape ``(rows, 5, tt.size)``, one pass per
-    labelling present.
+    """The pair coordinates of rows with the roots ``lams`` and amplitudes
+    ``amps``, each row with the partners ``labellings[which]``, at the flat
+    times ``tt``: shape ``(rows, 5, tt.size)``, one pass per labelling
+    present.
 
     A pair's lead root ``lam = sigma + i omega`` takes ``u = tan(omega t/2)``
     and ``w = 2/(1 + u^2)``, so that ``exp(i omega t) = (w - 1) + i u w``,
@@ -240,6 +214,15 @@ def _pair_coordinates(lams, amps, labellings, which, tt) -> np.ndarray:
     return out
 
 
+def _real_data(x) -> np.ndarray:
+    """The initial data ``x`` as a float array.  Complex data raise
+    ``InvalidModelError``: a cast to float would drop the imaginary part."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise InvalidModelError("initial data must be real")
+    return x.astype(float)
+
+
 def exact_modal_evolve(xi, x0, params: ModelParams, delta: float) -> ModalTrajectories:
     """Diagonalize the reduced five-dimensional generator of the modes ``xi``,
     shape ``(modes,)``, and fit amplitudes to their initial ``(v, u, p, q)``
@@ -250,12 +233,12 @@ def exact_modal_evolve(xi, x0, params: ModelParams, delta: float) -> ModalTrajec
     ``I(0) = 0``.  If two eigenvalues of a mode collide to within 1e-8 of its
     spectral scale the eigenvector solve is refused for that mode, which is
     flagged ``dense`` and reconstructed by the matrix exponential.  A mode
-    that is not coercive raises ``InvalidModelError``.
+    that is not coercive, or complex data, raise ``InvalidModelError``.
     """
     xi = np.asarray(xi, dtype=float)
     require_coercive(xi, coercivity_margin(xi, params, 1.0 / delta) <= 0.0)
     lams = quintic_roots(xi, params, delta).roots
-    x0 = np.column_stack([np.asarray(x0, dtype=complex), np.zeros(xi.size)])
+    x0 = np.column_stack([_real_data(x0), np.zeros(xi.size)])
 
     scale = np.maximum(1.0, np.abs(lams).max(axis=1))
     upper, lower = np.triu_indices(5, 1)
@@ -264,7 +247,7 @@ def exact_modal_evolve(xi, x0, params: ModelParams, delta: float) -> ModalTrajec
 
     # column i of a mode's matrix is the eigenvector of its root i
     vmat = np.swapaxes(eigvec(lams, xi[:, None], params, delta), 1, 2)
-    amps = np.zeros_like(x0)
+    amps = np.zeros(x0.shape, dtype=complex)
     amps[~dense] = np.linalg.solve(vmat[~dense], x0[~dense, :, None])[..., 0]
     return ModalTrajectories(xi, lams, vmat, amps, x0, dense, delta, params)
 
@@ -306,11 +289,11 @@ def _term(r, partner, m, i):
 
 
 class _MemoryForm(NamedTuple):
-    """The constants of ``memory_energy_closed_form`` for a stack of real
-    data, one row per mode: ``maps`` stacks the form ``Q`` on ``e``, shape
-    ``(modes, 6, 5)``; ``sigma`` and ``pi``; the single exponents ``z`` and
-    the pair exponents ``c`` with the masks of those taken whole; and ``scale
-    = xi^a``.  ``image``, if set, is ``maps @ r`` at the times evaluated,
+    """The constants of ``memory_energy_closed_form`` for a stack, one row
+    per mode: ``maps`` stacks the form ``Q`` on ``e``, shape ``(modes, 6,
+    5)``; ``sigma`` and ``pi``; the single exponents ``z`` and the pair
+    exponents ``c`` with the masks of those taken whole; and ``scale =
+    xi^a``.  ``image``, if set, is ``maps @ r`` at the times evaluated,
     formed by the caller."""
 
     maps: np.ndarray
@@ -328,12 +311,12 @@ class _MemoryForm(NamedTuple):
         return _MemoryForm(*(x[rows] for x in self[:-1]))
 
 
-def _memory_form(real: ModalTrajectories, basis: np.ndarray, t_max: float) -> _MemoryForm:
-    """The constants of ``memory_energy_closed_form`` for the stack ``real``
-    of real data, whose ``pair_basis`` is ``basis``, at times up to
-    ``t_max`` (see there)."""
-    lams = real.eigenvalues
-    delta = real.delta
+def _memory_form(trajs: ModalTrajectories, basis: np.ndarray, t_max: float) -> _MemoryForm:
+    """The constants of ``memory_energy_closed_form`` for the stack
+    ``trajs``, whose ``pair_basis`` is ``basis``, at times up to ``t_max``
+    (see there)."""
+    lams = trajs.eigenvalues
+    delta = trajs.delta
     z = delta + lams
     single_guard = np.abs(z) * t_max < _SPLIT_GUARD
     w = np.divide(1.0, z, out=np.zeros_like(z), where=~single_guard)
@@ -349,25 +332,23 @@ def _memory_form(real: ModalTrajectories, basis: np.ndarray, t_max: float) -> _M
     form = pair + e[:, :, None] * e[:, None, :] / delta - (cross + np.swapaxes(cross, 1, 2))
     # r at t = 0, where f = a
     slot = np.arange(5)
-    partner = real.partners
-    lead = np.take_along_axis(real.amplitudes, np.minimum(slot, partner), axis=1)
+    partner = trajs.partners
+    lead = np.take_along_axis(trajs.amplitudes, np.minimum(slot, partner), axis=1)
     r0 = np.where(partner < slot, lead.imag, lead.real)
     sigma = (s * r0).sum(axis=1)
     pi = np.einsum("ni,nij,nj->n", r0, pair, r0)
     maps = np.concatenate([form, e[:, None, :]], axis=1)
-    return _MemoryForm(maps, sigma, pi, z, single_guard, c, pair_guard, real.xi**real.params.a)
+    return _MemoryForm(maps, sigma, pi, z, single_guard, c, pair_guard, trajs.xi**trajs.params.a)
 
 
 def memory_energy_closed_form(trajs: ModalTrajectories, t, coords=None, form=None) -> np.ndarray:
     """``xi^a * int_0^inf exp(-delta*s) |v(t) - v(t-s)|^2 ds`` for a stack of
-    trajectories, shape ``(len(trajs),) + t.shape``.  Complex data enters as
-    its real and imaginary parts (``ModalTrajectories.real_rows``), whose
-    memory energies add.  ``coords`` and ``form``, if given, are for a
-    stack of real data: ``coords`` is ``trajs.pair_coordinates(t)``, and
-    ``form`` is ``_memory_form(trajs, trajs.pair_basis(), t_max)`` at a
-    ``t_max`` no less than any ``t``, which lets a caller build the
-    per-mode constants once for many calls; with its ``image`` set, the
-    caller has formed the product of ``form.maps`` with ``coords`` too.
+    trajectories, shape ``(len(trajs),) + t.shape``.  ``coords`` and
+    ``form``, if given, are ``trajs.pair_coordinates(t)`` and
+    ``_memory_form(trajs, trajs.pair_basis(), t_max)`` at a ``t_max`` no
+    less than any ``t``, which lets a caller build the per-mode constants
+    once for many calls; with its ``image`` set, the caller has formed the
+    product of ``form.maps`` with ``coords`` too.
 
     With ``f_i = a_i*exp(lam_i*t)``, ``v = sum_i f_i`` and
     ``E(c) = int_0^t exp(-c*s) ds = -expm1(-c*t)/c``, the ``s < t`` part is
@@ -383,9 +364,9 @@ def memory_energy_closed_form(trajs: ModalTrajectories, t, coords=None, form=Non
     below ``_SPLIT_GUARD`` in modulus: there the halves cancel and ``E`` is
     evaluated directly, with a real ``expm1`` where the exponent is real.
 
-    On real data ``v = e.r`` and ``f = C r`` in the pair coordinates ``r``
-    (``ModalTrajectories.pair_basis``), so the split parts fold into one real
-    symmetric 5x5 form per mode:
+    In the pair coordinates ``r`` the data are real, ``v = e.r`` and ``f =
+    C r`` (``ModalTrajectories.pair_basis``), so the split parts fold into
+    one real symmetric 5x5 form per mode:
 
         r.Q r + e^(-delta*t) (2 sigma e.r - pi),
 
@@ -400,12 +381,11 @@ def memory_energy_closed_form(trajs: ModalTrajectories, t, coords=None, form=Non
     t = np.asarray(t, dtype=float)
     tt = t.reshape(-1)
     n = len(trajs)
-    real, owner = trajs.real_rows()
     # tt.size, not -1: an empty stack (all of a chunk dense) gives nothing to infer from
-    r = real.pair_coordinates(tt) if coords is None else coords.reshape(len(real), 5, tt.size)
+    r = trajs.pair_coordinates(tt) if coords is None else coords.reshape(n, 5, tt.size)
     if form is None:
-        form = _memory_form(real, real.pair_basis(), np.max(tt, initial=0.0))
-    partner = real.partners
+        form = _memory_form(trajs, trajs.pair_basis(), np.max(tt, initial=0.0))
+    partner = trajs.partners
 
     # one product gives Q r and v = e.r
     image = form.maps @ r if form.image is None else form.image
@@ -424,9 +404,7 @@ def memory_energy_closed_form(trajs: ModalTrajectories, t, coords=None, form=Non
         memory[m] += _whole(re_i * re_j + im_i * im_j, im_i * re_j - re_i * im_j, c[m, i, j], tt)
 
     memory *= form.scale[:, None]
-    out = memory[:n]
-    out[owner[n:]] += memory[n:]
-    return out.reshape((n,) + t.shape)
+    return memory.reshape((n,) + t.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -492,15 +470,14 @@ def _matrix_parts(trajs: ModalTrajectories, tt: np.ndarray) -> np.ndarray:
     conjugate partner.  The states are ``x(t) = expm(G t) x0``, and with ``I
     = x[4] = int_0^t e^(-delta*s) v(t-s) ds`` the memory energy is
 
-        xi^a (|v|^2/delta - 2 Re(conj(v) I) + x^T W conj(x) - e^(-delta*t) x0^T W conj(x0)),
+        xi^a (v^2/delta - 2 v I + x^T W x - e^(-delta*t) x0^T W x0),
 
     ``W`` the real symmetric solution of ``G^T W + W G + delta W = e0
-    e0^T``: then ``d/dt x^T W conj(x) = |v|^2 - delta x^T W conj(x)``, so the
-    last two terms are ``int_0^t e^(-delta*s) |v(t-s)|^2 ds``.  ``W`` is one
+    e0^T``: then ``d/dt x^T W x = v^2 - delta x^T W x``, so the last two
+    terms are ``int_0^t e^(-delta*s) |v(t-s)|^2 ds``.  ``W`` is one
     Kronecker solve of order 25 per mode (Bartels and Stewart, CACM 1972,
     solve the same equation by Schur forms), and exists where every ``delta +
-    lam_i + lam_j`` is nonzero, as the closed form needs.  Complex data need
-    no split.
+    lam_i + lam_j`` is nonzero, as the closed form needs.
     """
     import scipy.linalg as sla  # loaded only for a dense or partnerless mode
 
@@ -515,11 +492,11 @@ def _matrix_parts(trajs: ModalTrajectories, tt: np.ndarray) -> np.ndarray:
     e0e0[:, 0] = 1.0
     w = np.linalg.solve(lyapunov, e0e0).reshape(-1, 5, 5)
 
-    # the real part of x^T W conj(x) reads only the symmetric part of W
+    # x^T W x reads only the symmetric part of W
     v, history = states[:, 0], states[:, 4]
-    recent = (states * (w @ states.conj())).sum(axis=1).real
-    start = np.einsum("ni,nij,nj->n", trajs.x0, w, trajs.x0.conj()).real
-    memory = np.abs(v) ** 2 / delta - 2.0 * (v.conj() * history).real + recent
+    recent = (states * (w @ states)).sum(axis=1)
+    start = np.einsum("ni,nij,nj->n", trajs.x0, w, trajs.x0)
+    memory = v * v / delta - 2.0 * v * history + recent
     memory -= np.exp(-delta * tt) * start[:, None]
     mechanical = energy_parts(*states[:, :4].swapaxes(0, 1), trajs.xi[:, None], params, 1.0 / delta)
     return np.stack([*mechanical, trajs.xi[:, None] ** params.a * memory], axis=1)
@@ -532,22 +509,20 @@ _MEMORY_CHUNK = 64
 def energy_trace(trajs: ModalTrajectories, times: np.ndarray) -> EnergyTrace:
     """Exact multi-mode energy trace on the given times.
 
-    The trace is evaluated in real pair coordinates: ``real_rows`` splits
-    complex data into real rows, and every part is a fixed real map of a
-    row's five reals ``r``.  Those per-mode constants are built once for the
-    whole stack: the labellings, the states ``Re(V C)[:4]`` and the memory
-    form (``_memory_form``), stacked into one ``(rows, 10, 5)`` map.  The
-    modes then go in chunks of at most ``_MEMORY_CHUNK``, which bounds the
+    The trace is evaluated in real pair coordinates: every part is a fixed
+    real map of a mode's five reals ``r``.  Those per-mode constants are
+    built once for the whole stack: the labellings, the states ``Re(V
+    C)[:4]`` and the memory form (``_memory_form``), stacked into one
+    ``(modes, 10, 5)`` map.  The modes then go in chunks of at most ``_MEMORY_CHUNK``, which bounds the
     ``(modes, 5, times)`` arrays; a chunk forms ``r`` (``_pair_coordinates``)
     and the one product of the map with it, whose states feed
     ``energy_parts`` and whose rest ``memory_energy_closed_form`` takes as it
     is.  Dense modes, and modes whose roots lack an exact conjugate partner,
     take the matrix form (``_matrix_parts``), a chunk's such modes in one
-    call, with no split of complex data.  The parts of the two rows of
-    complex data are added, and then each mode's parts enter the running
-    sums in turn: a sum over the stack would associate the additions
-    differently, and a sequential ``np.add.accumulate`` over the chunk, which
-    would keep the association, is slower than this loop.
+    call.  Each mode's parts then enter the running sums in turn: a sum over
+    the stack would associate the additions differently, and a sequential
+    ``np.add.accumulate`` over the chunk, which would keep the association,
+    is slower than this loop.
     """
     times = np.asarray(times, dtype=float)
     tt = times.reshape(-1)
@@ -555,29 +530,26 @@ def energy_trace(trajs: ModalTrajectories, times: np.ndarray) -> EnergyTrace:
     zeta = 1.0 / trajs.delta
     expanded = ~trajs.dense & (trajs.partners >= 0).all(axis=1)
     light = np.flatnonzero(expanded)
-    # the light modes in order, then the imaginary rows of complex data in order
-    real, owner = (trajs if expanded.all() else trajs[light]).real_rows()
-    labellings, which = _labellings(real.partners)
-    basis = real.pair_basis()
-    form = _memory_form(real, basis, np.max(tt, initial=0.0))
-    maps = np.concatenate([(real.eigvecs[:, :4] @ basis).real, form.maps], axis=1)
+    paired = trajs if expanded.all() else trajs[light]
+    labellings, which = _labellings(paired.partners)
+    basis = paired.pair_basis()
+    form = _memory_form(paired, basis, np.max(tt, initial=0.0))
+    maps = np.concatenate([(paired.eigvecs[:, :4] @ basis).real, form.maps], axis=1)
     sums = np.zeros((5, tt.size))
     for start in range(0, len(trajs), _MEMORY_CHUNK):
         stop = min(start + _MEMORY_CHUNK, len(trajs))
         parts = np.empty((stop - start, 5, tt.size))
         lo, hi = np.searchsorted(light, [start, stop])
         if hi > lo:
-            imag_lo, imag_hi = light.size + np.searchsorted(owner[light.size :], [lo, hi])
-            rows = slice(lo, hi) if imag_lo == imag_hi else np.r_[lo:hi, imag_lo:imag_hi]
-            r = _pair_coordinates(real.eigenvalues[rows], real.amplitudes[rows], labellings, which[rows], tt)
+            rows = slice(lo, hi)
+            lams, amps = paired.eigenvalues[rows], paired.amplitudes[rows]
+            r = _pair_coordinates(lams, amps, labellings, which[rows], tt)
             image = maps[rows] @ r
-            mechanical = energy_parts(*image[:, :4].swapaxes(0, 1), real.xi[rows, None], params, zeta)
+            mechanical = energy_parts(*image[:, :4].swapaxes(0, 1), paired.xi[rows, None], params, zeta)
             memory = memory_energy_closed_form(
-                real[rows], tt, coords=r, form=form.take(rows)._replace(image=image[:, 4:])
+                paired[rows], tt, coords=r, form=form.take(rows)._replace(image=image[:, 4:])
             )
-            block = np.stack([*mechanical, memory], axis=1)
-            block[owner[imag_lo:imag_hi] - lo] += block[hi - lo :]
-            parts[light[lo:hi] - start] = block[: hi - lo]
+            parts[light[rows] - start] = np.stack([*mechanical, memory], axis=1)
         matrix = start + np.flatnonzero(~expanded[start:stop])
         if matrix.size:
             parts[matrix - start] = _matrix_parts(trajs[matrix], tt)
@@ -607,20 +579,12 @@ def _smooth_size(n: int) -> int:
 
 
 def _series_product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """First ``n`` coefficients of the product of the power series ``a`` and
-    the real series ``b``, by real FFTs of the smallest 5-smooth length that
-    holds the whole product (``_smooth_size``); a complex ``a`` is split into
-    its real and imaginary parts."""
+    """First ``n`` coefficients of the product of the real power series
+    ``a`` and ``b``, by real FFTs of the smallest 5-smooth length that holds
+    the whole product (``_smooth_size``)."""
     a, b = a[:n], b[:n]
     size = _smooth_size(max(a.size + b.size - 1, n))
-    fb = np.fft.rfft(b, size)
-
-    def real(x):
-        return np.fft.irfft(np.fft.rfft(x, size) * fb, size)[:n]
-
-    if np.iscomplexobj(a):
-        return real(a.real) + 1j * real(a.imag)
-    return real(a)
+    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
 
 
 def _series_inverse(d: np.ndarray, n: int) -> np.ndarray:
@@ -680,10 +644,10 @@ def evolve_general_kernel(
     dt: float,
     sample_every: int,
 ) -> EnergyTrace:
-    """Implicit-midpoint scheme for the mode ``xi`` from the initial ``(v, u,
-    p, q)`` in ``y0``, with trapezoidal convolution memory, for any kernel
-    satisfying the positivity/pinch hypotheses, solved for all steps at once
-    in O(steps log steps).
+    """Implicit-midpoint scheme for the mode ``xi`` from the real initial
+    ``(v, u, p, q)`` in ``y0``, with trapezoidal convolution memory, for any
+    kernel satisfying the positivity/pinch hypotheses, solved for all steps
+    at once in O(steps log steps).
 
     The mode is at rest before t = 0.  The memory force at the midpoint is the
     average of the endpoint convolutions ``conv_n = int_0^t g(s) v(t-s) ds``
@@ -697,16 +661,17 @@ def evolve_general_kernel(
 
         V = (S - v_0 z R (kappa + (1+z) C)) / (1 - R (kappa z + (1+z) H)),
 
-    one Newton inversion and a few products by real FFTs.  The states at the
-    samples follow block by block, ``y_((j+1)S) = A^S y_(jS) + sum_i
-    A^(S-1-i) b F_(jS+i)`` with ``S = sample_every``, in a scan that doubles
-    the number of blocks folded in per pass.  The history coordinate at the
+    one Newton inversion and a few products of real series by real FFTs.
+    The states at the samples follow block by block, ``y_((j+1)S) = A^S
+    y_(jS) + sum_i A^(S-1-i) b F_(jS+i)`` with ``S = sample_every``, in a
+    scan that doubles the number of blocks folded in per pass.  The history coordinate at the
     samples is reconstructed from the velocities by the same trapezoid rule
     for ``g`` and ``g'``, and the convolution is truncated where the pinch
     puts the kernel below 1e-14 of ``g(0)`` (see the module docstring).  A
-    mode that is not coercive raises ``InvalidModelError``.
+    mode that is not coercive, or complex data, raise ``InvalidModelError``.
     """
     xi = float(xi)
+    y0 = _real_data(y0)
     require_coercive(xi, coercivity_margin(xi, params, kernel.zeta) <= 0.0)
     xi_a = xi**params.a
     n_steps = int(round(T / dt))
@@ -744,10 +709,9 @@ def evolve_general_kernel(
     b = (q @ col).astype(float)
 
     size = n_steps + 1
-    y0 = np.asarray(y0, dtype=complex)
     rows = _powers(propagator.T, eye[0], size)
     r = rows @ b
-    numerator = rows @ y0.real + 1j * (rows @ y0.imag)
+    numerator = rows @ y0
     h = dt * g_grid
     h[0] = 0.0
     h[-1] *= 0.5
@@ -782,23 +746,18 @@ def evolve_general_kernel(
     sample_idx = np.arange(0, n_steps + 1, sample_every)
     m = np.minimum(sample_idx, window)
     v = samples[:, 0]
-    # recent parts of int g |eta|^2 and int g' |eta|^2; the near end holds
-    # eta(0) = 0, so only the far end needs halving.  |eta|^2 is re^2 + im^2
-    # of contiguous parts, which abs() would take through hypot
+    # recent parts of int g eta^2 and int g' eta^2; the near end holds
+    # eta(0) = 0, so only the far end needs halving
     recent = np.empty((sample_idx.size, 2))
-    hist_re, hist_im = v_hist.real.copy(), v_hist.imag.copy()
     for i, (n, mi) in enumerate(zip(sample_idx, m)):
-        eta_sq = v[i].real - hist_re[n - mi : n + 1]
-        eta_im = v[i].imag - hist_im[n - mi : n + 1]
+        eta_sq = v[i] - v_hist[n - mi : n + 1]
         eta_sq *= eta_sq
-        eta_im *= eta_im
-        eta_sq += eta_im
         weights = reversed_table[:, window - mi :]
         recent[i] = dt * (weights @ eta_sq - 0.5 * weights[:, 0] * eta_sq[0])
     # remote parts: eta = v(t) for s beyond the window, where int g = zeta -
     # int_0^s g and int g' = -g(s) (the same truncation as the step)
     cumulative = np.concatenate([[0.0], np.cumsum(0.5 * (g_grid[1:] + g_grid[:-1]) * dt)])
-    v_sq = np.abs(v) ** 2
+    v_sq = v * v
     mem = xi_a * (recent[:, 0] + v_sq * (kernel.zeta - cumulative[m]))
     dissipation = xi_a * (recent[:, 1] - g_grid[m] * v_sq)
     parts = energy_parts(*samples.T, xi, params, kernel.zeta)

@@ -1,7 +1,10 @@
 """The README example configuration's artifacts, committed under
 ``tests/data/readme`` with a manifest (``tests/data/readme.json``): the
 configuration, the commands in the order they run, the SHA-256 of every
-artifact, and the environment that wrote them.
+artifact, and the environment that wrote them.  A general-integrator
+``simulate`` on the README parameters, which the README configuration does
+not run, is committed the same way under ``tests/data/general`` with
+``tests/data/general.json``.
 
 The bytes depend on numpy's SIMD dispatch and on OpenBLAS's kernels, so the
 environment key holds the numpy version, the SIMD extensions numpy found on
@@ -46,6 +49,16 @@ CONFIG = {
 }
 COMMANDS = ["validate", "spectrum", "sweep", "verdict", "simulate", "fit"]
 
+# the README parameters through the general integrator, with the exponential
+# kernel: mode 1 over 20,000 steps, sampled every 100th
+GENERAL_CONFIG = {
+    **{key: CONFIG[key] for key in ("params", "kernel", "grid")},
+    "simulate": {"integrator": "general", "k": 1, "t_hi": 20.0, "dt": 1e-3, "sample_every": 100},
+}
+GENERAL_COMMANDS = ["simulate"]
+GENERAL_ARTIFACTS = DATA / "general"
+GENERAL_MANIFEST = DATA / "general.json"
+
 
 def environment() -> dict:
     """The numpy version, the SIMD extensions numpy dispatches to on this
@@ -65,17 +78,17 @@ def environment() -> dict:
     return {"numpy": np.__version__, "simd_found": simd, "openblas_core": core}
 
 
-def run_commands(workdir: Path) -> dict[str, bytes]:
-    """Run every command on ``CONFIG`` in process, from ``workdir``, and
+def run_commands(workdir: Path, config: dict = CONFIG, commands: list[str] = COMMANDS) -> dict[str, bytes]:
+    """Run ``commands`` on ``config`` in process, from ``workdir``, and
     return the bytes of each artifact by name; a command that exits nonzero
     raises ``RuntimeError``."""
     from memwave.cli import main
 
-    (workdir / "cfg.json").write_text(json.dumps(CONFIG))
+    (workdir / "cfg.json").write_text(json.dumps(config))
     before = Path.cwd()
     os.chdir(workdir)
     try:
-        for command in COMMANDS:
+        for command in commands:
             with contextlib.redirect_stdout(io.StringIO()) as printed:
                 code = main([command, "--config", "cfg.json", "--out", "memwave-out"])
             if code != 0:
@@ -89,22 +102,29 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def main() -> int:
+def write(config: dict, commands: list[str], artifacts_dir: Path, manifest_path: Path) -> None:
+    """Run ``commands`` on ``config`` and commit their artifacts to
+    ``artifacts_dir`` and their manifest to ``manifest_path``."""
     with tempfile.TemporaryDirectory() as tmp:
-        artifacts = run_commands(Path(tmp))
-    ARTIFACTS.mkdir(parents=True, exist_ok=True)
-    for stale in ARTIFACTS.iterdir():
+        artifacts = run_commands(Path(tmp), config, commands)
+    artifacts_dir.mkdir(parents=True, exist_ok=True)
+    for stale in artifacts_dir.iterdir():
         stale.unlink()
     for name, data in artifacts.items():
-        (ARTIFACTS / name).write_bytes(data)
+        (artifacts_dir / name).write_bytes(data)
     manifest = {
-        "config": CONFIG,
-        "commands": COMMANDS,
+        "config": config,
+        "commands": commands,
         "environment": environment(),
         "sha256": {name: sha256(data) for name, data in artifacts.items()},
     }
-    MANIFEST.write_text(json.dumps(manifest, indent=2) + "\n")
-    print(f"wrote {len(artifacts)} artifacts to {ARTIFACTS}, environment {manifest['environment']}")
+    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    print(f"wrote {len(artifacts)} artifacts to {artifacts_dir}, environment {manifest['environment']}")
+
+
+def main() -> int:
+    write(CONFIG, COMMANDS, ARTIFACTS, MANIFEST)
+    write(GENERAL_CONFIG, GENERAL_COMMANDS, GENERAL_ARTIFACTS, GENERAL_MANIFEST)
     return 0
 
 

@@ -18,7 +18,8 @@ MANIFEST = json.loads(golden.MANIFEST.read_text())
 # AVX512_SPR X86_V4", numpy 2.4.6, OpenBLAS SkylakeX) the largest move
 # measured is 9.0e-13 of the column maximum, in the scaled sweep norms at
 # M = 80; trace.csv moves by at most 3.0e-14 (residual), and verdict.json,
-# verdict.md and validate.json not at all
+# verdict.md and validate.json not at all.  The general integrator's
+# trace.csv moves by at most 1.0e-12 (residual) and 9.3e-16 elsewhere
 TOLERANCE = 1e-11
 
 
@@ -121,3 +122,19 @@ def test_one_ulp_in_a_sweep_norm_fails_bytes_but_not_values():
     assert list(moved) == ["norm"] and 0.0 < moved["norm"] <= TOLERANCE
     assert moves("sweep_summary.json", b'{"sup": [1.0, 2.0]}', b'{"sup": [1.0, 2.5]}') == {".sup[1]": 0.2}
     assert moves("verdict.md", b"optimal", b"not optimal") == {"text": math.inf}
+
+
+def test_general_integrator_artifacts_equal_the_committed_ones(tmp_path):
+    # the README configuration runs the exact trace only; this run gates the
+    # general integrator's bytes, and its values per column elsewhere
+    manifest = json.loads(golden.GENERAL_MANIFEST.read_text())
+    assert manifest["config"] == golden.GENERAL_CONFIG and manifest["commands"] == golden.GENERAL_COMMANDS
+    committed = {path.name: path.read_bytes() for path in golden.GENERAL_ARTIFACTS.iterdir()}
+    assert {name: golden.sha256(data) for name, data in committed.items()} == manifest["sha256"]
+    artifacts = golden.run_commands(tmp_path, golden.GENERAL_CONFIG, golden.GENERAL_COMMANDS)
+    assert sorted(artifacts) == sorted(committed)
+    if golden.environment() == manifest["environment"]:
+        assert {name: golden.sha256(data) for name, data in artifacts.items()} == manifest["sha256"]
+    else:
+        moved = {name: moves(name, data, committed[name]) for name, data in artifacts.items()}
+        assert {name: m for name, m in moved.items() if max(m.values(), default=0.0) > TOLERANCE} == {}

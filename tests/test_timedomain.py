@@ -37,15 +37,10 @@ def evolve(k=1, grid=None, v=1.0, u=0.0, p=0.0, q=0.0, params=P0):
 def real_states(trajs, t):
     """``(v, u, p, q, I)`` of every mode at ``t``, shape ``(modes, 5) +
     t.shape``, by the real state map ``Re(V C)`` of the pair coordinates,
-    whose first four rows ``energy_trace`` applies; complex data as the real
-    and imaginary rows of ``real_rows``."""
+    whose first four rows ``energy_trace`` applies."""
     t = np.asarray(t, dtype=float)
-    real, owner = trajs.real_rows()
-    states = (real.eigvecs @ real.pair_basis()).real @ real.pair_coordinates(t.reshape(-1))
-    n = len(trajs)
-    out = states[:n].astype(complex)
-    out[owner[n:]] += 1j * states[n:]
-    return out.reshape((n, 5) + t.shape)
+    states = (trajs.eigvecs @ trajs.pair_basis()).real @ trajs.pair_coordinates(t.reshape(-1))
+    return states.reshape((len(trajs), 5) + t.shape)
 
 
 def test_zero_initial_data_stays_zero():
@@ -55,7 +50,7 @@ def test_zero_initial_data_stays_zero():
 
 
 def test_initial_state_reconstruction():
-    traj = evolve(v=1.0, u=0.3j, p=-0.2, q=0.75)
+    traj = evolve(v=1.0, u=0.3, p=-0.2, q=0.75)
     x0 = real_states(traj, 0.0)
     assert np.max(np.abs(x0 - traj.x0)) <= 1e-10
     assert np.all(traj.eigvecs[:, 0, :] == 1.0)
@@ -75,8 +70,8 @@ def test_superposition_linearity():
     grid = square_grid(4)
     t = np.linspace(0, 3, 11)
     a_part = evolve(v=1.0, q=0.2)
-    b_part = evolve(v=0.0, u=1.0j, p=0.5)
-    combined = exact_modal_evolve([grid.xi_of(1)], [[2.0 * 1.0, 3.0 * 1.0j, 3.0 * 0.5, 2.0 * 0.2]], P0, DELTA)
+    b_part = evolve(v=0.0, u=1.0, p=0.5)
+    combined = exact_modal_evolve([grid.xi_of(1)], [[2.0 * 1.0, 3.0 * 1.0, 3.0 * 0.5, 2.0 * 0.2]], P0, DELTA)
     mix = 2.0 * real_states(a_part, t) + 3.0 * real_states(b_part, t)
     assert np.max(np.abs(real_states(combined, t) - mix)) <= 1e-10 * np.max(np.abs(mix) + 1)
 
@@ -101,7 +96,7 @@ def test_memory_energy_vanishes_eventually():
 
 
 def test_memory_energy_matches_quadrature():
-    traj = evolve(v=1.0, u=-0.3, p=0.2j)
+    traj = evolve(v=1.0, u=-0.3, p=0.2)
     for t in (0.5, 1.0, 3.0):
         closed = float(memory_energy_closed_form(traj, t)[0])
         quad = memory_energy_quadrature(traj, t)
@@ -191,7 +186,7 @@ def _five_terms_from_rest(xi, params, delta):
     xi = np.array([xi])
     lams = quintic_roots(xi, params, delta).roots
     vmat = np.swapaxes(eigvec(lams, xi[:, None], params, delta), 1, 2)
-    x0 = np.array([[1.0, 0.0, 0.0, 0.0, 0.0]], dtype=complex)
+    x0 = np.array([[1.0, 0.0, 0.0, 0.0, 0.0]])
     amps = np.linalg.solve(vmat, x0[:, :, None])[..., 0]
     return ModalTrajectories(xi, lams, vmat, amps, x0, np.array([False]), delta, params)
 
@@ -242,7 +237,7 @@ def test_stacked_memory_energy_equals_single_calls():
     grid = square_grid(30)
     ks = (1, 2, 7, 19, 30)
     xi = [grid.xi_of(k) for k in ks]
-    x0 = [[1.0 / k, 0.2j, -0.1, 0.05 * k] for k in ks]
+    x0 = [[1.0 / k, 0.2, -0.1, 0.05 * k] for k in ks]
     times = np.array([[0.0, 0.3, 2.0], [10.0, 75.0, 400.0]])
     trajs = exact_modal_evolve(xi, x0, P0, DELTA)
     stacked = memory_energy_closed_form(trajs, times)
@@ -292,19 +287,20 @@ def _chunk_stack():
     return exact_modal_evolve(xi, x0, P0, DELTA), np.geomspace(0.5, 300.0, 12)
 
 
-def _complex_stack(n=70):
-    """``n`` modes of random complex data, every coordinate nonzero."""
+def _random_stack(n=70):
+    """``n`` modes of random data, every coordinate nonzero."""
     rng = np.random.default_rng(3)
-    x0 = (rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))) / np.arange(1, n + 1)[:, None] ** 2
+    x0 = rng.normal(size=(n, 4)) / np.arange(1, n + 1)[:, None] ** 2
     return exact_modal_evolve(square_grid(n).xi, x0, P0, DELTA)
 
 
 def _degenerate_stack():
     # README parameters at a = 0.9: at xi = 0.00373 and 0.00375 slots 3 and 4
     # hold two distinct real roots, a degenerate labelling with partners
-    # (0, 2, 1, 3, 4); xi = 0.004 has the standard (0, 2, 1, 4, 3)
-    x0 = [[1.0, 0.3, -0.2, 0.1], [1.0, 0.0, 0.0, 0.0], [0.5, 1.0j, 0.0, 0.2]]
-    return exact_modal_evolve([0.00373, 0.00375, 0.004], x0, p0_with_a(0.9), DELTA)
+    # (0, 2, 1, 3, 4); xi = 0.004 has the standard (0, 2, 1, 4, 3), here with
+    # two rows of data
+    x0 = [[1.0, 0.3, -0.2, 0.1], [1.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.2], [0.0, 1.0, 0.0, 0.0]]
+    return exact_modal_evolve([0.00373, 0.00375, 0.004, 0.004], x0, p0_with_a(0.9), DELTA)
 
 
 README_TIMES = np.geomspace(1.0, 2000.0, 60)
@@ -312,12 +308,12 @@ README_TIMES = np.geomspace(1.0, 2000.0, 60)
 
 @pytest.mark.parametrize(
     "stack",
-    [lambda: (_readme_stack(), README_TIMES), _chunk_stack, lambda: (_complex_stack(), README_TIMES)],
-    ids=["readme", "chunks", "complex"],
+    [lambda: (_readme_stack(), README_TIMES), _chunk_stack, lambda: (_random_stack(), README_TIMES)],
+    ids=["readme", "chunks", "random"],
 )
 def test_energy_trace_matches_the_five_term_reference(stack):
     # the reference evaluates all five complex terms; the largest measured
-    # gap is 2.4e-15, in the memory column of the complex stack
+    # gap is 1.8e-15, in the memory column of the random stack
     trajs, times = stack()
     got, expected = _columns(energy_trace(trajs, times)), five_term_trace(trajs, times)
     rel = np.max(np.abs(got - expected) / expected, axis=1)
@@ -327,26 +323,21 @@ def test_energy_trace_matches_the_five_term_reference(stack):
 def test_degenerate_labels_take_their_own_partners():
     # the stack holds two labellings, so each chunk runs one pass per pattern.
     # The two nearly equal real roots make the eigenvectors ill-conditioned
-    # (condition numbers 1.6e4 to 7.6e4): the five-term reference and the
-    # real route then both differ from a matrix-exponential quadrature by up
-    # to 2.4e-10 in the memory energy at late times, and from each other by 2.1e-10
+    # (condition numbers 1.6e4 to 7.6e4): the summed memory energy of the real
+    # route differs from the five-term reference by up to 1.7e-10, and at
+    # t = 485, where row 0's memory energy has decayed to 7e-4 of its start,
+    # row 0's differs from a matrix-exponential quadrature by 3.2e-9 and the
+    # other rows' by at most 9.9e-12
     trajs = _degenerate_stack()
-    assert trajs.partners.tolist() == [[0, 2, 1, 3, 4], [0, 2, 1, 3, 4], [0, 2, 1, 4, 3]]
+    assert trajs.partners.tolist() == [[0, 2, 1, 3, 4]] * 2 + [[0, 2, 1, 4, 3]] * 2
     assert not trajs.dense.any()
     got, expected = _columns(energy_trace(trajs, README_TIMES)), five_term_trace(trajs, README_TIMES)
     rel = np.max(np.abs(got - expected) / expected, axis=1)
     assert np.all(rel[:4] <= 1e-13) and rel[4] <= 1e-9, rel
     t = README_TIMES[-12]
-    quadrature = [memory_energy_quadrature(dataclasses.replace(trajs[m], dense=np.array([True])), t) for m in range(3)]
-    assert memory_energy_closed_form(trajs, t) == pytest.approx(quadrature, rel=1e-9)
-
-
-def test_complex_data_trace_is_the_sum_of_its_parts():
-    trajs = _complex_stack()
-    parts = [exact_modal_evolve(trajs.xi, part, P0, DELTA) for part in (trajs.x0[:, :4].real, trajs.x0[:, :4].imag)]
-    got = _columns(energy_trace(trajs, README_TIMES))
-    expected = sum(_columns(energy_trace(part, README_TIMES)) for part in parts)
-    assert np.max(np.abs(got - expected) / expected) <= 1e-13
+    quadrature = [memory_energy_quadrature(dataclasses.replace(trajs[m], dense=np.array([True])), t) for m in range(4)]
+    gap = np.abs(memory_energy_closed_form(trajs, t) - quadrature) / quadrature
+    assert np.all(gap <= [5e-9, 2e-11, 2e-11, 2e-11]), gap
 
 
 def test_real_data_trace_takes_one_tangent_per_pair_and_no_complex_exponential(monkeypatch):
@@ -481,7 +472,7 @@ def _lifted_parts_60_digits(mpmath, trajs, steps):
         # test_simulate_through_a_real_exceptional_point, where min|c_ij|*t_max
         # = 0.198 at t_max = 50 and the split form cancels; measured worst
         # 1.3e-10 in memory (v0 = 1 at t = 50), 2.4e-15 in the others
-        ("exceptional-point", 0.003761474648682634, p0_with_a(0.9), [[1.0, 0, 0, 0], [1.0, 0.3, -0.2j, 0.1]], [1, 10, 50], 3e-10, 1e-14),
+        ("exceptional-point", 0.003761474648682634, p0_with_a(0.9), [[1.0, 0, 0, 0], [1.0, 0.3, -0.2, 0.1]], [1, 10, 50], 3e-10, 1e-14),
         # xi = 151^2 forced dense at README times 1 and 2000 and the end of its
         # fit window: the double-precision phase of expm(G t), ~4e5 radians at
         # t = 2000, limits every part; measured worst 1.1e-9 in memory and
@@ -646,19 +637,19 @@ def _table(rate, k1, s_max=6.0):
 @pytest.mark.parametrize(
     "kernel, k, y0, T, dt, every",
     [
-        # complex state with every coordinate non-zero
-        (_table(1.0, 0.999), 2, [1.0 + 0.5j, -0.3 + 0.2j, 0.1j, 0.4], 3.0, 1e-3, 50),
+        # every coordinate of the state non-zero
+        (_table(1.0, 0.999), 2, [1.0, -0.3, 0.1, 0.4], 3.0, 1e-3, 50),
         # truncated window: log(1e14)/8 = 4.03, so the last 1,970 steps run over it
         (_table(8.0, 8.0), 1, [1.0, 0.2, 0.0, -0.1], 6.0, 1e-3, 100),
         # window == 1
         (ExponentialKernel(1e4), 1, [1.0, 0.2, 0.0, 0.0], 2.0, 1e-2, 10),
         (KER1, 1, [1.0, 0.0, 0.3, 0.0], 20.0, 0.05, 1),
         # 7 does not divide the 2,000 steps
-        (KER1, 3, [0.5, 1.0, 0.0, 0.2j], 2.0, 1e-3, 7),
+        (KER1, 3, [0.5, 1.0, 0.0, 0.2], 2.0, 1e-3, 7),
         (KER1, 1, [1.0, 0.1, 0.2, 0.3], 0.01, 0.01, 1),
         (KER1, 1, [1.0, 0.1, 0.2, 0.3], 0.03, 0.01, 1),
     ],
-    ids=["complex", "truncated", "window1", "dt0.05", "ragged", "1step", "3steps"],
+    ids=["full", "truncated", "window1", "dt0.05", "ragged", "1step", "3steps"],
 )
 def test_general_kernel_series_matches_stepping(kernel, k, y0, T, dt, every):
     xi = square_grid(3).xi_of(k)
@@ -689,6 +680,15 @@ def test_exact_evolution_refuses_a_non_coercive_mode():
 def test_general_kernel_refuses_a_non_coercive_mode():
     with pytest.raises(InvalidModelError, match="xi=1 is not positive definite"):
         evolve_general_kernel(1.0, [1.0, 0.0, 0.0, 0.0], P0, ExponentialKernel(0.5), T=1.0, dt=1e-2, sample_every=10)
+
+
+def test_complex_initial_data_are_refused():
+    # the system is real; a cast to float would drop the imaginary part
+    xi = square_grid(4).xi_of(1)
+    with pytest.raises(InvalidModelError, match="initial data must be real"):
+        exact_modal_evolve([xi], np.array([[1.0, 0.3j, 0.0, 0.0]]), P0, DELTA)
+    with pytest.raises(InvalidModelError, match="initial data must be real"):
+        evolve_general_kernel(xi, np.array([1.0, 0.3j, 0.0, 0.0]), P0, KER1, T=1.0, dt=1e-2, sample_every=10)
 
 
 def test_dense_fallback_matches_expansion():
@@ -773,12 +773,11 @@ def test_series_product_and_inverse_match_direct_sums(n):
     rng = np.random.default_rng(n)
     if n >= 7:
         assert timedomain._smooth_size(2 * n - 1) & (timedomain._smooth_size(2 * n - 1) - 1)
-    a = rng.normal(size=n) + 1j * rng.normal(size=n)
+    a = rng.normal(size=n)
     b = rng.normal(size=n)
-    direct = np.convolve(a.real, b)[:n] + 1j * np.convolve(a.imag, b)[:n]
+    direct = np.convolve(a, b)[:n]
     scale = np.sqrt(n) * np.max(np.abs(a)) * np.max(np.abs(b))
     assert np.max(np.abs(timedomain._series_product(a, b, n) - direct)) <= 1e-14 * scale
-    assert np.max(np.abs(timedomain._series_product(a.real, b, n) - direct.real)) <= 1e-14 * scale
 
     # d - 1 sums to below 1/2 in modulus, so 1/d has coefficients of order 1
     d = np.concatenate([[1.0], 0.5 * rng.uniform(-1.0, 1.0, n - 1) / np.arange(2, n + 1) ** 2])
