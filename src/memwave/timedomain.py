@@ -14,20 +14,21 @@ labelling), so the solution is real: five real pair coordinates, ``f_0``,
 ``Re f_1``, ``Im f_1``, ``Re f_3`` and ``Im f_3`` with ``f_i =
 a_i*exp(lam_i*t)``, carry it.  Per mode and time they take three real
 exponentials and two tangents: a pair's phase comes from the tangent of its
-half angle, with no complex ``exp``.  The states are a fixed real 4x5 map of
-the coordinates, and the memory part of the energy,
+half angle, with no complex ``exp``.  The states, ``I`` among them, are a
+fixed real 5x5 map of the coordinates, and from rest the memory part of the
+energy is
 
-    xi^a * int_0^inf g(s) |v(t) - v(t-s)|^2 ds,
+    xi^a * int_0^inf g(s) |v(t) - v(t-s)|^2 ds
+        = xi^a (v^2/delta - 2 v I + int_0^t g(s) v(t-s)^2 ds),
 
-splits at ``s = t`` into a fixed real symmetric 5x5 form of them per mode
-plus a term in ``e^(-delta*t)``: the recent part factors into the five terms
-of ``v(t)``, and the remote part, where the mode was at rest, is
-``e^(-delta*t) |v(t)|^2/delta``.  So every per-mode constant is built
-once for a whole stack, and each chunk of modes is one vectorised evaluation
-of the coordinates and one real matrix product with them.  A mode whose
-roots nearly collide, or lack an exact conjugate partner, has no such
-expansion; it takes the matrix form instead, the states ``expm(G t) x0`` of
-its 5x5 generator ``G`` and its memory energy from one Lyapunov solve for
+whose last integral sums over pairs of the terms of ``v``: a fixed real
+symmetric 5x5 form of the coordinates per mode plus a term in
+``e^(-delta*t)``.  So every per-mode constant is built once for a whole
+stack, and each chunk of modes is one vectorised evaluation of the
+coordinates and one real matrix product with them.  A mode whose roots
+nearly collide, or lack an exact conjugate partner, has no such expansion;
+it takes the matrix form instead, the states ``expm(G t) x0`` of its 5x5
+generator ``G`` and its memory energy from one Lyapunov solve for
 ``G`` (``_matrix_parts``).
 
 General kernels satisfying the positivity/pinch hypotheses go through an
@@ -89,7 +90,9 @@ class ModalTrajectories:
     pair are conjugate too, and each term ``f_i = a_i exp(lam_i t)`` is a
     real coordinate or half of a pair's: the five reals of
     ``pair_coordinates`` carry the whole solution, and every state is a
-    fixed real map of them (``pair_basis``).
+    fixed real map of them (``pair_basis``).  From rest the history ``I(0) =
+    sum_i a_i/(delta + lam_i)`` is 0, which the closed-form memory energy
+    relies on; it refuses amplitudes that break this (``_memory_form``).
     """
 
     xi: np.ndarray
@@ -257,10 +260,9 @@ def exact_modal_evolve(xi, x0, params: ModelParams, delta: float) -> ModalTrajec
 # ---------------------------------------------------------------------------
 
 
-# ``|c|*t_max`` below which a single or pair term of the memory energy is
-# evaluated as ``E(c)`` instead of by the split form: there the split's two
-# halves cancel, while ``|c*t| < 1`` at every time keeps ``E(c)`` itself from
-# overflowing
+# ``|c|*t_max`` below which a pair term of the memory energy is evaluated as
+# ``E(c)`` instead of by the split form: there the split's two halves cancel,
+# while ``|c*t| < 1`` at every time keeps ``E(c)`` itself from overflowing
 _SPLIT_GUARD = 1.0
 
 
@@ -290,17 +292,13 @@ def _term(r, partner, m, i):
 
 class _MemoryForm(NamedTuple):
     """The constants of ``memory_energy_closed_form`` for a stack, one row
-    per mode: ``maps`` stacks the form ``Q`` on ``e``, shape ``(modes, 6,
-    5)``; ``sigma`` and ``pi``; the single exponents ``z`` and the pair
-    exponents ``c`` with the masks of those taken whole; and ``scale =
-    xi^a``.  ``image``, if set, is ``maps @ r`` at the times evaluated,
-    formed by the caller."""
+    per mode: the form ``maps = Q``, shape ``(modes, 5, 5)``; the start term
+    ``pi``; the pair exponents ``c`` with the mask of those taken whole; and
+    ``scale = xi^a``.  ``image``, if set, is ``maps @ r`` at the times
+    evaluated, formed by the caller."""
 
     maps: np.ndarray
-    sigma: np.ndarray
     pi: np.ndarray
-    z: np.ndarray
-    single_guard: np.ndarray
     c: np.ndarray
     pair_guard: np.ndarray
     scale: np.ndarray
@@ -314,31 +312,32 @@ class _MemoryForm(NamedTuple):
 def _memory_form(trajs: ModalTrajectories, basis: np.ndarray, t_max: float) -> _MemoryForm:
     """The constants of ``memory_energy_closed_form`` for the stack
     ``trajs``, whose ``pair_basis`` is ``basis``, at times up to ``t_max``
-    (see there)."""
+    (see there).  The form holds from rest alone: a row whose ``I(0) =
+    h.r(0)`` exceeds 1e-8 of ``sum_i |h_i r_i(0)|`` raises
+    ``InvalidModelError``."""
     lams = trajs.eigenvalues
     delta = trajs.delta
-    z = delta + lams
-    single_guard = np.abs(z) * t_max < _SPLIT_GUARD
-    w = np.divide(1.0, z, out=np.zeros_like(z), where=~single_guard)
     c = delta + lams[:, :, None] + lams.conj()[:, None, :]
     pair_guard = np.abs(c) * t_max < _SPLIT_GUARD
     inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=~pair_guard)
 
     e = basis.sum(axis=1).real
-    s = (w[:, None, :] @ basis)[:, 0].real
+    h = (trajs.eigvecs[:, 4:] @ basis)[:, 0].real
     pair = (np.swapaxes(basis, 1, 2) @ inv_c @ basis.conj()).real
     pair = 0.5 * (pair + np.swapaxes(pair, 1, 2))
-    cross = e[:, :, None] * s[:, None, :]
+    cross = e[:, :, None] * h[:, None, :]
     form = pair + e[:, :, None] * e[:, None, :] / delta - (cross + np.swapaxes(cross, 1, 2))
     # r at t = 0, where f = a
     slot = np.arange(5)
     partner = trajs.partners
     lead = np.take_along_axis(trajs.amplitudes, np.minimum(slot, partner), axis=1)
     r0 = np.where(partner < slot, lead.imag, lead.real)
-    sigma = (s * r0).sum(axis=1)
+    history = h * r0
+    moving = np.abs(history.sum(axis=1)) > 1e-8 * np.abs(history).sum(axis=1)
+    if moving.any():
+        raise InvalidModelError(f"closed-form memory energy needs data from rest, not so at xi={trajs.xi[moving][0]:g}")
     pi = np.einsum("ni,nij,nj->n", r0, pair, r0)
-    maps = np.concatenate([form, e[:, None, :]], axis=1)
-    return _MemoryForm(maps, sigma, pi, z, single_guard, c, pair_guard, trajs.xi**trajs.params.a)
+    return _MemoryForm(form, pi, c, pair_guard, trajs.xi**trajs.params.a)
 
 
 def memory_energy_closed_form(trajs: ModalTrajectories, t, coords=None, form=None) -> np.ndarray:
@@ -353,28 +352,30 @@ def memory_energy_closed_form(trajs: ModalTrajectories, t, coords=None, form=Non
     With ``f_i = a_i*exp(lam_i*t)``, ``v = sum_i f_i`` and
     ``E(c) = int_0^t exp(-c*s) ds = -expm1(-c*t)/c``, the ``s < t`` part is
 
-        |v|^2 E(delta) - 2 Re(conj(v) sum_i f_i E(delta + lam_i))
-            + sum_ij f_i conj(f_j) E(c_ij),   c_ij = delta + lam_i + conj(lam_j),
+        |v|^2 E(delta) - 2 Re(conj(v) I) + sum_ij f_i conj(f_j) E(c_ij),
 
-    and the ``s > t`` part, where the mode was at rest, is ``e^(-delta*t)
-    |v|^2/delta``, which cancels the same piece of ``|v|^2 E(delta)``.  Each
-    single-exponent term splits as ``(f_i - a_i e^(-delta*t)) / (delta +
-    lam_i)`` and each pair term as ``(f_i conj(f_j) - a_i conj(a_j)
-    e^(-delta*t)) / c_ij``, except where the exponent times ``t_max`` is
-    below ``_SPLIT_GUARD`` in modulus: there the halves cancel and ``E`` is
-    evaluated directly, with a real ``expm1`` where the exponent is real.
+    ``c_ij = delta + lam_i + conj(lam_j)``, with the history coordinate
+    ``I = int_0^t e^(-delta*s) v(t-s) ds = sum_i f_i E(delta + lam_i) = sum_i
+    f_i/(delta + lam_i)``, the last since ``I(0) = sum_i a_i/(delta + lam_i)
+    = 0`` from rest.  The ``s > t`` part, where the mode was at rest, is
+    ``e^(-delta*t) |v|^2/delta``, which cancels the same piece of ``|v|^2
+    E(delta)``.  Each pair term splits as ``(f_i conj(f_j) - a_i conj(a_j)
+    e^(-delta*t)) / c_ij``, except where ``|c_ij|*t_max`` is below
+    ``_SPLIT_GUARD``: there the halves cancel and ``E`` is evaluated
+    directly, with a real ``expm1`` where the exponent is real.
 
-    In the pair coordinates ``r`` the data are real, ``v = e.r`` and ``f =
-    C r`` (``ModalTrajectories.pair_basis``), so the split parts fold into
-    one real symmetric 5x5 form per mode:
+    In the pair coordinates ``r`` the data are real, ``v = e.r``, ``I = h.r``
+    and ``f = C r`` (``ModalTrajectories.pair_basis``), so the split parts
+    fold into one real symmetric 5x5 form per mode:
 
-        r.Q r + e^(-delta*t) (2 sigma e.r - pi),
+        r.Q r - e^(-delta*t) pi,
 
-    ``Q = e e^T/delta - (e s^T + s e^T) + Re(C^T W conj(C))`` with the split
-    single terms ``s = Re(w C)``, ``w_i = 1/(delta + lam_i)``, and pair terms
-    ``W_ij = 1/c_ij``; ``sigma`` and ``pi`` are the same forms at ``r(0)``.
-    Dense-fallback trajectories, and those whose roots lack an exact
-    conjugate partner, must use the matrix form (``_matrix_parts``) instead.
+    ``Q = e e^T/delta - (e h^T + h e^T) + Re(C^T W conj(C))`` with the history
+    row ``h = Re(w C)``, ``w_i = 1/(delta + lam_i)``, and pair terms ``W_ij =
+    1/c_ij``; ``pi`` is the pair form at ``r(0)``.  Amplitudes not from rest
+    raise ``InvalidModelError``.  Dense-fallback trajectories, and those
+    whose roots lack an exact conjugate partner, must use the matrix form
+    (``_matrix_parts``) instead.
     """
     if trajs.dense.any() or (trajs.partners < 0).any():
         raise InvalidModelError("closed-form memory energy needs the amplitude expansion in conjugate pairs")
@@ -387,17 +388,12 @@ def memory_energy_closed_form(trajs: ModalTrajectories, t, coords=None, form=Non
         form = _memory_form(trajs, trajs.pair_basis(), np.max(tt, initial=0.0))
     partner = trajs.partners
 
-    # one product gives Q r and v = e.r
     image = form.maps @ r if form.image is None else form.image
-    v = image[:, 5]
-    memory = np.einsum("nit,nit->nt", r, image[:, :5])
-    memory += np.exp(-trajs.delta * tt) * (2.0 * form.sigma[:, None] * v - form.pi[:, None])
+    memory = np.einsum("nit,nit->nt", r, image)
+    memory -= np.exp(-trajs.delta * tt) * form.pi[:, None]
 
-    # the terms taken whole, the guarded rows of one slot (or slot pair) at a time
-    z, c = form.z, form.c
-    for i in np.flatnonzero(form.single_guard.any(axis=0)):
-        m = np.flatnonzero(form.single_guard[:, i])
-        memory[m] -= 2.0 * v[m] * _whole(*_term(r, partner, m, i), z[m, i], tt)
+    # the pair terms taken whole, the guarded rows of one slot pair at a time
+    c = form.c
     for i, j in zip(*np.nonzero(form.pair_guard.any(axis=0))):
         m = np.flatnonzero(form.pair_guard[:, i, j])
         (re_i, im_i), (re_j, im_j) = _term(r, partner, m, i), _term(r, partner, m, j)
@@ -477,7 +473,9 @@ def _matrix_parts(trajs: ModalTrajectories, tt: np.ndarray) -> np.ndarray:
     terms are ``int_0^t e^(-delta*s) |v(t-s)|^2 ds``.  ``W`` is one
     Kronecker solve of order 25 per mode (Bartels and Stewart, CACM 1972,
     solve the same equation by Schur forms), and exists where every ``delta +
-    lam_i + lam_j`` is nonzero, as the closed form needs.
+    lam_i + lam_j`` is nonzero.  Only ``W`` needs that: the closed form takes
+    a pair term with a vanishing exponent whole, while ``W`` loses digits as
+    the smallest such sum nears zero.
     """
     import scipy.linalg as sla  # loaded only for a dense or partnerless mode
 
@@ -513,7 +511,7 @@ def energy_trace(trajs: ModalTrajectories, times: np.ndarray) -> EnergyTrace:
     real map of a mode's five reals ``r``.  Those per-mode constants are
     built once for the whole stack: the labellings, the states ``Re(V
     C)[:4]`` and the memory form (``_memory_form``), stacked into one
-    ``(modes, 10, 5)`` map.  The modes then go in chunks of at most ``_MEMORY_CHUNK``, which bounds the
+    ``(modes, 9, 5)`` map.  The modes then go in chunks of at most ``_MEMORY_CHUNK``, which bounds the
     ``(modes, 5, times)`` arrays; a chunk forms ``r`` (``_pair_coordinates``)
     and the one product of the map with it, whose states feed
     ``energy_parts`` and whose rest ``memory_energy_closed_form`` takes as it

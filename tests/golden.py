@@ -17,16 +17,25 @@ root of the repository::
 
     PYTHONPATH=src python tests/golden.py
 
-and states the move per column in CHANGES.md.
+and states the move per column in CHANGES.md.  To see those moves first,
+without writing anything::
+
+    PYTHONPATH=src python tests/golden.py --moves
+
+reruns both configurations in a temporary directory and prints, for each
+artifact, how far each column moved from the committed data (``moves``).
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import csv
 import ctypes
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -122,7 +131,89 @@ def write(config: dict, commands: list[str], artifacts_dir: Path, manifest_path:
     print(f"wrote {len(artifacts)} artifacts to {artifacts_dir}, environment {manifest['environment']}")
 
 
-def main() -> int:
+def _csv_columns(data: bytes):
+    rows = list(csv.reader(io.StringIO(data.decode())))
+    return rows[0], [list(column) for column in zip(*rows[1:])]
+
+
+def _json_leaves(node, path=""):
+    """``(path, value)`` of every leaf of a JSON document."""
+    if isinstance(node, dict):
+        for key in node:
+            yield from _json_leaves(node[key], f"{path}.{key}")
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from _json_leaves(item, f"{path}[{i}]")
+    else:
+        yield path, node
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def moves(name: str, got: bytes, expected: bytes) -> dict[str, float]:
+    """How far each part of the artifact ``name`` moved from ``expected``: a
+    CSV column's largest change over its largest magnitude, a JSON number's
+    change over the largest magnitude of a number in the document (its
+    numbers are one column), and ``inf`` for a header, shape, other value or
+    text that differs.  Unchanged parts are left out."""
+    out = {}
+    if name.endswith(".csv"):
+        (head, columns), (want_head, want_columns) = _csv_columns(got), _csv_columns(expected)
+        if head != want_head or [len(c) for c in columns] != [len(c) for c in want_columns]:
+            return {"shape": math.inf}
+        for key, column, want in zip(head, columns, want_columns):
+            try:
+                x, y = np.array(column, dtype=float), np.array(want, dtype=float)
+            except ValueError:
+                if column != want:
+                    out[key] = math.inf
+                continue
+            if not np.array_equal(np.isnan(x), np.isnan(y)):
+                out[key] = math.inf
+                continue
+            change = np.max(np.abs(x - y), initial=0.0, where=~np.isnan(y))
+            if change:
+                out[key] = change / np.max(np.abs(y), initial=0.0, where=~np.isnan(y))
+    elif name.endswith(".json"):
+        leaves, want_leaves = dict(_json_leaves(json.loads(got))), dict(_json_leaves(json.loads(expected)))
+        if leaves.keys() != want_leaves.keys():
+            return {"keys": math.inf}
+        scale = max((abs(v) for v in want_leaves.values() if _number(v)), default=0.0)
+        for key, value in leaves.items():
+            want = want_leaves[key]
+            if value != want:
+                out[key] = abs(value - want) / scale if _number(value) and _number(want) else math.inf
+    elif got != expected:
+        out["text"] = math.inf
+    return out
+
+
+def print_moves(config: dict, commands: list[str], artifacts_dir: Path) -> None:
+    """Run ``commands`` on ``config`` in a temporary directory and print the
+    ``moves`` of each artifact against the one committed in
+    ``artifacts_dir``; an artifact on one side only is named as such."""
+    with tempfile.TemporaryDirectory() as tmp:
+        artifacts = run_commands(Path(tmp), config, commands)
+    committed = {path.name: path.read_bytes() for path in artifacts_dir.iterdir()}
+    for name in sorted(artifacts.keys() | committed.keys()):
+        if name not in committed or name not in artifacts:
+            print(f"{artifacts_dir.name}/{name}: {'new' if name in artifacts else 'gone'}")
+            continue
+        moved = moves(name, artifacts[name], committed[name])
+        same = "bytes unchanged" if artifacts[name] == committed[name] else "values unchanged, bytes moved"
+        print(f"{artifacts_dir.name}/{name}: " + (", ".join(f"{key} {m:.2g}" for key, m in moved.items()) or same))
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--moves", action="store_true", help="print the moves against the committed data; write nothing")
+    if parser.parse_args(argv).moves:
+        print(f"environment {environment()}, committed {json.loads(MANIFEST.read_text())['environment']}")
+        print_moves(CONFIG, COMMANDS, ARTIFACTS)
+        print_moves(GENERAL_CONFIG, GENERAL_COMMANDS, GENERAL_ARTIFACTS)
+        return 0
     write(CONFIG, COMMANDS, ARTIFACTS, MANIFEST)
     write(GENERAL_CONFIG, GENERAL_COMMANDS, GENERAL_ARTIFACTS, GENERAL_MANIFEST)
     return 0

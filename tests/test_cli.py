@@ -529,6 +529,26 @@ def test_simulate_through_a_real_exceptional_point(tmp_path):
     assert float(rows[0]["memory"]) == pytest.approx(xi0**0.9, rel=1e-12)
 
 
+def test_spectrum_refuses_degenerate_branch_labels(tmp_path, capsys):
+    # README parameters at a = 0.7: at xi = 0.16 the quintic has three real
+    # roots, so the branches have no labels.  The model is valid and
+    # simulate, which pairs roots by exact conjugates, runs; spectrum, whose
+    # columns name the branches, refuses before it writes anything
+    model = json.loads(json.dumps(P0_MODEL))
+    model["params"]["a"] = 0.7
+    model["grid"] = {"type": "explicit", "xi": [0.16, 1.0, 4.0]}
+    cfg = write_cfg(tmp_path, model=model)
+    out = tmp_path / "out"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "validate.json").read_text())["passed"] is True
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 1
+    want = {"type": "ValueError", "message": "branch labels are degenerate at xi=0.16"}
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"] == want
+    assert json.loads((out / "error.json").read_text())["error"] == want
+    assert not (out / "spectrum.csv").exists()
+
+
 def test_simulate_more_modes_than_grid_is_model_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, extra={"simulate": {"data": "marginal", "n_modes": 130}})
     out = tmp_path / "out"

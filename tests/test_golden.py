@@ -1,5 +1,3 @@
-import csv
-import io
 import json
 import math
 from pathlib import Path
@@ -21,65 +19,6 @@ MANIFEST = json.loads(golden.MANIFEST.read_text())
 # verdict.md and validate.json not at all.  The general integrator's
 # trace.csv moves by at most 1.0e-12 (residual) and 9.3e-16 elsewhere
 TOLERANCE = 1e-11
-
-
-def _csv_columns(data: bytes):
-    rows = list(csv.reader(io.StringIO(data.decode())))
-    return rows[0], [list(column) for column in zip(*rows[1:])]
-
-
-def _json_leaves(node, path=""):
-    """``(path, value)`` of every leaf of a JSON document."""
-    if isinstance(node, dict):
-        for key in node:
-            yield from _json_leaves(node[key], f"{path}.{key}")
-    elif isinstance(node, list):
-        for i, item in enumerate(node):
-            yield from _json_leaves(item, f"{path}[{i}]")
-    else:
-        yield path, node
-
-
-def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def moves(name: str, got: bytes, expected: bytes) -> dict[str, float]:
-    """How far each part of the artifact ``name`` moved from ``expected``: a
-    CSV column's largest change over its largest magnitude, a JSON number's
-    change over the largest magnitude of a number in the document (its
-    numbers are one column), and ``inf`` for a header, shape, other value or
-    text that differs.  Unchanged parts are left out."""
-    out = {}
-    if name.endswith(".csv"):
-        (head, columns), (want_head, want_columns) = _csv_columns(got), _csv_columns(expected)
-        if head != want_head or [len(c) for c in columns] != [len(c) for c in want_columns]:
-            return {"shape": math.inf}
-        for key, column, want in zip(head, columns, want_columns):
-            try:
-                x, y = np.array(column, dtype=float), np.array(want, dtype=float)
-            except ValueError:
-                if column != want:
-                    out[key] = math.inf
-                continue
-            if not np.array_equal(np.isnan(x), np.isnan(y)):
-                out[key] = math.inf
-                continue
-            change = np.max(np.abs(x - y), initial=0.0, where=~np.isnan(y))
-            if change:
-                out[key] = change / np.max(np.abs(y), initial=0.0, where=~np.isnan(y))
-    elif name.endswith(".json"):
-        leaves, want_leaves = dict(_json_leaves(json.loads(got))), dict(_json_leaves(json.loads(expected)))
-        if leaves.keys() != want_leaves.keys():
-            return {"keys": math.inf}
-        scale = max((abs(v) for v in want_leaves.values() if _number(v)), default=0.0)
-        for key, value in leaves.items():
-            want = want_leaves[key]
-            if value != want:
-                out[key] = abs(value - want) / scale if _number(value) and _number(want) else math.inf
-    elif got != expected:
-        out["text"] = math.inf
-    return out
 
 
 def test_golden_config_is_the_readme_example():
@@ -106,7 +45,7 @@ def test_readme_artifacts_equal_the_committed_ones(artifacts):
     if golden.environment() == MANIFEST["environment"]:
         assert {name: golden.sha256(data) for name, data in artifacts.items()} == MANIFEST["sha256"]
     else:
-        moved = {name: moves(name, data, (golden.ARTIFACTS / name).read_bytes()) for name, data in artifacts.items()}
+        moved = {name: golden.moves(name, data, (golden.ARTIFACTS / name).read_bytes()) for name, data in artifacts.items()}
         assert {name: m for name, m in moved.items() if max(m.values(), default=0.0) > TOLERANCE} == {}
 
 
@@ -118,10 +57,10 @@ def test_one_ulp_in_a_sweep_norm_fails_bytes_but_not_values():
     cells[1] = repr(float(np.nextafter(float(cells[1]), math.inf)))
     got = "".join(lines[:5] + [",".join(cells)] + lines[6:]).encode()
     assert golden.sha256(got) != MANIFEST["sha256"]["sweep_M80.csv"]
-    moved = moves("sweep_M80.csv", got, expected)
+    moved = golden.moves("sweep_M80.csv", got, expected)
     assert list(moved) == ["norm"] and 0.0 < moved["norm"] <= TOLERANCE
-    assert moves("sweep_summary.json", b'{"sup": [1.0, 2.0]}', b'{"sup": [1.0, 2.5]}') == {".sup[1]": 0.2}
-    assert moves("verdict.md", b"optimal", b"not optimal") == {"text": math.inf}
+    assert golden.moves("sweep_summary.json", b'{"sup": [1.0, 2.0]}', b'{"sup": [1.0, 2.5]}') == {".sup[1]": 0.2}
+    assert golden.moves("verdict.md", b"optimal", b"not optimal") == {"text": math.inf}
 
 
 def test_general_integrator_artifacts_equal_the_committed_ones(tmp_path):
@@ -136,5 +75,5 @@ def test_general_integrator_artifacts_equal_the_committed_ones(tmp_path):
     if golden.environment() == manifest["environment"]:
         assert {name: golden.sha256(data) for name, data in artifacts.items()} == manifest["sha256"]
     else:
-        moved = {name: moves(name, data, committed[name]) for name, data in artifacts.items()}
+        moved = {name: golden.moves(name, data, committed[name]) for name, data in artifacts.items()}
         assert {name: m for name, m in moved.items() if max(m.values(), default=0.0) > TOLERANCE} == {}

@@ -163,19 +163,23 @@ def test_memory_energy_matches_60_digit_evaluation(a):
 
 
 def test_memory_energy_single_term_guard_60_digits():
-    # at a = 0 and xi = 4e6, delta + lam0 = 1.4e-7: at t = 1 the split single
-    # term (f_0 - a_0 e^(-delta*t)) / (delta + lam0) would lose about seven
-    # digits, so it must be taken whole; the pure real-branch sum
-    # v = exp(lam0*t) leaves no other term to hide the loss
+    # at a = 0 and xi = 4e6, delta + lam0 = 1.4e-7, so the history row h has
+    # an entry of 7e6.  From rest the single terms sum to I(t) = h.r exactly,
+    # with no split to lose digits to.  The pure real-branch replica v =
+    # exp(lam0*t) has I(0) = 1/(delta + lam0) instead of 0: at t = 1e-3 the
+    # form would read -1.4e7 against 0.997 there, so it is refused
     mpmath = pytest.importorskip("mpmath")
     params = p0_with_a(0.0)
-    traj = exact_modal_evolve([4e6], [[1.0, 0.0, 0.0, 0.0]], params, DELTA)
+    traj = exact_modal_evolve([4e6, 4e6], [[1.0, 0.0, 0.0, 0.0], [1.0, 0.3, -0.2, 0.1]], params, DELTA)
     assert abs(DELTA + traj.eigenvalues[0, 0]) < 2e-7
-    pure = dataclasses.replace(traj, amplitudes=np.array([[1.0, 0.0, 0.0, 0.0, 0.0]], dtype=complex))
+    pure = dataclasses.replace(traj[0], amplitudes=np.array([[1.0, 0.0, 0.0, 0.0, 0.0]], dtype=complex))
+    with pytest.raises(InvalidModelError, match="data from rest"):
+        memory_energy_closed_form(pure, 1.0)
     for t in (1e-3, 1.0):
-        expected = _memory_energy_60_digits(mpmath, pure, t, params.a)
-        got = memory_energy_closed_form(pure, t)[0]
-        assert got == pytest.approx(expected, rel=1e-12), t
+        got = memory_energy_closed_form(traj, t)
+        for m in range(len(traj)):
+            expected = _memory_energy_60_digits(mpmath, traj[m], t, params.a)
+            assert got[m] == pytest.approx(expected, rel=1e-12), (m, t)
 
 
 def _five_terms_from_rest(xi, params, delta):
@@ -321,19 +325,26 @@ def test_energy_trace_matches_the_five_term_reference(stack):
 
 
 def test_degenerate_labels_take_their_own_partners():
-    # the stack holds two labellings, so each chunk runs one pass per pattern.
-    # The two nearly equal real roots make the eigenvectors ill-conditioned
-    # (condition numbers 1.6e4 to 7.6e4): the summed memory energy of the real
-    # route differs from the five-term reference by up to 1.7e-10, and at
-    # t = 485, where row 0's memory energy has decayed to 7e-4 of its start,
-    # row 0's differs from a matrix-exponential quadrature by 3.2e-9 and the
-    # other rows' by at most 9.9e-12
+    # the stack holds two labellings, so each chunk runs one pass per pattern,
+    # and gives each row the parts it gets alone.  The two nearly equal real
+    # roots make the eigenvectors ill-conditioned (condition numbers 1.6e4 to
+    # 7.6e4).  Each row's trace is checked against the five-term reference
+    # relative to that row's own column maxima: the memory column differs by
+    # up to 8.2e-12 on row 0, 1.9e-15 on row 1, 3.8e-13 on row 2 and 2.4e-12
+    # on row 3, the others by up to 2.1e-14.  At t = 485, where row 0's
+    # memory energy has decayed to 7e-4 of its start, row 0's differs from a
+    # matrix-exponential quadrature by 3.2e-9 and the other rows' by at most
+    # 9.9e-12
     trajs = _degenerate_stack()
     assert trajs.partners.tolist() == [[0, 2, 1, 3, 4]] * 2 + [[0, 2, 1, 4, 3]] * 2
     assert not trajs.dense.any()
-    got, expected = _columns(energy_trace(trajs, README_TIMES)), five_term_trace(trajs, README_TIMES)
-    rel = np.max(np.abs(got - expected) / expected, axis=1)
-    assert np.all(rel[:4] <= 1e-13) and rel[4] <= 1e-9, rel
+    summed = np.zeros((5, README_TIMES.size))
+    for m, memory_bound in enumerate([2e-11, 1e-14, 1e-12, 6e-12]):
+        got, expected = _columns(energy_trace(trajs[m], README_TIMES)), five_term_trace(trajs[m], README_TIMES)
+        rel = np.max(np.abs(got - expected), axis=1) / np.max(np.abs(expected), axis=1)
+        assert np.all(rel[:4] <= 5e-14) and rel[4] <= memory_bound, (m, rel)
+        summed += got
+    assert np.array_equal(_columns(energy_trace(trajs, README_TIMES)), summed)
     t = README_TIMES[-12]
     quadrature = [memory_energy_quadrature(dataclasses.replace(trajs[m], dense=np.array([True])), t) for m in range(4)]
     gap = np.abs(memory_energy_closed_form(trajs, t) - quadrature) / quadrature
