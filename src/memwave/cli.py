@@ -201,6 +201,10 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     else:
         kernel = _require_exponential(cfg)
         t_lo, t_hi = _range("simulate", opts, "t_lo", "t_hi", (0.0, 100.0))
+        log = opts.get("spacing", "linear") == "log"
+        # log-spaced times start at 1e-6 at the earliest
+        if log and not max(t_lo, 1e-6) < t_hi:
+            raise ConfigError(f"simulate.t_hi = {t_hi!r} must be above 1e-06, where log spacing starts")
         _require_coercive(cfg)
         if opts.get("data", "single") == "marginal":
             n_modes = opts.get("n_modes", cfg.grid.count)
@@ -216,7 +220,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
             x0 = [[opts.get("v0", 1.0), 0.0, 0.0, 0.0]]
         trajs = timedomain.exact_modal_evolve(xi, x0, cfg.params, kernel.delta)
         n_times = opts.get("n_times", 201)
-        if opts.get("spacing", "linear") == "log":
+        if log:
             times = np.geomspace(max(t_lo, 1e-6), t_hi, n_times)
         else:
             times = np.linspace(t_lo, t_hi, n_times)

@@ -45,27 +45,17 @@ and ``y = sw^T K``, so
 ``||K||`` enters only there and is replaced by its bound
 ``sqrt(||K||_1 ||K||_inf)``, which needs no BLAS call.
 
-The only part of ``S_M`` that depends on ``M`` is ``phi_M``, and the
-quadrature is exact for the reduced problem: ``phi_M`` equals the continuum
-symbol ``phi(tau) = 1/(delta*(delta + i*tau))`` up to roundoff (about 1e-13
-relative at ``M <= 80``).  So ``schur_inverse`` inverts the M-free
-``S = i*tau - A + c^2 * phi * e_u e_u^T``, and ``schur_bounds`` turns its
-four norms into each resolution's bounds.  With ``Delta = phi_M - phi``,
-``S_M = S (I + E)`` for ``E = c^2 Delta S^{-1} e_u e_u^T``, whose norm is at
-most ``eps_M = c^2 |Delta| ||S^{-1}||``.  Where ``eps_M < 1``, each of
-``||S_M^{-1}||``, ``||S_M^{-1} e_u||``, ``||e_u^T S_M^{-1}||`` and
-``|(S_M^{-1})_uu|`` is at most its ``S`` counterpart over ``1 - eps_M`` (the
-last by Sherman-Morrison), so the four scaled pieces give the upper bound;
-where ``eps_M >= 1`` or is not finite the upper bound is ``+inf``.  And
-``S^{-1} = (I + E) S_M^{-1}`` gives the lower bound
-``||S_M^{-1}|| >= ||S^{-1}||/(1 + eps_M)``.  One M x M inverse and one
-stacked 4x4 inverse over the few modes near resonance per frequency and
-resolution give all the bounds.
+Per frequency and resolution, ``schur_inverse`` inverts ``S_M``, stacked,
+for the few modes near resonance that the screen below leaves, and
+``schur_bounds`` turns its four norms ``||S_M^{-1}||``, ``||S_M^{-1} e_u||``,
+``||e_u^T S_M^{-1}||`` and ``|(S_M^{-1})_uu|`` into that upper bound.  Each
+sweeper takes its own ``phi_M``, so the bound describes the Schur complement
+of the very block that is SVD'd, with no correction for ``M``.
 
 A screen spares the modes far from resonance that inverse.  Each corner is
 ``A = Q + H`` with ``Q`` its skew part and ``H`` its symmetric part, which
-is zero up to roundoff.  Write ``S = i*(tau - T) + Re(beta) e_u e_u^T - H``
-with ``beta = c^2 phi`` and the Hermitian ``T = -i*Q - Im(beta) e_u e_u^T``.
+is zero up to roundoff.  Write ``S_M = i*(tau - T) + Re(beta) e_u e_u^T - H``
+with ``beta = c^2 phi_M`` and the Hermitian ``T = -i*Q - Im(beta) e_u e_u^T``.
 The eigenvalues ``+-omega`` of ``-i*Q``, in ascending order, come from one
 stacked ``eigvalsh`` per sweeper.  A rank-one Hermitian term moves each
 eigenvalue one way and by at most its norm (Weyl's monotonicity theorem),
@@ -74,46 +64,40 @@ so the ``j``-th eigenvalue of ``T`` lies on the segment from ``omega_j`` to
 between ``near``, the distance from ``tau`` to the nearest segment, and
 ``far``, the least over ``j`` of the distance to the farther end of a
 segment.  Weyl's perturbation theorem then gives
-``1/h = near - |Re(beta)| - ||H|| - fuzz <= sigma_min(S)``, and
-``sigma_min(S_M) <= far_M + |Re(beta_M)| + ||H|| + fuzz`` with
-``beta_M = c^2 phi_M`` (``||H||`` is its Frobenius norm).  ``fuzz`` is the
-roundoff of the computed ``omega``, ``near`` and ``far``:
+``1/h = near - |Re(beta)| - ||H|| - fuzz <= sigma_min(S_M) <= far +
+|Re(beta)| + ||H|| + fuzz`` (``||H||`` is its Frobenius norm).  ``fuzz`` is
+the roundoff of the computed ``omega``, ``near`` and ``far``:
 ``eps*||A||_F`` each for forming ``Q`` and ``H``, ``4*n*eps*||A||_F``
 (``n = 4``) for the backward-stable ``eigvalsh``, and at most eight
-roundings, each of at most ``eps*(|tau| + ||A||_F + 2|beta|)``.  With
-``|beta|`` taken as ``c^2 max(|phi|, |phi_M|)`` that sums to less than
-``fuzz = 8*eps*(4*||A||_F + |tau| + 2|beta|)``.  ``h`` bounds all four
-norms of ``S^{-1}``, so ``schur_bounds`` fed ``h`` four times gives a
-screening upper bound, ``+inf`` where ``1/h <= 0``.  ``S_M^{-1}`` is a
-block of ``N^{-1}``, so the screening lower bound is
-``1/(far_M + |Re(beta_M)| + ||H|| + fuzz + slack)``, with the slack below.
-It needs no ``eps_M``, so it stays finite where ``h`` is not.  Only the
-modes whose screening upper bound reaches the largest screening lower bound
-are inverted, and the others keep their screening pair.
+roundings, each of at most ``eps*(|tau| + ||A||_F + 2|beta|)``, which sums
+to less than ``fuzz = 8*eps*(4*||A||_F + |tau| + 2|beta|)``.  ``h`` bounds
+all four norms of ``S_M^{-1}``, so ``schur_bounds`` fed ``h`` four times
+gives a screening upper bound, ``+inf`` where ``1/h <= 0``.  ``S_M^{-1}`` is
+a block of ``N^{-1}``, so the screening lower bound is
+``1/(far + |Re(beta)| + ||H|| + fuzz + slack)``, with the slack below; it
+stays finite where ``h`` is not.  Only the modes whose screening upper bound
+reaches the largest screening lower bound are inverted, and the others keep
+their screening upper bound.
 
-The mode with the largest lower bound is SVD'd first; after it, a mode whose
-upper bound is below the largest norm already computed cannot be the
-maximiser and is never SVD'd.  That covers the screened-out modes: the
-mode ``j`` with the largest screening lower bound is kept, and its sharp
-upper bound is at least its computed norm, which is at least that lower
-bound, while each screened-out mode has an upper bound below it.  So in the
-order of decreasing upper bounds ``j`` is SVD'd, or pruned below the running
-maximum, before any screened-out mode comes up, and the loop stops there.
-The mode SVD'd first may still be a screened-out one, where a large
-``eps_M`` deflates the sharp lower bounds of the kept modes below its
-screening one; that costs one SVD and cannot change the result, as its norm
-is below ``j``'s.  Every reported norm is still
+Modes are SVD'd in the order of decreasing upper bounds, and once a mode's
+upper bound is below the largest norm already computed, neither it nor any
+later mode can be the maximiser, so the loop stops there.  That covers the
+screened-out modes: the mode ``j`` with the largest screening lower bound
+is kept, and its sharp upper bound is at least its computed norm, which is
+at least that lower bound, while each screened-out mode has an upper bound
+below it.  So ``j`` is SVD'd, or pruned below the running maximum, before
+any screened-out mode comes up.  Every reported norm is still
 ``1/sigma_min`` of the full block, so the norms, argmax modes and margins
 are those of the full loop.
 
 The upper bound absorbs roundoff in ``sigma = 1/norm``, so that it bounds the
 computed norm too.  Each computation involved (the SVD of the assembled
-block, the assembly itself, and the inverses of ``S`` and of ``i*tau + D``)
-is backward stable to first order in ``eps``: its result is exact for data
-perturbed by at most ``n*eps`` (``n = 4 + M``) times the norm of the matrix
-it works on, and Weyl's perturbation theorem moves a smallest singular value
-by no more than the perturbation.  All four norms are at most
-``nu = 2|tau| + ||A||_F + ||D||_F + 2|c| ||sw|| + c^2 max(|phi|, |phi_M|)``,
+block, the assembly itself, and the inverses of ``S_M`` and of
+``i*tau + D``) is backward stable to first order in ``eps``: its result is
+exact for data perturbed by at most ``n*eps`` (``n = 4 + M``) times the
+norm of the matrix it works on, and Weyl's perturbation theorem moves a
+smallest singular value by no more than the perturbation.  All four norms
+are at most ``nu = 2|tau| + ||A||_F + ||D||_F + 2|c| ||sw|| + c^2 |phi_M|``,
 so ``1/upper`` is lowered by ``4*n*eps*nu`` before it is inverted back; an
 upper bound whose lowered ``sigma`` is not positive is ``+inf``.  The
 screening lower bound sets the screen's threshold, so it has to bound the
@@ -121,18 +105,20 @@ computed norm too: its ``1/lower`` is raised by the same ``4*n*eps*nu``.
 Both roundoff terms are worst-case bounds: exactly on resonance, where they
 set the screening lower bound, either of ``fuzz`` and the slack alone keeps
 it below the computed norm, so a test sees only the loss of both; that each
-is needed rests on the derivation above.  The sharp
-lower bound only chooses the first mode and carries no slack.  A mode whose
-bound data are not finite (its corner, its ``omega``, ``h`` or screening
-lower bound), or a frequency where a stacked inverse is singular, gets
-``upper = +inf`` and ``lower = 0``: it is never screened out, is SVD'd and
-raises as the full loop would.
+is needed rests on the derivation above.  A mode whose bound data are not
+finite (its corner, its ``omega``, ``h``, screening lower bound or inverted
+``S_M``), and every mode at a frequency where ``i*tau + D`` has no finite
+inverse, gets ``upper = +inf``: it is never screened out or pruned, is SVD'd
+and raises as the full loop would.
 
-With the continuum history in place of the collocated one the same bounds
-need no ``M``: ``Delta = 0``, ``||y||^2 = 1/(delta*(delta^2 + tau^2))``,
-``||x||^2 = 2*||y||^2`` and the weighted Hardy constant ``||K|| = 2/delta``,
-each the limit of its collocated value and never below it.
-``resolvent_peaks`` maximises the upper one near a mode's resonance.
+With the continuum history in place of the collocated one the same bound
+needs no ``M``: ``phi_M`` becomes the continuum symbol
+``phi(tau) = 1/(delta*(delta + i*tau))``, which it equals up to roundoff
+(about 1e-13 relative at ``M <= 80``), and ``||y||^2 =
+1/(delta*(delta^2 + tau^2))``, ``||x||^2 = 2*||y||^2`` and the weighted
+Hardy constant ``||K|| = 2/delta`` are each the limit of its collocated
+value and never below it.  ``resolvent_peaks`` maximises that upper bound
+near a mode's resonance.
 
 The kernel is its rate ``delta`` (or the ``LaguerreGrid`` built for it) and
 the modes are their ``xi``.  ``energy_congruence`` refuses a mode that is not
@@ -353,16 +339,16 @@ def continuum_phi(delta: float, tau):
     return 1.0 / (delta * (delta + 1j * tau))
 
 
-def schur_inverse(corners, c, tau, delta):
-    """The M-free part of the bounds (module docstring): ``(||S^{-1}||,
-    ||S^{-1} e_u||, ||e_u^T S^{-1}||, |(S^{-1})_uu|)`` of the Schur complements
-    ``S = i*tau - A + c^2 phi(tau) e_u e_u^T`` with the continuum ``phi`` of
-    the rate ``delta``, for the 4x4 corners ``A`` and couplings ``c``
-    broadcast over the leading axes of ``corners``; all four are NaN where
-    ``S`` has no finite inverse.
+def schur_inverse(corners, c, tau, phi):
+    """``(||S^{-1}||, ||S^{-1} e_u||, ||e_u^T S^{-1}||, |(S^{-1})_uu|)`` of the
+    Schur complements ``S = i*tau - A + c^2 phi e_u e_u^T`` (module
+    docstring) for the 4x4 corners ``A``, couplings ``c`` and history symbol
+    ``phi`` at ``tau`` (``phi_M`` for a sweep, ``continuum_phi`` for the
+    peaks), broadcast over the leading axes of ``corners``; all four are NaN
+    where ``S`` has no finite inverse.
     """
     schur = 1j * np.asarray(tau)[..., None, None] * np.eye(4) - corners
-    schur[..., 1, 1] += c * c * continuum_phi(delta, tau)
+    schur[..., 1, 1] += c * c * phi
     s_inv = _or_nan(np.linalg.inv, schur)
     ok = np.all(np.isfinite(s_inv), axis=(-2, -1))
     s_inv = np.where(ok[..., None, None], s_inv, 0.0)
@@ -378,28 +364,22 @@ def schur_inverse(corners, c, tau, delta):
     return tuple(np.where(ok, v, np.nan) for v in norms)
 
 
-def schur_bounds(inverse, c, dphi, x_norm, y_norm, k_norm, slack=0.0):
-    """``(lower, upper)`` bounds on the resolvent norms of the blocks whose
+def schur_bounds(inverse, c, x_norm, y_norm, k_norm, slack=0.0):
+    """Upper bounds on the resolvent norms of the blocks whose
     ``schur_inverse`` is ``inverse`` (module docstring), from their history
-    couplings ``c`` and the history data ``dphi = phi_M - phi``, ``||x||``,
-    ``||y||`` and ``||K||``, all broadcast over ``inverse``.  ``1/upper`` is
-    lowered by ``slack``.  ``upper`` is ``+inf`` where no positive ``1/upper``
-    is left, where ``eps_M >= 1`` or where ``inverse`` is not finite, and
-    ``lower`` is 0 where it is not finite.
+    couplings ``c`` and the history data ``||x||``, ``||y||`` and ``||K||``,
+    all broadcast over ``inverse``.  ``1/upper`` is lowered by ``slack``;
+    the bound is ``+inf`` where no positive ``1/upper`` is left or where
+    ``inverse`` is not finite.
     """
-    s_norm, col_u, row_u, s_uu = inverse
-    eps_m = c * c * np.abs(dphi) * s_norm
-    grow = np.divide(1.0, 1.0 - eps_m, out=np.full(np.shape(eps_m), np.nan), where=eps_m < 1.0)
+    p, col_u, row_u, s_uu = inverse
     # the 2x2 matrix of block norms [[p, q], [r, s]] and its 2-norm
-    p = s_norm * grow
-    q = np.abs(c) * (col_u * grow) * y_norm
-    r = np.abs(c) * x_norm * (row_u * grow)
-    s = k_norm + c * c * (s_uu * grow) * x_norm * y_norm
+    q = np.abs(c) * col_u * y_norm
+    r = np.abs(c) * x_norm * row_u
+    s = k_norm + c * c * s_uu * x_norm * y_norm
     block_norm = 0.5 * (np.hypot(p + s, q - r) + np.hypot(p - s, q + r))
     sigma_lo = 1.0 / block_norm - slack
-    upper = np.divide(1.0, sigma_lo, out=np.full(sigma_lo.shape, np.inf), where=sigma_lo > 0.0)
-    lower = s_norm / (1.0 + eps_m)
-    return np.where(np.isfinite(lower), lower, 0.0), upper
+    return np.divide(1.0, sigma_lo, out=np.full(sigma_lo.shape, np.inf), where=sigma_lo > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +404,8 @@ class ResolventSweeper:
     energy-coordinate corner ``A_k`` of its block and the coupling ``c_k`` to
     the history (see the module docstring); the corners come from one
     ``energy_corners`` call over all modes, without assembling any block.
-    Per frequency ``norm_bounds`` turns them into two-sided bounds, and only
-    the modes those bounds cannot rule out are assembled by ``mode_block`` and
+    Per frequency ``norm_bounds`` turns them into upper bounds, and only the
+    modes those bounds cannot rule out are assembled by ``mode_block`` and
     SVD'd from their stored corners.  The eigenvalues ``+-i*omega_k`` of the
     skew parts of the corners, from one stacked ``eigvalsh``, screen out the
     modes far from resonance before any Schur complement is inverted (module
@@ -488,52 +468,52 @@ class ResolventSweeper:
         y = sw @ k_inv
         return k_inv, x, y, complex(np.sum(sw * x))
 
-    def norm_bounds(self, tau: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(lower, upper)`` bounds on the resolvent norms of modes ``1..n``
-        (``lower = 0``, ``upper = +inf`` where the bound data are not finite).
-        A mode whose screening ``upper`` is below the largest screening
-        ``lower`` keeps its screening pair (``_screen``).  The others get the
-        sharp pair of their inverted Schur complements: ``upper`` bounds the
-        computed norm, and ``lower`` bounds the exact norm and only picks the
-        mode SVD'd first (module docstring)."""
+    def norm_bounds(self, tau: float, n: int) -> np.ndarray:
+        """Upper bounds on the computed resolvent norms of modes ``1..n``
+        (``+inf`` where the bound data are not finite).  A mode whose
+        screening upper bound is below the largest screening lower bound
+        keeps its screening upper bound (``_screen``); the others get the
+        sharp one of their inverted Schur complements ``S_M`` (module
+        docstring)."""
         lower, upper, history, slack = self._screen(tau, n)
         if history is None:
-            return lower, upper
+            return upper
+        phi_m, *norms = history
         keep = np.flatnonzero(~(upper < lower.max(initial=0.0)))
-        inverse = schur_inverse(self._corners[keep], self._c[keep], tau, self.delta)
-        lower[keep], upper[keep] = schur_bounds(inverse, self._c[keep], *history, slack[keep])
-        return lower, upper
+        inverse = schur_inverse(self._corners[keep], self._c[keep], tau, phi_m)
+        upper[keep] = schur_bounds(inverse, self._c[keep], *norms, slack[keep])
+        return upper
 
     def _screen(self, tau: float, n: int) -> tuple[np.ndarray, np.ndarray, tuple | None, np.ndarray | None]:
         """The screening pair ``(lower, upper)`` of modes ``1..n``, which
         bounds their computed norms, roundoff included (module docstring),
-        followed by the history data and the slack that ``schur_bounds``
-        takes.  Where ``K`` is not finite the history data are None and the
-        pair is ``(0, +inf)`` for every mode."""
+        followed by the history data ``(phi_M, ||x||, ||y||, ||K||)`` that
+        ``schur_inverse`` and ``schur_bounds`` take and the slack.  Where
+        ``K`` is not finite the history data are None and the pair is
+        ``(0, +inf)`` for every mode."""
         k_inv, x, y, phi_m = self.history_resolvent(tau)
         if not np.all(np.isfinite(k_inv)):
             return np.zeros(n), np.full(n, np.inf), None, None
         k_abs = np.abs(k_inv)
         k_norm = math.sqrt(float(k_abs.sum(axis=0).max() * k_abs.sum(axis=1).max()))
-        phi = continuum_phi(self.delta, tau)
-        history = (phi_m - phi, np.linalg.norm(x), np.linalg.norm(y), k_norm)
+        history = (phi_m, np.linalg.norm(x), np.linalg.norm(y), k_norm)
         c = self._c[:n]
-        c_sq = c * c
-        beta_max = c_sq * max(abs(phi), abs(phi_m))
-        slack = self._eps_n * (self._nu[:n] + 2.0 * abs(tau) + beta_max)
+        beta = c * c * phi_m
+        slack = self._eps_n * (self._nu[:n] + 2.0 * abs(tau) + np.abs(beta))
         # the distance from tau to the nearest segment from omega to
-        # omega - Im(beta) for S, and to the farther ends of the segments for
-        # S_M, where beta_M = c^2 phi_M takes the place of beta = c^2 phi
+        # omega - Im(beta), and to the farther ends of the segments
         omega = self._omega[:n]
-        other_end = omega - (c_sq * phi.imag)[:, None]
+        other_end = omega - beta.imag[:, None]
         outside = np.maximum(np.minimum(omega, other_end) - tau, tau - np.maximum(omega, other_end))
         near = np.min(np.maximum(outside, 0.0), axis=-1)
-        far = np.min(np.maximum(np.abs(tau - omega), np.abs(tau - omega + (c_sq * phi_m.imag)[:, None])), axis=-1)
-        shift = self._sym_norms[:n] + 8.0 * EPS * (4.0 * self._corner_norms[:n] + abs(tau) + 2.0 * beta_max)
-        gap = near - c_sq * abs(phi.real) - shift
+        far = np.min(np.maximum(np.abs(tau - omega), np.abs(tau - other_end)), axis=-1)
+        shift = np.abs(beta.real) + self._sym_norms[:n] + 8.0 * EPS * (
+            4.0 * self._corner_norms[:n] + abs(tau) + 2.0 * np.abs(beta)
+        )
+        gap = near - shift
         h = np.divide(1.0, gap, out=np.full(n, np.nan), where=gap > 0.0)
-        _, upper = schur_bounds((h, h, h, h), c, *history, slack)
-        lower = 1.0 / (far + c_sq * abs(phi_m.real) + shift + slack)
+        upper = schur_bounds((h, h, h, h), c, *history[1:], slack)
+        lower = 1.0 / (far + shift + slack)
         lower[~np.isfinite(lower)] = 0.0
         return lower, upper, history, slack
 
@@ -541,18 +521,15 @@ class ResolventSweeper:
         """Return ``(norm, argmax mode, cutoff mode, margin)``.
 
         ``margin`` is included-max divided by the first excluded mode's norm,
-        or NaN when the grid is exhausted.  The mode with the largest lower
-        bound is SVD'd first, then the others in decreasing order of their
-        upper bound until it drops below the running max; exact ties go to the
-        smaller mode, as ``np.argmax`` does.
+        or NaN when the grid is exhausted.  Modes are SVD'd in decreasing
+        order of their upper bound until it drops below the running max;
+        exact ties go to the smaller mode, as ``np.argmax`` does.
         """
         ks = self.included_modes(tau)
-        lower, upper = self.norm_bounds(tau, len(ks))
-        first = np.argmax(lower)
-        rest = np.argsort(-upper, kind="stable")
+        upper = self.norm_bounds(tau, len(ks))
         best = -math.inf
         k_best = 0
-        for i in np.concatenate(([first], rest[rest != first])):
+        for i in np.argsort(-upper, kind="stable"):
             if upper[i] < best:
                 break
             k = ks[i]
@@ -713,8 +690,8 @@ def resolvent_peaks(branch: SpectrumBranch, params: ModelParams) -> tuple[np.nda
     for _ in range(PEAK_PASSES):
         taus = centers[:, None] + half * offsets
         y_sq = 1.0 / (delta * (delta * delta + taus * taus))
-        inverse = schur_inverse(corners, c, taus, delta)
-        _, upper = schur_bounds(inverse, c, 0.0, np.sqrt(2.0 * y_sq), np.sqrt(y_sq), 2.0 / delta)
+        inverse = schur_inverse(corners, c, taus, continuum_phi(delta, taus))
+        upper = schur_bounds(inverse, c, np.sqrt(2.0 * y_sq), np.sqrt(y_sq), 2.0 / delta)
         best = (np.arange(xi.size), np.argmax(upper, axis=-1))
         centers, peaks = taus[best], upper[best]
         half = half * (2.0 / (PEAK_POINTS - 1))

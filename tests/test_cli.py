@@ -176,6 +176,12 @@ def unknown_key(place):
         ("simulate", {"simulate": {"t_lo": 200.0}}, "simulate.t_lo = 200.0 must be below simulate.t_hi"),
         ("fit", {"fit": {"trace": "trace.csv", "window": [1000.0, 10.0]}}, "fit.window[0]"),
         ("fit", {"fit": {"trace": "trace.csv", "window": [10.0, 10.0]}}, "fit.window[0]"),
+        # log spacing starts at 1e-6: t_hi = 1e-7 once wrote times 1e-6, ..., 1e-7
+        (
+            "simulate",
+            {"simulate": {"t_lo": 0.0, "t_hi": 1e-7, "n_times": 5, "spacing": "log"}},
+            "simulate.t_hi = 1e-07 must be above 1e-06",
+        ),
     ],
 )
 def test_range_that_does_not_increase_is_config_error(tmp_path, capsys, command, section, message):

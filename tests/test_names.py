@@ -86,6 +86,21 @@ def test_only_the_command_line_sets_blas_threads(path):
     assert found == (list(words[:3]) if path.name == "cli.py" else [])
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_every_parameter_is_read(path):
+    # a parameter that its function never reads is plumbing left over from a
+    # removed computation; lambdas and nested functions count as functions
+    unread = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg) if a]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            unread += [f"{getattr(node, 'name', 'lambda')}.{p}" for p in params if p not in read]
+    assert unread == []
+
+
 def test_every_command_option_is_read():
     # a config key that no command reads is a knob that does nothing: each
     # option key must be a string constant of a cli function that names its section
