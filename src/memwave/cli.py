@@ -146,7 +146,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
         per_decade=opts.get("per_decade", 64),
         resonances_per_branch=opts.get("resonances_per_branch", 16),
     )
-    sups = {}
+    sups, at_resonance = {}, {}
     for m_nodes, sweep in zip(m_list, sweeps):
         columns = {
             "tau": sweep.taus,
@@ -159,18 +159,15 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
             "M": [m_nodes] * sweep.taus.size,
         }
         _write_csv(out / f"sweep_M{m_nodes}.csv", columns)
-        sups[m_nodes] = sweep.sup_scaled
+        sups[str(m_nodes)] = sweep.sup_scaled
+        at_resonance[str(m_nodes)] = sweep.sup_at_resonance
         print(
             f"M={m_nodes}: sup scaled {sweep.sup_scaled:.6g} at tau {sweep.argmax_tau:.6g} "
             f"({'resonance' if sweep.sup_at_resonance else 'grid'} sample, omega={sweep.omega:g})"
         )
-    summary = {
-        "omega": sweep.omega,
-        "sup_scaled": {str(m): s for m, s in sups.items()},
-        "sup_at_resonance": sweep.sup_at_resonance,
-    }
+    summary = {"omega": sweeps[0].omega, "sup_scaled": sups, "sup_at_resonance": at_resonance}
     if len(m_list) >= 2:
-        vals = [sups[m] for m in m_list]
+        vals = list(sups.values())
         summary["relative_spread"] = (max(vals) - min(vals)) / max(vals)
     _write_json(out / "sweep_summary.json", summary)
     return 0

@@ -248,7 +248,7 @@ def sharpness_product(branch: SpectrumBranch, j: int, a: float):
     """``|Re lam_{k,j,+}| * |Im lam_{k,j,+}|^(2(1-a))`` from numeric roots."""
     if np.any(branch.degenerate):
         xi = np.asarray(branch.xi)[branch.degenerate]
-        raise ValueError(f"branch labels are degenerate at xi={xi.reshape(-1)[0]:g}")
+        raise InvalidModelError(f"branch labels are degenerate at xi={xi.reshape(-1)[0]:g}")
     lam = branch.lam(j, +1)
     return np.abs(lam.real) * np.abs(lam.imag) ** (2.0 * (1.0 - a))
 

@@ -5,8 +5,17 @@ of ``(v, u, p, q)``; no mode number enters.  Every mode is at rest before
 ``t = 0``.  The system is real, so complex data, whose trace would be the sum
 of the traces of their real and imaginary parts, are refused.
 
-For ``g(s) = exp(-delta*s)`` each mode reduces to the five-dimensional system
-``(v, u, p, q, I)`` with the convolved history ``I' = v - delta*I`` and
+Every route takes the memory part of the energy in one form.  From rest
+``v(t-s) = 0`` for ``s > t``, so with ``zeta = int_0^inf g`` and the history
+coordinate ``I = int_0^t g(s) v(t-s) ds`` (Dafermos, ARMA 1970)
+
+    xi^a * int_0^inf g(s) |v(t) - v(t-s)|^2 ds
+        = xi^a (zeta v^2 - 2 v I + int_0^t g(s) v(t-s)^2 ds),
+
+and the routes differ only in how they get ``I`` and the last integral.
+
+For ``g(s) = exp(-delta*s)``, ``zeta = 1/delta``, each mode reduces to the
+five-dimensional system ``(v, u, p, q, I)`` with ``I' = v - delta*I`` and
 ``I(0) = 0``, so the trajectory is an exact five-term exponential sum.  That
 removes all time-discretization error from decay-rate measurements.  Its
 roots are one real root and two exact conjugate pairs (or another real
@@ -15,32 +24,27 @@ labelling), so the solution is real: five real pair coordinates, ``f_0``,
 a_i*exp(lam_i*t)``, carry it.  Per mode and time they take three real
 exponentials and two tangents: a pair's phase comes from the tangent of its
 half angle, with no complex ``exp``.  The states, ``I`` among them, are a
-fixed real 5x5 map of the coordinates, and from rest the memory part of the
-energy is
-
-    xi^a * int_0^inf g(s) |v(t) - v(t-s)|^2 ds
-        = xi^a (v^2/delta - 2 v I + int_0^t g(s) v(t-s)^2 ds),
-
-whose last integral sums over pairs of the terms of ``v``: a fixed real
-symmetric 5x5 form of the coordinates per mode plus a term in
-``e^(-delta*t)``.  So every per-mode constant is built once for a whole
-stack, and each chunk of modes is one vectorised evaluation of the
-coordinates and one real matrix product with them.  A mode whose roots
-nearly collide, or lack an exact conjugate partner, has no such expansion;
-it takes the matrix form instead, the states ``expm(G t) x0`` of its 5x5
-generator ``G`` and its memory energy from one Lyapunov solve for
-``G`` (``_matrix_parts``).
+fixed real 5x5 map of the coordinates, and the last integral of the memory
+sums over pairs of the terms of ``v``: a fixed real symmetric 5x5 form of
+the coordinates per mode plus a term in ``e^(-delta*t)``.  So every
+per-mode constant is built once for a whole stack, and each chunk of modes
+is one vectorised evaluation of the coordinates and one real matrix product
+with them.  A mode whose roots nearly collide, or lack an exact conjugate
+partner, has no such expansion; it takes the matrix form instead, the
+states ``expm(G t) x0`` of its 5x5 generator ``G`` and the last integral
+from one Lyapunov solve for ``G`` (``_matrix_parts``).
 
 General kernels satisfying the positivity/pinch hypotheses go through an
-implicit-midpoint scheme whose memory force uses trapezoidal convolution over
-the trajectory; the convolution is truncated at ``s = log(1e14)/k1``, past
+implicit-midpoint scheme whose memory force is ``I`` by the trapezoid rule
+over the trajectory; the rule is truncated at ``s = log(1e14)/k1``, past
 which the pinch ``g(s) <= g(0) exp(-k1*s)`` puts the kernel below 1e-14 of
 its initial value.  The scheme is linear and time-invariant apart from one
 trapezoid end correction on the initial velocity, so all its velocities are
 the coefficients of one real power-series quotient: a Newton inversion and a
-few products by real FFTs at 5-smooth lengths, O(steps log steps) in all,
-with no loop over steps.  Only the energy at the samples loops, over samples
-times the window.
+few products by real FFTs at 5-smooth lengths, O(steps log steps) in all.
+The same rule on ``v^2`` gives the last integral, and on ``g'`` the
+dissipation, at every step by a few more such products: no loop over steps
+or samples.
 """
 
 from __future__ import annotations
@@ -463,19 +467,16 @@ def _matrix_parts(trajs: ModalTrajectories, tt: np.ndarray) -> np.ndarray:
     times ``tt``, shape ``(modes, 5, tt.size)``, from each mode's generator
     ``G`` (``modal_generator``) and data ``x0`` alone: no roots and no
     eigenvectors, so it holds where the roots collide or lack an exact
-    conjugate partner.  The states are ``x(t) = expm(G t) x0``, and with ``I
-    = x[4] = int_0^t e^(-delta*s) v(t-s) ds`` the memory energy is
-
-        xi^a (v^2/delta - 2 v I + x^T W x - e^(-delta*t) x0^T W x0),
-
-    ``W`` the real symmetric solution of ``G^T W + W G + delta W = e0
-    e0^T``: then ``d/dt x^T W x = v^2 - delta x^T W x``, so the last two
-    terms are ``int_0^t e^(-delta*s) |v(t-s)|^2 ds``.  ``W`` is one
-    Kronecker solve of order 25 per mode (Bartels and Stewart, CACM 1972,
-    solve the same equation by Schur forms), and exists where every ``delta +
-    lam_i + lam_j`` is nonzero.  Only ``W`` needs that: the closed form takes
-    a pair term with a vanishing exponent whole, while ``W`` loses digits as
-    the smallest such sum nears zero.
+    conjugate partner.  The states are ``x(t) = expm(G t) x0``, ``I =
+    x[4]``, and the last integral of the memory form (module docstring) is
+    ``x^T W x - e^(-delta*t) x0^T W x0``, ``W`` the real symmetric solution
+    of ``G^T W + W G + delta W = e0 e0^T``: then ``d/dt x^T W x = v^2 -
+    delta x^T W x``.  ``W`` is one Kronecker solve of order 25 per mode
+    (Bartels and Stewart, CACM 1972, solve the same equation by Schur
+    forms), and exists where every ``delta + lam_i + lam_j`` is nonzero.
+    Only ``W`` needs that: the closed form takes a pair term with a
+    vanishing exponent whole, while ``W`` loses digits as the smallest such
+    sum nears zero.
     """
     import scipy.linalg as sla  # loaded only for a dense or partnerless mode
 
@@ -578,11 +579,12 @@ def _smooth_size(n: int) -> int:
 
 def _series_product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """First ``n`` coefficients of the product of the real power series
-    ``a`` and ``b``, by real FFTs of the smallest 5-smooth length that holds
-    the whole product (``_smooth_size``)."""
-    a, b = a[:n], b[:n]
-    size = _smooth_size(max(a.size + b.size - 1, n))
-    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
+    ``a`` and ``b`` along their last axes, broadcast over the leading ones,
+    by real FFTs of the smallest 5-smooth length that holds the whole
+    product (``_smooth_size``)."""
+    a, b = a[..., :n], b[..., :n]
+    size = _smooth_size(max(a.shape[-1] + b.shape[-1] - 1, n))
+    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[..., :n]
 
 
 def _series_inverse(d: np.ndarray, n: int) -> np.ndarray:
@@ -648,25 +650,30 @@ def evolve_general_kernel(
     at once in O(steps log steps).
 
     The mode is at rest before t = 0.  The memory force at the midpoint is the
-    average of the endpoint convolutions ``conv_n = int_0^t g(s) v(t-s) ds``
-    by the trapezoid rule on the step grid: ``conv_(n+1) = kappa*v_(n+1) +
-    rest_n`` with ``kappa = dt*g(0)/2`` and ``rest_n = (h*v)_(n+1) -
-    c_n*v_0``, where ``h_j = dt*g_j`` (``h_window`` halved) and the far-end
-    correction ``c_n = dt*g_(n+1)/2`` applies while ``n+1 < window``.  Each
-    step is linear in ``v_(n+1)``; solved for it, ``y_(n+1) = A y_n + b
-    F_n`` with ``F_n = conv_n + rest_n``.  With ``R_k = e0^T A^k b`` and
-    ``S_k = e0^T A^k y_0`` the velocities are the coefficients of
+    average of the endpoint convolutions ``I_n = int_0^t g(s) v(t-s) ds`` by
+    the trapezoid rule on the step grid over ``[0, min(n, window)*dt]``: as
+    series ``I = W V - v_0 C``, with ``W_j = dt*g_j`` halved at both ends of
+    the window and the far-end halves ``C_n = dt*g_n/2``, ``n < window``, of
+    the shorter rules.  ``I_(n+1)`` holds ``v_(n+1)`` as ``kappa*v_(n+1)``,
+    ``kappa = dt*g(0)/2``, so each step is linear in ``v_(n+1)``; solved for
+    it, ``y_(n+1) = A y_n + b F_n`` with ``F_n = I_n + I_(n+1) -
+    kappa*v_(n+1)``.  With ``R_k = e0^T A^k b`` and ``S_k = e0^T A^k y_0``
+    the velocities are the coefficients of
 
-        V = (S - v_0 z R (kappa + (1+z) C)) / (1 - R (kappa z + (1+z) H)),
+        V = (S - v_0 R ((1+z) C - kappa)) / (1 - R ((1+z) W - kappa)),
 
     one Newton inversion and a few products of real series by real FFTs.
     The states at the samples follow block by block, ``y_((j+1)S) = A^S
     y_(jS) + sum_i A^(S-1-i) b F_(jS+i)`` with ``S = sample_every``, in a
-    scan that doubles the number of blocks folded in per pass.  The history coordinate at the
-    samples is reconstructed from the velocities by the same trapezoid rule
-    for ``g`` and ``g'``, and the convolution is truncated where the pinch
-    puts the kernel below 1e-14 of ``g(0)`` (see the module docstring).  A
-    mode that is not coercive, or complex data, raise ``InvalidModelError``.
+    scan that doubles the number of blocks folded in per pass.  The memory
+    energy is ``xi^a (zeta v^2 - 2 v I + J)`` (see the module docstring)
+    with ``J`` the same rule on ``v^2``, and the dissipation ``xi^a int g'
+    |v(t) - v(t-s)|^2 ds`` is the same form for ``g'``, whose integral past
+    the window is ``-g(s_m)``: one broadcast FFT product gives all of them
+    at every step, read at the samples.  The rule is truncated where the
+    pinch puts the kernel below 1e-14 of ``g(0)`` (see the module
+    docstring).  A mode that is not coercive, or complex data, raise
+    ``InvalidModelError``.
     """
     xi = float(xi)
     y0 = _real_data(y0)
@@ -685,9 +692,12 @@ def evolve_general_kernel(
         raise InvalidModelError(
             f"kernel stopped decreasing at s ~ {dt * (i + 1):.6g}; pinch hypothesis violated"
         )
-    # g and g' at s = (window, ..., 1, 0) * dt: the weight of v_i in a sum
-    # ending at v_n is the entry n - i places from the end
-    reversed_table = np.stack([g_grid, kernel.g_prime(s_grid)])[:, ::-1].copy()
+    # the trapezoid weights W over the window for g and g' and the far-end
+    # halves C that a rule over the shorter [0, n*dt], n < window, takes back
+    tables = np.stack([g_grid, kernel.g_prime(s_grid)])
+    weights = dt * tables
+    weights[:, [0, -1]] *= 0.5
+    far = 0.5 * dt * tables[:, :window]
 
     amat = memoryless_generator(xi, params)
     eye = np.eye(4)
@@ -696,7 +706,7 @@ def evolve_general_kernel(
     # the memory force enters the velocity row: y_(n+1) = z + col*kappa*v_(n+1)
     # with z = lhs rhs y_n + col*F_n, so y_(n+1) = Q z, Q = I + gain e0^T
     col = lhs[:, 1] * dt * xi_a / (2.0 * params.rho)
-    kappa = 0.5 * dt * g_grid[0]
+    kappa = weights[0, 0]
     gain = col * kappa / (1.0 - col[0] * kappa)
     # A (``propagator``) stays in extended precision until its powers are
     # rounded: a rounded A would perturb every step alike, an error that grows
@@ -710,24 +720,23 @@ def evolve_general_kernel(
     rows = _powers(propagator.T, eye[0], size)
     r = rows @ b
     numerator = rows @ y0
-    h = dt * g_grid
-    h[0] = 0.0
-    h[-1] *= 0.5
-    c = 0.5 * dt * g_grid[1:window]
-    # kappa z + (1+z) H and kappa + (1+z) C
-    pull = np.append(h, 0.0) + np.append(0.0, h)
-    pull[1] += kappa
-    start = np.append(c, 0.0) + np.append(0.0, c)
-    start[0] += kappa
+    # (1+z) W - kappa and ((1+z) C - kappa)/z
+    pull = np.convolve(weights[0], [1.0, 1.0])
+    pull[0] = 0.0
+    start = np.convolve(far[0], [1.0, 1.0])[1:]
     denominator = -_series_product(r, pull, size)
     denominator[0] = 1.0
     numerator[1:] -= y0[0] * _series_product(r, start, size - 1)
     v_hist = _series_product(numerator, _series_inverse(denominator, size), size)
 
-    rest = _series_product(v_hist, h, size)[1:]
-    rest[: window - 1] -= y0[0] * c
-    force = rest.copy()
-    force[1:] += kappa * v_hist[1:-1] + rest[:-1]
+    # the trapezoid history integrals I of v and J of v^2 at every step, for
+    # g and for g' (shape (2, 2, size)), 0 at n = 0: W*x less x_0 C
+    series = np.stack([v_hist, v_hist * v_hist])[:, None]
+    integrals = _series_product(series, weights, size)
+    integrals[..., :window] -= series[..., :1] * far
+    integrals[..., 0] = 0.0
+    conv = integrals[0, 0]
+    force = conv[:-1] + conv[1:] - kappa * v_hist[1:]
     n_blocks = n_steps // sample_every
     # block j adds sum_i A^(S-1-i) b F_(jS+i) to A^S y_(jS)
     kick = _powers(propagator, b, sample_every)[::-1]
@@ -742,22 +751,18 @@ def evolve_general_kernel(
         span *= 2
 
     sample_idx = np.arange(0, n_steps + 1, sample_every)
-    m = np.minimum(sample_idx, window)
+    (hist, hist_prime), (sq, sq_prime) = integrals[..., sample_idx]
     v = samples[:, 0]
-    # recent parts of int g eta^2 and int g' eta^2; the near end holds
-    # eta(0) = 0, so only the far end needs halving
-    recent = np.empty((sample_idx.size, 2))
-    for i, (n, mi) in enumerate(zip(sample_idx, m)):
-        eta_sq = v[i] - v_hist[n - mi : n + 1]
-        eta_sq *= eta_sq
-        weights = reversed_table[:, window - mi :]
-        recent[i] = dt * (weights @ eta_sq - 0.5 * weights[:, 0] * eta_sq[0])
-    # remote parts: eta = v(t) for s beyond the window, where int g = zeta -
-    # int_0^s g and int g' = -g(s) (the same truncation as the step)
-    cumulative = np.concatenate([[0.0], np.cumsum(0.5 * (g_grid[1:] + g_grid[:-1]) * dt)])
     v_sq = v * v
-    mem = xi_a * (recent[:, 0] + v_sq * (kernel.zeta - cumulative[m]))
-    dissipation = xi_a * (recent[:, 1] - g_grid[m] * v_sq)
+    # sum_j w_j (v - v_(n-j))^2 = v^2 sum_j w_j - 2 v I + J over the window,
+    # and eta = v(t) beyond it, where int g = zeta - sum_j w_j and int g' =
+    # -g(s_m), m = min(n, window); sum_j w'_j is the running sum of W' less
+    # the far-end half
+    mem = xi_a * (kernel.zeta * v_sq - 2.0 * v * hist + sq)
+    m = np.minimum(sample_idx, window)
+    mass_prime = np.cumsum(weights[1])
+    mass_prime[:window] -= far[1]
+    dissipation = xi_a * (v_sq * (mass_prime[m] - g_grid[m]) - 2.0 * v * hist_prime + sq_prime)
     parts = energy_parts(*samples.T, xi, params, kernel.zeta)
     return EnergyTrace.from_parts(dt * sample_idx, *parts, mem, dissipation)
 

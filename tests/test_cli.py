@@ -487,7 +487,7 @@ def test_sweep_command_summary(tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     summary = json.loads((out / "sweep_summary.json").read_text())
-    assert set(summary["sup_scaled"]) == {"8", "12"}
+    assert set(summary["sup_scaled"]) == set(summary["sup_at_resonance"]) == {"8", "12"}
     assert (out / "sweep_M8.csv").exists() and (out / "sweep_M12.csv").exists()
 
 
@@ -549,7 +549,7 @@ def test_spectrum_refuses_degenerate_branch_labels(tmp_path, capsys):
     assert json.loads((out / "validate.json").read_text())["passed"] is True
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 1
-    want = {"type": "ValueError", "message": "branch labels are degenerate at xi=0.16"}
+    want = {"type": "InvalidModelError", "message": "branch labels are degenerate at xi=0.16"}
     assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"] == want
     assert json.loads((out / "error.json").read_text())["error"] == want
     assert not (out / "spectrum.csv").exists()

@@ -659,8 +659,10 @@ def _table(rate, k1, s_max=6.0):
         (KER1, 3, [0.5, 1.0, 0.0, 0.2], 2.0, 1e-3, 7),
         (KER1, 1, [1.0, 0.1, 0.2, 0.3], 0.01, 0.01, 1),
         (KER1, 1, [1.0, 0.1, 0.2, 0.3], 0.03, 0.01, 1),
+        # the memory is about 1e-6 of the total: v^2 zeta, 2 v I and J cancel
+        (ExponentialKernel(100.0), 1, [1.0, 0.2, 0.0, 0.0], 1.0, 1e-3, 1),
     ],
-    ids=["full", "truncated", "window1", "dt0.05", "ragged", "1step", "3steps"],
+    ids=["full", "truncated", "window1", "dt0.05", "ragged", "1step", "3steps", "cancel"],
 )
 def test_general_kernel_series_matches_stepping(kernel, k, y0, T, dt, every):
     xi = square_grid(3).xi_of(k)
