@@ -271,16 +271,25 @@ class ModeGrid:
 # ---------------------------------------------------------------------------
 
 
+def energy_terms(v, u, p, q, xi: float, params: ModelParams, zeta: float):
+    """The weights ``w`` and terms ``x`` of the four parts ``w*|x|^2`` of
+    ``energy_parts``, as ``(w, x)`` pairs.  Each term is linear in ``(v, u,
+    p, q)``: given the rows of a linear map to those data, it returns the
+    rows of the map to the term."""
+    return (
+        (params.alpha1 * xi - zeta * xi**params.a, v),
+        (params.rho, u),
+        (params.beta * xi, params.gamma * v - p),
+        (params.mu, q),
+    )
+
+
 def energy_parts(v, u, p, q, xi: float, params: ModelParams, zeta: float):
     """Stiffness, kinetic-v, coupling and kinetic-p parts of the squared
-    energy norm of one mode; scalars or arrays of samples alike.  The memory
-    part ``xi^a * int g|eta|^2`` depends on the history and is computed in
-    ``timedomain``."""
-    stiff = (params.alpha1 * xi - zeta * xi**params.a) * abs(v) ** 2
-    kin_v = params.rho * abs(u) ** 2
-    coup = params.beta * xi * abs(params.gamma * v - p) ** 2
-    kin_p = params.mu * abs(q) ** 2
-    return stiff, kin_v, coup, kin_p
+    energy norm of one mode (``energy_terms``); scalars or arrays of samples
+    alike.  The memory part ``xi^a * int g|eta|^2`` depends on the history
+    and is computed in ``timedomain``."""
+    return tuple(w * abs(x) ** 2 for w, x in energy_terms(v, u, p, q, xi, params, zeta))
 
 
 def memoryless_generator(xi, params: ModelParams) -> np.ndarray:
@@ -462,6 +471,7 @@ __all__ = [
     "ValidationReport",
     "coercivity_margin",
     "energy_parts",
+    "energy_terms",
     "memoryless_generator",
     "require_coercive",
     "validate_params",

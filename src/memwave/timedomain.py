@@ -19,18 +19,21 @@ five-dimensional system ``(v, u, p, q, I)`` with ``I' = v - delta*I`` and
 ``I(0) = 0``, so the trajectory is an exact five-term exponential sum.  That
 removes all time-discretization error from decay-rate measurements.  Its
 roots are one real root and two exact conjugate pairs (or another real
-labelling), so the solution is real: five real pair coordinates, ``f_0``,
-``Re f_1``, ``Im f_1``, ``Re f_3`` and ``Im f_3`` with ``f_i =
-a_i*exp(lam_i*t)``, carry it.  Per mode and time they take three real
-exponentials and two tangents: a pair's phase comes from the tangent of its
-half angle, with no complex ``exp``.  The states, ``I`` among them, are a
-fixed real 5x5 map of the coordinates, and the last integral of the memory
-sums over pairs of the terms of ``v``: a fixed real symmetric 5x5 form of
-the coordinates per mode plus a term in ``e^(-delta*t)``.  So every
-per-mode constant is built once for a whole stack, and each chunk of modes
-is one vectorised evaluation of the coordinates and one real matrix product
-with them.  A mode whose roots nearly collide, or lack an exact conjugate
-partner, has no such expansion; it takes the matrix form instead, the
+labelling), so the solution is real: five real pair coordinates,
+``exp(lam_0*t)``, ``Re exp(lam_1*t)``, ``Im exp(lam_1*t)``, ``Re
+exp(lam_3*t)`` and ``Im exp(lam_3*t)``, carry it, with no amplitudes in
+them.  Per mode and time they take three real exponentials and two
+tangents: a pair's phase comes from the tangent of its half angle, with no
+complex ``exp``.  The amplitudes enter the fixed real maps of the
+coordinates instead, through one 0/1/+-i unit basis per labelling: the
+states, ``I`` among them, are a real 5x5 map of them, and the last
+integral of the memory sums over pairs of the terms of ``v``: a real
+symmetric 5x5 form of the coordinates per mode plus a term in
+``e^(-delta*t)``.  So every per-mode constant is built once for a whole
+stack, and each chunk of modes is one vectorised evaluation of the
+coordinates and one real matrix product with them.  A mode whose roots
+nearly collide, or lack an exact conjugate partner, has no such
+expansion; it takes the matrix form instead, the
 states ``expm(G t) x0`` of its 5x5 generator ``G`` and the last integral
 from one Lyapunov solve for ``G`` (``_matrix_parts``).
 
@@ -62,6 +65,7 @@ from .model import (
     ModelParams,
     coercivity_margin,
     energy_parts,
+    energy_terms,
     memoryless_generator,
     require_coercive,
 )
@@ -91,12 +95,13 @@ class ModalTrajectories:
 
     A mode's roots are real or come in exact conjugate pairs (``partners``),
     and so do its eigenvectors.  The data are real, so the amplitudes of a
-    pair are conjugate too, and each term ``f_i = a_i exp(lam_i t)`` is a
-    real coordinate or half of a pair's: the five reals of
+    pair are conjugate too, and each ``exp(lam_i t)`` is a real coordinate
+    or half of a pair's: the five amplitude-free reals of
     ``pair_coordinates`` carry the whole solution, and every state is a
-    fixed real map of them (``pair_basis``).  From rest the history ``I(0) =
-    sum_i a_i/(delta + lam_i)`` is 0, which the closed-form memory energy
-    relies on; it refuses amplitudes that break this (``_memory_form``).
+    fixed real map of them, the amplitudes folded in (``pair_basis``).  From
+    rest the history ``I(0) = sum_i a_i/(delta + lam_i)`` is 0, which the
+    closed-form memory energy relies on; it refuses amplitudes that break
+    this (``_memory_form``).
     """
 
     xi: np.ndarray
@@ -132,35 +137,30 @@ class ModalTrajectories:
 
     def pair_coordinates(self, t) -> np.ndarray:
         """The real pair coordinates ``r`` of every mode at ``t``, shape
-        ``(modes, 5) + t.shape``: ``r_i = f_i`` for a real root ``i``, and
-        ``r_i = Re f_i``, ``r_p(i) = Im f_i`` for a pair ``i < p(i)``, with
-        ``f_i = a_i exp(lam_i t)``.  A real root takes one real
-        ``exp``; a pair ``lam = sigma + i omega`` takes one real ``exp`` and
-        one ``tan`` (see ``_pair_coordinates``), and forms no complex array.
-        The amplitude of a pair's second root is not read, being the
-        conjugate of its partner's.  A root without its partner raises
-        ``InvalidModelError``.
+        ``(modes, 5) + t.shape``: ``r_i = exp(lam_i t)`` for a real root
+        ``i``, and ``r_i = Re exp(lam_i t)``, ``r_p(i) = Im exp(lam_i t)``
+        for a pair ``i < p(i)``.  They hold no amplitudes, which enter
+        through ``pair_basis``; at ``t = 0`` they are 1 at a real root or the
+        first root of a pair and 0 at the second.  A real root takes one
+        real ``exp``; a pair ``lam = sigma + i omega`` takes one real ``exp``
+        and one ``tan`` (see ``_pair_coordinates``), and forms no complex
+        array.  A root without its partner raises ``InvalidModelError``.
         """
         t = np.asarray(t, dtype=float)
         partner = self.partners
         if (partner < 0).any():
             raise InvalidModelError("pair coordinates need the exact conjugate partner of every root")
-        out = _pair_coordinates(self.eigenvalues, self.amplitudes, *_labellings(partner), t.reshape(-1))
+        out = _pair_coordinates(self.eigenvalues, *_labellings(partner), t.reshape(-1))
         return out.reshape((len(self), 5) + t.shape)
 
     def pair_basis(self) -> np.ndarray:
-        """The complex ``(modes, 5, 5)`` matrix ``C`` of each mode with ``f =
-        C r``: row ``i`` picks ``r_i`` for a real root, ``r_i + i r_p(i)`` for
-        the first root of a pair and ``r_p(i) - i r_i`` for the second.  A
-        complex linear map ``L`` of the terms, such as the eigenvectors, acts
-        on ``r`` as the real map ``Re(L C)``."""
-        partner = self.partners
-        slot = np.arange(5)
-        rows = np.arange(len(self))[:, None]
-        basis = np.zeros((len(self), 5, 5), dtype=complex)
-        basis[rows, slot, np.minimum(slot, partner)] = 1.0
-        basis[rows, slot, np.maximum(slot, partner)] += 1j * np.sign(partner - slot)
-        return basis
+        """The complex ``(modes, 5, 5)`` matrix ``C = diag(a) U`` of each
+        mode with ``f = C r``, ``f_i = a_i exp(lam_i t)``: ``U`` is the unit
+        basis of the mode's labelling (``_unit_bases``), with ``exp(lam t) =
+        U r``.  A complex linear map ``L`` of the terms, such as the
+        eigenvectors, acts on ``r`` as the real map ``Re(L C)``."""
+        labellings, which = _labellings(self.partners)
+        return self.amplitudes[:, :, None] * _unit_bases(labellings)[which]
 
 
 def _labellings(partner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -170,21 +170,47 @@ def _labellings(partner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return partner[first], which
 
 
-def _pair_coordinates(lams, amps, labellings, which, tt) -> np.ndarray:
-    """The pair coordinates of rows with the roots ``lams`` and amplitudes
-    ``amps``, each row with the partners ``labellings[which]``, at the flat
-    times ``tt``: shape ``(rows, 5, tt.size)``, one pass per labelling
-    present.
+def _unit_bases(labellings: np.ndarray) -> np.ndarray:
+    """The complex 0/1/+-i matrix ``U`` of each labelling, shape
+    ``(labellings, 5, 5)``, with ``exp(lam t) = U r`` in the pair
+    coordinates ``r``: row ``i`` picks ``r_i`` for a real root, ``r_i + i
+    r_p(i)`` for the first root of a pair and ``r_p(i) - i r_i`` for the
+    second."""
+    slot, eye = np.arange(5), np.eye(5)
+    sign = 1j * np.sign(labellings - slot)[..., None]
+    return eye[np.minimum(slot, labellings)] + sign * eye[np.maximum(slot, labellings)]
+
+
+def _unit_products(x, labellings, which, conj=False) -> np.ndarray:
+    """``x @ U`` for a stack ``x`` of complex 5x5 matrices, ``U`` the unit
+    basis of each mode's labelling (``_unit_bases``, conjugated if
+    ``conj``), as one flat product per labelling present.  A column of
+    ``U`` holds at most two nonzero entries, each 1 or +-i, so every entry
+    of the product is one rounding of an exact sum however the product is
+    blocked: a mode's bits do not depend on which modes share its stack."""
+    bases = _unit_bases(labellings).conj() if conj else _unit_bases(labellings)
+    out = np.empty(x.shape, dtype=complex)
+    for k, base in enumerate(bases):
+        out[which == k] = (x[which == k].reshape(-1, 5) @ base).reshape(-1, 5, 5)
+    return out
+
+
+def _pair_coordinates(lams, labellings, which, tt) -> np.ndarray:
+    """The pair coordinates of rows with the roots ``lams``, each row with
+    the partners ``labellings[which]``, at the flat times ``tt``: shape
+    ``(rows, 5, tt.size)``, one pass per labelling present.
 
     A pair's lead root ``lam = sigma + i omega`` takes ``u = tan(omega t/2)``
     and ``w = 2/(1 + u^2)``, so that ``exp(i omega t) = (w - 1) + i u w``,
-    and its growth ``exp(sigma t)`` scales the amplitude: no complex ``exp``.
-    The half angle is ``0.5*fl(omega*t)`` exactly, the phase a complex
-    ``exp`` would take.  ``|u|`` stays below about 1.6e16 in double, where
-    ``u^2`` is far from overflow, and ``w - 1`` and ``u w`` are the cosine
-    and sine to a few units of ``eps`` in absolute terms, whatever ``u``.
-    The growth multiplies the amplitude rather than ``w``, so no product
-    underflows before the coordinate does.
+    and its growth ``exp(sigma t)`` scales that: no complex ``exp``.  The
+    half angle is ``0.5*fl(omega*t)`` exactly, the phase a complex ``exp``
+    would take.  ``|u|`` stays below about 1.6e16 in double, where ``u^2``
+    is far from overflow, and ``w - 1`` and ``u w`` are the cosine and sine
+    to a few units of ``eps`` in absolute terms, whatever ``u``; both are
+    formed before the growth scales them, so no product underflows before
+    the coordinate does.  A real root's ``exp`` is evaluated only above
+    ``-745.14``: at and below ``-745.1332191019412`` numpy's ``exp`` is
+    exactly ``+0.0``, and such lanes cost it over ten times a normal one.
     """
     slot = np.arange(5)
     out = np.empty((len(lams), 5, tt.size))
@@ -192,30 +218,22 @@ def _pair_coordinates(lams, amps, labellings, which, tt) -> np.ndarray:
     for k in present:
         p = labellings[k]
         rows = np.flatnonzero(which == k) if present.size > 1 else slice(None)
-        lam, amp = lams[rows], amps[rows]
+        lam = lams[rows]
         real, lead = slot[p == slot], slot[p > slot]
         block = out if present.size == 1 else np.empty((len(lam), 5, tt.size))
-        # the real roots take their own exp: their growth underflows at late
-        # times, and exp runs slower over an array that mixes such lanes in
-        block[:, real] = amp[:, real, None].real * np.exp(np.multiply.outer(lam[:, real].real, tt))
+        growth = np.multiply.outer(lam[:, real].real, tt)
+        block[:, real] = np.exp(growth, out=np.zeros_like(growth), where=growth > -745.14)
         u = np.tan(np.multiply.outer(0.5 * lam[:, lead].imag, tt))
         w = np.multiply(u, u)
         w += 1.0
         np.divide(2.0, w, out=w)
         sin = np.multiply(u, w, out=u)
         cos = np.subtract(w, 1.0, out=w)
-        a_im = np.exp(np.multiply.outer(lam[:, lead].real, tt))
-        a_re = amp[:, lead, None].real * a_im
-        a_im *= amp[:, lead, None].imag
-        # Re f = a_re cos - a_im sin and Im f = a_re sin + a_im cos, in place
-        re = a_re * cos
-        im = np.multiply(a_re, sin, out=a_re)
-        sin *= a_im
-        re -= sin
-        cos *= a_im
-        im += cos
-        block[:, lead] = re
-        block[:, p[lead]] = im
+        growth = np.exp(np.multiply.outer(lam[:, lead].real, tt))
+        cos *= growth
+        sin *= growth
+        block[:, lead] = cos
+        block[:, p[lead]] = sin
         if block is not out:
             out[rows] = block
     return out
@@ -275,83 +293,75 @@ def _expm1_ratio(x: np.ndarray) -> np.ndarray:
     return np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x != 0)
 
 
-def _whole(re, im, c, tt) -> np.ndarray:
-    """``Re((re + i*im) * E(c))`` with ``E(c) = int_0^t exp(-c*s) ds =
-    t*(1 - exp(-c*t))/(c*t)``, one ``c`` per row of ``re`` and ``im``; a
-    real ``c`` takes a real ``expm1``."""
+def _whole(z, c, tt) -> np.ndarray:
+    """``Re(z * E(c))`` with ``E(c) = int_0^t exp(-c*s) ds = t*(1 -
+    exp(-c*t))/(c*t)``, one ``c`` per row of the complex ``z``; a real ``c``
+    takes a real ``expm1``."""
     real = c.imag == 0
-    out = np.empty_like(re)
-    out[real] = re[real] * (tt * _expm1_ratio(np.multiply.outer(c[real].real, tt)))
-    e = tt * _expm1_ratio(np.multiply.outer(c[~real], tt))
-    out[~real] = re[~real] * e.real - im[~real] * e.imag
+    out = np.empty(z.shape)
+    out[real] = z[real].real * (tt * _expm1_ratio(np.multiply.outer(c[real].real, tt)))
+    out[~real] = (z[~real] * (tt * _expm1_ratio(np.multiply.outer(c[~real], tt)))).real
     return out
-
-
-def _term(r, partner, m, i):
-    """Real and imaginary parts of the terms ``f_i`` of rows ``m`` from their
-    pair coordinates ``r``."""
-    p = partner[m, i]
-    return r[m, np.minimum(i, p)], np.sign(p - i)[:, None] * r[m, np.maximum(i, p)]
 
 
 class _MemoryForm(NamedTuple):
     """The constants of ``memory_energy_closed_form`` for a stack, one row
     per mode: the form ``maps = Q``, shape ``(modes, 5, 5)``; the start term
-    ``pi``; the pair exponents ``c`` with the mask of those taken whole; and
-    ``scale = xi^a``.  ``image``, if set, is ``maps @ r`` at the times
-    evaluated, formed by the caller."""
+    ``pi``; the mask of the pair terms taken whole; ``scale = xi^a``; and
+    the real state maps ``states = Re(V C)`` that ``Q`` is built from, which
+    ``energy_trace`` reads too.  ``image`` and ``decay``, if set, are ``maps
+    @ r`` and ``e^(-delta*t)`` at the times evaluated, formed by the caller
+    for the modes of the other fields."""
 
     maps: np.ndarray
     pi: np.ndarray
-    c: np.ndarray
     pair_guard: np.ndarray
     scale: np.ndarray
+    states: np.ndarray
     image: np.ndarray | None = None
-
-    def take(self, rows) -> "_MemoryForm":
-        """The constants of the modes ``rows``, with no image."""
-        return _MemoryForm(*(x[rows] for x in self[:-1]))
+    decay: np.ndarray | None = None
 
 
-def _memory_form(trajs: ModalTrajectories, basis: np.ndarray, t_max: float) -> _MemoryForm:
+def _memory_form(trajs: ModalTrajectories, t_max: float) -> _MemoryForm:
     """The constants of ``memory_energy_closed_form`` for the stack
-    ``trajs``, whose ``pair_basis`` is ``basis``, at times up to ``t_max``
-    (see there).  The form holds from rest alone: a row whose ``I(0) =
-    h.r(0)`` exceeds 1e-8 of ``sum_i |h_i r_i(0)|`` raises
-    ``InvalidModelError``."""
-    lams = trajs.eigenvalues
-    delta = trajs.delta
+    ``trajs`` at times up to ``t_max`` (see there).  With the unit bases
+    ``U`` (``_unit_bases``), the states are ``Re((V diag(a)) U)``, the pair
+    form is ``Re(U^T W' conj(U))`` with ``W'_ij = a_i conj(a_j)/c_ij``, and
+    ``r(0)`` is the unit vector of the labelling.  The form holds from rest
+    alone: a row whose ``I(0) = h.r(0)`` exceeds 1e-8 of ``sum_i |h_i
+    r_i(0)|`` raises ``InvalidModelError``."""
+    lams, amps, delta = trajs.eigenvalues, trajs.amplitudes, trajs.delta
     c = delta + lams[:, :, None] + lams.conj()[:, None, :]
     pair_guard = np.abs(c) * t_max < _SPLIT_GUARD
-    inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=~pair_guard)
+    weights = np.divide(amps[:, :, None] * amps.conj()[:, None, :], c, out=np.zeros_like(c), where=~pair_guard)
 
-    e = basis.sum(axis=1).real
-    h = (trajs.eigvecs[:, 4:] @ basis)[:, 0].real
-    pair = (np.swapaxes(basis, 1, 2) @ inv_c @ basis.conj()).real
+    labellings, which = _labellings(trajs.partners)
+    # the transpose of the pair form, which its symmetric part does not tell apart
+    pair = np.swapaxes(_unit_products(weights, labellings, which, conj=True), 1, 2)
+    pair = _unit_products(pair, labellings, which).real
     pair = 0.5 * (pair + np.swapaxes(pair, 1, 2))
+    states = _unit_products(trajs.eigvecs * amps[:, None, :], labellings, which).real
+    # v and I: the eigenvectors' first entry is 1 and their last is 1/(delta + lam)
+    e, h = states[:, 0], states[:, 4]
     cross = e[:, :, None] * h[:, None, :]
     form = pair + e[:, :, None] * e[:, None, :] / delta - (cross + np.swapaxes(cross, 1, 2))
-    # r at t = 0, where f = a
-    slot = np.arange(5)
-    partner = trajs.partners
-    lead = np.take_along_axis(trajs.amplitudes, np.minimum(slot, partner), axis=1)
-    r0 = np.where(partner < slot, lead.imag, lead.real)
+    r0 = (labellings >= np.arange(5))[which].astype(float)
     history = h * r0
     moving = np.abs(history.sum(axis=1)) > 1e-8 * np.abs(history).sum(axis=1)
     if moving.any():
         raise InvalidModelError(f"closed-form memory energy needs data from rest, not so at xi={trajs.xi[moving][0]:g}")
     pi = np.einsum("ni,nij,nj->n", r0, pair, r0)
-    return _MemoryForm(form, pi, c, pair_guard, trajs.xi**trajs.params.a)
+    return _MemoryForm(form, pi, pair_guard, trajs.xi**trajs.params.a, states)
 
 
 def memory_energy_closed_form(trajs: ModalTrajectories, t, coords=None, form=None) -> np.ndarray:
     """``xi^a * int_0^inf exp(-delta*s) |v(t) - v(t-s)|^2 ds`` for a stack of
     trajectories, shape ``(len(trajs),) + t.shape``.  ``coords`` and
     ``form``, if given, are ``trajs.pair_coordinates(t)`` and
-    ``_memory_form(trajs, trajs.pair_basis(), t_max)`` at a ``t_max`` no
-    less than any ``t``, which lets a caller build the per-mode constants
-    once for many calls; with its ``image`` set, the caller has formed the
-    product of ``form.maps`` with ``coords`` too.
+    ``_memory_form(trajs, t_max)`` at a ``t_max`` no less than any
+    ``t``, which lets a caller build the per-mode constants once for many
+    calls; with its ``image`` and ``decay`` set, the caller has formed the
+    product of ``form.maps`` with ``coords`` and ``e^(-delta*t)`` too.
 
     With ``f_i = a_i*exp(lam_i*t)``, ``v = sum_i f_i`` and
     ``E(c) = int_0^t exp(-c*s) ds = -expm1(-c*t)/c``, the ``s < t`` part is
@@ -368,15 +378,18 @@ def memory_energy_closed_form(trajs: ModalTrajectories, t, coords=None, form=Non
     ``_SPLIT_GUARD``: there the halves cancel and ``E`` is evaluated
     directly, with a real ``expm1`` where the exponent is real.
 
-    In the pair coordinates ``r`` the data are real, ``v = e.r``, ``I = h.r``
-    and ``f = C r`` (``ModalTrajectories.pair_basis``), so the split parts
-    fold into one real symmetric 5x5 form per mode:
+    In the amplitude-free pair coordinates ``r`` the data are real, ``v =
+    e.r``, ``I = h.r`` and ``f = C r`` (``ModalTrajectories.pair_basis``),
+    so the split parts fold into one real symmetric 5x5 form per mode:
 
         r.Q r - e^(-delta*t) pi,
 
     ``Q = e e^T/delta - (e h^T + h e^T) + Re(C^T W conj(C))`` with the history
     row ``h = Re(w C)``, ``w_i = 1/(delta + lam_i)``, and pair terms ``W_ij =
-    1/c_ij``; ``pi`` is the pair form at ``r(0)``.  Amplitudes not from rest
+    1/c_ij``; ``pi`` is the pair form at ``r(0)``, the constant unit vector
+    of the labelling, where ``f = a``.  With ``C = diag(a) U`` the pair form
+    is ``Re(U^T W' conj(U))``, ``W'_ij = a_i conj(a_j)/c_ij``, and a guarded
+    pair term reads its ``f_i`` as ``(C r)_i``.  Amplitudes not from rest
     raise ``InvalidModelError``.  Dense-fallback trajectories, and those
     whose roots lack an exact conjugate partner, must use the matrix form
     (``_matrix_parts``) instead.
@@ -389,19 +402,19 @@ def memory_energy_closed_form(trajs: ModalTrajectories, t, coords=None, form=Non
     # tt.size, not -1: an empty stack (all of a chunk dense) gives nothing to infer from
     r = trajs.pair_coordinates(tt) if coords is None else coords.reshape(n, 5, tt.size)
     if form is None:
-        form = _memory_form(trajs, trajs.pair_basis(), np.max(tt, initial=0.0))
-    partner = trajs.partners
+        form = _memory_form(trajs, np.max(tt, initial=0.0))
 
     image = form.maps @ r if form.image is None else form.image
     memory = np.einsum("nit,nit->nt", r, image)
-    memory -= np.exp(-trajs.delta * tt) * form.pi[:, None]
+    memory -= (np.exp(-trajs.delta * tt) if form.decay is None else form.decay) * form.pi[:, None]
 
-    # the pair terms taken whole, the guarded rows of one slot pair at a time
-    c = form.c
+    # the pair terms taken whole, the guarded rows of one slot pair at a time,
+    # from their terms f = C r
+    lams = trajs.eigenvalues
     for i, j in zip(*np.nonzero(form.pair_guard.any(axis=0))):
         m = np.flatnonzero(form.pair_guard[:, i, j])
-        (re_i, im_i), (re_j, im_j) = _term(r, partner, m, i), _term(r, partner, m, j)
-        memory[m] += _whole(re_i * re_j + im_i * im_j, im_i * re_j - re_i * im_j, c[m, i, j], tt)
+        f = trajs[m].pair_basis()[:, [i, j]] @ r[m]
+        memory[m] += _whole(f[:, 0] * f[:, 1].conj(), trajs.delta + lams[m, i] + lams[m, j].conj(), tt)
 
     memory *= form.scale[:, None]
     return memory.reshape((n,) + t.shape)
@@ -508,49 +521,55 @@ _MEMORY_CHUNK = 64
 def energy_trace(trajs: ModalTrajectories, times: np.ndarray) -> EnergyTrace:
     """Exact multi-mode energy trace on the given times.
 
-    The trace is evaluated in real pair coordinates: every part is a fixed
-    real map of a mode's five reals ``r``.  Those per-mode constants are
-    built once for the whole stack: the labellings, the states ``Re(V
-    C)[:4]`` and the memory form (``_memory_form``), stacked into one
-    ``(modes, 9, 5)`` map.  The modes then go in chunks of at most ``_MEMORY_CHUNK``, which bounds the
-    ``(modes, 5, times)`` arrays; a chunk forms ``r`` (``_pair_coordinates``)
-    and the one product of the map with it, whose states feed
-    ``energy_parts`` and whose rest ``memory_energy_closed_form`` takes as it
-    is.  Dense modes, and modes whose roots lack an exact conjugate partner,
-    take the matrix form (``_matrix_parts``), a chunk's such modes in one
-    call.  Each mode's parts then enter the running sums in turn: a sum over
-    the stack would associate the additions differently, and a sequential
-    ``np.add.accumulate`` over the chunk, which would keep the association,
-    is slower than this loop.
+    The trace is evaluated in the amplitude-free pair coordinates: every
+    part is a fixed real map of a mode's five reals ``r``, its amplitudes
+    folded in.  Those per-mode constants are built once for the whole stack:
+    the labellings, the terms of the mechanical parts (``energy_terms``) as
+    rows of the states ``Re(V C)[:4]``, each scaled by the square root of
+    its weight, and the memory form (``_memory_form``), stacked into one
+    ``(modes, 9, 5)`` map.  The weights are positive on a coercive mode,
+    which ``exact_modal_evolve`` requires.  The modes then go in chunks of
+    at most ``_MEMORY_CHUNK``, which bounds the ``(modes, 5, times)``
+    arrays; a chunk forms ``r`` (``_pair_coordinates``) and the one product
+    of the map with it, whose squared terms are the mechanical parts and
+    whose rest ``memory_energy_closed_form`` takes as it is, with
+    ``e^(-delta*t)`` formed once per call; the parts go into one block
+    allocated once per call.  Dense modes, and modes whose roots lack an
+    exact conjugate partner, take the matrix form (``_matrix_parts``), a
+    chunk's such modes in one call.  Each mode's parts then enter the
+    running sums in turn: a sum over the stack would associate the additions
+    differently, and a sequential ``np.add.accumulate`` over the chunk,
+    which would keep the association, is slower than this loop.
     """
     times = np.asarray(times, dtype=float)
     tt = times.reshape(-1)
-    params = trajs.params
     zeta = 1.0 / trajs.delta
     expanded = ~trajs.dense & (trajs.partners >= 0).all(axis=1)
     light = np.flatnonzero(expanded)
     paired = trajs if expanded.all() else trajs[light]
     labellings, which = _labellings(paired.partners)
-    basis = paired.pair_basis()
-    form = _memory_form(paired, basis, np.max(tt, initial=0.0))
-    maps = np.concatenate([(paired.eigvecs[:, :4] @ basis).real, form.maps], axis=1)
+    form = _memory_form(paired, np.max(tt, initial=0.0))
+    weights, terms = zip(*energy_terms(*np.moveaxis(form.states[:, :4], 1, 0), paired.xi[:, None], trajs.params, zeta))
+    # every weight is positive on a coercive mode, so its root scales the term
+    roots = np.sqrt(np.concatenate(np.broadcast_arrays(*weights), axis=1))[:, :, None]
+    maps = np.concatenate([np.stack(terms, axis=1) * roots, form.maps], axis=1)
+    decay = np.exp(-trajs.delta * tt)
+    block = np.empty((_MEMORY_CHUNK, 5, tt.size))
     sums = np.zeros((5, tt.size))
     for start in range(0, len(trajs), _MEMORY_CHUNK):
         stop = min(start + _MEMORY_CHUNK, len(trajs))
-        parts = np.empty((stop - start, 5, tt.size))
+        parts = block[: stop - start]
         lo, hi = np.searchsorted(light, [start, stop])
         if hi > lo:
             rows = slice(lo, hi)
-            lams, amps = paired.eigenvalues[rows], paired.amplitudes[rows]
-            r = _pair_coordinates(lams, amps, labellings, which[rows], tt)
+            r = _pair_coordinates(paired.eigenvalues[rows], labellings, which[rows], tt)
             image = maps[rows] @ r
-            mechanical = energy_parts(*image[:, :4].swapaxes(0, 1), paired.xi[rows, None], params, zeta)
-            memory = memory_energy_closed_form(
-                paired[rows], tt, coords=r, form=form.take(rows)._replace(image=image[:, 4:])
-            )
-            parts[light[rows] - start] = np.stack([*mechanical, memory], axis=1)
+            np.square(image[:, :4], out=parts[: hi - lo, :4])
+            chunk = _MemoryForm(*(x[rows] for x in form[:5]), image[:, 4:], decay)
+            parts[: hi - lo, 4] = memory_energy_closed_form(paired[rows], tt, coords=r, form=chunk)
         matrix = start + np.flatnonzero(~expanded[start:stop])
         if matrix.size:
+            parts[light[lo:hi] - start] = parts[: hi - lo]
             parts[matrix - start] = _matrix_parts(trajs[matrix], tt)
         for part in parts:
             sums += part

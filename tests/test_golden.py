@@ -15,7 +15,7 @@ MANIFEST = json.loads(golden.MANIFEST.read_text())
 # numpy's AVX-512 targets switched off (NPY_DISABLE_CPU_FEATURES="AVX512_ICL
 # AVX512_SPR X86_V4", numpy 2.4.6, OpenBLAS SkylakeX) the largest move
 # measured is 9.0e-13 of the column maximum, in the scaled sweep norms at
-# M = 80; trace.csv moves by at most 3.0e-14 (residual), and verdict.json,
+# M = 80; trace.csv moves by at most 2.0e-14 (residual), and verdict.json,
 # verdict.md and validate.json not at all.  The general integrator's
 # trace.csv moves by at most 1.0e-12 (residual) and 7.0e-16 elsewhere
 TOLERANCE = 1e-11

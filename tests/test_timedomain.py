@@ -317,7 +317,7 @@ README_TIMES = np.geomspace(1.0, 2000.0, 60)
 )
 def test_energy_trace_matches_the_five_term_reference(stack):
     # the reference evaluates all five complex terms; the largest measured
-    # gap is 1.8e-15, in the memory column of the random stack
+    # gap is 2.7e-15, in the memory column of the random stack
     trajs, times = stack()
     got, expected = _columns(energy_trace(trajs, times)), five_term_trace(trajs, times)
     rel = np.max(np.abs(got - expected) / expected, axis=1)
@@ -330,11 +330,11 @@ def test_degenerate_labels_take_their_own_partners():
     # roots make the eigenvectors ill-conditioned (condition numbers 1.6e4 to
     # 7.6e4).  Each row's trace is checked against the five-term reference
     # relative to that row's own column maxima: the memory column differs by
-    # up to 8.2e-12 on row 0, 1.9e-15 on row 1, 3.8e-13 on row 2 and 2.4e-12
-    # on row 3, the others by up to 2.1e-14.  At t = 485, where row 0's
+    # up to 5.0e-12 on row 0, 1.5e-15 on row 1, 5.1e-13 on row 2 and 2.2e-12
+    # on row 3, the others by up to 1.6e-14.  At t = 485, where row 0's
     # memory energy has decayed to 7e-4 of its start, row 0's differs from a
-    # matrix-exponential quadrature by 3.2e-9 and the other rows' by at most
-    # 9.9e-12
+    # matrix-exponential quadrature by 1.1e-9 and the other rows' by at most
+    # 9.4e-12
     trajs = _degenerate_stack()
     assert trajs.partners.tolist() == [[0, 2, 1, 3, 4]] * 2 + [[0, 2, 1, 4, 3]] * 2
     assert not trajs.dense.any()
@@ -349,6 +349,24 @@ def test_degenerate_labels_take_their_own_partners():
     quadrature = [memory_energy_quadrature(dataclasses.replace(trajs[m], dense=np.array([True])), t) for m in range(4)]
     gap = np.abs(memory_energy_closed_form(trajs, t) - quadrature) / quadrature
     assert np.all(gap <= [5e-9, 2e-11, 2e-11, 2e-11]), gap
+
+
+def test_each_labelling_takes_its_own_unit_basis():
+    # at t = 0 the amplitude-free coordinates are the unit vector of each
+    # row's labelling, so Re(V C) r(0) is the row's data: through pair_basis,
+    # and through the state maps the trace builds, one unit basis per
+    # labelling for the whole stack
+    trajs = _degenerate_stack()
+    r0 = trajs.pair_coordinates(0.0)
+    assert np.array_equal(r0, (trajs.partners >= np.arange(5)).astype(float))
+    assert np.max(np.abs(real_states(trajs, 0.0) - trajs.x0)) <= 1e-10
+    states = timedomain._memory_form(trajs, 1.0).states
+    assert np.max(np.abs(np.einsum("nij,nj->ni", states, r0) - trajs.x0)) <= 1e-10
+    # a lone term of a degenerate row's second real root is not at rest
+    amps = trajs.amplitudes.copy()
+    amps[0] = [0.0, 0.0, 0.0, 1.0, 0.0]
+    with pytest.raises(InvalidModelError, match="data from rest"):
+        timedomain._memory_form(dataclasses.replace(trajs, amplitudes=amps), 1.0)
 
 
 def test_real_data_trace_takes_one_tangent_per_pair_and_no_complex_exponential(monkeypatch):
@@ -393,14 +411,15 @@ def _near_half_poles(omega):
 
 @pytest.mark.parametrize("k", [1, 50, 200])
 def test_tangent_pair_coordinates_match_40_digits(k):
-    # the reference is a*exp(lam*t) in 40 digits at the exponent the code
+    # the reference is exp(lam*t) in 40 digits at the exponent the code
     # rounds to, fl(sigma*t) + i*2*fl(0.5*omega*t): the phase rounding itself
-    # is left out.  Times: t = 0, near the poles of tan(omega*t/2) for both
-    # pairs, and t = 2000, the README's largest, where omega*t reaches 5.9e5
-    # at k = 200
+    # is left out.  The coordinates carry no amplitudes, so neither does the
+    # reference or its bound.  Times: t = 0, near the poles of tan(omega*t/2)
+    # for both pairs, and t = 2000, the README's largest, where omega*t
+    # reaches 5.9e5 at k = 200
     mpmath = pytest.importorskip("mpmath")
     traj = _readme_stack()[k - 1]
-    lams, amps = traj.eigenvalues[0], traj.amplitudes[0]
+    lams = traj.eigenvalues[0]
     assert traj.partners[0].tolist() == [0, 2, 1, 4, 3]
     times = np.concatenate([[0.0, 2000.0], _near_half_poles(lams[1].imag), _near_half_poles(lams[3].imag)])
     r = traj.pair_coordinates(times)[0]
@@ -408,13 +427,28 @@ def test_tangent_pair_coordinates_match_40_digits(k):
         for j, t in enumerate(times):
             for i, slots in ((0, (0, 0)), (1, (1, 2)), (3, (3, 4))):
                 sigma_t, half = lams[i].real * t, 0.5 * lams[i].imag * t
-                f = mpmath.mpc(amps[i]) * mpmath.exp(mpmath.mpf(sigma_t)) * mpmath.expj(2 * mpmath.mpf(half))
-                bound = 1e-15 * abs(amps[i]) * math.exp(sigma_t)
+                f = mpmath.exp(mpmath.mpf(sigma_t)) * mpmath.expj(2 * mpmath.mpf(half))
+                bound = 1e-15 * math.exp(sigma_t)
                 assert abs(r[slots[0], j] - float(f.real)) <= bound, (i, t)
                 if slots[1] != slots[0]:
                     assert abs(r[slots[1], j] - float(f.imag)) <= bound, (i, t)
-    # at t = 0 the coordinates are the amplitudes themselves
-    assert r[:, 0].tolist() == [amps[0].real, amps[1].real, amps[1].imag, amps[3].real, amps[3].imag]
+    # at t = 0 every exp(lam*t) is 1: the unit vector of the labelling
+    assert r[:, 0].tolist() == [1.0, 1.0, 0.0, 1.0, 0.0]
+
+
+def test_underflowing_real_exponentials_are_skipped_exactly():
+    # on the README times the real root of every README mode puts lam*t below
+    # -745.14 by t = 2000, where its exp is left out: those lanes hold +0.0,
+    # and every real-root coordinate, the subnormal ones among them, is
+    # np.exp of the same rounded exponent, bit for bit
+    trajs = _readme_stack()
+    assert (trajs.partners[:, 0] == 0).all()
+    exponent = np.multiply.outer(trajs.eigenvalues[:, 0].real, README_TIMES)
+    skipped = exponent <= -745.14
+    assert skipped[:, -1].all() and not skipped[:, 0].any()
+    r = trajs.pair_coordinates(README_TIMES)[:, 0]
+    assert np.array_equal(r, np.exp(exponent)) and not np.signbit(r).any()
+    assert (r[skipped] == 0.0).all() and ((0.0 < r) & (r < np.finfo(float).tiny)).any()
 
 
 def test_unpaired_row_takes_the_dense_route(monkeypatch):
