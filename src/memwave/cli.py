@@ -153,9 +153,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
             "norm": sweep.norms,
             "scaled": sweep.scaled,
             "argmax_mode": sweep.argmax_modes,
-            "cutoff": sweep.cutoffs,
             "resonance": sweep.resonance_mask.astype(int),
-            "margin": sweep.margins,
             "M": [m_nodes] * sweep.taus.size,
         }
         _write_csv(out / f"sweep_M{m_nodes}.csv", columns)

@@ -87,8 +87,8 @@ is kept, and its sharp upper bound is at least its computed norm, which is
 at least that lower bound, while each screened-out mode has an upper bound
 below it.  So ``j`` is SVD'd, or pruned below the running maximum, before
 any screened-out mode comes up.  Every reported norm is still
-``1/sigma_min`` of the full block, so the norms, argmax modes and margins
-are those of the full loop.
+``1/sigma_min`` of the full block, so the norms and argmax modes are those
+of the full loop over every mode of the grid.
 
 The upper bound absorbs roundoff in ``sigma = 1/norm``, so that it bounds the
 computed norm too.  Each computation involved (the SVD of the assembled
@@ -140,6 +140,7 @@ from .model import (
     ModelParams,
     _freeze,
     coercivity_margin,
+    energy_terms,
     memoryless_generator,
     require_coercive,
 )
@@ -282,32 +283,23 @@ def mode_block(xi: float, params: ModelParams, lag: LaguerreGrid, corner: np.nda
 
 
 def energy_congruence(xi: np.ndarray, params: ModelParams, zeta: float) -> np.ndarray:
-    """The 4x4 congruences ``T`` of the modes ``xi``, stacked along the
-    leading axis: ``T (v, u, p, q)`` is the energy-orthonormal
-    ``(L_vp^T (v, p), sqrt(rho) u, sqrt(mu) q)``, with ``L_vp`` the Cholesky
-    factor of the 2x2 stiffness-plus-coupling weight, so ``|T w|^2`` is the
-    sum of ``energy_parts``.  That weight is positive definite exactly when
-    its Schur complement on ``v``, ``xi`` times the ``coercivity_margin``, is
+    """The 4x4 congruences ``T = L^T`` of the modes ``xi``, stacked along the
+    leading axis, with ``L`` the Cholesky factor of the energy weight
+    ``G = sum_j w_j x_j x_j^T`` of the ``energy_terms`` ``(w_j, x_j)`` on the
+    unit data ``(v, u, p, q)``, so ``|T w|^2`` is the sum of
+    ``energy_parts``.  ``G`` is positive definite exactly when its Schur
+    complement on ``v``, ``xi`` times the ``coercivity_margin``, is
     positive; a mode where it is not raises ``InvalidModelError``.
     """
     require_coercive(xi, coercivity_margin(xi, params, zeta) <= 0.0)
-    gvv = params.alpha1 * xi - zeta * xi**params.a + params.beta * params.gamma**2 * xi
-    gvp = -params.beta * params.gamma * xi
-    gpp = params.beta * xi
-    weight = np.stack([np.stack([gvv, gvp], axis=-1), np.stack([gvp, gpp], axis=-1)], axis=-2)
+    terms = energy_terms(*np.eye(4), xi[..., None, None], params, zeta)
+    weight = sum(w * np.multiply.outer(x, x) for w, x in terms)
     try:
-        l_vp = np.linalg.cholesky(weight)
+        lower = np.linalg.cholesky(weight)
     except np.linalg.LinAlgError:
         # within roundoff of kappa = 0 it can fail where the margin is positive
         require_coercive(xi, [np.isnan(_or_nan(np.linalg.cholesky, w)).any() for w in weight])
-    t = np.zeros(xi.shape + (4, 4))
-    t[..., 0, 0] = l_vp[..., 0, 0]
-    t[..., 0, 2] = l_vp[..., 1, 0]
-    t[..., 2, 0] = l_vp[..., 0, 1]
-    t[..., 2, 2] = l_vp[..., 1, 1]
-    t[..., 1, 1] = math.sqrt(params.rho)
-    t[..., 3, 3] = math.sqrt(params.mu)
-    return t
+    return np.swapaxes(lower, -2, -1)
 
 
 def energy_corners(xi: np.ndarray, params: ModelParams, zeta: float) -> np.ndarray:
@@ -386,18 +378,11 @@ def schur_bounds(inverse, c, x_norm, y_norm, k_norm, slack=0.0):
 # resolvent norms along the imaginary axis
 # ---------------------------------------------------------------------------
 
-FIRST_MODES_FLOOR = 10
-CUTOFF_FACTOR = 4.0
 EPS = np.finfo(float).eps
 
 
 class ResolventSweeper:
-    """Evaluates ``max_k ||(i*tau - B_k)^{-1}||`` over the included modes.
-
-    Mode inclusion at frequency ``tau``: every mode with
-    ``xi_k <= CUTOFF_FACTOR * tau^2 / m_1`` plus the first ``FIRST_MODES_FLOOR``
-    modes.  The first excluded mode is also evaluated when available and its
-    norm is reported as a margin check on the cutoff.
+    """Evaluates ``max_k ||(i*tau - B_k)^{-1}||`` over every mode of the grid.
 
     Mode ``k`` is ``xi[k - 1]``, the kernel ``exp(-delta*s)`` and the history
     resolution ``M``.  The sweeper keeps, for every mode, the 4x4
@@ -417,7 +402,6 @@ class ResolventSweeper:
         self.params = params
         self.delta = delta
         self.xi = np.asarray(xi, dtype=float)
-        self._m1 = AsymptoticConstants.from_params(params).m1
         self._corners = energy_corners(self.xi, params, 1.0 / delta)
         self._c = self.xi ** (params.a / 2.0) / math.sqrt(params.rho)
         self._corner_norms = np.linalg.norm(self._corners, axis=(-2, -1))
@@ -453,11 +437,6 @@ class ResolventSweeper:
             raise IndexError(f"mode index {k} outside 1..{self.xi.size}")
         return mode_block(self.xi[k - 1], self.params, self.lag, self._corners[k - 1])
 
-    def included_modes(self, tau: float) -> list[int]:
-        cutoff = CUTOFF_FACTOR * tau * tau / self._m1
-        n_cut = int(np.searchsorted(self.xi, cutoff, side="right"))
-        return list(range(1, min(self.xi.size, max(n_cut, FIRST_MODES_FLOOR)) + 1))
-
     def history_resolvent(self, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, complex]:
         """``K = (i*tau + D)^{-1}`` of the discrete history block, ``x = K sw``,
         ``y = sw^T K`` and ``phi_M = sw^T K sw``."""
@@ -468,14 +447,14 @@ class ResolventSweeper:
         y = sw @ k_inv
         return k_inv, x, y, complex(np.sum(sw * x))
 
-    def norm_bounds(self, tau: float, n: int) -> np.ndarray:
-        """Upper bounds on the computed resolvent norms of modes ``1..n``
+    def norm_bounds(self, tau: float) -> np.ndarray:
+        """Upper bounds on the computed resolvent norms of every mode
         (``+inf`` where the bound data are not finite).  A mode whose
         screening upper bound is below the largest screening lower bound
         keeps its screening upper bound (``_screen``); the others get the
         sharp one of their inverted Schur complements ``S_M`` (module
         docstring)."""
-        lower, upper, history, slack = self._screen(tau, n)
+        lower, upper, history, slack = self._screen(tau)
         if history is None:
             return upper
         phi_m, *norms = history
@@ -484,8 +463,8 @@ class ResolventSweeper:
         upper[keep] = schur_bounds(inverse, self._c[keep], *norms, slack[keep])
         return upper
 
-    def _screen(self, tau: float, n: int) -> tuple[np.ndarray, np.ndarray, tuple | None, np.ndarray | None]:
-        """The screening pair ``(lower, upper)`` of modes ``1..n``, which
+    def _screen(self, tau: float) -> tuple[np.ndarray, np.ndarray, tuple | None, np.ndarray | None]:
+        """The screening pair ``(lower, upper)`` of every mode, which
         bounds their computed norms, roundoff included (module docstring),
         followed by the history data ``(phi_M, ||x||, ||y||, ||K||)`` that
         ``schur_inverse`` and ``schur_bounds`` take and the slack.  Where
@@ -493,54 +472,48 @@ class ResolventSweeper:
         ``(0, +inf)`` for every mode."""
         k_inv, x, y, phi_m = self.history_resolvent(tau)
         if not np.all(np.isfinite(k_inv)):
-            return np.zeros(n), np.full(n, np.inf), None, None
+            return np.zeros(self.xi.size), np.full(self.xi.size, np.inf), None, None
         k_abs = np.abs(k_inv)
         k_norm = math.sqrt(float(k_abs.sum(axis=0).max() * k_abs.sum(axis=1).max()))
         history = (phi_m, np.linalg.norm(x), np.linalg.norm(y), k_norm)
-        c = self._c[:n]
+        c = self._c
         beta = c * c * phi_m
-        slack = self._eps_n * (self._nu[:n] + 2.0 * abs(tau) + np.abs(beta))
+        slack = self._eps_n * (self._nu + 2.0 * abs(tau) + np.abs(beta))
         # the distance from tau to the nearest segment from omega to
         # omega - Im(beta), and to the farther ends of the segments
-        omega = self._omega[:n]
+        omega = self._omega
         other_end = omega - beta.imag[:, None]
         outside = np.maximum(np.minimum(omega, other_end) - tau, tau - np.maximum(omega, other_end))
         near = np.min(np.maximum(outside, 0.0), axis=-1)
         far = np.min(np.maximum(np.abs(tau - omega), np.abs(tau - other_end)), axis=-1)
-        shift = np.abs(beta.real) + self._sym_norms[:n] + 8.0 * EPS * (
-            4.0 * self._corner_norms[:n] + abs(tau) + 2.0 * np.abs(beta)
+        shift = np.abs(beta.real) + self._sym_norms + 8.0 * EPS * (
+            4.0 * self._corner_norms + abs(tau) + 2.0 * np.abs(beta)
         )
         gap = near - shift
-        h = np.divide(1.0, gap, out=np.full(n, np.nan), where=gap > 0.0)
+        h = np.divide(1.0, gap, out=np.full(gap.shape, np.nan), where=gap > 0.0)
         upper = schur_bounds((h, h, h, h), c, *history[1:], slack)
         lower = 1.0 / (far + shift + slack)
         lower[~np.isfinite(lower)] = 0.0
         return lower, upper, history, slack
 
-    def norm_at(self, tau: float) -> tuple[float, int, int, float]:
-        """Return ``(norm, argmax mode, cutoff mode, margin)``.
+    def norm_at(self, tau: float) -> tuple[float, int]:
+        """Return ``(norm, argmax mode)`` over every mode of the grid.
 
-        ``margin`` is included-max divided by the first excluded mode's norm,
-        or NaN when the grid is exhausted.  Modes are SVD'd in decreasing
-        order of their upper bound until it drops below the running max;
-        exact ties go to the smaller mode, as ``np.argmax`` does.
+        Modes are SVD'd in decreasing order of their upper bound until it
+        drops below the running max; exact ties go to the smaller mode, as
+        ``np.argmax`` does.
         """
-        ks = self.included_modes(tau)
-        upper = self.norm_bounds(tau, len(ks))
+        upper = self.norm_bounds(tau)
         best = -math.inf
         k_best = 0
         for i in np.argsort(-upper, kind="stable"):
             if upper[i] < best:
                 break
-            k = ks[i]
+            k = int(i) + 1
             norm = self.block(k).resolvent_norm(tau)
             if norm > best or (norm == best and k < k_best):
                 best, k_best = norm, k
-        margin = math.nan
-        k_next = ks[-1] + 1
-        if k_next <= self.xi.size:
-            margin = best / self.block(k_next).resolvent_norm(tau)
-        return best, k_best, ks[-1], margin
+        return best, k_best
 
 
 @dataclass(frozen=True, eq=False)
@@ -549,8 +522,7 @@ class SweepResult:
 
     ``resonance_branch`` tags each sample with the oscillatory branch whose
     computed imaginary part produced it (0 for plain log-grid samples), and
-    ``margins`` holds the cutoff margins of ``ResolventSweeper.norm_at`` (NaN
-    where the grid is exhausted).
+    ``argmax_modes`` the mode that attains each norm.
     """
 
     omega: float
@@ -559,14 +531,12 @@ class SweepResult:
     norms: np.ndarray
     scaled: np.ndarray
     argmax_modes: np.ndarray
-    cutoffs: np.ndarray
     resonance_branch: np.ndarray
-    margins: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("taus", "norms", "scaled", "margins"):
+        for name in ("taus", "norms", "scaled"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
-        for name in ("argmax_modes", "cutoffs", "resonance_branch"):
+        for name in ("argmax_modes", "resonance_branch"):
             object.__setattr__(self, name, _freeze(getattr(self, name), int))
 
     @property
@@ -643,12 +613,12 @@ def scaled_sweep(
 
     first = ResolventSweeper(params, delta, xi, M[0])
     sweepers = [first] + [first.at_resolution(m) for m in M[1:]]
-    # (norm, argmax mode, cutoff mode, margin) by resolution and frequency
-    rows = np.empty((4, len(M), taus.size))
+    # (norm, argmax mode) by resolution and frequency
+    rows = np.empty((2, len(M), taus.size))
     for i, tau in enumerate(taus):
         for j, sweeper in enumerate(sweepers):
             rows[:, j, i] = sweeper.norm_at(float(tau))
-    norms, argmax, cutoffs, margins = rows
+    norms, argmax = rows
     scaled = np.abs(taus) ** (-omega) * norms
     return [
         SweepResult(
@@ -658,9 +628,7 @@ def scaled_sweep(
             norms=norms[j],
             scaled=scaled[j],
             argmax_modes=argmax[j],
-            cutoffs=cutoffs[j],
             resonance_branch=branch_tag,
-            margins=margins[j],
         )
         for j, m in enumerate(M)
     ]
@@ -699,8 +667,6 @@ def resolvent_peaks(branch: SpectrumBranch, params: ModelParams) -> tuple[np.nda
 
 
 __all__ = [
-    "CUTOFF_FACTOR",
-    "FIRST_MODES_FLOOR",
     "PEAK_PASSES",
     "PEAK_POINTS",
     "LaguerreGrid",

@@ -519,7 +519,8 @@ _MEMORY_CHUNK = 64
 
 
 def energy_trace(trajs: ModalTrajectories, times: np.ndarray) -> EnergyTrace:
-    """Exact multi-mode energy trace on the given times.
+    """Exact multi-mode energy trace on the one-dimensional array ``times``;
+    times of any other shape raise ``InvalidModelError`` before any work.
 
     The trace is evaluated in the amplitude-free pair coordinates: every
     part is a fixed real map of a mode's five reals ``r``, its amplitudes
@@ -542,38 +543,38 @@ def energy_trace(trajs: ModalTrajectories, times: np.ndarray) -> EnergyTrace:
     which would keep the association, is slower than this loop.
     """
     times = np.asarray(times, dtype=float)
-    tt = times.reshape(-1)
+    if times.ndim != 1:
+        raise InvalidModelError(f"times must be one-dimensional, got shape {times.shape}")
     zeta = 1.0 / trajs.delta
     expanded = ~trajs.dense & (trajs.partners >= 0).all(axis=1)
     light = np.flatnonzero(expanded)
     paired = trajs if expanded.all() else trajs[light]
     labellings, which = _labellings(paired.partners)
-    form = _memory_form(paired, np.max(tt, initial=0.0))
+    form = _memory_form(paired, np.max(times, initial=0.0))
     weights, terms = zip(*energy_terms(*np.moveaxis(form.states[:, :4], 1, 0), paired.xi[:, None], trajs.params, zeta))
     # every weight is positive on a coercive mode, so its root scales the term
     roots = np.sqrt(np.concatenate(np.broadcast_arrays(*weights), axis=1))[:, :, None]
     maps = np.concatenate([np.stack(terms, axis=1) * roots, form.maps], axis=1)
-    decay = np.exp(-trajs.delta * tt)
-    block = np.empty((_MEMORY_CHUNK, 5, tt.size))
-    sums = np.zeros((5, tt.size))
+    decay = np.exp(-trajs.delta * times)
+    block = np.empty((_MEMORY_CHUNK, 5, times.size))
+    sums = np.zeros((5, times.size))
     for start in range(0, len(trajs), _MEMORY_CHUNK):
         stop = min(start + _MEMORY_CHUNK, len(trajs))
         parts = block[: stop - start]
         lo, hi = np.searchsorted(light, [start, stop])
         if hi > lo:
             rows = slice(lo, hi)
-            r = _pair_coordinates(paired.eigenvalues[rows], labellings, which[rows], tt)
+            r = _pair_coordinates(paired.eigenvalues[rows], labellings, which[rows], times)
             image = maps[rows] @ r
             np.square(image[:, :4], out=parts[: hi - lo, :4])
             chunk = _MemoryForm(*(x[rows] for x in form[:5]), image[:, 4:], decay)
-            parts[: hi - lo, 4] = memory_energy_closed_form(paired[rows], tt, coords=r, form=chunk)
+            parts[: hi - lo, 4] = memory_energy_closed_form(paired[rows], times, coords=r, form=chunk)
         matrix = start + np.flatnonzero(~expanded[start:stop])
         if matrix.size:
             parts[light[lo:hi] - start] = parts[: hi - lo]
-            parts[matrix - start] = _matrix_parts(trajs[matrix], tt)
+            parts[matrix - start] = _matrix_parts(trajs[matrix], times)
         for part in parts:
             sums += part
-    sums = sums.reshape((5,) + times.shape)
     return EnergyTrace.from_parts(times, *sums, -trajs.delta * sums[4])
 
 

@@ -131,9 +131,10 @@ def write(config: dict, commands: list[str], artifacts_dir: Path, manifest_path:
     print(f"wrote {len(artifacts)} artifacts to {artifacts_dir}, environment {manifest['environment']}")
 
 
-def _csv_columns(data: bytes):
-    rows = list(csv.reader(io.StringIO(data.decode())))
-    return rows[0], [list(column) for column in zip(*rows[1:])]
+def _csv_columns(data: bytes) -> tuple[dict[str, list[str]], int]:
+    """The cells of each column of a CSV by header name, and the row count."""
+    head, *rows = csv.reader(io.StringIO(data.decode()))
+    return {key: [row[i] for row in rows] for i, key in enumerate(head)}, len(rows)
 
 
 def _json_leaves(node, path=""):
@@ -156,14 +157,24 @@ def moves(name: str, got: bytes, expected: bytes) -> dict[str, float]:
     """How far each part of the artifact ``name`` moved from ``expected``: a
     CSV column's largest change over its largest magnitude, a JSON number's
     change over the largest magnitude of a number in the document (its
-    numbers are one column), and ``inf`` for a header, shape, other value or
-    text that differs.  Unchanged parts are left out."""
+    numbers are one column), and ``inf`` for a removed (``-name``) or added
+    (``+name``) CSV column, a reordered header (``order``), a row count
+    (``shape``), other value or text that differs.  The columns on both sides
+    are compared by value whatever else differs, unless the row counts do.
+    Unchanged parts are left out."""
     out = {}
     if name.endswith(".csv"):
-        (head, columns), (want_head, want_columns) = _csv_columns(got), _csv_columns(expected)
-        if head != want_head or [len(c) for c in columns] != [len(c) for c in want_columns]:
-            return {"shape": math.inf}
-        for key, column, want in zip(head, columns, want_columns):
+        (columns, n_rows), (want_columns, want_rows) = _csv_columns(got), _csv_columns(expected)
+        out.update({f"-{key}": math.inf for key in want_columns if key not in columns})
+        out.update({f"+{key}": math.inf for key in columns if key not in want_columns})
+        shared = [key for key in columns if key in want_columns]
+        if shared != [key for key in want_columns if key in columns]:
+            out["order"] = math.inf
+        if n_rows != want_rows:
+            out["shape"] = math.inf
+            return out
+        for key in shared:
+            column, want = columns[key], want_columns[key]
             try:
                 x, y = np.array(column, dtype=float), np.array(want, dtype=float)
             except ValueError:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -61,6 +63,28 @@ def test_one_ulp_in_a_sweep_norm_fails_bytes_but_not_values():
     assert list(moved) == ["norm"] and 0.0 < moved["norm"] <= TOLERANCE
     assert golden.moves("sweep_summary.json", b'{"sup": [1.0, 2.0]}', b'{"sup": [1.0, 2.5]}') == {".sup[1]": 0.2}
     assert golden.moves("verdict.md", b"optimal", b"not optimal") == {"text": math.inf}
+
+
+def test_a_csv_header_change_names_its_columns_and_fails_the_values():
+    # a removed and an added column are named, each as inf, and the columns on
+    # both sides are still compared by value; a header change fails the gate
+    expected = (golden.ARTIFACTS / "sweep_M80.csv").read_bytes()
+    rows = list(csv.reader(io.StringIO(expected.decode())))
+    rows[5][1] = repr(float(np.nextafter(float(rows[5][1]), math.inf)))
+    drop = rows[0].index("resonance")
+    edited = [row[:drop] + row[drop + 1 :] + ["1.5"] for row in rows]
+    edited[0][-1] = "margin"
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(edited)
+    moved = golden.moves("sweep_M80.csv", buffer.getvalue().encode(), expected)
+    assert moved.keys() == {"-resonance", "+margin", "norm"}
+    assert moved["-resonance"] == moved["+margin"] == math.inf and 0.0 < moved["norm"] <= TOLERANCE
+    assert max(moved.values()) > TOLERANCE
+    # the same columns in another order, or another row count, differ too
+    swapped = expected.replace(b"tau,norm,", b"norm,tau,", 1)
+    assert golden.moves("sweep_M80.csv", swapped, expected)["order"] == math.inf
+    shorter = b"".join(expected.splitlines(keepends=True)[:-1])
+    assert golden.moves("sweep_M80.csv", shorter, expected) == {"shape": math.inf}
 
 
 def test_general_integrator_artifacts_equal_the_committed_ones(tmp_path):

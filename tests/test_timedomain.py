@@ -561,6 +561,21 @@ def test_dissipation_residual_zero_state():
     assert np.all(trace.residual[1:-1] == 0.0)
 
 
+def test_energy_trace_takes_one_dimensional_times_only(monkeypatch):
+    # the residual is a derivative along the times, so only a 1-D array has
+    # one: a scalar would fail inside the three-point derivative and a (2, 3)
+    # array would give an all-NaN residual; both are refused before any work
+    trajs = exact_modal_evolve(*marginal_data(square_grid(3), 3), P0, DELTA)
+
+    def no_work(*args):
+        raise AssertionError("energy_trace started work")
+
+    monkeypatch.setattr(timedomain, "_memory_form", no_work)
+    for times, shape in ((1.0, r"\(\)"), (np.linspace(1.0, 6.0, 6).reshape(2, 3), r"\(2, 3\)")):
+        with pytest.raises(InvalidModelError, match=rf"^times must be one-dimensional, got shape {shape}$"):
+            energy_trace(trajs, times)
+
+
 def test_dissipation_identity_residual():
     traj = evolve()
     times = 1.0 + 1e-4 * np.arange(-5, 6)
