@@ -45,19 +45,27 @@ and ``y = sw^T K``, so
 ``||K||`` enters only there and is replaced by its bound
 ``sqrt(||K||_1 ||K||_inf)``, which needs no BLAS call.
 
-Per frequency and resolution, ``schur_inverse`` inverts ``S_M``, stacked,
-for the few modes near resonance that the screen below leaves, and
-``schur_bounds`` turns its four norms ``||S_M^{-1}||``, ``||S_M^{-1} e_u||``,
-``||e_u^T S_M^{-1}||`` and ``|(S_M^{-1})_uu|`` into that upper bound.  Each
-sweeper takes its own ``phi_M``, so the bound describes the Schur complement
-of the very block that is SVD'd, with no correction for ``M``.
+For one resolution and a block of frequencies, ``schur_inverse`` inverts
+``S_M`` in one stack for the few (frequency, mode) pairs near resonance that
+the screen below leaves, and ``schur_bounds`` turns its four norms
+``||S_M^{-1}||``, ``||S_M^{-1} e_u||``, ``||e_u^T S_M^{-1}||`` and
+``|(S_M^{-1})_uu|`` into that upper bound.  Each sweeper takes its own
+``phi_M``, so the bound describes the Schur complement of the very block
+that is SVD'd, with no correction for ``M``.
 
 A screen spares the modes far from resonance that inverse.  Each corner is
 ``A = Q + H`` with ``Q`` its skew part and ``H`` its symmetric part, which
 is zero up to roundoff.  Write ``S_M = i*(tau - T) + Re(beta) e_u e_u^T - H``
 with ``beta = c^2 phi_M`` and the Hermitian ``T = -i*Q - Im(beta) e_u e_u^T``.
-The eigenvalues ``+-omega`` of ``-i*Q``, in ascending order, come from one
-stacked ``eigvalsh`` per sweeper.  A rank-one Hermitian term moves each
+The eigenvalues ``+-omega_1`` and ``+-omega_2`` of ``-i*Q``, with ``0 <=
+omega_1 <= omega_2``, come in closed form.  With ``q_ij`` (``i < j``) the six
+entries of ``Q``, ``s = omega_1^2 + omega_2^2 = ||Q||_F^2/2`` is the sum of
+their squares and ``p = omega_1*omega_2 = |Pf Q| = |q_01 q_23 - q_02 q_13 +
+q_03 q_12|``, so
+
+    omega_2 = (sqrt(s + 2p) + sqrt(s - 2p))/2,   omega_1 = p/omega_2,
+
+with ``s - 2p`` clamped at 0.  A rank-one Hermitian term moves each
 eigenvalue one way and by at most its norm (Weyl's monotonicity theorem),
 so the ``j``-th eigenvalue of ``T`` lies on the segment from ``omega_j`` to
 ``omega_j - Im(beta)``, and ``i*(tau - T)`` is normal with ``sigma_min``
@@ -66,18 +74,41 @@ between ``near``, the distance from ``tau`` to the nearest segment, and
 segment.  Weyl's perturbation theorem then gives
 ``1/h = near - |Re(beta)| - ||H|| - fuzz <= sigma_min(S_M) <= far +
 |Re(beta)| + ||H|| + fuzz`` (``||H||`` is its Frobenius norm).  ``fuzz`` is
-the roundoff of the computed ``omega``, ``near`` and ``far``:
-``eps*||A||_F`` each for forming ``Q`` and ``H``, ``4*n*eps*||A||_F``
-(``n = 4``) for the backward-stable ``eigvalsh``, and at most eight
-roundings, each of at most ``eps*(|tau| + ||A||_F + 2|beta|)``, which sums
-to less than ``fuzz = 8*eps*(4*||A||_F + |tau| + 2|beta|)``.  ``h`` bounds
-all four norms of ``S_M^{-1}``, so ``schur_bounds`` fed ``h`` four times
-gives a screening upper bound, ``+inf`` where ``1/h <= 0``.  ``S_M^{-1}`` is
-a block of ``N^{-1}``, so the screening lower bound is
+the roundoff of the computed ``omega``, ``near`` and ``far``.
+
+The closed form's roundoff, barring overflow and underflow: the computed
+``Q`` is exactly skew, and the unit roundoff is ``eps/2``.  Each summand of
+``s`` takes six roundings and each of the three products of ``p`` three,
+and those products sum to at most ``s/2`` in modulus, so the computed ``s``
+and ``p`` are off by at most ``3*eps*s`` and ``0.75*eps*s``, and ``s +- 2p``
+by at most ``e = 6*eps*s`` after their own rounding.  As ``|sqrt(a) -
+sqrt(b)| <= min(sqrt|a - b|, |a - b|/sqrt(a))``, ``sqrt(s - 2p)`` is
+off by at most ``m = min(sqrt(e), e/sqrt(s - 2p))``, computed values on
+the right, plus its rounding, and ``sqrt(s + 2p)``, which is at least
+``sqrt(s)``, by at most ``6.8*eps*sqrt(s)`` in all.  That puts ``omega_2``
+within ``m/2 + 4.2*eps*sqrt(s)``.  ``omega_1 = p/omega_2`` adds the error
+of ``p`` over ``omega_2 >= sqrt(s/2)`` and ``omega_1/omega_2 <= 1`` times
+that of ``omega_2``, and each of the four eigenvalues is within ``m/2 +
+8*eps*sqrt(s)``.  ``m`` is the term that grows: where the two
+frequencies are close, ``s - 2p = (omega_2 - omega_1)^2`` cancels and ``m``
+grows like ``6*eps*s/(omega_2 - omega_1)``, up to ``sqrt(6*eps*s)`` where
+they meet.  With ``eps*||A||_F`` each for forming ``Q`` and ``H``
+(``|omega| <= sqrt(s) <= ||A||_F``) and at most eight roundings in
+``near`` and ``far``, each of at most ``eps*(|tau| + ||A||_F +
+2|beta|)``, the sum is
+
+    fuzz = 10*eps*||A||_F + m/2 + 8*eps*sqrt(s) + 8*eps*(|tau| + 2|beta|).
+
+``h`` bounds all four norms of ``S_M^{-1}``, so ``schur_bounds`` fed ``h``
+four times gives a screening upper bound, ``+inf`` where ``1/h <= 0``.
+``S_M^{-1}`` is a block of ``N^{-1}``, so the screening lower bound is
 ``1/(far + |Re(beta)| + ||H|| + fuzz + slack)``, with the slack below; it
 stays finite where ``h`` is not.  Only the modes whose screening upper bound
-reaches the largest screening lower bound are inverted, and the others keep
-their screening upper bound.
+reaches the largest screening lower bound at their frequency are inverted,
+and the others keep their screening upper bound.  The screen, the stacked
+``(i*tau + D)^{-1}`` and the Schur inverses broadcast over an array of
+frequencies, and each frequency's row is what the same code gives at that
+frequency alone.
 
 Modes are SVD'd in the order of decreasing upper bounds, and once a mode's
 upper bound is below the largest norm already computed, neither it nor any
@@ -298,7 +329,7 @@ def energy_congruence(xi: np.ndarray, params: ModelParams, zeta: float) -> np.nd
         lower = np.linalg.cholesky(weight)
     except np.linalg.LinAlgError:
         # within roundoff of kappa = 0 it can fail where the margin is positive
-        require_coercive(xi, [np.isnan(_or_nan(np.linalg.cholesky, w)).any() for w in weight])
+        require_coercive(xi, np.isnan(_or_nan(np.linalg.cholesky, weight)).any(axis=(-2, -1)))
     return np.swapaxes(lower, -2, -1)
 
 
@@ -317,11 +348,14 @@ def energy_corners(xi: np.ndarray, params: ModelParams, zeta: float) -> np.ndarr
 
 
 def _or_nan(solve, a: np.ndarray) -> np.ndarray:
-    """``solve(a)`` for ``np.linalg.inv`` or ``cholesky``, or NaN everywhere
-    when LAPACK refuses any matrix of the stack ``a`` (numpy then refuses all)."""
+    """``solve(a)`` for ``np.linalg.inv`` or ``cholesky``, NaN for each matrix
+    of the stack ``a`` that LAPACK refuses; numpy refuses a whole stack for
+    one such matrix, which is then solved one matrix at a time."""
     try:
         return solve(a)
     except np.linalg.LinAlgError:
+        if a.ndim > 2:
+            return np.stack([_or_nan(solve, m) for m in a])
         return np.full(a.shape, np.nan, dtype=np.result_type(a, float))
 
 
@@ -380,6 +414,32 @@ def schur_bounds(inverse, c, x_norm, y_norm, k_norm, slack=0.0):
 
 EPS = np.finfo(float).eps
 
+# frequencies per ``norm_bounds`` pass of ``scaled_sweep``, which bounds its
+# ``(frequencies, modes)`` arrays (about 0.5 MB of them per frequency on 2000
+# modes at M = 80)
+_FREQUENCY_BLOCK = 8
+
+
+def _skew_frequencies(skew: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending eigenvalues ``(-omega_2, -omega_1, omega_1, omega_2)`` of
+    ``-i*Q`` for the stacked real 4x4 skew matrices ``Q``, in closed form,
+    and the bound ``m/2 + 8*eps*sqrt(s)`` on their roundoff (module
+    docstring); both are NaN where ``Q`` is not finite."""
+    q01, q02, q03, q12, q13, q23 = (skew[..., i, j] for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+    s = q01 * q01 + q02 * q02 + q03 * q03 + q12 * q12 + q13 * q13 + q23 * q23
+    p = np.abs(q01 * q23 - q02 * q13 + q03 * q12)
+    root_minus = np.sqrt(np.maximum(s - 2.0 * p, 0.0))
+    omega_2 = 0.5 * (np.sqrt(s + 2.0 * p) + root_minus)
+    omega_1 = np.divide(p, omega_2, out=np.zeros(p.shape), where=omega_2 > 0.0)
+    omega = np.stack([-omega_2, -omega_1, omega_1, omega_2], axis=-1)
+    e = 6.0 * EPS * s
+    m = np.minimum(np.sqrt(e), np.divide(e, root_minus, out=np.full(e.shape, np.inf), where=root_minus > 0.0))
+    err = 0.5 * m + 8.0 * EPS * np.sqrt(s)
+    finite = np.all(np.isfinite(skew), axis=(-2, -1))
+    omega[~finite] = np.nan
+    err[~finite] = np.nan
+    return omega, err
+
 
 class ResolventSweeper:
     """Evaluates ``max_k ||(i*tau - B_k)^{-1}||`` over every mode of the grid.
@@ -389,10 +449,11 @@ class ResolventSweeper:
     energy-coordinate corner ``A_k`` of its block and the coupling ``c_k`` to
     the history (see the module docstring); the corners come from one
     ``energy_corners`` call over all modes, without assembling any block.
-    Per frequency ``norm_bounds`` turns them into upper bounds, and only the
-    modes those bounds cannot rule out are assembled by ``mode_block`` and
-    SVD'd from their stored corners.  The eigenvalues ``+-i*omega_k`` of the
-    skew parts of the corners, from one stacked ``eigvalsh``, screen out the
+    ``norm_bounds`` turns them into upper bounds, at one frequency or at an
+    array of them in one pass, and only the modes those bounds cannot rule
+    out are assembled by ``mode_block`` and SVD'd from their stored corners.
+    The eigenvalues ``+-i*omega_k`` of the skew parts of the corners, in
+    closed form from their Frobenius norms and Pfaffians, screen out the
     modes far from resonance before any Schur complement is inverted (module
     docstring).  ``at_resolution`` gives a sweeper of the same modes at
     another ``M``.
@@ -406,14 +467,10 @@ class ResolventSweeper:
         self._c = self.xi ** (params.a / 2.0) / math.sqrt(params.rho)
         self._corner_norms = np.linalg.norm(self._corners, axis=(-2, -1))
         transposed = np.swapaxes(self._corners, -2, -1)
-        skew = 0.5 * (self._corners - transposed)
         self._sym_norms = np.linalg.norm(0.5 * (self._corners + transposed), axis=(-2, -1))
-        # the ascending real spectra +-omega of the Hermitian -i*Q; LAPACK's
-        # answer for a matrix holding NaN is not to be trusted, so those rows
-        # are NaN
-        finite = np.all(np.isfinite(skew), axis=(-2, -1))
-        self._omega = np.linalg.eigvalsh(-1j * np.where(finite[:, None, None], skew, 0.0))
-        self._omega[~finite] = np.nan
+        self._omega, self._omega_err = _skew_frequencies(0.5 * (self._corners - transposed))
+        # the part of fuzz (module docstring) that does not depend on tau
+        self._fuzz = 10.0 * EPS * self._corner_norms + self._omega_err
         self._set_resolution(M)
 
     def _set_resolution(self, M: int) -> None:
@@ -437,73 +494,82 @@ class ResolventSweeper:
             raise IndexError(f"mode index {k} outside 1..{self.xi.size}")
         return mode_block(self.xi[k - 1], self.params, self.lag, self._corners[k - 1])
 
-    def history_resolvent(self, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, complex]:
+    def history_resolvent(self, tau) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``K = (i*tau + D)^{-1}`` of the discrete history block, ``x = K sw``,
-        ``y = sw^T K`` and ``phi_M = sw^T K sw``."""
-        M = self.lag.M
+        ``y = sw^T K`` and ``phi_M = sw^T K sw``, broadcast over the leading
+        axes of the frequencies ``tau``."""
         sw = self.lag.sqrt_weights
-        k_inv = _or_nan(np.linalg.inv, 1j * tau * np.eye(M) + self.lag.diff_w)
+        shifted = 1j * np.asarray(tau, dtype=float)[..., None, None] * np.eye(self.lag.M) + self.lag.diff_w
+        k_inv = _or_nan(np.linalg.inv, shifted)
         x = k_inv @ sw
         y = sw @ k_inv
-        return k_inv, x, y, complex(np.sum(sw * x))
+        return k_inv, x, y, np.sum(sw * x, axis=-1)
 
-    def norm_bounds(self, tau: float) -> np.ndarray:
+    def norm_bounds(self, tau) -> np.ndarray:
         """Upper bounds on the computed resolvent norms of every mode
-        (``+inf`` where the bound data are not finite).  A mode whose
-        screening upper bound is below the largest screening lower bound
-        keeps its screening upper bound (``_screen``); the others get the
-        sharp one of their inverted Schur complements ``S_M`` (module
-        docstring)."""
-        lower, upper, history, slack = self._screen(tau)
-        if history is None:
-            return upper
-        phi_m, *norms = history
-        keep = np.flatnonzero(~(upper < lower.max(initial=0.0)))
-        inverse = schur_inverse(self._corners[keep], self._c[keep], tau, phi_m)
-        upper[keep] = schur_bounds(inverse, self._c[keep], *norms, slack[keep])
+        (``+inf`` where the bound data are not finite), along the last axis,
+        broadcast over the leading axes of the frequencies ``tau``.  A mode
+        whose screening upper bound is below the largest screening lower bound
+        at its frequency keeps its screening upper bound (``_screen``); the
+        others get the sharp one of their inverted Schur complements ``S_M``
+        (module docstring), all of them in one stacked inverse."""
+        tau = np.asarray(tau, dtype=float)
+        lower, upper, (phi_m, *norms), slack = self._screen(tau)
+        keep = ~(upper < lower.max(axis=-1, initial=0.0)[..., None]) & np.isfinite(phi_m)[..., None]
+        *at, modes = np.nonzero(keep)
+        at = tuple(at)
+        inverse = schur_inverse(self._corners[modes], self._c[modes], tau[at], phi_m[at])
+        upper[keep] = schur_bounds(inverse, self._c[modes], *(v[at] for v in norms), slack[keep])
         return upper
 
-    def _screen(self, tau: float) -> tuple[np.ndarray, np.ndarray, tuple | None, np.ndarray | None]:
+    def _screen(self, tau) -> tuple[np.ndarray, np.ndarray, tuple, np.ndarray]:
         """The screening pair ``(lower, upper)`` of every mode, which
         bounds their computed norms, roundoff included (module docstring),
         followed by the history data ``(phi_M, ||x||, ||y||, ||K||)`` that
-        ``schur_inverse`` and ``schur_bounds`` take and the slack.  Where
-        ``K`` is not finite the history data are None and the pair is
+        ``schur_inverse`` and ``schur_bounds`` take and the slack, broadcast
+        over the leading axes of the frequencies ``tau`` as ``norm_bounds``
+        is.  Where ``K`` is not finite ``phi_M`` is NaN and the pair is
         ``(0, +inf)`` for every mode."""
+        tau = np.asarray(tau, dtype=float)
         k_inv, x, y, phi_m = self.history_resolvent(tau)
-        if not np.all(np.isfinite(k_inv)):
-            return np.zeros(self.xi.size), np.full(self.xi.size, np.inf), None, None
+        finite = np.all(np.isfinite(k_inv), axis=(-2, -1))
+        phi_m = np.where(finite, phi_m, np.nan)
         k_abs = np.abs(k_inv)
-        k_norm = math.sqrt(float(k_abs.sum(axis=0).max() * k_abs.sum(axis=1).max()))
-        history = (phi_m, np.linalg.norm(x), np.linalg.norm(y), k_norm)
+        k_norm = np.sqrt(k_abs.sum(axis=-2).max(axis=-1) * k_abs.sum(axis=-1).max(axis=-1))
+        history = (phi_m, np.linalg.norm(x, axis=-1), np.linalg.norm(y, axis=-1), k_norm)
+        # from here the modes run along the last axis
+        tau = tau[..., None]
         c = self._c
-        beta = c * c * phi_m
-        slack = self._eps_n * (self._nu + 2.0 * abs(tau) + np.abs(beta))
+        beta = c * c * phi_m[..., None]
+        slack = self._eps_n * (self._nu + 2.0 * np.abs(tau) + np.abs(beta))
         # the distance from tau to the nearest segment from omega to
-        # omega - Im(beta), and to the farther ends of the segments
-        omega = self._omega
-        other_end = omega - beta.imag[:, None]
-        outside = np.maximum(np.minimum(omega, other_end) - tau, tau - np.maximum(omega, other_end))
-        near = np.min(np.maximum(outside, 0.0), axis=-1)
-        far = np.min(np.maximum(np.abs(tau - omega), np.abs(tau - other_end)), axis=-1)
-        shift = np.abs(beta.real) + self._sym_norms + 8.0 * EPS * (
-            4.0 * self._corner_norms + abs(tau) + 2.0 * np.abs(beta)
-        )
+        # omega - Im(beta), and to the farther ends of the segments, one
+        # eigenvalue at a time
+        near = far = np.inf
+        for omega in self._omega.T:
+            other_end = omega - beta.imag
+            outside = np.maximum(np.minimum(omega, other_end) - tau, tau - np.maximum(omega, other_end))
+            near = np.minimum(near, np.maximum(outside, 0.0))
+            far = np.minimum(far, np.maximum(np.abs(tau - omega), np.abs(tau - other_end)))
+        shift = np.abs(beta.real) + self._sym_norms + self._fuzz + 8.0 * EPS * (np.abs(tau) + 2.0 * np.abs(beta))
         gap = near - shift
         h = np.divide(1.0, gap, out=np.full(gap.shape, np.nan), where=gap > 0.0)
-        upper = schur_bounds((h, h, h, h), c, *history[1:], slack)
+        upper = schur_bounds((h, h, h, h), c, *(v[..., None] for v in history[1:]), slack)
         lower = 1.0 / (far + shift + slack)
         lower[~np.isfinite(lower)] = 0.0
         return lower, upper, history, slack
 
-    def norm_at(self, tau: float) -> tuple[float, int]:
+    def norm_at(self, tau: float, upper: np.ndarray | None = None) -> tuple[float, int]:
         """Return ``(norm, argmax mode)`` over every mode of the grid.
 
-        Modes are SVD'd in decreasing order of their upper bound until it
-        drops below the running max; exact ties go to the smaller mode, as
-        ``np.argmax`` does.
+        ``upper`` is ``norm_bounds(tau)``, which is computed when not given
+        (``scaled_sweep`` gives the rows of its pass over a block of
+        frequencies).  Modes are SVD'd in decreasing order of their upper
+        bound until it drops below the running max; exact ties go to the
+        smaller mode, as ``np.argmax`` does.
         """
-        upper = self.norm_bounds(tau)
+        if upper is None:
+            upper = self.norm_bounds(tau)
         best = -math.inf
         k_best = 0
         for i in np.argsort(-upper, kind="stable"):
@@ -600,7 +666,9 @@ def scaled_sweep(
     on a log grid plus near-resonance frequencies, ``omega = 2 - 2a``, at
     each history resolution in ``M``; one ``SweepResult`` per resolution, in
     the order of ``M``.  The modes' corners, couplings and skew spectra, the
-    frequencies and the resonances are computed once for all resolutions."""
+    frequencies and the resonances are computed once for all resolutions,
+    and each resolution bounds its modes at up to ``_FREQUENCY_BLOCK``
+    frequencies in one ``norm_bounds`` pass."""
     omega = 2.0 - 2.0 * params.a
     n_grid = max(2, int(round(per_decade * math.log10(tau_hi / tau_lo))))
     base = np.geomspace(tau_lo, tau_hi, n_grid)
@@ -613,11 +681,16 @@ def scaled_sweep(
 
     first = ResolventSweeper(params, delta, xi, M[0])
     sweepers = [first] + [first.at_resolution(m) for m in M[1:]]
-    # (norm, argmax mode) by resolution and frequency
+    # (norm, argmax mode) by resolution and frequency; each resolution bounds
+    # a block of frequencies in one pass, and the rows are then SVD'd in the
+    # order of frequency and resolution
     rows = np.empty((2, len(M), taus.size))
-    for i, tau in enumerate(taus):
-        for j, sweeper in enumerate(sweepers):
-            rows[:, j, i] = sweeper.norm_at(float(tau))
+    for start in range(0, taus.size, _FREQUENCY_BLOCK):
+        block = taus[start : start + _FREQUENCY_BLOCK]
+        uppers = [sweeper.norm_bounds(block) for sweeper in sweepers]
+        for i, tau in enumerate(block):
+            for j, sweeper in enumerate(sweepers):
+                rows[:, j, start + i] = sweeper.norm_at(float(tau), uppers[j][i])
     norms, argmax = rows
     scaled = np.abs(taus) ** (-omega) * norms
     return [

@@ -262,8 +262,22 @@ def _certificate_taus(grid, params=P0, delta=KER1.delta):
 
 
 def _all_norms(sweeper, tau):
-    """The resolvent norms of every mode of the sweeper's grid, by SVD."""
-    return np.array([sweeper.block(k).resolvent_norm(tau) for k in range(1, sweeper.xi.size + 1)])
+    """The resolvent norms of every mode of the sweeper's grid, from one
+    stacked SVD of the shifted blocks that ``ModeBlock.resolvent_norm``
+    SVDs one at a time."""
+    blocks = np.stack([sweeper.block(k).matrix for k in range(1, sweeper.xi.size + 1)])
+    smin = np.linalg.svd(1j * tau * np.eye(blocks.shape[-1]) - blocks, compute_uv=False)[..., -1]
+    assert np.all(smin > 0.0), tau
+    return 1.0 / smin
+
+
+@pytest.mark.parametrize("m", [8, 24])
+def test_stacked_brute_force_norms_are_the_per_block_ones(m):
+    grid = square_grid(300)
+    sweeper = ResolventSweeper(P0, KER1.delta, grid.xi, M=m)
+    for tau in (0.0, 3.0, 40.0, 170.0):
+        per_block = [sweeper.block(k).resolvent_norm(tau) for k in range(1, grid.count + 1)]
+        assert np.array_equal(_all_norms(sweeper, tau), per_block), tau
 
 
 def _brute_force_norm_at(sweeper, tau):
@@ -400,23 +414,61 @@ def test_one_call_sweep_matches_brute_force_at_every_resolution():
 
 
 def test_sweep_inverts_a_few_schur_complements_per_row(monkeypatch):
-    # the README reference sweep on 2000 modes at both resolutions: the screen
-    # leaves at most 8 modes of a row to the stacked Schur inverse (measured:
-    # 3-6 of the 2000 modes)
+    # the README reference sweep on 2000 modes at both resolutions: one
+    # stacked Schur inverse per resolution and block of frequencies, in which
+    # the screen leaves at most 8 modes of each (frequency, resolution) row
+    # (measured: 3-6 of the 2000 modes)
     grid = square_grid(2000)
     inverted = []
     original = resolvent.schur_inverse
 
     def counted(corners, c, tau, phi):
-        inverted.append(len(corners))
+        inverted.append(np.broadcast_to(tau, len(corners)).copy())
         return original(corners, c, tau, phi)
 
     monkeypatch.setattr(resolvent, "schur_inverse", counted)
     sweeps = scaled_sweep(
         P0, KER1.delta, grid.xi, M=[40, 80], tau_lo=10.0, tau_hi=1000.0, per_decade=64, resonances_per_branch=16
     )
-    assert len(inverted) == 2 * sweeps[0].taus.size
-    assert 1 <= min(inverted) and max(inverted) <= 8
+    taus = sweeps[0].taus
+    assert np.unique(taus).size == taus.size
+    assert len(inverted) == 2 * -(-taus.size // resolvent._FREQUENCY_BLOCK)
+    rows = [np.unique(pairs, return_counts=True) for pairs in inverted]
+    assert np.array_equal(np.sort(np.concatenate([row_taus for row_taus, _ in rows])), np.repeat(taus, 2))
+    kept = np.concatenate([counts for _, counts in rows])
+    assert 1 <= kept.min() and kept.max() <= 8
+
+
+@pytest.mark.parametrize("m", [8, 24])
+def test_a_block_of_frequencies_is_row_by_row_the_one_frequency_calls(m):
+    # norm_bounds, _screen and history_resolvent over an array of
+    # frequencies give, bit for bit, their rows at each frequency alone
+    grid = square_grid(300)
+    sweeper = ResolventSweeper(P0, KER1.delta, grid.xi, M=m)
+    taus = np.array(_certificate_taus(grid))
+    bounds = sweeper.norm_bounds(taus)
+    lower, upper, history, slack = sweeper._screen(taus)
+    resolvents = sweeper.history_resolvent(taus)
+    assert bounds.shape == lower.shape == (taus.size, grid.count)
+    for i, tau in enumerate(taus):
+        assert np.array_equal(sweeper.norm_bounds(float(tau)), bounds[i]), tau
+        lower0, upper0, history0, slack0 = sweeper._screen(float(tau))
+        for got, row in zip((lower0, upper0, slack0, *history0), (lower, upper, slack, *history)):
+            assert np.array_equal(got, row[i]), tau
+        for got, row in zip(sweeper.history_resolvent(float(tau)), resolvents):
+            assert np.array_equal(got, row[i]), tau
+
+
+def test_a_singular_matrix_leaves_the_rest_of_its_stack_inverted():
+    # numpy refuses a whole stack for one singular matrix; the others of a
+    # block of Schur complements keep their inverses
+    stack = np.random.default_rng(5).standard_normal((2, 3, 4, 4))
+    stack[1, 2, 3] = 0.0
+    got = resolvent._or_nan(np.linalg.inv, stack)
+    assert np.isnan(got[1, 2]).all()
+    for i, j in np.ndindex(2, 3):
+        if (i, j) != (1, 2):
+            assert np.array_equal(got[i, j], np.linalg.inv(stack[i, j]))
 
 
 def test_bounds_hold_with_history_weights_off_the_closed_form(monkeypatch):
@@ -440,6 +492,58 @@ def test_bounds_hold_with_history_weights_off_the_closed_form(monkeypatch):
             norms, lower, upper = _brute_force_bounds_check(sweeper, tau)
             pruned += int(np.sum(upper < lower.max()))
         assert pruned > 0
+
+
+# equal wave speeds and a weak coupling: the two skew frequencies of a mode
+# differ by about 0.1%, where the closed form's sqrt(s - 2p) cancels
+_NEAR_EQUAL = ModelParams(rho=1.0, mu=1.0, alpha=4.0, beta=4.0, gamma=1e-3, a=0.5)
+
+
+@pytest.mark.parametrize(
+    "params, delta, xi",
+    [
+        (P0, KER1.delta, square_grid(2000).xi),
+        *[(_regime_params(a), d, square_grid(200).xi) for a in (0.0, 0.5, 0.97) for d in (0.6, 1.0, 5.0)],
+        (_regime_params(0.0), KER1.delta, np.geomspace(1.0, 1e20, 41)),
+        (_NEAR_EQUAL, KER1.delta, square_grid(2000).xi),
+    ],
+    ids=["readme", *[f"a{a}-delta{d}" for a in (0.0, 0.5, 0.97) for d in (0.6, 1.0, 5.0)], "xi-1e20", "near-equal"],
+)
+def test_closed_form_skew_frequencies_are_within_their_roundoff_bound(params, delta, xi):
+    # against 40-digit eigenvalues of -i*Q for the skew parts Q of the
+    # corners of 40 modes: each of the four is within the closed form's own
+    # term of fuzz, m/2 + 8*eps*sqrt(s) (measured: at most 0.1 of it).  The
+    # error stays below 1 eps*||A||_F except on the near-equal-speed model,
+    # where sqrt(s - 2p) cancels and it reaches about 200 eps*||A||_F, more
+    # than the 16 eps*||A||_F that a fuzz without m would allow
+    mpmath = pytest.importorskip("mpmath")
+    sweeper = ResolventSweeper(params, delta, xi, M=8)
+    ks = np.unique(np.geomspace(1, xi.size, 40).astype(int)) - 1
+    corners = sweeper._corners[ks]
+    worst = 0.0
+    with mpmath.workdps(40):
+        for k, q in zip(ks, 0.5 * (corners - np.swapaxes(corners, -2, -1))):
+            exact = sorted(mpmath.eighe(mpmath.matrix((-1j * q).tolist()), eigvals_only=True))
+            err = max(float(abs(mpmath.mpf(float(w)) - e)) for w, e in zip(sweeper._omega[k], exact))
+            assert err <= sweeper._omega_err[k], (k, err, sweeper._omega_err[k])
+            worst = max(worst, err / (resolvent.EPS * sweeper._corner_norms[k]))
+    if params is _NEAR_EQUAL:
+        assert worst > 16.0
+    else:
+        assert worst <= 16.0
+
+
+def test_bounds_hold_where_the_skew_frequencies_nearly_meet():
+    # the screening pair and the sharp bounds on the near-equal-speed model,
+    # also with tau exactly at computed skew frequencies
+    grid = square_grid(200)
+    sweeper = ResolventSweeper(_NEAR_EQUAL, KER1.delta, grid.xi, M=8)
+    on_resonance = sweeper._omega[[0, 9, 99, 199], 2:].ravel()
+    screened = 0
+    for tau in (*_certificate_taus(grid, _NEAR_EQUAL, KER1.delta), *on_resonance):
+        _brute_force_bounds_check(sweeper, float(tau))
+        screened += _screen_check(sweeper, float(tau))
+    assert screened > 0
 
 
 def _screen_check(sweeper, tau):
