@@ -241,7 +241,7 @@ def cmd_fit(cfg: RunConfig, out: Path) -> int:
     window = _range("fit", ends, "window[0]", "window[1]", (10.0, 1000.0))
     trace_path = opts.get("trace")
     if trace_path is None:
-        raise InvalidModelError("fit needs fit.trace pointing at a simulate CSV")
+        raise ConfigError("fit needs fit.trace pointing at a simulate CSV")
     with open(trace_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     times = np.array([float(r["t"]) for r in rows])

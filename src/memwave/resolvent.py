@@ -271,11 +271,10 @@ class ModeBlock:
 
     def resolvent_norm(self, tau: float) -> float:
         n = self.dim
-        shifted = 1j * tau * np.eye(n) - self.matrix
         # numpy's SVD returns NaNs for inf entries and raises LinAlgError for
-        # NaN ones; both get the one typed error that error.json reports
-        if not np.isfinite(shifted).all():
-            raise ValueError("array must not contain infs or NaNs")
+        # NaN ones; asarray_chkfinite gives both the one ValueError that
+        # error.json reports
+        shifted = np.asarray_chkfinite(1j * tau * np.eye(n) - self.matrix)
         smin = np.linalg.svd(shifted, compute_uv=False)[-1]
         if smin <= 0.0 or not math.isfinite(smin):
             raise SingularBlockError(f"i*tau - B singular at tau={tau:g} for mode xi={self.xi:.6g}")
@@ -640,8 +639,9 @@ def resonance_frequencies(
         hi = int(np.searchsorted(xi, tau_hi**2 / m, side="right"))
         if hi < lo or per_branch == 0:
             continue
+        # geomspace keeps both ends exact and 1 <= lo <= hi <= xi.size, so no
+        # ks leaves [1, xi.size]
         ks = np.unique(np.geomspace(lo, hi, per_branch).astype(int))
-        ks = ks[(ks >= 1) & (ks <= xi.size)]
         tags += [j] * ks.size
         modes += ks.tolist()
     tags = np.asarray(tags, dtype=int)

@@ -181,21 +181,18 @@ def quintic_roots(xi, params: ModelParams, delta: float) -> SpectrumBranch:
         active &= (dp != 0) & (np.abs(step) > 1e-17 * (1.0 + np.abs(roots)))
         roots = np.where(active, roots - step, roots)
 
-    # LAPACK returns exact conjugate pairs and the polish keeps them, so a row
-    # with one root on the real axis has two strict pairs besides
+    # LAPACK returns the eigenvalues of a real matrix in exact conjugate
+    # pairs, and the polish keeps them so: every step commutes with
+    # conjugation in IEEE arithmetic.  A row with one root on the real axis
+    # therefore has two strict pairs besides, and in Im order it reads
+    # [conj(u2), conj(u1), real, u1, u2], the upper roots sorted as m_1 < m_2
     real = np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots))
     degenerate = real.sum(axis=1) != 1
     labelled = np.empty_like(roots)
-    # in Im order the real root sits between the lower and the upper pair;
-    # average each root with the conjugate of its partner (both pairs in
-    # np.sort_complex order) for an exact pairing, then order the pairs by Im
     std = roots[~degenerate]
     std = np.take_along_axis(std, np.argsort(std.imag, axis=1), axis=1)
-    paired = 0.5 * (np.sort(std[:, 3:], axis=1) + np.sort(std[:, :2].conj(), axis=1))
-    paired = np.take_along_axis(paired, np.argsort(paired.imag, axis=1), axis=1)
     labelled[~degenerate] = np.stack(
-        [std[:, 2].real + 0j, paired[:, 0], paired[:, 0].conj(), paired[:, 1], paired[:, 1].conj()],
-        axis=1,
+        [std[:, 2].real + 0j, std[:, 3], std[:, 3].conj(), std[:, 4], std[:, 4].conj()], axis=1
     )
     flat_xi = xi.reshape(-1)
     for row in np.flatnonzero(degenerate):
@@ -264,19 +261,23 @@ def sharpness_limit(params: ModelParams, j: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def modal_generator(xi: float, params: ModelParams, delta: float) -> np.ndarray:
+def modal_generator(xi, params: ModelParams, delta: float) -> np.ndarray:
     """Five-dimensional generator of one mode for the exponential kernel.
 
     State ``(v, u, p, q, I)`` with the convolved history
     ``I = int g(s) v(t-s) ds`` obeying ``I' = v - delta*I``; the memory force
     enters as ``xi^a * I``.  Its characteristic polynomial is the mode's
     quintic, so the trace equals ``-delta``.
+
+    A scalar ``xi`` gives one 5x5 matrix; an array of ``xi`` gives the stack
+    of their matrices along the leading axes, as ``memoryless_generator``.
     """
-    gen = np.zeros((5, 5))
-    gen[:4, :4] = memoryless_generator(xi, params)
-    gen[1, 4] = xi**params.a / params.rho
-    gen[4, 0] = 1.0
-    gen[4, 4] = -delta
+    xi = np.asarray(xi, dtype=float)
+    gen = np.zeros(xi.shape + (5, 5))
+    gen[..., :4, :4] = memoryless_generator(xi, params)
+    gen[..., 1, 4] = xi**params.a / params.rho
+    gen[..., 4, 0] = 1.0
+    gen[..., 4, 4] = -delta
     return gen
 
 

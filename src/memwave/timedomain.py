@@ -48,6 +48,10 @@ few products by real FFTs at 5-smooth lengths, O(steps log steps) in all.
 The same rule on ``v^2`` gives the last integral, and on ``g'`` the
 dissipation, at every step by a few more such products: no loop over steps
 or samples.
+
+Both routes end in an ``EnergyTrace``, whose residual checks the
+dissipation identity against numpy's second-order difference of the total
+energy on the sampled times (``np.gradient``).
 """
 
 from __future__ import annotations
@@ -295,13 +299,9 @@ def _expm1_ratio(x: np.ndarray) -> np.ndarray:
 
 def _whole(z, c, tt) -> np.ndarray:
     """``Re(z * E(c))`` with ``E(c) = int_0^t exp(-c*s) ds = t*(1 -
-    exp(-c*t))/(c*t)``, one ``c`` per row of the complex ``z``; a real ``c``
-    takes a real ``expm1``."""
-    real = c.imag == 0
-    out = np.empty(z.shape)
-    out[real] = z[real].real * (tt * _expm1_ratio(np.multiply.outer(c[real].real, tt)))
-    out[~real] = (z[~real] * (tt * _expm1_ratio(np.multiply.outer(c[~real], tt)))).real
-    return out
+    exp(-c*t))/(c*t)``, one complex ``c`` per row of the complex ``z``;
+    numpy's complex ``expm1`` keeps its accuracy on the real axis too."""
+    return (z * (tt * _expm1_ratio(np.multiply.outer(c, tt)))).real
 
 
 class _MemoryForm(NamedTuple):
@@ -376,7 +376,7 @@ def memory_energy_closed_form(trajs: ModalTrajectories, t, coords=None, form=Non
     E(delta)``.  Each pair term splits as ``(f_i conj(f_j) - a_i conj(a_j)
     e^(-delta*t)) / c_ij``, except where ``|c_ij|*t_max`` is below
     ``_SPLIT_GUARD``: there the halves cancel and ``E`` is evaluated
-    directly, with a real ``expm1`` where the exponent is real.
+    directly, by one complex ``expm1``.
 
     In the amplitude-free pair coordinates ``r`` the data are real, ``v =
     e.r``, ``I = h.r`` and ``f = C r`` (``ModalTrajectories.pair_basis``),
@@ -447,10 +447,15 @@ class EnergyTrace:
     @classmethod
     def from_parts(cls, times, stiffness, kinetic_v, coupling, kinetic_p, memory, dissipation):
         """Trace from its five parts and the right-hand side ``dissipation =
-        xi^a int g' |eta|^2`` of the identity, sampled on ``times``: the
-        residual compares it with the three-point derivative of ``total``."""
+        xi^a int g' |eta|^2`` of the identity, sampled on the one-dimensional
+        ``times``: the residual compares it with ``np.gradient(total,
+        times)``, the second-order difference on a nonuniform grid (Fornberg,
+        Math. Comp. 1988), at the interior samples.  Its one-sided ends, and
+        every sample of a trace shorter than three, are NaN."""
         total = stiffness + kinetic_v + coupling + kinetic_p + memory
-        de = 0.5 * _three_point_derivative(times, total)
+        de = np.full_like(total, np.nan)
+        if total.size > 2:
+            de[1:-1] = 0.5 * np.gradient(total, times)[1:-1]
         residual = np.abs(de - 0.5 * dissipation)
         return cls(times, stiffness, kinetic_v, coupling, kinetic_p, memory, residual)
 
@@ -460,19 +465,6 @@ class EnergyTrace:
 
     def norm(self) -> np.ndarray:
         return np.sqrt(self.total)
-
-
-def _three_point_derivative(x: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Second-order derivative on a possibly nonuniform grid; NaN ends."""
-    d = np.full_like(f, np.nan)
-    x0, x1, x2 = x[:-2], x[1:-1], x[2:]
-    f0, f1, f2 = f[:-2], f[1:-1], f[2:]
-    d[1:-1] = (
-        f0 * (x1 - x2) / ((x0 - x1) * (x0 - x2))
-        + f1 * (2.0 * x1 - x0 - x2) / ((x1 - x0) * (x1 - x2))
-        + f2 * (x1 - x0) / ((x2 - x0) * (x2 - x1))
-    )
-    return d
 
 
 def _matrix_parts(trajs: ModalTrajectories, tt: np.ndarray) -> np.ndarray:
@@ -494,7 +486,7 @@ def _matrix_parts(trajs: ModalTrajectories, tt: np.ndarray) -> np.ndarray:
     import scipy.linalg as sla  # loaded only for a dense or partnerless mode
 
     params, delta = trajs.params, trajs.delta
-    gens = np.stack([modal_generator(xi, params, delta) for xi in trajs.xi])
+    gens = modal_generator(trajs.xi, params, delta)
     states = np.stack([(sla.expm(np.multiply.outer(tt, g)) @ x0).T for g, x0 in zip(gens, trajs.x0)])
     # G^T W + W G + delta W on the row-major entries of W
     gt, eye = gens.swapaxes(1, 2), np.eye(5)

@@ -635,6 +635,127 @@ def test_fit_refuses_a_negative_total_in_the_window(tmp_path, capsys):
     assert not (out / "fit.json").exists()
 
 
+def test_fit_without_a_trace_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, extra={"fit": {"window": [2.0, 20.0]}})
+    out = tmp_path / "out"
+    assert main(["fit", "--config", cfg, "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"]
+    assert error == {"type": "config", "message": "fit needs fit.trace pointing at a simulate CSV"}
+    assert not list(out.glob("*"))
+
+
+def test_fit_window_holding_fewer_than_three_samples_is_refused(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t,total\n" + "".join(f"{t},{1.0 / t!r}\n" for t in (1, 5, 10, 50, 100)))
+    cfg = write_cfg(tmp_path, extra={"fit": {"trace": str(trace), "window": [2.0, 20.0]}})
+    out = tmp_path / "out"
+    assert main(["fit", "--config", cfg, "--out", str(out)]) == 1
+    want = {"type": "ValueError", "message": "fit window contains fewer than 3 samples"}
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"] == want
+    assert json.loads((out / "error.json").read_text())["error"] == want
+    assert not (out / "fit.json").exists()
+
+
+@pytest.mark.parametrize("text", [None, "{\"params\": "], ids=["missing", "bad-json"])
+def test_unreadable_config_is_config_error(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(path), "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"]
+    assert error["type"] == "config"
+    assert error["message"].startswith(f"cannot read config {path}: ")
+    assert not out.exists()
+
+
+def test_spectrum_beyond_the_grid_is_refused(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, extra={"spectrum": {"modes": 101}})
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 1
+    want = {"type": "InvalidModelError", "message": "spectrum wants 101 modes but the grid has 100"}
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"] == want
+    assert json.loads((out / "error.json").read_text())["error"] == want
+    assert not (out / "spectrum.csv").exists()
+
+
+# tables that pass every key rule but not the kernel's constructor
+@pytest.mark.parametrize(
+    "kernel, message",
+    [
+        ({"s": [0.0, 1.0, 2.0, 3.0], "g": [1.0, 0.4, 0.2]}, "tabulated kernel needs matching 1-d s/g arrays"),
+        ({"s": [0.5, 1.0, 2.0], "g": [1.0, 0.4, 0.2]}, "kernel samples must start at s=0 and increase strictly"),
+        ({"s": [0.0, 1.0, 2.0], "g": [1.0, 0.4, 0.2], "k0": 1.0, "k1": 2.0}, "need 0 < k1 <= k0, got k0=1.0, k1=2.0"),
+    ],
+)
+def test_tabulated_kernel_refusal_is_config_error(tmp_path, capsys, kernel, message):
+    model = json.loads(json.dumps(P0_MODEL))
+    model["kernel"] = {"type": "tabulated", "k0": 1.0, "k1": 1.0, **kernel}
+    cfg = write_cfg(tmp_path, model=model)
+    out = tmp_path / "out"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"]
+    assert error["type"] == "config"
+    assert error["message"].startswith(f"invalid model: {message}")
+    assert not out.exists()
+
+
+def test_validate_reports_a_kernel_without_positive_mass(tmp_path, capsys):
+    model = json.loads(json.dumps(P0_MODEL))
+    s = np.linspace(0.0, 5.0, 40)
+    model["kernel"] = {"type": "tabulated", "s": list(s), "g": list(-np.exp(-s)), "k0": 1.1, "k1": 0.9}
+    cfg = write_cfg(tmp_path, model=model)
+    out = tmp_path / "out"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 1
+    checks = {c["name"]: c for c in json.loads((out / "validate.json").read_text())["checks"]}
+    assert checks["kernel_mass_finite"]["passed"] is False
+    assert checks["kernel_mass_finite"]["detail"].startswith("kernel mass is not a positive finite number: -1.000")
+    assert "FAIL kernel_mass_finite" in capsys.readouterr().out
+    assert not (out / "error.json").exists()
+
+
+def test_general_simulate_refuses_a_kernel_reaching_zero(tmp_path, capsys):
+    model = json.loads(json.dumps(P0_MODEL))
+    model["kernel"] = {"type": "tabulated", "s": [0.0, 1.0, 2.0], "g": [1.0, 0.5, 0.0], "k0": 1.0, "k1": 1.0}
+    cfg = write_cfg(
+        tmp_path, model=model, extra={"simulate": {"integrator": "general", "t_hi": 5.0, "dt": 1e-2, "sample_every": 10}}
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    want = {"type": "InvalidModelError", "message": "kernel must stay positive on the stepping window"}
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"] == want
+    assert json.loads((out / "error.json").read_text())["error"] == want
+    assert not (out / "trace.csv").exists()
+
+
+def test_spectrum_reports_stalled_root_polishing(tmp_path, capsys, monkeypatch):
+    # companion roots far from every root: three Newton steps cannot reach them
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.full(a.shape[:-1], 1e6 + 0j))
+    cfg = write_cfg(tmp_path, extra={"spectrum": {"modes": 3}})
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 1
+    error = json.loads((out / "error.json").read_text())["error"]
+    assert error["type"] == "ConvergenceError"
+    assert error["message"].startswith("root polishing stalled at relative residuals")
+    assert error["message"].endswith("(xi=1)")
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"] == error
+    assert not (out / "spectrum.csv").exists()
+
+
+def test_sweep_without_resonance_frequencies_keeps_the_grid(tmp_path):
+    sweep = {"M": [8], "tau_lo": 5.0, "tau_hi": 25.0, "per_decade": 4}
+    rows = {}
+    for per_branch in (0, 2):
+        cfg = write_cfg(tmp_path, extra={"sweep": {**sweep, "resonances_per_branch": per_branch}})
+        out = tmp_path / f"out{per_branch}"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        with (out / "sweep_M8.csv").open(newline="") as fh:
+            rows[per_branch] = list(csv.DictReader(fh))
+    assert {r["resonance"] for r in rows[0]} == {"0"}
+    assert any(r["resonance"] == "1" for r in rows[2])
+    assert [r["tau"] for r in rows[0]] == [r["tau"] for r in rows[2] if r["resonance"] == "0"]
+
+
 def test_simulate_general_integrator(tmp_path):
     model = json.loads(json.dumps(P0_MODEL))
     s = np.arange(0.0, 12.0, 1e-2)

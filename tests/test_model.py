@@ -39,6 +39,33 @@ def test_explicit_grid_must_increase():
         xi_grid(-1.0, 2.0)
 
 
+@pytest.mark.parametrize("xi", [np.array([]), np.ones((2, 2))], ids=["empty", "2-d"])
+def test_explicit_grid_needs_a_nonempty_vector(xi):
+    with pytest.raises(InvalidModelError, match="^explicit grid needs a nonempty 1-d array$"):
+        ModeGrid(xi)
+
+
+# the config's key rules refuse each of these before the constructor sees them
+@pytest.mark.parametrize(
+    "length, count, message",
+    [(0.0, 3, "length must be > 0, got 0.0"), (-1.0, 3, "length must be > 0, got -1.0"), (1.0, 0, "count must be >= 1, got 0")],
+)
+def test_dirichlet_grid_refusals(length, count, message):
+    with pytest.raises(InvalidModelError, match=f"^{message}$"):
+        ModeGrid.dirichlet(length, count)
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, float("nan")])
+def test_exponential_kernel_needs_a_positive_rate(delta):
+    with pytest.raises(InvalidModelError, match=f"^delta must be > 0, got {delta}$"):
+        ExponentialKernel(delta)
+
+
+def test_exponential_kernel_pinch_bounds_are_its_rate():
+    kernel = ExponentialKernel(2.5)
+    assert kernel.k0 == kernel.k1 == kernel.delta == 2.5
+
+
 def test_dirichlet_grid_eigenvalues():
     grid = square_grid(4)
     assert grid.xi == pytest.approx([1.0, 4.0, 9.0, 16.0])

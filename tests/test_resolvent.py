@@ -28,6 +28,16 @@ def test_single_node_grid_is_exact():
     assert lag.weights == pytest.approx([1.0])
 
 
+# sweep.M and kernel.delta are refused by the config's key rules first
+@pytest.mark.parametrize(
+    "m, delta, message",
+    [(0, 1.0, "need at least one node, got M=0"), (4, 0.0, "delta must be > 0, got 0.0"), (4, -1.0, "delta must be > 0, got -1.0")],
+)
+def test_laguerre_grid_refusals(m, delta, message):
+    with pytest.raises(InvalidModelError, match=f"^{message}$"):
+        laguerre_grid(m, delta)
+
+
 def test_weights_integrate_constants_and_identity():
     for delta in (1.0, 2.0):
         for m in (1, 5, 20, 40):
@@ -774,6 +784,12 @@ def test_non_finite_block_entry_is_a_value_error(bad):
     poisoned = ModeBlock(xi=block.xi, M=8, matrix=matrix)
     with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
         poisoned.resolvent_norm(170.0)
+
+
+def test_singular_shifted_block_is_a_typed_error():
+    block = ModeBlock(xi=1.0, M=1, matrix=np.zeros((5, 5)))
+    with pytest.raises(resolvent.SingularBlockError, match=r"^i\*tau - B singular at tau=0 for mode xi=1$"):
+        block.resolvent_norm(0.0)
 
 
 def test_non_finite_history_block_is_never_pruned(monkeypatch):

@@ -561,10 +561,19 @@ def test_dissipation_residual_zero_state():
     assert np.all(trace.residual[1:-1] == 0.0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_residual_is_nan_without_a_centred_difference(n):
+    # np.gradient refuses a single sample and is one-sided at the ends; a
+    # warning on the way would fail the test
+    trace = energy_trace(evolve(), np.linspace(1.0, 1.01, n))
+    assert np.isnan(trace.residual[[0, -1]]).all()
+    assert np.isfinite(trace.residual[1:-1]).all() and trace.residual.shape == (n,)
+
+
 def test_energy_trace_takes_one_dimensional_times_only(monkeypatch):
     # the residual is a derivative along the times, so only a 1-D array has
-    # one: a scalar would fail inside the three-point derivative and a (2, 3)
-    # array would give an all-NaN residual; both are refused before any work
+    # one: a scalar would fail inside np.gradient and a (2, 3) array would
+    # give an all-NaN residual; both are refused before any work
     trajs = exact_modal_evolve(*marginal_data(square_grid(3), 3), P0, DELTA)
 
     def no_work(*args):
